@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .dataio import load_corpus, load_features, load_sessions, split_session
+from .dataio import load_corpus, load_features, load_schema, load_sessions, split_session
 from .errors import SeqskipError, ValidationError
 from .gradcheck import DEFAULT_TRIALS, TOLERANCE, run_suite
 from .metrics import (
@@ -121,12 +121,10 @@ def cmd_fit(args) -> int:
 def _truth_by_session(data_dir, schema):
     sessions = load_sessions(Path(data_dir) / "sessions.csv", schema)
     truth = {}
-    order = []
     for rec in sessions:
         support, _ = split_session(rec.length)
         truth[rec.session_id] = rec.labels[len(support) :]
-        order.append(rec.session_id)
-    return truth, order
+    return truth
 
 
 def cmd_evaluate(args) -> int:
@@ -141,8 +139,9 @@ def cmd_evaluate(args) -> int:
             model, episodes, batch_size=args.batch_size, threads=args.threads
         )
     else:
-        schema, _, _ = load_corpus(data)
-        truth, _ = _truth_by_session(data, schema)
+        # Scoring wire predictions needs the query labels only: one parse
+        # of sessions.csv, none of features.csv.
+        truth = _truth_by_session(data, load_schema(data / "schema.json"))
         wire = read_predictions(args.predictions)
         preds = []
         for sid, bits in wire:

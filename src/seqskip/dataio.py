@@ -24,6 +24,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -84,16 +85,19 @@ class SchemaSpec:
                     f"skip-label column {col.name!r} must have boolean kind, got {col.kind!r}"
                 )
 
-    @property
+    # Derived once per instance: ``transform`` reads these for every row.
+    # cached_property writes the instance __dict__ directly, which a
+    # frozen dataclass without slots allows.
+    @cached_property
     def feature_columns(self) -> tuple[ColumnSpec, ...]:
         """Schema columns that contribute to the log block (label excluded)."""
         return tuple(c for c in self.columns if c.name != self.skip_label_col)
 
-    @property
+    @cached_property
     def log_width(self) -> int:
         return sum(c.width for c in self.feature_columns)
 
-    @property
+    @cached_property
     def full_width(self) -> int:
         """Episode row width: log block + acoustics + label + query indicator."""
         return self.log_width + self.feature_dim + 2

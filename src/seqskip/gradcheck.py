@@ -141,16 +141,20 @@ def _case_reduce(rng):
     return [x], fn
 
 
-def _conv_case(dilation, mode, batched=False):
+def _conv_case(dilation, mode, batched=False, channels_last=False):
     def build(rng):
         c_in, c_out, k, t_len = 2, 3, 2 if mode == CAUSAL else 3, 7
         spec = Conv1dSpec(c_in, c_out, k, dilation, mode)
-        shape = (2, c_in, t_len) if batched else (c_in, t_len)
+        lead = (2,) if batched else ()
+        if channels_last:
+            shape, out_shape, conv = lead + (t_len, c_in), lead + (t_len, c_out), nn.conv1d_cl
+        else:
+            shape, out_shape, conv = lead + (c_in, t_len), lead + (c_out, t_len), nn.conv1d
         x = rng.normal(size=shape)
         w = rng.normal(size=(c_out, c_in, k))
         b = rng.normal(size=(c_out,))
-        r = rng.normal(size=shape[:-2] + (c_out, t_len))
-        return [x, w, b], lambda xx, ww, bb: _project(nn.conv1d(xx, spec, ww, bb), r)
+        r = rng.normal(size=out_shape)
+        return [x, w, b], lambda xx, ww, bb: _project(conv(xx, spec, ww, bb), r)
 
     return build
 
@@ -254,6 +258,8 @@ CASES = {
     "conv_noncausal_d1": _conv_case(1, NONCAUSAL, batched=True),
     "conv_noncausal_d2": _conv_case(2, NONCAUSAL),
     "conv_noncausal_d4": _conv_case(4, NONCAUSAL, batched=True),
+    "conv_cl_causal_d2": _conv_case(2, CAUSAL, batched=True, channels_last=True),
+    "conv_cl_noncausal_d1": _conv_case(1, NONCAUSAL, channels_last=True),
     "instance_norm": _case_instance_norm,
     "instance_norm_masked": _case_instance_norm_masked,
     "channel_norm": _case_channel_norm,

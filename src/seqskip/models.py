@@ -13,8 +13,11 @@ Two families share the Episode/Batch interfaces:
 
 Causal stacks normalize per position over channels only, never over
 time, so strict causality and exact receptive fields survive
-normalization. The non-causal support encoder of att_pair uses masked
-temporal instance norm instead, where looking ahead is the point.
+normalization. They stay channels-last, ``[B, T, W]`` like
+``Batch.seq_x``, from the entry conv to the head, so every conv is one
+GEMM and every norm reduces over the contiguous axis. The non-causal
+support encoder of att_pair uses masked temporal instance norm instead,
+where looking ahead is the point, and runs channels-first ``[B, W, S]``.
 """
 
 from __future__ import annotations
@@ -297,7 +300,7 @@ class Model:
         return T.add(T.matmul(x, self._p(f"{prefix}.w")), self._p(f"{prefix}.b"))
 
     def _conv(self, prefix: str, x: Tensor, spec: Conv1dSpec, bias: bool = True) -> Tensor:
-        return nn.conv1d(
+        return nn.conv1d_cl(
             x, spec, self._p(f"{prefix}.w"), self._p(f"{prefix}.b") if bias else None
         )
 
@@ -312,24 +315,22 @@ class Model:
     ) -> Tensor:
         """One conv level: two convs, per-branch norm, then the gate.
 
-        Causal levels use per-position channel norm; the non-causal
-        support levels use masked temporal instance norm.
+        Causal levels run channels-last ``[B, T, W]`` with per-position
+        channel norm; the non-causal support levels run channels-first
+        ``[B, W, S]`` with masked temporal instance norm.
         """
         w = self.config.width
         spec = Conv1dSpec(w, w, kernel, dilation, mode)
-        t_pre = self._conv(f"{prefix}.t", x, spec, bias=False)
-        g_pre = self._conv(f"{prefix}.g", x, spec, bias=False)
-        if mode == CAUSAL:
-            t_pre = nn.channel_norm(t_pre, self._p(f"{prefix}.t.gamma"), self._p(f"{prefix}.t.beta"))
-            g_pre = nn.channel_norm(g_pre, self._p(f"{prefix}.g.gamma"), self._p(f"{prefix}.g.beta"))
-        else:
-            t_pre = nn.instance_norm(
-                t_pre, self._p(f"{prefix}.t.gamma"), self._p(f"{prefix}.t.beta"), mask=mask
-            )
-            g_pre = nn.instance_norm(
-                g_pre, self._p(f"{prefix}.g.gamma"), self._p(f"{prefix}.g.beta"), mask=mask
-            )
-        return nn.gated_block(self.config.gate, x, t_pre, g_pre)
+        branches = []
+        for branch in ("t", "g"):
+            p = f"{prefix}.{branch}"
+            gamma, beta = self._p(f"{p}.gamma"), self._p(f"{p}.beta")
+            if mode == CAUSAL:
+                pre = nn.channel_norm(self._conv(p, x, spec, bias=False), gamma, beta, axis=-1)
+            else:
+                pre = nn.instance_norm(nn.conv1d(x, spec, self._p(f"{p}.w")), gamma, beta, mask=mask)
+            branches.append(pre)
+        return nn.gated_block(self.config.gate, x, *branches)
 
     def _causal_attention_mask(self, seq_mask: np.ndarray) -> np.ndarray:
         b, t = seq_mask.shape
@@ -357,14 +358,13 @@ class Model:
             return self._forward_transformer(x, batch.seq_mask)
         return self._forward_att_pair(batch)
 
-    def _head_probs(self, h_cf: Tensor) -> Tensor:
-        out = self._conv("head", h_cf, Conv1dSpec(self.config.width, 1, 1))
-        b, _, t = out.shape
+    def _head_probs(self, h: Tensor) -> Tensor:
+        out = self._conv("head", h, Conv1dSpec(self.config.width, 1, 1))  # [B, T, 1]
+        b, t, _ = out.shape
         return T.sigmoid(T.reshape(out, (b, t)))
 
     def _forward_conv_stacks(self, x: Tensor) -> Tensor:
-        h = T.swap_axes(x, -1, -2)  # [B, D, T]
-        h = self._conv("entry", h, Conv1dSpec(self.in_dim, self.config.width, 1))
+        h = self._conv("entry", x, Conv1dSpec(self.in_dim, self.config.width, 1))  # [B, T, W]
         for s in range(self.config.stack_count):
             for l, (d, k) in enumerate(zip(self.config.dilations, self.config.kernel_sizes)):
                 h = self._gated_level(f"stack{s}.level{l}", h, d, k, CAUSAL)
@@ -382,7 +382,6 @@ class Model:
         )
         att = self._linear("attn.o", att)
         h = T.concat([x, att], axis=-1)
-        h = T.swap_axes(h, -1, -2)
         h = self._conv("entry", h, Conv1dSpec(self.in_dim + self.config.width, self.config.width, 1))
         for l, (d, kk) in enumerate(zip(self.config.dilations, self.config.kernel_sizes)):
             h = self._gated_level(f"stack0.level{l}", h, d, kk, CAUSAL)
@@ -424,24 +423,22 @@ class Model:
 
     def _forward_att_pair(self, batch: Batch) -> Tensor:
         w = self.config.width
-        sup = T.swap_axes(Tensor(batch.sup_x), -1, -2)  # [B, D, S]
         sup_mask = batch.sup_mask[:, None, :]  # [B, 1, S]
         # Padded support columns are re-zeroed after every level: the
         # symmetric conv windows would otherwise read entry/gate bias
         # values from them, making outputs depend on the batch's padding.
         mask_t = Tensor(sup_mask)
-        s_enc = T.mul(self._conv("sup.entry", sup, Conv1dSpec(self.in_dim, w, 1)), mask_t)
+        s_enc = self._conv("sup.entry", Tensor(batch.sup_x), Conv1dSpec(self.in_dim, w, 1))
+        s_enc = T.mul(T.swap_axes(s_enc, -1, -2), mask_t)  # [B, W, S]
         for l, d in enumerate(ATT_PAIR_SUPPORT_DILATIONS):
             s_enc = self._gated_level(
                 f"sup.level{l}", s_enc, d, ATT_PAIR_SUPPORT_KERNEL, NONCAUSAL, mask=sup_mask
             )
             s_enc = T.mul(s_enc, mask_t)
-        seq = T.swap_axes(Tensor(batch.seq_x), -1, -2)
-        q_enc = self._conv("qry.entry", seq, Conv1dSpec(self.in_dim, w, 1))
+        q_cl = self._conv("qry.entry", Tensor(batch.seq_x), Conv1dSpec(self.in_dim, w, 1))
         for l, (d, k) in enumerate(zip(self.config.dilations, self.config.kernel_sizes)):
-            q_enc = self._gated_level(f"qry.level{l}", q_enc, d, k, CAUSAL)
+            q_cl = self._gated_level(f"qry.level{l}", q_cl, d, k, CAUSAL)  # [B, T, W]
 
-        q_cl = T.swap_axes(q_enc, -1, -2)  # [B, T, W]
         s_cl = T.swap_axes(s_enc, -1, -2)  # [B, S, W]
         t_len = q_cl.shape[-2]
         att_mask = np.repeat(batch.sup_mask[:, None, :], t_len, axis=1)  # [B, T, S]

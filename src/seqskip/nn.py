@@ -1,8 +1,11 @@
 """Layer primitives: convolutions, normalizations, gating, attention, losses.
 
 All functions are pure: parameters arrive as tensors, nothing is stored.
-Sequence inputs are channels-first, ``[C, T]`` or ``[batch, C, T]``;
-attention inputs are channels-last, ``[..., positions, features]``.
+The causal stacks run channels-last, ``[T, C]`` or ``[batch, T, C]``
+(:func:`conv1d_cl`, ``channel_norm(axis=-1)``), like attention inputs
+``[..., positions, features]``; :func:`conv1d` and :func:`instance_norm`
+take channels-first ``[C, T]`` or ``[batch, C, T]``. Convolutions, norms
+and gates each record one tape node with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -42,43 +45,107 @@ class Conv1dSpec:
         return 1 + self.dilation * (self.kernel_size - 1)
 
 
-def conv1d(x: Tensor, spec: Conv1dSpec, weights: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Dilated 1-d convolution preserving the temporal length.
+def _conv_taps(spec: Conv1dSpec, t_len: int) -> list[tuple[int, int, int, int]]:
+    """(tap, first row, stop row, input offset) for every tap that reads inside [0, T).
 
-    Causal mode pads ``dilation * (kernel_size - 1)`` zeros on the past
-    side only, so output column t reads input columns <= t. Noncausal
-    mode splits the same amount of padding across both sides (symmetric
-    for odd kernels).
+    Output row t of tap j reads input row t + offset; rows whose input
+    falls in the zero padding are left out, and so are taps that read
+    padding only (wide dilations on short timelines).
+    """
+    total = spec.dilation * (spec.kernel_size - 1)
+    left = total if spec.padding_mode == CAUSAL else total // 2
+    taps = []
+    for j in range(spec.kernel_size):
+        off = j * spec.dilation - left
+        lo, hi = max(0, -off), min(t_len, t_len - off)
+        if lo < hi:
+            taps.append((j, lo, hi, off))
+    return taps
+
+
+def conv1d_cl(x: Tensor, spec: Conv1dSpec, weights: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Channels-last dilated 1-d convolution preserving the temporal length.
+
+    ``x`` is ``[T, C_in]`` or ``[B, T, C_in]``; the output is
+    ``[..., T, C_out]``. Causal mode pads ``dilation * (kernel_size - 1)``
+    zeros on the past side only, so output row t reads input rows <= t.
+    Noncausal mode splits the same amount of padding across both sides
+    (symmetric for odd kernels).
+
+    The k shifted taps of every position are written into one zeroed
+    ``[B*T, k*C_in]`` buffer (im2col), so the conv is a single GEMM
+    against the ``[k*C_in, C_out]`` weight matrix and its backward two.
+    It records one tape node.
     """
     expected = (spec.out_channels, spec.in_channels, spec.kernel_size)
     if tuple(weights.shape) != expected:
         raise ConfigurationError(
             f"conv weights shape {tuple(weights.shape)} does not match spec {expected}"
         )
-    if x.ndim not in (2, 3) or x.shape[-2] != spec.in_channels:
+    if x.ndim not in (2, 3) or x.shape[-1] != spec.in_channels:
         raise ConfigurationError(
-            f"conv input shape {tuple(x.shape)} incompatible with {spec.in_channels} input channels"
+            f"channels-last conv input shape {tuple(x.shape)} incompatible with "
+            f"{spec.in_channels} input channels"
         )
-    t_len = x.shape[-1]
+    t_len = x.shape[-2]
     if t_len == 0:
         raise ValidationError("conv1d input has temporal length 0")
     if bias is not None and tuple(bias.shape) != (spec.out_channels,):
         raise ConfigurationError(f"conv bias shape {tuple(bias.shape)} != ({spec.out_channels},)")
 
-    total = spec.dilation * (spec.kernel_size - 1)
-    left = total if spec.padding_mode == CAUSAL else total // 2
-    xp = T.pad_axis(x, -1, left, total - left)
-    out = None
-    for j in range(spec.kernel_size):
-        tap = T.reshape(
-            T.slice_axis(weights, 2, j, j + 1), (spec.out_channels, spec.in_channels)
-        )
-        window = T.slice_axis(xp, -1, j * spec.dilation, j * spec.dilation + t_len)
-        term = T.matmul(tap, window)
-        out = term if out is None else T.add(out, term)
+    k, c_in, c_out = spec.kernel_size, spec.in_channels, spec.out_channels
+    lead = x.shape[:-2]
+    xd = x.data
+    if k == 1:
+        taps = []
+        cols = xd.reshape(-1, c_in)
+    else:
+        taps = _conv_taps(spec, t_len)
+        buf = np.zeros(lead + (t_len, k, c_in), dtype=xd.dtype)
+        for j, lo, hi, off in taps:
+            buf[..., lo:hi, j, :] = xd[..., lo + off : hi + off, :]
+        cols = buf.reshape(-1, k * c_in)
+    # wmat[j*C_in + c, o] = weights[o, c, j], matching the buffer's column order
+    wmat = weights.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
+    out = cols @ wmat
     if bias is not None:
-        out = T.add(out, T.reshape(bias, (spec.out_channels, 1)))
-    return out
+        out = out + bias.data
+    out = out.reshape(lead + (t_len, c_out))
+
+    def backward(g):
+        g2 = g.reshape(-1, c_out)
+        gx = gw = gb = None
+        if x.requires_grad:
+            gcols = g2 @ wmat.T
+            if k == 1:
+                gx = gcols.reshape(x.shape)
+            else:
+                gcols = gcols.reshape(lead + (t_len, k, c_in))
+                gx = np.zeros_like(xd, dtype=gcols.dtype)
+                for j, lo, hi, off in taps:
+                    gx[..., lo + off : hi + off, :] += gcols[..., lo:hi, j, :]
+        if weights.requires_grad:
+            gw = (cols.T @ g2).reshape(k, c_in, c_out).transpose(2, 1, 0)
+        if bias is not None and bias.requires_grad:
+            gb = g2.sum(axis=0)
+        return gx, gw, gb
+
+    parents = (x, weights) if bias is None else (x, weights, bias)
+    return T.fused(out, parents, backward)
+
+
+def conv1d(x: Tensor, spec: Conv1dSpec, weights: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Channels-first :func:`conv1d_cl`: ``[C, T]`` or ``[B, C, T]`` in and out.
+
+    Transposes around the channels-last kernel, so both layouts share one
+    convolution and one set of shape checks.
+    """
+    if x.ndim not in (2, 3):
+        raise ConfigurationError(
+            f"conv input shape {tuple(x.shape)} incompatible with {spec.in_channels} input channels"
+        )
+    out = conv1d_cl(T.swap_axes(x, -1, -2), spec, weights, bias)
+    return T.swap_axes(out, -1, -2)
 
 
 def activation(kind: str, x: Tensor) -> Tensor:
@@ -91,10 +158,82 @@ def activation(kind: str, x: Tensor) -> Tensor:
     raise ConfigurationError(f"unknown activation {kind!r}")
 
 
-def _stat_shape(param: Tensor, ndim: int, axis: int) -> Tensor:
-    shape = [1] * ndim
-    shape[axis] = param.shape[0]
-    return T.reshape(param, shape)
+def _axis_sum(a: np.ndarray, axis: int, b: np.ndarray | None = None) -> np.ndarray:
+    """Sum of ``a`` (times ``b``, broadcast) over one axis, kept as size 1.
+
+    einsum runs several times faster than ``ufunc.reduce`` over the short
+    channel and time axes of these stacks, and fuses the product.
+    """
+    keep = list(a.shape)
+    keep[axis] = 1
+    if axis % a.ndim != a.ndim - 1:
+        a = np.moveaxis(a, axis, -1)
+        b = None if b is None else np.moveaxis(b, axis, -1)
+    total = np.einsum("...i->...", a) if b is None else np.einsum("...i,...i->...", a, b)
+    return total.reshape(keep)
+
+
+def _column_sum(a: np.ndarray, axis: int, b: np.ndarray | None = None) -> np.ndarray:
+    """Sum of ``a`` (times ``b``, same shape) over every axis but ``axis``."""
+    n = a.shape[axis]
+    if axis % a.ndim != a.ndim - 1:
+        a = np.moveaxis(a, axis, -1)
+        b = None if b is None else np.moveaxis(b, axis, -1)
+    a = a.reshape(-1, n)
+    return np.einsum("ni->i", a) if b is None else np.einsum("ni,ni->i", a, b.reshape(-1, n))
+
+
+def _norm(
+    x: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    epsilon: float,
+    axis: int,
+    param_axis: int,
+    mask: np.ndarray | None,
+) -> Tensor:
+    """Normalize over ``axis``, then scale and shift along ``param_axis``.
+
+    One tape node with the closed-form backward
+    ``dx = inv * (gh - m/n * (sum(gh) + xhat * sum(gh * xhat)))``, where
+    ``gh`` is the gradient reaching the normalized values, ``m`` the mask
+    (1 everywhere when absent) and ``n`` the number of valid positions.
+    The sums run over every position, masked ones included, because
+    masked positions still produce output from the shared statistics.
+    """
+    xd = x.data
+    shape = [1] * xd.ndim
+    shape[param_axis] = gamma.shape[0]
+    g = gamma.data.reshape(shape)
+    b = beta.data.reshape(shape)
+    if mask is None:
+        weight = 1.0 / xd.shape[axis]
+        mu = _axis_sum(xd, axis) * weight
+        xc = xd - mu
+        var = _axis_sum(xc, axis, xc) * weight
+    else:
+        m = np.asarray(mask, dtype=xd.dtype.type)
+        # Binary masks leave sum(m * xc) at zero, which the backward assumes.
+        weight = m / np.maximum(m.sum(axis=axis, keepdims=True), 1.0)
+        mu = _axis_sum(xd, axis, weight)
+        xc = xd - mu
+        var = _axis_sum(xc * xc, axis, weight)
+    inv = (var + float(epsilon)) ** -0.5
+    xhat = xc * inv
+    out = xhat * g + b
+
+    def backward(gy):
+        gx = gg = gb = None
+        if x.requires_grad:
+            gh = gy * g
+            gx = inv * (gh - weight * (_axis_sum(gh, axis) + xhat * _axis_sum(gh, axis, xhat)))
+        if gamma.requires_grad:
+            gg = _column_sum(gy, param_axis, xhat)
+        if beta.requires_grad:
+            gb = _column_sum(gy, param_axis)
+        return gx, gg, gb
+
+    return T.fused(out, (x, gamma, beta), backward)
 
 
 def instance_norm(
@@ -106,50 +245,28 @@ def instance_norm(
 ) -> Tensor:
     """Normalize each channel over the temporal axis, then apply gamma/beta.
 
-    Statistics use the population variance. ``mask`` (1 = valid position,
+    Input is channels-first, ``[C, T]`` or ``[B, C, T]``. Statistics use
+    the population variance. ``mask`` (1 = valid position, 0 = padding,
     broadcastable to x) restricts statistics to valid positions so padded
     tails do not contaminate them; masked positions still produce output.
     """
     if x.ndim not in (2, 3):
         raise ConfigurationError(f"instance_norm expects [C,T] or [B,C,T], got {tuple(x.shape)}")
-    if mask is None:
-        mu = T.reduce_mean(x, axis=-1, keepdims=True)
-        centered = T.add(x, T.neg(mu))
-        var = T.reduce_mean(T.mul(centered, centered), axis=-1, keepdims=True)
-    else:
-        m = np.asarray(mask, dtype=x.dtype.type)
-        denom = np.maximum(m.sum(axis=-1, keepdims=True), 1.0)
-        mu = T.div(T.reduce_sum(T.mul(x, m), axis=-1, keepdims=True), Tensor(denom))
-        centered = T.add(x, T.neg(mu))
-        var = T.div(
-            T.reduce_sum(T.mul(T.mul(centered, centered), m), axis=-1, keepdims=True),
-            Tensor(denom),
-        )
-    inv = T.pow_scalar(T.add(var, float(epsilon)), -0.5)
-    normed = T.mul(centered, inv)
-    g = _stat_shape(gamma, x.ndim, -2)
-    b = _stat_shape(beta, x.ndim, -2)
-    return T.add(T.mul(normed, g), b)
+    return _norm(x, gamma, beta, epsilon, axis=-1, param_axis=-2, mask=mask)
 
 
 def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, epsilon: float = 1e-5, axis: int = -2) -> Tensor:
     """Normalize over the channel axis independently at every position.
 
     Unlike :func:`instance_norm` this mixes no information across time,
-    so it is safe inside strictly causal stacks.
+    so it is safe inside strictly causal stacks. Channels-last stacks
+    pass ``axis=-1``, which reduces over the contiguous axis.
     """
-    mu = T.reduce_mean(x, axis=axis, keepdims=True)
-    centered = T.add(x, T.neg(mu))
-    var = T.reduce_mean(T.mul(centered, centered), axis=axis, keepdims=True)
-    inv = T.pow_scalar(T.add(var, float(epsilon)), -0.5)
-    normed = T.mul(centered, inv)
-    g = _stat_shape(gamma, x.ndim, axis)
-    b = _stat_shape(beta, x.ndim, axis)
-    return T.add(T.mul(normed, g), b)
+    return _norm(x, gamma, beta, epsilon, axis=axis, param_axis=axis, mask=None)
 
 
 def gated_block(kind: str, x: Tensor, transform_pre: Tensor, gate_pre: Tensor) -> Tensor:
-    """Combine pre-activations of the transform and gate paths.
+    """Combine pre-activations of the transform and gate paths in one tape node.
 
     highway: sigmoid(gate) * relu(transform) + (1 - sigmoid(gate)) * x
     glu:     transform * sigmoid(gate)
@@ -158,16 +275,33 @@ def gated_block(kind: str, x: Tensor, transform_pre: Tensor, gate_pre: Tensor) -
         raise ConfigurationError(
             f"transform/gate shapes differ: {tuple(transform_pre.shape)} vs {tuple(gate_pre.shape)}"
         )
+    tp = transform_pre.data
+    s = T.sigmoid_array(gate_pre.data)
     if kind == "highway":
         if tuple(x.shape) != tuple(transform_pre.shape):
             raise ConfigurationError(
                 f"highway carry shape {tuple(x.shape)} != path shape {tuple(transform_pre.shape)}"
             )
-        gate = T.sigmoid(gate_pre)
-        carry = T.add(1.0, T.neg(gate))
-        return T.add(T.mul(gate, T.relu(transform_pre)), T.mul(carry, x))
+        r = np.maximum(tp, 0.0)
+        carry = 1.0 - s
+        out = s * r + carry * x.data
+
+        def backward(g):
+            gs = g * s
+            gx = g * carry if x.requires_grad else None
+            gt = gs * (tp > 0) if transform_pre.requires_grad else None
+            gg = gs * carry * (r - x.data) if gate_pre.requires_grad else None
+            return gx, gt, gg
+
+        return T.fused(out, (x, transform_pre, gate_pre), backward)
     if kind == "glu":
-        return T.mul(transform_pre, T.sigmoid(gate_pre))
+
+        def backward(g):
+            gt = g * s if transform_pre.requires_grad else None
+            gg = g * tp * s * (1.0 - s) if gate_pre.requires_grad else None
+            return gt, gg
+
+        return T.fused(tp * s, (transform_pre, gate_pre), backward)
     raise ConfigurationError(f"unknown gated block kind {kind!r}")
 
 

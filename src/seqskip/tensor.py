@@ -173,6 +173,23 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
+def fused(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """Record one tape node whose backward pass is written by hand.
+
+    ``backward(g)`` returns one gradient per parent, shaped like that
+    parent, or None for a parent that needs none. Gradients for parents
+    that do not require them are dropped, so ``backward`` may skip work
+    by checking ``requires_grad`` itself.
+    """
+
+    def grad_fn(g):
+        for p, gp in zip(parents, backward(g)):
+            if gp is not None and p.requires_grad:
+                _accum(p, gp)
+
+    return _result(data, parents, grad_fn)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if g.shape == shape:
         return g
@@ -308,11 +325,20 @@ def log(a) -> Tensor:
     return _result(data, (a,), grad_fn)
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Overflow-free logistic function of a plain array.
+
+    ``exp(min(x, 0)) / (1 + exp(-|x|))`` is ``1 / (1 + e^-x)`` for
+    x >= 0 and ``e^x / (1 + e^x)`` below: neither exponent is positive.
+    It avoids ``np.where``, whose data-dependent select costs more than
+    the arithmetic on random signs.
+    """
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    x = a.data
-    t = np.exp(-np.abs(x))
-    data = np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    data = sigmoid_array(a.data)
 
     def grad_fn(g):
         _accum(a, g * data * (1.0 - data))

@@ -240,6 +240,27 @@ def test_predict_then_evaluate_matches_checkpoint_eval(
     assert _maa_from(capsys.readouterr().out) == direct
 
 
+def test_evaluate_predictions_needs_no_feature_file(
+    corpus_dir, checkpoint, tmp_path, capsys
+):
+    preds = tmp_path / "preds.txt"
+    rc = main(["predict", "--data", str(corpus_dir), "--checkpoint", str(checkpoint),
+               "--out", str(preds)])
+    assert rc == 0
+    rc = main(["evaluate", "--data", str(corpus_dir), "--predictions", str(preds)])
+    assert rc == 0
+    full = _maa_from(capsys.readouterr().out)
+
+    # Scoring predictions reads the schema and the query labels only.
+    bare = tmp_path / "no_features"
+    bare.mkdir()
+    for name in ("schema.json", "sessions.csv"):
+        (bare / name).write_bytes((corpus_dir / name).read_bytes())
+    rc = main(["evaluate", "--data", str(bare), "--predictions", str(preds)])
+    assert rc == 0
+    assert _maa_from(capsys.readouterr().out) == full
+
+
 def test_evaluate_per_session_file(corpus_dir, checkpoint, tmp_path, capsys):
     per = tmp_path / "per_session.csv"
     rc = main(

@@ -87,6 +87,22 @@ def test_schema_round_trip(tmp_path):
     assert SchemaSpec.from_json(schema.to_json()) == schema
 
 
+def test_schema_derived_properties_cached(tmp_path):
+    (tmp_path / "schema.json").write_text(json.dumps(SCHEMA))
+    schema = load_schema(tmp_path / "schema.json")
+    names = ("context", "play_count", "shuffle", "pause_ratio")
+    for _ in range(2):  # first read computes, second reads the cache
+        assert tuple(c.name for c in schema.feature_columns) == names
+        assert schema.log_width == 5
+        assert schema.full_width == 10
+    assert schema.feature_columns is schema.feature_columns
+    again = SchemaSpec.from_json(schema.to_json())
+    assert again == schema
+    assert again.to_json() == schema.to_json() == SCHEMA
+    assert (again.feature_columns, again.log_width, again.full_width) == (
+        schema.feature_columns, schema.log_width, schema.full_width)
+
+
 def test_schema_validation():
     with pytest.raises(SchemaError):
         ColumnSpec("x", "fancy")

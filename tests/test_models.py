@@ -17,6 +17,7 @@ from seqskip.models import (
     target_similarity,
     user_embedding,
 )
+from seqskip.trainer import batch_loss
 
 IN_DIM = 10
 WIDTH = 16
@@ -191,6 +192,30 @@ def test_episode_helpers():
     assert user_embedding(model, ep).shape == (WIDTH,)
     assert predict_queries(model, ep).shape == (5,)
     assert predict_queries(_model("snail"), ep).shape == (5,)
+
+
+def _tape_op_nodes(root) -> int:
+    """Recorded ops (nodes with a backward) reachable from ``root``."""
+    seen, stack, count = {id(root)}, [root], 0
+    while stack:
+        node = stack.pop()
+        count += node._grad_fn is not None
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return count
+
+
+def test_seq1hl_loss_tape_node_budget():
+    # Each conv, norm and gate is one fused node: a seq1HL loss over ten
+    # gated levels (five such nodes each) stays within 150 recorded ops
+    # (575 when they were composed from primitives).
+    rng = np.random.default_rng(6)
+    batch = make_batch([_episode(rng, int(rng.integers(10, 21))) for _ in range(64)])
+    loss = batch_loss(_model("seq1HL", width=32), batch)
+    assert batch.seq_x.shape[0] == 64
+    assert 50 <= _tape_op_nodes(loss) <= 150
 
 
 def test_padding_does_not_change_predictions():
