@@ -16,10 +16,8 @@ import argparse
 import time
 from pathlib import Path
 
-import numpy as np
-
 from seqskip.dataio import load_corpus, split_session
-from seqskip.metrics import SessionPrediction, corpus_maa
+from seqskip.metrics import BASELINES, SessionPrediction, baseline, corpus_maa
 from seqskip.models import KINDS, default_config
 from seqskip.synthgen import RULES, SynthConfig, generate
 from seqskip.trainer import TrainConfig, split_train_val, train
@@ -31,22 +29,14 @@ DEFAULT_MODELS = {
     "log_leak": ["seq1HL", "teacher"],
 }
 
-BASELINE_KINDS = ("all_skip", "all_no_skip", "carry_last_support")
 
-
-def baseline_maa(kind: str, sessions, features, schema) -> float:
+def baseline_maa(kind: str, sessions) -> float:
     # Baselines need no preprocessing stats beyond episode splitting.
     preds = []
     for rec in sessions:
-        support, _ = split_session(rec.length)
-        t_s = len(support)
+        t_s = len(split_session(rec.length)[0])
         truth = rec.labels[t_s:]
-        if kind == "all_skip":
-            guess = np.ones_like(truth)
-        elif kind == "all_no_skip":
-            guess = np.zeros_like(truth)
-        else:
-            guess = np.full_like(truth, rec.labels[t_s - 1])
+        guess = baseline(kind, rec.labels[:t_s], truth.size)
         preds.append(SessionPrediction(rec.session_id, guess, truth))
     return corpus_maa(preds)
 
@@ -98,8 +88,8 @@ def main() -> int:
         schema, sessions, features = load_corpus(data_dir)
 
         _, val_sessions = split_train_val(sessions, 0.8, args.seed)
-        for bkind in BASELINE_KINDS:
-            maa = baseline_maa(bkind, val_sessions, features, schema)
+        for bkind in BASELINES:
+            maa = baseline_maa(bkind, val_sessions)
             rows.append((rule, f"baseline:{bkind}", maa, 0.0))
             print(f"[{rule}] baseline {bkind:>18s}: val MAA {maa:.4f}")
 

@@ -157,7 +157,9 @@ class SessionRecord:
     session_id: str
     track_ids: tuple[str, ...]
     labels: np.ndarray  # int8 [L]
-    logs: tuple[dict[str, str], ...]  # raw strings, schema feature columns only
+    # schema feature columns only, parsed at load: categorical str,
+    # boolean 0/1, count and real float
+    logs: tuple[dict[str, str | int | float], ...]
 
     @property
     def length(self) -> int:
@@ -188,6 +190,8 @@ def _parse_number(raw: str, column: str, where: str, nonnegative: bool = False) 
         value = float(raw)
     except ValueError:
         raise ValidationError(f"{where}: column {column!r} has non-numeric value {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{where}: column {column!r} has non-finite value {raw!r}")
     if nonnegative and value < 0:
         raise ValidationError(f"{where}: count column {column!r} is negative ({raw})")
     return value
@@ -224,12 +228,17 @@ def load_sessions(path, schema: SchemaSpec) -> list[SessionRecord]:
             logs = {}
             for col in schema.feature_columns:
                 raw = row[col.name]
-                if col.kind == "categorical" and raw not in vocab_index[col.name]:
-                    raise SchemaError(
-                        f"{where}: column {col.name!r} has value {raw!r} "
-                        f"outside the schema vocabulary"
-                    )
-                logs[col.name] = raw
+                if col.kind == "categorical":
+                    if raw not in vocab_index[col.name]:
+                        raise SchemaError(
+                            f"{where}: column {col.name!r} has value {raw!r} "
+                            f"outside the schema vocabulary"
+                        )
+                    logs[col.name] = raw
+                elif col.kind == "boolean":
+                    logs[col.name] = _parse_bool(raw, col.name, where)
+                else:
+                    logs[col.name] = _parse_number(raw, col.name, where, col.kind == "count")
             by_session.setdefault(sid, []).append((pos, row[schema.track_id_col], label, logs))
 
     records = []
@@ -278,9 +287,15 @@ def load_features(path, schema: SchemaSpec) -> FeatureTable:
             if tid in vectors:
                 raise ValidationError(f"{path}:{line_no}: duplicate track id {tid!r}")
             try:
-                vectors[tid] = np.array([float(v) for v in row[1:]], dtype=np.float64)
+                vec = np.array([float(v) for v in row[1:]], dtype=np.float64)
             except ValueError:
                 raise ValidationError(f"{path}:{line_no}: non-numeric feature value") from None
+            if not np.isfinite(vec).all():
+                j = 1 + int(np.argmin(np.isfinite(vec)))
+                raise ValidationError(
+                    f"{path}:{line_no}: column {header[j]!r} has non-finite value {row[j]!r}"
+                )
+            vectors[tid] = vec
     return FeatureTable(vectors=vectors, dim=schema.feature_dim)
 
 
@@ -335,11 +350,7 @@ def fit_stats(
     for col in schema.feature_columns:
         if col.kind != "count":
             continue
-        logged = [
-            math.log1p(_parse_number(rec.logs[i][col.name], col.name, rec.session_id, True))
-            for rec in sessions
-            for i in range(rec.length)
-        ]
+        logged = [math.log1p(logs[col.name]) for rec in sessions for logs in rec.logs]
         lo, hi = min(logged), max(logged)
         stats.count_min[col.name] = lo
         stats.count_max[col.name] = hi
@@ -376,20 +387,16 @@ def transform(
             offset += col.width
             continue
         for i in range(length):
-            raw = record.logs[i][col.name]
-            where = f"session {record.session_id} pos {i + 1}"
-            if col.kind == "boolean":
-                out[i, offset] = _parse_bool(raw, col.name, where)
-            elif col.kind == "count":
+            value = record.logs[i][col.name]
+            if col.kind == "count":
                 if stats.count_constant[col.name]:
                     out[i, offset] = 0.0
                 else:
                     span = stats.count_max[col.name] - stats.count_min[col.name]
-                    z = (math.log1p(_parse_number(raw, col.name, where, True))
-                         - stats.count_min[col.name]) / span
+                    z = (math.log1p(value) - stats.count_min[col.name]) / span
                     out[i, offset] = min(1.0, max(0.0, z))
-            else:  # real
-                out[i, offset] = _parse_number(raw, col.name, where)
+            else:  # boolean 0/1, real
+                out[i, offset] = value
         offset += 1
 
     std = np.where(stats.acoustic_constant, 1.0, stats.acoustic_std)

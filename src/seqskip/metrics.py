@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import Episode
 from .errors import EvaluationError, ValidationError
 
 
@@ -59,42 +57,38 @@ def average_accuracy(pred, truth) -> float:
     return float((prefix_acc * correct).sum() / p.size)
 
 
-def mean_average_accuracy(predictions) -> float:
-    """Unweighted mean of per-session average accuracies."""
-    preds = list(predictions)
-    if not preds:
-        raise EvaluationError("mean_average_accuracy over an empty prediction set")
-    return float(np.mean([average_accuracy(sp.predicted, sp.truth) for sp in preds]))
-
-
-def per_session_aa(
-    predictions: list[SessionPrediction], threads: int = 1
-) -> np.ndarray:
+def per_session_aa(predictions: list[SessionPrediction]) -> np.ndarray:
     """Per-session AA values in input order.
 
-    With ``threads > 1`` sessions are sharded across workers, but each
-    result lands in its preassigned slot, so the subsequent mean is
-    reduced in one fixed order regardless of scheduling.
+    Sessions of equal query length are scored together as the rows of
+    one matrix. Each row then goes through the same cumulative sum,
+    division and sum as :func:`average_accuracy`, so every value is
+    bit-identical to it; zero-padding rows to one common length would
+    change the summation order and the last bit.
     """
-    out = np.zeros(len(predictions), dtype=np.float64)
-
-    def fill(idx: int) -> None:
-        sp = predictions[idx]
-        out[idx] = average_accuracy(sp.predicted, sp.truth)
-
-    if threads <= 1 or len(predictions) < 2:
-        for i in range(len(predictions)):
-            fill(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(len(predictions))))
+    if not predictions:
+        raise EvaluationError("AA over an empty prediction set")
+    lengths = np.array([sp.truth.size for sp in predictions])
+    if not lengths.all():
+        empty = predictions[int(np.argmin(lengths))].session_id
+        raise ValidationError(f"session {empty!r}: AA needs at least one prediction")
+    correct = (
+        np.concatenate([sp.predicted for sp in predictions])
+        == np.concatenate([sp.truth for sp in predictions])
+    ).astype(np.float64)
+    starts = np.cumsum(lengths) - lengths
+    out = np.empty(len(predictions), dtype=np.float64)
+    for n in np.unique(lengths):
+        rows = np.flatnonzero(lengths == n)
+        c = correct[starts[rows, None] + np.arange(n)]
+        prefix_acc = np.cumsum(c, axis=1) / np.arange(1, n + 1)
+        out[rows] = (prefix_acc * c).sum(axis=1) / n
     return out
 
 
-def corpus_maa(predictions: list[SessionPrediction], threads: int = 1) -> float:
-    if not predictions:
-        raise EvaluationError("corpus MAA over an empty prediction set")
-    return float(per_session_aa(predictions, threads=threads).mean())
+def corpus_maa(predictions: list[SessionPrediction]) -> float:
+    """Unweighted mean of per-session average accuracies."""
+    return float(per_session_aa(predictions).mean())
 
 
 # -- baselines ---------------------------------------------------------
@@ -102,16 +96,16 @@ def corpus_maa(predictions: list[SessionPrediction], threads: int = 1) -> float:
 BASELINES = ("all_skip", "all_no_skip", "carry_last_support")
 
 
-def baseline(kind: str, episode: Episode) -> np.ndarray:
-    t_q = episode.t_query
+def baseline(kind: str, y_support, t_query: int) -> np.ndarray:
+    """The label-only guess ``kind`` for ``t_query`` positions after ``y_support``."""
     if kind == "all_skip":
-        return np.ones(t_q, dtype=np.int64)
+        return np.ones(t_query, dtype=np.int64)
     if kind == "all_no_skip":
-        return np.zeros(t_q, dtype=np.int64)
+        return np.zeros(t_query, dtype=np.int64)
     if kind == "carry_last_support":
-        if episode.t_support < 1:
+        if len(y_support) < 1:
             raise ValidationError("carry_last_support needs at least one support position")
-        return np.full(t_q, int(episode.y_support[-1]), dtype=np.int64)
+        return np.full(t_query, int(y_support[-1]), dtype=np.int64)
     raise ValidationError(f"unknown baseline {kind!r}")
 
 

@@ -22,8 +22,8 @@ where looking ahead is the point, and runs channels-first ``[B, W, S]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,14 +51,60 @@ MAX_POSITIONS = 20  # sessions never exceed 20 tracks
 GATES = ("highway", "glu")
 
 
+class Structure(NamedTuple):
+    """What a kind fixes about its architecture beyond width, gate and seed."""
+
+    stacks: int = 1  # causal conv stacks; transformer blocks
+    dilations: tuple[int, ...] = ()  # per conv level of a stack
+    kernels: tuple[int, ...] = ()
+    heads: int = 1
+    forward: str | None = None  # the Model method of a sequence kind
+
+
+_WAVENET = Structure(
+    dilations=STACK_DILATIONS, kernels=(2,) * len(STACK_DILATIONS), forward="_forward_conv_stacks"
+)
+
+STRUCTURE = {
+    "rnb1": Structure(),
+    "rnb2_ue": Structure(),
+    "rnbc2_ue": Structure(),
+    "seq1eH": _WAVENET,
+    "seq1HL": _WAVENET._replace(stacks=2),
+    "att_pair": Structure(
+        dilations=ATT_PAIR_QUERY_DILATIONS,
+        kernels=ATT_PAIR_QUERY_KERNELS,
+        forward="_forward_att_pair",
+    ),
+    "transformer": Structure(stacks=2, heads=8, forward="_forward_transformer"),
+    "snail": _WAVENET._replace(heads=8, forward="_forward_snail"),
+    "teacher": _WAVENET._replace(stacks=2),
+}
+
+# Checkpoint meta written before the structure was derived from the kind
+# stores it next to the config, under these keys. Only the fields a kind's
+# build and forward read describe its model; the others never mattered.
+_LEGACY_KEYS = {
+    "stacks": "stack_count",
+    "dilations": "dilations",
+    "kernels": "kernel_sizes",
+    "heads": "heads",
+}
+_CONV_FIELDS = ("stacks", "dilations", "kernels")
+_LEGACY_READ = {
+    "seq1eH": _CONV_FIELDS,
+    "seq1HL": _CONV_FIELDS,
+    "teacher": _CONV_FIELDS,
+    "snail": ("dilations", "kernels", "heads"),
+    "att_pair": ("dilations", "kernels", "heads"),
+    "transformer": ("stacks", "heads"),
+}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     kind: str
     width: int = 256
-    stack_count: int = 1
-    dilations: tuple[int, ...] = STACK_DILATIONS
-    kernel_sizes: tuple[int, ...] = (2, 2, 2, 2, 2)
-    heads: int = 1
     gate: str = "highway"
     seed: int = 0
 
@@ -69,89 +115,35 @@ class ModelConfig:
             raise ConfigurationError("width must be positive")
         if self.gate not in GATES:
             raise ConfigurationError(f"gate must be one of {GATES}, got {self.gate!r}")
-        if self.heads < 1:
-            raise ConfigurationError("heads must be positive")
-        if len(self.dilations) != len(self.kernel_sizes):
-            raise ConfigurationError("dilations and kernel_sizes must have equal length")
-        if self.kind in ("seq1eH", "seq1HL", "teacher", "snail"):
-            want = 1 if self.kind in ("seq1eH", "snail") else 2
-            if self.stack_count != want:
-                raise ConfigurationError(f"{self.kind} requires stack_count={want}")
-            if self.dilations != STACK_DILATIONS or any(k != 2 for k in self.kernel_sizes):
-                raise ConfigurationError(
-                    f"{self.kind} requires dilations {STACK_DILATIONS} with kernel size 2"
-                )
-        if self.kind == "att_pair":
-            if (
-                self.dilations != ATT_PAIR_QUERY_DILATIONS
-                or self.kernel_sizes != ATT_PAIR_QUERY_KERNELS
-            ):
-                raise ConfigurationError(
-                    f"att_pair requires query dilations {ATT_PAIR_QUERY_DILATIONS} "
-                    f"with kernels {ATT_PAIR_QUERY_KERNELS}"
-                )
-        if self.kind == "snail" and self.heads != 8:
-            raise ConfigurationError("snail requires heads=8")
-        if self.kind in ("snail", "transformer") and self.width % self.heads:
-            raise ConfigurationError(
-                f"{self.kind}: heads={self.heads} must divide width={self.width}"
-            )
+        heads = self.structure.heads
+        if self.width % heads:
+            raise ConfigurationError(f"{self.kind}: heads={heads} must divide width={self.width}")
+
+    @property
+    def structure(self) -> Structure:
+        return STRUCTURE[self.kind]
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "width": self.width,
-            "stack_count": self.stack_count,
-            "dilations": list(self.dilations),
-            "kernel_sizes": list(self.kernel_sizes),
-            "heads": self.heads,
-            "gate": self.gate,
-            "seed": self.seed,
-        }
+        return {"kind": self.kind, "width": self.width, "gate": self.gate, "seed": self.seed}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
-        return cls(
-            kind=obj["kind"],
-            width=int(obj["width"]),
-            stack_count=int(obj["stack_count"]),
-            dilations=tuple(obj["dilations"]),
-            kernel_sizes=tuple(obj["kernel_sizes"]),
-            heads=int(obj["heads"]),
-            gate=obj["gate"],
-            seed=int(obj["seed"]),
+        config = cls(
+            kind=obj["kind"], width=int(obj["width"]), gate=obj["gate"], seed=int(obj["seed"])
         )
+        # Old meta loads only where it states the structure its kind has:
+        # a stored structure that differs describes another model.
+        for name in _LEGACY_READ.get(config.kind, ()):
+            key, want = _LEGACY_KEYS[name], getattr(config.structure, name)
+            if key in obj and obj[key] != (list(want) if isinstance(want, tuple) else want):
+                raise ValidationError(
+                    f"{config.kind} checkpoint stores {key}={obj[key]!r}; the kind has {want!r}"
+                )
+        return config
 
 
 def default_config(kind: str, width: int = 256, seed: int = 0, gate: str = "highway") -> ModelConfig:
-    """A valid config for ``kind`` with its mandated structure filled in."""
-    base = ModelConfig(kind="rnb1", width=width, seed=seed, gate=gate, dilations=(), kernel_sizes=())
-    if kind in METRIC_KINDS:
-        return replace(base, kind=kind)
-    if kind in ("seq1eH", "snail"):
-        return replace(
-            base,
-            kind=kind,
-            stack_count=1,
-            dilations=STACK_DILATIONS,
-            kernel_sizes=(2,) * 5,
-            heads=8 if kind == "snail" else 1,
-        )
-    if kind in ("seq1HL", "teacher"):
-        return replace(
-            base, kind=kind, stack_count=2, dilations=STACK_DILATIONS, kernel_sizes=(2,) * 5
-        )
-    if kind == "att_pair":
-        return replace(
-            base,
-            kind=kind,
-            stack_count=1,
-            dilations=ATT_PAIR_QUERY_DILATIONS,
-            kernel_sizes=ATT_PAIR_QUERY_KERNELS,
-        )
-    if kind == "transformer":
-        return replace(base, kind=kind, stack_count=2, heads=8)
-    raise ConfigurationError(f"unknown model kind {kind!r}")
+    return ModelConfig(kind=kind, width=width, seed=seed, gate=gate)
 
 
 def target_similarity(y_support, y_query) -> np.ndarray:
@@ -216,6 +208,7 @@ def build(config: ModelConfig, in_dim: int) -> "Model":
     if in_dim < 3:
         raise ConfigurationError(f"in_dim must cover label+indicator channels, got {in_dim}")
     w = config.width
+    structure = config.structure
     init = _Init(config.seed)
     if config.kind in METRIC_KINDS:
         d_item = in_dim - 2  # label/indicator channels are not item features
@@ -231,8 +224,8 @@ def build(config: ModelConfig, in_dim: int) -> "Model":
             init.zeros("wsum.bias", (1,))
     elif config.kind in ("seq1eH", "seq1HL", "teacher"):
         init.conv("entry", in_dim, w, 1)
-        for s in range(config.stack_count):
-            for l, k in enumerate(config.kernel_sizes):
+        for s in range(structure.stacks):
+            for l, k in enumerate(structure.kernels):
                 init.gated_level(f"stack{s}.level{l}", w, k)
         init.conv("head", w, 1, 1)
     elif config.kind == "snail":
@@ -240,13 +233,13 @@ def build(config: ModelConfig, in_dim: int) -> "Model":
             init.linear(name, in_dim, w)
         init.linear("attn.o", w, w)
         init.conv("entry", in_dim + w, w, 1)
-        for l, k in enumerate(config.kernel_sizes):
+        for l, k in enumerate(structure.kernels):
             init.gated_level(f"stack0.level{l}", w, k)
         init.conv("head", w, 1, 1)
     elif config.kind == "transformer":
         init.linear("embed", in_dim, w)
         init.uniform("pos", (MAX_POSITIONS, w), w)
-        for b in range(config.stack_count):
+        for b in range(structure.stacks):
             init.norm(f"block{b}.ln1", w)
             for name in ("q", "k", "v", "o"):
                 init.linear(f"block{b}.{name}", w, w)
@@ -260,7 +253,7 @@ def build(config: ModelConfig, in_dim: int) -> "Model":
         for l, d in enumerate(ATT_PAIR_SUPPORT_DILATIONS):
             init.gated_level(f"sup.level{l}", w, ATT_PAIR_SUPPORT_KERNEL)
         init.conv("qry.entry", in_dim, w, 1)
-        for l, k in enumerate(config.kernel_sizes):
+        for l, k in enumerate(structure.kernels):
             init.gated_level(f"qry.level{l}", w, k)
         init.linear("comb", 2 * w, w)
         init.linear("head", w, 1)
@@ -342,52 +335,52 @@ class Model:
     def forward_sequence(self, batch: Batch) -> Tensor:
         """Per-position skip probabilities [B, T] over the merged timeline."""
         kind = self.config.kind
-        if kind in METRIC_KINDS:
+        forward = self.config.structure.forward
+        if forward is None:
             raise ContractError(f"{kind} is a metric-family model; no sequence forward")
         if kind == "teacher" and not batch.query_logs_kept:
             raise ContractError(
                 "teacher requires episodes assembled with keep_query_logs=True; "
                 "this batch has zero-filled query logs"
             )
-        x = Tensor(batch.seq_x)
-        if kind in ("seq1eH", "seq1HL", "teacher"):
-            return self._forward_conv_stacks(x)
-        if kind == "snail":
-            return self._forward_snail(x, batch.seq_mask)
-        if kind == "transformer":
-            return self._forward_transformer(x, batch.seq_mask)
-        return self._forward_att_pair(batch)
+        return getattr(self, forward)(batch)
 
     def _head_probs(self, h: Tensor) -> Tensor:
         out = self._conv("head", h, Conv1dSpec(self.config.width, 1, 1))  # [B, T, 1]
         b, t, _ = out.shape
         return T.sigmoid(T.reshape(out, (b, t)))
 
-    def _forward_conv_stacks(self, x: Tensor) -> Tensor:
+    def _forward_conv_stacks(self, batch: Batch) -> Tensor:
+        structure = self.config.structure
+        x = Tensor(batch.seq_x)
         h = self._conv("entry", x, Conv1dSpec(self.in_dim, self.config.width, 1))  # [B, T, W]
-        for s in range(self.config.stack_count):
-            for l, (d, k) in enumerate(zip(self.config.dilations, self.config.kernel_sizes)):
+        for s in range(structure.stacks):
+            for l, (d, k) in enumerate(zip(structure.dilations, structure.kernels)):
                 h = self._gated_level(f"stack{s}.level{l}", h, d, k, CAUSAL)
         return self._head_probs(h)
 
-    def _forward_snail(self, x: Tensor, seq_mask: np.ndarray) -> Tensor:
+    def _forward_snail(self, batch: Batch) -> Tensor:
         # Attention reads the raw rows (no embedding layer in front),
         # its output is concatenated back onto them, and the causal
         # stack consumes the pair.
+        structure = self.config.structure
+        x = Tensor(batch.seq_x)
         q = self._linear("attn.q", x)
         k = self._linear("attn.k", x)
         v = self._linear("attn.v", x)
         att = nn.attention(
-            q, k, v, mask=self._causal_attention_mask(seq_mask), heads=self.config.heads
+            q, k, v, mask=self._causal_attention_mask(batch.seq_mask), heads=structure.heads
         )
         att = self._linear("attn.o", att)
         h = T.concat([x, att], axis=-1)
         h = self._conv("entry", h, Conv1dSpec(self.in_dim + self.config.width, self.config.width, 1))
-        for l, (d, kk) in enumerate(zip(self.config.dilations, self.config.kernel_sizes)):
+        for l, (d, kk) in enumerate(zip(structure.dilations, structure.kernels)):
             h = self._gated_level(f"stack0.level{l}", h, d, kk, CAUSAL)
         return self._head_probs(h)
 
-    def _forward_transformer(self, x: Tensor, seq_mask: np.ndarray) -> Tensor:
+    def _forward_transformer(self, batch: Batch) -> Tensor:
+        structure = self.config.structure
+        x = Tensor(batch.seq_x)
         t_len = x.shape[-2]
         if t_len > MAX_POSITIONS:
             raise ValidationError(
@@ -395,14 +388,14 @@ class Model:
             )
         h = self._linear("embed", x)
         h = T.add(h, T.slice_axis(self._p("pos"), 0, 0, t_len))
-        mask = self._causal_attention_mask(seq_mask)
+        mask = self._causal_attention_mask(batch.seq_mask)
 
         def ln(prefix: str, v: Tensor) -> Tensor:
             return nn.channel_norm(
                 v, self._p(f"{prefix}.gamma"), self._p(f"{prefix}.beta"), axis=-1
             )
 
-        for bidx in range(self.config.stack_count):
+        for bidx in range(structure.stacks):
             p = f"block{bidx}"
             n1 = ln(f"{p}.ln1", h)
             att = nn.attention(
@@ -410,7 +403,7 @@ class Model:
                 self._linear(f"{p}.k", n1),
                 self._linear(f"{p}.v", n1),
                 mask=mask,
-                heads=self.config.heads,
+                heads=structure.heads,
             )
             h = T.add(h, self._linear(f"{p}.o", att))
             n2 = ln(f"{p}.ln2", h)
@@ -422,6 +415,7 @@ class Model:
         return T.sigmoid(T.reshape(logits, (b, t_len)))
 
     def _forward_att_pair(self, batch: Batch) -> Tensor:
+        structure = self.config.structure
         w = self.config.width
         sup_mask = batch.sup_mask[:, None, :]  # [B, 1, S]
         # Padded support columns are re-zeroed after every level: the
@@ -436,13 +430,13 @@ class Model:
             )
             s_enc = T.mul(s_enc, mask_t)
         q_cl = self._conv("qry.entry", Tensor(batch.seq_x), Conv1dSpec(self.in_dim, w, 1))
-        for l, (d, k) in enumerate(zip(self.config.dilations, self.config.kernel_sizes)):
+        for l, (d, k) in enumerate(zip(structure.dilations, structure.kernels)):
             q_cl = self._gated_level(f"qry.level{l}", q_cl, d, k, CAUSAL)  # [B, T, W]
 
         s_cl = T.swap_axes(s_enc, -1, -2)  # [B, S, W]
         t_len = q_cl.shape[-2]
         att_mask = np.repeat(batch.sup_mask[:, None, :], t_len, axis=1)  # [B, T, S]
-        att = nn.attention(q_cl, s_cl, s_cl, mask=att_mask, heads=self.config.heads)
+        att = nn.attention(q_cl, s_cl, s_cl, mask=att_mask, heads=structure.heads)
         h = T.relu(self._linear("comb", T.concat([q_cl, att], axis=-1)))
         logits = self._linear("head", h)
         b = logits.shape[0]

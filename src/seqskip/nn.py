@@ -324,6 +324,25 @@ def _merge_heads(x: Tensor) -> Tensor:
     return T.reshape(x, (*lead, n, h * dh))
 
 
+def _attention_weights(q: Tensor, k: Tensor, mask: np.ndarray | None, heads: int) -> Tensor:
+    """Masked softmax of the scaled scores, ``[..., heads, n, m]`` when heads > 1."""
+    mask_arr = None
+    if mask is not None:
+        mask_arr = np.asarray(mask)
+        if not mask_arr.any(axis=-1).all():
+            raise MaskingError("attention mask blocks every key for some query row")
+        mask_arr = mask_arr.astype(q.dtype.type)
+    scale = 1.0 / float(np.sqrt(q.shape[-1] // heads))
+    if heads > 1:
+        q, k = _split_heads(q, heads), _split_heads(k, heads)
+        if mask_arr is not None:
+            mask_arr = np.expand_dims(mask_arr, -3)
+    scores = T.mul(T.matmul(q, T.swap_axes(k, -1, -2)), scale)
+    if mask_arr is not None:
+        scores = T.add(T.mul(scores, Tensor(mask_arr)), Tensor(_MASK_FILL * (1.0 - mask_arr)))
+    return softmax(scores, axis=-1)
+
+
 def attention(
     q: Tensor,
     k: Tensor,
@@ -344,39 +363,15 @@ def attention(
         raise ConfigurationError("heads must be >= 1")
     if heads > 1 and (dk % heads or dv % heads):
         raise ConfigurationError(f"heads={heads} must divide d_k={dk} and d_v={dv}")
-
-    mask_arr = None
-    if mask is not None:
-        mask_arr = np.asarray(mask)
-        if not mask_arr.any(axis=-1).all():
-            raise MaskingError("attention mask blocks every key for some query row")
-        mask_arr = mask_arr.astype(q.dtype.type)
-
-    if heads > 1:
-        q, k, v = _split_heads(q, heads), _split_heads(k, heads), _split_heads(v, heads)
-        if mask_arr is not None:
-            mask_arr = np.expand_dims(mask_arr, -3)
-    scale = 1.0 / float(np.sqrt(dk // heads if heads > 1 else dk))
-    scores = T.mul(T.matmul(q, T.swap_axes(k, -1, -2)), scale)
-    if mask_arr is not None:
-        scores = T.add(T.mul(scores, Tensor(mask_arr)), Tensor(_MASK_FILL * (1.0 - mask_arr)))
-    weights = softmax(scores, axis=-1)
-    out = T.matmul(weights, v)
-    if heads > 1:
-        out = _merge_heads(out)
-    return out
+    weights = _attention_weights(q, k, mask, heads)
+    if heads == 1:
+        return T.matmul(weights, v)
+    return _merge_heads(T.matmul(weights, _split_heads(v, heads)))
 
 
 def attention_weights(q: Tensor, k: Tensor, mask: np.ndarray | None = None) -> np.ndarray:
     """Single-head attention weight matrix, for inspection and tests."""
-    dk = q.shape[-1]
-    scores = T.mul(T.matmul(q, T.swap_axes(k, -1, -2)), 1.0 / float(np.sqrt(dk)))
-    if mask is not None:
-        m = np.asarray(mask).astype(q.dtype.type)
-        if not m.any(axis=-1).all():
-            raise MaskingError("attention mask blocks every key for some query row")
-        scores = T.add(T.mul(scores, Tensor(m)), Tensor(_MASK_FILL * (1.0 - m)))
-    return softmax(scores, axis=-1).data
+    return _attention_weights(q, k, mask, heads=1).data
 
 
 # -- losses ------------------------------------------------------------

@@ -154,16 +154,24 @@ def predict_corpus(
     return out
 
 
-def evaluate_episodes(
-    model: Model, episodes: list[Episode], batch_size: int = 64, threads: int = 1
-) -> tuple[float, list[SessionPrediction]]:
+def score_episodes(
+    model: Model, episodes: list[Episode], batch_size: int = 64
+) -> list[SessionPrediction]:
+    """Binarized query predictions next to the query labels, in corpus order."""
     preds = []
     probs = predict_corpus(model, episodes, batch_size)
     for ep, (sid, p) in zip(episodes, probs):
         if ep.y_query is None:
             raise ValidationError(f"session {sid!r} lacks query labels; cannot score")
         preds.append(SessionPrediction(sid, binarize(p), ep.y_query))
-    return corpus_maa(preds, threads=threads), preds
+    return preds
+
+
+def evaluate_episodes(
+    model: Model, episodes: list[Episode], batch_size: int = 64
+) -> tuple[float, list[SessionPrediction]]:
+    preds = score_episodes(model, episodes, batch_size)
+    return corpus_maa(preds), preds
 
 
 def _clip_gradients(model: Model, limit: float) -> None:

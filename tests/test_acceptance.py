@@ -19,7 +19,7 @@ from seqskip.metrics import (
     SessionPrediction,
     average_accuracy,
     binarize,
-    mean_average_accuracy,
+    corpus_maa,
     read_predictions,
 )
 from seqskip.models import build, default_config
@@ -81,7 +81,7 @@ def _label_baseline_maa(kind: str, val_sessions) -> float:
         else:
             guess = np.zeros(len(y_q), dtype=np.int64)
         preds.append(SessionPrediction(rec.session_id, guess, y_q))
-    return mean_average_accuracy(preds)
+    return corpus_maa(preds)
 
 
 def _random_episode(rng, in_dim: int) -> Episode:
@@ -275,8 +275,8 @@ def test_criterion_05_threshold_learnability(corpus_factory):
     flip_rate = flipped / n_query
     assert abs(flip_rate - 0.05) <= 0.01, \
         f"noisy and noise-free val query labels differ at {flip_rate:.4f}, not ~0.05"
-    clean_maa = mean_average_accuracy(learnt)
-    ceiling_maa = mean_average_accuracy(ceiling)
+    clean_maa = corpus_maa(learnt)
+    ceiling_maa = corpus_maa(ceiling)
 
     ok = clean_maa >= 0.95 and base <= 0.60 and elapsed < 300.0
     _check(5, ok, f"seq1HL val MAA {clean_maa:.4f} on noise-free labels "

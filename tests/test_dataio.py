@@ -135,6 +135,10 @@ def test_sessions_sorted_and_parsed(corpus):
     assert rec.track_ids == tuple(f"t{k}" for k in range(10))
     np.testing.assert_array_equal(rec.labels, [p % 2 for p in range(1, 11)])
     assert rec.logs[0]["context"] == "evening"
+    # parsed at load: counts and reals as floats, booleans as 0/1
+    assert rec.logs[1]["play_count"] == float(E_MINUS_1)
+    assert rec.logs[2]["shuffle"] == 1 and rec.logs[0]["shuffle"] == 0
+    assert rec.logs[0]["pause_ratio"] == 0.1
     assert "date" not in rec.logs[0]  # unlisted columns dropped
 
 
@@ -179,6 +183,11 @@ def test_sessions_reject_bad_values(tmp_path):
     with pytest.raises(ValidationError, match="non-boolean"):
         load_sessions(bad, schema)
 
+    bad.write_text(_edit_row(good, 3, 5, "maybe"))  # shuffle log column
+    with pytest.raises(ValidationError,
+                       match=r"bad\.csv:4: column 'shuffle' has non-boolean value 'maybe'"):
+        load_sessions(bad, schema)
+
     bad.write_text(_edit_row(good, 1, 2, "x"))  # position column
     with pytest.raises(ValidationError, match="integer"):
         load_sessions(bad, schema)
@@ -209,6 +218,30 @@ def test_features_reject_malformed(tmp_path):
 
     (tmp_path / "f.csv").write_text("track_id,f0,f1,f2\nt0,1,x,3\n")
     with pytest.raises(ValidationError, match="non-numeric"):
+        load_features(tmp_path / "f.csv", schema)
+
+
+def test_non_finite_values_rejected_with_file_line(tmp_path):
+    # float() accepts nan and inf: one nan feature made acoustic_mean NaN,
+    # one inf count made every finite count of its column 0.
+    _write_corpus(tmp_path)
+    schema = load_schema(tmp_path / "schema.json")
+    good = (tmp_path / "sessions.csv").read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+
+    bad.write_text(_edit_row(good, 4, 4, "inf"))  # play_count
+    with pytest.raises(ValidationError,
+                       match=r"bad\.csv:5: column 'play_count' has non-finite value 'inf'"):
+        load_sessions(bad, schema)
+
+    bad.write_text(_edit_row(good, 2, 6, "-inf"))  # pause_ratio
+    with pytest.raises(ValidationError,
+                       match=r"bad\.csv:3: column 'pause_ratio' has non-finite value '-inf'"):
+        load_sessions(bad, schema)
+
+    (tmp_path / "f.csv").write_text("track_id,f0,f1,f2\nt0,1,2,3\nt1,1,nan,3\n")
+    with pytest.raises(ValidationError,
+                       match=r"f\.csv:3: column 'f1' has non-finite value 'nan'"):
         load_features(tmp_path / "f.csv", schema)
 
 

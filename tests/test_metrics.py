@@ -15,7 +15,6 @@ from seqskip.metrics import (
     baseline,
     binarize,
     corpus_maa,
-    mean_average_accuracy,
     per_session_aa,
     read_predictions,
     write_predictions,
@@ -84,22 +83,31 @@ def test_mean_and_corpus_maa_agree():
         SessionPrediction("a", np.array([1, 1]), np.array([1, 0])),
         SessionPrediction("b", np.array([0, 0]), np.array([0, 0])),
     ]
-    assert mean_average_accuracy(preds) == corpus_maa(preds)
-    with pytest.raises(EvaluationError):
-        mean_average_accuracy([])
+    mean = np.mean([average_accuracy(sp.predicted, sp.truth) for sp in preds])
+    assert mean == corpus_maa(preds)
     with pytest.raises(EvaluationError):
         corpus_maa([])
 
 
-def test_threaded_per_session_order_stable():
+def test_vectorised_per_session_aa_matches_scalar():
+    # Query lengths 1-10 mixed in one call: every value bit for bit, in order.
     rng = np.random.default_rng(0)
+    lengths = rng.integers(1, 11, 2000)
     preds = [
-        SessionPrediction(str(i), rng.integers(0, 2, 7), rng.integers(0, 2, 7))
-        for i in range(40)
+        SessionPrediction(str(i), rng.integers(0, 2, n), rng.integers(0, 2, n))
+        for i, n in enumerate(lengths)
     ]
-    a = per_session_aa(preds, threads=1)
-    b = per_session_aa(preds, threads=4)
-    np.testing.assert_array_equal(a, b)
+    want = [average_accuracy(sp.predicted, sp.truth) for sp in preds]
+    np.testing.assert_array_equal(per_session_aa(preds), want)
+    assert corpus_maa(preds) == float(np.mean(want))
+
+
+def test_per_session_aa_rejects_bad_input():
+    ok = SessionPrediction("ok", np.array([1, 0]), np.array([1, 1]))
+    with pytest.raises(ValidationError, match="at least one"):
+        per_session_aa([ok, SessionPrediction("empty", np.array([]), np.array([]))])
+    with pytest.raises(EvaluationError):
+        per_session_aa([])
 
 
 def _episode(y_support, t_query=3):
@@ -115,13 +123,15 @@ def _episode(y_support, t_query=3):
 
 def test_baselines():
     ep = _episode([0, 1, 1])
-    np.testing.assert_array_equal(baseline("all_skip", ep), [1, 1, 1])
-    np.testing.assert_array_equal(baseline("all_no_skip", ep), [0, 0, 0])
-    np.testing.assert_array_equal(baseline("carry_last_support", ep), [1, 1, 1])
+    np.testing.assert_array_equal(baseline("all_skip", ep.y_support, ep.t_query), [1, 1, 1])
+    np.testing.assert_array_equal(baseline("all_no_skip", ep.y_support, ep.t_query), [0, 0, 0])
     np.testing.assert_array_equal(
-        baseline("carry_last_support", _episode([1, 0])), [0, 0, 0])
+        baseline("carry_last_support", ep.y_support, ep.t_query), [1, 1, 1])
+    ep = _episode([1, 0])
+    np.testing.assert_array_equal(
+        baseline("carry_last_support", ep.y_support, ep.t_query), [0, 0, 0])
     with pytest.raises(ValidationError):
-        baseline("mode", ep)
+        baseline("mode", ep.y_support, ep.t_query)
 
 
 def test_wire_format_round_trip(tmp_path):

@@ -54,22 +54,13 @@ def test_config_rejects_structural_violations():
     with pytest.raises(ConfigurationError):
         default_config("lstm")
     with pytest.raises(ConfigurationError):
-        ModelConfig(kind="rnb1", width=0, dilations=(), kernel_sizes=())
+        ModelConfig(kind="rnb1", width=0)
     with pytest.raises(ConfigurationError):
-        ModelConfig(kind="rnb1", gate="residual", dilations=(), kernel_sizes=())
-    with pytest.raises(ConfigurationError):  # seq1eH is single-stack
-        ModelConfig(kind="seq1eH", stack_count=2,
-                    dilations=(1, 2, 4, 8, 16), kernel_sizes=(2,) * 5)
-    with pytest.raises(ConfigurationError):  # mandated dilation ladder
-        ModelConfig(kind="seq1HL", stack_count=2,
-                    dilations=(1, 2, 4, 8, 32), kernel_sizes=(2,) * 5)
-    with pytest.raises(ConfigurationError):  # snail is 8-headed
-        ModelConfig(kind="snail", stack_count=1, heads=4,
-                    dilations=(1, 2, 4, 8, 16), kernel_sizes=(2,) * 5)
+        ModelConfig(kind="rnb1", gate="residual")
     with pytest.raises(ConfigurationError):  # heads must divide width
         default_config("snail", width=20)
     with pytest.raises(ConfigurationError):
-        ModelConfig(kind="rnb1", dilations=(1, 2), kernel_sizes=(2,))
+        default_config("transformer", width=20)
 
 
 def test_build_rejects_narrow_input():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from seqskip.dataio import load_corpus, make_batch
+from seqskip import checkpoint as ckpt
+from seqskip.dataio import fit_stats, load_corpus, make_batch
 from seqskip.errors import ConfigurationError, TrainingError, ValidationError
 from seqskip.models import build, default_config
 from seqskip.synthgen import SynthConfig, generate
@@ -229,12 +230,11 @@ def test_train_writes_checkpoint(corpus, tmp_path):
 def test_non_finite_loss_raises(tmp_path):
     generate(SynthConfig(n_sessions=8, rule="threshold", seed=0,
                          feature_dim=4, n_tracks=16), tmp_path)
-    feat = (tmp_path / "features.csv").read_text().splitlines()
-    parts = feat[1].split(",")
-    parts[1] = "nan"  # poison one acoustic value
-    feat[1] = ",".join(parts)
-    (tmp_path / "features.csv").write_text("\n".join(feat) + "\n")
     schema, sessions, features = load_corpus(tmp_path)
+    # load_features rejects a nan in the file, so poison one acoustic
+    # value of the loaded table: the guard must still catch it.
+    first = (tmp_path / "features.csv").read_text().splitlines()[1].split(",")[0]
+    features.vectors[first][0] = np.nan
     with pytest.raises(TrainingError, match="non-finite"):
         train(_cfg(max_epochs=1, train_fraction=0.5), sessions, features, schema)
 
@@ -249,3 +249,87 @@ def test_checkpoint_round_trip_is_bit_identical(corpus, tmp_path):
     batch = make_batch(eps)
     np.testing.assert_array_equal(result.model.query_probs(batch),
                                   reloaded.query_probs(batch))
+
+
+# Meta as written before the structure was derived from the kind: the
+# default config of each kind stored its structure next to the config.
+LEGACY_STRUCTURE = {
+    "rnb1": (1, [], [], 1),
+    "rnb2_ue": (1, [], [], 1),
+    "rnbc2_ue": (1, [], [], 1),
+    "seq1eH": (1, [1, 2, 4, 8, 16], [2] * 5, 1),
+    "seq1HL": (2, [1, 2, 4, 8, 16], [2] * 5, 1),
+    "att_pair": (1, [1, 2, 4], [2, 2, 3], 1),
+    "transformer": (2, [], [], 8),
+    "snail": (1, [1, 2, 4, 8, 16], [2] * 5, 8),
+    "teacher": (2, [1, 2, 4, 8, 16], [2] * 5, 1),
+}
+
+
+def _with_legacy_meta(path, kind, **override):
+    arrays, meta = ckpt.load_checkpoint(path)
+    assert sorted(meta["model"]) == ["gate", "kind", "seed", "width"]
+    keys = ("stack_count", "dilations", "kernel_sizes", "heads")
+    meta["model"].update(zip(keys, LEGACY_STRUCTURE[kind]), **override)
+    ckpt.save_checkpoint(path, arrays, meta)
+
+
+@pytest.mark.parametrize("kind", sorted(LEGACY_STRUCTURE))
+def test_legacy_checkpoint_meta_loads_and_predicts_identically(corpus, tmp_path, kind):
+    schema, sessions, features = corpus
+    stats = fit_stats(sessions, features, schema)
+    model = build(default_config(kind, width=8, seed=4), schema.full_width)
+    path = tmp_path / "old.ckpt"
+    save_model(path, model, stats, schema)
+    _with_legacy_meta(path, kind)
+    reloaded, _, _, _ = load_model(path)
+    assert reloaded.config == model.config
+    batch = make_batch(build_episodes(sessions[:8], features, stats, schema, kind))
+    np.testing.assert_array_equal(model.query_probs(batch), reloaded.query_probs(batch))
+
+
+# Each kind checks the legacy keys its build and forward read. A
+# transformer's heads change no parameter shape, so a 4-head transformer
+# would otherwise load silently as the 8-head one.
+@pytest.mark.parametrize("kind, override", [
+    ("transformer", {"heads": 4}),
+    ("transformer", {"stack_count": 3}),
+    ("seq1HL", {"stack_count": 1}),
+    ("seq1eH", {"dilations": [1, 2, 4, 8]}),
+    ("teacher", {"kernel_sizes": [3] * 5}),
+    ("snail", {"heads": 4}),
+    ("att_pair", {"heads": 2}),
+    ("att_pair", {"kernel_sizes": [2, 2, 2]}),
+])
+def test_legacy_checkpoint_meta_with_other_structure_rejected(corpus, tmp_path, kind, override):
+    schema, sessions, features = corpus
+    stats = fit_stats(sessions, features, schema)
+    path = tmp_path / "old.ckpt"
+    save_model(path, build(default_config(kind, width=8), schema.full_width), stats, schema)
+    _with_legacy_meta(path, kind, **override)
+    with pytest.raises(ValidationError, match=next(iter(override))):
+        load_model(path)
+
+
+# Keys a kind never read could hold anything the old config accepted:
+# ModelConfig(kind="rnb1") kept the stack defaults, and a seq1HL took any
+# heads. Such meta describes the same model and loads.
+@pytest.mark.parametrize("kind, override", [
+    ("rnb1", {"dilations": [1, 2, 4, 8, 16], "kernel_sizes": [2] * 5}),
+    ("rnbc2_ue", {"stack_count": 2, "heads": 4}),
+    ("seq1HL", {"heads": 4}),
+    ("snail", {"stack_count": 2}),
+    ("att_pair", {"stack_count": 2}),
+    ("transformer", {"dilations": [1, 2, 4, 8, 16], "kernel_sizes": [2] * 5}),
+])
+def test_legacy_checkpoint_meta_with_unread_keys_loads(corpus, tmp_path, kind, override):
+    schema, sessions, features = corpus
+    stats = fit_stats(sessions, features, schema)
+    model = build(default_config(kind, width=8, seed=4), schema.full_width)
+    path = tmp_path / "old.ckpt"
+    save_model(path, model, stats, schema)
+    _with_legacy_meta(path, kind, **override)
+    reloaded, _, _, _ = load_model(path)
+    assert reloaded.config == model.config
+    batch = make_batch(build_episodes(sessions[:8], features, stats, schema, kind))
+    np.testing.assert_array_equal(model.query_probs(batch), reloaded.query_probs(batch))
