@@ -142,11 +142,20 @@ def cmd_evaluate(args) -> int:
         # of sessions.csv, none of features.csv.
         truth = _truth_by_session(data, load_schema(data / "schema.json"))
         wire = read_predictions(args.predictions)
-        preds = []
+        preds, seen = [], set()
         for sid, bits in wire:
             if sid not in truth:
                 raise ValidationError(f"prediction for unknown session {sid!r}")
+            if sid in seen:
+                raise ValidationError(f"repeated prediction for session {sid!r}")
+            seen.add(sid)
             preds.append(SessionPrediction(sid, bits, truth[sid]))
+        # MAA is over the corpus: a session left out would drop out of the mean.
+        missing = [sid for sid in truth if sid not in seen]
+        if missing:
+            raise ValidationError(
+                f"{len(missing)} corpus sessions have no prediction, first {missing[0]!r}"
+            )
     if not args.per_session:
         print(f"MAA={corpus_maa(preds):.9f}")
         return 0

@@ -87,6 +87,13 @@ def _case_matmul_batched(rng):
     return [a, b], lambda x, y: _project(T.matmul(x, y), r)
 
 
+def _case_matmul_4d(rng):
+    a = rng.normal(size=(2, 3, 2, 4))
+    b = rng.normal(size=(4, 3))
+    r = rng.normal(size=(2, 3, 2, 3))
+    return [a, b], lambda x, y: _project(T.matmul(x, y), r)
+
+
 def _case_elementwise(rng):
     x = rng.normal(size=(2, 5))
     p = rng.uniform(0.5, 3.0, (2, 5))
@@ -202,6 +209,25 @@ def _case_glu(rng):
     return [a, b], lambda aa, bb: _project(nn.gated_block("glu", aa, aa, bb), r)
 
 
+def _case_pair_linear(rng):
+    # Batch row 1 pads its last support: zero label, and the projection
+    # ignores its pairs, as the metric models' support mask does.
+    b, s_len, q_len, width, n_out = 2, 3, 2, 3, 2
+    support = rng.normal(size=(b, s_len, width))
+    query = rng.normal(size=(b, q_len, width))
+    user = rng.normal(size=(b, width))
+    weight = rng.normal(size=(3 * width + 1, n_out))
+    bias = rng.normal(size=(n_out,))
+    mask = np.ones((b, s_len))
+    mask[1, -1] = 0.0
+    labels = (rng.random((b, s_len)) < 0.5) * mask
+    labels[0, :2] = (0.0, 1.0)  # both label values appear
+    r = rng.normal(size=(b, s_len, q_len, n_out)) * mask[:, :, None, None]
+    return [support, query, weight, bias, user], lambda fs, fq, w, bb, u: _project(
+        nn.pair_linear(fs, fq, labels, w, bb, user=u), r
+    )
+
+
 def _case_softmax(rng):
     x = rng.normal(size=(3, 5))
     r = rng.normal(size=(3, 5))
@@ -247,6 +273,7 @@ CASES = {
     "arith": _case_arith,
     "matmul": _case_matmul,
     "matmul_batched": _case_matmul_batched,
+    "matmul_4d": _case_matmul_4d,
     "elementwise": _case_elementwise,
     "relu_clip": _case_relu_clip,
     "pow": _case_pow,
@@ -265,6 +292,7 @@ CASES = {
     "channel_norm": _case_channel_norm,
     "highway": _case_highway,
     "glu": _case_glu,
+    "pair_linear": _case_pair_linear,
     "softmax": _case_softmax,
     "attention_1head": _attention_case(1),
     "attention_masked": _attention_case(1, masked=True),

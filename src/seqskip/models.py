@@ -448,7 +448,6 @@ class Model:
         kind = self.config.kind
         if kind not in METRIC_KINDS:
             raise ContractError(f"{kind} is a sequence-family model; no relation scores")
-        w = self.config.width
         b, s_max, _ = batch.sup_x.shape
         q_max = batch.qry_x.shape[1]
         sup_items = Tensor(batch.sup_x[..., :-2])
@@ -456,24 +455,23 @@ class Model:
         f_s = T.relu(self._linear("embed", sup_items))  # [B, S, W]
         f_q = T.relu(self._linear("embed", qry_items))  # [B, Q, W]
 
-        fs_b = T.broadcast_to(T.reshape(f_s, (b, s_max, 1, w)), (b, s_max, q_max, w))
-        fq_b = T.broadcast_to(T.reshape(f_q, (b, 1, q_max, w)), (b, s_max, q_max, w))
-        y_col = batch.sup_y[:, :, None, None]
-        y_b = Tensor(np.broadcast_to(y_col, (b, s_max, q_max, 1)).copy())
-        parts = [fs_b, fq_b, y_b]
-        if kind in UE_KINDS:
-            u = self._user_embedding_tensor(batch, f_s=f_s)  # [B, W]
-            u_b = T.broadcast_to(T.reshape(u, (b, 1, 1, w)), (b, s_max, q_max, w))
-            parts.append(u_b)
-        pair = T.concat(parts, axis=-1)
-        hidden = T.relu(self._linear("rn.fc1", pair))  # [B, S, Q, W]
+        u = self._user_embedding_tensor(batch, f_s=f_s) if kind in UE_KINDS else None  # [B, W]
+
+        # The relation layer and wsum read each (support, query, label,
+        # user) pair by parts: the pair concat is never built.
+        def pair_layer(prefix: str) -> Tensor:
+            return nn.pair_linear(
+                f_s, f_q, batch.sup_y, self._p(f"{prefix}.w"), self._p(f"{prefix}.b"), u
+            )
+
+        hidden = T.relu(pair_layer("rn.fc1"))  # [B, S, Q, W]
         r = T.sigmoid(self._linear("rn.out", hidden))  # [B, S, Q, 1]
         r = T.reshape(r, (b, s_max, q_max))
 
         if kind == "rnbc2_ue":
             # Sigmoid-squashed weights cannot collapse to zero, which would
             # cut the only gradient path into the relation scores.
-            pair_w = T.sigmoid(T.reshape(self._linear("wsum", pair), (b, s_max, q_max)))
+            pair_w = T.sigmoid(T.reshape(pair_layer("wsum"), (b, s_max, q_max)))
             prod = T.mul(T.mul(pair_w, r), Tensor(batch.sup_mask[:, :, None]))
             logits = T.add(T.reduce_sum(prod, axis=1), self._p("wsum.bias"))
             probs = T.sigmoid(logits)

@@ -4,8 +4,9 @@ All functions are pure: parameters arrive as tensors, nothing is stored.
 The causal stacks run channels-last, ``[T, C]`` or ``[batch, T, C]``
 (:func:`conv1d_cl`, ``channel_norm(axis=-1)``), like attention inputs
 ``[..., positions, features]``; :func:`conv1d` and :func:`instance_norm`
-take channels-first ``[C, T]`` or ``[batch, C, T]``. Convolutions, norms
-and gates each record one tape node with a hand-written backward.
+take channels-first ``[C, T]`` or ``[batch, C, T]``. Convolutions, norms,
+gates and the relation layer over (support, query) pairs each record one
+tape node with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -303,6 +304,77 @@ def gated_block(kind: str, x: Tensor, transform_pre: Tensor, gate_pre: Tensor) -
 
         return T.fused(tp * s, (transform_pre, gate_pre), backward)
     raise ConfigurationError(f"unknown gated block kind {kind!r}")
+
+
+def pair_linear(
+    support: Tensor,
+    query: Tensor,
+    labels: np.ndarray,
+    weight: Tensor,
+    bias: Tensor,
+    user: Tensor | None = None,
+) -> Tensor:
+    """A linear layer over every (support, query) pair, without the pairs.
+
+    Equals ``concat([support_m, query_n, label_m, user]) @ weight + bias``
+    for every support m and query n of each batch row, ``[B, S, Q, N]``
+    from ``support [B, S, Ws]``, ``query [B, Q, Wq]``, ``labels [B, S]``
+    and ``user [B, Wu]``; ``weight`` stacks the rows of the four parts in
+    that order. Each part is multiplied by its own rows once and broadcast
+    over (S, Q), so the ``[B, S, Q, Ws+Wq+1+Wu]`` concat is never built.
+    It records one tape node; the backward sums the output gradient over
+    Q for the support and label parts, over S for the query part and over
+    both for the user part and the bias.
+    """
+    ws, wq = support.shape[-1], query.shape[-1]
+    wu = 0 if user is None else user.shape[-1]
+    n_out = weight.shape[-1]
+    if weight.ndim != 2 or weight.shape[0] != ws + wq + 1 + wu:
+        raise ConfigurationError(
+            f"pair weight shape {tuple(weight.shape)} does not stack parts of widths "
+            f"{ws}, {wq}, 1, {wu}"
+        )
+    if tuple(bias.shape) != (n_out,):
+        raise ConfigurationError(f"pair bias shape {tuple(bias.shape)} != ({n_out},)")
+    b, s_len, _ = support.shape
+    q_len = query.shape[1]
+    if query.shape[0] != b or np.shape(labels) != (b, s_len) or wu and user.shape != (b, wu):
+        raise ConfigurationError(
+            f"pair parts disagree: support {support.shape}, query {query.shape}, "
+            f"labels {np.shape(labels)}, user {None if user is None else user.shape}"
+        )
+
+    w = weight.data
+    w_s, w_q, w_y, w_u = w[:ws], w[ws : ws + wq], w[ws + wq], w[ws + wq + 1 :]
+    y = np.asarray(labels, dtype=w.dtype)
+    fs2 = support.data.reshape(b * s_len, ws)
+    fq2 = query.data.reshape(b * q_len, wq)
+    # Everything that varies with the support row only, bias included.
+    per_support = (fs2 @ w_s).reshape(b, s_len, n_out) + y[..., None] * w_y + bias.data
+    if user is not None:
+        per_support = per_support + (user.data @ w_u)[:, None, :]
+    per_query = (fq2 @ w_q).reshape(b, q_len, n_out)
+    out = per_support[:, :, None, :] + per_query[:, None, :, :]
+
+    def backward(g):
+        g_s = g.sum(axis=2)  # [B, S, N]
+        g_q = g.sum(axis=1)  # [B, Q, N]
+        g_s2, g_q2 = g_s.reshape(-1, n_out), g_q.reshape(-1, n_out)
+        g_u = g_s.sum(axis=1)  # [B, N]
+        gs = (g_s2 @ w_s.T).reshape(support.shape) if support.requires_grad else None
+        gq = (g_q2 @ w_q.T).reshape(query.shape) if query.requires_grad else None
+        gu = g_u @ w_u.T if user is not None and user.requires_grad else None
+        gw = None
+        if weight.requires_grad:
+            rows = [fs2.T @ g_s2, fq2.T @ g_q2, (y.reshape(1, -1) @ g_s2)]
+            if user is not None:
+                rows.append(user.data.T @ g_u)
+            gw = np.concatenate(rows, axis=0)
+        gb = g_u.sum(axis=0) if bias.requires_grad else None
+        return gs, gq, gw, gb, gu
+
+    parents = (support, query, weight, bias) + (() if user is None else (user,))
+    return T.fused(out, parents, backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -10,11 +10,12 @@ state beyond the output arrays.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigurationError, ContractError
 
 DEFAULT_DTYPE = np.float32
 
@@ -274,11 +275,19 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Batched matrix product with numpy broadcasting over leading axes."""
+    """Batched matrix product with numpy broadcasting over leading axes.
+
+    A 2-d right operand (a weight matrix) against a deeper left one is
+    one GEMM over the left operand's flattened leading axes, forward and
+    backward: its gradient is ``a2.T @ g2``, never a per-batch
+    ``[..., K, M]`` stack summed away.
+    """
     a = as_tensor(a)
     b = as_tensor(b, a.dtype)
     if a.ndim < 2 or b.ndim < 2:
         raise ContractError("matmul operands must have at least 2 dimensions")
+    if b.ndim == 2 and a.ndim > 2:
+        return _matmul_rows(a, b)
     data = a.data @ b.data
 
     def grad_fn(g):
@@ -288,6 +297,25 @@ def matmul(a, b) -> Tensor:
         if b.requires_grad:
             gb = np.swapaxes(a.data, -1, -2) @ g
             _accum(b, _unbroadcast(gb, b.shape))
+
+    return _result(data, (a, b), grad_fn)
+
+
+def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
+    """``[..., K] @ [K, M]`` as one ``[N, K] @ [K, M]`` GEMM."""
+    k, m = b.shape
+    if a.shape[-1] != k:
+        raise ConfigurationError(f"matmul shapes {a.shape} and {b.shape} do not align")
+    lead = a.shape[:-1]
+    a2 = a.data.reshape(math.prod(lead), k)
+    data = (a2 @ b.data).reshape(lead + (m,))
+
+    def grad_fn(g):
+        g2 = g.reshape(-1, m)
+        if a.requires_grad:
+            _accum(a, (g2 @ b.data.T).reshape(a.shape))
+        if b.requires_grad:
+            _accum(b, a2.T @ g2)
 
     return _result(data, (a, b), grad_fn)
 

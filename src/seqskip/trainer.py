@@ -174,10 +174,15 @@ def evaluate_episodes(
     return corpus_maa(preds), preds
 
 
-def _clip_gradients(model: Model, limit: float) -> None:
-    total = math.sqrt(
+def _grad_norm(model: Model) -> float:
+    """Global L2 norm over every parameter gradient."""
+    return math.sqrt(
         sum(float((p.grad * p.grad).sum()) for p in model.params.values() if p.grad is not None)
     )
+
+
+def _clip_gradients(model: Model, limit: float, total: float) -> None:
+    """Rescale every gradient so that their global norm ``total`` is at most ``limit``."""
     if total > limit:
         scale = limit / total
         for p in model.params.values():
@@ -220,8 +225,15 @@ def train(
                 )
             opt.zero_grad()
             loss.backward()
+            # A finite loss can still back-propagate inf or nan; one Adam
+            # step with it would poison every parameter it reaches.
+            norm = _grad_norm(model)
+            if not math.isfinite(norm):
+                raise TrainingError(
+                    f"non-finite gradient norm ({norm}) at epoch {epoch}, batch {b_idx}"
+                )
             if config.grad_clip is not None:
-                _clip_gradients(model, config.grad_clip)
+                _clip_gradients(model, config.grad_clip, norm)
             opt.step()
             losses.append(value)
         val_maa, _ = evaluate_episodes(model, val_eps, config.batch_size)

@@ -315,6 +315,33 @@ def test_evaluate_unknown_session_in_predictions(corpus_dir, tmp_path, capsys):
     assert "unknown session" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_repeated_and_missing_sessions(
+    corpus_dir, checkpoint, tmp_path, capsys
+):
+    full = tmp_path / "preds.txt"
+    assert main(["predict", "--data", str(corpus_dir), "--checkpoint", str(checkpoint),
+                 "--out", str(full)]) == 0
+    lines = full.read_text().splitlines()
+    assert len(lines) == 40
+    capsys.readouterr()
+
+    # Three sessions, the second one twice: the repeat is named first.
+    partial = tmp_path / "partial.txt"
+    partial.write_text("\n".join(lines[:2] + lines[1:3]) + "\n")
+    rc = main(["evaluate", "--data", str(corpus_dir), "--predictions", str(partial)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"repeated prediction for session {lines[1].split(',')[0]!r}" in err
+
+    # Every line once, but sessions 5 and 9 left out.
+    gaps = tmp_path / "gaps.txt"
+    gaps.write_text("\n".join(l for i, l in enumerate(lines) if i not in (5, 9)) + "\n")
+    rc = main(["evaluate", "--data", str(corpus_dir), "--predictions", str(gaps)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"2 corpus sessions have no prediction, first {lines[5].split(',')[0]!r}" in err
+
+
 def test_missing_data_dir_reports_error(tmp_path, capsys):
     preds = tmp_path / "p.txt"
     preds.write_text("s,1\n")

@@ -17,6 +17,7 @@ from seqskip.gradcheck import (
 CORE_CASES = {
     "matmul",
     "matmul_batched",
+    "matmul_4d",
     "conv_causal_d1",
     "conv_causal_d2",
     "conv_causal_d4",
@@ -27,6 +28,7 @@ CORE_CASES = {
     "channel_norm",
     "highway",
     "glu",
+    "pair_linear",
     "softmax",
     "attention_1head",
     "attention_8head",

@@ -1,0 +1,250 @@
+"""The metric family's relation layer by parts, against the pair concat.
+
+``nn.pair_linear`` computes the first relation layer and ``wsum`` from
+the support, query, label and user parts, each broadcast over the
+(support, query) grid. ``ref_forward_metric`` below is the composition it
+replaced: every pair row concatenated into ``[B, S, Q, 3W+1]`` and sent
+through an ordinary linear layer. Both run in float64 here.
+"""
+
+import dataclasses
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from seqskip import nn
+from seqskip import tensor as T
+from seqskip.dataio import Episode, load_corpus, make_batch
+from seqskip.errors import ConfigurationError
+from seqskip.models import METRIC_KINDS, UE_KINDS, MetricOut, build, default_config
+from seqskip.synthgen import SynthConfig, generate
+from seqskip.tensor import Tensor
+from seqskip.trainer import batch_loss, build_episodes, load_model, predict_corpus
+
+TOL = 1e-12
+IN_DIM = 10
+DATA = Path(__file__).parent / "data"
+
+
+# -- the pair-concat reference -------------------------------------------
+
+
+def ref_forward_metric(model, batch) -> MetricOut:
+    """``Model.forward_metric`` as it was before the relation layer went by parts."""
+    kind = model.config.kind
+    w = model.config.width
+    b, s_max, _ = batch.sup_x.shape
+    q_max = batch.qry_x.shape[1]
+    f_s = T.relu(model._linear("embed", Tensor(batch.sup_x[..., :-2])))
+    f_q = T.relu(model._linear("embed", Tensor(batch.qry_x[..., :-2])))
+
+    fs_b = T.broadcast_to(T.reshape(f_s, (b, s_max, 1, w)), (b, s_max, q_max, w))
+    fq_b = T.broadcast_to(T.reshape(f_q, (b, 1, q_max, w)), (b, s_max, q_max, w))
+    y_col = batch.sup_y[:, :, None, None]
+    y_b = Tensor(np.broadcast_to(y_col, (b, s_max, q_max, 1)).copy())
+    parts = [fs_b, fq_b, y_b]
+    if kind in UE_KINDS:
+        u = model._user_embedding_tensor(batch, f_s=f_s)
+        parts.append(T.broadcast_to(T.reshape(u, (b, 1, 1, w)), (b, s_max, q_max, w)))
+    pair = T.concat(parts, axis=-1)
+    hidden = T.relu(model._linear("rn.fc1", pair))
+    r = T.reshape(T.sigmoid(model._linear("rn.out", hidden)), (b, s_max, q_max))
+
+    if kind == "rnbc2_ue":
+        pair_w = T.sigmoid(T.reshape(model._linear("wsum", pair), (b, s_max, q_max)))
+        prod = T.mul(T.mul(pair_w, r), Tensor(batch.sup_mask[:, :, None]))
+        probs = T.sigmoid(T.add(T.reduce_sum(prod, axis=1), model._p("wsum.bias")))
+    else:
+        y_s = Tensor(batch.sup_y[:, :, None])
+        agree = T.add(
+            T.mul(r, y_s), T.mul(T.add(1.0, T.neg(r)), Tensor(1.0 - batch.sup_y[:, :, None]))
+        )
+        masked = T.mul(agree, Tensor(batch.sup_mask[:, :, None]))
+        counts = batch.sup_mask.sum(axis=1, keepdims=True)
+        probs = T.div(T.reduce_sum(masked, axis=1), Tensor(counts))
+    return MetricOut(r=r, probs=probs)
+
+
+def ref_pair_linear(support, query, labels, weight, bias, user=None):
+    b, s_len, ws = support.shape
+    q_len, wq = query.shape[1:]
+    grid = (b, s_len, q_len)
+    parts = [
+        T.broadcast_to(T.reshape(support, (b, s_len, 1, ws)), grid + (ws,)),
+        T.broadcast_to(T.reshape(query, (b, 1, q_len, wq)), grid + (wq,)),
+        Tensor(np.broadcast_to(labels[:, :, None, None], grid + (1,)).copy()),
+    ]
+    if user is not None:
+        wu = user.shape[-1]
+        parts.append(T.broadcast_to(T.reshape(user, (b, 1, 1, wu)), grid + (wu,)))
+    return T.add(T.matmul(T.concat(parts, axis=-1), weight), bias)
+
+
+# -- helpers ---------------------------------------------------------------
+
+
+def _episode(rng, t_s, t_q) -> Episode:
+    x = rng.normal(0.0, 0.5, size=(t_s + t_q, IN_DIM))
+    y = rng.integers(0, 2, size=t_s + t_q).astype(np.int8)
+    x_s, x_q = x[:t_s].copy(), x[t_s:].copy()
+    x_s[:, -2], x_s[:, -1] = y[:t_s], 0.0
+    x_q[:, -2], x_q[:, -1] = 0.0, 1.0
+    return Episode("ep", x_s, x_q, y[:t_s], y[t_s:])
+
+
+def _ragged_batch64(seed=0):
+    """A float64 batch whose sessions differ in both support and query length."""
+    rng = np.random.default_rng(seed)
+    sizes = [(1, 1), (3, 7), (8, 2), (5, 5), (2, 9)]
+    batch = make_batch([_episode(rng, s, q) for s, q in sizes])
+    return dataclasses.replace(batch, **{
+        f.name: getattr(batch, f.name).astype(np.float64)
+        for f in dataclasses.fields(batch)
+        if isinstance(getattr(batch, f.name), np.ndarray)
+        and getattr(batch, f.name).dtype == np.float32
+    })
+
+
+def _model64(kind, seed=3, width=12):
+    model = build(default_config(kind, width=width, seed=seed), IN_DIM)
+    for p in model.params.values():
+        p.data = p.data.astype(np.float64)
+    return model
+
+
+def _loss_and_grads(model, batch, forward):
+    for p in model.params.values():
+        p.zero_grad()
+    original = model.forward_metric
+    model.forward_metric = lambda bt: forward(model, bt)
+    try:
+        loss = batch_loss(model, batch)
+    finally:
+        model.forward_metric = original
+    loss.backward()
+    return loss, {name: p.grad.copy() for name, p in model.params.items()}
+
+
+def _rel(a, b) -> float:
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.max(np.abs(a - b)) / max(1.0, float(np.max(np.abs(b)))))
+
+
+# -- the fused node against its composition ----------------------------------
+
+
+@pytest.mark.parametrize("with_user", [False, True])
+def test_pair_linear_matches_pair_concat(with_user):
+    rng = np.random.default_rng(11)
+    b, s_len, q_len, width, n_out = 3, 4, 5, 6, 7
+    support = rng.normal(size=(b, s_len, width))
+    query = rng.normal(size=(b, q_len, width))
+    labels = (rng.random((b, s_len)) < 0.5).astype(np.float64)
+    user = rng.normal(size=(b, width)) if with_user else None
+    rows = 2 * width + 1 + (width if with_user else 0)
+    weight = rng.normal(size=(rows, n_out))
+    bias = rng.normal(size=(n_out,))
+    proj = rng.normal(size=(b, s_len, q_len, n_out))
+
+    def run(fn):
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in (support, query, weight, bias)]
+        u = None if user is None else Tensor(user.copy(), requires_grad=True)
+        out = fn(inputs[0], inputs[1], labels, inputs[2], inputs[3], u)
+        T.reduce_sum(T.mul(out, Tensor(proj))).backward()
+        grads = [t.grad for t in inputs] + ([] if u is None else [u.grad])
+        return out.data, grads
+
+    got, got_grads = run(nn.pair_linear)
+    want, want_grads = run(ref_pair_linear)
+    assert _rel(got, want) <= TOL
+    for g, w in zip(got_grads, want_grads):
+        assert g.shape == w.shape
+        assert _rel(g, w) <= TOL
+
+
+def test_pair_linear_rejects_mismatched_parts():
+    sup, qry = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 4)))
+    labels = np.zeros((2, 3))
+    bias = Tensor(np.zeros(6))
+    with pytest.raises(ConfigurationError, match="pair weight"):
+        nn.pair_linear(sup, qry, labels, Tensor(np.zeros((13, 6))), bias)
+    with pytest.raises(ConfigurationError, match="pair bias"):
+        nn.pair_linear(sup, qry, labels, Tensor(np.zeros((9, 6))), Tensor(np.zeros(5)))
+    with pytest.raises(ConfigurationError, match="disagree"):
+        nn.pair_linear(sup, qry, np.zeros((2, 4)), Tensor(np.zeros((9, 6))), bias)
+    with pytest.raises(ConfigurationError, match="disagree"):
+        nn.pair_linear(
+            sup, qry, labels, Tensor(np.zeros((13, 6))), bias, user=Tensor(np.zeros((3, 4)))
+        )
+
+
+@pytest.mark.parametrize("kind", METRIC_KINDS)
+def test_forward_metric_matches_pair_concat_reference(kind):
+    # Ragged support and query lengths put padding on both pair axes.
+    batch = _ragged_batch64()
+    model = _model64(kind)
+    got = model.forward_metric(batch)
+    want = ref_forward_metric(model, batch)
+    assert got.r.data.dtype == np.float64
+    assert _rel(got.r.data, want.r.data) <= TOL
+    assert _rel(got.probs.data, want.probs.data) <= TOL
+
+    loss, grads = _loss_and_grads(model, batch, type(model).forward_metric)
+    ref_loss, ref_grads = _loss_and_grads(model, batch, ref_forward_metric)
+    assert abs(float(loss.data) - float(ref_loss.data)) <= TOL * max(1.0, abs(float(ref_loss.data)))
+    assert set(grads) == set(ref_grads) == set(model.params)
+    for name in grads:
+        assert _rel(grads[name], ref_grads[name]) <= TOL, name
+
+
+def _tape(root):
+    seen, stack, nodes = {id(root)}, [root], []
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return nodes
+
+
+def test_rnbc2_ue_loss_tape_has_no_pair_tensor():
+    # B=64 at the default width 256: the pair concat would be a
+    # [64, S, Q, 769] array, and fc1's weight gradient a [64, S, 769, 256]
+    # stack. The loss records at most 50 ops and no array 3W+1 wide.
+    width = 256
+    rng = np.random.default_rng(9)
+    sizes = rng.integers(1, 11, size=(64, 2))
+    batch = make_batch([_episode(rng, int(s), int(q)) for s, q in sizes])
+    model = build(default_config("rnbc2_ue", width=width, seed=0), IN_DIM)
+    loss = batch_loss(model, batch)
+    nodes = _tape(loss)
+    assert sum(n._grad_fn is not None for n in nodes) <= 50
+    assert all(n.data.shape[-1:] != (3 * width + 1,) for n in nodes)
+    loss.backward()
+    assert all(np.isfinite(p.grad).all() for p in model.params.values())
+
+
+# -- checkpoints written by the pair-concat code -----------------------------
+
+
+def test_pair_concat_checkpoints_load_and_predict(tmp_path):
+    # Written and scored by the pair-concat code: rnb1, rnb2_ue and rnbc2_ue
+    # at width 8 after one epoch on the corpus the JSON file names. Their
+    # parameter names and shapes are unchanged, so they load as they are
+    # and predict the same probabilities within float32 rounding.
+    expected = json.loads((DATA / "metric_pair_concat_probs.json").read_text())
+    generate(SynthConfig(**expected["corpus"]), tmp_path)
+    schema, sessions, features = load_corpus(tmp_path)
+    for kind in METRIC_KINDS:
+        model, stats, saved_schema, _ = load_model(DATA / f"{kind}_pair_concat.ckpt")
+        assert saved_schema == schema
+        episodes = build_episodes(sessions, features, stats, schema, kind)
+        got = dict(predict_corpus(model, episodes))
+        want = expected["probs"][kind]
+        assert list(got) == list(want)
+        for sid, probs in want.items():
+            np.testing.assert_allclose(got[sid], probs, rtol=1e-5, atol=1e-6, err_msg=kind)

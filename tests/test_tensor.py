@@ -59,6 +59,25 @@ def test_matmul_gradient_matches_transpose_rule():
     np.testing.assert_allclose(gb, a.T @ np.ones((2, 4)))
 
 
+@pytest.mark.parametrize("lead", [(5, 2), (2, 3, 4), (0, 3), (2, 0)])
+def test_matmul_against_weight_is_one_gemm_over_leading_axes(lead):
+    # [..., K] @ [K, M] flattens the leading axes: same values and
+    # gradients as numpy's batched product, whose weight gradient is a
+    # per-batch [..., K, M] stack summed over the leading axes.
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=lead + (3,))
+    b = rng.normal(size=(3, 4))
+    r = rng.normal(size=lead + (4,))
+    ga, gb = _grad(lambda x, y: T.reduce_sum(T.mul(T.matmul(x, y), Tensor(r))), a, b)
+    np.testing.assert_allclose(T.matmul(Tensor(a), Tensor(b)).data, a @ b, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(ga, r @ b.T, rtol=1e-12, atol=1e-15)
+    stack = np.swapaxes(a, -1, -2) @ r
+    want_gb = stack.reshape(-1, 3, 4).sum(axis=0) if stack.ndim > 2 else stack
+    np.testing.assert_allclose(gb, want_gb, rtol=1e-12, atol=1e-15)
+    with pytest.raises(ValueError, match="do not align"):
+        T.matmul(Tensor(a), Tensor(b.T))
+
+
 def test_broadcast_add_reduces_gradient():
     # [2,3] + [3] -> bias grad sums over the broadcast rows
     gx, gb = _grad(lambda x, b: T.reduce_sum(T.add(x, b)),

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from seqskip import checkpoint as ckpt
+from seqskip import tensor as T
+from seqskip import trainer
 from seqskip.dataio import fit_stats, load_corpus, make_batch
 from seqskip.errors import ConfigurationError, TrainingError, ValidationError
 from seqskip.models import build, default_config
@@ -13,6 +15,7 @@ from seqskip.synthgen import SynthConfig, generate
 from seqskip.trainer import (
     TrainConfig,
     _clip_gradients,
+    _grad_norm,
     batch_loss,
     build_episodes,
     evaluate_episodes,
@@ -180,9 +183,10 @@ def test_clip_gradients_rescales_global_norm(episodes):
     for p in model.params.values():
         p.grad = np.ones_like(p.data)
     total = math.sqrt(sum(p.data.size for p in model.params.values()))
-    _clip_gradients(model, total * 2)  # under the limit: untouched
+    assert abs(_grad_norm(model) - total) < 1e-9
+    _clip_gradients(model, total * 2, _grad_norm(model))  # under the limit: untouched
     assert all(np.all(p.grad == 1.0) for p in model.params.values())
-    _clip_gradients(model, 1.0)
+    _clip_gradients(model, 1.0, _grad_norm(model))
     norm = math.sqrt(sum(float((p.grad ** 2).sum()) for p in model.params.values()))
     assert abs(norm - 1.0) < 1e-6
 
@@ -237,6 +241,29 @@ def test_non_finite_loss_raises(tmp_path):
     features.vectors[first][0] = np.nan
     with pytest.raises(TrainingError, match="non-finite"):
         train(_cfg(max_epochs=1, train_fraction=0.5), sessions, features, schema)
+
+
+def test_non_finite_gradient_raises_before_the_step(corpus, monkeypatch):
+    # sqrt(0 * sum(embed.b)) adds 0 to the loss, but its gradient is
+    # 0.5/sqrt(0) * 0 = nan: the loss stays finite, the gradient does not.
+    schema, sessions, features = corpus
+    seen = []
+
+    def poisoned(model, batch, loss_scope="query_only"):
+        seen.append(model)
+        zero = T.mul(T.reduce_sum(model.params["embed.b"]), 0.0)
+        return T.add(batch_loss(model, batch, loss_scope), T.pow_scalar(zero, 0.5))
+
+    monkeypatch.setattr(trainer, "batch_loss", poisoned)
+    config = _cfg(kind="rnb1", max_epochs=1)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+        TrainingError, match=r"non-finite gradient norm \(nan\) at epoch 1, batch 0"
+    ):
+        train(config, sessions, features, schema)
+    # No Adam step ran: every parameter still holds its initial value.
+    fresh = build(config.model, schema.full_width)
+    for name, p in seen[0].params.items():
+        np.testing.assert_array_equal(p.data, fresh.params[name].data)
 
 
 def test_checkpoint_round_trip_is_bit_identical(corpus, tmp_path):
