@@ -16,7 +16,7 @@ import argparse
 import time
 from pathlib import Path
 
-from seqskip.dataio import load_corpus, split_session
+from seqskip.dataio import load_corpus
 from seqskip.metrics import BASELINES, SessionPrediction, baseline, corpus_maa
 from seqskip.models import KINDS, default_config
 from seqskip.synthgen import RULES, SynthConfig, generate
@@ -33,11 +33,12 @@ DEFAULT_MODELS = {
 def baseline_maa(kind: str, sessions) -> float:
     # Baselines need no preprocessing stats beyond episode splitting.
     preds = []
-    for rec in sessions:
-        t_s = len(split_session(rec.length)[0])
-        truth = rec.labels[t_s:]
-        guess = baseline(kind, rec.labels[:t_s], truth.size)
-        preds.append(SessionPrediction(rec.session_id, guess, truth))
+    starts, ends = sessions.starts, sessions.starts + sessions.lengths
+    cuts = starts + sessions.t_support  # each session's first query row
+    for sid, start, cut, end in zip(sessions.ids, starts, cuts, ends):
+        truth = sessions.labels[cut:end]
+        guess = baseline(kind, sessions.labels[start:cut], truth.size)
+        preds.append(SessionPrediction(sid, guess, truth))
     return corpus_maa(preds)
 
 

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .dataio import load_corpus, load_features, load_schema, load_sessions, split_session
+from .dataio import load_corpus, load_features, load_schema, load_sessions
 from .errors import SeqskipError, ValidationError
 from .gradcheck import DEFAULT_TRIALS, TOLERANCE, run_suite
 from .metrics import (
@@ -121,11 +121,9 @@ def cmd_fit(args) -> int:
 
 def _truth_by_session(data_dir, schema):
     sessions = load_sessions(Path(data_dir) / "sessions.csv", schema)
-    truth = {}
-    for rec in sessions:
-        support, _ = split_session(rec.length)
-        truth[rec.session_id] = rec.labels[len(support) :]
-    return truth
+    cuts = (sessions.starts + sessions.t_support).tolist()  # first query row
+    ends = (sessions.starts + sessions.lengths).tolist()
+    return {sid: sessions.labels[a:b] for sid, a, b in zip(sessions.ids, cuts, ends)}
 
 
 def cmd_evaluate(args) -> int:

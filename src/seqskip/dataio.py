@@ -2,9 +2,9 @@
 
 File formats (all header-bearing, comma-separated UTF-8):
 
-* session file — one row per (session, position); must contain the
-  session-id, track-id, position, and skip-label columns plus every
-  schema feature column. Unlisted columns (e.g. dates) are ignored.
+* session file — one row per (session, position), as wide as the header;
+  it holds the session-id, track-id, position and skip-label columns and
+  every schema feature column. Other columns (e.g. dates) are ignored.
 * feature file — one row per track: track id column followed by exactly
   ``feature_dim`` numeric columns.
 * schema file — JSON with keys ``session_id``, ``track_id``,
@@ -23,9 +23,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import count, islice, repeat
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +39,8 @@ MAX_SESSION_LEN = 20
 COLUMN_KINDS = ("categorical", "count", "boolean", "real")
 
 _BOOL_VALUES = {"0": 0, "1": 1, "false": 0, "true": 1}
+
+_BLOCK_ROWS = 4096  # CSV rows parsed at a time
 
 
 # -- schema ------------------------------------------------------------
@@ -85,9 +89,8 @@ class SchemaSpec:
                     f"skip-label column {col.name!r} must have boolean kind, got {col.kind!r}"
                 )
 
-    # Derived once per instance: ``transform`` reads these for every row.
-    # cached_property writes the instance __dict__ directly, which a
-    # frozen dataclass without slots allows.
+    # Derived once per instance. cached_property writes the instance
+    # __dict__ directly, which a frozen dataclass without slots allows.
     @cached_property
     def feature_columns(self) -> tuple[ColumnSpec, ...]:
         """Schema columns that contribute to the log block (label excluded)."""
@@ -149,157 +152,224 @@ def load_schema(path) -> SchemaSpec:
     return SchemaSpec.from_json(obj)
 
 
-# -- records -----------------------------------------------------------
+# -- sessions and features ---------------------------------------------
 
 
-@dataclass
-class SessionRecord:
-    session_id: str
-    track_ids: tuple[str, ...]
-    labels: np.ndarray  # int8 [L]
-    # schema feature columns only, parsed at load: categorical str,
-    # boolean 0/1, count and real float
-    logs: tuple[dict[str, str | int | float], ...]
+@dataclass(frozen=True)
+class Sessions:
+    """A session corpus as flat per-position columns, sessions in the order the file
+    first names them, each one's rows contiguous and positions ascending. ``columns``
+    holds the schema feature columns: categorical vocabulary indices, 0/1 booleans,
+    float64 counts and reals."""
 
-    @property
-    def length(self) -> int:
-        return len(self.track_ids)
+    ids: np.ndarray  # [N] str (object)
+    lengths: np.ndarray  # [N] int64
+    track_ids: np.ndarray  # [R] str (object)
+    labels: np.ndarray  # [R] int8
+    columns: dict[str, np.ndarray]  # name -> [R]
+    __iter__ = None  # index it instead: iterating would yield one-session corpora
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.lengths) - self.lengths
+
+    @cached_property
+    def t_support(self) -> np.ndarray:
+        """Support positions per session: the ceil half, as :func:`split_session`."""
+        return (self.lengths + 1) // 2
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index) -> Sessions:
+        """The sessions of an index array, slice or index, as a corpus."""
+        index = np.atleast_1d(np.arange(len(self))[index])
+        lengths = self.lengths[index]
+        # The rows of each chosen session, one run after another.
+        rows = np.repeat(self.starts[index] - (np.cumsum(lengths) - lengths), lengths)
+        rows += np.arange(len(rows))
+        columns = {name: values[rows] for name, values in self.columns.items()}
+        return Sessions(self.ids[index], lengths, self.track_ids[rows], self.labels[rows], columns)
 
 
 @dataclass
 class FeatureTable:
-    vectors: dict[str, np.ndarray]
-    dim: int
+    """Acoustic vectors: track ``t`` is row ``index[t]`` of ``matrix``."""
+
+    matrix: np.ndarray  # [n_tracks, dim] float64
+    index: dict[str, int]
+
+    def rows(self, track_ids) -> np.ndarray:
+        """The matrix row of each track id."""
+        rows = np.fromiter(map(self.index.get, track_ids, repeat(-1)), np.int64, len(track_ids))
+        if rows.size and rows.min() < 0:
+            raise ValidationError(f"track {track_ids[rows.argmin()]!r} has no acoustic feature row")
+        return rows
 
     def get(self, track_id: str) -> np.ndarray:
-        try:
-            return self.vectors[track_id]
-        except KeyError:
-            raise ValidationError(f"track {track_id!r} has no acoustic feature row") from None
+        return self.matrix[self.rows([track_id])[0]]
 
 
-def _parse_bool(raw: str, column: str, where: str) -> int:
-    try:
-        return _BOOL_VALUES[raw.strip().lower()]
-    except KeyError:
-        raise ValidationError(f"{where}: column {column!r} has non-boolean value {raw!r}") from None
+class _FirstError:
+    """The error of a file's earliest bad row, built once that row is known. Checks run
+    in a row-by-row parse's order, each over the rows before the earliest failure so far."""
+
+    def __init__(self, path, offset: int, n_rows: int):
+        self.path, self.offset, self.limit, self.error = path, offset, n_rows, None
+
+    def check(self, ok: np.ndarray, error) -> None:
+        bad = np.flatnonzero(~ok[: self.limit])
+        if bad.size:
+            self.limit = int(bad[0])
+            self.error = error(self.limit, f"{self.path}:{self.offset + self.limit + 2}")
 
 
-def _parse_number(raw: str, column: str, where: str, nonnegative: bool = False) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValidationError(f"{where}: column {column!r} has non-numeric value {raw!r}") from None
-    if not math.isfinite(value):
-        raise ValidationError(f"{where}: column {column!r} has non-finite value {raw!r}")
-    if nonnegative and value < 0:
-        raise ValidationError(f"{where}: count column {column!r} is negative ({raw})")
-    return value
-
-
-def load_sessions(path, schema: SchemaSpec) -> list[SessionRecord]:
-    """Parse a session file into records grouped in file order.
-
-    Positions are sorted ascending per session and must be contiguous
-    from 1; lengths outside [10, 20] are rejected.
-    """
-    needed = {schema.session_id_col, schema.track_id_col, schema.position_col, schema.skip_label_col}
-    needed.update(c.name for c in schema.feature_columns)
-    by_session: dict[str, list] = {}
+def _blocks(path, skip_blank: bool):
+    """Yield the header, then ``(errors, columns)`` per block of rows, freeing each block's
+    text before the next. A block ends before a ragged row; once the caller has checked a
+    block, its earliest error is raised. Skipped blank rows take no line number."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = set(reader.fieldnames or ())
-        missing = sorted(needed - header)
-        if missing:
-            raise SchemaError(f"session file {path} lacks schema columns: {missing}")
-        vocab_index = {
-            c.name: set(c.vocabulary) for c in schema.feature_columns if c.kind == "categorical"
-        }
-        for line_no, row in enumerate(reader, start=2):
-            sid = row[schema.session_id_col]
-            where = f"{path}:{line_no}"
-            try:
-                pos = int(row[schema.position_col])
-            except ValueError:
-                raise ValidationError(
-                    f"{where}: position {row[schema.position_col]!r} is not an integer"
-                ) from None
-            label = _parse_bool(row[schema.skip_label_col], schema.skip_label_col, where)
-            logs = {}
-            for col in schema.feature_columns:
-                raw = row[col.name]
-                if col.kind == "categorical":
-                    if raw not in vocab_index[col.name]:
-                        raise SchemaError(
-                            f"{where}: column {col.name!r} has value {raw!r} "
-                            f"outside the schema vocabulary"
-                        )
-                    logs[col.name] = raw
-                elif col.kind == "boolean":
-                    logs[col.name] = _parse_bool(raw, col.name, where)
-                else:
-                    logs[col.name] = _parse_number(raw, col.name, where, col.kind == "count")
-            by_session.setdefault(sid, []).append((pos, row[schema.track_id_col], label, logs))
+        reader = csv.reader(fh)
+        header = next(reader, None) or []
+        yield header
+        offset, full = 0, True
+        while full:
+            block = list(islice(reader, _BLOCK_ROWS))
+            rows, full = [r for r in block if r or not skip_blank], len(block) == _BLOCK_ROWS
+            first = _FirstError(path, offset, len(rows))
+            ragged = np.fromiter(map(len, rows), np.int64, len(rows)) != len(header)
+            first.check(~ragged, lambda i, where: ValidationError(f"{where}: ragged row"))
+            yield first, list(zip(*rows[: first.limit])) or [()] * len(header)
+            if first.error:
+                raise first.error
+            offset += len(rows)
 
-    records = []
-    for sid, rows in by_session.items():
-        rows.sort(key=lambda r: r[0])
-        length = len(rows)
-        if not MIN_SESSION_LEN <= length <= MAX_SESSION_LEN:
+
+def _parse(raw: Sequence, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A mask of the items (values, or rows of cells) that parse as numbers, and the
+    numbers of the items before the first that does not."""
+    try:
+        return np.array(raw, dtype=dtype), np.ones(len(raw), dtype=bool)
+    except (ValueError, OverflowError):  # a lone item fails; of several, try each alone
+        ok = np.array([len(raw) > 1 and _parse([v], dtype)[1][0] for v in raw], dtype=bool)
+        return np.array(raw[: np.argmin(ok)], dtype=dtype), ok
+
+
+def _parse_column(raw: tuple[str, ...], kind: str, vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """One session-file column, converted once, and a mask of its valid values."""
+    if kind in ("categorical", "boolean"):
+        lookup = _BOOL_VALUES if kind == "boolean" else {v: j for j, v in enumerate(vocabulary)}
+        values = np.fromiter(map(lookup.get, raw, repeat(-1)), np.int64, len(raw))
+        if kind == "boolean":
+            for i in np.flatnonzero(values < 0):  # other spellings, e.g. " True"
+                values[i] = _BOOL_VALUES.get(raw[i].strip().lower(), -1)
+        return values, values >= 0
+    values, ok = _parse(raw, np.int64 if kind == "position" else np.float64)
+    if kind != "position":  # a bad number before the first non-numeric value comes first
+        ok[: len(values)] &= np.isfinite(values) & ((values >= 0) | (kind != "count"))
+    return values, ok
+
+
+def _value_error(raw: str, column: str, kind: str, where: str) -> Exception:
+    """The error for a bad session-file value."""
+    at = f"{where}: column {column!r}"
+    if kind == "position":
+        return ValidationError(f"{where}: position {raw!r} is not an integer")
+    if kind == "boolean":
+        return ValidationError(f"{at} has non-boolean value {raw!r}")
+    if kind == "categorical":
+        return SchemaError(f"{at} has value {raw!r} outside the schema vocabulary")
+    if not _parse([raw], np.float64)[1][0]:
+        return ValidationError(f"{at} has non-numeric value {raw!r}")
+    if not math.isfinite(float(raw)):
+        return ValidationError(f"{at} has non-finite value {raw!r}")
+    return ValidationError(f"{where}: count column {column!r} is negative ({raw})")
+
+
+def load_sessions(path, schema: SchemaSpec) -> Sessions:
+    """Parse a session file into a columnar corpus. Each session's positions must run
+    contiguously from 1 and its length lie in [10, 20]. A bad value fails with the
+    ``file:line`` and column of the first row that holds one."""
+    blocks = _blocks(path, skip_blank=True)  # blank rows: as csv.DictReader
+    header = next(blocks)
+    checks = [(schema.position_col, "position", None), (schema.skip_label_col, "boolean", None)]
+    checks += [(c.name, c.kind, c.vocabulary) for c in schema.feature_columns]
+    needed = {schema.session_id_col, schema.track_id_col, *(name for name, _, _ in checks)}
+    missing = sorted(needed - set(header))
+    if missing:
+        raise SchemaError(f"session file {path} lacks schema columns: {missing}")
+    parts = []
+    for first, columns in blocks:
+        raw = dict(zip(header, columns))  # a repeated name keeps its last column
+        part = {}
+        for name, kind, vocab in checks:
+            part[name], ok = _parse_column(raw[name], kind, vocab)
+            first.check(ok, lambda i, where: _value_error(raw[name][i], name, kind, where))
+        for name in (schema.session_id_col, schema.track_id_col):
+            part[name] = np.array(raw[name], dtype=object)
+        parts.append(part)
+    values = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+    # Sessions numbered by first appearance: setdefault keeps a seen id's number.
+    seen: dict[str, int] = {}
+    sids = values[schema.session_id_col]
+    group = np.fromiter(map(seen.setdefault, sids, map(len, repeat(seen))), np.int64, len(sids))
+    order = np.lexsort((values[schema.position_col], group))
+    sessions = Sessions(
+        ids=np.array(list(seen), dtype=object),
+        lengths=np.bincount(group, minlength=len(seen)),
+        track_ids=values[schema.track_id_col][order],
+        labels=values[schema.skip_label_col][order].astype(np.int8),
+        columns={c.name: values[c.name][order] for c in schema.feature_columns},
+    )
+    lengths, positions = sessions.lengths, values[schema.position_col][order]
+    rank = np.arange(len(order)) - np.repeat(sessions.starts, lengths) + 1
+    gaps = np.bincount(group[order], weights=positions != rank, minlength=len(seen))
+    wrong_length = (lengths < MIN_SESSION_LEN) | (lengths > MAX_SESSION_LEN)
+    for s in np.flatnonzero(wrong_length | (gaps > 0))[:1]:
+        sid, start, length = sessions.ids[s], sessions.starts[s], lengths[s]
+        if wrong_length[s]:
             raise ValidationError(
                 f"session {sid!r} has length {length}, outside "
                 f"[{MIN_SESSION_LEN}, {MAX_SESSION_LEN}]"
             )
-        positions = [r[0] for r in rows]
-        if positions != list(range(1, length + 1)):
-            raise ValidationError(
-                f"session {sid!r} positions are not contiguous from 1: {positions}"
-            )
-        records.append(
-            SessionRecord(
-                session_id=sid,
-                track_ids=tuple(r[1] for r in rows),
-                labels=np.array([r[2] for r in rows], dtype=np.int8),
-                logs=tuple(r[3] for r in rows),
-            )
-        )
-    return records
+        got = positions[start : start + length].tolist()
+        raise ValidationError(f"session {sid!r} positions are not contiguous from 1: {got}")
+    return sessions
 
 
 def load_features(path, schema: SchemaSpec) -> FeatureTable:
-    vectors: dict[str, np.ndarray] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != schema.track_id_col:
-            raise SchemaError(
-                f"feature file {path} must start with the {schema.track_id_col!r} column"
-            )
-        if len(header) - 1 != schema.feature_dim:
-            raise SchemaError(
-                f"feature file {path} has {len(header) - 1} feature columns, "
-                f"schema says {schema.feature_dim}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValidationError(f"{path}:{line_no}: ragged row")
-            tid = row[0]
-            if tid in vectors:
-                raise ValidationError(f"{path}:{line_no}: duplicate track id {tid!r}")
-            try:
-                vec = np.array([float(v) for v in row[1:]], dtype=np.float64)
-            except ValueError:
-                raise ValidationError(f"{path}:{line_no}: non-numeric feature value") from None
-            if not np.isfinite(vec).all():
-                j = 1 + int(np.argmin(np.isfinite(vec)))
-                raise ValidationError(
-                    f"{path}:{line_no}: column {header[j]!r} has non-finite value {row[j]!r}"
-                )
-            vectors[tid] = vec
-    return FeatureTable(vectors=vectors, dim=schema.feature_dim)
+    """Parse a feature file into one ``[n_tracks, feature_dim]`` matrix."""
+    blocks = _blocks(path, skip_blank=False)
+    header = next(blocks)
+    if not header or header[0] != schema.track_id_col:
+        raise SchemaError(f"feature file {path} must start with the {schema.track_id_col!r} column")
+    if len(header) - 1 != schema.feature_dim:
+        raise SchemaError(
+            f"feature file {path} has {len(header) - 1} feature columns, "
+            f"schema says {schema.feature_dim}"
+        )
+    index, matrices = {}, []
+    for first, (ids, *cells) in blocks:
+        firsts = np.fromiter(map(index.setdefault, ids, count(first.offset)), np.int64, len(ids))
+        first.check(firsts == first.offset + np.arange(len(ids)), lambda i, where: ValidationError(
+            f"{where}: duplicate track id {ids[i]!r}"
+        ))
+        cells = list(zip(*cells))  # back to rows: a row's cells parse, or fail, together
+        matrix, ok = _parse(cells, np.float64)
+        first.check(ok, lambda i, where: ValidationError(f"{where}: non-numeric feature value"))
+        matrices.append(matrix.reshape(len(matrix), schema.feature_dim))
+        finite = np.isfinite(matrices[-1])
+        col = np.argmin(finite, axis=1)  # each row's first non-finite cell, if it has one
+        first.check(finite.all(axis=1), lambda i, where: ValidationError(
+            f"{where}: column {header[col[i] + 1]!r} has non-finite value {cells[i][col[i]]!r}"
+        ))
+    return FeatureTable(matrix=np.concatenate(matrices), index=index)
 
 
 # -- preprocessing -----------------------------------------------------
+
+_STATS_ARRAYS = {"acoustic_mean": np.float64, "acoustic_std": np.float64, "acoustic_constant": bool}
 
 
 @dataclass
@@ -314,50 +384,40 @@ class PreprocessStats:
     acoustic_constant: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
     def to_json(self) -> dict:
-        return {
-            "count_min": self.count_min,
-            "count_max": self.count_max,
-            "count_constant": self.count_constant,
-            "acoustic_mean": self.acoustic_mean.tolist(),
-            "acoustic_std": self.acoustic_std.tolist(),
-            "acoustic_constant": [bool(b) for b in self.acoustic_constant],
-        }
+        return {k: v.tolist() if k in _STATS_ARRAYS else v for k, v in vars(self).items()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PreprocessStats":
-        return cls(
-            count_min=dict(obj["count_min"]),
-            count_max=dict(obj["count_max"]),
-            count_constant=dict(obj["count_constant"]),
-            acoustic_mean=np.asarray(obj["acoustic_mean"], dtype=np.float64),
-            acoustic_std=np.asarray(obj["acoustic_std"], dtype=np.float64),
-            acoustic_constant=np.asarray(obj["acoustic_constant"], dtype=bool),
-        )
+        return cls(**{
+            k: np.asarray(obj[k], dtype=_STATS_ARRAYS[k]) if k in _STATS_ARRAYS else dict(obj[k])
+            for k in (f.name for f in fields(cls))
+        })
 
 
-def fit_stats(
-    sessions: list[SessionRecord], features: FeatureTable, schema: SchemaSpec
-) -> PreprocessStats:
+def _log1p(values: np.ndarray) -> np.ndarray:
+    """``math.log1p`` of each value, taken once per distinct value: ``np.log1p``
+    may differ in the last bit, and fitted count bounds always used math.log1p."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([math.log1p(v) for v in distinct.tolist()], dtype=np.float64)[inverse]
+
+
+def fit_stats(sessions: Sessions, features: FeatureTable, schema: SchemaSpec) -> PreprocessStats:
     """Fit count log-min-max bounds and acoustic mean/std (population).
 
     Count bounds use log(1+x) over every position of the fitting corpus.
-    Acoustic moments are taken over the distinct tracks the corpus
-    references, each counted once.
-    """
-    if not sessions:
+    Acoustic moments are taken over the distinct tracks the corpus references,
+    each counted once, in sorted-id order (it fixes the last bit)."""
+    if not len(sessions):
         raise ValidationError("cannot fit preprocessing stats on an empty corpus")
     stats = PreprocessStats()
     for col in schema.feature_columns:
-        if col.kind != "count":
-            continue
-        logged = [math.log1p(logs[col.name]) for rec in sessions for logs in rec.logs]
-        lo, hi = min(logged), max(logged)
-        stats.count_min[col.name] = lo
-        stats.count_max[col.name] = hi
-        stats.count_constant[col.name] = hi <= lo
+        if col.kind == "count":
+            logged = _log1p(sessions.columns[col.name])
+            lo, hi = float(logged.min()), float(logged.max())
+            stats.count_min[col.name], stats.count_max[col.name] = lo, hi
+            stats.count_constant[col.name] = hi <= lo
 
-    tracks = sorted({tid for rec in sessions for tid in rec.track_ids})
-    mat = np.stack([features.get(t) for t in tracks])
+    mat = features.matrix[features.rows(sorted(set(sessions.track_ids.tolist())))]
     stats.acoustic_mean = mat.mean(axis=0)
     stats.acoustic_std = mat.std(axis=0)  # population
     stats.acoustic_constant = stats.acoustic_std <= 0
@@ -365,45 +425,31 @@ def fit_stats(
 
 
 def transform(
-    record: SessionRecord,
-    features: FeatureTable,
-    stats: PreprocessStats,
-    schema: SchemaSpec,
+    sessions: Sessions, features: FeatureTable, stats: PreprocessStats, schema: SchemaSpec
 ) -> np.ndarray:
-    """Numeric per-position rows: [L, log_width + feature_dim], float32.
+    """Numeric rows of every position: [R, log_width + feature_dim], float32.
 
-    Categoricals one-hot; counts (log1p - min)/(max - min) clamped to
-    [0,1]; booleans 0/1; acoustics (a - mean)/std with constant
-    dimensions mapped to 0.
-    """
-    length = record.length
-    out = np.zeros((length, schema.log_width + schema.feature_dim), dtype=np.float64)
+    Categoricals one-hot; counts (log1p - min)/(max - min) clamped to [0,1];
+    booleans 0/1; acoustics (a - mean)/std with constant dimensions mapped to 0."""
+    n_rows = len(sessions.labels)
+    out = np.zeros((n_rows, schema.log_width + schema.feature_dim), dtype=np.float32)
     offset = 0
     for col in schema.feature_columns:
+        values = sessions.columns[col.name]
         if col.kind == "categorical":
-            index = {v: j for j, v in enumerate(col.vocabulary)}
-            for i in range(length):
-                out[i, offset + index[record.logs[i][col.name]]] = 1.0
-            offset += col.width
-            continue
-        for i in range(length):
-            value = record.logs[i][col.name]
-            if col.kind == "count":
-                if stats.count_constant[col.name]:
-                    out[i, offset] = 0.0
-                else:
-                    span = stats.count_max[col.name] - stats.count_min[col.name]
-                    z = (math.log1p(value) - stats.count_min[col.name]) / span
-                    out[i, offset] = min(1.0, max(0.0, z))
-            else:  # boolean 0/1, real
-                out[i, offset] = value
-        offset += 1
+            out[np.arange(n_rows), offset + values] = 1.0
+        elif col.kind != "count":  # boolean 0/1, real
+            out[:, offset] = values
+        elif not stats.count_constant[col.name]:
+            lo = stats.count_min[col.name]
+            z = (_log1p(values) - lo) / (stats.count_max[col.name] - lo)
+            out[:, offset] = np.minimum(1.0, np.maximum(0.0, z))
+        offset += col.width
 
     std = np.where(stats.acoustic_constant, 1.0, stats.acoustic_std)
-    for i, tid in enumerate(record.track_ids):
-        a = (features.get(tid) - stats.acoustic_mean) / std
-        out[i, schema.log_width :] = np.where(stats.acoustic_constant, 0.0, a)
-    return out.astype(np.float32)
+    scaled = np.where(stats.acoustic_constant, 0.0, (features.matrix - stats.acoustic_mean) / std)
+    out[:, schema.log_width :] = scaled[features.rows(sessions.track_ids)]
+    return out
 
 
 # -- episodes ----------------------------------------------------------
@@ -419,61 +465,22 @@ def split_session(length: int) -> tuple[range, range]:
     return range(1, t_s + 1), range(t_s + 1, length + 1)
 
 
-@dataclass
-class Episode:
-    """One model-ready session, already split into support and query."""
-
-    session_id: str
-    x_support: np.ndarray  # [T_s, full_width] float32
-    x_query: np.ndarray  # [T_q, full_width] float32
-    y_support: np.ndarray  # int8 [T_s]
-    y_query: np.ndarray | None  # int8 [T_q]
-    query_logs_kept: bool = False
-
-    @property
-    def t_support(self) -> int:
-        return self.x_support.shape[0]
-
-    @property
-    def t_query(self) -> int:
-        return self.x_query.shape[0]
-
-
-def make_episode(
-    record: SessionRecord,
-    features: FeatureTable,
-    stats: PreprocessStats,
-    schema: SchemaSpec,
+def make_episodes(
+    sessions: Sessions, features: FeatureTable, stats: PreprocessStats, schema: SchemaSpec,
     keep_query_logs: bool = False,
-) -> Episode:
-    """Assemble an episode; query rows carry acoustics only (plus the
-    query-indicator channel) unless ``keep_query_logs`` is set, in which
-    case log fields stay but labels are still withheld."""
-    rows = transform(record, features, stats, schema)
-    support_pos, query_pos = split_session(record.length)
-    t_s = len(support_pos)
-    width = schema.full_width
-    lw = schema.log_width
-
-    x_s = np.zeros((t_s, width), dtype=np.float32)
-    x_s[:, : lw + schema.feature_dim] = rows[:t_s]
-    x_s[:, -2] = record.labels[:t_s]
-
-    t_q = len(query_pos)
-    x_q = np.zeros((t_q, width), dtype=np.float32)
-    if keep_query_logs:
-        x_q[:, : lw + schema.feature_dim] = rows[t_s:]
-    else:
-        x_q[:, lw : lw + schema.feature_dim] = rows[t_s:, lw:]
-    x_q[:, -1] = 1.0
-
-    return Episode(
-        session_id=record.session_id,
-        x_support=x_s,
-        x_query=x_q,
-        y_support=record.labels[:t_s].copy(),
-        y_query=record.labels[t_s:].copy(),
-        query_logs_kept=keep_query_logs,
+) -> Batch:
+    """Every session's episode. Query rows carry acoustics and the query indicator only,
+    or with ``keep_query_logs`` the log fields too; their labels are always withheld."""
+    t_support, lengths = sessions.t_support, sessions.lengths
+    query = np.arange(len(sessions.labels)) >= np.repeat(sessions.starts + t_support, lengths)
+    x = np.zeros((len(query), schema.full_width), dtype=np.float32)
+    x[:, :-2] = transform(sessions, features, stats, schema)
+    if not keep_query_logs:
+        x[query, : schema.log_width] = 0.0
+    x[:, -2] = np.where(query, 0, sessions.labels)
+    x[:, -1] = query
+    return Batch.from_rows(
+        sessions.ids, t_support, lengths - t_support, x, sessions.labels, keep_query_logs
     )
 
 
@@ -491,13 +498,13 @@ def load_corpus(data_dir, keep_query_logs: bool = False):
 
 @dataclass
 class Batch:
-    """Padded arrays for a list of episodes.
+    """Padded arrays for a set of episodes: a whole corpus, or a batch of one.
 
     Two synchronized views exist: split support/query blocks (metric
     family) and a merged per-session timeline with supports first and
     queries immediately after (sequence family). ``t_support[b]`` gives
-    the merged-timeline offset of session b's first query position.
-    """
+    the merged-timeline offset of session b's first query position. Arrays
+    are zero past each session's length: a batch is a trimmed gather."""
 
     session_ids: tuple[str, ...]
     sup_x: np.ndarray  # [B, S, D]
@@ -506,81 +513,74 @@ class Batch:
     qry_x: np.ndarray  # [B, Q, D]
     qry_mask: np.ndarray  # [B, Q]
     qry_y: np.ndarray | None  # [B, Q] float32
-    seq_x: np.ndarray  # [B, T, D]
+    seq_x: np.ndarray  # [B, T, D], T <= 20 for a loaded corpus
     seq_mask: np.ndarray  # [B, T]
     seq_qmask: np.ndarray  # [B, T] 1 = query position
     seq_y: np.ndarray | None  # [B, T]
     t_support: np.ndarray  # [B] int
     query_logs_kept: bool = False
 
-    @property
-    def size(self) -> int:
+    @classmethod
+    def from_rows(cls, session_ids, t_support, t_query, x, y, query_logs_kept=False) -> Batch:
+        """Pad per-position rows ``x`` and labels ``y``, each session's supports then queries."""
+        n, lengths = len(session_ids), t_support + t_query
+        session = np.repeat(np.arange(n), lengths)
+        pos = np.arange(len(x)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        query = pos >= t_support[session]
+        slot = pos - query * t_support[session]  # position within its half
+
+        def pad(values, rows, slots, size):
+            out = np.zeros((n, size) + values.shape[1:], dtype=np.float32)
+            out[session[rows], slots[rows]] = values[rows]
+            return out
+
+        t, s, q = (int(v.max(initial=0)) for v in (lengths, t_support, t_query))
+        seq_mask = np.arange(t) < lengths[:, None]
+        return cls(
+            session_ids=tuple(session_ids),
+            sup_x=pad(x, ~query, slot, s),
+            sup_mask=(np.arange(s) < t_support[:, None]).astype(np.float32),
+            sup_y=pad(y, ~query, slot, s),
+            qry_x=pad(x, query, slot, q),
+            qry_mask=(np.arange(q) < t_query[:, None]).astype(np.float32),
+            qry_y=pad(y, query, slot, q),
+            seq_x=pad(x, slice(None), pos, t),
+            seq_mask=seq_mask.astype(np.float32),
+            seq_qmask=(seq_mask & (np.arange(t) >= t_support[:, None])).astype(np.float32),
+            seq_y=pad(y, slice(None), pos, t),
+            t_support=t_support,
+            query_logs_kept=query_logs_kept,
+        )
+
+    def __len__(self) -> int:
         return len(self.session_ids)
 
+    size = property(__len__)
 
-def make_batch(episodes: list[Episode]) -> Batch:
-    if not episodes:
-        raise ValidationError("cannot batch an empty episode list")
-    b = len(episodes)
-    s_max = max(e.t_support for e in episodes)
-    q_max = max(e.t_query for e in episodes)
-    t_max = max(e.t_support + e.t_query for e in episodes)
-    width = episodes[0].x_support.shape[1]
-    have_qy = all(e.y_query is not None for e in episodes)
-    kept = {e.query_logs_kept for e in episodes}
-    if len(kept) > 1:
-        raise ValidationError("cannot mix teacher-style and standard episodes in one batch")
-
-    sup_x = np.zeros((b, s_max, width), dtype=np.float32)
-    sup_mask = np.zeros((b, s_max), dtype=np.float32)
-    sup_y = np.zeros((b, s_max), dtype=np.float32)
-    qry_x = np.zeros((b, q_max, width), dtype=np.float32)
-    qry_mask = np.zeros((b, q_max), dtype=np.float32)
-    qry_y = np.zeros((b, q_max), dtype=np.float32) if have_qy else None
-    seq_x = np.zeros((b, t_max, width), dtype=np.float32)
-    seq_mask = np.zeros((b, t_max), dtype=np.float32)
-    seq_qmask = np.zeros((b, t_max), dtype=np.float32)
-    seq_y = np.zeros((b, t_max), dtype=np.float32) if have_qy else None
-    t_support = np.zeros(b, dtype=np.int64)
-
-    for i, ep in enumerate(episodes):
-        if ep.x_support.shape[1] != width:
-            raise ValidationError("episodes in one batch must share the feature width")
-        ts, tq = ep.t_support, ep.t_query
-        sup_x[i, :ts] = ep.x_support
-        sup_mask[i, :ts] = 1.0
-        sup_y[i, :ts] = ep.y_support
-        qry_x[i, :tq] = ep.x_query
-        qry_mask[i, :tq] = 1.0
-        if qry_y is not None:
-            qry_y[i, :tq] = ep.y_query
-        seq_x[i, :ts] = ep.x_support
-        seq_x[i, ts : ts + tq] = ep.x_query
-        seq_mask[i, : ts + tq] = 1.0
-        seq_qmask[i, ts : ts + tq] = 1.0
-        if seq_y is not None:
-            seq_y[i, :ts] = ep.y_support
-            seq_y[i, ts : ts + tq] = ep.y_query
-        t_support[i] = ts
-
-    return Batch(
-        session_ids=tuple(e.session_id for e in episodes),
-        sup_x=sup_x,
-        sup_mask=sup_mask,
-        sup_y=sup_y,
-        qry_x=qry_x,
-        qry_mask=qry_mask,
-        qry_y=qry_y,
-        seq_x=seq_x,
-        seq_mask=seq_mask,
-        seq_qmask=seq_qmask,
-        seq_y=seq_y,
-        t_support=t_support,
-        query_logs_kept=kept.pop(),
-    )
+    def __getitem__(self, index) -> Batch:
+        """The sessions of an index array, slice or index, trimmed to the longest of them."""
+        index = np.atleast_1d(np.arange(self.size)[index])
+        masks = {p: getattr(self, f"{p}_mask")[index] for p in ("sup", "qry", "seq")}
+        trim = {p: int(m.sum(axis=1).max(initial=0)) for p, m in masks.items()}
+        parts = {"session_ids": tuple(np.array(self.session_ids, dtype=object)[index])}
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value = value[index] if value.ndim == 1 else value[index, : trim[f.name[:3]]]
+            parts[f.name] = value
+        return Batch(**parts)
 
 
-def make_batches(episodes: list[Episode], batch_size: int) -> list[Batch]:
+def make_batches(episodes: Batch, batch_size: int, order: np.ndarray | None = None) -> list[Batch]:
+    """Batches of ``batch_size`` episodes, taken in ``order`` (default: as given)."""
     if batch_size < 1:
         raise ValidationError(f"batch_size must be positive, got {batch_size}")
-    return [make_batch(episodes[i : i + batch_size]) for i in range(0, len(episodes), batch_size)]
+    order = np.arange(len(episodes)) if order is None else np.asarray(order)
+    return [episodes[order[i : i + batch_size]] for i in range(0, len(order), batch_size)]
+
+
+def make_batch(episodes: Batch) -> Batch:
+    """Every episode of a set, as one batch."""
+    if not len(episodes):
+        raise ValidationError("cannot batch an empty episode list")
+    return make_batches(episodes, len(episodes))[0]

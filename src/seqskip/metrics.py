@@ -14,7 +14,7 @@ def _as_binary(values, name: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be 1-d, got shape {arr.shape}")
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValidationError(f"{name} must contain only 0/1 entries")
     return arr.astype(np.int64)
 
@@ -117,7 +117,7 @@ def write_predictions(path, predictions: list[tuple[str, np.ndarray]]) -> None:
     lines = []
     for sid, bits in predictions:
         arr = _as_binary(bits, f"predictions for {sid!r}")
-        lines.append(f"{sid},{''.join(str(int(v)) for v in arr)}")
+        lines.append(f"{sid},{(arr.astype(np.uint8) + ord('0')).tobytes().decode('ascii')}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -131,5 +131,5 @@ def read_predictions(path) -> list[tuple[str, np.ndarray]]:
             raise ValidationError(f"{path}:{line_no}: expected 'session_id,binarystring'")
         if bits.strip("01"):
             raise ValidationError(f"{path}:{line_no}: prediction string {bits!r} is not binary")
-        out.append((sid, np.array([int(c) for c in bits], dtype=np.int64)))
+        out.append((sid, np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - np.int64(ord("0"))))
     return out

@@ -1,6 +1,6 @@
 """The nine skip-prediction architectures over the tensor primitives.
 
-Two families share the Episode/Batch interfaces:
+Two families share the Batch interface:
 
 * metric family (rnb1, rnb2_ue, rnbc2_ue) — embed support and query
   items independently, score all support x query pairs with a relation
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .dataio import Batch, Episode, make_batch
+from .dataio import Batch
 from .errors import ConfigurationError, ContractError, ValidationError
 from .nn import CAUSAL, NONCAUSAL, Conv1dSpec
 from .rng import rng_stream
@@ -502,8 +502,9 @@ class Model:
 
     # -- prediction ----------------------------------------------------
 
+    @T.no_grad()
     def query_probs(self, batch: Batch) -> np.ndarray:
-        """Per-query probabilities [B, Q] as plain float32 (no tape use)."""
+        """Per-query probabilities [B, Q] as plain float32; records no tape."""
         if self.family == "metric":
             probs = self.forward_metric(batch).probs.data
             return (probs * batch.qry_mask).astype(np.float32)
@@ -514,22 +515,3 @@ class Model:
         gathered = np.take_along_axis(out, idx, axis=1)
         return (gathered * batch.qry_mask).astype(np.float32)
 
-
-# -- episode-level convenience API -------------------------------------
-
-
-def relation_scores(model: Model, episode: Episode) -> np.ndarray:
-    """All-pairs relation scores [T_s, T_q] for one episode."""
-    out = model.forward_metric(make_batch([episode]))
-    return out.r.data[0, : episode.t_support, : episode.t_query]
-
-
-def user_embedding(model: Model, episode: Episode) -> np.ndarray:
-    """The pooled per-session preference vector [width]."""
-    return model._user_embedding_tensor(make_batch([episode])).data[0]
-
-
-def predict_queries(model: Model, episode: Episode) -> np.ndarray:
-    """Per-query skip probabilities [T_q] for one episode."""
-    batch = make_batch([episode])
-    return model.query_probs(batch)[0, : episode.t_query]

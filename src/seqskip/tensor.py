@@ -4,13 +4,14 @@ Values live in numpy arrays (float32 by default, float64 for gradient
 checking). Every differentiable op records a closure that routes the
 incoming gradient to its parents; ``Tensor.backward`` walks the recorded
 graph once in reverse topological order. Ops that receive only
-non-gradient inputs skip the tape entirely, so inference builds no graph
-state beyond the output arrays.
+non-gradient inputs skip the tape entirely, and so does every op inside
+``no_grad()``: inference builds no graph state beyond the output arrays.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -154,11 +155,29 @@ def as_tensor(x, dtype=None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype if dtype is not None else DEFAULT_DTYPE))
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Record nothing inside: every op returns a leaf, parameters included.
+
+    Usable as a decorator. The previous setting comes back on exit, also
+    when the block raises.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._grad_fn = grad_fn

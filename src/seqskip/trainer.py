@@ -18,14 +18,13 @@ import numpy as np
 from . import checkpoint as ckpt
 from .dataio import (
     Batch,
-    Episode,
     FeatureTable,
     PreprocessStats,
     SchemaSpec,
-    SessionRecord,
+    Sessions,
     fit_stats,
     make_batches,
-    make_episode,
+    make_episodes,
 )
 from .errors import ConfigurationError, TrainingError, ValidationError
 from .metrics import SessionPrediction, binarize, corpus_maa
@@ -95,8 +94,8 @@ class TrainResult:
 
 
 def split_train_val(
-    sessions: list[SessionRecord], fraction: float, seed: int
-) -> tuple[list[SessionRecord], list[SessionRecord]]:
+    sessions: Sessions, fraction: float, seed: int
+) -> tuple[Sessions, Sessions]:
     """Deterministic session-granularity split; both sides non-empty."""
     n = len(sessions)
     if n < 2:
@@ -107,9 +106,7 @@ def split_train_val(
             f"fraction {fraction} leaves an empty split for {n} sessions"
         )
     order = rng_stream(seed, "train_val_split").permutation(n)
-    train_idx = sorted(order[:n_train])
-    val_idx = sorted(order[n_train:])
-    return [sessions[i] for i in train_idx], [sessions[i] for i in val_idx]
+    return sessions[np.sort(order[:n_train])], sessions[np.sort(order[n_train:])]
 
 
 def batch_loss(model: Model, batch: Batch, loss_scope: str = "query_only") -> Tensor:
@@ -131,44 +128,41 @@ def batch_loss(model: Model, batch: Batch, loss_scope: str = "query_only") -> Te
 
 
 def build_episodes(
-    sessions: list[SessionRecord],
+    sessions: Sessions,
     features: FeatureTable,
     stats: PreprocessStats,
     schema: SchemaSpec,
     kind: str,
-) -> list[Episode]:
-    keep = kind == "teacher"
-    return [make_episode(s, features, stats, schema, keep_query_logs=keep) for s in sessions]
+) -> Batch:
+    return make_episodes(sessions, features, stats, schema, keep_query_logs=kind == "teacher")
 
 
 def predict_corpus(
-    model: Model, episodes: list[Episode], batch_size: int = 64
+    model: Model, episodes: Batch, batch_size: int = 64
 ) -> list[tuple[str, np.ndarray]]:
     """(session_id, per-query probabilities) in corpus order."""
     out = []
     for batch in make_batches(episodes, batch_size):
         probs = model.query_probs(batch)
+        t_query = batch.qry_mask.sum(axis=1).astype(np.int64)
         for i, sid in enumerate(batch.session_ids):
-            n_q = int(batch.qry_mask[i].sum())
-            out.append((sid, probs[i, :n_q]))
+            out.append((sid, probs[i, : t_query[i]]))
     return out
 
 
 def score_episodes(
-    model: Model, episodes: list[Episode], batch_size: int = 64
+    model: Model, episodes: Batch, batch_size: int = 64
 ) -> list[SessionPrediction]:
     """Binarized query predictions next to the query labels, in corpus order."""
-    preds = []
     probs = predict_corpus(model, episodes, batch_size)
-    for ep, (sid, p) in zip(episodes, probs):
-        if ep.y_query is None:
-            raise ValidationError(f"session {sid!r} lacks query labels; cannot score")
-        preds.append(SessionPrediction(sid, binarize(p), ep.y_query))
-    return preds
+    return [
+        SessionPrediction(sid, binarize(p), y[: len(p)])
+        for (sid, p), y in zip(probs, episodes.qry_y)
+    ]
 
 
 def evaluate_episodes(
-    model: Model, episodes: list[Episode], batch_size: int = 64
+    model: Model, episodes: Batch, batch_size: int = 64
 ) -> tuple[float, list[SessionPrediction]]:
     preds = score_episodes(model, episodes, batch_size)
     return corpus_maa(preds), preds
@@ -192,7 +186,7 @@ def _clip_gradients(model: Model, limit: float, total: float) -> None:
 
 def train(
     config: TrainConfig,
-    sessions: list[SessionRecord],
+    sessions: Sessions,
     features: FeatureTable,
     schema: SchemaSpec,
     log: Callable[[str], None] | None = None,
@@ -214,9 +208,8 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         opt.lr = config.base_lr * config.anneal_factor ** (epoch - 1)
         order = rng_stream(config.seed, "epoch_order", epoch).permutation(len(train_eps))
-        shuffled = [train_eps[i] for i in order]
         losses = []
-        for b_idx, batch in enumerate(make_batches(shuffled, config.batch_size)):
+        for b_idx, batch in enumerate(make_batches(train_eps, config.batch_size, order)):
             loss = batch_loss(model, batch, config.loss_scope)
             value = float(loss.data)
             if not math.isfinite(value):

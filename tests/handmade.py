@@ -1,0 +1,73 @@
+"""Hand-made episodes for tests and probes, padded by the program's own path.
+
+A loaded corpus becomes one padded :class:`seqskip.dataio.Batch` in a
+single step (``trainer.build_episodes``). Tests that need episodes of
+chosen lengths and values write them here as :class:`Episode` objects;
+``make_batch`` concatenates their rows, pads them with ``Batch.from_rows``
+and takes the batch with ``dataio.make_batch``, as training does.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from seqskip import dataio
+from seqskip.errors import ValidationError
+
+
+@dataclass
+class Episode:
+    """One hand-made session, already split into support and query."""
+
+    session_id: str
+    x_support: np.ndarray  # [T_s, full_width]
+    x_query: np.ndarray  # [T_q, full_width]
+    y_support: np.ndarray  # [T_s] 0/1
+    y_query: np.ndarray  # [T_q] 0/1
+    query_logs_kept: bool = False
+
+    @property
+    def t_support(self) -> int:
+        return self.x_support.shape[0]
+
+    @property
+    def t_query(self) -> int:
+        return self.x_query.shape[0]
+
+
+def stack(episodes: list[Episode]) -> dataio.Batch:
+    """Hand-made episodes as one padded set, each padded to the longest."""
+    if not episodes:
+        raise ValidationError("cannot batch an empty episode list")
+    kept = {e.query_logs_kept for e in episodes}
+    if len(kept) > 1:
+        raise ValidationError("cannot mix teacher-style and standard episodes in one batch")
+    if len({x.shape[1] for e in episodes for x in (e.x_support, e.x_query)}) > 1:
+        raise ValidationError("episodes in one batch must share the feature width")
+    return dataio.Batch.from_rows(
+        [e.session_id for e in episodes],
+        np.array([e.t_support for e in episodes], dtype=np.int64),
+        np.array([e.t_query for e in episodes], dtype=np.int64),
+        np.concatenate([x for e in episodes for x in (e.x_support, e.x_query)]),
+        np.concatenate([y for e in episodes for y in (e.y_support, e.y_query)]),
+        kept.pop(),
+    )
+
+
+def make_batch(episodes: list[Episode]) -> dataio.Batch:
+    return dataio.make_batch(stack(episodes))
+
+
+def episode(batch: dataio.Batch, i: int) -> Episode:
+    """Session ``i`` of a padded set, as a hand-made episode (a copy)."""
+    ts, tq = int(batch.t_support[i]), int(batch.qry_mask[i].sum())
+    return Episode(
+        batch.session_ids[i],
+        batch.sup_x[i, :ts].copy(),
+        batch.qry_x[i, :tq].copy(),
+        batch.sup_y[i, :ts].astype(np.int8),
+        batch.qry_y[i, :tq].astype(np.int8),
+        batch.query_logs_kept,
+    )

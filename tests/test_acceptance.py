@@ -10,11 +10,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import record_criterion
+from handmade import Episode
+from handmade import make_batch as handmade_batch
 
 from seqskip import gradcheck, nn
 from seqskip import tensor as T
 from seqskip.cli import main as cli_main
-from seqskip.dataio import Episode, load_corpus, make_batch, split_session
+from seqskip.dataio import load_corpus, make_batch, split_session
 from seqskip.metrics import (
     SessionPrediction,
     average_accuracy,
@@ -71,16 +73,20 @@ def _fit(kind, sessions, features, schema, *, width=WIDTH, epochs=10, batch=32,
     return train(cfg, sessions, features, schema)
 
 
+def _query_labels(sessions) -> list[np.ndarray]:
+    """Each session's query labels: the positions after its support half."""
+    starts = sessions.starts + sessions.t_support
+    return [sessions.labels[a:b] for a, b in zip(starts, sessions.starts + sessions.lengths)]
+
+
 def _label_baseline_maa(kind: str, val_sessions) -> float:
     preds = []
-    for rec in val_sessions:
-        t_s = len(split_session(rec.length)[0])
-        y_q = rec.labels[t_s:]
+    for sid, y_q in zip(val_sessions.ids, _query_labels(val_sessions)):
         if kind == "all_skip":
             guess = np.ones(len(y_q), dtype=np.int64)
         else:
             guess = np.zeros(len(y_q), dtype=np.int64)
-        preds.append(SessionPrediction(rec.session_id, guess, y_q))
+        preds.append(SessionPrediction(sid, guess, y_q))
     return corpus_maa(preds)
 
 
@@ -171,7 +177,7 @@ def test_criterion_03_causality_and_receptive_field():
         model = build(default_config(kind, width=16, seed=3), in_dim)
         rng = np.random.default_rng(hash(kind) % 2**32)
         for _ in range(100):
-            batch = make_batch([_random_episode(rng, in_dim)])
+            batch = handmade_batch([_random_episode(rng, in_dim)])
             base = model.forward_sequence(batch).data[0].copy()
             t_len = batch.seq_x.shape[1]
             j = int(rng.integers(1, t_len))
@@ -218,7 +224,7 @@ def test_criterion_04_support_permutation_invariance():
         model = build(default_config(kind, width=16, seed=5), in_dim)
         rng = np.random.default_rng(29)
         eps = [_random_episode(rng, in_dim) for _ in range(6)]
-        base = model.query_probs(make_batch(eps))
+        base = model.query_probs(handmade_batch(eps))
         for _ in range(50):
             shuffled = []
             for ep in eps:
@@ -230,7 +236,7 @@ def test_criterion_04_support_permutation_invariance():
                     y_support=ep.y_support[order],
                     y_query=ep.y_query,
                 ))
-            got = model.query_probs(make_batch(shuffled))
+            got = model.query_probs(handmade_batch(shuffled))
             worst = max(worst, float(np.abs(got - base).max()))
     _check(4, worst <= 1e-6, f"metric family drift under 50 support "
                              f"permutations: {worst:.2e}")
@@ -257,19 +263,19 @@ def test_criterion_05_threshold_learnability(corpus_factory):
     # mask whatever the noise, so sessions, tracks and logs coincide.
     _, _, twin, _ = corpus_factory(
         n_sessions=20_000, rule="threshold", noise=0.0, seed=0)
-    assert [r.session_id for r in twin] == [r.session_id for r in sessions] \
-        and [r.track_ids for r in twin] == [r.track_ids for r in sessions], \
+    assert np.array_equal(twin.ids, sessions.ids) \
+        and np.array_equal(twin.lengths, sessions.lengths) \
+        and np.array_equal(twin.track_ids, sessions.track_ids), \
         "noise-free twin corpus does not match the noisy corpus's sessions"
-    clean = {r.session_id: r.labels for r in twin}
+    clean = dict(zip(twin.ids, _query_labels(twin)))
 
     val_eps = build_episodes(val_sessions, features, result.stats, schema, "seq1HL")
     _, preds = evaluate_episodes(result.model, val_eps, 64)
     learnt, ceiling, flipped, n_query = [], [], 0, 0
-    for rec, pred in zip(val_sessions, preds):
-        t_s = len(split_session(rec.length)[0])
-        y_clean, y_noisy = clean[rec.session_id][t_s:], rec.labels[t_s:]
-        learnt.append(SessionPrediction(rec.session_id, pred.predicted, y_clean))
-        ceiling.append(SessionPrediction(rec.session_id, y_clean, y_noisy))
+    for sid, y_noisy, pred in zip(val_sessions.ids, _query_labels(val_sessions), preds):
+        y_clean = clean[sid]
+        learnt.append(SessionPrediction(sid, pred.predicted, y_clean))
+        ceiling.append(SessionPrediction(sid, y_clean, y_noisy))
         flipped += int((y_clean != y_noisy).sum())
         n_query += len(y_noisy)
     flip_rate = flipped / n_query

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from handmade import episode
+from handmade import make_batch as handmade_batch
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,7 +21,7 @@ from seqskip.dataio import (
     load_sessions,
     make_batch,
     make_batches,
-    make_episode,
+    make_episodes,
     split_session,
     transform,
 )
@@ -130,16 +132,16 @@ def test_schema_bad_json(tmp_path):
 
 def test_sessions_sorted_and_parsed(corpus):
     _, sessions, _ = corpus
-    (rec,) = sessions
-    assert rec.session_id == "s1" and rec.length == 10
-    assert rec.track_ids == tuple(f"t{k}" for k in range(10))
-    np.testing.assert_array_equal(rec.labels, [p % 2 for p in range(1, 11)])
-    assert rec.logs[0]["context"] == "evening"
+    assert sessions.ids.tolist() == ["s1"] and sessions.lengths.tolist() == [10]
+    assert sessions.track_ids.tolist() == [f"t{k}" for k in range(10)]
+    np.testing.assert_array_equal(sessions.labels, [p % 2 for p in range(1, 11)])
+    cols = sessions.columns
+    assert cols["context"][0] == 1  # "evening": categoricals as vocabulary indices
     # parsed at load: counts and reals as floats, booleans as 0/1
-    assert rec.logs[1]["play_count"] == float(E_MINUS_1)
-    assert rec.logs[2]["shuffle"] == 1 and rec.logs[0]["shuffle"] == 0
-    assert rec.logs[0]["pause_ratio"] == 0.1
-    assert "date" not in rec.logs[0]  # unlisted columns dropped
+    assert cols["play_count"][1] == float(E_MINUS_1)
+    assert cols["shuffle"][2] == 1 and cols["shuffle"][0] == 0
+    assert cols["pause_ratio"][0] == 0.1
+    assert "date" not in cols  # unlisted columns dropped
 
 
 def _edit_row(lines, row, field, value):
@@ -245,6 +247,29 @@ def test_non_finite_values_rejected_with_file_line(tmp_path):
         load_features(tmp_path / "f.csv", schema)
 
 
+def test_first_bad_row_names_the_error(tmp_path):
+    # Two bad rows in different columns: the earlier row is reported, even
+    # though its bad column comes later in the schema.
+    _write_corpus(tmp_path)
+    schema = load_schema(tmp_path / "schema.json")
+    good = (tmp_path / "sessions.csv").read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    lines = _edit_row(good, 6, 2, "six").splitlines()  # position, line 7
+    bad.write_text(_edit_row(lines, 3, 6, "nan"))  # pause_ratio, line 4
+    with pytest.raises(ValidationError,
+                       match=r"bad\.csv:4: column 'pause_ratio' has non-finite value 'nan'"):
+        load_sessions(bad, schema)
+    # a short row ends the rows read: a bad value before it still comes first
+    lines = _edit_row(good, 2, 4, "-3").splitlines()  # play_count, line 3
+    lines[5] = "s1,t9,5"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match=r"bad\.csv:3: count column 'play_count' is negative"):
+        load_sessions(bad, schema)
+    bad.write_text("\n".join(good[:5] + ["s1,t9,5"] + good[6:]) + "\n")
+    with pytest.raises(ValidationError, match=r"bad\.csv:6: ragged row"):
+        load_sessions(bad, schema)
+
+
 def test_missing_track_raises(corpus):
     _, _, features = corpus
     with pytest.raises(ValidationError, match="no acoustic"):
@@ -285,7 +310,7 @@ def test_fit_stats_empty_corpus(corpus):
 def test_transform_hand_row(corpus):
     schema, sessions, features = corpus
     stats = fit_stats(sessions, features, schema)
-    rows = transform(sessions[0], features, stats, schema)
+    rows = transform(sessions, features, stats, schema)  # the corpus is one session
     assert rows.shape == (10, 8) and rows.dtype == np.float32
     # position 1: evening, count 0, shuffle 0, pause 0.1, track t0
     np.testing.assert_allclose(
@@ -301,7 +326,7 @@ def test_transform_clamps_counts_out_of_range(corpus):
     schema, sessions, features = corpus
     stats = fit_stats(sessions, features, schema)
     stats.count_max["play_count"] = 0.5  # pretend fit saw a smaller range
-    rows = transform(sessions[0], features, stats, schema)
+    rows = transform(sessions, features, stats, schema)
     assert rows[1, 2] == 1.0  # clamped, not 2.0
 
 
@@ -329,7 +354,7 @@ def test_split_support_takes_ceil_half(length):
 def test_make_episode_channels(corpus):
     schema, sessions, features = corpus
     stats = fit_stats(sessions, features, schema)
-    ep = make_episode(sessions[0], features, stats, schema)
+    ep = episode(make_episodes(sessions, features, stats, schema), 0)
     assert ep.t_support == 5 and ep.t_query == 5
     lw = schema.log_width
     np.testing.assert_array_equal(ep.x_support[:, -2], ep.y_support)
@@ -337,13 +362,13 @@ def test_make_episode_channels(corpus):
     assert np.all(ep.x_query[:, -1] == 1)
     assert np.all(ep.x_query[:, :lw] == 0)  # log fields withheld
     assert np.any(ep.x_query[:, lw:-2] != 0)  # acoustics present
-    np.testing.assert_array_equal(ep.y_query, sessions[0].labels[5:])
+    np.testing.assert_array_equal(ep.y_query, sessions.labels[5:])
 
 
 def test_make_episode_keep_query_logs(corpus):
     schema, sessions, features = corpus
     stats = fit_stats(sessions, features, schema)
-    ep = make_episode(sessions[0], features, stats, schema, keep_query_logs=True)
+    ep = episode(make_episodes(sessions, features, stats, schema, keep_query_logs=True), 0)
     assert ep.query_logs_kept
     assert np.any(ep.x_query[:, : schema.log_width] != 0)
     assert np.all(ep.x_query[:, -2] == 0)  # labels still withheld
@@ -352,11 +377,11 @@ def test_make_episode_keep_query_logs(corpus):
 def test_make_batch_padding_and_merged_timeline(corpus):
     schema, sessions, features = corpus
     stats = fit_stats(sessions, features, schema)
-    ep = make_episode(sessions[0], features, stats, schema)
-    short = make_episode(sessions[0], features, stats, schema)
+    ep = episode(make_episodes(sessions, features, stats, schema), 0)
+    short = episode(make_episodes(sessions, features, stats, schema), 0)
     short.x_query = short.x_query[:3]
     short.y_query = short.y_query[:3]
-    batch = make_batch([ep, short])
+    batch = handmade_batch([ep, short])
     assert isinstance(batch, Batch) and batch.size == 2
     np.testing.assert_array_equal(batch.qry_mask[1], [1, 1, 1, 0, 0])
     # merged view: supports then queries, zero-padded to the right
@@ -370,20 +395,26 @@ def test_make_batch_padding_and_merged_timeline(corpus):
 def test_make_batch_rejects_mixed_and_empty(corpus):
     schema, sessions, features = corpus
     stats = fit_stats(sessions, features, schema)
-    plain = make_episode(sessions[0], features, stats, schema)
-    teacher = make_episode(sessions[0], features, stats, schema,
-                           keep_query_logs=True)
+    plain = make_episodes(sessions, features, stats, schema)
+    teacher = make_episodes(sessions, features, stats, schema, keep_query_logs=True)
+    # a corpus set has one query-log setting; hand-made sets cannot mix them
+    assert teacher.query_logs_kept and not plain.query_logs_kept
+    assert make_batch(teacher).query_logs_kept
     with pytest.raises(ValidationError):
-        make_batch([plain, teacher])
+        handmade_batch([episode(plain, 0), episode(teacher, 0)])
     with pytest.raises(ValidationError):
-        make_batch([])
+        make_batch(plain[[]])
+    with pytest.raises(ValidationError):
+        handmade_batch([])
 
 
 def test_make_batches_chunks(corpus):
     schema, sessions, features = corpus
     stats = fit_stats(sessions, features, schema)
-    eps = [make_episode(sessions[0], features, stats, schema)] * 5
+    eps = make_episodes(sessions, features, stats, schema)[[0] * 5]
+    assert len(eps) == 5
     batches = make_batches(eps, 2)
     assert [b.size for b in batches] == [2, 2, 1]
+    assert [b.size for b in make_batches(eps, 2, order=[4, 0, 2])] == [2, 1]
     with pytest.raises(ValidationError):
         make_batches(eps, 0)

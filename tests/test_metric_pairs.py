@@ -13,10 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from handmade import Episode, make_batch
 
 from seqskip import nn
 from seqskip import tensor as T
-from seqskip.dataio import Episode, load_corpus, make_batch
+from seqskip.dataio import load_corpus
 from seqskip.errors import ConfigurationError
 from seqskip.models import METRIC_KINDS, UE_KINDS, MetricOut, build, default_config
 from seqskip.synthgen import SynthConfig, generate

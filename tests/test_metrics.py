@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from handmade import Episode
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqskip.dataio import Episode
 from seqskip.errors import EvaluationError, ValidationError
 from seqskip.metrics import (
     SessionPrediction,
@@ -167,3 +167,29 @@ def test_wire_format_lossless(tmp_path_factory, entries):
     for (sa, ba), (sb, bb) in zip(preds, back):
         assert sa == sb
         np.testing.assert_array_equal(ba, bb)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2, -1, np.nan])
+def test_binary_check_rejects_non_binary(tmp_path, bad):
+    values = np.array([0, 1, bad])
+    with pytest.raises(ValidationError, match="0/1"):
+        SessionPrediction("s", values, np.array([0, 1, 1]))
+    with pytest.raises(ValidationError, match="0/1"):
+        write_predictions(tmp_path / "p.txt", [("s", values)])
+    for ok in (np.array([True, False]), np.array([1.0, 0.0]), np.array([], dtype=np.int64)):
+        SessionPrediction("s", ok, np.zeros(ok.size, dtype=np.int8))
+
+
+def test_wire_format_bytes_and_arrays_unchanged(tmp_path):
+    # The per-bit text the format always had, read back as int64 arrays.
+    rng = np.random.default_rng(1)
+    preds = [(f"s{i}", rng.integers(0, 2, n).astype(dtype))
+             for i, (n, dtype) in enumerate([(10, np.int64), (1, np.int8), (7, bool),
+                                             (0, np.int64), (12, np.float32)])]
+    path = tmp_path / "p.txt"
+    write_predictions(path, preds)
+    want = "".join(f"{sid},{''.join(str(int(v)) for v in bits)}\n" for sid, bits in preds)
+    assert path.read_bytes() == want.encode("utf-8")
+    for (sid, bits), (sid_back, back) in zip(preds, read_predictions(path)):
+        assert sid_back == sid and back.dtype == np.int64 and back.flags.writeable
+        np.testing.assert_array_equal(back, [int(c) for c in "".join(str(int(v)) for v in bits)])

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from handmade import Episode, make_batch
 
-from seqskip.dataio import Episode, make_batch
+from seqskip import tensor as T
 from seqskip.errors import ConfigurationError, ContractError, ValidationError
 from seqskip.models import (
     KINDS,
@@ -12,10 +13,7 @@ from seqskip.models import (
     ModelConfig,
     build,
     default_config,
-    predict_queries,
-    relation_scores,
     target_similarity,
-    user_embedding,
 )
 from seqskip.trainer import batch_loss
 
@@ -38,6 +36,11 @@ def _episode(rng, length=10, keep_logs=False) -> Episode:
 
 def _model(kind, seed=0, width=WIDTH):
     return build(default_config(kind, width=width, seed=seed), IN_DIM)
+
+
+def _predict(model, ep) -> np.ndarray:
+    """Per-query skip probabilities [T_q] for one episode."""
+    return model.query_probs(make_batch([ep]))[0, : ep.t_query]
 
 
 # -- configuration -----------------------------------------------------
@@ -132,7 +135,7 @@ def test_cross_family_calls_rejected():
     with pytest.raises(ContractError):
         _model("seq1eH").forward_metric(batch)
     with pytest.raises(ContractError):
-        user_embedding(_model("rnb1"), _episode(rng))
+        _model("rnb1")._user_embedding_tensor(batch)
 
 
 def test_teacher_demands_query_logs():
@@ -176,13 +179,16 @@ def test_output_shapes_and_ranges():
 
 
 def test_episode_helpers():
+    # one hand-made episode as a batch of one: relation scores, user vector
+    # and query probabilities come out at that episode's own sizes
     rng = np.random.default_rng(2)
     ep = _episode(rng, 11)
     model = _model("rnb2_ue")
-    assert relation_scores(model, ep).shape == (6, 5)
-    assert user_embedding(model, ep).shape == (WIDTH,)
-    assert predict_queries(model, ep).shape == (5,)
-    assert predict_queries(_model("snail"), ep).shape == (5,)
+    batch = make_batch([ep])
+    assert model.forward_metric(batch).r.data[0].shape == (6, 5)
+    assert model._user_embedding_tensor(batch).data[0].shape == (WIDTH,)
+    assert _predict(model, ep).shape == (5,)
+    assert _predict(_model("snail"), ep).shape == (5,)
 
 
 def _tape_op_nodes(root) -> int:
@@ -227,11 +233,11 @@ def test_att_pair_query_causality():
     rng = np.random.default_rng(4)
     ep = _episode(rng, 14)  # 7 support, 7 query
     model = _model("att_pair")
-    base = predict_queries(model, ep).copy()
+    base = _predict(model, ep).copy()
     bumped = Episode(ep.session_id, ep.x_support, ep.x_query.copy(),
                      ep.y_support, ep.y_query)
     bumped.x_query[5] += 1.0
-    got = predict_queries(model, bumped)
+    got = _predict(model, bumped)
     np.testing.assert_allclose(got[:5], base[:5], atol=1e-7)
     assert abs(got[5] - base[5]) > 1e-9  # the perturbed position does move
 
@@ -242,8 +248,69 @@ def test_support_perturbation_moves_att_pair_queries():
     rng = np.random.default_rng(5)
     ep = _episode(rng, 14)
     model = _model("att_pair")
-    base = predict_queries(model, ep).copy()
+    base = _predict(model, ep).copy()
     bumped = Episode(ep.session_id, ep.x_support.copy(), ep.x_query,
                      ep.y_support, ep.y_query)
     bumped.x_support[0, :3] += 1.0
-    assert np.abs(predict_queries(model, bumped) - base).max() > 1e-9
+    assert np.abs(_predict(model, bumped) - base).max() > 1e-9
+
+
+# -- inference without a tape ------------------------------------------
+
+
+def _inference_probs(model, batch) -> np.ndarray:
+    """What ``query_probs`` computes, with the tape on."""
+    if model.family == "metric":
+        return model.forward_metric(batch).probs.data * batch.qry_mask
+    out = model.forward_sequence(batch).data
+    idx = batch.t_support[:, None] + np.arange(batch.qry_mask.shape[1])[None, :]
+    return np.take_along_axis(out, np.minimum(idx, out.shape[1] - 1), axis=1) * batch.qry_mask
+
+
+def test_query_probs_records_no_tape(monkeypatch):
+    # Every op inside query_probs returns a leaf, the outputs are those of
+    # the taped forward bit for bit, and training afterwards still records.
+    made = []
+    result = T._result
+
+    def spy(data, parents, grad_fn):
+        out = result(data, parents, grad_fn)
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(T, "_result", spy)
+    rng = np.random.default_rng(7)
+    plain = make_batch([_episode(rng, 10), _episode(rng, 13)])
+    teacher = make_batch([_episode(rng, 12, keep_logs=True)])
+    for kind in KINDS:
+        model = _model(kind)
+        batch = teacher if kind == "teacher" else plain
+        made.clear()
+        probs = model.query_probs(batch)
+        assert len(made) > 5, kind
+        assert all(t._grad_fn is None and t._parents == () and not t.requires_grad
+                   for t in made), kind
+        np.testing.assert_array_equal(probs, _inference_probs(model, batch), err_msg=kind)
+
+        made.clear()
+        loss = batch_loss(model, batch)
+        assert sum(t._grad_fn is not None for t in made) > 5, kind
+        loss.backward()
+        grads = [p.grad for p in model.params.values()]
+        assert all(g is not None for g in grads) and any(np.any(g != 0) for g in grads), kind
+
+
+def test_no_grad_restores_the_flag_on_error():
+    teacher = _model("teacher")
+    batch = make_batch([_episode(np.random.default_rng(8))])
+    with pytest.raises(ContractError):
+        teacher.query_probs(batch)  # raises inside the no-grad block
+    assert T._grad_enabled
+    with T.no_grad():
+        with T.no_grad():
+            pass
+        assert not T._grad_enabled  # a nested block restores the outer setting
+    w = T.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    out = T.reduce_sum(T.mul(w, 2.0))
+    out.backward()
+    np.testing.assert_array_equal(w.grad, [2.0, 2.0, 2.0])

@@ -20,6 +20,16 @@ def _gen(tmp_path, **kw):
     return load_corpus(tmp_path)
 
 
+def _session_rates(sessions) -> np.ndarray:
+    """Each session's skip rate."""
+    return np.add.reduceat(sessions.labels.astype(np.float64), sessions.starts) / sessions.lengths
+
+
+def _seek_by_label(sessions) -> dict:
+    seek = sessions.columns["seek_fwd_count"]
+    return {y: seek[sessions.labels == y] for y in (0, 1)}
+
+
 def test_byte_identical_regeneration(tmp_path):
     cfg = SynthConfig(n_sessions=40, rule="markov", seed=3)
     a = generate(cfg, tmp_path / "a")
@@ -40,9 +50,9 @@ def test_output_parses_and_respects_bounds(tmp_path):
         feature_dim=5, n_tracks=80)
     assert len(sessions) == 50
     assert schema.feature_dim == 5
-    assert all(12 <= rec.length <= 14 for rec in sessions)
-    assert len(features.vectors) == 80
-    assert all(v.shape == (5,) for v in features.vectors.values())
+    assert np.all((sessions.lengths >= 12) & (sessions.lengths <= 14))
+    assert len(features.index) == 80
+    assert features.matrix.shape == (80, 5)
 
 
 def test_default_track_count_floor():
@@ -80,25 +90,21 @@ def test_threshold_labels_match_rederived_rule(tmp_path):
     schema, sessions, features = _gen(tmp_path, **cfg)
     w = rng_stream(2, "synth", "rule_w").standard_normal(schema.feature_dim)
     w /= np.linalg.norm(w)
-    flips = total = 0
-    for rec in sessions:
-        clean = np.array([float(features.get(t) @ w) > 0 for t in rec.track_ids])
-        flips += int((clean != rec.labels.astype(bool)).sum())
-        total += rec.length
-    assert abs(flips / total - 0.1) < 0.02  # mismatches are exactly the noise
+    clean = features.matrix[features.rows(sessions.track_ids)] @ w > 0
+    flips = int((clean != sessions.labels.astype(bool)).sum())
+    assert abs(flips / len(clean) - 0.1) < 0.02  # mismatches are exactly the noise
 
 
 def test_threshold_rate_is_balanced(tmp_path):
     _, sessions, _ = _gen(tmp_path, n_sessions=400, rule="threshold",
                           noise=0.05, seed=0)
-    labels = np.concatenate([rec.labels for rec in sessions])
-    assert abs(labels.mean() - 0.5) < 0.02
+    assert abs(sessions.labels.mean() - 0.5) < 0.02
 
 
 def test_preference_rates_spread_by_quantile(tmp_path):
     _, sessions, _ = _gen(tmp_path, n_sessions=400, rule="preference",
                           noise=0.0, seed=1)
-    rates = np.array([rec.labels.mean() for rec in sessions])
+    rates = _session_rates(sessions)
     # session rate approximates 1 - q with q ~ U(0.25, 0.75)
     assert abs(rates.mean() - 0.5) < 0.03
     assert rates.std() > 0.08
@@ -108,7 +114,7 @@ def test_preference_rates_spread_by_quantile(tmp_path):
 def test_preference_narrow_band_tightens_rates(tmp_path):
     _, sessions, _ = _gen(tmp_path, n_sessions=300, rule="preference",
                           noise=0.0, seed=1, pref_q_low=0.49, pref_q_high=0.51)
-    rates = np.array([rec.labels.mean() for rec in sessions])
+    rates = _session_rates(sessions)
     assert rates.std() < 0.15  # only the L-dependent cut granularity left
 
 
@@ -116,9 +122,9 @@ def test_markov_consecutive_labels_carry_information(tmp_path):
     _, sessions, _ = _gen(tmp_path, n_sessions=400, rule="markov",
                           noise=0.1, seed=0)
     joint = np.zeros((2, 2))
-    for rec in sessions:
-        for a, b in zip(rec.labels[:-1], rec.labels[1:]):
-            joint[a, b] += 1
+    within = np.ones(len(sessions.labels) - 1, dtype=bool)
+    within[sessions.starts[1:] - 1] = False  # pairs that would span two sessions
+    np.add.at(joint, (sessions.labels[:-1][within], sessions.labels[1:][within]), 1)
     joint /= joint.sum()
     px = joint.sum(axis=1, keepdims=True)
     py = joint.sum(axis=0, keepdims=True)
@@ -130,10 +136,7 @@ def test_markov_consecutive_labels_carry_information(tmp_path):
 def test_log_leak_encodes_label_in_seek_count(tmp_path):
     _, sessions, _ = _gen(tmp_path, n_sessions=300, rule="log_leak",
                           noise=0.05, seed=0)
-    seek = {0: [], 1: []}
-    for rec in sessions:
-        for i in range(rec.length):
-            seek[int(rec.labels[i])].append(float(rec.logs[i]["seek_fwd_count"]))
+    seek = _seek_by_label(sessions)
     gap = np.mean(seek[1]) - np.mean(seek[0])
     assert gap > 0.8  # seek count = label + coin, so the means differ by ~1
 
@@ -141,8 +144,5 @@ def test_log_leak_encodes_label_in_seek_count(tmp_path):
 def test_non_leak_rules_keep_logs_independent(tmp_path):
     _, sessions, _ = _gen(tmp_path, n_sessions=300, rule="threshold",
                           noise=0.05, seed=0)
-    seek = {0: [], 1: []}
-    for rec in sessions:
-        for i in range(rec.length):
-            seek[int(rec.labels[i])].append(float(rec.logs[i]["seek_fwd_count"]))
+    seek = _seek_by_label(sessions)
     assert abs(np.mean(seek[1]) - np.mean(seek[0])) < 0.1

@@ -75,12 +75,19 @@ def test_split_is_deterministic_partition(corpus):
     _, sessions, _ = corpus
     a_train, a_val = split_train_val(sessions, 0.8, 3)
     b_train, b_val = split_train_val(sessions, 0.8, 3)
-    assert [s.session_id for s in a_train] == [s.session_id for s in b_train]
-    ids = {s.session_id for s in a_train} | {s.session_id for s in a_val}
-    assert ids == {s.session_id for s in sessions}
+    assert a_train.ids.tolist() == b_train.ids.tolist()
+    assert set(a_train.ids) | set(a_val.ids) == set(sessions.ids)
     assert len(a_train) == 48 and len(a_val) == 12
     c_train, _ = split_train_val(sessions, 0.8, 4)
-    assert [s.session_id for s in c_train] != [s.session_id for s in a_train]
+    assert c_train.ids.tolist() != a_train.ids.tolist()
+    with pytest.raises(TypeError):  # a corpus is indexed, not iterated
+        iter(a_train)
+    # a sub-corpus carries its sessions' rows, in its own session order
+    first = sessions.ids.tolist().index(a_val.ids[0])
+    rows = slice(sessions.starts[first], sessions.starts[first] + sessions.lengths[first])
+    assert a_val.track_ids[: a_val.lengths[0]].tolist() == sessions.track_ids[rows].tolist()
+    for name, column in a_val.columns.items():
+        np.testing.assert_array_equal(column[: a_val.lengths[0]], sessions.columns[name][rows])
 
 
 def test_split_guards(corpus):
@@ -146,8 +153,10 @@ def test_teacher_episodes_keep_logs(corpus):
     stats = fit_stats(sessions, features, schema)
     t_eps = build_episodes(sessions[:2], features, stats, schema, "teacher")
     s_eps = build_episodes(sessions[:2], features, stats, schema, "seq1HL")
-    assert all(e.query_logs_kept for e in t_eps)
-    assert not any(e.query_logs_kept for e in s_eps)
+    assert t_eps.query_logs_kept and len(t_eps) == 2
+    assert not s_eps.query_logs_kept and len(s_eps) == 2
+    lw = schema.log_width
+    assert np.any(t_eps.qry_x[:, :, :lw] != 0) and not np.any(s_eps.qry_x[:, :, :lw] != 0)
 
 
 # -- prediction and evaluation -----------------------------------------
@@ -157,9 +166,9 @@ def test_predict_corpus_order_and_lengths(episodes):
     schema, _, eps = episodes
     model = build(default_config("rnb1", width=8), schema.full_width)
     preds = predict_corpus(model, eps[:7], batch_size=3)
-    assert [sid for sid, _ in preds] == [e.session_id for e in eps[:7]]
-    for ep, (_, p) in zip(eps[:7], preds):
-        assert p.shape == (ep.t_query,)
+    assert [sid for sid, _ in preds] == list(eps.session_ids[:7])
+    t_query = eps.qry_mask[:7].sum(axis=1).astype(int)
+    assert [p.shape for _, p in preds] == [(n,) for n in t_query]
 
 
 def test_evaluate_matches_manual_maa(episodes):
@@ -168,8 +177,8 @@ def test_evaluate_matches_manual_maa(episodes):
     model = build(default_config("rnb1", width=8), schema.full_width)
     maa, preds = evaluate_episodes(model, eps[:9], batch_size=4)
     manual = corpus_maa([
-        SessionPrediction(sid, binarize(p), ep.y_query)
-        for ep, (sid, p) in zip(eps[:9], predict_corpus(model, eps[:9], 4))
+        SessionPrediction(sid, binarize(p), y_query[: len(p)])
+        for y_query, (sid, p) in zip(eps.qry_y[:9], predict_corpus(model, eps[:9], 4))
     ])
     assert maa == manual and len(preds) == 9
 
@@ -238,7 +247,7 @@ def test_non_finite_loss_raises(tmp_path):
     # load_features rejects a nan in the file, so poison one acoustic
     # value of the loaded table: the guard must still catch it.
     first = (tmp_path / "features.csv").read_text().splitlines()[1].split(",")[0]
-    features.vectors[first][0] = np.nan
+    features.matrix[features.index[first], 0] = np.nan
     with pytest.raises(TrainingError, match="non-finite"):
         train(_cfg(max_epochs=1, train_fraction=0.5), sessions, features, schema)
 
