@@ -140,15 +140,6 @@ def test_mse_hand_value():
     np.testing.assert_allclose(out.data, 5.0)
 
 
-def test_loss_dispatch():
-    p = Tensor(np.array([0.5]))
-    np.testing.assert_allclose(nn.loss("bce", p, np.array([1.0])).data,
-                               np.log(2.0), rtol=1e-6)
-    np.testing.assert_allclose(nn.loss("mse", p, np.array([0.0])).data, 0.25)
-    with pytest.raises(ConfigurationError):
-        nn.loss("hinge", p, np.array([1.0]))
-
-
 def test_gated_block_hand_values():
     one, three, zero = (Tensor(np.array([v])) for v in (1.0, 3.0, 0.0))
     np.testing.assert_allclose(

@@ -1,9 +1,10 @@
 """Fused layer ops against the primitive compositions they replace.
 
-Each conv, norm and gate in ``nn`` records one tape node with a
-hand-written backward. The reference helpers below rebuild each op from
-tensor primitives, the way ``nn`` computed it before the ops were fused,
-so forward values and every input gradient can be compared in float64.
+Each conv, norm, gate, softmax and attention call in ``nn`` records one
+tape node with a hand-written backward. The reference helpers below
+rebuild each op from tensor primitives, the way ``nn`` computed it before
+the ops were fused, so forward values and every input gradient can be
+compared in float64.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from seqskip import nn
 from seqskip import tensor as T
-from seqskip.errors import ConfigurationError, ValidationError
+from seqskip.errors import ConfigurationError, MaskingError, ValidationError
 from seqskip.nn import CAUSAL, NONCAUSAL, Conv1dSpec
 from seqskip.tensor import Tensor
 
@@ -82,6 +83,47 @@ def ref_gated_block(kind, x, transform_pre, gate_pre):
         carry = T.add(1.0, T.neg(gate))
         return T.add(T.mul(gate, T.relu(transform_pre)), T.mul(carry, x))
     return T.mul(transform_pre, T.sigmoid(gate_pre))
+
+
+_MASK_FILL = -1e9
+
+
+def ref_softmax(x, axis=-1):
+    shift = np.max(x.data, axis=axis, keepdims=True)
+    e = T.exp(T.add(x, Tensor(-shift)))
+    return T.div(e, T.reduce_sum(e, axis=axis, keepdims=True))
+
+
+def _ref_split_heads(x, heads):
+    *lead, n, d = x.shape
+    return T.swap_axes(T.reshape(x, (*lead, n, heads, d // heads)), -3, -2)
+
+
+def _ref_merge_heads(x):
+    x = T.swap_axes(x, -3, -2)
+    *lead, n, h, dh = x.shape
+    return T.reshape(x, (*lead, n, h * dh))
+
+
+def ref_attention_weights(q, k, mask=None, heads=1):
+    """Scaled scores, multiplicative mask fill and softmax, per head."""
+    scale = 1.0 / float(np.sqrt(q.shape[-1] // heads))
+    m = None if mask is None else np.asarray(mask).astype(q.dtype.type)
+    if heads > 1:
+        q, k = _ref_split_heads(q, heads), _ref_split_heads(k, heads)
+        if m is not None:
+            m = np.expand_dims(m, -3)
+    scores = T.mul(T.matmul(q, T.swap_axes(k, -1, -2)), scale)
+    if m is not None:
+        scores = T.add(T.mul(scores, Tensor(m)), Tensor(_MASK_FILL * (1.0 - m)))
+    return ref_softmax(scores, axis=-1)
+
+
+def ref_attention(q, k, v, mask=None, heads=1):
+    weights = ref_attention_weights(q, k, mask, heads)
+    if heads == 1:
+        return T.matmul(weights, v)
+    return _ref_merge_heads(T.matmul(weights, _ref_split_heads(v, heads)))
 
 
 # -- comparison harness ----------------------------------------------------
@@ -227,3 +269,95 @@ def test_sigmoid_array_is_stable_at_extremes():
     assert np.all(np.isfinite(s))
     np.testing.assert_array_equal(s[[0, 2, 4]], [0.0, 0.5, 1.0])
     np.testing.assert_allclose(s[1], np.exp(-40.0) / (1.0 + np.exp(-40.0)), rtol=1e-15)
+
+
+# -- softmax and attention -------------------------------------------------------
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_softmax_matches_composition(axis):
+    rng = np.random.default_rng(11)
+    assert_same_op(
+        lambda x: nn.softmax(x, axis=axis),
+        lambda x: ref_softmax(x, axis=axis),
+        [3.0 * rng.normal(size=(3, 4, 5))],
+    )
+
+
+def _single_key_rows(rng, shape):
+    """A random boolean mask ``[..., n, m]`` whose first rows admit one key each."""
+    mask = rng.random(shape) < 0.5
+    mask[..., 0] = True
+    mask[..., 0, 1:] = False  # row 0 admits key 0 only
+    mask[..., 1, :] = False
+    mask[..., 1, -1] = True  # row 1 admits the last key only
+    return mask
+
+
+ATTENTION_CASES = {
+    # name: (lead, n, m, d_k, d_v, heads, mask kind)
+    "unbatched_1head": ((), 3, 5, 4, 3, 1, None),
+    "unbatched_8head": ((), 5, 3, 16, 8, 8, None),
+    "batched_1head_masked": ((2,), 4, 6, 4, 2, 1, "single"),
+    "batched_8head_causal": ((3,), 6, 6, 16, 16, 8, "causal"),
+    "att_pair_support": ((3,), 6, 4, 8, 8, 1, "support"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+def test_attention_matches_composition(case):
+    lead, n, m, dk, dv, heads, mask_kind = ATTENTION_CASES[case]
+    rng = np.random.default_rng(len(case))
+    mask = None
+    if mask_kind == "single":
+        mask = _single_key_rows(rng, lead + (n, m))
+    elif mask_kind == "causal":
+        valid = np.ones(lead + (m,), dtype=bool)
+        valid[0, -2:] = False  # a padded tail
+        mask = np.tril(np.ones((n, m), dtype=bool)) & valid[..., None, :]
+    elif mask_kind == "support":
+        # att_pair: every query row sees the valid support keys, [B, T, S]
+        valid = rng.random(lead + (m,)) < 0.6
+        valid[..., 0] = True
+        mask = np.repeat(valid[..., None, :], n, axis=-2)
+    arrays = [rng.normal(size=lead + (n, dk)), rng.normal(size=lead + (m, dk)),
+              rng.normal(size=lead + (m, dv))]
+    assert_same_op(
+        lambda q, k, v: nn.attention(q, k, v, mask=mask, heads=heads),
+        lambda q, k, v: ref_attention(q, k, v, mask=mask, heads=heads),
+        arrays,
+    )
+    if mask_kind == "support":
+        # att_pair passes one tensor as keys and values
+        assert_same_op(
+            lambda q, s: nn.attention(q, s, s, mask=mask),
+            lambda q, s: ref_attention(q, s, s, mask=mask),
+            arrays[:2],
+        )
+    if heads == 1:
+        q, k = Tensor(arrays[0]), Tensor(arrays[1])
+        want = ref_attention_weights(q, k, mask).data
+        assert np.max(np.abs(nn.attention_weights(q, k, mask) - want)) <= TOL
+
+
+def test_attention_float_masks_act_as_boolean():
+    rng = np.random.default_rng(12)
+    q, k, v = (Tensor(rng.normal(size=(2, 4, 8))) for _ in range(3))
+    mask = _single_key_rows(rng, (2, 4, 4))
+    want = nn.attention(q, k, v, mask=mask, heads=2).data
+    want_w = nn.attention_weights(q, k, mask=mask)
+    for scale in (2.0, 0.5):
+        scaled = scale * mask.astype(np.float64)
+        np.testing.assert_array_equal(nn.attention(q, k, v, mask=scaled, heads=2).data, want)
+        np.testing.assert_array_equal(nn.attention_weights(q, k, mask=scaled), want_w)
+
+
+def test_attention_rejects_fully_blocked_row():
+    rng = np.random.default_rng(13)
+    q, k, v = (Tensor(rng.normal(size=(2, 3, 4))) for _ in range(3))
+    mask = np.ones((2, 3, 3), dtype=bool)
+    mask[1, 2] = False  # one row of one batch element sees no key
+    with pytest.raises(MaskingError):
+        nn.attention(q, k, v, mask=mask, heads=2)
+    with pytest.raises(MaskingError):
+        nn.attention_weights(q, k, mask=mask)
