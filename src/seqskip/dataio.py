@@ -21,8 +21,10 @@ channel, then the query-indicator channel.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import count, islice, repeat
@@ -224,6 +226,19 @@ class _FirstError:
             self.error = error(self.limit, f"{self.path}:{self.offset + self.limit + 2}")
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, restoring its state on exit: the cell strings
+    and row lists a parse allocates hold no cycles, yet set off costly collections."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _blocks(path, skip_blank: bool):
     """Yield the header, then ``(errors, columns)`` per block of rows, freeing each block's
     text before the next. A block ends before a ragged row; once the caller has checked a
@@ -286,6 +301,7 @@ def _value_error(raw: str, column: str, kind: str, where: str) -> Exception:
     return ValidationError(f"{where}: count column {column!r} is negative ({raw})")
 
 
+@_gc_paused()
 def load_sessions(path, schema: SchemaSpec) -> Sessions:
     """Parse a session file into a columnar corpus. Each session's positions must run
     contiguously from 1 and its length lie in [10, 20]. A bad value fails with the
@@ -338,6 +354,7 @@ def load_sessions(path, schema: SchemaSpec) -> Sessions:
     return sessions
 
 
+@_gc_paused()
 def load_features(path, schema: SchemaSpec) -> FeatureTable:
     """Parse a feature file into one ``[n_tracks, feature_dim]`` matrix."""
     blocks = _blocks(path, skip_blank=False)

@@ -209,6 +209,22 @@ def _case_glu(rng):
     return [a, b], lambda aa, bb: _project(nn.gated_block("glu", aa, aa, bb), r)
 
 
+def _gated_level_case(kind, kernel, dilation, t_len, batched=False):
+    def build(rng):
+        spec, c = Conv1dSpec(3, 3, kernel, dilation, CAUSAL), (3,)
+        x, r = rng.normal(size=(2,) + ((2,) if batched else ()) + (t_len, 3))
+        # Small transform gammas and betas away from zero hold every
+        # highway relu input off the kink: |pre| >= 0.5 - 0.3 * sqrt(2).
+        transform = [rng.normal(size=(3, 3, kernel)), rng.uniform(0.1, 0.3, c),
+                     _away_from_zero(rng, c, 0.5, 1.5)]
+        gate = [rng.normal(size=(3, 3, kernel)), rng.uniform(0.5, 1.5, c), rng.normal(size=c)]
+        return [x, *transform, *gate], lambda xx, *p: _project(
+            nn.gated_level(kind, xx, spec, p[:3], p[3:]), r
+        )
+
+    return build
+
+
 def _case_pair_linear(rng):
     # Batch row 1 pads its last support: zero label, and the projection
     # ignores its pairs, as the metric models' support mask does.
@@ -292,6 +308,8 @@ CASES = {
     "channel_norm": _case_channel_norm,
     "highway": _case_highway,
     "glu": _case_glu,
+    "gated_level_highway": _gated_level_case("highway", 2, 2, 7, batched=True),
+    "gated_level_glu": _gated_level_case("glu", 3, 2, 4),  # T below the receptive field, 5
     "pair_linear": _case_pair_linear,
     "softmax": _case_softmax,
     "attention_1head": _attention_case(1),

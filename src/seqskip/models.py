@@ -292,10 +292,8 @@ class Model:
     def _linear(self, prefix: str, x: Tensor) -> Tensor:
         return T.add(T.matmul(x, self._p(f"{prefix}.w")), self._p(f"{prefix}.b"))
 
-    def _conv(self, prefix: str, x: Tensor, spec: Conv1dSpec, bias: bool = True) -> Tensor:
-        return nn.conv1d_cl(
-            x, spec, self._p(f"{prefix}.w"), self._p(f"{prefix}.b") if bias else None
-        )
+    def _conv(self, prefix: str, x: Tensor, spec: Conv1dSpec) -> Tensor:
+        return nn.conv1d_cl(x, spec, self._p(f"{prefix}.w"), self._p(f"{prefix}.b"))
 
     def _gated_level(
         self,
@@ -309,21 +307,22 @@ class Model:
         """One conv level: two convs, per-branch norm, then the gate.
 
         Causal levels run channels-last ``[B, T, W]`` with per-position
-        channel norm; the non-causal support levels run channels-first
-        ``[B, W, S]`` with masked temporal instance norm.
+        channel norm, as one fused node; the non-causal support levels run
+        channels-first ``[B, W, S]`` with masked temporal instance norm.
         """
         w = self.config.width
         spec = Conv1dSpec(w, w, kernel, dilation, mode)
-        branches = []
-        for branch in ("t", "g"):
-            p = f"{prefix}.{branch}"
-            gamma, beta = self._p(f"{p}.gamma"), self._p(f"{p}.beta")
-            if mode == CAUSAL:
-                pre = nn.channel_norm(self._conv(p, x, spec, bias=False), gamma, beta, axis=-1)
-            else:
-                pre = nn.instance_norm(nn.conv1d(x, spec, self._p(f"{p}.w")), gamma, beta, mask=mask)
-            branches.append(pre)
-        return nn.gated_block(self.config.gate, x, *branches)
+        branches = [
+            tuple(self._p(f"{prefix}.{b}.{name}") for name in ("w", "gamma", "beta"))
+            for b in ("t", "g")
+        ]
+        if mode == CAUSAL:
+            return nn.gated_level(self.config.gate, x, spec, *branches)
+        pre = [
+            nn.instance_norm(nn.conv1d(x, spec, wt), gamma, beta, mask=mask)
+            for wt, gamma, beta in branches
+        ]
+        return nn.gated_block(self.config.gate, x, *pre)
 
     def _causal_attention_mask(self, seq_mask: np.ndarray) -> np.ndarray:
         b, t = seq_mask.shape

@@ -5,9 +5,9 @@ The causal stacks run channels-last, ``[T, C]`` or ``[batch, T, C]``
 (:func:`conv1d_cl`, ``channel_norm(axis=-1)``), like attention inputs
 ``[..., positions, features]``; :func:`conv1d` and :func:`instance_norm`
 take channels-first ``[C, T]`` or ``[batch, C, T]``. Convolutions, norms,
-gates, the relation layer over (support, query) pairs, softmax and
-masked multi-head attention each record one tape node with a
-hand-written backward.
+gates, whole gated conv levels, the relation layer over (support, query)
+pairs, softmax and masked multi-head attention each record one tape node
+with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -48,21 +48,56 @@ class Conv1dSpec:
 
 
 def _conv_taps(spec: Conv1dSpec, t_len: int) -> list[tuple[int, int, int, int]]:
-    """(tap, first row, stop row, input offset) for every tap that reads inside [0, T).
+    """(tap, first row, stop row, input offset) for every tap.
 
     Output row t of tap j reads input row t + offset; rows whose input
-    falls in the zero padding are left out, and so are taps that read
-    padding only (wide dilations on short timelines).
+    falls in the zero padding lie outside [first, stop), and a tap that
+    reads padding only (wide dilations on short timelines) has first ==
+    stop.
     """
     total = spec.dilation * (spec.kernel_size - 1)
     left = total if spec.padding_mode == CAUSAL else total // 2
     taps = []
     for j in range(spec.kernel_size):
         off = j * spec.dilation - left
-        lo, hi = max(0, -off), min(t_len, t_len - off)
-        if lo < hi:
-            taps.append((j, lo, hi, off))
+        lo = max(0, -off)
+        taps.append((j, lo, max(lo, min(t_len, t_len - off)), off))
     return taps
+
+
+def _check_conv(x: Tensor, spec: Conv1dSpec, weights: Tensor) -> None:
+    expected = (spec.out_channels, spec.in_channels, spec.kernel_size)
+    if tuple(weights.shape) != expected:
+        raise ConfigurationError(
+            f"conv weights shape {tuple(weights.shape)} does not match spec {expected}"
+        )
+    if x.ndim not in (2, 3) or x.shape[-1] != spec.in_channels:
+        raise ConfigurationError(
+            f"channels-last conv input shape {tuple(x.shape)} incompatible with "
+            f"{spec.in_channels} input channels"
+        )
+    if x.shape[-2] == 0:
+        raise ValidationError("conv1d input has temporal length 0")
+
+
+def _im2col(xd: np.ndarray, spec: Conv1dSpec):
+    """``[B*T, k*C_in]`` columns of the k shifted taps (zeroing only padded rows), and the taps."""
+    k, c_in, taps = spec.kernel_size, spec.in_channels, _conv_taps(spec, xd.shape[-2])
+    if k == 1:
+        return xd.reshape(-1, c_in), taps
+    buf = np.empty(xd.shape[:-1] + (k, c_in), dtype=xd.dtype)
+    for j, lo, hi, off in taps:
+        buf[..., :lo, j, :] = buf[..., hi:, j, :] = 0
+        buf[..., lo:hi, j, :] = xd[..., lo + off : hi + off, :]
+    return buf.reshape(-1, k * c_in), taps
+
+
+def _add_taps(gx: np.ndarray, gcols: np.ndarray, taps) -> np.ndarray:
+    """Scatter-add each tap's columns of ``gcols`` onto ``gx`` (``[..., T, C_in]``), in place."""
+    gcols = gcols.reshape(gx.shape[:-1] + (-1, gx.shape[-1]))
+    for j, lo, hi, off in taps:
+        gx[..., lo + off : hi + off, :] += gcols[..., lo:hi, j, :]
+    return gx
 
 
 def conv1d_cl(x: Tensor, spec: Conv1dSpec, weights: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -74,45 +109,23 @@ def conv1d_cl(x: Tensor, spec: Conv1dSpec, weights: Tensor, bias: Tensor | None 
     Noncausal mode splits the same amount of padding across both sides
     (symmetric for odd kernels).
 
-    The k shifted taps of every position are written into one zeroed
+    The k shifted taps of every position are written into one
     ``[B*T, k*C_in]`` buffer (im2col), so the conv is a single GEMM
     against the ``[k*C_in, C_out]`` weight matrix and its backward two.
     It records one tape node.
     """
-    expected = (spec.out_channels, spec.in_channels, spec.kernel_size)
-    if tuple(weights.shape) != expected:
-        raise ConfigurationError(
-            f"conv weights shape {tuple(weights.shape)} does not match spec {expected}"
-        )
-    if x.ndim not in (2, 3) or x.shape[-1] != spec.in_channels:
-        raise ConfigurationError(
-            f"channels-last conv input shape {tuple(x.shape)} incompatible with "
-            f"{spec.in_channels} input channels"
-        )
-    t_len = x.shape[-2]
-    if t_len == 0:
-        raise ValidationError("conv1d input has temporal length 0")
+    _check_conv(x, spec, weights)
     if bias is not None and tuple(bias.shape) != (spec.out_channels,):
         raise ConfigurationError(f"conv bias shape {tuple(bias.shape)} != ({spec.out_channels},)")
 
     k, c_in, c_out = spec.kernel_size, spec.in_channels, spec.out_channels
-    lead = x.shape[:-2]
-    xd = x.data
-    if k == 1:
-        taps = []
-        cols = xd.reshape(-1, c_in)
-    else:
-        taps = _conv_taps(spec, t_len)
-        buf = np.zeros(lead + (t_len, k, c_in), dtype=xd.dtype)
-        for j, lo, hi, off in taps:
-            buf[..., lo:hi, j, :] = xd[..., lo + off : hi + off, :]
-        cols = buf.reshape(-1, k * c_in)
+    cols, taps = _im2col(x.data, spec)
     # wmat[j*C_in + c, o] = weights[o, c, j], matching the buffer's column order
     wmat = weights.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
     out = cols @ wmat
     if bias is not None:
         out = out + bias.data
-    out = out.reshape(lead + (t_len, c_out))
+    out = out.reshape(x.shape[:-1] + (c_out,))
 
     def backward(g):
         g2 = g.reshape(-1, c_out)
@@ -122,10 +135,7 @@ def conv1d_cl(x: Tensor, spec: Conv1dSpec, weights: Tensor, bias: Tensor | None 
             if k == 1:
                 gx = gcols.reshape(x.shape)
             else:
-                gcols = gcols.reshape(lead + (t_len, k, c_in))
-                gx = np.zeros_like(xd, dtype=gcols.dtype)
-                for j, lo, hi, off in taps:
-                    gx[..., lo + off : hi + off, :] += gcols[..., lo:hi, j, :]
+                gx = _add_taps(np.zeros_like(x.data, dtype=gcols.dtype), gcols, taps)
         if weights.requires_grad:
             gw = (cols.T @ g2).reshape(k, c_in, c_out).transpose(2, 1, 0)
         if bias is not None and bias.requires_grad:
@@ -148,16 +158,6 @@ def conv1d(x: Tensor, spec: Conv1dSpec, weights: Tensor, bias: Tensor | None = N
         )
     out = conv1d_cl(T.swap_axes(x, -1, -2), spec, weights, bias)
     return T.swap_axes(out, -1, -2)
-
-
-def activation(kind: str, x: Tensor) -> Tensor:
-    if kind == "sigmoid":
-        return T.sigmoid(x)
-    if kind == "relu":
-        return T.relu(x)
-    if kind == "tanh":
-        return T.tanh(x)
-    raise ConfigurationError(f"unknown activation {kind!r}")
 
 
 def _axis_sum(a: np.ndarray, axis: int, b: np.ndarray | None = None) -> np.ndarray:
@@ -267,6 +267,32 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, epsilon: float = 1e-5, 
     return _norm(x, gamma, beta, epsilon, axis=axis, param_axis=axis, mask=None)
 
 
+def _gate(kind: str, xd: np.ndarray, tp: np.ndarray, gp: np.ndarray):
+    """A gate's output over its branch pre-activations, and ``grads(g, gt, gg)``, which
+    writes both branch gradients into ``gt`` and ``gg`` and returns the carry's share of
+    the input gradient (None for glu, which has no carry)."""
+    s = T.sigmoid_array(gp)
+    if kind == "highway":
+        r = np.maximum(tp, 0.0)
+        out = xd + s * (r - xd)
+    elif kind == "glu":
+        out = tp * s
+    else:
+        raise ConfigurationError(f"unknown gated block kind {kind!r}")
+
+    def grads(g, gt, gg):
+        gs = g * s
+        if kind == "highway":
+            gt[...] = gs * (r > 0)
+            gg[...] = gs * (1.0 - s) * (r - xd)
+            return g - gs  # g * (1 - s)
+        gt[...] = gs
+        gg[...] = gs * tp * (1.0 - s)
+        return None
+
+    return out, grads
+
+
 def gated_block(kind: str, x: Tensor, transform_pre: Tensor, gate_pre: Tensor) -> Tensor:
     """Combine pre-activations of the transform and gate paths in one tape node.
 
@@ -277,34 +303,64 @@ def gated_block(kind: str, x: Tensor, transform_pre: Tensor, gate_pre: Tensor) -
         raise ConfigurationError(
             f"transform/gate shapes differ: {tuple(transform_pre.shape)} vs {tuple(gate_pre.shape)}"
         )
-    tp = transform_pre.data
-    s = T.sigmoid_array(gate_pre.data)
-    if kind == "highway":
-        if tuple(x.shape) != tuple(transform_pre.shape):
-            raise ConfigurationError(
-                f"highway carry shape {tuple(x.shape)} != path shape {tuple(transform_pre.shape)}"
-            )
-        r = np.maximum(tp, 0.0)
-        carry = 1.0 - s
-        out = s * r + carry * x.data
+    if kind == "highway" and tuple(x.shape) != tuple(transform_pre.shape):
+        raise ConfigurationError(
+            f"highway carry shape {tuple(x.shape)} != path shape {tuple(transform_pre.shape)}"
+        )
+    out, grads = _gate(kind, x.data, transform_pre.data, gate_pre.data)
 
-        def backward(g):
-            gs = g * s
-            gx = g * carry if x.requires_grad else None
-            gt = gs * (tp > 0) if transform_pre.requires_grad else None
-            gg = gs * carry * (r - x.data) if gate_pre.requires_grad else None
-            return gx, gt, gg
+    def backward(g):
+        gt, gg = np.empty_like(out), np.empty_like(out)
+        return grads(g, gt, gg), gt, gg
 
-        return T.fused(out, (x, transform_pre, gate_pre), backward)
-    if kind == "glu":
+    return T.fused(out, (x, transform_pre, gate_pre), backward)
 
-        def backward(g):
-            gt = g * s if transform_pre.requires_grad else None
-            gg = g * tp * s * (1.0 - s) if gate_pre.requires_grad else None
-            return gt, gg
 
-        return T.fused(tp * s, (transform_pre, gate_pre), backward)
-    raise ConfigurationError(f"unknown gated block kind {kind!r}")
+def gated_level(kind: str, x: Tensor, spec: Conv1dSpec, transform, gate) -> Tensor:
+    """``gated_block(kind, x, t, g)`` with each branch ``channel_norm(conv1d_cl(x, spec, w),
+    gamma, beta, axis=-1)`` of its ``(w, gamma, beta)``, as one tape node.
+
+    The width ``C`` does not change. One im2col buffer of channels-last ``x`` meets both
+    branches' weights, stacked as ``[k*C, 2*C]`` and centred over each branch's outputs, in
+    one GEMM whose output is therefore centred per position; both branches are normalized
+    at once on a ``[B*T, 2, C]`` view. In the backward one GEMM gives the input columns,
+    which scatter straight into the carry gradient, and one both weights' gradients,
+    centred as the weights were.
+    """
+    parents = (x, *transform, *gate)
+    for weights in (transform[0], gate[0]):
+        _check_conv(x, spec, weights)
+    k, c_in, width = spec.kernel_size, spec.in_channels, spec.out_channels
+    if width != c_in:
+        raise ConfigurationError(f"gated level input width {c_in} != path width {width}")
+
+    def centred(m):  # [..., 2 * width] less each branch's mean
+        m3 = m.reshape(-1, 2, width)
+        return (m3 - m3.mean(axis=-1, keepdims=True)).reshape(m.shape)
+
+    w_both, gamma, beta = (np.stack([t.data, g.data]) for t, g in zip(transform, gate))
+    cols, taps = _im2col(x.data, spec)
+    wmat = centred(w_both.transpose(3, 2, 0, 1).reshape(k * c_in, 2 * width))
+    xhat = (cols @ wmat).reshape(-1, 2, width)  # centred already; normalized in place
+    inv = (_axis_sum(xhat, -1, xhat) * (1.0 / width) + 1e-5) ** -0.5
+    xhat *= inv
+    pre = xhat * gamma + beta
+    out, grads = _gate(kind, x.data.reshape(-1, c_in), pre[:, 0], pre[:, 1])
+
+    def backward(g):
+        gpre = np.empty_like(pre)
+        carry = grads(g.reshape(-1, width), gpre[:, 0], gpre[:, 1])
+        g_gamma, g_beta = np.einsum("nbw,nbw->bw", gpre, xhat), np.einsum("nbw->bw", gpre)
+        gpre *= gamma  # the gradient reaching xhat
+        gpre -= xhat * (_axis_sum(gpre, -1, xhat) * (1.0 / width))
+        gpre *= inv  # the gradient reaching the GEMM output
+        gz = gpre.reshape(-1, 2 * width)
+        gx = np.zeros(x.shape, g.dtype) if carry is None else carry.reshape(x.shape)
+        _add_taps(gx, gz @ wmat.T, taps)
+        gw = centred(cols.T @ gz).reshape(k, c_in, 2, width).transpose(2, 3, 1, 0)
+        return gx, gw[0], g_gamma[0], g_beta[0], gw[1], g_gamma[1], g_beta[1]
+
+    return T.fused(out.reshape(x.shape[:-1] + (width,)), parents, backward)
 
 
 def pair_linear(

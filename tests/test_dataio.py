@@ -1,5 +1,6 @@
 """File parsing, preprocessing, and episode/batch assembly."""
 
+import gc
 import json
 import math
 
@@ -10,6 +11,7 @@ from handmade import make_batch as handmade_batch
 from hypothesis import given
 from hypothesis import strategies as st
 
+from seqskip import dataio
 from seqskip.dataio import (
     Batch,
     ColumnSpec,
@@ -268,6 +270,34 @@ def test_first_bad_row_names_the_error(tmp_path):
     bad.write_text("\n".join(good[:5] + ["s1,t9,5"] + good[6:]) + "\n")
     with pytest.raises(ValidationError, match=r"bad\.csv:6: ragged row"):
         load_sessions(bad, schema)
+
+
+def test_loaders_pause_the_collector_and_restore_it(tmp_path, monkeypatch):
+    # Parsing runs with the cyclic garbage collector off; its earlier state
+    # comes back after a good file and after a rejected one.
+    _write_corpus(tmp_path)
+    schema = load_schema(tmp_path / "schema.json")
+    good = (tmp_path / "sessions.csv").read_text().splitlines()
+    (tmp_path / "bad.csv").write_text(_edit_row(good, 4, 4, "inf"))
+    (tmp_path / "f.csv").write_text("track_id,f0,f1,f2\nt0,1,x,3\n")
+    during = []
+    parse = dataio._parse
+    monkeypatch.setattr(dataio, "_parse", lambda *a: during.append(gc.isenabled()) or parse(*a))
+    before = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            load_sessions(tmp_path / "sessions.csv", schema)
+            load_features(tmp_path / "features.csv", schema)
+            assert gc.isenabled() == enabled
+            with pytest.raises(ValidationError, match=r"bad\.csv:5: column 'play_count'"):
+                load_sessions(tmp_path / "bad.csv", schema)
+            with pytest.raises(ValidationError, match=r"f\.csv:2: non-numeric feature value"):
+                load_features(tmp_path / "f.csv", schema)
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert during and not any(during)
 
 
 def test_missing_track_raises(corpus):

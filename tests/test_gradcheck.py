@@ -28,6 +28,8 @@ CORE_CASES = {
     "channel_norm",
     "highway",
     "glu",
+    "gated_level_highway",
+    "gated_level_glu",
     "pair_linear",
     "softmax",
     "attention_1head",

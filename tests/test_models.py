@@ -206,14 +206,26 @@ def _tape_op_nodes(root) -> int:
 
 
 def test_seq1hl_loss_tape_node_budget():
-    # Each conv, norm and gate is one fused node: a seq1HL loss over ten
-    # gated levels (five such nodes each) stays within 150 recorded ops
-    # (575 when they were composed from primitives).
+    # Each gated level is one fused node: a seq1HL loss over ten of them
+    # stays within 30 recorded ops (575 when every op was a primitive, 66
+    # with one node per conv, norm and gate).
     rng = np.random.default_rng(6)
     batch = make_batch([_episode(rng, int(rng.integers(10, 21))) for _ in range(64)])
     loss = batch_loss(_model("seq1HL", width=32), batch)
     assert batch.seq_x.shape[0] == 64
-    assert 50 <= _tape_op_nodes(loss) <= 150
+    assert 10 <= _tape_op_nodes(loss) <= 30
+
+
+@pytest.mark.parametrize(
+    "kind,budget", [("seq1eH", 25), ("teacher", 30), ("snail", 35), ("att_pair", 62)]
+)
+def test_gated_level_kind_loss_tape_node_budget(kind, budget):
+    # One node per causal gated level: 41, 66, 51 and 71 recorded ops per
+    # loss with one node per conv, norm and gate.
+    rng = np.random.default_rng(6)
+    keep_logs = kind == "teacher"
+    batch = make_batch([_episode(rng, int(rng.integers(10, 21)), keep_logs) for _ in range(64)])
+    assert _tape_op_nodes(batch_loss(_model(kind, width=32), batch)) <= budget
 
 
 def test_masked_multihead_attention_is_one_tape_node():

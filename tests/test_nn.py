@@ -156,13 +156,6 @@ def test_gated_block_hand_values():
         nn.gated_block("highway", one, Tensor(np.ones(2)), zero)
 
 
-def test_activation_dispatch():
-    x = Tensor(np.array([-1.0, 1.0]))
-    np.testing.assert_allclose(nn.activation("relu", x).data, [0.0, 1.0])
-    with pytest.raises(ConfigurationError):
-        nn.activation("gelu", x)
-
-
 @given(st.integers(0, 2**32 - 1))
 def test_softmax_rows_sum_to_one(seed):
     x = np.random.default_rng(seed).normal(0.0, 5.0, size=(3, 7))

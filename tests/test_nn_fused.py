@@ -1,18 +1,21 @@
-"""Fused layer ops against the primitive compositions they replace.
+"""Fused layer ops against the compositions they replace.
 
-Each conv, norm, gate, softmax and attention call in ``nn`` records one
-tape node with a hand-written backward. The reference helpers below
-rebuild each op from tensor primitives, the way ``nn`` computed it before
-the ops were fused, so forward values and every input gradient can be
+Each conv, norm, gate, gated conv level, softmax and attention call in
+``nn`` records one tape node with a hand-written backward. The reference
+helpers below rebuild each op the way ``nn`` computed it before the op
+was fused: from tensor primitives, or for a gated level from the fused
+conv, norm and gate nodes. Forward values and every input gradient are
 compared in float64.
 """
 
 import numpy as np
 import pytest
+from handmade import Episode, make_batch
 
 from seqskip import nn
 from seqskip import tensor as T
 from seqskip.errors import ConfigurationError, MaskingError, ValidationError
+from seqskip.models import KINDS, ModelConfig, build
 from seqskip.nn import CAUSAL, NONCAUSAL, Conv1dSpec
 from seqskip.tensor import Tensor
 
@@ -83,6 +86,14 @@ def ref_gated_block(kind, x, transform_pre, gate_pre):
         carry = T.add(1.0, T.neg(gate))
         return T.add(T.mul(gate, T.relu(transform_pre)), T.mul(carry, x))
     return T.mul(transform_pre, T.sigmoid(gate_pre))
+
+
+def ref_gated_level(kind, x, spec, transform, gate):
+    """A causal gated level as one conv, one channel norm per branch, and the gate."""
+    pre = [
+        nn.channel_norm(nn.conv1d_cl(x, spec, w), g, b, axis=-1) for w, g, b in (transform, gate)
+    ]
+    return nn.gated_block(kind, x, *pre)
 
 
 _MASK_FILL = -1e9
@@ -261,6 +272,101 @@ def test_gated_block_matches_composition(kind):
         lambda x, t, g: ref_gated_block(kind, x, t, g),
         arrays,
     )
+
+
+def _level_arrays(rng, t_len, lead, c=6, kernel=2):
+    """x, then (weights, gamma, beta) of the transform and the gate branch."""
+    arrays = [rng.normal(size=lead + (t_len, c))]
+    for _ in ("transform", "gate"):
+        arrays += [rng.normal(size=(c, c, kernel)), rng.uniform(0.5, 1.5, c), rng.normal(size=c)]
+    return arrays
+
+
+@pytest.mark.parametrize("kind", ["highway", "glu"])
+@pytest.mark.parametrize("kernel", [2, 3])
+@pytest.mark.parametrize("dilation", [1, 2, 4, 8, 16])
+def test_gated_level_matches_composition(kind, kernel, dilation):
+    rng = np.random.default_rng(dilation + 20 * kernel)
+    spec = Conv1dSpec(6, 6, kernel, dilation, CAUSAL)
+    for t_len in (5, 20):  # at 5, the wider dilations have taps that read padding only
+        for lead in ((), (3,)):
+            assert_same_op(
+                lambda x, *p: nn.gated_level(kind, x, spec, p[:3], p[3:]),
+                lambda x, *p: ref_gated_level(kind, x, spec, p[:3], p[3:]),
+                _level_arrays(rng, t_len, lead, kernel=kernel),
+            )
+
+
+def test_gated_level_is_one_tape_node():
+    spec = Conv1dSpec(6, 6, 2, 4, CAUSAL)
+    arrays = _level_arrays(np.random.default_rng(1), 9, (2,))
+    x, *params = (Tensor(a, requires_grad=True) for a in arrays)
+    out = nn.gated_level("highway", x, spec, params[:3], params[3:])
+    assert out.shape == (2, 9, 6)
+    assert out._grad_fn is not None and out._parents == (x, *params)
+    with T.no_grad():
+        inferred = nn.gated_level("highway", x, spec, params[:3], params[3:])
+    assert inferred._grad_fn is None
+    np.testing.assert_array_equal(inferred.data, out.data)
+
+
+def test_gated_level_shape_contracts():
+    spec = Conv1dSpec(2, 2, 2)
+    branch = (Tensor(np.ones((2, 2, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+    wide = (Tensor(np.ones((2, 2, 3))),) + branch[1:]  # kernel 3, spec wants 2
+    x = Tensor(np.ones((4, 2)))
+    for bad in (
+        lambda: nn.gated_level("highway", Tensor(np.ones((4, 3))), spec, branch, branch),
+        lambda: nn.gated_level("highway", Tensor(np.ones((1, 1, 4, 2))), spec, branch, branch),
+        lambda: nn.gated_level("highway", x, spec, wide, branch),
+        lambda: nn.gated_level("highway", x, spec, branch, wide),
+        lambda: nn.gated_level("residual", x, spec, branch, branch),
+    ):
+        with pytest.raises(ConfigurationError):
+            bad()
+    with pytest.raises(ValidationError):
+        nn.gated_level("highway", Tensor(np.ones((0, 2))), spec, branch, branch)
+    # Neither gate may change the width.
+    narrow = Conv1dSpec(2, 3, 2)
+    branch3 = (Tensor(np.ones((3, 2, 2))), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+    for kind in ("highway", "glu"):
+        with pytest.raises(ConfigurationError):
+            nn.gated_level(kind, x, narrow, branch3, branch3)
+
+
+def test_glu_block_sends_its_carry_no_gradient():
+    x, t, g = (Tensor(np.ones((4, 2)), requires_grad=True) for _ in range(3))
+    T.reduce_sum(nn.gated_block("glu", x, t, g)).backward()
+    assert x.grad is None and t.grad is not None and g.grad is not None
+
+
+def _episode(rng, length, in_dim):
+    t_s = length // 2
+    x = rng.normal(0.0, 0.5, size=(length, in_dim)).astype(np.float32)
+    y = rng.integers(0, 2, size=length).astype(np.int8)
+    x[:, -2], x[:, -1] = np.where(np.arange(length) < t_s, y, 0), np.arange(length) >= t_s
+    return Episode("ep", x[:t_s], x[t_s:], y[:t_s], y[t_s:], query_logs_kept=True)
+
+
+@pytest.mark.parametrize("gate", ["highway", "glu"])
+def test_models_match_the_composed_gated_level(gate, monkeypatch):
+    # The causal-stack kinds match a model that composes each level within
+    # float32 rounding; the other kinds never call the fused level.
+    rng = np.random.default_rng(5)
+    batch = make_batch([_episode(rng, int(rng.integers(10, 21)), 10) for _ in range(8)])
+    models = {kind: build(ModelConfig(kind, width=16, gate=gate, seed=2), 10) for kind in KINDS}
+    fused = {kind: model.query_probs(batch) for kind, model in models.items()}
+    calls = []
+    monkeypatch.setattr(nn, "gated_level", lambda *a: calls.append(1) or ref_gated_level(*a))
+    for kind, model in models.items():
+        calls.clear()
+        composed = model.query_probs(batch)
+        if kind in ("seq1eH", "seq1HL", "teacher", "snail", "att_pair"):
+            assert calls, kind
+            np.testing.assert_allclose(fused[kind], composed, rtol=0, atol=1e-5, err_msg=kind)
+        else:
+            assert not calls, kind
+            np.testing.assert_array_equal(fused[kind], composed, err_msg=kind)
 
 
 def test_sigmoid_array_is_stable_at_extremes():
