@@ -147,7 +147,8 @@ def cmd_evaluate(args) -> int:
             if sid in seen:
                 raise ValidationError(f"repeated prediction for session {sid!r}")
             seen.add(sid)
-            preds.append(SessionPrediction(sid, bits, truth[sid]))
+            # read_predictions and load_sessions checked bits and labels, with file:line
+            preds.append(SessionPrediction(sid, bits, truth[sid], checked=True))
         # MAA is over the corpus: a session left out would drop out of the mean.
         missing = [sid for sid in truth if sid not in seen]
         if missing:

@@ -225,7 +225,7 @@ def _gated_level_case(kind, kernel, dilation, t_len, batched=False):
     return build
 
 
-def _case_pair_linear(rng):
+def _case_pair_linear(rng, relation=False):
     # Batch row 1 pads its last support: zero label, and the projection
     # ignores its pairs, as the metric models' support mask does.
     b, s_len, q_len, width, n_out = 2, 3, 2, 3, 2
@@ -239,6 +239,9 @@ def _case_pair_linear(rng):
     labels = (rng.random((b, s_len)) < 0.5) * mask
     labels[0, :2] = (0.0, 1.0)  # both label values appear
     r = rng.normal(size=(b, s_len, q_len, n_out)) * mask[:, :, None, None]
+    if relation:  # the pair layer's outputs as the relation net's hidden units
+        return [support, query, weight, bias, rng.normal(size=(n_out, 1)), rng.normal(size=1),
+                user], lambda *a: _project(nn.relation_logits(*a[:2], labels, *a[2:]), r[..., 0])
     return [support, query, weight, bias, user], lambda fs, fq, w, bb, u: _project(
         nn.pair_linear(fs, fq, labels, w, bb, user=u), r
     )
@@ -311,6 +314,7 @@ CASES = {
     "gated_level_highway": _gated_level_case("highway", 2, 2, 7, batched=True),
     "gated_level_glu": _gated_level_case("glu", 3, 2, 4),  # T below the receptive field, 5
     "pair_linear": _case_pair_linear,
+    "relation_logits": lambda rng: _case_pair_linear(rng, relation=True),
     "softmax": _case_softmax,
     "attention_1head": _attention_case(1),
     "attention_masked": _attention_case(1, masked=True),

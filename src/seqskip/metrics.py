@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +24,12 @@ class SessionPrediction:
     session_id: str
     predicted: np.ndarray
     truth: np.ndarray
+    checked: InitVar[bool] = field(default=False, kw_only=True)  # both 1-d 0/1 already
 
-    def __post_init__(self):
-        self.predicted = _as_binary(self.predicted, "predicted")
-        self.truth = _as_binary(self.truth, "truth")
+    def __post_init__(self, checked):
+        if not checked:
+            self.predicted = _as_binary(self.predicted, "predicted")
+            self.truth = _as_binary(self.truth, "truth")
         if self.predicted.shape != self.truth.shape:
             raise ValidationError(
                 f"session {self.session_id!r}: prediction length {self.predicted.size} "
@@ -113,11 +115,17 @@ def baseline(kind: str, y_support, t_query: int) -> np.ndarray:
 
 
 def write_predictions(path, predictions: list[tuple[str, np.ndarray]]) -> None:
-    """One `session_id,binarystring` line per session, in given order."""
-    lines = []
-    for sid, bits in predictions:
-        arr = _as_binary(bits, f"predictions for {sid!r}")
-        lines.append(f"{sid},{(arr.astype(np.uint8) + ord('0')).tobytes().decode('ascii')}")
+    """One `session_id,binarystring` line per session, in given order; one check of all bits."""
+    arrays = [np.asarray(bits) for _, bits in predictions]
+    try:  # ValueError: an array that is not 1-d; TypeError: bits as strings
+        flat = _as_binary(np.concatenate([np.zeros(0, np.int64), *arrays]), "predictions")
+    except (TypeError, ValueError, ValidationError):
+        for (sid, _), arr in zip(predictions, arrays):  # the first bad session's own message
+            _as_binary(arr, f"predictions for {sid!r}")
+        raise
+    text = (flat.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+    lines = [f"{sid},{text[e - a.size : e]}" for (sid, _), a, e in zip(predictions, arrays, ends)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -447,8 +447,6 @@ class Model:
         kind = self.config.kind
         if kind not in METRIC_KINDS:
             raise ContractError(f"{kind} is a sequence-family model; no relation scores")
-        b, s_max, _ = batch.sup_x.shape
-        q_max = batch.qry_x.shape[1]
         sup_items = Tensor(batch.sup_x[..., :-2])
         qry_items = Tensor(batch.qry_x[..., :-2])
         f_s = T.relu(self._linear("embed", sup_items))  # [B, S, W]
@@ -456,21 +454,16 @@ class Model:
 
         u = self._user_embedding_tensor(batch, f_s=f_s) if kind in UE_KINDS else None  # [B, W]
 
-        # The relation layer and wsum read each (support, query, label,
-        # user) pair by parts: the pair concat is never built.
-        def pair_layer(prefix: str) -> Tensor:
-            return nn.pair_linear(
-                f_s, f_q, batch.sup_y, self._p(f"{prefix}.w"), self._p(f"{prefix}.b"), u
-            )
-
-        hidden = T.relu(pair_layer("rn.fc1"))  # [B, S, Q, W]
-        r = T.sigmoid(self._linear("rn.out", hidden))  # [B, S, Q, 1]
-        r = T.reshape(r, (b, s_max, q_max))
+        # The relation net and wsum read each (support, query, label, user)
+        # pair by parts: the pair concat is never built.
+        rn = [self._p(name) for name in ("rn.fc1.w", "rn.fc1.b", "rn.out.w", "rn.out.b")]
+        r = T.sigmoid(nn.relation_logits(f_s, f_q, batch.sup_y, *rn, user=u))  # [B, S, Q]
 
         if kind == "rnbc2_ue":
             # Sigmoid-squashed weights cannot collapse to zero, which would
             # cut the only gradient path into the relation scores.
-            pair_w = T.sigmoid(T.reshape(pair_layer("wsum"), (b, s_max, q_max)))
+            wsum = nn.pair_linear(f_s, f_q, batch.sup_y, self._p("wsum.w"), self._p("wsum.b"), u)
+            pair_w = T.sigmoid(T.reshape(wsum, r.shape))
             prod = T.mul(T.mul(pair_w, r), Tensor(batch.sup_mask[:, :, None]))
             logits = T.add(T.reduce_sum(prod, axis=1), self._p("wsum.bias"))
             probs = T.sigmoid(logits)

@@ -6,8 +6,8 @@ The causal stacks run channels-last, ``[T, C]`` or ``[batch, T, C]``
 ``[..., positions, features]``; :func:`conv1d` and :func:`instance_norm`
 take channels-first ``[C, T]`` or ``[batch, C, T]``. Convolutions, norms,
 gates, whole gated conv levels, the relation layer over (support, query)
-pairs, softmax and masked multi-head attention each record one tape node
-with a hand-written backward.
+pairs and the relation net on them, softmax and masked multi-head
+attention each record one tape node with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -363,26 +363,9 @@ def gated_level(kind: str, x: Tensor, spec: Conv1dSpec, transform, gate) -> Tens
     return T.fused(out.reshape(x.shape[:-1] + (width,)), parents, backward)
 
 
-def pair_linear(
-    support: Tensor,
-    query: Tensor,
-    labels: np.ndarray,
-    weight: Tensor,
-    bias: Tensor,
-    user: Tensor | None = None,
-) -> Tensor:
-    """A linear layer over every (support, query) pair, without the pairs.
-
-    Equals ``concat([support_m, query_n, label_m, user]) @ weight + bias``
-    for every support m and query n of each batch row, ``[B, S, Q, N]``
-    from ``support [B, S, Ws]``, ``query [B, Q, Wq]``, ``labels [B, S]``
-    and ``user [B, Wu]``; ``weight`` stacks the rows of the four parts in
-    that order. Each part is multiplied by its own rows once and broadcast
-    over (S, Q), so the ``[B, S, Q, Ws+Wq+1+Wu]`` concat is never built.
-    It records one tape node; the backward sums the output gradient over
-    Q for the support and label parts, over S for the query part and over
-    both for the user part and the bias.
-    """
+def _pair_parts(support: Tensor, query: Tensor, labels, weight: Tensor, bias: Tensor, user):
+    """:func:`pair_linear`'s checked per-support ``[B, S, 1, N]`` and per-query ``[B, 1, Q, N]``
+    terms, its parents, and ``grads(g)`` from the gradient ``g`` reaching the terms' sum."""
     ws, wq = support.shape[-1], query.shape[-1]
     wu = 0 if user is None else user.shape[-1]
     n_out = weight.shape[-1]
@@ -411,9 +394,9 @@ def pair_linear(
     if user is not None:
         per_support = per_support + (user.data @ w_u)[:, None, :]
     per_query = (fq2 @ w_q).reshape(b, q_len, n_out)
-    out = per_support[:, :, None, :] + per_query[:, None, :, :]
+    parents = (support, query, weight, bias) + (() if user is None else (user,))
 
-    def backward(g):
+    def grads(g):
         g_s = g.sum(axis=2)  # [B, S, N]
         g_q = g.sum(axis=1)  # [B, Q, N]
         g_s2, g_q2 = g_s.reshape(-1, n_out), g_q.reshape(-1, n_out)
@@ -428,10 +411,60 @@ def pair_linear(
                 rows.append(user.data.T @ g_u)
             gw = np.concatenate(rows, axis=0)
         gb = g_u.sum(axis=0) if bias.requires_grad else None
-        return gs, gq, gw, gb, gu
+        return (gs, gq, gw, gb, gu)[: len(parents)]
 
-    parents = (support, query, weight, bias) + (() if user is None else (user,))
-    return T.fused(out, parents, backward)
+    return per_support[:, :, None, :], per_query[:, None, :, :], parents, grads
+
+
+def pair_linear(
+    support: Tensor,
+    query: Tensor,
+    labels: np.ndarray,
+    weight: Tensor,
+    bias: Tensor,
+    user: Tensor | None = None,
+) -> Tensor:
+    """A linear layer over every (support, query) pair, without the pairs.
+
+    Equals ``concat([support_m, query_n, label_m, user]) @ weight + bias``
+    for every support m and query n of each batch row, ``[B, S, Q, N]``
+    from ``support [B, S, Ws]``, ``query [B, Q, Wq]``, ``labels [B, S]``
+    and ``user [B, Wu]``; ``weight`` stacks the rows of the four parts in
+    that order. Each part is multiplied by its own rows once and broadcast
+    over (S, Q), so the ``[B, S, Q, Ws+Wq+1+Wu]`` concat is never built.
+    It records one tape node; the backward sums the output gradient over
+    Q for the support and label parts, over S for the query part and over
+    both for the user part and the bias.
+    """
+    rows, cols, parents, grads = _pair_parts(support, query, labels, weight, bias, user)
+    return T.fused(rows + cols, parents, grads)
+
+
+def relation_logits(support: Tensor, query: Tensor, labels, weight: Tensor, bias: Tensor,
+                    w_out: Tensor, b_out: Tensor, user: Tensor | None = None) -> Tensor:
+    """``relu(pair_linear(...)) @ w_out + b_out`` as logits ``[B, S, Q]``, one tape node.
+
+    The pair layer's sum is written into one ``[B, S, Q, W]`` buffer, rectified
+    in place and met by one GEMV against ``w_out [W, 1]``. The backward masks
+    ``g * w_out`` where the buffer is zero and hands it to :func:`pair_linear`'s.
+    """
+    rows, cols, parents, grads = _pair_parts(support, query, labels, weight, bias, user)
+    width = rows.shape[-1]
+    if w_out.shape != (width, 1) or b_out.shape != (1,):
+        raise ConfigurationError(f"relation output shapes {w_out.shape}, {b_out.shape} != "
+                                 f"({width}, 1), (1,)")
+    h = np.add(rows, cols)
+    h2 = np.maximum(h, 0.0, out=h).reshape(-1, width)
+    out = (h2 @ w_out.data + b_out.data).reshape(h.shape[:-1])
+
+    def backward(g):
+        g2 = g.reshape(-1, 1)
+        gh = g2 * w_out.data[:, 0]  # the K=1 GEMM ``g2 @ w_out.T``, bit for bit
+        gh *= h2 > 0
+        g_bout = g.reshape(g.shape + (1,)).sum(axis=(0, 1, 2))
+        return (*grads(gh.reshape(h.shape)), h2.T @ g2, g_bout)
+
+    return T.fused(out, parents + (w_out, b_out), backward)
 
 
 def _softmax_lead(s: np.ndarray) -> np.ndarray:

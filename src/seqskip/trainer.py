@@ -155,9 +155,10 @@ def score_episodes(
 ) -> list[SessionPrediction]:
     """Binarized query predictions next to the query labels, in corpus order."""
     probs = predict_corpus(model, episodes, batch_size)
+    truth = episodes.qry_y.astype(np.int64)  # the loader checked the labels
     return [
-        SessionPrediction(sid, binarize(p), y[: len(p)])
-        for (sid, p), y in zip(probs, episodes.qry_y)
+        SessionPrediction(sid, binarize(p), y[: len(p)], checked=True)
+        for (sid, p), y in zip(probs, truth)
     ]
 
 

@@ -342,6 +342,67 @@ def test_evaluate_rejects_repeated_and_missing_sessions(
     assert f"2 corpus sessions have no prediction, first {lines[5].split(',')[0]!r}" in err
 
 
+def test_scoring_checks_bits_at_most_once_per_corpus(
+    corpus_dir, checkpoint, tmp_path, capsys, monkeypatch
+):
+    # binarize output, loaded labels and read wire bits are 0/1 already:
+    # predict checks the corpus's bits once, evaluate not at all.
+    from seqskip import metrics
+
+    checks = []
+    check = metrics._as_binary
+    monkeypatch.setattr(metrics, "_as_binary", lambda *a: checks.append(1) or check(*a))
+    preds = tmp_path / "preds.txt"
+    for argv, want in (
+        (["predict", "--checkpoint", str(checkpoint), "--out", str(preds)], 1),
+        (["evaluate", "--checkpoint", str(checkpoint)], 0),
+        (["evaluate", "--predictions", str(preds)], 0),
+    ):
+        checks.clear()
+        assert main([argv[0], "--data", str(corpus_dir), *argv[1:]]) == 0
+        assert len(checks) == want, argv[0]
+    capsys.readouterr()
+
+
+def test_evaluate_rejects_bad_bits_lengths_and_labels(
+    corpus_dir, checkpoint, tmp_path, capsys
+):
+    # Scoring checks no bit twice: the wire reader and the session loader
+    # reject bad input with its file:line, and lengths are still compared.
+    full = tmp_path / "preds.txt"
+    assert main(["predict", "--data", str(corpus_dir), "--checkpoint", str(checkpoint),
+                 "--out", str(full)]) == 0
+    lines = full.read_text().splitlines()
+    capsys.readouterr()
+
+    bad_bit = tmp_path / "bad_bit.txt"
+    sid, bits = lines[2].rsplit(",", 1)
+    bad_bit.write_text("\n".join(lines[:2] + [f"{sid},2{bits[1:]}"] + lines[3:]) + "\n")
+    assert main(["evaluate", "--data", str(corpus_dir), "--predictions", str(bad_bit)]) == 1
+    assert f"{bad_bit}:3: prediction string '2{bits[1:]}' is not binary" in capsys.readouterr().err
+
+    short = tmp_path / "short.txt"
+    short.write_text("\n".join(lines[:2] + [f"{sid},{bits[1:]}"] + lines[3:]) + "\n")
+    assert main(["evaluate", "--data", str(corpus_dir), "--predictions", str(short)]) == 1
+    assert f"session {sid!r}: prediction length" in capsys.readouterr().err
+
+    bad_label = tmp_path / "bad_label"
+    bad_label.mkdir()
+    for name in ("schema.json", "features.csv"):
+        (bad_label / name).write_bytes((corpus_dir / name).read_bytes())
+    rows = (corpus_dir / "sessions.csv").read_text().splitlines()
+    col = rows[0].split(",").index("skipped")
+    cells = rows[5].split(",")
+    cells[col] = "maybe"
+    rows[5] = ",".join(cells)
+    sessions = bad_label / "sessions.csv"
+    sessions.write_text("\n".join(rows) + "\n")
+    for source in (["--predictions", str(full)], ["--checkpoint", str(checkpoint)]):
+        assert main(["evaluate", "--data", str(bad_label), *source]) == 1
+        err = capsys.readouterr().err
+        assert f"{sessions}:6: column 'skipped' has non-boolean value 'maybe'" in err
+
+
 def test_missing_data_dir_reports_error(tmp_path, capsys):
     preds = tmp_path / "p.txt"
     preds.write_text("s,1\n")

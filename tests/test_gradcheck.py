@@ -31,6 +31,7 @@ CORE_CASES = {
     "gated_level_highway",
     "gated_level_glu",
     "pair_linear",
+    "relation_logits",
     "softmax",
     "attention_1head",
     "attention_8head",

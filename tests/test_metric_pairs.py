@@ -5,6 +5,8 @@ the support, query, label and user parts, each broadcast over the
 (support, query) grid. ``ref_forward_metric`` below is the composition it
 replaced: every pair row concatenated into ``[B, S, Q, 3W+1]`` and sent
 through an ordinary linear layer. Both run in float64 here.
+``nn.relation_logits`` records the whole relation net up to its logits
+as one node; ``ref_relation_logits`` is the chain of nodes it replaced.
 """
 
 import dataclasses
@@ -19,7 +21,7 @@ from seqskip import nn
 from seqskip import tensor as T
 from seqskip.dataio import load_corpus
 from seqskip.errors import ConfigurationError
-from seqskip.models import METRIC_KINDS, UE_KINDS, MetricOut, build, default_config
+from seqskip.models import KINDS, METRIC_KINDS, UE_KINDS, MetricOut, build, default_config
 from seqskip.synthgen import SynthConfig, generate
 from seqskip.tensor import Tensor
 from seqskip.trainer import batch_loss, build_episodes, load_model, predict_corpus
@@ -83,6 +85,12 @@ def ref_pair_linear(support, query, labels, weight, bias, user=None):
     return T.add(T.matmul(T.concat(parts, axis=-1), weight), bias)
 
 
+def ref_relation_logits(support, query, labels, weight, bias, w_out, b_out, user=None):
+    hidden = T.relu(nn.pair_linear(support, query, labels, weight, bias, user))
+    logits = T.add(T.matmul(hidden, w_out), b_out)
+    return T.reshape(logits, logits.shape[:-1])
+
+
 # -- helpers ---------------------------------------------------------------
 
 
@@ -115,11 +123,12 @@ def _model64(kind, seed=3, width=12):
     return model
 
 
-def _loss_and_grads(model, batch, forward):
+def _loss_and_grads(model, batch, forward=None):
     for p in model.params.values():
         p.zero_grad()
     original = model.forward_metric
-    model.forward_metric = lambda bt: forward(model, bt)
+    if forward is not None:
+        model.forward_metric = lambda bt: forward(model, bt)
     try:
         loss = batch_loss(model, batch)
     finally:
@@ -179,6 +188,104 @@ def test_pair_linear_rejects_mismatched_parts():
         nn.pair_linear(
             sup, qry, labels, Tensor(np.zeros((13, 6))), bias, user=Tensor(np.zeros((3, 4)))
         )
+
+
+def _relation_arrays(rng, with_user, b=2, s_len=3, q_len=4, width=5):
+    """Relation-net inputs in the gradcheck layout: batch row 1 pads its last support,
+    which has a zero label and whose pairs the output projection ignores."""
+    mask = np.ones((b, s_len))
+    mask[1, -1] = 0.0
+    labels = (rng.random((b, s_len)) < 0.5) * mask
+    labels[0, :2] = (0.0, 1.0)  # both label values appear
+    rows = 2 * width + 1 + (width if with_user else 0)
+    arrays = [rng.normal(size=(b, s_len, width)), rng.normal(size=(b, q_len, width)),
+              rng.normal(size=(rows, width)), rng.normal(size=(width,)),
+              rng.normal(size=(width, 1)), rng.normal(size=(1,))]
+    if with_user:
+        arrays.append(rng.normal(size=(b, width)))
+    return arrays, labels, rng.normal(size=(b, s_len, q_len)) * mask[:, :, None]
+
+
+@pytest.mark.parametrize("with_user", [False, True])
+def test_relation_logits_matches_the_chain(with_user):
+    arrays, labels, proj = _relation_arrays(np.random.default_rng(21), with_user)
+
+    def run(fn):
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = fn(*inputs[:2], labels, *inputs[2:6], user=inputs[6] if with_user else None)
+        T.reduce_sum(T.mul(out, Tensor(proj))).backward()
+        return out.data, [t.grad for t in inputs]
+
+    got, got_grads = run(nn.relation_logits)
+    want, want_grads = run(ref_relation_logits)
+    assert got.shape == (2, 3, 4)  # S != Q
+    assert _rel(got, want) <= TOL
+    assert len(got_grads) == (7 if with_user else 6)
+    for g, w in zip(got_grads, want_grads):
+        assert g.shape == w.shape
+        assert _rel(g, w) <= TOL
+
+
+def test_relation_logits_is_one_tape_node():
+    arrays, labels, _ = _relation_arrays(np.random.default_rng(22), True)
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    out = nn.relation_logits(*inputs[:2], labels, *inputs[2:6], user=inputs[6])
+    assert out._grad_fn is not None and len(_tape(out)) == 1 + len(inputs)
+    with T.no_grad():
+        inferred = nn.relation_logits(*inputs[:2], labels, *inputs[2:6], user=inputs[6])
+    assert inferred._grad_fn is None and inferred._parents == ()
+    np.testing.assert_array_equal(inferred.data, out.data)
+
+
+def test_relation_logits_shape_contracts():
+    arrays, labels, _ = _relation_arrays(np.random.default_rng(23), False)
+    sup, qry, w, b, w_out, b_out = (Tensor(a) for a in arrays)
+    for bad_w_out, bad_b_out in (
+        (Tensor(np.zeros((5, 2))), b_out),  # two outputs
+        (Tensor(np.zeros((4, 1))), b_out),  # narrower than the hidden layer
+        (Tensor(np.zeros(5)), b_out),
+        (w_out, Tensor(np.zeros(2))),
+        (w_out, Tensor(np.zeros(()))),
+    ):
+        with pytest.raises(ConfigurationError, match="relation output"):
+            nn.relation_logits(sup, qry, labels, w, b, bad_w_out, bad_b_out)
+    for bad in (
+        lambda: nn.relation_logits(sup, qry, labels[:, :2], w, b, w_out, b_out),
+        lambda: nn.relation_logits(sup, Tensor(np.zeros((3, 4, 5))), labels, w, b, w_out, b_out),
+        lambda: nn.relation_logits(sup, qry, labels, w, b, w_out, b_out, Tensor(np.zeros((2, 5)))),
+        lambda: nn.relation_logits(sup, qry, labels, w, Tensor(np.zeros(4)), w_out, b_out),
+    ):
+        with pytest.raises(ConfigurationError):
+            bad()
+
+
+def test_metric_kinds_match_the_chain_bit_for_bit(monkeypatch):
+    # float32 models: probabilities, loss and every parameter gradient come
+    # out the same bits whether the relation net is one node or the chain;
+    # the sequence kinds never call it.
+    rng = np.random.default_rng(24)
+    sizes = rng.integers(1, 11, (16, 2))
+    batch = make_batch([dataclasses.replace(_episode(rng, int(s), int(q)), query_logs_kept=True)
+                        for s, q in sizes])  # teacher reads the query logs
+    models = {kind: build(default_config(kind, width=16, seed=5), IN_DIM) for kind in KINDS}
+    fused = {kind: (models[kind].query_probs(batch), *_loss_and_grads(models[kind], batch))
+             for kind in METRIC_KINDS}
+    calls = []
+    monkeypatch.setattr(nn, "relation_logits", lambda *a, **k: calls.append(1)
+                        or ref_relation_logits(*a, **k))
+    for kind, model in models.items():
+        calls.clear()
+        if kind not in METRIC_KINDS:
+            model.query_probs(batch)
+            assert not calls, kind
+            continue
+        probs, (loss, grads) = model.query_probs(batch), _loss_and_grads(model, batch)
+        assert calls, kind
+        want_probs, want_loss, want_grads = fused[kind]
+        assert probs.tobytes() == want_probs.tobytes(), kind
+        assert loss.data.tobytes() == want_loss.data.tobytes(), kind
+        for name, g in grads.items():
+            assert g.tobytes() == want_grads[name].tobytes(), (kind, name)
 
 
 @pytest.mark.parametrize("kind", METRIC_KINDS)

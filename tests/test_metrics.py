@@ -193,3 +193,15 @@ def test_wire_format_bytes_and_arrays_unchanged(tmp_path):
     for (sid, bits), (sid_back, back) in zip(preds, read_predictions(path)):
         assert sid_back == sid and back.dtype == np.int64 and back.flags.writeable
         np.testing.assert_array_equal(back, [int(c) for c in "".join(str(int(v)) for v in bits)])
+
+
+def test_write_predictions_names_the_first_bad_session(tmp_path):
+    # All bits are checked as one array; a failure still names its session.
+    ok = np.array([0, 1])
+    for bad, match in ((np.array([1, 2]), "predictions for 'b' must contain only 0/1"),
+                       (np.array([[1, 0]]), "predictions for 'b' must be 1-d"),
+                       (np.array(1), "predictions for 'b' must be 1-d")):
+        with pytest.raises(ValidationError, match=match):
+            write_predictions(tmp_path / "p.txt", [("a", ok), ("b", bad), ("c", bad)])
+    write_predictions(tmp_path / "p.txt", [])
+    assert (tmp_path / "p.txt").read_text() == "\n"

@@ -244,6 +244,15 @@ def test_attention_kind_loss_tape_node_budget(kind, budget):
     assert _tape_op_nodes(batch_loss(_model(kind, width=32), batch)) <= budget
 
 
+@pytest.mark.parametrize("kind,budget", [("rnb1", 13), ("rnb2_ue", 22), ("rnbc2_ue", 37)])
+def test_metric_kind_loss_tape_node_budget(kind, budget):
+    # The relation net is one node: 17, 26 and 41 recorded ops per loss
+    # with a node each for its pair layer, relu, matmul, add and reshape.
+    rng = np.random.default_rng(6)
+    batch = make_batch([_episode(rng, int(rng.integers(10, 21))) for _ in range(64)])
+    assert _tape_op_nodes(batch_loss(_model(kind, width=32), batch)) <= budget
+
+
 def test_padding_does_not_change_predictions():
     # each session's outputs must be identical whether batched alone or
     # padded next to a longer one
