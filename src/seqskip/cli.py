@@ -61,11 +61,16 @@ def _maybe_load_manifest(args: argparse.Namespace, command: str) -> argparse.Nam
         payload = json.loads(Path(args.from_manifest).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read manifest {args.from_manifest}: {exc}") from exc
+    if not isinstance(payload, dict) or not isinstance(payload.get("args"), dict):
+        raise ValidationError(f"manifest {args.from_manifest} has no 'args' object")
     if payload.get("command") != command:
         raise ValidationError(
             f"manifest is for {payload.get('command')!r}, not {command!r}"
         )
     stored = dict(payload["args"])
+    missing = sorted(set(_manifest_args(args)) - set(stored) - {"command"})
+    if missing:
+        raise ValidationError(f"manifest {args.from_manifest} lacks arguments {missing}")
     stored["func"] = args.func
     stored["from_manifest"] = None
     return argparse.Namespace(**stored)
@@ -147,8 +152,7 @@ def cmd_evaluate(args) -> int:
             if sid in seen:
                 raise ValidationError(f"repeated prediction for session {sid!r}")
             seen.add(sid)
-            # read_predictions and load_sessions checked bits and labels, with file:line
-            preds.append(SessionPrediction(sid, bits, truth[sid], checked=True))
+            preds.append(SessionPrediction(sid, bits, truth[sid]))
         # MAA is over the corpus: a session left out would drop out of the mean.
         missing = [sid for sid in truth if sid not in seen]
         if missing:
@@ -275,10 +279,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SeqskipError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (SeqskipError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -501,7 +501,7 @@ def make_episodes(
     )
 
 
-def load_corpus(data_dir, keep_query_logs: bool = False):
+def load_corpus(data_dir):
     """Convenience loader for a directory holding the three data files."""
     data_dir = Path(data_dir)
     schema = load_schema(data_dir / "schema.json")

@@ -101,7 +101,7 @@ def _case_elementwise(rng):
 
     def fn(xx, pp):
         u = T.add(T.exp(T.mul(xx, 0.5)), T.log(T.add(pp, 0.1)))
-        return _project(T.add(T.sigmoid(u), T.tanh(xx)), r)
+        return _project(T.sigmoid(u), r)
 
     return [x, p], fn
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +24,15 @@ class SessionPrediction:
     session_id: str
     predicted: np.ndarray
     truth: np.ndarray
-    checked: InitVar[bool] = field(default=False, kw_only=True)  # both 1-d 0/1 already
 
-    def __post_init__(self, checked):
-        if not checked:
-            self.predicted = _as_binary(self.predicted, "predicted")
-            self.truth = _as_binary(self.truth, "truth")
+    def __post_init__(self):
+        self.predicted = np.asarray(self.predicted)
+        self.truth = np.asarray(self.truth)
+        if self.predicted.ndim != 1 or self.truth.ndim != 1:
+            raise ValidationError(
+                f"session {self.session_id!r}: predicted and truth must be 1-d, "
+                f"got shapes {self.predicted.shape} and {self.truth.shape}"
+            )
         if self.predicted.shape != self.truth.shape:
             raise ValidationError(
                 f"session {self.session_id!r}: prediction length {self.predicted.size} "
@@ -62,11 +65,13 @@ def average_accuracy(pred, truth) -> float:
 def per_session_aa(predictions: list[SessionPrediction]) -> np.ndarray:
     """Per-session AA values in input order.
 
-    Sessions of equal query length are scored together as the rows of
-    one matrix. Each row then goes through the same cumulative sum,
-    division and sum as :func:`average_accuracy`, so every value is
-    bit-identical to it; zero-padding rows to one common length would
-    change the summation order and the last bit.
+    Every session's bits and labels are checked for 0/1 once, over the
+    concatenated arrays; a failure names the first bad session. Sessions
+    of equal query length are scored together as the rows of one matrix.
+    Each row then goes through the same cumulative sum, division and sum
+    as :func:`average_accuracy`, so every value is bit-identical to it;
+    zero-padding rows to one common length would change the summation
+    order and the last bit.
     """
     if not predictions:
         raise EvaluationError("AA over an empty prediction set")
@@ -74,11 +79,16 @@ def per_session_aa(predictions: list[SessionPrediction]) -> np.ndarray:
     if not lengths.all():
         empty = predictions[int(np.argmin(lengths))].session_id
         raise ValidationError(f"session {empty!r}: AA needs at least one prediction")
-    correct = (
-        np.concatenate([sp.predicted for sp in predictions])
-        == np.concatenate([sp.truth for sp in predictions])
-    ).astype(np.float64)
-    starts = np.cumsum(lengths) - lengths
+    ends = np.cumsum(lengths)
+    predicted = np.concatenate([sp.predicted for sp in predictions])
+    truth = np.concatenate([sp.truth for sp in predictions])
+    for name, arr in (("predicted", predicted), ("truth", truth)):
+        bad = (arr != 0) & (arr != 1)
+        if bad.any():
+            sid = predictions[np.searchsorted(ends, bad.argmax(), side="right")].session_id
+            raise ValidationError(f"session {sid!r}: {name} must contain only 0/1 entries")
+    correct = (predicted == truth).astype(np.float64)
+    starts = ends - lengths
     out = np.empty(len(predictions), dtype=np.float64)
     for n in np.unique(lengths):
         rows = np.flatnonzero(lengths == n)

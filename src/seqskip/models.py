@@ -146,16 +146,6 @@ def default_config(kind: str, width: int = 256, seed: int = 0, gate: str = "high
     return ModelConfig(kind=kind, width=width, seed=seed, gate=gate)
 
 
-def target_similarity(y_support, y_query) -> np.ndarray:
-    """XNOR pair targets: entry (m, n) = 1 iff y_s(m) == y_q(n)."""
-    ys = np.asarray(y_support)
-    yq = np.asarray(y_query)
-    for name, arr in (("y_support", ys), ("y_query", yq)):
-        if arr.size and not np.isin(arr, (0, 1)).all():
-            raise ValidationError(f"{name} must be binary, got values {np.unique(arr)}")
-    return (ys[:, None] == yq[None, :]).astype(np.float32)
-
-
 # -- parameter initialization ------------------------------------------
 
 

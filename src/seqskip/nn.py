@@ -42,10 +42,6 @@ class Conv1dSpec:
         if self.padding_mode not in (CAUSAL, NONCAUSAL):
             raise ConfigurationError(f"unknown padding_mode {self.padding_mode!r}")
 
-    @property
-    def receptive_field(self) -> int:
-        return 1 + self.dilation * (self.kernel_size - 1)
-
 
 def _conv_taps(spec: Conv1dSpec, t_len: int) -> list[tuple[int, int, int, int]]:
     """(tap, first row, stop row, input offset) for every tap.

@@ -1,8 +1,6 @@
-"""Adam optimizer over named parameter collections."""
+"""Adam optimizer over a named parameter collection."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -10,60 +8,8 @@ from .errors import ConfigurationError
 from .tensor import Tensor
 
 
-@dataclass
-class AdamState:
-    """Moment estimates and hyperparameters for one parameter collection."""
-
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigurationError(f"lr must be positive, got {self.lr}")
-        for name, val in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0.0 < val < 1.0:
-                raise ConfigurationError(f"{name} must lie in (0,1), got {val}")
-        if self.epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-
-
-def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
-    """One bias-corrected Adam update; returns the new parameter arrays.
-
-    ``params`` and ``grads`` map names to same-shape arrays. Moments are
-    created lazily on first sight of a name and kept in ``state``.
-    """
-    state.step_count += 1
-    t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    out = {}
-    for name, value in params.items():
-        g = np.asarray(grads[name])
-        if g.shape != value.shape:
-            raise ConfigurationError(
-                f"gradient shape {g.shape} != parameter shape {value.shape} for {name!r}"
-            )
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(value)
-            state.v[name] = np.zeros_like(value)
-        v = state.v[name]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        state.m[name], state.v[name] = m, v
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        out[name] = value - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return out
-
-
 class Adam:
-    """Stateful wrapper binding :func:`adam_step` to live tensors."""
+    """Bias-corrected Adam over live tensors, with per-parameter moments kept in place."""
 
     def __init__(
         self,
@@ -73,18 +19,27 @@ class Adam:
         beta2: float = 0.999,
         epsilon: float = 1e-8,
     ):
+        for name, val in (("beta1", beta1), ("beta2", beta2)):
+            if not 0.0 < val < 1.0:
+                raise ConfigurationError(f"{name} must lie in (0,1), got {val}")
+        if epsilon <= 0:
+            raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
+        self.lr = lr
+        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
         self.params = dict(params)
-        self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.step_count = 0
 
     @property
     def lr(self) -> float:
-        return self.state.lr
+        return self._lr
 
     @lr.setter
     def lr(self, value: float) -> None:
         if value <= 0:
             raise ConfigurationError(f"lr must be positive, got {value}")
-        self.state.lr = value
+        self._lr = value
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -93,14 +48,24 @@ class Adam:
     def step(self) -> None:
         """Apply one update using each tensor's accumulated gradient.
 
-        Parameters whose gradient is unset are treated as zero-gradient
-        (their moments still decay, matching a dense Adam step).
+        A parameter whose gradient is unset only has its moments decayed,
+        which matches a dense Adam step with a zero gradient.
         """
-        values = {k: p.data for k, p in self.params.items()}
-        grads = {
-            k: p.grad if p.grad is not None else np.zeros_like(p.data)
-            for k, p in self.params.items()
-        }
-        new = adam_step(values, grads, self.state)
-        for k, p in self.params.items():
-            p.data = new[k].astype(p.data.dtype, copy=False)
+        self.step_count += 1
+        t = self.step_count
+        b1, b2 = self.beta1, self.beta2
+        for name, p in self.params.items():
+            m, v, g = self.m[name], self.v[name], p.grad
+            if g is not None and g.shape != p.data.shape:
+                raise ConfigurationError(
+                    f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name!r}"
+                )
+            m *= b1
+            v *= b2
+            if g is not None:
+                m += (1.0 - b1) * g
+                v += (1.0 - b2) * (g * g)
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            value = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            p.data = value.astype(p.data.dtype, copy=False)

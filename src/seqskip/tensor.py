@@ -57,9 +57,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
@@ -389,16 +386,6 @@ def sigmoid(a) -> Tensor:
 
     def grad_fn(g):
         _accum(a, g * data * (1.0 - data))
-
-    return _result(data, (a,), grad_fn)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.tanh(a.data)
-
-    def grad_fn(g):
-        _accum(a, g * (1.0 - data * data))
 
     return _result(data, (a,), grad_fn)
 

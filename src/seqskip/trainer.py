@@ -155,9 +155,9 @@ def score_episodes(
 ) -> list[SessionPrediction]:
     """Binarized query predictions next to the query labels, in corpus order."""
     probs = predict_corpus(model, episodes, batch_size)
-    truth = episodes.qry_y.astype(np.int64)  # the loader checked the labels
+    truth = episodes.qry_y.astype(np.int64)
     return [
-        SessionPrediction(sid, binarize(p), y[: len(p)], checked=True)
+        SessionPrediction(sid, binarize(p), y[: len(p)])
         for (sid, p), y in zip(probs, truth)
     ]
 

@@ -161,6 +161,27 @@ def test_from_manifest_unreadable(tmp_path, capsys):
     assert "cannot read manifest" in capsys.readouterr().err
 
 
+def test_from_manifest_missing_args(corpus_dir, tmp_path, capsys):
+    # A manifest is outside input: a missing key is an error line, not a traceback.
+    stored = json.loads((corpus_dir / "gen_manifest.json").read_text())["args"]
+    path = tmp_path / "m.json"
+    for payload, want in (
+        ({"command": "gen-data"}, "has no 'args' object"),
+        (["gen-data"], "has no 'args' object"),
+        ({"command": "gen-data", "args": {"n": 5}},
+         "lacks arguments ['feature_dim', 'length_high', 'length_low', 'noise', 'out', "
+         "'rule', 'seed', 'tracks']"),
+        ({"command": "gen-data", "args": {k: v for k, v in stored.items() if k != "rule"}},
+         "lacks arguments ['rule']"),
+    ):
+        path.write_text(json.dumps(payload))
+        rc = main(["gen-data", "--n", "1", "--out", str(tmp_path / "out"),
+                   "--from-manifest", str(path)])
+        assert rc == 1
+        assert f"error: manifest {path} {want}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_writes_checkpoint_and_manifest(checkpoint):
     assert checkpoint.exists()
     manifest_path = checkpoint.parent / "model.ckpt.manifest.json"
@@ -345,8 +366,8 @@ def test_evaluate_rejects_repeated_and_missing_sessions(
 def test_scoring_checks_bits_at_most_once_per_corpus(
     corpus_dir, checkpoint, tmp_path, capsys, monkeypatch
 ):
-    # binarize output, loaded labels and read wire bits are 0/1 already:
-    # predict checks the corpus's bits once, evaluate not at all.
+    # Bits are checked once per corpus, never session by session: predict
+    # in write_predictions (one _as_binary call), evaluate in per_session_aa.
     from seqskip import metrics
 
     checks = []
@@ -401,6 +422,14 @@ def test_evaluate_rejects_bad_bits_lengths_and_labels(
         assert main(["evaluate", "--data", str(bad_label), *source]) == 1
         err = capsys.readouterr().err
         assert f"{sessions}:6: column 'skipped' has non-boolean value 'maybe'" in err
+
+
+def test_predict_to_a_directory_reports_error(corpus_dir, checkpoint, tmp_path, capsys):
+    rc = main(["predict", "--data", str(corpus_dir), "--checkpoint", str(checkpoint),
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_missing_data_dir_reports_error(tmp_path, capsys):

@@ -72,10 +72,23 @@ def test_binarize_tie_goes_to_skip():
 
 
 def test_session_prediction_validation():
-    with pytest.raises(ValidationError):
-        SessionPrediction("s", np.array([0, 2]), np.array([0, 1]))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="0/1"):
+        per_session_aa([SessionPrediction("s", np.array([0, 2]), np.array([0, 1]))])
+    with pytest.raises(ValidationError, match="prediction length"):
         SessionPrediction("s", np.array([0]), np.array([0, 1]))
+    with pytest.raises(ValidationError, match="1-d"):
+        SessionPrediction("s", np.array([[0, 1]]), np.array([[0, 1]]))
+
+
+def test_per_session_aa_names_the_first_non_binary_session():
+    # One check over the concatenated arrays; the message still names the session.
+    ok = SessionPrediction("ok", np.array([1, 0]), np.array([1, 1]))
+    bad = np.array([2, 1, 0])  # first bit of "b" sits where "ok" ends
+    for field, pred, truth in (("predicted", bad, np.zeros(3)), ("truth", np.zeros(3), bad)):
+        preds = [ok] + [SessionPrediction(sid, pred, truth) for sid in ("b", "c")]
+        with pytest.raises(ValidationError,
+                           match=f"session 'b': {field} must contain only 0/1 entries"):
+            per_session_aa(preds)
 
 
 def test_mean_and_corpus_maa_agree():
@@ -173,11 +186,12 @@ def test_wire_format_lossless(tmp_path_factory, entries):
 def test_binary_check_rejects_non_binary(tmp_path, bad):
     values = np.array([0, 1, bad])
     with pytest.raises(ValidationError, match="0/1"):
-        SessionPrediction("s", values, np.array([0, 1, 1]))
+        per_session_aa([SessionPrediction("s", values, np.array([0, 1, 1]))])
     with pytest.raises(ValidationError, match="0/1"):
         write_predictions(tmp_path / "p.txt", [("s", values)])
-    for ok in (np.array([True, False]), np.array([1.0, 0.0]), np.array([], dtype=np.int64)):
-        SessionPrediction("s", ok, np.zeros(ok.size, dtype=np.int8))
+    for ok in (np.array([True, False]), np.array([1.0, 0.0])):
+        per_session_aa([SessionPrediction("s", ok, np.zeros(ok.size, dtype=np.int8))])
+    SessionPrediction("s", np.array([], dtype=np.int64), np.zeros(0, dtype=np.int8))
 
 
 def test_wire_format_bytes_and_arrays_unchanged(tmp_path):

@@ -14,7 +14,6 @@ from seqskip.models import (
     ModelConfig,
     build,
     default_config,
-    target_similarity,
 )
 from seqskip.trainer import batch_loss
 
@@ -70,16 +69,6 @@ def test_config_rejects_structural_violations():
 def test_build_rejects_narrow_input():
     with pytest.raises(ConfigurationError):
         build(default_config("rnb1"), 2)
-
-
-# -- targets -----------------------------------------------------------
-
-
-def test_target_similarity_xnor():
-    got = target_similarity([1, 0], [1, 1, 0])
-    np.testing.assert_array_equal(got, [[1, 1, 0], [0, 0, 1]])
-    with pytest.raises(ValidationError):
-        target_similarity([2], [1])
 
 
 # -- initialization ----------------------------------------------------

