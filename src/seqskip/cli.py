@@ -54,6 +54,23 @@ def _write_manifest(path, command: str, args: argparse.Namespace, artifacts: dic
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _reparse(path, action: argparse.Action, value):
+    """A stored manifest value as its flag parses it from the command line."""
+    if value is None and action.default is None and not action.required:
+        return None
+    where = f"manifest {path} argument {'/'.join(action.option_strings)}"
+    parse = action.type or str
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValidationError(f"{where}: invalid value {value!r}")
+    try:
+        parsed = parse(str(value))
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where}: invalid {parse.__name__} value {value!r}") from None
+    if action.choices is not None and parsed not in action.choices:
+        raise ValidationError(f"{where}: invalid choice {value!r}")
+    return parsed
+
+
 def _maybe_load_manifest(args: argparse.Namespace, command: str) -> argparse.Namespace:
     if not getattr(args, "from_manifest", None):
         return args
@@ -71,6 +88,10 @@ def _maybe_load_manifest(args: argparse.Namespace, command: str) -> argparse.Nam
     missing = sorted(set(_manifest_args(args)) - set(stored) - {"command"})
     if missing:
         raise ValidationError(f"manifest {args.from_manifest} lacks arguments {missing}")
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    for action in commands.choices[command]._actions:
+        if action.dest in stored:
+            stored[action.dest] = _reparse(args.from_manifest, action, stored[action.dest])
     stored["func"] = args.func
     stored["from_manifest"] = None
     return argparse.Namespace(**stored)

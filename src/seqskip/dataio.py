@@ -124,26 +124,42 @@ class SchemaSpec:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "SchemaSpec":
+    def from_json(cls, obj: dict, source: str = "schema") -> "SchemaSpec":
+        """Parse a schema object; errors name ``source`` and the offending key."""
+
+        def wrong(key: str, want: str, got) -> SchemaError:
+            return SchemaError(f"{source}: key {key!r} must be {want}, got {got!r}")
+
+        if not isinstance(obj, dict):
+            raise SchemaError(f"{source} must be a JSON object, got {type(obj).__name__}")
         try:
-            cols = tuple(
-                ColumnSpec(
+            columns = obj["columns"]
+            if not isinstance(columns, list) or not all(isinstance(c, dict) for c in columns):
+                raise wrong("columns", "a list of column objects", columns)
+            cols = []
+            for c in columns:
+                vocabulary = c.get("vocabulary")
+                if vocabulary is not None and not isinstance(vocabulary, list):
+                    raise wrong("vocabulary", f"a list in column {c['name']!r}", vocabulary)
+                cols.append(ColumnSpec(
                     name=c["name"],
                     kind=c["kind"],
-                    vocabulary=tuple(c["vocabulary"]) if "vocabulary" in c else None,
-                )
-                for c in obj["columns"]
-            )
+                    vocabulary=None if vocabulary is None else tuple(vocabulary),
+                ))
+            try:
+                feature_dim = int(obj["feature_dim"])
+            except (TypeError, ValueError):
+                raise wrong("feature_dim", "an integer", obj["feature_dim"]) from None
             return cls(
                 session_id_col=obj["session_id"],
                 track_id_col=obj["track_id"],
                 position_col=obj["position"],
                 skip_label_col=obj["skip_label"],
-                feature_dim=int(obj["feature_dim"]),
-                columns=cols,
+                feature_dim=feature_dim,
+                columns=tuple(cols),
             )
         except KeyError as exc:
-            raise SchemaError(f"schema file missing key {exc}") from exc
+            raise SchemaError(f"{source} missing key {exc}") from exc
 
 
 def load_schema(path) -> SchemaSpec:
@@ -151,7 +167,7 @@ def load_schema(path) -> SchemaSpec:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"schema file {path} is not valid JSON: {exc}") from exc
-    return SchemaSpec.from_json(obj)
+    return SchemaSpec.from_json(obj, source=f"schema file {path}")
 
 
 # -- sessions and features ---------------------------------------------

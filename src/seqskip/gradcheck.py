@@ -148,49 +148,45 @@ def _case_reduce(rng):
     return [x], fn
 
 
-def _conv_case(dilation, mode, batched=False, channels_last=False):
+def _conv_case(dilation, mode, batched=False):
     def build(rng):
         c_in, c_out, k, t_len = 2, 3, 2 if mode == CAUSAL else 3, 7
         spec = Conv1dSpec(c_in, c_out, k, dilation, mode)
         lead = (2,) if batched else ()
-        if channels_last:
-            shape, out_shape, conv = lead + (t_len, c_in), lead + (t_len, c_out), nn.conv1d_cl
-        else:
-            shape, out_shape, conv = lead + (c_in, t_len), lead + (c_out, t_len), nn.conv1d
-        x = rng.normal(size=shape)
+        x = rng.normal(size=lead + (t_len, c_in))
         w = rng.normal(size=(c_out, c_in, k))
         b = rng.normal(size=(c_out,))
-        r = rng.normal(size=out_shape)
-        return [x, w, b], lambda xx, ww, bb: _project(conv(xx, spec, ww, bb), r)
+        r = rng.normal(size=lead + (t_len, c_out))
+        return [x, w, b], lambda xx, ww, bb: _project(nn.conv1d_cl(xx, spec, ww, bb), r)
 
     return build
 
 
 def _case_instance_norm(rng):
-    x = rng.normal(size=(2, 3, 8))
+    x = rng.normal(size=(2, 8, 3))
     g = rng.uniform(0.5, 1.5, (3,))
     b = rng.normal(size=(3,))
-    r = rng.normal(size=(2, 3, 8))
+    r = rng.normal(size=(2, 8, 3))
     return [x, g, b], lambda xx, gg, bb: _project(nn.instance_norm(xx, gg, bb, 1e-5), r)
 
 
 def _case_instance_norm_masked(rng):
-    x = rng.normal(size=(2, 3, 8))
+    x = rng.normal(size=(2, 8, 3))
     g = rng.uniform(0.5, 1.5, (3,))
     b = rng.normal(size=(3,))
-    mask = np.ones((2, 1, 8))
-    mask[:, :, 6:] = 0.0
-    r = rng.normal(size=(2, 3, 8)) * mask
+    mask = np.ones((2, 8, 1))
+    mask[:, 6:] = 0.0
+    r = rng.normal(size=(2, 8, 3)) * mask
     return [x, g, b], lambda xx, gg, bb: _project(
         nn.instance_norm(xx, gg, bb, 1e-5, mask=mask), r
     )
 
 
 def _case_channel_norm(rng):
-    x = rng.normal(size=(2, 4, 5))
+    x = rng.normal(size=(2, 5, 4))
     g = rng.uniform(0.5, 1.5, (4,))
     b = rng.normal(size=(4,))
-    r = rng.normal(size=(2, 4, 5))
+    r = rng.normal(size=(2, 5, 4))
     return [x, g, b], lambda xx, gg, bb: _project(nn.channel_norm(xx, gg, bb, 1e-5), r)
 
 
@@ -304,8 +300,6 @@ CASES = {
     "conv_noncausal_d1": _conv_case(1, NONCAUSAL, batched=True),
     "conv_noncausal_d2": _conv_case(2, NONCAUSAL),
     "conv_noncausal_d4": _conv_case(4, NONCAUSAL, batched=True),
-    "conv_cl_causal_d2": _conv_case(2, CAUSAL, batched=True, channels_last=True),
-    "conv_cl_noncausal_d1": _conv_case(1, NONCAUSAL, channels_last=True),
     "instance_norm": _case_instance_norm,
     "instance_norm_masked": _case_instance_norm_masked,
     "channel_norm": _case_channel_norm,

@@ -11,13 +11,12 @@ Two families share the Batch interface:
   encoders and read out probabilities at every position in one pass
   (non-auto-regressive; no prediction is fed back).
 
-Causal stacks normalize per position over channels only, never over
-time, so strict causality and exact receptive fields survive
-normalization. They stay channels-last, ``[B, T, W]`` like
-``Batch.seq_x``, from the entry conv to the head, so every conv is one
-GEMM and every norm reduces over the contiguous axis. The non-causal
-support encoder of att_pair uses masked temporal instance norm instead,
-where looking ahead is the point, and runs channels-first ``[B, W, S]``.
+Every encoder runs channels-last, ``[B, T, W]`` like ``Batch.seq_x``,
+from the entry conv to the head, so every conv is one GEMM. Causal
+stacks normalize per position over channels only, never over time, so
+strict causality and exact receptive fields survive normalization. The
+non-causal support encoder of att_pair, ``[B, S, W]``, uses masked
+temporal instance norm instead, where looking ahead is the point.
 """
 
 from __future__ import annotations
@@ -285,34 +284,17 @@ class Model:
     def _conv(self, prefix: str, x: Tensor, spec: Conv1dSpec) -> Tensor:
         return nn.conv1d_cl(x, spec, self._p(f"{prefix}.w"), self._p(f"{prefix}.b"))
 
-    def _gated_level(
-        self,
-        prefix: str,
-        x: Tensor,
-        dilation: int,
-        kernel: int,
-        mode: str,
-        mask: np.ndarray | None = None,
-    ) -> Tensor:
-        """One conv level: two convs, per-branch norm, then the gate.
-
-        Causal levels run channels-last ``[B, T, W]`` with per-position
-        channel norm, as one fused node; the non-causal support levels run
-        channels-first ``[B, W, S]`` with masked temporal instance norm.
-        """
-        w = self.config.width
-        spec = Conv1dSpec(w, w, kernel, dilation, mode)
-        branches = [
+    def _branches(self, prefix: str) -> list[tuple[Tensor, Tensor, Tensor]]:
+        """The transform and gate branches' ``(w, gamma, beta)`` of a gated level."""
+        return [
             tuple(self._p(f"{prefix}.{b}.{name}") for name in ("w", "gamma", "beta"))
             for b in ("t", "g")
         ]
-        if mode == CAUSAL:
-            return nn.gated_level(self.config.gate, x, spec, *branches)
-        pre = [
-            nn.instance_norm(nn.conv1d(x, spec, wt), gamma, beta, mask=mask)
-            for wt, gamma, beta in branches
-        ]
-        return nn.gated_block(self.config.gate, x, *pre)
+
+    def _gated_level(self, prefix: str, x: Tensor, dilation: int, kernel: int) -> Tensor:
+        """One causal gated level with per-position channel norm, as one fused node."""
+        spec = Conv1dSpec(self.config.width, self.config.width, kernel, dilation, CAUSAL)
+        return nn.gated_level(self.config.gate, x, spec, *self._branches(prefix))
 
     def _causal_attention_mask(self, seq_mask: np.ndarray) -> np.ndarray:
         b, t = seq_mask.shape
@@ -345,7 +327,7 @@ class Model:
         h = self._conv("entry", x, Conv1dSpec(self.in_dim, self.config.width, 1))  # [B, T, W]
         for s in range(structure.stacks):
             for l, (d, k) in enumerate(zip(structure.dilations, structure.kernels)):
-                h = self._gated_level(f"stack{s}.level{l}", h, d, k, CAUSAL)
+                h = self._gated_level(f"stack{s}.level{l}", h, d, k)
         return self._head_probs(h)
 
     def _forward_snail(self, batch: Batch) -> Tensor:
@@ -364,7 +346,7 @@ class Model:
         h = T.concat([x, att], axis=-1)
         h = self._conv("entry", h, Conv1dSpec(self.in_dim + self.config.width, self.config.width, 1))
         for l, (d, kk) in enumerate(zip(structure.dilations, structure.kernels)):
-            h = self._gated_level(f"stack0.level{l}", h, d, kk, CAUSAL)
+            h = self._gated_level(f"stack0.level{l}", h, d, kk)
         return self._head_probs(h)
 
     def _forward_transformer(self, batch: Batch) -> Tensor:
@@ -380,9 +362,7 @@ class Model:
         mask = self._causal_attention_mask(batch.seq_mask)
 
         def ln(prefix: str, v: Tensor) -> Tensor:
-            return nn.channel_norm(
-                v, self._p(f"{prefix}.gamma"), self._p(f"{prefix}.beta"), axis=-1
-            )
+            return nn.channel_norm(v, self._p(f"{prefix}.gamma"), self._p(f"{prefix}.beta"))
 
         for bidx in range(structure.stacks):
             p = f"block{bidx}"
@@ -406,26 +386,27 @@ class Model:
     def _forward_att_pair(self, batch: Batch) -> Tensor:
         structure = self.config.structure
         w = self.config.width
-        sup_mask = batch.sup_mask[:, None, :]  # [B, 1, S]
-        # Padded support columns are re-zeroed after every level: the
+        sup_mask = batch.sup_mask[:, :, None]  # [B, S, 1]
+        # Padded support rows are re-zeroed after every level: the
         # symmetric conv windows would otherwise read entry/gate bias
         # values from them, making outputs depend on the batch's padding.
         mask_t = Tensor(sup_mask)
         s_enc = self._conv("sup.entry", Tensor(batch.sup_x), Conv1dSpec(self.in_dim, w, 1))
-        s_enc = T.mul(T.swap_axes(s_enc, -1, -2), mask_t)  # [B, W, S]
+        s_enc = T.mul(s_enc, mask_t)  # [B, S, W]
         for l, d in enumerate(ATT_PAIR_SUPPORT_DILATIONS):
-            s_enc = self._gated_level(
-                f"sup.level{l}", s_enc, d, ATT_PAIR_SUPPORT_KERNEL, NONCAUSAL, mask=sup_mask
-            )
-            s_enc = T.mul(s_enc, mask_t)
+            spec = Conv1dSpec(w, w, ATT_PAIR_SUPPORT_KERNEL, d, NONCAUSAL)
+            pre = [
+                nn.instance_norm(nn.conv1d_cl(s_enc, spec, wt), gamma, beta, mask=sup_mask)
+                for wt, gamma, beta in self._branches(f"sup.level{l}")
+            ]
+            s_enc = T.mul(nn.gated_block(self.config.gate, s_enc, *pre), mask_t)
         q_cl = self._conv("qry.entry", Tensor(batch.seq_x), Conv1dSpec(self.in_dim, w, 1))
         for l, (d, k) in enumerate(zip(structure.dilations, structure.kernels)):
-            q_cl = self._gated_level(f"qry.level{l}", q_cl, d, k, CAUSAL)  # [B, T, W]
+            q_cl = self._gated_level(f"qry.level{l}", q_cl, d, k)  # [B, T, W]
 
-        s_cl = T.swap_axes(s_enc, -1, -2)  # [B, S, W]
         t_len = q_cl.shape[-2]
         att_mask = np.repeat(batch.sup_mask[:, None, :], t_len, axis=1)  # [B, T, S]
-        att = nn.attention(q_cl, s_cl, s_cl, mask=att_mask, heads=structure.heads)
+        att = nn.attention(q_cl, s_enc, s_enc, mask=att_mask, heads=structure.heads)
         h = T.relu(self._linear("comb", T.concat([q_cl, att], axis=-1)))
         logits = self._linear("head", h)
         b = logits.shape[0]

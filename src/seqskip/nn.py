@@ -1,13 +1,12 @@
 """Layer primitives: convolutions, normalizations, gating, attention, losses.
 
 All functions are pure: parameters arrive as tensors, nothing is stored.
-The causal stacks run channels-last, ``[T, C]`` or ``[batch, T, C]``
-(:func:`conv1d_cl`, ``channel_norm(axis=-1)``), like attention inputs
-``[..., positions, features]``; :func:`conv1d` and :func:`instance_norm`
-take channels-first ``[C, T]`` or ``[batch, C, T]``. Convolutions, norms,
-gates, whole gated conv levels, the relation layer over (support, query)
-pairs and the relation net on them, softmax and masked multi-head
-attention each record one tape node with a hand-written backward.
+Every layer runs channels-last, ``[T, C]`` or ``[batch, T, C]``, like
+attention inputs ``[..., positions, features]``, and norms scale and
+shift the last axis. Convolutions, norms, gates, whole gated conv levels,
+the relation layer over (support, query) pairs and the relation net on
+them, softmax and masked multi-head attention each record one tape node
+with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -142,20 +141,6 @@ def conv1d_cl(x: Tensor, spec: Conv1dSpec, weights: Tensor, bias: Tensor | None 
     return T.fused(out, parents, backward)
 
 
-def conv1d(x: Tensor, spec: Conv1dSpec, weights: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Channels-first :func:`conv1d_cl`: ``[C, T]`` or ``[B, C, T]`` in and out.
-
-    Transposes around the channels-last kernel, so both layouts share one
-    convolution and one set of shape checks.
-    """
-    if x.ndim not in (2, 3):
-        raise ConfigurationError(
-            f"conv input shape {tuple(x.shape)} incompatible with {spec.in_channels} input channels"
-        )
-    out = conv1d_cl(T.swap_axes(x, -1, -2), spec, weights, bias)
-    return T.swap_axes(out, -1, -2)
-
-
 def _axis_sum(a: np.ndarray, axis: int, b: np.ndarray | None = None) -> np.ndarray:
     """Sum of ``a`` (times ``b``, broadcast) over one axis, kept as size 1.
 
@@ -171,12 +156,9 @@ def _axis_sum(a: np.ndarray, axis: int, b: np.ndarray | None = None) -> np.ndarr
     return total.reshape(keep)
 
 
-def _column_sum(a: np.ndarray, axis: int, b: np.ndarray | None = None) -> np.ndarray:
-    """Sum of ``a`` (times ``b``, same shape) over every axis but ``axis``."""
-    n = a.shape[axis]
-    if axis % a.ndim != a.ndim - 1:
-        a = np.moveaxis(a, axis, -1)
-        b = None if b is None else np.moveaxis(b, axis, -1)
+def _column_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Sum of ``a`` (times ``b``, same shape) over every axis but the last."""
+    n = a.shape[-1]
     a = a.reshape(-1, n)
     return np.einsum("ni->i", a) if b is None else np.einsum("ni,ni->i", a, b.reshape(-1, n))
 
@@ -187,10 +169,9 @@ def _norm(
     beta: Tensor,
     epsilon: float,
     axis: int,
-    param_axis: int,
     mask: np.ndarray | None,
 ) -> Tensor:
-    """Normalize over ``axis``, then scale and shift along ``param_axis``.
+    """Normalize over ``axis``, then scale and shift along the last axis.
 
     One tape node with the closed-form backward
     ``dx = inv * (gh - m/n * (sum(gh) + xhat * sum(gh * xhat)))``, where
@@ -200,10 +181,7 @@ def _norm(
     masked positions still produce output from the shared statistics.
     """
     xd = x.data
-    shape = [1] * xd.ndim
-    shape[param_axis] = gamma.shape[0]
-    g = gamma.data.reshape(shape)
-    b = beta.data.reshape(shape)
+    g, b = gamma.data, beta.data
     if mask is None:
         weight = 1.0 / xd.shape[axis]
         mu = _axis_sum(xd, axis) * weight
@@ -226,9 +204,9 @@ def _norm(
             gh = gy * g
             gx = inv * (gh - weight * (_axis_sum(gh, axis) + xhat * _axis_sum(gh, axis, xhat)))
         if gamma.requires_grad:
-            gg = _column_sum(gy, param_axis, xhat)
+            gg = _column_sum(gy, xhat)
         if beta.requires_grad:
-            gb = _column_sum(gy, param_axis)
+            gb = _column_sum(gy)
         return gx, gg, gb
 
     return T.fused(out, (x, gamma, beta), backward)
@@ -243,24 +221,23 @@ def instance_norm(
 ) -> Tensor:
     """Normalize each channel over the temporal axis, then apply gamma/beta.
 
-    Input is channels-first, ``[C, T]`` or ``[B, C, T]``. Statistics use
-    the population variance. ``mask`` (1 = valid position, 0 = padding,
-    broadcastable to x) restricts statistics to valid positions so padded
-    tails do not contaminate them; masked positions still produce output.
+    Input is ``[T, C]`` or ``[B, T, C]``. Statistics use the population
+    variance. ``mask`` (1 = valid position, 0 = padding, broadcastable to
+    x) restricts statistics to valid positions so padded tails do not
+    contaminate them; masked positions still produce output.
     """
     if x.ndim not in (2, 3):
-        raise ConfigurationError(f"instance_norm expects [C,T] or [B,C,T], got {tuple(x.shape)}")
-    return _norm(x, gamma, beta, epsilon, axis=-1, param_axis=-2, mask=mask)
+        raise ConfigurationError(f"instance_norm expects [T,C] or [B,T,C], got {tuple(x.shape)}")
+    return _norm(x, gamma, beta, epsilon, axis=-2, mask=mask)
 
 
-def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, epsilon: float = 1e-5, axis: int = -2) -> Tensor:
-    """Normalize over the channel axis independently at every position.
+def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, epsilon: float = 1e-5) -> Tensor:
+    """Normalize over the channel (last) axis independently at every position.
 
     Unlike :func:`instance_norm` this mixes no information across time,
-    so it is safe inside strictly causal stacks. Channels-last stacks
-    pass ``axis=-1``, which reduces over the contiguous axis.
+    so it is safe inside strictly causal stacks.
     """
-    return _norm(x, gamma, beta, epsilon, axis=axis, param_axis=axis, mask=None)
+    return _norm(x, gamma, beta, epsilon, axis=-1, mask=None)
 
 
 def _gate(kind: str, xd: np.ndarray, tp: np.ndarray, gp: np.ndarray):
@@ -314,9 +291,9 @@ def gated_block(kind: str, x: Tensor, transform_pre: Tensor, gate_pre: Tensor) -
 
 def gated_level(kind: str, x: Tensor, spec: Conv1dSpec, transform, gate) -> Tensor:
     """``gated_block(kind, x, t, g)`` with each branch ``channel_norm(conv1d_cl(x, spec, w),
-    gamma, beta, axis=-1)`` of its ``(w, gamma, beta)``, as one tape node.
+    gamma, beta)`` of its ``(w, gamma, beta)``, as one tape node.
 
-    The width ``C`` does not change. One im2col buffer of channels-last ``x`` meets both
+    The width ``C`` does not change. One im2col buffer of ``x`` meets both
     branches' weights, stacked as ``[k*C, 2*C]`` and centred over each branch's outputs, in
     one GEMM whose output is therefore centred per position; both branches are normalized
     at once on a ``[B*T, 2, C]`` view. In the backward one GEMM gives the input columns,
@@ -572,13 +549,6 @@ def attention(
         return gq, gk, gv
 
     return T.fused(out, (q, k, v), backward)
-
-
-def attention_weights(q: Tensor, k: Tensor, mask: np.ndarray | None = None) -> np.ndarray:
-    """Single-head attention weights ``[..., n, m]``, for inspection and tests."""
-    p = _attention_probs(_heads_view(q.data, 1), _heads_view(k.data, 1), mask,
-                         1.0 / float(np.sqrt(q.shape[-1])))
-    return np.moveaxis(p, 0, -1)[..., 0, :, :]
 
 
 # -- losses ------------------------------------------------------------

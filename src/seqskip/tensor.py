@@ -437,13 +437,6 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
     return _result(data, (a,), grad_fn)
 
 
-def swap_axes(a, ax1: int, ax2: int) -> Tensor:
-    a = as_tensor(a)
-    axes = list(range(a.ndim))
-    axes[ax1], axes[ax2] = axes[ax2], axes[ax1]
-    return transpose(a, axes)
-
-
 def broadcast_to(a, shape) -> Tensor:
     a = as_tensor(a)
     shape = tuple(shape)

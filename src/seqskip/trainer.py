@@ -277,7 +277,7 @@ def load_model(path) -> tuple[Model, PreprocessStats, SchemaSpec, dict]:
         config = ModelConfig.from_json(meta["model"])
         in_dim = int(meta["in_dim"])
         stats = PreprocessStats.from_json(meta["stats"])
-        schema = SchemaSpec.from_json(meta["schema"])
+        schema = SchemaSpec.from_json(meta["schema"], source=f"checkpoint {path} schema")
     except KeyError as exc:
         raise ValidationError(f"checkpoint meta lacks key {exc}") from exc
     model = build(config, in_dim)

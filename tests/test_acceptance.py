@@ -196,17 +196,17 @@ def test_criterion_03_causality_and_receptive_field():
     def stack_out(x_arr):
         h = Tensor(x_arr)
         for spec, w in convs:
-            h = nn.conv1d(h, spec, w)
+            h = nn.conv1d_cl(h, spec, w)
         return h.data
 
-    x = rng.normal(0.0, 0.5, size=(1, 4, 33))
+    x = rng.normal(0.0, 0.5, size=(1, 33, 4))
     base = stack_out(x)
     at31 = x.copy()
-    at31[0, :, 1] += 1.0  # distance 31 from the last output
+    at31[0, 1] += 1.0  # distance 31 from the last output
     at32 = x.copy()
-    at32[0, :, 0] += 1.0  # distance 32: outside the field
-    effect_31 = float(np.abs(stack_out(at31)[0, :, -1] - base[0, :, -1]).max())
-    effect_32 = float(np.abs(stack_out(at32)[0, :, -1] - base[0, :, -1]).max())
+    at32[0, 0] += 1.0  # distance 32: outside the field
+    effect_31 = float(np.abs(stack_out(at31)[0, -1] - base[0, -1]).max())
+    effect_32 = float(np.abs(stack_out(at32)[0, -1] - base[0, -1]).max())
     elapsed = time.perf_counter() - t0
 
     ok = worst <= 1e-6 and effect_31 > 1e-6 and effect_32 == 0.0 and elapsed < 60.0

@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from seqskip.checkpoint import load_checkpoint, save_checkpoint
 from seqskip.cli import main
 from seqskip.metrics import read_predictions
 
@@ -175,6 +176,27 @@ def test_from_manifest_missing_args(corpus_dir, tmp_path, capsys):
          "lacks arguments ['rule']"),
     ):
         path.write_text(json.dumps(payload))
+        rc = main(["gen-data", "--n", "1", "--out", str(tmp_path / "out"),
+                   "--from-manifest", str(path)])
+        assert rc == 1
+        assert f"error: manifest {path} {want}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_from_manifest_bad_values(corpus_dir, tmp_path, capsys):
+    # Stored values are parsed as their flags parse them: a wrong type or an
+    # unknown choice is an error line naming the flag, not a traceback.
+    stored = json.loads((corpus_dir / "gen_manifest.json").read_text())["args"]
+    path = tmp_path / "m.json"
+    for key, value, want in (
+        ("n", "abc", "argument --n: invalid int value 'abc'"),
+        ("n", 2.5, "argument --n: invalid int value 2.5"),
+        ("n", None, "argument --n: invalid value None"),
+        ("noise", [0.1], "argument --noise: invalid value [0.1]"),
+        ("rule", "majority", "argument --rule: invalid choice 'majority'"),
+    ):
+        args = dict(stored, out=str(tmp_path / "out"), **{key: value})
+        path.write_text(json.dumps({"command": "gen-data", "args": args}))
         rc = main(["gen-data", "--n", "1", "--out", str(tmp_path / "out"),
                    "--from-manifest", str(path)])
         assert rc == 1
@@ -446,6 +468,48 @@ def test_missing_data_dir_reports_error(tmp_path, capsys):
     )
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _vocabulary_of_five(schema):
+    cols = [dict(c, vocabulary=5) if c["kind"] == "categorical" else c for c in schema["columns"]]
+    return dict(schema, columns=cols)
+
+
+SCHEMA_FAULTS = {
+    # name: (malformed schema from the generated one, what the error names)
+    "not_an_object": (lambda schema: [], "must be a JSON object, got list"),
+    "column_not_an_object": (lambda schema: dict(schema, columns=["a"]), "key 'columns'"),
+    "feature_dim_not_a_number": (lambda schema: dict(schema, feature_dim="x"),
+                                 "key 'feature_dim' must be an integer, got 'x'"),
+    "vocabulary_not_a_list": (_vocabulary_of_five, "key 'vocabulary' must be a list in column"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SCHEMA_FAULTS))
+def test_malformed_schema_reports_file_and_key(corpus_dir, tmp_path, capsys, fault):
+    # A malformed schema.json is an error line naming the file and the key, not a traceback.
+    corrupt, want = SCHEMA_FAULTS[fault]
+    schema = json.loads((corpus_dir / "schema.json").read_text())
+    (tmp_path / "schema.json").write_text(json.dumps(corrupt(schema)))
+    (tmp_path / "sessions.csv").write_bytes((corpus_dir / "sessions.csv").read_bytes())
+    preds = tmp_path / "p.txt"
+    preds.write_text("s,1\n")
+    rc = main(["evaluate", "--data", str(tmp_path), "--predictions", str(preds)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: schema file {tmp_path / 'schema.json'}") and want in err
+
+
+def test_checkpoint_with_malformed_schema_names_the_checkpoint(
+    corpus_dir, checkpoint, tmp_path, capsys
+):
+    params, meta = load_checkpoint(checkpoint)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, params, dict(meta, schema=[]))
+    rc = main(["predict", "--data", str(corpus_dir), "--checkpoint", str(bad),
+               "--out", str(tmp_path / "p.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: checkpoint {bad} schema must be a JSON")
 
 
 def test_grad_check_subcommand(capsys):

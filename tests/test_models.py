@@ -1,5 +1,8 @@
 """Model family contracts: configs, shapes, masking, and dispatch rules."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from handmade import Episode, make_batch
@@ -15,10 +18,13 @@ from seqskip.models import (
     build,
     default_config,
 )
-from seqskip.trainer import batch_loss
+from seqskip.dataio import load_corpus
+from seqskip.synthgen import SynthConfig, generate
+from seqskip.trainer import batch_loss, build_episodes, load_model, predict_corpus
 
 IN_DIM = 10
 WIDTH = 16
+DATA = Path(__file__).parent / "data"
 
 
 def _episode(rng, length=10, keep_logs=False) -> Episode:
@@ -206,11 +212,13 @@ def test_seq1hl_loss_tape_node_budget():
 
 
 @pytest.mark.parametrize(
-    "kind,budget", [("seq1eH", 25), ("teacher", 30), ("snail", 35), ("att_pair", 62)]
+    "kind,budget", [("seq1eH", 25), ("teacher", 30), ("snail", 35), ("att_pair", 45)]
 )
 def test_gated_level_kind_loss_tape_node_budget(kind, budget):
     # One node per causal gated level: 41, 66, 51 and 71 recorded ops per
-    # loss with one node per conv, norm and gate.
+    # loss with one node per conv, norm and gate. att_pair's support levels
+    # keep a conv, norm and gate node per branch: 45 (59 when the support
+    # encoder ran channels-first, behind 14 transposes).
     rng = np.random.default_rng(6)
     keep_logs = kind == "teacher"
     batch = make_batch([_episode(rng, int(rng.integers(10, 21)), keep_logs) for _ in range(64)])
@@ -224,10 +232,11 @@ def test_masked_multihead_attention_is_one_tape_node():
     assert _tape_op_nodes(nn.attention(q, k, v, mask=mask, heads=8)) == 1
 
 
-@pytest.mark.parametrize("kind,budget", [("transformer", 60), ("snail", 55), ("att_pair", 72)])
+@pytest.mark.parametrize("kind,budget", [("transformer", 60), ("snail", 55), ("att_pair", 45)])
 def test_attention_kind_loss_tape_node_budget(kind, budget):
     # One node per attention call: 91, 68 and 80 recorded ops per loss
-    # when attention was composed from primitives.
+    # when attention was composed from primitives (att_pair then also ran
+    # its support encoder channels-first; it records 45 now).
     rng = np.random.default_rng(6)
     batch = make_batch([_episode(rng, int(rng.integers(10, 21))) for _ in range(64)])
     assert _tape_op_nodes(batch_loss(_model(kind, width=32), batch)) <= budget
@@ -280,6 +289,23 @@ def test_support_perturbation_moves_att_pair_queries():
                      ep.y_support, ep.y_query)
     bumped.x_support[0, :3] += 1.0
     assert np.abs(_predict(model, bumped) - base).max() > 1e-9
+
+
+def test_channels_first_att_pair_checkpoint_predicts_the_same(tmp_path):
+    # Trained one epoch at width 8 and scored by the code whose support
+    # encoder ran channels-first, [B, W, S]. The parameters are unchanged
+    # by the layout, so the checkpoint loads as it is and predicts the
+    # same probabilities.
+    expected = json.loads((DATA / "att_pair_channels_first_probs.json").read_text())
+    generate(SynthConfig(**expected["corpus"]), tmp_path)
+    schema, sessions, features = load_corpus(tmp_path)
+    model, stats, saved_schema, _ = load_model(DATA / "att_pair_channels_first.ckpt")
+    assert saved_schema == schema and model.config.width == 8
+    episodes = build_episodes(sessions, features, stats, schema, "att_pair")
+    got = dict(predict_corpus(model, episodes, batch_size=expected["batch_size"]))
+    assert list(got) == list(expected["probs"])
+    for sid, probs in expected["probs"].items():
+        np.testing.assert_allclose(got[sid], probs, rtol=0, atol=1e-6, err_msg=sid)
 
 
 # -- inference without a tape ------------------------------------------

@@ -16,72 +16,77 @@ from seqskip.nn import Conv1dSpec
 from seqskip.tensor import Tensor
 
 
+def _column(values):
+    """A one-channel timeline ``[T, 1]``."""
+    return np.array(values, dtype=np.float64)[:, None]
+
+
 def test_causal_conv_tap_orientation():
     # out[t] = 10*x[t-1] + 1*x[t], past padded with zero
-    x = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
+    x = Tensor(_column([1.0, 2.0, 3.0, 4.0]))
     w = Tensor(np.array([[[10.0, 1.0]]]))
-    out = nn.conv1d(x, Conv1dSpec(1, 1, 2, 1, "causal"), w)
-    np.testing.assert_allclose(out.data, [[1.0, 12.0, 23.0, 34.0]])
+    out = nn.conv1d_cl(x, Conv1dSpec(1, 1, 2, 1, "causal"), w)
+    np.testing.assert_allclose(out.data, _column([1.0, 12.0, 23.0, 34.0]))
 
 
 def test_causal_conv_dilation_reaches_back():
     # d=2: out[t] = x[t-2] + x[t]
-    x = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
+    x = Tensor(_column([1.0, 2.0, 3.0, 4.0]))
     w = Tensor(np.array([[[1.0, 1.0]]]))
-    out = nn.conv1d(x, Conv1dSpec(1, 1, 2, 2, "causal"), w)
-    np.testing.assert_allclose(out.data, [[1.0, 2.0, 4.0, 6.0]])
+    out = nn.conv1d_cl(x, Conv1dSpec(1, 1, 2, 2, "causal"), w)
+    np.testing.assert_allclose(out.data, _column([1.0, 2.0, 4.0, 6.0]))
 
 
 def test_noncausal_conv_symmetric_window():
     # k=3 centred: out[t] = 1*x[t-1] + 0*x[t] + 2*x[t+1]
-    x = Tensor(np.array([[1.0, 2.0, 3.0]]))
+    x = Tensor(_column([1.0, 2.0, 3.0]))
     w = Tensor(np.array([[[1.0, 0.0, 2.0]]]))
-    out = nn.conv1d(x, Conv1dSpec(1, 1, 3, 1, "noncausal"), w)
-    np.testing.assert_allclose(out.data, [[4.0, 7.0, 2.0]])
+    out = nn.conv1d_cl(x, Conv1dSpec(1, 1, 3, 1, "noncausal"), w)
+    np.testing.assert_allclose(out.data, _column([4.0, 7.0, 2.0]))
 
 
 def test_conv_bias_and_batch():
-    x = Tensor(np.ones((2, 1, 3)))
+    x = Tensor(np.ones((2, 3, 1)))
     w = Tensor(np.ones((1, 1, 1)))
-    out = nn.conv1d(x, Conv1dSpec(1, 1, 1), w, Tensor(np.array([0.5])))
-    np.testing.assert_allclose(out.data, np.full((2, 1, 3), 1.5))
+    out = nn.conv1d_cl(x, Conv1dSpec(1, 1, 1), w, Tensor(np.array([0.5])))
+    np.testing.assert_allclose(out.data, np.full((2, 3, 1), 1.5))
 
 
 def test_conv_shape_contracts():
-    x = Tensor(np.ones((1, 4)))
+    x = Tensor(np.ones((4, 1)))
     with pytest.raises(ConfigurationError):
-        nn.conv1d(x, Conv1dSpec(1, 1, 2), Tensor(np.ones((1, 1, 3))))
+        nn.conv1d_cl(x, Conv1dSpec(1, 1, 2), Tensor(np.ones((1, 1, 3))))
     with pytest.raises(ConfigurationError):
-        nn.conv1d(x, Conv1dSpec(2, 1, 2), Tensor(np.ones((1, 2, 2))))
+        nn.conv1d_cl(x, Conv1dSpec(2, 1, 2), Tensor(np.ones((1, 2, 2))))
     with pytest.raises(ValidationError):
-        nn.conv1d(Tensor(np.ones((1, 0))), Conv1dSpec(1, 1, 2),
-                  Tensor(np.ones((1, 1, 2))))
+        nn.conv1d_cl(Tensor(np.ones((0, 1))), Conv1dSpec(1, 1, 2),
+                     Tensor(np.ones((1, 1, 2))))
 
 
 def test_instance_norm_hand_case():
     # mean 2, pop var 2/3: (1-2)/sqrt(2/3 + 1e-5) = -sqrt(3/2)*(1 - 7.5e-6)
-    x = Tensor(np.array([[[1.0, 2.0, 3.0]]]))
+    x = Tensor(_column([1.0, 2.0, 3.0])[None])  # [B=1, T=3, C=1]
     out = nn.instance_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)))
     np.testing.assert_allclose(
-        out.data, [[[-1.2247357, 0.0, 1.2247357]]], rtol=1e-6)
+        out.data, [_column([-1.2247357, 0.0, 1.2247357])], rtol=1e-6)
     scaled = nn.instance_norm(x, Tensor(np.array([2.0])), Tensor(np.array([1.0])))
     np.testing.assert_allclose(
-        scaled.data, [[[-1.4494714, 1.0, 3.4494714]]], rtol=1e-6)
+        scaled.data, [_column([-1.4494714, 1.0, 3.4494714])], rtol=1e-6)
 
 
 def test_instance_norm_mask_ignores_padding():
-    x = np.array([[[1.0, 2.0, 3.0, 99.0]]])
-    mask = np.array([[[1.0, 1.0, 1.0, 0.0]]])
+    x = _column([1.0, 2.0, 3.0, 99.0])[None]
+    mask = _column([1.0, 1.0, 1.0, 0.0])[None]
     out = nn.instance_norm(Tensor(x), Tensor(np.ones(1)), Tensor(np.zeros(1)),
                            mask=mask)
     np.testing.assert_allclose(
-        out.data[0, 0, :3], [-1.2247357, 0.0, 1.2247357], rtol=1e-6)
+        out.data[0, :3, 0], [-1.2247357, 0.0, 1.2247357], rtol=1e-6)
 
 
 def test_channel_norm_normalizes_across_channels():
-    x = Tensor(np.array([[[1.0], [3.0]]]))  # [B=1, C=2, T=1]
+    x = Tensor(np.array([[[1.0, 3.0]]]))  # [B=1, T=1, C=2]
     out = nn.channel_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)))
-    np.testing.assert_allclose(out.data, [[[-1.0], [1.0]]], rtol=1e-4)
+    np.testing.assert_allclose(out.data, [[[-1.0, 1.0]]], rtol=1e-4)
 
 
 def test_softmax_hand_case():
@@ -96,6 +101,9 @@ def test_attention_hand_case():
     v = Tensor(np.array([[1.0], [0.0]]))
     np.testing.assert_allclose(nn.attention(q, k, v).data, [[0.6697616]],
                                rtol=1e-6)
+    # The identity as values reads out the weights themselves.
+    np.testing.assert_allclose(nn.attention(q, k, Tensor(np.eye(2))).data,
+                               [[0.6697616, 0.3302384]], rtol=1e-6)
 
 
 def test_attention_mask_excludes_keys():
@@ -105,7 +113,7 @@ def test_attention_mask_excludes_keys():
     mask = np.array([[False, True]])
     out = nn.attention(q, k, v, mask=mask)
     np.testing.assert_allclose(out.data, [[0.0]])  # only the zero value visible
-    w = nn.attention_weights(q, k, mask=mask)
+    w = nn.attention(q, k, Tensor(np.eye(2)), mask=mask).data
     np.testing.assert_allclose(w, [[0.0, 1.0]])
 
 
@@ -177,7 +185,8 @@ def test_attention_weights_are_convex(seed):
     rng = np.random.default_rng(seed)
     q = Tensor(rng.normal(size=(3, 4)))
     k = Tensor(rng.normal(size=(5, 4)))
-    w = nn.attention_weights(q, k)
+    w = nn.attention(q, k, Tensor(np.eye(5))).data  # identity values: the weights
+    assert np.all(w >= 0)
     np.testing.assert_allclose(w.sum(axis=-1), np.ones(3), rtol=1e-6)
 
 

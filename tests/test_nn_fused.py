@@ -26,58 +26,48 @@ TOL = 1e-12
 
 
 def ref_conv1d(x, spec, weights, bias=None):
-    """Channels-first conv as per-tap slice, reshape, matmul and add."""
-    t_len = x.shape[-1]
+    """The conv as per-tap slice, reshape, transpose, matmul and add."""
+    t_len = x.shape[-2]
     total = spec.dilation * (spec.kernel_size - 1)
     left = total if spec.padding_mode == CAUSAL else total // 2
-    xp = T.pad_axis(x, -1, left, total - left)
+    xp = T.pad_axis(x, -2, left, total - left)
     out = None
     for j in range(spec.kernel_size):
         tap = T.reshape(
             T.slice_axis(weights, 2, j, j + 1), (spec.out_channels, spec.in_channels)
         )
-        window = T.slice_axis(xp, -1, j * spec.dilation, j * spec.dilation + t_len)
-        term = T.matmul(tap, window)
+        window = T.slice_axis(xp, -2, j * spec.dilation, j * spec.dilation + t_len)
+        term = T.matmul(window, T.transpose(tap, (1, 0)))
         out = term if out is None else T.add(out, term)
     if bias is not None:
-        out = T.add(out, T.reshape(bias, (spec.out_channels, 1)))
+        out = T.add(out, bias)
     return out
-
-
-def _stat_shape(param, ndim, axis):
-    shape = [1] * ndim
-    shape[axis] = param.shape[0]
-    return T.reshape(param, shape)
 
 
 def ref_instance_norm(x, gamma, beta, epsilon=1e-5, mask=None):
     if mask is None:
-        mu = T.reduce_mean(x, axis=-1, keepdims=True)
+        mu = T.reduce_mean(x, axis=-2, keepdims=True)
         centered = T.add(x, T.neg(mu))
-        var = T.reduce_mean(T.mul(centered, centered), axis=-1, keepdims=True)
+        var = T.reduce_mean(T.mul(centered, centered), axis=-2, keepdims=True)
     else:
         m = np.asarray(mask, dtype=x.dtype.type)
-        denom = np.maximum(m.sum(axis=-1, keepdims=True), 1.0)
-        mu = T.div(T.reduce_sum(T.mul(x, m), axis=-1, keepdims=True), Tensor(denom))
+        denom = np.maximum(m.sum(axis=-2, keepdims=True), 1.0)
+        mu = T.div(T.reduce_sum(T.mul(x, m), axis=-2, keepdims=True), Tensor(denom))
         centered = T.add(x, T.neg(mu))
         var = T.div(
-            T.reduce_sum(T.mul(T.mul(centered, centered), m), axis=-1, keepdims=True),
+            T.reduce_sum(T.mul(T.mul(centered, centered), m), axis=-2, keepdims=True),
             Tensor(denom),
         )
     inv = T.pow_scalar(T.add(var, float(epsilon)), -0.5)
-    normed = T.mul(centered, inv)
-    return T.add(T.mul(normed, _stat_shape(gamma, x.ndim, -2)), _stat_shape(beta, x.ndim, -2))
+    return T.add(T.mul(T.mul(centered, inv), gamma), beta)
 
 
-def ref_channel_norm(x, gamma, beta, epsilon=1e-5, axis=-2):
-    mu = T.reduce_mean(x, axis=axis, keepdims=True)
+def ref_channel_norm(x, gamma, beta, epsilon=1e-5):
+    mu = T.reduce_mean(x, axis=-1, keepdims=True)
     centered = T.add(x, T.neg(mu))
-    var = T.reduce_mean(T.mul(centered, centered), axis=axis, keepdims=True)
+    var = T.reduce_mean(T.mul(centered, centered), axis=-1, keepdims=True)
     inv = T.pow_scalar(T.add(var, float(epsilon)), -0.5)
-    normed = T.mul(centered, inv)
-    return T.add(
-        T.mul(normed, _stat_shape(gamma, x.ndim, axis)), _stat_shape(beta, x.ndim, axis)
-    )
+    return T.add(T.mul(T.mul(centered, inv), gamma), beta)
 
 
 def ref_gated_block(kind, x, transform_pre, gate_pre):
@@ -91,7 +81,7 @@ def ref_gated_block(kind, x, transform_pre, gate_pre):
 def ref_gated_level(kind, x, spec, transform, gate):
     """A causal gated level as one conv, one channel norm per branch, and the gate."""
     pre = [
-        nn.channel_norm(nn.conv1d_cl(x, spec, w), g, b, axis=-1) for w, g, b in (transform, gate)
+        nn.channel_norm(nn.conv1d_cl(x, spec, w), g, b) for w, g, b in (transform, gate)
     ]
     return nn.gated_block(kind, x, *pre)
 
@@ -107,12 +97,13 @@ def ref_softmax(x, axis=-1):
 
 def _ref_split_heads(x, heads):
     *lead, n, d = x.shape
-    return T.swap_axes(T.reshape(x, (*lead, n, heads, d // heads)), -3, -2)
+    split = T.reshape(x, (*lead, n, heads, d // heads))
+    return T.transpose(split, (*range(len(lead)), len(lead) + 1, len(lead), len(lead) + 2))
 
 
 def _ref_merge_heads(x):
-    x = T.swap_axes(x, -3, -2)
-    *lead, n, h, dh = x.shape
+    *lead, h, n, dh = x.shape
+    x = T.transpose(x, (*range(len(lead)), len(lead) + 1, len(lead), len(lead) + 2))
     return T.reshape(x, (*lead, n, h * dh))
 
 
@@ -124,7 +115,8 @@ def ref_attention_weights(q, k, mask=None, heads=1):
         q, k = _ref_split_heads(q, heads), _ref_split_heads(k, heads)
         if m is not None:
             m = np.expand_dims(m, -3)
-    scores = T.mul(T.matmul(q, T.swap_axes(k, -1, -2)), scale)
+    k_t = T.transpose(k, (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2))
+    scores = T.mul(T.matmul(q, k_t), scale)
     if m is not None:
         scores = T.add(T.mul(scores, Tensor(m)), Tensor(_MASK_FILL * (1.0 - m)))
     return ref_softmax(scores, axis=-1)
@@ -135,6 +127,13 @@ def ref_attention(q, k, v, mask=None, heads=1):
     if heads == 1:
         return T.matmul(weights, v)
     return _ref_merge_heads(T.matmul(weights, _ref_split_heads(v, heads)))
+
+
+def weights_of(q, k, mask=None):
+    """Single-head attention weights ``[..., n, m]``: attention over identity values."""
+    m = k.shape[-2]
+    eye = np.broadcast_to(np.eye(m, dtype=q.dtype), k.shape[:-1] + (m,)).copy()
+    return nn.attention(q, k, Tensor(eye), mask=mask).data
 
 
 # -- comparison harness ----------------------------------------------------
@@ -181,20 +180,14 @@ def test_conv_matches_tap_composition(mode, dilation, batched, with_bias):
     for t_len in (5, 20):  # shorter and longer than the widest dilation
         spec = Conv1dSpec(3, 4, k, dilation, mode)
         lead = (2,) if batched else ()
-        x_cf = rng.normal(size=lead + (3, t_len))
-        arrays = [x_cf, rng.normal(size=(4, 3, k))]
+        arrays = [rng.normal(size=lead + (t_len, 3)), rng.normal(size=(4, 3, k))]
         if with_bias:
             arrays.append(rng.normal(size=(4,)))
-
-        def channels_last(xx, *params):
-            out = nn.conv1d_cl(T.swap_axes(xx, -1, -2), spec, *params)
-            return T.swap_axes(out, -1, -2)
-
-        def reference(xx, *params):
-            return ref_conv1d(xx, spec, *params)
-
-        assert_same_op(channels_last, reference, arrays)
-        assert_same_op(lambda xx, *p: nn.conv1d(xx, spec, *p), reference, arrays)
+        assert_same_op(
+            lambda xx, *p: nn.conv1d_cl(xx, spec, *p),
+            lambda xx, *p: ref_conv1d(xx, spec, *p),
+            arrays,
+        )
 
 
 def test_conv_kernel_is_one_tape_node():
@@ -225,30 +218,25 @@ def test_conv_kernel_shape_contracts():
 # -- normalization -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("axis", [-1, -2])
 @pytest.mark.parametrize("shape", [(2, 5, 6), (5, 6)])
-def test_channel_norm_matches_composition(axis, shape):
-    rng = np.random.default_rng(len(shape) - axis)
-    c = shape[axis]
+def test_channel_norm_matches_composition(shape):
+    rng = np.random.default_rng(len(shape) + 1)
+    c = shape[-1]
     arrays = [rng.normal(size=shape), rng.uniform(0.5, 1.5, (c,)), rng.normal(size=(c,))]
-    assert_same_op(
-        lambda x, g, b: nn.channel_norm(x, g, b, axis=axis),
-        lambda x, g, b: ref_channel_norm(x, g, b, axis=axis),
-        arrays,
-    )
+    assert_same_op(nn.channel_norm, ref_channel_norm, arrays)
 
 
 @pytest.mark.parametrize("masked", [False, True])
-@pytest.mark.parametrize("shape", [(3, 4, 9), (4, 9)])
+@pytest.mark.parametrize("shape", [(3, 9, 4), (9, 4)])
 def test_instance_norm_matches_composition(masked, shape):
     rng = np.random.default_rng(7 + masked)
     mask = None
     if masked:
-        mask = np.ones(shape[:-2] + (1, shape[-1]))
-        mask[..., 6:] = 0.0
+        mask = np.ones(shape[:-1] + (1,))
+        mask[..., 6:, :] = 0.0
         if len(shape) == 3:
-            mask[1, :, 3:] = 0.0  # a shorter row in the batch
-    c = shape[-2]
+            mask[1, 3:] = 0.0  # a shorter row in the batch
+    c = shape[-1]
     arrays = [rng.normal(size=shape), rng.uniform(0.5, 1.5, (c,)), rng.normal(size=(c,))]
     assert_same_op(
         lambda x, g, b: nn.instance_norm(x, g, b, mask=mask),
@@ -443,7 +431,7 @@ def test_attention_matches_composition(case):
     if heads == 1:
         q, k = Tensor(arrays[0]), Tensor(arrays[1])
         want = ref_attention_weights(q, k, mask).data
-        assert np.max(np.abs(nn.attention_weights(q, k, mask) - want)) <= TOL
+        assert np.max(np.abs(weights_of(q, k, mask) - want)) <= TOL
 
 
 def test_attention_float_masks_act_as_boolean():
@@ -451,11 +439,11 @@ def test_attention_float_masks_act_as_boolean():
     q, k, v = (Tensor(rng.normal(size=(2, 4, 8))) for _ in range(3))
     mask = _single_key_rows(rng, (2, 4, 4))
     want = nn.attention(q, k, v, mask=mask, heads=2).data
-    want_w = nn.attention_weights(q, k, mask=mask)
+    want_w = weights_of(q, k, mask)
     for scale in (2.0, 0.5):
         scaled = scale * mask.astype(np.float64)
         np.testing.assert_array_equal(nn.attention(q, k, v, mask=scaled, heads=2).data, want)
-        np.testing.assert_array_equal(nn.attention_weights(q, k, mask=scaled), want_w)
+        np.testing.assert_array_equal(weights_of(q, k, scaled), want_w)
 
 
 def test_attention_rejects_fully_blocked_row():
@@ -466,4 +454,4 @@ def test_attention_rejects_fully_blocked_row():
     with pytest.raises(MaskingError):
         nn.attention(q, k, v, mask=mask, heads=2)
     with pytest.raises(MaskingError):
-        nn.attention_weights(q, k, mask=mask)
+        weights_of(q, k, mask)
