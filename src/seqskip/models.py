@@ -151,12 +151,12 @@ def default_config(kind: str, width: int = 256, seed: int = 0, gate: str = "high
 class _Init:
     def __init__(self, seed: int):
         self.seed = seed
-        self.params: dict[str, Tensor] = {}
+        self.params: dict[str, np.ndarray] = {}
 
     def _add(self, name: str, data: np.ndarray) -> None:
         if name in self.params:
             raise ConfigurationError(f"duplicate parameter name {name!r}")
-        self.params[name] = Tensor(data.astype(np.float32), requires_grad=True)
+        self.params[name] = data.astype(np.float32)
 
     def uniform(self, name: str, shape: Sequence[int], fan_in: int) -> None:
         bound = 1.0 / np.sqrt(fan_in)
@@ -261,17 +261,39 @@ class MetricOut:
 
 
 class Model:
-    def __init__(self, config: ModelConfig, in_dim: int, params: dict[str, Tensor]):
+    """Forward passes over named parameters, each ``.data`` a view into one
+    float32 ``vector``: write them in place, never rebind them."""
+
+    def __init__(self, config: ModelConfig, in_dim: int, arrays: dict[str, np.ndarray]):
         self.config = config
         self.in_dim = in_dim
-        self.params = params
+        self.vector = np.concatenate([a.ravel() for a in arrays.values()], dtype=np.float32)
+        self._grad = np.empty_like(self.vector)
+        ends = np.cumsum([a.size for a in arrays.values()])[:-1]
+        self.params = {
+            name: Tensor(view.reshape(arrays[name].shape), requires_grad=True)
+            for name, view in zip(arrays, np.split(self.vector, ends))
+        }
+        self._grads = np.split(self._grad, ends)
 
     @property
     def family(self) -> str:
         return "metric" if self.config.kind in METRIC_KINDS else "sequence"
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
+    def zero_grad(self) -> None:
+        for p in self.params.values():
+            p.zero_grad()
+
+    def gradient(self) -> np.ndarray:
+        """Every gradient in one flat buffer laid out like ``vector``, zeros where
+        unset. Each call overwrites the buffer the previous one returned."""
+        for (name, p), out in zip(self.params.items(), self._grads):
+            if p.grad is not None and p.grad.shape != p.shape:
+                raise ConfigurationError(
+                    f"gradient shape {p.grad.shape} != parameter shape {p.shape} for {name!r}"
+                )
+            np.copyto(out.reshape(p.shape), 0.0 if p.grad is None else p.grad)
+        return self._grad
 
     # -- shared pieces -------------------------------------------------
 
@@ -316,10 +338,10 @@ class Model:
             )
         return getattr(self, forward)(batch)
 
-    def _head_probs(self, h: Tensor) -> Tensor:
-        out = self._conv("head", h, Conv1dSpec(self.config.width, 1, 1))  # [B, T, 1]
-        b, t, _ = out.shape
-        return T.sigmoid(T.reshape(out, (b, t)))
+    def _probs(self, logits: Tensor) -> Tensor:
+        """``[B, T, 1]`` head logits as ``[B, T]`` probabilities."""
+        b, t, _ = logits.shape
+        return T.sigmoid(T.reshape(logits, (b, t)))
 
     def _forward_conv_stacks(self, batch: Batch) -> Tensor:
         structure = self.config.structure
@@ -328,7 +350,7 @@ class Model:
         for s in range(structure.stacks):
             for l, (d, k) in enumerate(zip(structure.dilations, structure.kernels)):
                 h = self._gated_level(f"stack{s}.level{l}", h, d, k)
-        return self._head_probs(h)
+        return self._probs(self._conv("head", h, Conv1dSpec(self.config.width, 1, 1)))
 
     def _forward_snail(self, batch: Batch) -> Tensor:
         # Attention reads the raw rows (no embedding layer in front),
@@ -347,7 +369,7 @@ class Model:
         h = self._conv("entry", h, Conv1dSpec(self.in_dim + self.config.width, self.config.width, 1))
         for l, (d, kk) in enumerate(zip(structure.dilations, structure.kernels)):
             h = self._gated_level(f"stack0.level{l}", h, d, kk)
-        return self._head_probs(h)
+        return self._probs(self._conv("head", h, Conv1dSpec(self.config.width, 1, 1)))
 
     def _forward_transformer(self, batch: Batch) -> Tensor:
         structure = self.config.structure
@@ -378,10 +400,7 @@ class Model:
             n2 = ln(f"{p}.ln2", h)
             ffn = self._linear(f"{p}.ffn.fc2", T.relu(self._linear(f"{p}.ffn.fc1", n2)))
             h = T.add(h, ffn)
-        h = ln("final", h)
-        logits = self._linear("head", h)
-        b = logits.shape[0]
-        return T.sigmoid(T.reshape(logits, (b, t_len)))
+        return self._probs(self._linear("head", ln("final", h)))
 
     def _forward_att_pair(self, batch: Batch) -> Tensor:
         structure = self.config.structure
@@ -408,9 +427,7 @@ class Model:
         att_mask = np.repeat(batch.sup_mask[:, None, :], t_len, axis=1)  # [B, T, S]
         att = nn.attention(q_cl, s_enc, s_enc, mask=att_mask, heads=structure.heads)
         h = T.relu(self._linear("comb", T.concat([q_cl, att], axis=-1)))
-        logits = self._linear("head", h)
-        b = logits.shape[0]
-        return T.sigmoid(T.reshape(logits, (b, t_len)))
+        return self._probs(self._linear("head", h))
 
     # -- metric family -------------------------------------------------
 

@@ -1,19 +1,27 @@
-"""Adam optimizer over a named parameter collection."""
+"""Adam optimizer over one flat parameter vector."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensor import Tensor
+
+
+def positive(name: str, value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 class Adam:
-    """Bias-corrected Adam over live tensors, with per-parameter moments kept in place."""
+    """Bias-corrected Adam that updates ``vector`` in place. The moments and
+    two scratch buffers are allocated once, so a step makes no temporaries."""
 
     def __init__(
         self,
-        params: dict[str, Tensor],
+        vector: np.ndarray,
         lr: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -22,13 +30,11 @@ class Adam:
         for name, val in (("beta1", beta1), ("beta2", beta2)):
             if not 0.0 < val < 1.0:
                 raise ConfigurationError(f"{name} must lie in (0,1), got {val}")
-        if epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
         self.lr = lr
-        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
-        self.params = dict(params)
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.beta1, self.beta2 = beta1, beta2
+        self.epsilon = positive("epsilon", epsilon)
+        self.vector = vector
+        self.m, self.v, self._a, self._b = (np.zeros_like(vector) for _ in range(4))
         self.step_count = 0
 
     @property
@@ -37,35 +43,24 @@ class Adam:
 
     @lr.setter
     def lr(self, value: float) -> None:
-        if value <= 0:
-            raise ConfigurationError(f"lr must be positive, got {value}")
-        self._lr = value
+        self._lr = positive("lr", value)
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
-    def step(self) -> None:
-        """Apply one update using each tensor's accumulated gradient.
-
-        A parameter whose gradient is unset only has its moments decayed,
-        which matches a dense Adam step with a zero gradient.
-        """
+    def step(self, grad: np.ndarray) -> None:
+        """Apply one update with the flat gradient ``grad``, laid out like the vector."""
+        if grad.shape != self.vector.shape:
+            raise ConfigurationError(
+                f"gradient shape {grad.shape} != parameter vector shape {self.vector.shape}"
+            )
         self.step_count += 1
-        t = self.step_count
-        b1, b2 = self.beta1, self.beta2
-        for name, p in self.params.items():
-            m, v, g = self.m[name], self.v[name], p.grad
-            if g is not None and g.shape != p.data.shape:
-                raise ConfigurationError(
-                    f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name!r}"
-                )
-            m *= b1
-            v *= b2
-            if g is not None:
-                m += (1.0 - b1) * g
-                v += (1.0 - b2) * (g * g)
-            m_hat = m / (1.0 - b1**t)
-            v_hat = v / (1.0 - b2**t)
-            value = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
-            p.data = value.astype(p.data.dtype, copy=False)
+        t, b1, b2 = self.step_count, self.beta1, self.beta2
+        m, v, a, b = self.m, self.v, self._a, self._b
+        # m = b1·m + (1-b1)·g;  v = b2·v + (1-b2)·(g·g)
+        m *= b1
+        m += np.multiply(grad, 1.0 - b1, out=a)
+        v *= b2
+        v += np.multiply(np.multiply(grad, grad, out=a), 1.0 - b2, out=a)
+        # vector -= lr·m_hat / (sqrt(v_hat) + epsilon)
+        np.multiply(np.divide(m, 1.0 - b1**t, out=a), self.lr, out=a)
+        np.sqrt(np.divide(v, 1.0 - b2**t, out=b), out=b)
+        b += self.epsilon
+        self.vector -= np.divide(a, b, out=a)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -26,11 +27,11 @@ from .dataio import (
     make_batches,
     make_episodes,
 )
-from .errors import ConfigurationError, TrainingError, ValidationError
+from .errors import ConfigurationError, SeqskipError, TrainingError, ValidationError
 from .metrics import SessionPrediction, binarize, corpus_maa
 from .models import METRIC_KINDS, Model, ModelConfig, build
 from .nn import bce, mse
-from .optim import Adam
+from .optim import Adam, positive
 from .rng import rng_stream
 from .tensor import Tensor
 
@@ -61,12 +62,11 @@ class TrainConfig:
             raise ConfigurationError("max_epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        if self.base_lr <= 0:
-            raise ConfigurationError("base_lr must be positive")
+        positive("base_lr", self.base_lr)
         if self.loss_scope not in LOSS_SCOPES:
             raise ConfigurationError(f"loss_scope must be one of {LOSS_SCOPES}")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ConfigurationError("grad_clip must be positive when set")
+        if self.grad_clip is not None:
+            positive("grad_clip", self.grad_clip)
 
 
 @dataclass
@@ -169,22 +169,6 @@ def evaluate_episodes(
     return corpus_maa(preds), preds
 
 
-def _grad_norm(model: Model) -> float:
-    """Global L2 norm over every parameter gradient."""
-    return math.sqrt(
-        sum(float((p.grad * p.grad).sum()) for p in model.params.values() if p.grad is not None)
-    )
-
-
-def _clip_gradients(model: Model, limit: float, total: float) -> None:
-    """Rescale every gradient so that their global norm ``total`` is at most ``limit``."""
-    if total > limit:
-        scale = limit / total
-        for p in model.params.values():
-            if p.grad is not None:
-                p.grad = p.grad * scale
-
-
 def train(
     config: TrainConfig,
     sessions: Sessions,
@@ -202,9 +186,9 @@ def train(
     val_eps = build_episodes(val_sessions, features, stats, schema, kind)
 
     model = build(config.model, schema.full_width)
-    opt = Adam(model.params, lr=config.base_lr)
+    opt = Adam(model.vector, lr=config.base_lr)
     result = TrainResult(model=model, stats=stats, schema=schema)
-    best_params: dict[str, np.ndarray] | None = None
+    best_vector: np.ndarray | None = None
 
     for epoch in range(1, config.max_epochs + 1):
         opt.lr = config.base_lr * config.anneal_factor ** (epoch - 1)
@@ -214,35 +198,32 @@ def train(
             loss = batch_loss(model, batch, config.loss_scope)
             value = float(loss.data)
             if not math.isfinite(value):
-                raise TrainingError(
-                    f"non-finite loss ({value}) at epoch {epoch}, batch {b_idx}"
-                )
-            opt.zero_grad()
+                raise TrainingError(f"non-finite loss ({value}) at epoch {epoch}, batch {b_idx}")
+            model.zero_grad()
             loss.backward()
+            grad = model.gradient()
             # A finite loss can still back-propagate inf or nan; one Adam
             # step with it would poison every parameter it reaches.
-            norm = _grad_norm(model)
+            norm = math.sqrt(float(np.dot(grad, grad)))
             if not math.isfinite(norm):
                 raise TrainingError(
                     f"non-finite gradient norm ({norm}) at epoch {epoch}, batch {b_idx}"
                 )
-            if config.grad_clip is not None:
-                _clip_gradients(model, config.grad_clip, norm)
-            opt.step()
+            if config.grad_clip is not None and norm > config.grad_clip:
+                grad *= config.grad_clip / norm
+            opt.step(grad)
             losses.append(value)
         val_maa, _ = evaluate_episodes(model, val_eps, config.batch_size)
         entry = EpochLog(epoch, float(np.mean(losses)), val_maa, opt.lr)
         result.history.append(entry)
         if log is not None:
             log(entry.line())
-        if best_params is None or val_maa > result.best_val_maa:
+        if best_vector is None or val_maa > result.best_val_maa:
             result.best_val_maa = val_maa
             result.best_epoch = epoch
-            best_params = {k: p.data.copy() for k, p in model.params.items()}
+            best_vector = model.vector.copy()
 
-    if best_params is not None:
-        for k, p in model.params.items():
-            p.data = best_params[k]
+    np.copyto(model.vector, best_vector)
     if config.checkpoint_path:
         save_model(config.checkpoint_path, model, stats, schema, extra={
             "best_val_maa": result.best_val_maa,
@@ -273,13 +254,20 @@ def save_model(
 def load_model(path) -> tuple[Model, PreprocessStats, SchemaSpec, dict]:
     """Rebuild a model bit-identically from a checkpoint file."""
     arrays, meta = ckpt.load_checkpoint(path)
-    try:
-        config = ModelConfig.from_json(meta["model"])
-        in_dim = int(meta["in_dim"])
-        stats = PreprocessStats.from_json(meta["stats"])
-        schema = SchemaSpec.from_json(meta["schema"], source=f"checkpoint {path} schema")
-    except KeyError as exc:
-        raise ValidationError(f"checkpoint meta lacks key {exc}") from exc
+    parsers = (("model", ModelConfig.from_json), ("in_dim", int),
+               ("stats", PreprocessStats.from_json),
+               ("schema", partial(SchemaSpec.from_json, source=f"checkpoint {path} schema")))
+    values = []
+    for key, parse in parsers:
+        try:
+            values.append(parse(meta[key]))
+        except SeqskipError:
+            raise
+        except KeyError as exc:
+            raise ValidationError(f"checkpoint {path} meta lacks key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"checkpoint {path} meta key {key!r}: {exc}") from exc
+    config, in_dim, stats, schema = values
     model = build(config, in_dim)
     if set(arrays) != set(model.params):
         raise ValidationError("checkpoint parameter names do not match the model architecture")
@@ -289,5 +277,5 @@ def load_model(path) -> tuple[Model, PreprocessStats, SchemaSpec, dict]:
                 f"checkpoint parameter {name!r} has shape {arrays[name].shape}, "
                 f"model expects {tensor.data.shape}"
             )
-        tensor.data = arrays[name]
+        np.copyto(tensor.data, arrays[name])
     return model, stats, schema, meta.get("extra", {})

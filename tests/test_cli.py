@@ -512,6 +512,39 @@ def test_checkpoint_with_malformed_schema_names_the_checkpoint(
     assert capsys.readouterr().err.startswith(f"error: checkpoint {bad} schema must be a JSON")
 
 
+META_FAULTS = {
+    # name: (meta edit, what the error names)
+    "width": (lambda meta: dict(meta, model=dict(meta["model"], width="x")),
+              "meta key 'model': invalid literal for int() with base 10: 'x'"),
+    "in_dim": (lambda meta: dict(meta, in_dim="y"),
+               "meta key 'in_dim': invalid literal for int() with base 10: 'y'"),
+    "acoustic_mean": (lambda meta: dict(meta, stats=dict(meta["stats"], acoustic_mean="z")),
+                      "meta key 'stats': could not convert string to float: 'z'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(META_FAULTS))
+def test_checkpoint_with_malformed_meta_names_the_checkpoint_and_key(
+    corpus_dir, checkpoint, tmp_path, capsys, fault
+):
+    edit, want = META_FAULTS[fault]
+    params, meta = load_checkpoint(checkpoint)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, params, edit(meta))
+    rc = main(["predict", "--data", str(corpus_dir), "--checkpoint", str(bad),
+               "--out", str(tmp_path / "p.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: checkpoint {bad} {want}\n"
+
+
+def test_fit_rejects_a_nan_grad_clip(corpus_dir, tmp_path, capsys):
+    rc = main(["fit", "--data", str(corpus_dir), "--model", "rnb1", "--width", "8",
+               "--epochs", "1", "--grad-clip", "nan", "--out", str(tmp_path / "m.ckpt")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: grad_clip must be positive and finite, got nan\n"
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_grad_check_subcommand(capsys):
     rc = main(["grad-check", "--trials", "1", "--seed", "0"])
     out = capsys.readouterr().out

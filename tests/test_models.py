@@ -95,22 +95,22 @@ def test_param_count_audit():
     w, d = WIDTH, IN_DIM
     level = 2 * (w * w * 2) + 4 * w  # two k=2 convs (no bias) + two norms
     entry_head = (d * w + w) + (w + 1)
-    assert _model("seq1eH").param_count() == entry_head + 5 * level
-    assert _model("seq1HL").param_count() == entry_head + 10 * level
+    assert _model("seq1eH").vector.size == entry_head + 5 * level
+    assert _model("seq1HL").vector.size == entry_head + 10 * level
     # the two-stack model is exactly one ladder of levels bigger
-    assert (_model("seq1HL").param_count() - _model("seq1eH").param_count()
+    assert (_model("seq1HL").vector.size - _model("seq1eH").vector.size
             == 5 * level)
-    assert _model("teacher").param_count() == _model("seq1HL").param_count()
+    assert _model("teacher").vector.size == _model("seq1HL").vector.size
 
     d_item = d - 2
     rnb1 = (d_item * w + w) + ((2 * w + 1) * w + w) + (w + 1)
-    assert _model("rnb1").param_count() == rnb1
+    assert _model("rnb1").vector.size == rnb1
     ue_extra = ((w + 1) * w + w) + (w * w + w)  # ue.fc + ue.out
     pair_growth = w * w  # rn.fc1 widens by one embedding block
     rnb2 = rnb1 + ue_extra + pair_growth
-    assert _model("rnb2_ue").param_count() == rnb2
+    assert _model("rnb2_ue").vector.size == rnb2
     wsum = (3 * w + 1) + 1 + 1  # weights + linear bias + vote bias
-    assert _model("rnbc2_ue").param_count() == rnb2 + wsum
+    assert _model("rnbc2_ue").vector.size == rnb2 + wsum
 
 
 # -- family dispatch ---------------------------------------------------

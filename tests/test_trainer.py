@@ -1,6 +1,7 @@
 """Training protocol: split, loss table, annealing, checkpoints, guards."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +11,11 @@ from seqskip import tensor as T
 from seqskip import trainer
 from seqskip.dataio import fit_stats, load_corpus, make_batch
 from seqskip.errors import ConfigurationError, TrainingError, ValidationError
-from seqskip.models import build, default_config
+from seqskip.models import KINDS, build, default_config
+from seqskip.optim import Adam
 from seqskip.synthgen import SynthConfig, generate
 from seqskip.trainer import (
     TrainConfig,
-    _clip_gradients,
-    _grad_norm,
     batch_loss,
     build_episodes,
     evaluate_episodes,
@@ -61,8 +61,13 @@ def test_train_config_validation():
         {"max_epochs": 0},
         {"batch_size": 0},
         {"base_lr": 0.0},
+        {"base_lr": math.nan},
+        {"base_lr": math.inf},
         {"loss_scope": "all"},
         {"grad_clip": 0.0},
+        {"grad_clip": math.nan},
+        {"grad_clip": -math.inf},
+        {"grad_clip": math.inf},
     ):
         with pytest.raises(ConfigurationError):
             _cfg(**kw)
@@ -186,18 +191,25 @@ def test_evaluate_matches_manual_maa(episodes):
 # -- gradient clipping -------------------------------------------------
 
 
-def test_clip_gradients_rescales_global_norm(episodes):
-    schema, _, _ = episodes
-    model = build(default_config("rnb1", width=8), schema.full_width)
-    for p in model.params.values():
-        p.grad = np.ones_like(p.data)
-    total = math.sqrt(sum(p.data.size for p in model.params.values()))
-    assert abs(_grad_norm(model) - total) < 1e-9
-    _clip_gradients(model, total * 2, _grad_norm(model))  # under the limit: untouched
-    assert all(np.all(p.grad == 1.0) for p in model.params.values())
-    _clip_gradients(model, 1.0, _grad_norm(model))
-    norm = math.sqrt(sum(float((p.grad ** 2).sum()) for p in model.params.values()))
-    assert abs(norm - 1.0) < 1e-6
+def test_clip_gradients_rescales_global_norm(corpus, monkeypatch):
+    # Each Adam step receives the gathered gradient, scaled in place to the
+    # clip norm when it is larger and left alone when it is not.
+    schema, sessions, features = corpus
+    norms, vectors = {}, {}
+
+    class Recording(Adam):
+        def step(self, grad):
+            norms.setdefault(clip, []).append(float(np.linalg.norm(grad.astype(np.float64))))
+            super().step(grad)
+
+    monkeypatch.setattr(trainer, "Adam", Recording)
+    for clip in (None, 1e-3, 1e9):
+        result = train(_cfg(kind="rnb1", max_epochs=1, grad_clip=clip), sessions, features, schema)
+        vectors[clip] = result.model.vector
+    assert len(norms[1e-3]) == 3
+    assert min(norms[None]) > 1e-3
+    np.testing.assert_allclose(norms[1e-3], 1e-3, rtol=1e-5)
+    assert vectors[1e9].tobytes() == vectors[None].tobytes()  # under the limit: untouched
 
 
 # -- the full loop -----------------------------------------------------
@@ -219,6 +231,55 @@ def test_train_protocol_end_to_end(corpus):
     expect = fit_stats(train_sessions, features, schema)
     np.testing.assert_array_equal(result.stats.acoustic_mean, expect.acoustic_mean)
     assert result.stats.count_max == expect.count_max
+
+
+def test_train_returns_the_best_epoch_parameters(corpus):
+    schema, sessions, features = corpus
+    config = TrainConfig(model=default_config("rnb1", width=8, seed=3), batch_size=16,
+                         max_epochs=3, seed=3)
+    result = train(config, sessions, features, schema)
+    assert result.best_epoch == 1
+    assert all(h.val_maa < result.best_val_maa for h in result.history[1:])
+    _, val_sessions = split_train_val(sessions, config.train_fraction, config.seed)
+    val_eps = build_episodes(val_sessions, features, result.stats, schema, "rnb1")
+    maa, _ = evaluate_episodes(result.model, val_eps, config.batch_size)
+    assert maa == result.best_val_maa
+
+
+def _assert_vector_backed(model):
+    # Every parameter is a view into the vector, so one Adam step on the
+    # vector moves each of them.
+    for name, p in model.params.items():
+        assert np.shares_memory(p.data, model.vector), name
+    before = {name: p.data.copy() for name, p in model.params.items()}
+    for p in model.params.values():
+        p.grad = np.ones_like(p.data)
+    Adam(model.vector).step(model.gradient())
+    for name, p in model.params.items():
+        assert not np.array_equal(p.data, before[name]), name
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_parameters_stay_views_into_the_vector(corpus, tmp_path, kind):
+    schema, sessions, features = corpus
+    path = tmp_path / "m.ckpt"
+    _assert_vector_backed(build(default_config(kind, width=8), schema.full_width))
+    result = train(_cfg(kind=kind, max_epochs=1, checkpoint_path=str(path)),
+                   sessions, features, schema)
+    loaded = load_model(path)[0]
+    _assert_vector_backed(result.model)
+    _assert_vector_backed(loaded)
+
+
+@pytest.mark.parametrize("name", ["att_pair_channels_first", "rnb1_pair_concat",
+                                  "rnb2_ue_pair_concat", "rnbc2_ue_pair_concat"])
+def test_pinned_checkpoints_load_into_the_vector(name):
+    path = Path(__file__).parent / "data" / f"{name}.ckpt"
+    model = load_model(path)[0]
+    arrays, _ = ckpt.load_checkpoint(path)
+    for key, p in model.params.items():
+        assert p.data.tobytes() == arrays[key].tobytes(), key
+    _assert_vector_backed(model)
 
 
 def test_train_loss_decreases(corpus):
