@@ -381,7 +381,7 @@ class Model:
             )
         h = self._linear("embed", x)
         h = T.add(h, T.slice_axis(self._p("pos"), 0, 0, t_len))
-        mask = self._causal_attention_mask(batch.seq_mask)
+        mask = nn.AttentionMask.of(self._causal_attention_mask(batch.seq_mask))  # both blocks
 
         def ln(prefix: str, v: Tensor) -> Tensor:
             return nn.channel_norm(v, self._p(f"{prefix}.gamma"), self._p(f"{prefix}.beta"))

@@ -480,6 +480,24 @@ def _matmul_merged(a: np.ndarray, b: np.ndarray, shape, heads: int) -> np.ndarra
     return out
 
 
+@dataclass(frozen=True)
+class AttentionMask:
+    """A ``[..., n, m]`` attention mask, checked once and kept as the additive
+    fill that :func:`attention` adds to its scores, laid out ``[m, 1, ..., n]``.
+    Calls that attend over the same rows can share one."""
+
+    fill: np.ndarray
+
+    @classmethod
+    def of(cls, mask, shape: tuple[int, ...] | None = None) -> AttentionMask:
+        admit = np.asarray(mask) != 0
+        admit = admit if shape is None else np.broadcast_to(admit, shape)
+        if not admit.any(axis=-1).all():
+            raise MaskingError("attention mask blocks every key for some query row")
+        admit = np.ascontiguousarray(np.moveaxis(admit, -1, 0)[:, None])
+        return cls(np.where(admit, np.float32(0), np.float32(_MASK_FILL)))
+
+
 def _attention_probs(qh: np.ndarray, kh: np.ndarray, mask, scale: float) -> np.ndarray:
     """Masked softmax of the scaled scores as ``[m, ..., heads, n]``.
 
@@ -495,11 +513,11 @@ def _attention_probs(qh: np.ndarray, kh: np.ndarray, mask, scale: float) -> np.n
     np.matmul(kh, np.swapaxes(qh, -1, -2), out=np.moveaxis(p_keys, 0, -2))
     p *= scale
     if mask is not None:
-        admit = np.broadcast_to(np.asarray(mask) != 0, (*lead, n, m))
-        if not admit.any(axis=-1).all():
-            raise MaskingError("attention mask blocks every key for some query row")
-        admit = np.ascontiguousarray(np.moveaxis(admit, -1, 0)[:, None])  # [m, 1, ..., n]
-        p += np.where(admit, p.dtype.type(0), p.dtype.type(_MASK_FILL))
+        if not isinstance(mask, AttentionMask):
+            mask = AttentionMask.of(mask, (*lead, n, m))
+        elif mask.fill.shape != (m, 1, *lead, n):
+            raise ConfigurationError(f"mask fill {mask.fill.shape} != {(m, 1, *lead, n)}")
+        p += mask.fill  # 0 and -1e9 are exact in float32 and float64
     _softmax_lead(p)
     return p_keys
 
@@ -508,7 +526,7 @@ def attention(
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    mask: np.ndarray | None = None,
+    mask: np.ndarray | AttentionMask | None = None,
     heads: int = 1,
 ) -> Tensor:
     """Scaled dot-product attention with optional masking and heads, one tape node.

@@ -140,13 +140,19 @@ def build_episodes(
 def predict_corpus(
     model: Model, episodes: Batch, batch_size: int = 64
 ) -> list[tuple[str, np.ndarray]]:
-    """(session_id, per-query probabilities) in corpus order."""
-    out = []
-    for batch in make_batches(episodes, batch_size):
+    """(session_id, per-query probabilities) in corpus order.
+
+    Sessions are scored in batches of similar timeline length, which
+    pads far less than batches in corpus order. The sort is stable, so
+    sessions of equal length keep their corpus order."""
+    order = np.argsort(episodes.seq_mask.sum(axis=1), kind="stable")
+    out: list = [None] * len(episodes)
+    batches = make_batches(episodes, batch_size, order)
+    for start, batch in zip(range(0, len(order), batch_size), batches):
         probs = model.query_probs(batch)
         t_query = batch.qry_mask.sum(axis=1).astype(np.int64)
-        for i, sid in enumerate(batch.session_ids):
-            out.append((sid, probs[i, : t_query[i]]))
+        for slot, sid, p, n in zip(order[start:], batch.session_ids, probs, t_query):
+            out[slot] = (sid, p[:n])
     return out
 
 

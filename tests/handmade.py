@@ -5,6 +5,8 @@ single step (``trainer.build_episodes``). Tests that need episodes of
 chosen lengths and values write them here as :class:`Episode` objects;
 ``make_batch`` concatenates their rows, pads them with ``Batch.from_rows``
 and takes the batch with ``dataio.make_batch``, as training does.
+``corpus_order_predictions`` is the reference scoring loop that
+length-bucketed inference is checked against.
 """
 
 from __future__ import annotations
@@ -71,3 +73,14 @@ def episode(batch: dataio.Batch, i: int) -> Episode:
         batch.qry_y[i, :tq].astype(np.int8),
         batch.query_logs_kept,
     )
+
+
+def corpus_order_predictions(model, episodes: dataio.Batch, batch_size: int = 64):
+    """``trainer.predict_corpus`` as it was before it sorted by length: batches
+    taken in corpus order. The reference that length-bucketed scoring must match."""
+    out = []
+    for batch in dataio.make_batches(episodes, batch_size):
+        probs = model.query_probs(batch)
+        t_query = batch.qry_mask.sum(axis=1).astype(np.int64)
+        out.extend((sid, p[:n]) for sid, p, n in zip(batch.session_ids, probs, t_query))
+    return out

@@ -10,9 +10,12 @@ import re
 
 import numpy as np
 import pytest
+from handmade import corpus_order_predictions
 
+from seqskip import cli, trainer
 from seqskip.checkpoint import load_checkpoint, save_checkpoint
 from seqskip.cli import main
+from seqskip.dataio import load_corpus
 from seqskip.metrics import read_predictions
 
 
@@ -325,6 +328,30 @@ def test_evaluate_per_session_file(corpus_dir, checkpoint, tmp_path, capsys):
     assert all(0.0 <= v <= 1.0 for v in values)
     # Corpus MAA is by definition the mean of the per-session values.
     assert abs(np.mean(values) - _maa_from(out)) < 1e-7
+
+
+@pytest.mark.parametrize("kind", ["transformer", "seq1HL"])
+def test_length_bucketed_files_match_corpus_order_batching(
+    corpus_dir, tmp_path, monkeypatch, kind
+):
+    # Batches of 8 over 40 sessions of mixed length: sorted by length,
+    # they hold other sessions than in corpus order.
+    assert np.any(np.diff(load_corpus(corpus_dir)[1].lengths) < 0)
+    ckpt_path = tmp_path / f"{kind}.ckpt"
+    assert main(["fit", "--data", str(corpus_dir), "--model", kind, "--width", "8",
+                 "--epochs", "1", "--batch-size", "16", "--out", str(ckpt_path)]) == 0
+
+    def files(tag):
+        pred, per = tmp_path / f"{tag}.pred", tmp_path / f"{tag}.per"
+        common = ["--data", str(corpus_dir), "--checkpoint", str(ckpt_path), "--batch-size", "8"]
+        assert main(["predict", *common, "--out", str(pred)]) == 0
+        assert main(["evaluate", *common, "--per-session", str(per)]) == 0
+        return pred.read_bytes(), per.read_bytes()
+
+    bucketed = files("bucketed")
+    monkeypatch.setattr(trainer, "predict_corpus", corpus_order_predictions)
+    monkeypatch.setattr(cli, "predict_corpus", corpus_order_predictions)
+    assert files("corpus_order") == bucketed
 
 
 def test_evaluate_sources_mutually_exclusive(corpus_dir, checkpoint, tmp_path):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from handmade import Episode, make_batch
+from handmade import Episode, corpus_order_predictions, make_batch
 
 from seqskip import nn
 from seqskip import tensor as T
@@ -18,7 +18,7 @@ from seqskip.models import (
     build,
     default_config,
 )
-from seqskip.dataio import load_corpus
+from seqskip.dataio import fit_stats, load_corpus
 from seqskip.synthgen import SynthConfig, generate
 from seqskip.trainer import batch_loss, build_episodes, load_model, predict_corpus
 
@@ -263,6 +263,46 @@ def test_padding_does_not_change_predictions():
         solo = model.query_probs(make_batch([short]))[0, :5]
         padded = model.query_probs(make_batch([short, long]))[0, :5]
         np.testing.assert_allclose(padded, solo, atol=2e-6, err_msg=kind)
+
+
+# OpenBLAS picks its sgemm kernel by matrix shape, so the rounding of a
+# dot product can depend on how many rows and columns share the call: on
+# how many sessions share a batch and how far they pad. The differences
+# seen are at most 1.2e-7, float32's machine epsilon; this allows about
+# twice that.
+BATCH_MATE_TOLERANCE = 2.5e-7
+
+
+@pytest.fixture(scope="module")
+def markov_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("markov_corpus")
+    generate(SynthConfig(n_sessions=300, rule="markov", seed=1), out)
+    schema, sessions, features = load_corpus(out)
+    return schema, sessions, features, fit_stats(sessions, features, schema)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_probabilities_do_not_depend_on_batch_mates(markov_corpus, kind):
+    # 300 sessions in batches of 64 end in a partial batch. Scored in
+    # length-bucketed batches, eight kinds give every session the bits it
+    # gets in corpus-order batches. att_pair does not: the key-query score
+    # GEMM over its padded supports rounds by the batch's support and
+    # timeline lengths. Scored alone (batch 1), most kinds move some
+    # sessions in the last bit, for the same reason.
+    schema, sessions, features, stats = markov_corpus
+    episodes = build_episodes(sessions, features, stats, schema, kind)
+    model = build(default_config(kind, width=32), schema.full_width)
+    corpus_order = corpus_order_predictions(model, episodes, 64)
+    ways = {"bucketed": predict_corpus(model, episodes, 64),
+            "alone": predict_corpus(model, episodes, 1)}
+    for way, preds in ways.items():
+        assert [sid for sid, _ in preds] == list(episodes.session_ids)
+        for (sid, p), (_, q) in zip(preds, corpus_order):
+            if way == "bucketed" and kind != "att_pair":
+                assert p.tobytes() == q.tobytes(), (way, sid)
+            else:
+                np.testing.assert_allclose(p, q, rtol=0, atol=BATCH_MATE_TOLERANCE,
+                                           err_msg=f"{way} {sid}")
 
 
 def test_att_pair_query_causality():

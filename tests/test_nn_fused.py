@@ -446,6 +446,21 @@ def test_attention_float_masks_act_as_boolean():
         np.testing.assert_array_equal(weights_of(q, k, scaled), want_w)
 
 
+def test_prepared_attention_mask_gives_the_same_bits():
+    # A forward prepares its mask once and shares it between its attention
+    # calls; the result must be the bits the raw mask gives, in both widths.
+    rng = np.random.default_rng(14)
+    mask = _single_key_rows(rng, (2, 5, 5))
+    prepared = nn.AttentionMask.of(mask)
+    for dtype in (np.float32, np.float64):
+        q, k, v = (Tensor(rng.normal(size=(2, 5, 8)).astype(dtype)) for _ in range(3))
+        want = nn.attention(q, k, v, mask=mask, heads=2)
+        got = nn.attention(q, k, v, mask=prepared, heads=2)
+        assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
+    with pytest.raises(ConfigurationError, match="mask fill"):
+        nn.attention(q, k, v, mask=nn.AttentionMask.of(mask[:1]), heads=2)
+
+
 def test_attention_rejects_fully_blocked_row():
     rng = np.random.default_rng(13)
     q, k, v = (Tensor(rng.normal(size=(2, 3, 4))) for _ in range(3))
@@ -453,5 +468,7 @@ def test_attention_rejects_fully_blocked_row():
     mask[1, 2] = False  # one row of one batch element sees no key
     with pytest.raises(MaskingError):
         nn.attention(q, k, v, mask=mask, heads=2)
+    with pytest.raises(MaskingError):
+        nn.AttentionMask.of(mask)
     with pytest.raises(MaskingError):
         weights_of(q, k, mask)

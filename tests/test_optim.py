@@ -61,6 +61,22 @@ def test_shape_mismatch_rejected():
         Adam(_vec([0.0, 0.0])).step(np.zeros(3))
 
 
+def test_gradient_of_another_dtype_rejected():
+    # The step writes scratch values into the gradient, so it must be
+    # laid out exactly like the vector.
+    with pytest.raises(ConfigurationError, match="gradient shape"):
+        Adam(_vec([0.0, 0.0], np.float32)).step(np.zeros(2))
+
+
+def test_step_consumes_the_gradient_as_scratch():
+    grad = np.array([0.5, -2.0])
+    opt = Adam(_vec([0.0, 0.0]))
+    opt.step(grad)
+    assert not np.array_equal(grad, [0.5, -2.0])
+    # the vector, its two moments and one scratch buffer
+    assert sum(isinstance(a, np.ndarray) for a in vars(opt).values()) == 4
+
+
 def test_hyperparameter_validation():
     for kw in (
         {"lr": 0.0}, {"lr": math.nan}, {"lr": math.inf},

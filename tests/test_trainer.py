@@ -5,11 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from handmade import corpus_order_predictions
 
 from seqskip import checkpoint as ckpt
 from seqskip import tensor as T
 from seqskip import trainer
-from seqskip.dataio import fit_stats, load_corpus, make_batch
+from seqskip.dataio import fit_stats, load_corpus, make_batch, make_batches
 from seqskip.errors import ConfigurationError, TrainingError, ValidationError
 from seqskip.models import KINDS, build, default_config
 from seqskip.optim import Adam
@@ -174,6 +175,43 @@ def test_predict_corpus_order_and_lengths(episodes):
     assert [sid for sid, _ in preds] == list(eps.session_ids[:7])
     t_query = eps.qry_mask[:7].sum(axis=1).astype(int)
     assert [p.shape for _, p in preds] == [(n,) for n in t_query]
+
+
+def test_predict_corpus_batches_by_length_with_ties_in_corpus_order(episodes, monkeypatch):
+    schema, _, eps = episodes
+    model = build(default_config("rnb1", width=8), schema.full_width)
+    scored = []
+
+    def recording(episodes, batch_size, order=None):
+        batches = make_batches(episodes, batch_size, order)
+        scored.extend(sid for b in batches for sid in b.session_ids)
+        return batches
+
+    monkeypatch.setattr(trainer, "make_batches", recording)
+    predict_corpus(model, eps, batch_size=8)
+    length = dict(zip(eps.session_ids, eps.seq_mask.sum(axis=1)))
+    assert len(set(length.values())) < len(eps)  # the corpus has ties
+    position = {sid: i for i, sid in enumerate(eps.session_ids)}
+    keys = [(length[sid], position[sid]) for sid in scored]
+    assert keys == sorted(keys) and len(keys) == len(eps)
+
+
+@pytest.mark.parametrize("presorted", [False, True])
+@pytest.mark.parametrize("batch_size", [1, 7, 60, 1000])
+def test_predict_corpus_writes_each_session_back_to_its_slot(episodes, batch_size, presorted):
+    # rnb1 scores a session the same bits in any batch, so the bucketed
+    # result equals corpus-order batching exactly; a batch of 1000 holds
+    # the whole corpus of 60.
+    schema, _, eps = episodes
+    if presorted:
+        eps = eps[np.argsort(eps.seq_mask.sum(axis=1), kind="stable")]
+    assert presorted or np.any(np.diff(eps.seq_mask.sum(axis=1)) < 0)
+    model = build(default_config("rnb1", width=8), schema.full_width)
+    got = predict_corpus(model, eps, batch_size)
+    want = corpus_order_predictions(model, eps, batch_size)
+    assert [sid for sid, _ in got] == list(eps.session_ids)
+    for (sid, p), (_, q) in zip(got, want):
+        assert p.dtype == q.dtype and p.tobytes() == q.tobytes(), sid
 
 
 def test_evaluate_matches_manual_maa(episodes):
