@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .dataio import load_corpus, load_features, load_schema, load_sessions
@@ -37,7 +41,7 @@ from .trainer import (
     train,
 )
 
-_SKIP_MANIFEST_KEYS = ("func", "from_manifest")
+_SKIP_MANIFEST_KEYS = ("func", "from_manifest", "started")
 
 
 def _manifest_args(args: argparse.Namespace) -> dict:
@@ -45,11 +49,14 @@ def _manifest_args(args: argparse.Namespace) -> dict:
 
 
 def _write_manifest(path, command: str, args: argparse.Namespace, artifacts: dict) -> None:
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
     payload = {
         "version": __version__,
         "command": command,
         "args": _manifest_args(args),
         "artifacts": {k: str(v) for k, v in artifacts.items()},
+        "run": {"wall_s": round(time.perf_counter() - args.started, 6), "numpy": np.__version__,
+                "peak_rss_mb": rss / (2**20 if sys.platform == "darwin" else 2**10)},
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -92,8 +99,7 @@ def _maybe_load_manifest(args: argparse.Namespace, command: str) -> argparse.Nam
     for action in commands.choices[command]._actions:
         if action.dest in stored:
             stored[action.dest] = _reparse(args.from_manifest, action, stored[action.dest])
-    stored["func"] = args.func
-    stored["from_manifest"] = None
+    stored.update(func=args.func, from_manifest=None, started=args.started)
     return argparse.Namespace(**stored)
 
 
@@ -186,7 +192,9 @@ def cmd_evaluate(args) -> int:
     aa = per_session_aa(preds)  # once: the MAA printed is the mean of the lines written
     print(f"MAA={aa.mean():.9f}")
     lines = [f"{sp.session_id},{v:.9f}" for sp, v in zip(preds, aa)]
-    Path(args.per_session).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = Path(args.per_session)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_manifest(out.with_suffix(".manifest.json"), "evaluate", args, {"per_session": out})
     print(f"wrote per-session AA: {args.per_session}")
     return 0
 
@@ -298,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except (SeqskipError, OSError) as exc:

@@ -24,12 +24,12 @@ import csv
 import gc
 import json
 import math
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import count, islice, repeat
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -604,12 +604,29 @@ class Batch:
         return Batch(**parts)
 
 
-def make_batches(episodes: Batch, batch_size: int, order: np.ndarray | None = None) -> list[Batch]:
-    """Batches of ``batch_size`` episodes, taken in ``order`` (default: as given)."""
+class _Batches(Sequence):
+    """Batches of ``size`` episodes taken in ``order``, each gathered when it is read."""
+
+    def __init__(self, episodes: Batch, size: int, order: np.ndarray):
+        self.episodes, self.size, self.order = episodes, size, order
+
+    def __len__(self) -> int:
+        return -(-len(self.order) // self.size)
+
+    def __getitem__(self, i: int) -> Batch:
+        start = range(0, len(self.order), self.size)[i]  # negative i counts from the end
+        return self.episodes[self.order[start : start + self.size]]
+
+    def __iter__(self):  # by index, so a bad ``order`` raises instead of ending the loop
+        return map(self.__getitem__, range(len(self)))
+
+
+def make_batches(episodes: Batch, batch_size: int, order: np.ndarray | None = None) -> _Batches:
+    """Batches of ``batch_size`` episodes in ``order`` (default: as given), gathered when read."""
     if batch_size < 1:
         raise ValidationError(f"batch_size must be positive, got {batch_size}")
     order = np.arange(len(episodes)) if order is None else np.asarray(order)
-    return [episodes[order[i : i + batch_size]] for i in range(0, len(order), batch_size)]
+    return _Batches(episodes, batch_size, order)
 
 
 def make_batch(episodes: Batch) -> Batch:

@@ -9,9 +9,10 @@ best-validation-MAA parameters are the ones kept.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -175,6 +176,17 @@ def evaluate_episodes(
     return corpus_maa(preds), preds
 
 
+@cache
+def _keep_freed_heap() -> bool:
+    """Keep freed heap for reuse; set both thresholds, as setting either freezes the mmap one."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(-1, 256 << 20) and mallopt(-3, 32 << 20))  # M_TRIM_, M_MMAP_THRESHOLD
+
+
 def train(
     config: TrainConfig,
     sessions: Sessions,
@@ -183,6 +195,7 @@ def train(
     log: Callable[[str], None] | None = None,
 ) -> TrainResult:
     """Run the full protocol; returns the best-validation model."""
+    _keep_freed_heap()
     train_sessions, val_sessions = split_train_val(
         sessions, config.train_fraction, config.seed
     )
@@ -207,6 +220,7 @@ def train(
                 raise TrainingError(f"non-finite loss ({value}) at epoch {epoch}, batch {b_idx}")
             model.zero_grad()
             loss.backward()
+            del loss  # free this step's tape before the next forward records one
             grad = model.gradient()
             # A finite loss can still back-propagate inf or nan; one Adam
             # step with it would poison every parameter it reaches.

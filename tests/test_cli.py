@@ -330,6 +330,38 @@ def test_evaluate_per_session_file(corpus_dir, checkpoint, tmp_path, capsys):
     assert abs(np.mean(values) - _maa_from(out)) < 1e-7
 
 
+def test_manifests_record_the_run(corpus_dir, checkpoint, tmp_path, capsys):
+    preds, per = tmp_path / "preds.txt", tmp_path / "per.csv"
+    assert main(["predict", "--data", str(corpus_dir), "--checkpoint", str(checkpoint),
+                 "--out", str(preds)]) == 0
+    assert main(["evaluate", "--data", str(corpus_dir), "--checkpoint", str(checkpoint),
+                 "--per-session", str(per)]) == 0
+    manifests = {
+        "fit": checkpoint.parent / "model.ckpt.manifest.json",
+        "predict": tmp_path / "preds.manifest.json",
+        "evaluate": tmp_path / "per.manifest.json",
+    }
+    for command, path in manifests.items():
+        manifest = json.loads(path.read_text())
+        assert set(manifest) == {"version", "command", "args", "artifacts", "run"}, command
+        assert manifest["command"] == command
+        run = manifest["run"]
+        assert set(run) == {"wall_s", "peak_rss_mb", "numpy"}, command
+        assert isinstance(run["wall_s"], float) and 0 < run["wall_s"] < 600, command
+        assert isinstance(run["peak_rss_mb"], float) and 1 < run["peak_rss_mb"] < 1e5, command
+        assert run["numpy"] == np.__version__
+    assert json.loads(manifests["evaluate"].read_text())["artifacts"] == {"per_session": str(per)}
+
+    # --from-manifest reads the arguments only: the run block changes nothing
+    first = per.read_bytes()
+    per.unlink()
+    capsys.readouterr()
+    assert main(["evaluate", "--data", "elsewhere", "--predictions", "none",
+                 "--from-manifest", str(manifests["evaluate"])]) == 0
+    assert per.read_bytes() == first
+    assert "MAA=" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("kind", ["transformer", "seq1HL"])
 def test_length_bucketed_files_match_corpus_order_batching(
     corpus_dir, tmp_path, monkeypatch, kind

@@ -1,5 +1,6 @@
 """File parsing, preprocessing, and episode/batch assembly."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -11,7 +12,7 @@ from handmade import make_batch as handmade_batch
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqskip import dataio
+from seqskip import dataio, trainer
 from seqskip.dataio import (
     Batch,
     ColumnSpec,
@@ -28,6 +29,8 @@ from seqskip.dataio import (
     transform,
 )
 from seqskip.errors import SchemaError, ValidationError
+from seqskip.models import build, default_config
+from seqskip.synthgen import SynthConfig, generate
 
 E_MINUS_1 = "1.718281828459045"  # log1p == 1 exactly (to float precision)
 
@@ -448,3 +451,45 @@ def test_make_batches_chunks(corpus):
     assert [b.size for b in make_batches(eps, 2, order=[4, 0, 2])] == [2, 1]
     with pytest.raises(ValidationError):
         make_batches(eps, 0)
+
+
+def _same_batch(got: Batch, want: Batch) -> bool:
+    def raw(v):
+        return (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+    return all(raw(getattr(got, f.name)) == raw(getattr(want, f.name))
+               for f in dataclasses.fields(Batch))
+
+
+def test_make_batches_gathers_each_batch_when_it_is_read(tmp_path, monkeypatch):
+    generate(SynthConfig(n_sessions=50, rule="markov", seed=2, feature_dim=4), tmp_path)
+    schema, sessions, features = load_corpus(tmp_path)
+    eps = make_episodes(sessions, features, fit_stats(sessions, features, schema), schema)
+    order = np.random.default_rng(0).permutation(len(eps))
+    eager = [eps[order[i : i + 8]] for i in range(0, len(eps), 8)]  # the former list
+    gathers = []
+    gather = Batch.__getitem__
+
+    def counting(self, index):
+        gathers.append(index)
+        return gather(self, index)
+
+    monkeypatch.setattr(Batch, "__getitem__", counting)
+    with pytest.raises(ValidationError):
+        make_batches(eps, 0)  # checked at call time, not when read
+    batches = make_batches(eps, 8, order)
+    assert len(batches) == len(eager) == 7 and gathers == []
+    assert _same_batch(batches[-1], eager[-1]) and eager[-1].size == 2
+    assert _same_batch(batches[0], eager[0]) and len(gathers) == 2
+    assert all(_same_batch(g, w) for g, w in zip(batches, eager, strict=True))
+    assert len(gathers) == 2 + len(eager)
+    with pytest.raises(IndexError):
+        batches[len(eager)]
+    with pytest.raises(IndexError):  # a bad order fails the loop, it does not end it early
+        list(make_batches(eps, 8, np.append(order, len(eps))))
+
+    # predict_corpus gives the bits it gave with the eager list
+    model = build(default_config("seq1HL", width=8), schema.full_width)
+    lazy = trainer.predict_corpus(model, eps, 8)
+    monkeypatch.setattr(trainer, "make_batches", lambda e, b, o=None: list(make_batches(e, b, o)))
+    for (sid, p), (want_sid, q) in zip(lazy, trainer.predict_corpus(model, eps, 8), strict=True):
+        assert sid == want_sid and p.tobytes() == q.tobytes()
