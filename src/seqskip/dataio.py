@@ -595,7 +595,7 @@ class Batch:
         index = np.atleast_1d(np.arange(self.size)[index])
         masks = {p: getattr(self, f"{p}_mask")[index] for p in ("sup", "qry", "seq")}
         trim = {p: int(m.sum(axis=1).max(initial=0)) for p, m in masks.items()}
-        parts = {"session_ids": tuple(np.array(self.session_ids, dtype=object)[index])}
+        parts = {"session_ids": tuple(map(self.session_ids.__getitem__, index.tolist()))}
         for f in fields(self)[1:]:
             value = getattr(self, f.name)
             if isinstance(value, np.ndarray):

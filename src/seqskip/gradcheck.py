@@ -205,20 +205,33 @@ def _case_glu(rng):
     return [a, b], lambda aa, bb: _project(nn.gated_block("glu", aa, aa, bb), r)
 
 
-def _gated_level_case(kind, kernel, dilation, t_len, batched=False):
+def _gated_level_case(kind, kernel, dilation, t_len, batched=False, lengths=None):
     def build(rng):
-        spec, c = Conv1dSpec(3, 3, kernel, dilation, CAUSAL), (3,)
-        x, r = rng.normal(size=(2,) + ((2,) if batched else ()) + (t_len, 3))
+        spec, c, rows = Conv1dSpec(3, 3, kernel, dilation, CAUSAL), (3,), None
+        if lengths is None:
+            x, r = rng.normal(size=(2,) + ((2,) if batched else ()) + (t_len, 3))
+        else:  # the packed rows of sessions of these lengths, inert rows after them
+            mask = np.arange(t_len) < np.array(lengths)[:, None]
+            x, rows = nn.pack(rng.normal(size=(len(lengths), t_len, 3)), mask)
+            r = rng.normal(size=x.shape)
         # Small transform gammas and betas away from zero hold every
         # highway relu input off the kink: |pre| >= 0.5 - 0.3 * sqrt(2).
         transform = [rng.normal(size=(3, 3, kernel)), rng.uniform(0.1, 0.3, c),
                      _away_from_zero(rng, c, 0.5, 1.5)]
         gate = [rng.normal(size=(3, 3, kernel)), rng.uniform(0.5, 1.5, c), rng.normal(size=c)]
         return [x, *transform, *gate], lambda xx, *p: _project(
-            nn.gated_level(kind, xx, spec, p[:3], p[3:]), r
+            nn.gated_level(kind, xx, spec, p[:3], p[3:], rows), r
         )
 
     return build
+
+
+def _case_unpack_sigmoid(rng):
+    # Packed logits of sessions of 5, 2 and 4 rows, then 5 inert rows.
+    mask = np.arange(5) < np.array([5, 2, 4])[:, None]
+    logits = rng.normal(size=(16, 1))
+    r = rng.normal(size=mask.shape)
+    return [logits], lambda z: _project(nn.unpack_sigmoid(z, mask), r)
 
 
 def _case_pair_linear(rng, relation=False):
@@ -307,6 +320,9 @@ CASES = {
     "glu": _case_glu,
     "gated_level_highway": _gated_level_case("highway", 2, 2, 7, batched=True),
     "gated_level_glu": _gated_level_case("glu", 3, 2, 4),  # T below the receptive field, 5
+    # Packed sessions of 6, 3 and 2 rows, two of them below the receptive field, 5.
+    "gated_level_ragged": _gated_level_case("highway", 3, 2, 6, lengths=(6, 3, 2)),
+    "unpack_sigmoid": _case_unpack_sigmoid,
     "pair_linear": _case_pair_linear,
     "relation_logits": lambda rng: _case_pair_linear(rng, relation=True),
     "softmax": _case_softmax,

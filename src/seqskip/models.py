@@ -11,12 +11,14 @@ Two families share the Batch interface:
   encoders and read out probabilities at every position in one pass
   (non-auto-regressive; no prediction is fed back).
 
-Every encoder runs channels-last, ``[B, T, W]`` like ``Batch.seq_x``,
-from the entry conv to the head, so every conv is one GEMM. Causal
-stacks normalize per position over channels only, never over time, so
-strict causality and exact receptive fields survive normalization. The
-non-causal support encoder of att_pair, ``[B, S, W]``, uses masked
-temporal instance norm instead, where looking ahead is the point.
+Every encoder runs channels-last, so every conv is one GEMM. The causal
+stacks of seq1eH, seq1HL and teacher run on the timelines' real rows
+only, packed as ``[N, W]``; snail and att_pair run ``[B, T, W]`` like
+``Batch.seq_x``. Causal stacks normalize per position over channels
+only, never over time, so strict causality and exact receptive fields
+survive normalization. The non-causal support encoder of att_pair,
+``[B, S, W]``, uses masked temporal instance norm instead, where looking
+ahead is the point.
 """
 
 from __future__ import annotations
@@ -303,8 +305,9 @@ class Model:
     def _linear(self, prefix: str, x: Tensor) -> Tensor:
         return T.add(T.matmul(x, self._p(f"{prefix}.w")), self._p(f"{prefix}.b"))
 
-    def _conv(self, prefix: str, x: Tensor, spec: Conv1dSpec) -> Tensor:
-        return nn.conv1d_cl(x, spec, self._p(f"{prefix}.w"), self._p(f"{prefix}.b"))
+    def _conv(self, prefix: str, x: Tensor, spec: Conv1dSpec,
+              rows: nn.Rows | None = None) -> Tensor:
+        return nn.conv1d_cl(x, spec, self._p(f"{prefix}.w"), self._p(f"{prefix}.b"), rows)
 
     def _branches(self, prefix: str) -> list[tuple[Tensor, Tensor, Tensor]]:
         """The transform and gate branches' ``(w, gamma, beta)`` of a gated level."""
@@ -313,10 +316,11 @@ class Model:
             for b in ("t", "g")
         ]
 
-    def _gated_level(self, prefix: str, x: Tensor, dilation: int, kernel: int) -> Tensor:
+    def _gated_level(self, prefix: str, x: Tensor, dilation: int, kernel: int,
+                     rows: nn.Rows) -> Tensor:
         """One causal gated level with per-position channel norm, as one fused node."""
         spec = Conv1dSpec(self.config.width, self.config.width, kernel, dilation, CAUSAL)
-        return nn.gated_level(self.config.gate, x, spec, *self._branches(prefix))
+        return nn.gated_level(self.config.gate, x, spec, *self._branches(prefix), rows)
 
     def _causal_attention_mask(self, seq_mask: np.ndarray) -> np.ndarray:
         b, t = seq_mask.shape
@@ -344,13 +348,15 @@ class Model:
         return T.sigmoid(T.reshape(logits, (b, t)))
 
     def _forward_conv_stacks(self, batch: Batch) -> Tensor:
+        # The stacks run on the timelines' real rows only, packed as [N, W].
         structure = self.config.structure
-        x = Tensor(batch.seq_x)
-        h = self._conv("entry", x, Conv1dSpec(self.in_dim, self.config.width, 1))  # [B, T, W]
+        x, rows = nn.pack(batch.seq_x, batch.seq_mask)
+        h = self._conv("entry", Tensor(x), Conv1dSpec(self.in_dim, self.config.width, 1), rows)
         for s in range(structure.stacks):
             for l, (d, k) in enumerate(zip(structure.dilations, structure.kernels)):
-                h = self._gated_level(f"stack{s}.level{l}", h, d, k)
-        return self._probs(self._conv("head", h, Conv1dSpec(self.config.width, 1, 1)))
+                h = self._gated_level(f"stack{s}.level{l}", h, d, k, rows)
+        logits = self._conv("head", h, Conv1dSpec(self.config.width, 1, 1), rows)
+        return nn.unpack_sigmoid(logits, batch.seq_mask)
 
     def _forward_snail(self, batch: Batch) -> Tensor:
         # Attention reads the raw rows (no embedding layer in front),
@@ -358,6 +364,7 @@ class Model:
         # stack consumes the pair.
         structure = self.config.structure
         x = Tensor(batch.seq_x)
+        rows = nn.Rows.padded(x.shape[:-1])
         q = self._linear("attn.q", x)
         k = self._linear("attn.k", x)
         v = self._linear("attn.v", x)
@@ -368,7 +375,7 @@ class Model:
         h = T.concat([x, att], axis=-1)
         h = self._conv("entry", h, Conv1dSpec(self.in_dim + self.config.width, self.config.width, 1))
         for l, (d, kk) in enumerate(zip(structure.dilations, structure.kernels)):
-            h = self._gated_level(f"stack0.level{l}", h, d, kk)
+            h = self._gated_level(f"stack0.level{l}", h, d, kk, rows)
         return self._probs(self._conv("head", h, Conv1dSpec(self.config.width, 1, 1)))
 
     def _forward_transformer(self, batch: Batch) -> Tensor:
@@ -410,18 +417,21 @@ class Model:
         # symmetric conv windows would otherwise read entry/gate bias
         # values from them, making outputs depend on the batch's padding.
         mask_t = Tensor(sup_mask)
+        sup_rows = nn.Rows.padded(batch.sup_x.shape[:-1])
         s_enc = self._conv("sup.entry", Tensor(batch.sup_x), Conv1dSpec(self.in_dim, w, 1))
         s_enc = T.mul(s_enc, mask_t)  # [B, S, W]
         for l, d in enumerate(ATT_PAIR_SUPPORT_DILATIONS):
             spec = Conv1dSpec(w, w, ATT_PAIR_SUPPORT_KERNEL, d, NONCAUSAL)
             pre = [
-                nn.instance_norm(nn.conv1d_cl(s_enc, spec, wt), gamma, beta, mask=sup_mask)
+                nn.instance_norm(nn.conv1d_cl(s_enc, spec, wt, rows=sup_rows), gamma, beta,
+                                 mask=sup_mask)
                 for wt, gamma, beta in self._branches(f"sup.level{l}")
             ]
             s_enc = T.mul(nn.gated_block(self.config.gate, s_enc, *pre), mask_t)
         q_cl = self._conv("qry.entry", Tensor(batch.seq_x), Conv1dSpec(self.in_dim, w, 1))
+        rows = nn.Rows.padded(q_cl.shape[:-1])
         for l, (d, k) in enumerate(zip(structure.dilations, structure.kernels)):
-            q_cl = self._gated_level(f"qry.level{l}", q_cl, d, k)  # [B, T, W]
+            q_cl = self._gated_level(f"qry.level{l}", q_cl, d, k, rows)  # [B, T, W]
 
         t_len = q_cl.shape[-2]
         att_mask = np.repeat(batch.sup_mask[:, None, :], t_len, axis=1)  # [B, T, S]

@@ -1,9 +1,12 @@
 """Layer primitives: convolutions, normalizations, gating, attention, losses.
 
 All functions are pure: parameters arrive as tensors, nothing is stored.
-Every layer runs channels-last, ``[T, C]`` or ``[batch, T, C]``, like
-attention inputs ``[..., positions, features]``, and norms scale and
-shift the last axis. Convolutions, norms, gates, whole gated conv levels,
+Every layer runs channels-last, like attention inputs ``[..., positions,
+features]``, and norms scale and shift the last axis. Convolutions and
+gated levels take ``[T, C]``, ``[batch, T, C]`` or the packed rows
+``[N, C]`` of :func:`pack`, whose :class:`Rows` table says where each
+row sits in its session; a padded batch is the case where every session
+has length T. Convolutions, norms, gates, whole gated conv levels,
 the relation layer over (support, query) pairs and the relation net on
 them, softmax and masked multi-head attention each record one tape node
 with a hand-written backward.
@@ -42,25 +45,82 @@ class Conv1dSpec:
             raise ConfigurationError(f"unknown padding_mode {self.padding_mode!r}")
 
 
-def _conv_taps(spec: Conv1dSpec, t_len: int) -> list[tuple[int, int, int, int]]:
-    """(tap, first row, stop row, input offset) for every tap.
+PACK_ROWS = 16  # a packed block's row count is a multiple of this
 
-    Output row t of tap j reads input row t + offset; rows whose input
-    falls in the zero padding lie outside [first, stop), and a tap that
-    reads padding only (wide dilations on short timelines) has first ==
-    stop.
+
+class Rows:
+    """Where each row of a channels-last block sits in its session.
+
+    A layer sees its input as ``[N, C]`` rows, sessions as consecutive
+    runs of them in time order: ``time[i]`` is row i's position in its
+    session and ``rest[i]`` the number of its session's rows after it;
+    ``stops`` ends each session. ``shape`` is the leading shape of the
+    inputs the table describes: ``(N,)`` for a packed block, ``(B, T)``
+    for a padded one, where every session has length T. A conv tap reading
+    offset ``o`` is one shifted slice of the whole block, and
+    :meth:`outside` lists the rows whose ``time + o`` leaves their session
+    (at most ``B·|o|``), which read zeros; it builds each list once, so the
+    levels of a forward that share a dilation share it.
     """
+
+    def __init__(self, lengths, shape: tuple[int, ...]):
+        lengths = np.asarray(lengths, dtype=np.intp)
+        self.shape = tuple(shape)
+        self.stops = np.cumsum(lengths)
+        n = int(lengths.sum())
+        if n != int(np.prod(self.shape)):
+            raise ConfigurationError(f"sessions of {n} rows do not fill a block of {self.shape}")
+        self.time = np.arange(n) - np.repeat(self.stops - lengths, lengths)
+        self.rest = np.repeat(lengths - 1, lengths) - self.time
+        self._outside: dict[int, np.ndarray] = {}
+
+    @classmethod
+    def padded(cls, shape: tuple[int, ...]) -> Rows:
+        """The table of a ``[..., T, C]`` block whose sessions all have length T."""
+        *lead, t_len = shape
+        return cls(np.full(int(np.prod(lead)), t_len), shape)
+
+    def outside(self, offset: int) -> np.ndarray:
+        if offset not in self._outside:
+            leaves = self.time < -offset if offset < 0 else self.rest < offset
+            self._outside[offset] = np.flatnonzero(leaves)
+        return self._outside[offset]
+
+
+def pack(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, Rows]:
+    """The real rows of a padded ``[B, T, C]`` block as ``[N, C]``, and their table.
+
+    ``mask [B, T]`` marks each session's real rows, a prefix of its
+    timeline. N is the real row count rounded up to a multiple of
+    :data:`PACK_ROWS` with inert rows: zero input, each a session of one
+    row. BLAS rounds a GEMM's rows by how many share the call, and whole
+    multiples of 16 keep every real row's bits those of the padded block.
+    """
+    real = np.asarray(mask) != 0
+    lengths = real.sum(axis=1)
+    n = int(lengths.sum())
+    inert = -n % PACK_ROWS
+    out = np.zeros((n + inert, values.shape[-1]), dtype=values.dtype)
+    out[:n] = values[real]
+    return out, Rows(np.concatenate([lengths, np.ones(inert, np.intp)]), out.shape[:1])
+
+
+def _offsets(spec: Conv1dSpec) -> list[int]:
+    """The input offset each tap reads: output row t of tap j reads row t + offset."""
     total = spec.dilation * (spec.kernel_size - 1)
     left = total if spec.padding_mode == CAUSAL else total // 2
-    taps = []
-    for j in range(spec.kernel_size):
-        off = j * spec.dilation - left
-        lo = max(0, -off)
-        taps.append((j, lo, max(lo, min(t_len, t_len - off)), off))
-    return taps
+    return [j * spec.dilation - left for j in range(spec.kernel_size)]
 
 
-def _check_conv(x: Tensor, spec: Conv1dSpec, weights: Tensor) -> None:
+def _span(n: int, offset: int) -> tuple[int, int]:
+    """The output rows ``[lo, hi)`` of an ``n``-row block whose input row lies in the block."""
+    lo = min(n, max(0, -offset))
+    return lo, max(lo, n - max(0, offset))
+
+
+def _check_conv(x: Tensor, spec: Conv1dSpec, weights: Tensor, rows: Rows | None) -> Rows | None:
+    """Checks a conv's shapes and returns its row table: ``rows``, or the padded one when
+    None and a tap shifts (kernel_size > 1)."""
     expected = (spec.out_channels, spec.in_channels, spec.kernel_size)
     if tuple(weights.shape) != expected:
         raise ConfigurationError(
@@ -73,48 +133,66 @@ def _check_conv(x: Tensor, spec: Conv1dSpec, weights: Tensor) -> None:
         )
     if x.shape[-2] == 0:
         raise ValidationError("conv1d input has temporal length 0")
+    if rows is None:
+        return Rows.padded(x.shape[:-1]) if spec.kernel_size > 1 else None
+    if rows.shape != x.shape[:-1]:
+        raise ConfigurationError(
+            f"row table of a {rows.shape} block does not describe conv input {tuple(x.shape)}"
+        )
+    return rows
 
 
-def _im2col(xd: np.ndarray, spec: Conv1dSpec):
-    """``[B*T, k*C_in]`` columns of the k shifted taps (zeroing only padded rows), and the taps."""
-    k, c_in, taps = spec.kernel_size, spec.in_channels, _conv_taps(spec, xd.shape[-2])
+def _im2col(x2: np.ndarray, spec: Conv1dSpec, rows: Rows | None) -> tuple[np.ndarray, list[int]]:
+    """``[N, k*C_in]`` columns of the k shifted taps of rows ``[N, C_in]``, and their offsets."""
+    k, c_in, offsets = spec.kernel_size, spec.in_channels, _offsets(spec)
     if k == 1:
-        return xd.reshape(-1, c_in), taps
-    buf = np.empty(xd.shape[:-1] + (k, c_in), dtype=xd.dtype)
-    for j, lo, hi, off in taps:
-        buf[..., :lo, j, :] = buf[..., hi:, j, :] = 0
-        buf[..., lo:hi, j, :] = xd[..., lo + off : hi + off, :]
-    return buf.reshape(-1, k * c_in), taps
+        return x2, offsets
+    n = len(x2)
+    buf = np.empty((n, k, c_in), dtype=x2.dtype)
+    for j, off in enumerate(offsets):
+        lo, hi = _span(n, off)
+        buf[lo:hi, j] = x2[lo + off : hi + off]
+        if off:
+            buf[rows.outside(off), j] = 0  # the rows past [lo, hi) among them
+    return buf.reshape(n, k * c_in), offsets
 
 
-def _add_taps(gx: np.ndarray, gcols: np.ndarray, taps) -> np.ndarray:
-    """Scatter-add each tap's columns of ``gcols`` onto ``gx`` (``[..., T, C_in]``), in place."""
-    gcols = gcols.reshape(gx.shape[:-1] + (-1, gx.shape[-1]))
-    for j, lo, hi, off in taps:
-        gx[..., lo + off : hi + off, :] += gcols[..., lo:hi, j, :]
-    return gx
+def _add_taps(gx2: np.ndarray, gcols: np.ndarray, offsets, rows: Rows | None) -> np.ndarray:
+    """Add each tap's columns of ``gcols`` onto the rows ``gx2 [N, C_in]`` it read, in place.
+
+    Zeroes ``gcols`` where a tap read outside its session."""
+    n, c_in = gx2.shape
+    gcols = gcols.reshape(n, -1, c_in)
+    for j, off in enumerate(offsets):
+        if off:
+            gcols[rows.outside(off), j] = 0
+        lo, hi = _span(n, off)
+        gx2[lo + off : hi + off] += gcols[lo:hi, j]
+    return gx2
 
 
-def conv1d_cl(x: Tensor, spec: Conv1dSpec, weights: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Channels-last dilated 1-d convolution preserving the temporal length.
+def conv1d_cl(x: Tensor, spec: Conv1dSpec, weights: Tensor, bias: Tensor | None = None,
+              rows: Rows | None = None) -> Tensor:
+    """Channels-last dilated 1-d convolution preserving each session's length.
 
-    ``x`` is ``[T, C_in]`` or ``[B, T, C_in]``; the output is
-    ``[..., T, C_out]``. Causal mode pads ``dilation * (kernel_size - 1)``
+    ``x`` is ``[T, C_in]``, ``[B, T, C_in]`` or packed rows ``[N, C_in]``
+    described by ``rows`` (padded when None); the output is
+    ``[..., C_out]``. Causal mode pads ``dilation * (kernel_size - 1)``
     zeros on the past side only, so output row t reads input rows <= t.
     Noncausal mode splits the same amount of padding across both sides
     (symmetric for odd kernels).
 
-    The k shifted taps of every position are written into one
-    ``[B*T, k*C_in]`` buffer (im2col), so the conv is a single GEMM
-    against the ``[k*C_in, C_out]`` weight matrix and its backward two.
+    The k shifted taps of every row are written into one ``[N, k*C_in]``
+    buffer (im2col), so the conv is a single GEMM against the
+    ``[k*C_in, C_out]`` weight matrix and its backward two.
     It records one tape node.
     """
-    _check_conv(x, spec, weights)
+    rows = _check_conv(x, spec, weights, rows)
     if bias is not None and tuple(bias.shape) != (spec.out_channels,):
         raise ConfigurationError(f"conv bias shape {tuple(bias.shape)} != ({spec.out_channels},)")
 
     k, c_in, c_out = spec.kernel_size, spec.in_channels, spec.out_channels
-    cols, taps = _im2col(x.data, spec)
+    cols, offsets = _im2col(x.data.reshape(-1, c_in), spec, rows)
     # wmat[j*C_in + c, o] = weights[o, c, j], matching the buffer's column order
     wmat = weights.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
     out = cols @ wmat
@@ -130,7 +208,8 @@ def conv1d_cl(x: Tensor, spec: Conv1dSpec, weights: Tensor, bias: Tensor | None 
             if k == 1:
                 gx = gcols.reshape(x.shape)
             else:
-                gx = _add_taps(np.zeros_like(x.data, dtype=gcols.dtype), gcols, taps)
+                gx2 = np.zeros((len(g2), c_in), dtype=gcols.dtype)
+                gx = _add_taps(gx2, gcols, offsets, rows).reshape(x.shape)
         if weights.requires_grad:
             gw = (cols.T @ g2).reshape(k, c_in, c_out).transpose(2, 1, 0)
         if bias is not None and bias.requires_grad:
@@ -289,20 +368,21 @@ def gated_block(kind: str, x: Tensor, transform_pre: Tensor, gate_pre: Tensor) -
     return T.fused(out, (x, transform_pre, gate_pre), backward)
 
 
-def gated_level(kind: str, x: Tensor, spec: Conv1dSpec, transform, gate) -> Tensor:
-    """``gated_block(kind, x, t, g)`` with each branch ``channel_norm(conv1d_cl(x, spec, w),
-    gamma, beta)`` of its ``(w, gamma, beta)``, as one tape node.
+def gated_level(kind: str, x: Tensor, spec: Conv1dSpec, transform, gate,
+                rows: Rows | None = None) -> Tensor:
+    """``gated_block(kind, x, t, g)`` with each branch ``channel_norm(conv1d_cl(x, spec, w,
+    rows=rows), gamma, beta)`` of its ``(w, gamma, beta)``, as one tape node.
 
     The width ``C`` does not change. One im2col buffer of ``x`` meets both
     branches' weights, stacked as ``[k*C, 2*C]`` and centred over each branch's outputs, in
-    one GEMM whose output is therefore centred per position; both branches are normalized
-    at once on a ``[B*T, 2, C]`` view. In the backward one GEMM gives the input columns,
+    one GEMM whose output is therefore centred per row; both branches are normalized
+    at once on a ``[N, 2, C]`` view. In the backward one GEMM gives the input columns,
     which scatter straight into the carry gradient, and one both weights' gradients,
     centred as the weights were.
     """
     parents = (x, *transform, *gate)
     for weights in (transform[0], gate[0]):
-        _check_conv(x, spec, weights)
+        rows = _check_conv(x, spec, weights, rows)
     k, c_in, width = spec.kernel_size, spec.in_channels, spec.out_channels
     if width != c_in:
         raise ConfigurationError(f"gated level input width {c_in} != path width {width}")
@@ -312,13 +392,14 @@ def gated_level(kind: str, x: Tensor, spec: Conv1dSpec, transform, gate) -> Tens
         return (m3 - m3.mean(axis=-1, keepdims=True)).reshape(m.shape)
 
     w_both, gamma, beta = (np.stack([t.data, g.data]) for t, g in zip(transform, gate))
-    cols, taps = _im2col(x.data, spec)
+    x2 = x.data.reshape(-1, c_in)
+    cols, offsets = _im2col(x2, spec, rows)
     wmat = centred(w_both.transpose(3, 2, 0, 1).reshape(k * c_in, 2 * width))
     xhat = (cols @ wmat).reshape(-1, 2, width)  # centred already; normalized in place
     inv = (_axis_sum(xhat, -1, xhat) * (1.0 / width) + 1e-5) ** -0.5
     xhat *= inv
     pre = xhat * gamma + beta
-    out, grads = _gate(kind, x.data.reshape(-1, c_in), pre[:, 0], pre[:, 1])
+    out, grads = _gate(kind, x2, pre[:, 0], pre[:, 1])
 
     def backward(g):
         gpre = np.empty_like(pre)
@@ -328,12 +409,35 @@ def gated_level(kind: str, x: Tensor, spec: Conv1dSpec, transform, gate) -> Tens
         gpre -= xhat * (_axis_sum(gpre, -1, xhat) * (1.0 / width))
         gpre *= inv  # the gradient reaching the GEMM output
         gz = gpre.reshape(-1, 2 * width)
-        gx = np.zeros(x.shape, g.dtype) if carry is None else carry.reshape(x.shape)
-        _add_taps(gx, gz @ wmat.T, taps)
+        gx2 = np.zeros(x2.shape, g.dtype) if carry is None else carry
+        _add_taps(gx2, gz @ wmat.T, offsets, rows)
         gw = centred(cols.T @ gz).reshape(k, c_in, 2, width).transpose(2, 3, 1, 0)
-        return gx, gw[0], g_gamma[0], g_beta[0], gw[1], g_gamma[1], g_beta[1]
+        return gx2.reshape(x.shape), gw[0], g_gamma[0], g_beta[0], gw[1], g_gamma[1], g_beta[1]
 
     return T.fused(out.reshape(x.shape[:-1] + (width,)), parents, backward)
+
+
+def unpack_sigmoid(logits: Tensor, mask: np.ndarray) -> Tensor:
+    """``sigmoid`` of the logits of :func:`pack`'s rows, ``[N, 1]``, laid out as ``mask``'s
+    ``[B, T]`` with zeros where it is 0, as one tape node.
+
+    The rows land in order where ``mask`` is nonzero; the inert rows past
+    them are dropped, so no gradient reaches them.
+    """
+    real = np.asarray(mask) != 0
+    n = int(real.sum())
+    if logits.ndim != 2 or logits.shape[1] != 1 or logits.shape[0] < n:
+        raise ConfigurationError(f"logits {tuple(logits.shape)} cannot fill {n} real rows")
+    s = T.sigmoid_array(logits.data[:n, 0])
+    out = np.zeros(real.shape, dtype=logits.dtype)
+    out[real] = s
+
+    def backward(g):
+        gl = np.zeros(logits.shape, dtype=g.dtype)
+        gl[:n, 0] = g[real] * s * (1.0 - s)
+        return (gl,)
+
+    return T.fused(out, (logits,), backward)
 
 
 def _pair_parts(support: Tensor, query: Tensor, labels, weight: Tensor, bias: Tensor, user):

@@ -6,7 +6,8 @@ chosen lengths and values write them here as :class:`Episode` objects;
 ``make_batch`` concatenates their rows, pads them with ``Batch.from_rows``
 and takes the batch with ``dataio.make_batch``, as training does.
 ``corpus_order_predictions`` is the reference scoring loop that
-length-bucketed inference is checked against.
+length-bucketed inference is checked against, and ``padded_conv_stacks``
+the padded forward that the causal stacks' packed one is checked against.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seqskip import dataio
+from seqskip import dataio, nn
+from seqskip import tensor as T
 from seqskip.errors import ValidationError
+from seqskip.nn import Conv1dSpec
 
 
 @dataclass
@@ -84,3 +87,19 @@ def corpus_order_predictions(model, episodes: dataio.Batch, batch_size: int = 64
         t_query = batch.qry_mask.sum(axis=1).astype(np.int64)
         out.extend((sid, p[:n]) for sid, p, n in zip(batch.session_ids, probs, t_query))
     return out
+
+
+def padded_conv_stacks(model, batch: dataio.Batch) -> T.Tensor:
+    """The probabilities ``[B, T]`` of a seq1eH, seq1HL or teacher model as the
+    stacks computed them on the padded ``[B, T, W]`` batch, every session padded
+    to the longest; the packed forward must give these bits on every real row."""
+    width, structure, p = model.config.width, model.config.structure, model.params
+    h = nn.conv1d_cl(T.Tensor(batch.seq_x), Conv1dSpec(model.in_dim, width, 1),
+                     p["entry.w"], p["entry.b"])
+    for s in range(structure.stacks):
+        for level, (d, k) in enumerate(zip(structure.dilations, structure.kernels)):
+            spec = Conv1dSpec(width, width, k, d, nn.CAUSAL)
+            h = nn.gated_level(model.config.gate, h, spec,
+                               *model._branches(f"stack{s}.level{level}"))
+    logits = nn.conv1d_cl(h, Conv1dSpec(width, 1, 1), p["head.w"], p["head.b"])
+    return T.sigmoid(T.reshape(logits, batch.seq_mask.shape))

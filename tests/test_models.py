@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from handmade import Episode, corpus_order_predictions, make_batch
+from handmade import Episode, corpus_order_predictions, make_batch, padded_conv_stacks
 
 from seqskip import nn
 from seqskip import tensor as T
@@ -303,6 +303,63 @@ def test_probabilities_do_not_depend_on_batch_mates(markov_corpus, kind):
             else:
                 np.testing.assert_allclose(p, q, rtol=0, atol=BATCH_MATE_TOLERANCE,
                                            err_msg=f"{way} {sid}")
+
+
+CONV_STACK_KINDS = ("seq1eH", "seq1HL", "teacher")
+
+
+def _ragged_batch(rng, keep_logs):
+    # 64 sessions of 2 to 20 rows; their real rows are no multiple of 16.
+    batch = make_batch([_episode(rng, int(rng.integers(2, 21)), keep_logs) for _ in range(64)])
+    assert batch.seq_mask.sum() % 16
+    return batch
+
+
+@pytest.mark.parametrize("gate", ["highway", "glu"])
+@pytest.mark.parametrize("kind", CONV_STACK_KINDS)
+def test_packed_conv_stacks_give_the_padded_bits(kind, gate):
+    rng = np.random.default_rng(9)
+    batch = _ragged_batch(rng, kind == "teacher")
+    model = build(default_config(kind, width=32, gate=gate, seed=3), IN_DIM)
+    real = batch.seq_mask > 0
+    want = padded_conv_stacks(model, batch).data
+    got = model.forward_sequence(batch).data
+    assert got.shape == want.shape and not got[~real].any()
+    assert got[real].tobytes() == want[real].tobytes()
+    with T.no_grad():
+        assert model.forward_sequence(batch).data.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("kind", CONV_STACK_KINDS)
+def test_inert_rows_move_no_real_row(kind, monkeypatch):
+    # The rows that round a packed block up to 16 read noise instead of
+    # zeros: no probability, loss or parameter gradient may change.
+    rng = np.random.default_rng(10)
+    batch = _ragged_batch(rng, kind == "teacher")
+    model = _model(kind, width=32)
+
+    def run():
+        model.zero_grad()
+        probs = model.forward_sequence(batch).data
+        loss = batch_loss(model, batch)
+        loss.backward()
+        return probs, float(loss.data), model.gradient().copy()
+
+    clean = run()
+    pack = nn.pack
+
+    def noisy_pack(values, mask):
+        x, rows = pack(values, mask)
+        n = int(np.count_nonzero(mask))
+        assert len(x) > n and not x[n:].any()
+        x[n:] = rng.normal(0.0, 3.0, size=x[n:].shape)
+        return x, rows
+
+    monkeypatch.setattr(nn, "pack", noisy_pack)
+    noisy = run()
+    assert noisy[0].tobytes() == clean[0].tobytes()
+    assert noisy[1] == clean[1]
+    assert noisy[2].tobytes() == clean[2].tobytes() and np.any(clean[2] != 0)
 
 
 def test_att_pair_query_causality():

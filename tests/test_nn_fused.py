@@ -25,8 +25,17 @@ TOL = 1e-12
 # -- reference compositions ----------------------------------------------
 
 
-def ref_conv1d(x, spec, weights, bias=None):
-    """The conv as per-tap slice, reshape, transpose, matmul and add."""
+def _per_session(fn, x, rows):
+    """``fn`` of each session's slice of packed rows ``x``, concatenated."""
+    starts = np.concatenate([[0], rows.stops[:-1]])
+    return T.concat([fn(T.slice_axis(x, 0, a, b)) for a, b in zip(starts, rows.stops)], axis=0)
+
+
+def ref_conv1d(x, spec, weights, bias=None, rows=None):
+    """The conv as per-tap slice, reshape, transpose, matmul and add; on packed rows, per
+    session."""
+    if rows is not None:
+        return _per_session(lambda xs: ref_conv1d(xs, spec, weights, bias), x, rows)
     t_len = x.shape[-2]
     total = spec.dilation * (spec.kernel_size - 1)
     left = total if spec.padding_mode == CAUSAL else total // 2
@@ -70,6 +79,15 @@ def ref_channel_norm(x, gamma, beta, epsilon=1e-5):
     return T.add(T.mul(T.mul(centered, inv), gamma), beta)
 
 
+def ref_unpack_sigmoid(logits, mask):
+    """Packed logits placed by a 0/1 matrix product, the sigmoid, and the mask."""
+    real = np.asarray(mask) != 0
+    place = np.zeros((real.size, logits.shape[0]))
+    place[np.flatnonzero(real), np.arange(real.sum())] = 1.0
+    padded = T.reshape(T.matmul(Tensor(place), logits), real.shape)
+    return T.mul(T.sigmoid(padded), Tensor(real.astype(np.float64)))
+
+
 def ref_gated_block(kind, x, transform_pre, gate_pre):
     if kind == "highway":
         gate = T.sigmoid(gate_pre)
@@ -78,8 +96,11 @@ def ref_gated_block(kind, x, transform_pre, gate_pre):
     return T.mul(transform_pre, T.sigmoid(gate_pre))
 
 
-def ref_gated_level(kind, x, spec, transform, gate):
-    """A causal gated level as one conv, one channel norm per branch, and the gate."""
+def ref_gated_level(kind, x, spec, transform, gate, rows=None):
+    """A causal gated level as one conv, one channel norm per branch, and the gate.
+    On packed rows, each session's level is composed alone and the rows concatenated."""
+    if rows is not None and x.ndim == 2:
+        return _per_session(lambda xs: ref_gated_level(kind, xs, spec, transform, gate), x, rows)
     pre = [
         nn.channel_norm(nn.conv1d_cl(x, spec, w), g, b) for w, g, b in (transform, gate)
     ]
@@ -190,6 +211,44 @@ def test_conv_matches_tap_composition(mode, dilation, batched, with_bias):
         )
 
 
+RAGGED = (7, 2, 20, 1, 5)  # 35 real rows, 13 inert ones
+
+
+def _packed(rng, channels, lengths=RAGGED):
+    """Packed rows of sessions of ``lengths`` whose padding holds noise, and their table."""
+    t_len = max(lengths)
+    mask = np.arange(t_len) < np.array(lengths)[:, None]
+    x, rows = nn.pack(rng.normal(size=(len(lengths), t_len, channels)), mask)
+    assert sum(lengths) % nn.PACK_ROWS and len(x) % nn.PACK_ROWS == 0
+    return x, rows
+
+
+@pytest.mark.parametrize("mode", [CAUSAL, NONCAUSAL])
+@pytest.mark.parametrize("dilation", [1, 2, 4, 16])
+def test_conv_on_packed_rows_matches_per_session_composition(mode, dilation):
+    rng = np.random.default_rng(dilation + 50 * (mode == CAUSAL))
+    k = 2 if mode == CAUSAL else 3
+    spec = Conv1dSpec(3, 4, k, dilation, mode)
+    x, rows = _packed(rng, 3)
+    assert_same_op(
+        lambda xx, *p: nn.conv1d_cl(xx, spec, *p, rows=rows),
+        lambda xx, *p: ref_conv1d(xx, spec, *p, rows=rows),
+        [x, rng.normal(size=(4, 3, k)), rng.normal(size=(4,))],
+    )
+
+
+def test_unpack_sigmoid_matches_composition():
+    rng = np.random.default_rng(15)
+    mask = np.arange(20) < np.array(RAGGED)[:, None]
+    assert_same_op(
+        lambda z: nn.unpack_sigmoid(z, mask),
+        lambda z: ref_unpack_sigmoid(z, mask),
+        [3.0 * rng.normal(size=(48, 1))],
+    )
+    with pytest.raises(ConfigurationError):
+        nn.unpack_sigmoid(Tensor(np.zeros((34, 1))), mask)  # one row short
+
+
 def test_conv_kernel_is_one_tape_node():
     spec = Conv1dSpec(3, 4, 2, 2, CAUSAL)
     x = Tensor(np.ones((2, 6, 3)), requires_grad=True)
@@ -285,6 +344,23 @@ def test_gated_level_matches_composition(kind, kernel, dilation):
             )
 
 
+@pytest.mark.parametrize("kind", ["highway", "glu"])
+@pytest.mark.parametrize("kernel", [2, 3])
+@pytest.mark.parametrize("dilation", [1, 4, 16])
+def test_gated_level_on_packed_rows_matches_per_session_composition(kind, kernel, dilation):
+    # Sessions of 1 and 2 rows are shorter than every receptive field here;
+    # the one of 20 rows is longer than all but kernel 3 at dilation 16 (33).
+    rng = np.random.default_rng(dilation + 20 * kernel + 300)
+    spec = Conv1dSpec(6, 6, kernel, dilation, CAUSAL)
+    x, rows = _packed(rng, 6)
+    arrays = [x] + _level_arrays(rng, 1, (), kernel=kernel)[1:]
+    assert_same_op(
+        lambda xx, *p: nn.gated_level(kind, xx, spec, p[:3], p[3:], rows),
+        lambda xx, *p: ref_gated_level(kind, xx, spec, p[:3], p[3:], rows),
+        arrays,
+    )
+
+
 def test_gated_level_is_one_tape_node():
     spec = Conv1dSpec(6, 6, 2, 4, CAUSAL)
     arrays = _level_arrays(np.random.default_rng(1), 9, (2,))
@@ -314,6 +390,15 @@ def test_gated_level_shape_contracts():
             bad()
     with pytest.raises(ValidationError):
         nn.gated_level("highway", Tensor(np.ones((0, 2))), spec, branch, branch)
+    # A row table must describe the input's rows: the packed rows of two
+    # sessions of 3 and 1 rows (16 with the inert ones), 2-d and as many.
+    _, rows = nn.pack(np.ones((2, 3, 2)), np.arange(3) < np.array([[3], [1]]))
+    nn.gated_level("highway", Tensor(np.ones((16, 2))), spec, branch, branch, rows)
+    for bad in (np.ones((15, 2)), np.ones((17, 2)), np.ones((1, 16, 2)), np.ones((2, 8, 2))):
+        with pytest.raises(ConfigurationError):
+            nn.gated_level("highway", Tensor(bad), spec, branch, branch, rows)
+        with pytest.raises(ConfigurationError):
+            nn.conv1d_cl(Tensor(bad), spec, branch[0], rows=rows)
     # Neither gate may change the width.
     narrow = Conv1dSpec(2, 3, 2)
     branch3 = (Tensor(np.ones((3, 2, 2))), Tensor(np.ones(3)), Tensor(np.zeros(3)))
