@@ -78,8 +78,8 @@ class _Reader:
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint; returns (name -> float32 array, meta dict).
 
-    Raises ValidationError on bad magic, unknown version, truncation, or
-    checksum mismatch.
+    Raises ValidationError on bad magic, unknown version, truncation,
+    checksum mismatch, or a parameter name that is not UTF-8 or repeats.
     """
     blob = Path(path).read_bytes()
     if len(blob) < len(MAGIC) + 4 + _CHECKSUM_BYTES:
@@ -102,7 +102,12 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     count = r.unpack("<I")
     for _ in range(count):
         name_len = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"checkpoint parameter name is not UTF-8: {exc}") from exc
+        if name in params:
+            raise ValidationError(f"checkpoint repeats parameter name {name!r}")
         ndim = r.unpack("<B")
         dims = tuple(struct.unpack(f"<{ndim}I", r.take(4 * ndim)))
         n_values = int(np.prod(dims, dtype=np.int64)) if ndim else 1

@@ -100,18 +100,17 @@ def _case_elementwise(rng):
     r = rng.normal(size=(2, 5))
 
     def fn(xx, pp):
-        u = T.add(T.exp(T.mul(xx, 0.5)), T.log(T.add(pp, 0.1)))
-        return _project(T.sigmoid(u), r)
+        return _project(T.sigmoid(T.mul(T.exp(T.mul(xx, 0.5)), pp)), r)
 
     return [x, p], fn
 
 
-def _case_relu_clip(rng):
-    # Values held away from the relu kink and the clip edges, where the
-    # subgradient makes finite differences meaningless.
+def _case_relu(rng):
+    # Values held away from the kink, where the subgradient makes finite
+    # differences meaningless.
     x = _away_from_zero(rng, (3, 4))
     r = rng.normal(size=(3, 4))
-    return [x], lambda xx: _project(T.add(T.relu(xx), T.clip(xx, -1.2, 1.2)), r)
+    return [x], lambda xx: _project(T.relu(xx), r)
 
 
 def _case_pow(rng):
@@ -226,12 +225,12 @@ def _gated_level_case(kind, kernel, dilation, t_len, batched=False, lengths=None
     return build
 
 
-def _case_unpack_sigmoid(rng):
-    # Packed logits of sessions of 5, 2 and 4 rows, then 5 inert rows.
+def _case_unpack(rng):
+    # Packed values of sessions of 5, 2 and 4 rows, then 5 inert rows.
     mask = np.arange(5) < np.array([5, 2, 4])[:, None]
-    logits = rng.normal(size=(16, 1))
+    values = rng.normal(size=(16, 1))
     r = rng.normal(size=mask.shape)
-    return [logits], lambda z: _project(nn.unpack_sigmoid(z, mask), r)
+    return [values], lambda v: _project(nn.unpack(v, mask), r)
 
 
 def _case_pair_linear(rng, relation=False):
@@ -282,11 +281,13 @@ def _attention_case(heads, masked=False, batched=False):
 
 
 def _case_bce(rng):
-    p = rng.uniform(0.05, 0.95, (3, 4))
+    # The first row's logits saturate a sigmoid, 17 <= |z| <= 40.
+    z = rng.normal(0.0, 3.0, (3, 4))
+    z[0] = _away_from_zero(rng, (4,), 17.0, 40.0)
     t = (rng.random((3, 4)) < 0.5).astype(np.float64)
     mask = rng.random((3, 4)) < 0.7
     mask.reshape(-1)[0] = True
-    return [p], lambda pp: nn.bce(pp, t, mask)
+    return [z], lambda zz: nn.bce_with_logits(zz, t, mask)
 
 
 def _case_mse(rng):
@@ -303,7 +304,7 @@ CASES = {
     "matmul_batched": _case_matmul_batched,
     "matmul_4d": _case_matmul_4d,
     "elementwise": _case_elementwise,
-    "relu_clip": _case_relu_clip,
+    "relu": _case_relu,
     "pow": _case_pow,
     "shape_ops": _case_shape_ops,
     "reduce": _case_reduce,
@@ -322,7 +323,7 @@ CASES = {
     "gated_level_glu": _gated_level_case("glu", 3, 2, 4),  # T below the receptive field, 5
     # Packed sessions of 6, 3 and 2 rows, two of them below the receptive field, 5.
     "gated_level_ragged": _gated_level_case("highway", 3, 2, 6, lengths=(6, 3, 2)),
-    "unpack_sigmoid": _case_unpack_sigmoid,
+    "unpack": _case_unpack,
     "pair_linear": _case_pair_linear,
     "relation_logits": lambda rng: _case_pair_linear(rng, relation=True),
     "softmax": _case_softmax,

@@ -4,12 +4,16 @@ Two families share the Batch interface:
 
 * metric family (rnb1, rnb2_ue, rnbc2_ue) — embed support and query
   items independently, score all support x query pairs with a relation
-  network, and reduce scores to per-query probabilities. Order-free by
+  network, and reduce scores to one output per query: a label vote's
+  probability (rnb1, rnb2_ue) or a logit (rnbc2_ue). Order-free by
   construction.
 * sequence family (seq1eH, seq1HL, att_pair, transformer, snail,
   teacher) — run the merged support+query timeline through causal
-  encoders and read out probabilities at every position in one pass
+  encoders and read out a logit at every position in one pass
   (non-auto-regressive; no prediction is fed back).
+
+Every head but the label votes emits logits, and ``Model.query_probs``
+is the one place they become probabilities.
 
 Every encoder runs channels-last, so every conv is one GEMM. The causal
 stacks of seq1eH, seq1HL and teacher run on the timelines' real rows
@@ -41,6 +45,7 @@ SEQUENCE_KINDS = ("seq1eH", "seq1HL", "att_pair", "transformer", "snail", "teach
 KINDS = METRIC_KINDS + SEQUENCE_KINDS
 
 UE_KINDS = ("rnb2_ue", "rnbc2_ue")
+VOTE_KINDS = ("rnb1", "rnb2_ue")  # heads that vote with labels: probabilities, not logits
 
 STACK_DILATIONS = (1, 2, 4, 8, 16)
 ATT_PAIR_QUERY_DILATIONS = (1, 2, 4)
@@ -259,7 +264,7 @@ class MetricOut:
     """Training-time tensors of a metric-family forward pass."""
 
     r: Tensor  # [B, S, Q] relation scores in (0,1)
-    probs: Tensor  # [B, Q] per-query skip probabilities in (0,1)
+    head: Tensor  # [B, Q] per query: a vote's probability (VOTE_KINDS), else a logit
 
 
 class Model:
@@ -330,7 +335,7 @@ class Model:
     # -- sequence family -----------------------------------------------
 
     def forward_sequence(self, batch: Batch) -> Tensor:
-        """Per-position skip probabilities [B, T] over the merged timeline."""
+        """Per-position skip logits [B, T] over the merged timeline."""
         kind = self.config.kind
         forward = self.config.structure.forward
         if forward is None:
@@ -342,11 +347,6 @@ class Model:
             )
         return getattr(self, forward)(batch)
 
-    def _probs(self, logits: Tensor) -> Tensor:
-        """``[B, T, 1]`` head logits as ``[B, T]`` probabilities."""
-        b, t, _ = logits.shape
-        return T.sigmoid(T.reshape(logits, (b, t)))
-
     def _forward_conv_stacks(self, batch: Batch) -> Tensor:
         # The stacks run on the timelines' real rows only, packed as [N, W].
         structure = self.config.structure
@@ -356,7 +356,7 @@ class Model:
             for l, (d, k) in enumerate(zip(structure.dilations, structure.kernels)):
                 h = self._gated_level(f"stack{s}.level{l}", h, d, k, rows)
         logits = self._conv("head", h, Conv1dSpec(self.config.width, 1, 1), rows)
-        return nn.unpack_sigmoid(logits, batch.seq_mask)
+        return nn.unpack(logits, batch.seq_mask)
 
     def _forward_snail(self, batch: Batch) -> Tensor:
         # Attention reads the raw rows (no embedding layer in front),
@@ -376,7 +376,8 @@ class Model:
         h = self._conv("entry", h, Conv1dSpec(self.in_dim + self.config.width, self.config.width, 1))
         for l, (d, kk) in enumerate(zip(structure.dilations, structure.kernels)):
             h = self._gated_level(f"stack0.level{l}", h, d, kk, rows)
-        return self._probs(self._conv("head", h, Conv1dSpec(self.config.width, 1, 1)))
+        logits = self._conv("head", h, Conv1dSpec(self.config.width, 1, 1))
+        return T.reshape(logits, batch.seq_mask.shape)
 
     def _forward_transformer(self, batch: Batch) -> Tensor:
         structure = self.config.structure
@@ -407,7 +408,7 @@ class Model:
             n2 = ln(f"{p}.ln2", h)
             ffn = self._linear(f"{p}.ffn.fc2", T.relu(self._linear(f"{p}.ffn.fc1", n2)))
             h = T.add(h, ffn)
-        return self._probs(self._linear("head", ln("final", h)))
+        return T.reshape(self._linear("head", ln("final", h)), batch.seq_mask.shape)
 
     def _forward_att_pair(self, batch: Batch) -> Tensor:
         structure = self.config.structure
@@ -437,7 +438,7 @@ class Model:
         att_mask = np.repeat(batch.sup_mask[:, None, :], t_len, axis=1)  # [B, T, S]
         att = nn.attention(q_cl, s_enc, s_enc, mask=att_mask, heads=structure.heads)
         h = T.relu(self._linear("comb", T.concat([q_cl, att], axis=-1)))
-        return self._probs(self._linear("head", h))
+        return T.reshape(self._linear("head", h), batch.seq_mask.shape)
 
     # -- metric family -------------------------------------------------
 
@@ -463,8 +464,7 @@ class Model:
             wsum = nn.pair_linear(f_s, f_q, batch.sup_y, self._p("wsum.w"), self._p("wsum.b"), u)
             pair_w = T.sigmoid(T.reshape(wsum, r.shape))
             prod = T.mul(T.mul(pair_w, r), Tensor(batch.sup_mask[:, :, None]))
-            logits = T.add(T.reduce_sum(prod, axis=1), self._p("wsum.bias"))
-            probs = T.sigmoid(logits)
+            head = T.add(T.reduce_sum(prod, axis=1), self._p("wsum.bias"))
         else:
             # Similarity-weighted label vote over valid supports.
             y_s = Tensor(batch.sup_y[:, :, None])
@@ -473,8 +473,8 @@ class Model:
             )
             masked = T.mul(agree, Tensor(batch.sup_mask[:, :, None]))
             counts = batch.sup_mask.sum(axis=1, keepdims=True)  # [B, 1], >= 1
-            probs = T.div(T.reduce_sum(masked, axis=1), Tensor(counts))
-        return MetricOut(r=r, probs=probs)
+            head = T.div(T.reduce_sum(masked, axis=1), Tensor(counts))
+        return MetricOut(r=r, head=head)
 
     def _user_embedding_tensor(self, batch: Batch, f_s: Tensor | None = None) -> Tensor:
         if self.config.kind not in UE_KINDS:
@@ -494,14 +494,17 @@ class Model:
 
     @T.no_grad()
     def query_probs(self, batch: Batch) -> np.ndarray:
-        """Per-query probabilities [B, Q] as plain float32; records no tape."""
+        """Per-query probabilities [B, Q] as plain float32; records no tape.
+
+        The one sigmoid of every head but the label votes of ``VOTE_KINDS``.
+        """
         if self.family == "metric":
-            probs = self.forward_metric(batch).probs.data
-            return (probs * batch.qry_mask).astype(np.float32)
-        out = self.forward_sequence(batch).data  # [B, T]
-        q_max = batch.qry_mask.shape[1]
-        idx = batch.t_support[:, None] + np.arange(q_max)[None, :]
-        idx = np.minimum(idx, out.shape[1] - 1)
-        gathered = np.take_along_axis(out, idx, axis=1)
-        return (gathered * batch.qry_mask).astype(np.float32)
+            head = self.forward_metric(batch).head.data
+        else:
+            out = self.forward_sequence(batch).data  # [B, T]
+            q_max = batch.qry_mask.shape[1]
+            idx = batch.t_support[:, None] + np.arange(q_max)[None, :]
+            head = np.take_along_axis(out, np.minimum(idx, out.shape[1] - 1), axis=1)
+        probs = head if self.config.kind in VOTE_KINDS else T.sigmoid_array(head)
+        return (probs * batch.qry_mask).astype(np.float32)
 

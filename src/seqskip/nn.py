@@ -8,8 +8,8 @@ gated levels take ``[T, C]``, ``[batch, T, C]`` or the packed rows
 row sits in its session; a padded batch is the case where every session
 has length T. Convolutions, norms, gates, whole gated conv levels,
 the relation layer over (support, query) pairs and the relation net on
-them, softmax and masked multi-head attention each record one tape node
-with a hand-written backward.
+them, softmax, masked multi-head attention and binary cross entropy on
+logits each record one tape node with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -417,27 +417,26 @@ def gated_level(kind: str, x: Tensor, spec: Conv1dSpec, transform, gate,
     return T.fused(out.reshape(x.shape[:-1] + (width,)), parents, backward)
 
 
-def unpack_sigmoid(logits: Tensor, mask: np.ndarray) -> Tensor:
-    """``sigmoid`` of the logits of :func:`pack`'s rows, ``[N, 1]``, laid out as ``mask``'s
-    ``[B, T]`` with zeros where it is 0, as one tape node.
+def unpack(values: Tensor, mask: np.ndarray) -> Tensor:
+    """The ``[N, 1]`` values of :func:`pack`'s rows laid out as ``mask``'s ``[B, T]``,
+    zeros where it is 0, as one tape node whose backward gathers.
 
     The rows land in order where ``mask`` is nonzero; the inert rows past
     them are dropped, so no gradient reaches them.
     """
     real = np.asarray(mask) != 0
     n = int(real.sum())
-    if logits.ndim != 2 or logits.shape[1] != 1 or logits.shape[0] < n:
-        raise ConfigurationError(f"logits {tuple(logits.shape)} cannot fill {n} real rows")
-    s = T.sigmoid_array(logits.data[:n, 0])
-    out = np.zeros(real.shape, dtype=logits.dtype)
-    out[real] = s
+    if values.ndim != 2 or values.shape[1] != 1 or values.shape[0] < n:
+        raise ConfigurationError(f"values {tuple(values.shape)} cannot fill {n} real rows")
+    out = np.zeros(real.shape, dtype=values.dtype)
+    out[real] = values.data[:n, 0]
 
     def backward(g):
-        gl = np.zeros(logits.shape, dtype=g.dtype)
-        gl[:n, 0] = g[real] * s * (1.0 - s)
-        return (gl,)
+        gv = np.zeros(values.shape, dtype=g.dtype)
+        gv[:n, 0] = g[real]
+        return (gv,)
 
-    return T.fused(out, (logits,), backward)
+    return T.fused(out, (values,), backward)
 
 
 def _pair_parts(support: Tensor, query: Tensor, labels, weight: Tensor, bias: Tensor, user):
@@ -675,37 +674,45 @@ def attention(
 
 # -- losses ------------------------------------------------------------
 
-BCE_EPS = 1e-7
 
-
-def _masked_mean(values: Tensor, mask: np.ndarray | None) -> Tensor:
-    if mask is None:
-        if values.size == 0:
-            raise EvaluationError("loss over zero elements")
-        return T.reduce_mean(values)
-    m = np.asarray(mask, dtype=values.dtype.type)
-    total = float(m.sum())
+def _mean_weights(values: np.ndarray, mask) -> tuple[np.ndarray | None, float]:
+    """The 0/1 weights of a mean over ``values`` (None: every element) and 1 / their sum."""
+    m = None if mask is None else np.asarray(mask, dtype=values.dtype.type)
+    total = values.size if m is None else float(m.sum())
     if total <= 0:
-        raise EvaluationError("loss mask admits no element")
-    return T.mul(T.reduce_sum(T.mul(values, Tensor(m))), 1.0 / total)
+        raise EvaluationError("loss over zero elements" if m is None else
+                              "loss mask admits no element")
+    return m, 1.0 / total
 
 
-def bce(pred: Tensor, target, mask: np.ndarray | None = None) -> Tensor:
-    """Mean binary cross entropy over unmasked elements.
+def bce_with_logits(logits: Tensor, target, mask: np.ndarray | None = None) -> Tensor:
+    """Mean binary cross entropy of ``sigmoid(logits)`` over unmasked elements, one tape node.
 
-    Predictions are clamped to [eps, 1-eps] so saturated sigmoids cannot
-    produce log(0).
+    Each element is ``max(z, 0) - z*t + log1p(exp(-|z|))``, which no logit
+    overflows, and the backward is ``(sigmoid(z) - t) * mask / sum(mask)``:
+    a confidently wrong logit keeps a gradient of full size, however far it
+    saturates.
     """
-    t = np.asarray(target.data if isinstance(target, Tensor) else target, dtype=pred.dtype.type)
-    p = T.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
-    pos = T.mul(T.log(p), Tensor(t))
-    negt = T.mul(T.log(T.add(1.0, T.neg(p))), Tensor(1.0 - t))
-    return _masked_mean(T.neg(T.add(pos, negt)), mask)
+    z = logits.data
+    t = np.asarray(target.data if isinstance(target, Tensor) else target, dtype=z.dtype.type)
+    m, scale = _mean_weights(z, mask)
+    values = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
+    total = (values if m is None else values * m).sum()
+
+    def backward(g):
+        gz = T.sigmoid_array(z) - t
+        gz *= g * scale
+        return (gz if m is None else gz * m,)
+
+    return T.fused(np.asarray(total * scale), (logits,), backward)
 
 
 def mse(pred: Tensor, target, mask: np.ndarray | None = None) -> Tensor:
     """Mean squared error over unmasked elements."""
     t = np.asarray(target.data if isinstance(target, Tensor) else target, dtype=pred.dtype.type)
     diff = T.add(pred, Tensor(-t))
-    return _masked_mean(T.mul(diff, diff), mask)
-
+    sq = T.mul(diff, diff)
+    m, scale = _mean_weights(sq.data, mask)
+    if m is None:
+        return T.reduce_mean(sq)
+    return T.mul(T.reduce_sum(T.mul(sq, Tensor(m))), scale)

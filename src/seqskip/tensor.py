@@ -359,16 +359,6 @@ def exp(a) -> Tensor:
     return _result(data, (a,), grad_fn)
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.log(a.data)
-
-    def grad_fn(g):
-        _accum(a, g / a.data)
-
-    return _result(data, (a,), grad_fn)
-
-
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
     """Overflow-free logistic function of a plain array.
 
@@ -396,17 +386,6 @@ def relu(a) -> Tensor:
 
     def grad_fn(g):
         _accum(a, g * (a.data > 0))
-
-    return _result(data, (a,), grad_fn)
-
-
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient passes through inside the range."""
-    a = as_tensor(a)
-    data = np.clip(a.data, lo, hi)
-
-    def grad_fn(g):
-        _accum(a, g * ((a.data >= lo) & (a.data <= hi)))
 
     return _result(data, (a,), grad_fn)
 

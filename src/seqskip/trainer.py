@@ -1,8 +1,9 @@
 """Training loop: split, per-kind loss assignment, annealing, checkpoints.
 
 Loss assignment: rnb1 and rnb2_ue regress relation scores onto XNOR
-similarity targets with MSE; every other kind minimizes BCE on skip
-labels (query positions only by default). The learning rate is
+similarity targets with MSE; every other kind emits logits and minimizes
+BCE on them against skip labels (query positions only by default), one
+``nn.bce_with_logits`` node with no saturated region. The learning rate is
 multiplied by ``anneal_factor`` at each epoch boundary and the
 best-validation-MAA parameters are the ones kept.
 """
@@ -30,15 +31,13 @@ from .dataio import (
 )
 from .errors import ConfigurationError, SeqskipError, TrainingError, ValidationError
 from .metrics import SessionPrediction, binarize, corpus_maa
-from .models import METRIC_KINDS, Model, ModelConfig, build
-from .nn import bce, mse
+from .models import METRIC_KINDS, VOTE_KINDS, Model, ModelConfig, build
+from .nn import bce_with_logits, mse
 from .optim import Adam, positive
 from .rng import rng_stream
 from .tensor import Tensor
 
 LOSS_SCOPES = ("query_only", "support_and_query")
-
-MSE_KINDS = ("rnb1", "rnb2_ue")
 
 
 @dataclass
@@ -115,17 +114,16 @@ def batch_loss(model: Model, batch: Batch, loss_scope: str = "query_only") -> Te
     kind = model.config.kind
     if batch.qry_y is None:
         raise ValidationError("training requires query labels in the data")
-    if kind in MSE_KINDS:
+    if kind in VOTE_KINDS:
         out = model.forward_metric(batch)
         targets = (batch.sup_y[:, :, None] == batch.qry_y[:, None, :]).astype(np.float32)
         pair_mask = batch.sup_mask[:, :, None] * batch.qry_mask[:, None, :]
         return mse(out.r, targets, pair_mask)
     if kind in METRIC_KINDS:
-        out = model.forward_metric(batch)
-        return bce(out.probs, batch.qry_y, batch.qry_mask)
-    probs = model.forward_sequence(batch)
+        return bce_with_logits(model.forward_metric(batch).head, batch.qry_y, batch.qry_mask)
+    logits = model.forward_sequence(batch)
     mask = batch.seq_qmask if loss_scope == "query_only" else batch.seq_mask
-    return bce(probs, batch.seq_y, mask)
+    return bce_with_logits(logits, batch.seq_y, mask)
 
 
 def build_episodes(
@@ -297,5 +295,7 @@ def load_model(path) -> tuple[Model, PreprocessStats, SchemaSpec, dict]:
                 f"checkpoint parameter {name!r} has shape {arrays[name].shape}, "
                 f"model expects {tensor.data.shape}"
             )
+        if not np.isfinite(arrays[name]).all():
+            raise ValidationError(f"checkpoint {path} parameter {name!r} has non-finite values")
         np.copyto(tensor.data, arrays[name])
     return model, stats, schema, meta.get("extra", {})

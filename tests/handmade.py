@@ -90,7 +90,7 @@ def corpus_order_predictions(model, episodes: dataio.Batch, batch_size: int = 64
 
 
 def padded_conv_stacks(model, batch: dataio.Batch) -> T.Tensor:
-    """The probabilities ``[B, T]`` of a seq1eH, seq1HL or teacher model as the
+    """The logits ``[B, T]`` of a seq1eH, seq1HL or teacher model as the
     stacks computed them on the padded ``[B, T, W]`` batch, every session padded
     to the longest; the packed forward must give these bits on every real row."""
     width, structure, p = model.config.width, model.config.structure, model.params
@@ -102,4 +102,4 @@ def padded_conv_stacks(model, batch: dataio.Batch) -> T.Tensor:
             h = nn.gated_level(model.config.gate, h, spec,
                                *model._branches(f"stack{s}.level{level}"))
     logits = nn.conv1d_cl(h, Conv1dSpec(width, 1, 1), p["head.w"], p["head.b"])
-    return T.sigmoid(T.reshape(logits, batch.seq_mask.shape))
+    return T.reshape(logits, batch.seq_mask.shape)

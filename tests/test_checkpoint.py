@@ -92,6 +92,30 @@ def _checksum_of(payload: bytes) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 
 
+def _with_name_bytes(tmp_path, first: bytes, second: bytes):
+    """A checkpoint of two one-value parameters whose name bytes are these,
+    sealed with a recomputed checksum."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"aa": np.ones(1), "bb": np.zeros(1)})
+    payload = path.read_bytes()[:-8]
+    assert payload.count(b"aa") == payload.count(b"bb") == 1
+    payload = payload.replace(b"aa", first).replace(b"bb", second)
+    path.write_bytes(payload + struct.pack("<Q", _checksum_of(payload)))
+    return path
+
+
+def test_name_that_is_not_utf8_detected(tmp_path):
+    with pytest.raises(ValidationError, match="not UTF-8"):
+        load_checkpoint(_with_name_bytes(tmp_path, b"aa", b"\xff\xfe"))
+
+
+def test_repeated_name_detected(tmp_path):
+    arrays, _ = load_checkpoint(_with_name_bytes(tmp_path, b"aa", b"ab"))
+    assert set(arrays) == {"aa", "ab"}  # the crafting itself reads back
+    with pytest.raises(ValidationError, match="repeats parameter name 'aa'"):
+        load_checkpoint(_with_name_bytes(tmp_path, b"aa", b"aa"))
+
+
 @given(st.lists(
     st.tuples(st.text(st.characters(min_codepoint=97, max_codepoint=122),
                       min_size=1, max_size=12),

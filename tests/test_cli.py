@@ -7,6 +7,7 @@ are exercised exactly as a shell user would see them.
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from seqskip.checkpoint import load_checkpoint, save_checkpoint
 from seqskip.cli import main
 from seqskip.dataio import load_corpus
 from seqskip.metrics import read_predictions
+from seqskip.synthgen import SynthConfig, generate
 
 
 def _sha(path):
@@ -594,6 +596,26 @@ def test_checkpoint_with_malformed_meta_names_the_checkpoint_and_key(
                "--out", str(tmp_path / "p.txt")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: checkpoint {bad} {want}\n"
+
+
+def test_predict_rejects_a_non_finite_parameter(tmp_path, capsys):
+    # One NaN in the rnbc2_ue pin: without the check, predict exits 0 and
+    # writes a probability of zero for every query.
+    pin = Path(__file__).parent / "data" / "rnbc2_ue_pair_concat.ckpt"
+    corpus = json.loads((pin.parent / "metric_pair_concat_probs.json").read_text())["corpus"]
+    data = tmp_path / "corpus"
+    generate(SynthConfig(**corpus), data)
+    params, meta = load_checkpoint(pin)
+    params["rn.out.w"][0, 0] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    save_checkpoint(bad, params, meta)
+    capsys.readouterr()
+    rc = main(["predict", "--data", str(data), "--checkpoint", str(bad),
+               "--out", str(tmp_path / "p.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {bad} parameter 'rn.out.w' has non-finite values\n")
+    assert not (tmp_path / "p.txt").exists()
 
 
 def test_fit_rejects_a_nan_grad_clip(corpus_dir, tmp_path, capsys):

@@ -58,7 +58,7 @@ def ref_forward_metric(model, batch) -> MetricOut:
     if kind == "rnbc2_ue":
         pair_w = T.sigmoid(T.reshape(model._linear("wsum", pair), (b, s_max, q_max)))
         prod = T.mul(T.mul(pair_w, r), Tensor(batch.sup_mask[:, :, None]))
-        probs = T.sigmoid(T.add(T.reduce_sum(prod, axis=1), model._p("wsum.bias")))
+        head = T.add(T.reduce_sum(prod, axis=1), model._p("wsum.bias"))
     else:
         y_s = Tensor(batch.sup_y[:, :, None])
         agree = T.add(
@@ -66,8 +66,8 @@ def ref_forward_metric(model, batch) -> MetricOut:
         )
         masked = T.mul(agree, Tensor(batch.sup_mask[:, :, None]))
         counts = batch.sup_mask.sum(axis=1, keepdims=True)
-        probs = T.div(T.reduce_sum(masked, axis=1), Tensor(counts))
-    return MetricOut(r=r, probs=probs)
+        head = T.div(T.reduce_sum(masked, axis=1), Tensor(counts))
+    return MetricOut(r=r, head=head)
 
 
 def ref_pair_linear(support, query, labels, weight, bias, user=None):
@@ -297,7 +297,7 @@ def test_forward_metric_matches_pair_concat_reference(kind):
     want = ref_forward_metric(model, batch)
     assert got.r.data.dtype == np.float64
     assert _rel(got.r.data, want.r.data) <= TOL
-    assert _rel(got.probs.data, want.probs.data) <= TOL
+    assert _rel(got.head.data, want.head.data) <= TOL
 
     loss, grads = _loss_and_grads(model, batch, type(model).forward_metric)
     ref_loss, ref_grads = _loss_and_grads(model, batch, ref_forward_metric)

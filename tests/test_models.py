@@ -14,6 +14,7 @@ from seqskip.models import (
     KINDS,
     METRIC_KINDS,
     SEQUENCE_KINDS,
+    VOTE_KINDS,
     ModelConfig,
     build,
     default_config,
@@ -236,7 +237,7 @@ def test_masked_multihead_attention_is_one_tape_node():
 def test_attention_kind_loss_tape_node_budget(kind, budget):
     # One node per attention call: 91, 68 and 80 recorded ops per loss
     # when attention was composed from primitives (att_pair then also ran
-    # its support encoder channels-first; it records 45 now).
+    # its support encoder channels-first; it records 33 now).
     rng = np.random.default_rng(6)
     batch = make_batch([_episode(rng, int(rng.integers(10, 21))) for _ in range(64)])
     assert _tape_op_nodes(batch_loss(_model(kind, width=32), batch)) <= budget
@@ -249,6 +250,20 @@ def test_metric_kind_loss_tape_node_budget(kind, budget):
     rng = np.random.default_rng(6)
     batch = make_batch([_episode(rng, int(rng.integers(10, 21))) for _ in range(64)])
     assert _tape_op_nodes(batch_loss(_model(kind, width=32), batch)) <= budget
+
+
+LOSS_TAPE_NODES = {"rnb1": 13, "rnb2_ue": 22, "rnbc2_ue": 25, "seq1eH": 9, "seq1HL": 14,
+                   "teacher": 14, "snail": 19, "att_pair": 33, "transformer": 45}
+
+
+def test_loss_tape_nodes_per_kind():
+    # Every kind but the two MSE ones ends its loss in one bce_with_logits
+    # node on its logits, where the clipped loss on probabilities took 12.
+    rng = np.random.default_rng(6)
+    for kind, nodes in LOSS_TAPE_NODES.items():
+        batch = make_batch([_episode(rng, int(rng.integers(10, 21)), kind == "teacher")
+                            for _ in range(64)])
+        assert _tape_op_nodes(batch_loss(_model(kind, width=32), batch)) == nodes, kind
 
 
 def test_padding_does_not_change_predictions():
@@ -333,17 +348,17 @@ def test_packed_conv_stacks_give_the_padded_bits(kind, gate):
 @pytest.mark.parametrize("kind", CONV_STACK_KINDS)
 def test_inert_rows_move_no_real_row(kind, monkeypatch):
     # The rows that round a packed block up to 16 read noise instead of
-    # zeros: no probability, loss or parameter gradient may change.
+    # zeros: no logit, loss or parameter gradient may change.
     rng = np.random.default_rng(10)
     batch = _ragged_batch(rng, kind == "teacher")
     model = _model(kind, width=32)
 
     def run():
         model.zero_grad()
-        probs = model.forward_sequence(batch).data
+        logits = model.forward_sequence(batch).data
         loss = batch_loss(model, batch)
         loss.backward()
-        return probs, float(loss.data), model.gradient().copy()
+        return logits, float(loss.data), model.gradient().copy()
 
     clean = run()
     pack = nn.pack
@@ -405,16 +420,36 @@ def test_channels_first_att_pair_checkpoint_predicts_the_same(tmp_path):
         np.testing.assert_allclose(got[sid], probs, rtol=0, atol=1e-6, err_msg=sid)
 
 
+def test_sigmoid_head_seq1HL_checkpoint_predicts_the_same_bits(tmp_path):
+    # Trained one epoch at width 8 and scored by the code whose packed
+    # forward ended in a sigmoid node. Its logits now leave the model and
+    # query_probs applies the one sigmoid; the float32 probabilities are
+    # the stored ones bit for bit.
+    expected = json.loads((DATA / "seq1HL_sigmoid_head_probs.json").read_text())
+    generate(SynthConfig(**expected["corpus"]), tmp_path)
+    schema, sessions, features = load_corpus(tmp_path)
+    model, stats, saved_schema, _ = load_model(DATA / "seq1HL_sigmoid_head.ckpt")
+    assert saved_schema == schema and model.config.width == 8
+    episodes = build_episodes(sessions, features, stats, schema, "seq1HL")
+    got = dict(predict_corpus(model, episodes, batch_size=expected["batch_size"]))
+    assert list(got) == list(expected["probs"])
+    for sid, probs in expected["probs"].items():
+        assert got[sid].tobytes() == np.array(probs, dtype=np.float32).tobytes(), sid
+
+
 # -- inference without a tape ------------------------------------------
 
 
 def _inference_probs(model, batch) -> np.ndarray:
     """What ``query_probs`` computes, with the tape on."""
     if model.family == "metric":
-        return model.forward_metric(batch).probs.data * batch.qry_mask
-    out = model.forward_sequence(batch).data
-    idx = batch.t_support[:, None] + np.arange(batch.qry_mask.shape[1])[None, :]
-    return np.take_along_axis(out, np.minimum(idx, out.shape[1] - 1), axis=1) * batch.qry_mask
+        head = model.forward_metric(batch).head.data
+    else:
+        out = model.forward_sequence(batch).data
+        idx = batch.t_support[:, None] + np.arange(batch.qry_mask.shape[1])[None, :]
+        head = np.take_along_axis(out, np.minimum(idx, out.shape[1] - 1), axis=1)
+    probs = head if model.config.kind in VOTE_KINDS else T.sigmoid_array(head)
+    return probs * batch.qry_mask
 
 
 def test_query_probs_records_no_tape(monkeypatch):

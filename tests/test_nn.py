@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqskip import nn
-from seqskip.errors import ConfigurationError, ValidationError
+from seqskip.errors import ConfigurationError, EvaluationError, ValidationError
 from seqskip.nn import Conv1dSpec
 from seqskip.tensor import Tensor
 
@@ -128,19 +128,38 @@ def test_multihead_splits_dimensions():
         nn.attention(q, k, v, heads=3)  # 8 not divisible by 3
 
 
+def _logit(p):
+    return np.log(p / (1.0 - p))
+
+
 def test_bce_hand_values():
     np.testing.assert_allclose(
-        nn.bce(Tensor(np.array([0.9])), np.array([1.0])).data,
+        nn.bce_with_logits(Tensor(np.array([_logit(0.9)])), np.array([1.0])).data,
         -np.log(0.9), rtol=1e-6)
     np.testing.assert_allclose(
-        nn.bce(Tensor(np.array([0.5, 0.5])), np.array([0.0, 1.0])).data,
+        nn.bce_with_logits(Tensor(np.array([0.0, 0.0])), np.array([0.0, 1.0])).data,
         np.log(2.0), rtol=1e-6)
 
 
 def test_bce_mask_averages_kept_entries():
-    p = Tensor(np.array([0.9, 0.123]))
-    out = nn.bce(p, np.array([1.0, 1.0]), mask=np.array([1.0, 0.0]))
+    z = Tensor(np.array([_logit(0.9), -1.23]))
+    out = nn.bce_with_logits(z, np.array([1.0, 1.0]), mask=np.array([1.0, 0.0]))
     np.testing.assert_allclose(out.data, -np.log(0.9), rtol=1e-6)
+    with pytest.raises(EvaluationError):
+        nn.bce_with_logits(z, np.array([1.0, 1.0]), mask=np.zeros(2))
+
+
+@pytest.mark.parametrize("z", [17.0, 20.0, 40.0])
+def test_bce_keeps_its_gradient_where_the_sigmoid_saturates(z):
+    # float32 sigmoid rounds to exactly 1 from z ~ 17 on; a loss on that
+    # probability would be clipped there and send back no gradient.
+    for sign, target in ((1.0, 0.0), (-1.0, 1.0)):
+        x = Tensor(np.array([sign * z], dtype=np.float32), requires_grad=True)
+        loss = nn.bce_with_logits(x, np.array([target]))
+        loss.backward()
+        assert loss.data.dtype == np.float32
+        np.testing.assert_allclose(loss.data, z, rtol=1e-6)
+        np.testing.assert_allclose(x.grad, [sign], rtol=1e-6)
 
 
 def test_mse_hand_value():
@@ -192,6 +211,6 @@ def test_attention_weights_are_convex(seed):
 
 @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99))
 def test_bce_minimized_at_target(p, t):
-    at_t = nn.bce(Tensor(np.array([t])), np.array([t])).data
-    at_p = nn.bce(Tensor(np.array([p])), np.array([t])).data
+    at_t = nn.bce_with_logits(Tensor(np.array([_logit(t)])), np.array([t])).data
+    at_p = nn.bce_with_logits(Tensor(np.array([_logit(p)])), np.array([t])).data
     assert at_p >= at_t - 1e-9

@@ -1,11 +1,11 @@
 """Fused layer ops against the compositions they replace.
 
-Each conv, norm, gate, gated conv level, softmax and attention call in
-``nn`` records one tape node with a hand-written backward. The reference
-helpers below rebuild each op the way ``nn`` computed it before the op
-was fused: from tensor primitives, or for a gated level from the fused
-conv, norm and gate nodes. Forward values and every input gradient are
-compared in float64.
+Each conv, norm, gate, gated conv level, unpack, softmax, attention and
+binary cross entropy call in ``nn`` records one tape node with a
+hand-written backward. The reference helpers below rebuild each op the
+way ``nn`` computed it before the op was fused: from tensor primitives,
+or for a gated level from the fused conv, norm and gate nodes. Forward
+values and every input gradient are compared in float64.
 """
 
 import numpy as np
@@ -79,13 +79,24 @@ def ref_channel_norm(x, gamma, beta, epsilon=1e-5):
     return T.add(T.mul(T.mul(centered, inv), gamma), beta)
 
 
-def ref_unpack_sigmoid(logits, mask):
-    """Packed logits placed by a 0/1 matrix product, the sigmoid, and the mask."""
+def ref_unpack(values, mask):
+    """Packed values placed by a 0/1 matrix product."""
     real = np.asarray(mask) != 0
-    place = np.zeros((real.size, logits.shape[0]))
+    place = np.zeros((real.size, values.shape[0]))
     place[np.flatnonzero(real), np.arange(real.sum())] = 1.0
-    padded = T.reshape(T.matmul(Tensor(place), logits), real.shape)
-    return T.mul(T.sigmoid(padded), Tensor(real.astype(np.float64)))
+    return T.reshape(T.matmul(Tensor(place), values), real.shape)
+
+
+def _ref_log(x):
+    return T.fused(np.log(x.data), (x,), lambda g: (g / x.data,))
+
+
+def ref_bce(logits, target, mask):
+    """``-(t log sigmoid(z) + (1 - t) log(1 - sigmoid(z)))``, masked and averaged."""
+    p = T.sigmoid(logits)
+    t = Tensor(target)
+    ce = T.add(T.mul(_ref_log(p), t), T.mul(_ref_log(T.add(1.0, T.neg(p))), T.add(1.0, T.neg(t))))
+    return T.mul(T.reduce_sum(T.mul(ce, Tensor(mask))), -1.0 / mask.sum())
 
 
 def ref_gated_block(kind, x, transform_pre, gate_pre):
@@ -237,16 +248,16 @@ def test_conv_on_packed_rows_matches_per_session_composition(mode, dilation):
     )
 
 
-def test_unpack_sigmoid_matches_composition():
+def test_unpack_matches_composition():
     rng = np.random.default_rng(15)
     mask = np.arange(20) < np.array(RAGGED)[:, None]
     assert_same_op(
-        lambda z: nn.unpack_sigmoid(z, mask),
-        lambda z: ref_unpack_sigmoid(z, mask),
+        lambda v: nn.unpack(v, mask),
+        lambda v: ref_unpack(v, mask),
         [3.0 * rng.normal(size=(48, 1))],
     )
     with pytest.raises(ConfigurationError):
-        nn.unpack_sigmoid(Tensor(np.zeros((34, 1))), mask)  # one row short
+        nn.unpack(Tensor(np.zeros((34, 1))), mask)  # one row short
 
 
 def test_conv_kernel_is_one_tape_node():
@@ -440,6 +451,19 @@ def test_models_match_the_composed_gated_level(gate, monkeypatch):
         else:
             assert not calls, kind
             np.testing.assert_array_equal(fused[kind], composed, err_msg=kind)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bce_with_logits_matches_composition(seed):
+    # Logits up to 8 in size, where 1 - sigmoid(z) still holds 12 digits.
+    rng = np.random.default_rng(seed)
+    t = (rng.random((6, 7)) < 0.5).astype(np.float64)
+    mask = (rng.random((6, 7)) < 0.7).astype(np.float64)
+    assert_same_op(
+        lambda z: nn.bce_with_logits(z, t, mask),
+        lambda z: ref_bce(z, t, mask),
+        [rng.uniform(-8.0, 8.0, (6, 7))],
+    )
 
 
 def test_sigmoid_array_is_stable_at_extremes():

@@ -32,8 +32,6 @@ from seqskip.trainer import (
     train,
 )
 
-BCE_EPS = 1e-7
-
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
@@ -124,14 +122,20 @@ def test_mse_kinds_regress_pair_targets(episodes):
     assert abs(got - want) < 1e-6
 
 
+def _cross_entropy(logits, y):
+    """``-(y log sigmoid(z) + (1 - y) log(1 - sigmoid(z)))`` in float64."""
+    z = logits.astype(np.float64)
+    return y * np.logaddexp(0.0, -z) + (1 - y) * np.logaddexp(0.0, z)
+
+
 def test_weighted_sum_kind_uses_bce(episodes):
     schema, _, eps = episodes
     batch = make_batch(eps[:4])
     model = build(default_config("rnbc2_ue", width=8), schema.full_width)
     got = float(batch_loss(model, batch).data)
-    p = np.clip(model.forward_metric(batch).probs.data, BCE_EPS, 1 - BCE_EPS)
-    y, m = batch.qry_y, batch.qry_mask
-    want = float((-(y * np.log(p) + (1 - y) * np.log(1 - p)) * m).sum() / m.sum())
+    m = batch.qry_mask
+    ce = _cross_entropy(model.forward_metric(batch).head.data, batch.qry_y)
+    want = float((ce * m).sum() / m.sum())
     assert abs(got - want) < 1e-6
 
 
@@ -139,9 +143,7 @@ def test_sequence_kind_scope_switches_mask(episodes):
     schema, _, eps = episodes
     batch = make_batch(eps[:4])
     model = build(default_config("seq1eH", width=8), schema.full_width)
-    p = np.clip(model.forward_sequence(batch).data, BCE_EPS, 1 - BCE_EPS)
-    y = batch.seq_y
-    ce = -(y * np.log(p) + (1 - y) * np.log(1 - p))
+    ce = _cross_entropy(model.forward_sequence(batch).data, batch.seq_y)
     for scope, mask in (("query_only", batch.seq_qmask),
                         ("support_and_query", batch.seq_mask)):
         got = float(batch_loss(model, batch, scope).data)
@@ -315,7 +317,8 @@ def test_parameters_stay_views_into_the_vector(corpus, tmp_path, kind):
 
 
 @pytest.mark.parametrize("name", ["att_pair_channels_first", "rnb1_pair_concat",
-                                  "rnb2_ue_pair_concat", "rnbc2_ue_pair_concat"])
+                                  "rnb2_ue_pair_concat", "rnbc2_ue_pair_concat",
+                                  "seq1HL_sigmoid_head"])
 def test_pinned_checkpoints_load_into_the_vector(name):
     path = Path(__file__).parent / "data" / f"{name}.ckpt"
     model = load_model(path)[0]
