@@ -5,6 +5,8 @@ seeding scheme) rather than by calling back into the generator's
 internals, so these act as independent oracles.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,71 @@ def test_non_leak_rules_keep_logs_independent(tmp_path):
                           noise=0.05, seed=0)
     seek = _seek_by_label(sessions)
     assert abs(np.mean(seek[1]) - np.mean(seek[0])) < 0.1
+
+
+# SHA-256 of (sessions.csv, features.csv, schema.json), made by the
+# per-session generator (draws, labels and one f-string row at a time).
+# Every criterion's figure rests on these bytes; a change here is a new
+# corpus, not a refactor.
+PINNED = [
+    ('threshold-s11', {'n_sessions': 120, 'rule': 'threshold', 'seed': 11},
+     ('4e9c2efaa1427bb1343f8806f6e74b92a225cebdcff8a20a917cb66441cffe1a',
+      '6966375efcaab5d2be5672878b3697823d5cc7d0b6cdc502805d944e52f13162',
+      'df2bf4cd95a65f077796c73ad5095a9358f746ac9284c321213fb299ab35ba85')),
+    ('threshold-s2^32+5', {'n_sessions': 120, 'rule': 'threshold', 'seed': 2**32 + 5},
+     ('6ce2a31905b9d7ede80339c4c4cc851cea78abc8c8df28f71ed996d46f3c247b',
+      '29d30a09756a65e895edc6562cb05d6982769ef3c9bda56b7223f942f54c5b84',
+      'df2bf4cd95a65f077796c73ad5095a9358f746ac9284c321213fb299ab35ba85')),
+    ('preference-s11', {'n_sessions': 120, 'rule': 'preference', 'seed': 11},
+     ('29b63a901f647e29d93a83defa5524bcfdb42e6c163c6ce9b69657ad8244c4dc',
+      '6966375efcaab5d2be5672878b3697823d5cc7d0b6cdc502805d944e52f13162',
+      'df2bf4cd95a65f077796c73ad5095a9358f746ac9284c321213fb299ab35ba85')),
+    ('preference-s2^32+5', {'n_sessions': 120, 'rule': 'preference', 'seed': 2**32 + 5},
+     ('9d25452bedc0070a171f0e56e597dd4197de4ce4647341b381d426fdde0bd684',
+      '29d30a09756a65e895edc6562cb05d6982769ef3c9bda56b7223f942f54c5b84',
+      'df2bf4cd95a65f077796c73ad5095a9358f746ac9284c321213fb299ab35ba85')),
+    ('markov-s11', {'n_sessions': 120, 'rule': 'markov', 'seed': 11},
+     ('6ef01e5590a25f3527761aff3ee1053f220d48ae8e751f3aba30389860966a5c',
+      '6966375efcaab5d2be5672878b3697823d5cc7d0b6cdc502805d944e52f13162',
+      'df2bf4cd95a65f077796c73ad5095a9358f746ac9284c321213fb299ab35ba85')),
+    ('markov-s2^32+5', {'n_sessions': 120, 'rule': 'markov', 'seed': 2**32 + 5},
+     ('68ddc6f8d58184c2fc26c7209e77a0a443d37bc0f38f5e165d72d0229f8618b8',
+      '29d30a09756a65e895edc6562cb05d6982769ef3c9bda56b7223f942f54c5b84',
+      'df2bf4cd95a65f077796c73ad5095a9358f746ac9284c321213fb299ab35ba85')),
+    ('log_leak-s11', {'n_sessions': 120, 'rule': 'log_leak', 'seed': 11},
+     ('7941b18143fc64006ec87c027ee15ea4674dbe7b9c6ca5e92ffac1eba7b836ca',
+      '6966375efcaab5d2be5672878b3697823d5cc7d0b6cdc502805d944e52f13162',
+      'df2bf4cd95a65f077796c73ad5095a9358f746ac9284c321213fb299ab35ba85')),
+    ('log_leak-s2^32+5', {'n_sessions': 120, 'rule': 'log_leak', 'seed': 2**32 + 5},
+     ('3e3a7f3c4acc94fef4e18c07529c426a09f63041fa0b26e8c61e1a3f05ae2758',
+      '29d30a09756a65e895edc6562cb05d6982769ef3c9bda56b7223f942f54c5b84',
+      'df2bf4cd95a65f077796c73ad5095a9358f746ac9284c321213fb299ab35ba85')),
+    ('markov-dim5', {'n_sessions': 100, 'rule': 'markov', 'seed': 4, 'feature_dim': 5},
+     ('41835c92bd00d0ed67dec498710157c020dffa85560c1c801bb5610e9c4229db',
+      'b35f108e0f612e3ad03b2877cee46166a88709ee342af1f0cfc78da0d7545f7b',
+      '5e3c38a3be55f272bc564708926c6a3de503ca4bde78836ad74c3004a0b0e7d1')),
+    ('preference-q0.1-0.9', {'n_sessions': 100, 'rule': 'preference', 'seed': 6, 'pref_q_low': 0.1, 'pref_q_high': 0.9},
+     ('b1aba1db0fcff69594074f7f4f45ab7d28f2dc2467b8814205319e1f74bc1cf7',
+      '9fc4662f30e2014dab78322272f63415bc3159c6b6d86e08e82ce840327cce7e',
+      'df2bf4cd95a65f077796c73ad5095a9358f746ac9284c321213fb299ab35ba85')),
+    ('log_leak-len13', {'n_sessions': 100, 'rule': 'log_leak', 'seed': 8, 'length_low': 13, 'length_high': 13},
+     ('ef0b9aa5b9750a42484ffcd2ffa481f0d494e4a83fa9a95ed22e2a99012fd509',
+      '0104f6cc1ab88a049f6ae4e81694ce1e9f0aa58cd09575d5b4651f7d571a507b',
+      'df2bf4cd95a65f077796c73ad5095a9358f746ac9284c321213fb299ab35ba85')),
+    ('threshold-noise0', {'n_sessions': 100, 'rule': 'threshold', 'seed': 9, 'noise': 0.0},
+     ('0e2a693a059ceff0fe4e792b75ae9f22406d528f0556b793ade8cbd959951923',
+      '78c4c2e9eec98e7c392ebe38389eeeb4fd91b42c4e0a038e7d5bf7670c5d5fae',
+      'df2bf4cd95a65f077796c73ad5095a9358f746ac9284c321213fb299ab35ba85')),
+    ('preference-tracks64', {'n_sessions': 300, 'rule': 'preference', 'seed': 10, 'n_tracks': 64},
+     ('bcb1489eac887aa36ecac1e374f8d5c98815b5c33de662bc79756f2cd5c2ec80',
+      'b9d86279af7e516aaae9c6641fff49644a3852f1f8cc0f8ed1f41e71d0f1092b',
+      'df2bf4cd95a65f077796c73ad5095a9358f746ac9284c321213fb299ab35ba85')),
+]
+
+
+@pytest.mark.parametrize("name,kw,digests", PINNED, ids=[p[0] for p in PINNED])
+def test_corpus_bytes_are_pinned(tmp_path, name, kw, digests):
+    paths = generate(SynthConfig(**kw), tmp_path)
+    got = tuple(hashlib.sha256(paths[k].read_bytes()).hexdigest()
+                for k in ("sessions", "features", "schema"))
+    assert got == digests
