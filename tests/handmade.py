@@ -6,20 +6,25 @@ chosen lengths and values write them here as :class:`Episode` objects;
 ``make_batch`` concatenates their rows, pads them with ``Batch.from_rows``
 and takes the batch with ``dataio.make_batch``, as training does.
 ``corpus_order_predictions`` is the reference scoring loop that
-length-bucketed inference is checked against, and ``padded_conv_stacks``
-the padded forward that the causal stacks' packed one is checked against.
+length-bucketed inference is checked against, ``padded_conv_stacks``
+the padded forward that the causal stacks' packed one is checked against,
+and ``reference_generate`` the one-session-at-a-time corpus generator
+that the array-work ``synthgen.generate`` is checked against.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from seqskip import dataio, nn
+from seqskip import dataio, nn, synthgen
 from seqskip import tensor as T
 from seqskip.errors import ValidationError
 from seqskip.nn import Conv1dSpec
+from seqskip.rng import rng_stream
 
 
 @dataclass
@@ -103,3 +108,99 @@ def padded_conv_stacks(model, batch: dataio.Batch) -> T.Tensor:
                                *model._branches(f"stack{s}.level{level}"))
     logits = nn.conv1d_cl(h, Conv1dSpec(width, 1, 1), p["head.w"], p["head.b"])
     return T.reshape(logits, batch.seq_mask.shape)
+
+
+def _reference_labels(config, rule_w, quantile, acoustic, rng):
+    """Realized labels for one session given its tracks' acoustic rows."""
+    length = acoustic.shape[0]
+    flips = rng.random(length) < config.noise
+    if config.rule == "threshold":
+        clean = (acoustic @ rule_w > 0).astype(np.int64)
+        return np.bitwise_xor(clean, flips.astype(np.int64))
+    if config.rule == "preference":
+        z = acoustic @ rule_w
+        clean = (z > np.quantile(z, quantile)).astype(np.int64)
+        return np.bitwise_xor(clean, flips.astype(np.int64))
+    if config.rule == "log_leak":
+        eta = rng.standard_normal(length)
+        clean = (acoustic @ rule_w + synthgen.LEAK_SCALE * eta > 0).astype(np.int64)
+        return np.bitwise_xor(clean, flips.astype(np.int64))
+    # markov: realized (possibly flipped) states drive the recurrence
+    z = acoustic @ rule_w
+    labels = np.zeros(length, dtype=np.int64)
+    s_prev = s_prev2 = 0.0  # absent history contributes nothing
+    for t in range(length):
+        drive = (synthgen.MARKOV_C1 * s_prev + synthgen.MARKOV_C2 * s_prev2
+                 + synthgen.MARKOV_C_AC * z[t])
+        clean = 1 if drive > 0 else 0
+        labels[t] = clean ^ int(flips[t])
+        s_prev2 = s_prev
+        s_prev = 2.0 * labels[t] - 1.0
+    return labels
+
+
+def reference_generate(config: synthgen.SynthConfig, out_dir) -> dict[str, Path]:
+    """The corpus one session at a time: draws, labels, then one f-string per row.
+
+    This is the generator the pinned corpus hashes were made with; it
+    writes the same files as ``synthgen.generate``.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    f_dim = config.feature_dim
+    n_tracks = config.track_count
+    vocab = synthgen.CONTEXT_VOCAB
+
+    track_rng = rng_stream(config.seed, "synth", "tracks")
+    features = track_rng.standard_normal((n_tracks, f_dim))
+    track_ids = [f"t{i:05d}" for i in range(n_tracks)]
+
+    w_global = rng_stream(config.seed, "synth", "rule_w").standard_normal(f_dim)
+    w_global /= np.linalg.norm(w_global)
+
+    session_lines = [synthgen.SESSION_HEADER]
+    for i in range(config.n_sessions):
+        rng = rng_stream(config.seed, "synth", "session", i)
+        length = int(rng.integers(config.length_low, config.length_high + 1))
+        tracks = rng.integers(0, n_tracks, size=length)
+        acoustic = features[tracks]
+        if config.rule == "preference":
+            w = rng.standard_normal(f_dim)
+            w /= np.linalg.norm(w)
+            quantile = float(rng.uniform(config.pref_q_low, config.pref_q_high))
+        else:
+            w = w_global
+            quantile = 0.5
+        labels = _reference_labels(config, w, quantile, acoustic, rng)
+
+        ctx = rng.integers(0, len(vocab), size=length)
+        pause = rng.integers(0, 5, size=length)
+        shuffle = rng.integers(0, 2, size=length)
+        if config.rule == "log_leak":
+            seek = labels + rng.integers(0, 2, size=length)
+        else:
+            seek = rng.integers(0, 3, size=length)
+
+        sid = f"s{i:06d}"
+        for pos in range(length):
+            session_lines.append(
+                f"{sid},{track_ids[tracks[pos]]},{pos + 1},"
+                f"{vocab[ctx[pos]]},{seek[pos]},{pause[pos]},"
+                f"{shuffle[pos]},{labels[pos]},2019-01-{(pos % 28) + 1:02d}"
+            )
+
+    feature_lines = ["track_id," + ",".join(f"f{j}" for j in range(f_dim))]
+    for tid, vec in zip(track_ids, features):
+        feature_lines.append(tid + "," + ",".join(format(v, ".9g") for v in vec))
+
+    paths = {
+        "sessions": out / synthgen.SESSION_FILE,
+        "features": out / synthgen.FEATURE_FILE,
+        "schema": out / synthgen.SCHEMA_FILE,
+    }
+    paths["sessions"].write_text("\n".join(session_lines) + "\n", encoding="utf-8")
+    paths["features"].write_text("\n".join(feature_lines) + "\n", encoding="utf-8")
+    paths["schema"].write_text(
+        json.dumps(synthgen.schema_dict(config), indent=2) + "\n", encoding="utf-8"
+    )
+    return paths

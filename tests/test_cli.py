@@ -209,6 +209,17 @@ def test_from_manifest_bad_values(corpus_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("tracks", ["0", "-3"])
+def test_gen_data_rejects_an_empty_track_pool(tmp_path, capsys, tracks):
+    out = tmp_path / "out"
+    rc = main(["gen-data", "--n", "5", "--tracks", tracks, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == [f"error: n_tracks must be positive, got {tracks}"]
+    assert "Traceback" not in err
+    assert not (out / "sessions.csv").exists()
+
+
 def test_fit_writes_checkpoint_and_manifest(checkpoint):
     assert checkpoint.exists()
     manifest_path = checkpoint.parent / "model.ckpt.manifest.json"

@@ -6,14 +6,28 @@ internals, so these act as independent oracles.
 """
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from handmade import reference_generate
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seqskip.dataio import load_corpus
 from seqskip.errors import ConfigurationError
 from seqskip.rng import rng_stream
-from seqskip.synthgen import RULES, SynthConfig, generate
+from seqskip.synthgen import (
+    PREF_Q_HIGH,
+    PREF_Q_LOW,
+    RULES,
+    SynthConfig,
+    _row_quantiles,
+    generate,
+)
+
+FILES = ("sessions", "features", "schema")
 
 
 def _gen(tmp_path, **kw):
@@ -74,6 +88,7 @@ def test_config_validation():
         {"n_sessions": 1, "length_high": 21},
         {"n_sessions": 1, "length_low": 15, "length_high": 12},
         {"n_sessions": 1, "feature_dim": 0},
+        {"n_sessions": 1, "n_tracks": 0},
         {"n_sessions": 1, "pref_q_low": 0.0},
         {"n_sessions": 1, "pref_q_low": 0.8, "pref_q_high": 0.4},
     ):
@@ -151,7 +166,7 @@ def test_non_leak_rules_keep_logs_independent(tmp_path):
 
 
 # SHA-256 of (sessions.csv, features.csv, schema.json), made by the
-# per-session generator (draws, labels and one f-string row at a time).
+# per-session generator that ``handmade.reference_generate`` keeps.
 # Every criterion's figure rests on these bytes; a change here is a new
 # corpus, not a refactor.
 PINNED = [
@@ -213,6 +228,62 @@ PINNED = [
 @pytest.mark.parametrize("name,kw,digests", PINNED, ids=[p[0] for p in PINNED])
 def test_corpus_bytes_are_pinned(tmp_path, name, kw, digests):
     paths = generate(SynthConfig(**kw), tmp_path)
-    got = tuple(hashlib.sha256(paths[k].read_bytes()).hexdigest()
-                for k in ("sessions", "features", "schema"))
+    got = tuple(hashlib.sha256(paths[k].read_bytes()).hexdigest() for k in FILES)
     assert got == digests
+
+
+@st.composite
+def synth_configs(draw):
+    low = draw(st.integers(10, 20))
+    q_low = draw(st.floats(0.01, 0.99))
+    return SynthConfig(
+        n_sessions=draw(st.integers(1, 120)),
+        rule=draw(st.sampled_from(RULES)),
+        noise=draw(st.floats(0.0, 0.49)),
+        seed=draw(st.integers(0, 2**40)),
+        feature_dim=draw(st.integers(1, 24)),
+        length_low=low,
+        length_high=draw(st.integers(low, 20)),
+        n_tracks=draw(st.none() | st.integers(1, 200)),
+        pref_q_low=q_low,
+        pref_q_high=draw(st.floats(q_low, 0.99)),
+    )
+
+
+@given(synth_configs())
+def test_generate_writes_the_per_session_reference_bytes(config):
+    with tempfile.TemporaryDirectory() as d:
+        got = generate(config, Path(d) / "got")
+        want = reference_generate(config, Path(d) / "want")
+        for key in FILES:
+            assert got[key].read_bytes() == want[key].read_bytes(), key
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_a_smaller_corpus_is_a_prefix_of_a_larger_one(tmp_path, rule):
+    # No state (markov history, a preference cut's rows) crosses sessions
+    # or reads padded positions: session i's rows depend on i alone.
+    small = generate(SynthConfig(n_sessions=50, rule=rule, seed=5, n_tracks=64), tmp_path / "s")
+    large = generate(SynthConfig(n_sessions=80, rule=rule, seed=5, n_tracks=64), tmp_path / "l")
+    small_rows = small["sessions"].read_text().splitlines()
+    large_rows = large["sessions"].read_text().splitlines()
+    assert large_rows[: len(small_rows)] == small_rows
+    assert large_rows[len(small_rows)].startswith("s000050,")
+    assert small["features"].read_bytes() == large["features"].read_bytes()
+
+
+def test_row_quantiles_equal_numpy_quantile_bit_for_bit():
+    # Against the installed numpy, so a change to np.quantile shows here
+    # rather than as silently different corpora.
+    rng = np.random.default_rng(0)
+    n = 3000
+    lengths = rng.integers(10, 21, size=n)
+    values = rng.standard_normal((n, 20))
+    values[::3] = rng.choice(rng.standard_normal(4), size=(n, 20))[::3]  # ties
+    values[np.arange(20) >= lengths[:, None]] = 1e9  # padding must not be read
+    q = rng.uniform(PREF_Q_LOW, PREF_Q_HIGH, size=n)
+    q[1::4] = rng.uniform(0.01, 0.99, size=len(q[1::4]))
+    q[::5] = np.resize([PREF_Q_LOW, 0.5, PREF_Q_HIGH], len(q[::5]))
+    got = _row_quantiles(values, lengths, q)
+    want = np.array([np.quantile(v[:length], float(c)) for v, length, c in zip(values, lengths, q)])
+    assert got.tobytes() == want.tobytes()
