@@ -67,6 +67,18 @@ SESSION_FILE = "sessions.csv"
 FEATURE_FILE = "features.csv"
 SCHEMA_FILE = "schema.json"
 
+SESSION_HEADER = (
+    "session_id,track_id,position,context_type,seek_fwd_count,"
+    "pause_count,shuffle,skipped,date"
+)
+# log columns drawn per position, in draw order, and the exclusive bound
+# of each written value
+LOG_COLUMNS = ("context", "pause", "shuffle", "seek")
+LOG_HIGHS = (len(CONTEXT_VOCAB), 5, 2, 3)
+
+# rows of sessions.csv and features.csv are formatted and written this many at a time
+_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -124,21 +136,6 @@ def schema_dict(config: SynthConfig) -> dict:
             {"name": "shuffle", "kind": "boolean"},
         ],
     }
-
-
-
-
-SESSION_HEADER = (
-    "session_id,track_id,position,context_type,seek_fwd_count,"
-    "pause_count,shuffle,skipped,date"
-)
-# log columns drawn per position, in draw order, and the exclusive bound
-# of each written value
-LOG_COLUMNS = ("context", "pause", "shuffle", "seek")
-LOG_HIGHS = (len(CONTEXT_VOCAB), 5, 2, 3)
-
-# rows of sessions.csv and features.csv are formatted and written this many at a time
-_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -271,13 +268,13 @@ def _write_sessions(path: Path, d: _Draws, labels: np.ndarray, track_ids: list[s
     code = np.ravel_multi_index((positions, *d.logs.transpose(1, 0, 2), labels), dims)[real]
     session = np.repeat(np.arange(n), d.lengths)
     track = d.tracks[real]
-    session_ids = np.array([f"s{i:06d}," for i in range(n)], dtype=object)
-    track_cols = np.array([f"{t}," for t in track_ids], dtype=object)
+    session_fields = np.array([f"s{i:06d}," for i in range(n)], dtype=object)
+    track_fields = np.array([f"{t}," for t in track_ids], dtype=object)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(SESSION_HEADER + "\n")
         for start in range(0, len(code), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
-            rows = session_ids[session[block]] + track_cols[track[block]] + tails[code[block]]
+            rows = session_fields[session[block]] + track_fields[track[block]] + tails[code[block]]
             fh.write("".join(rows.tolist()))
 
 
