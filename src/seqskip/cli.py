@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataio import load_corpus, load_features, load_schema, load_sessions
+from .dataio import load_corpus, load_features, load_schema, load_sessions, read_utf8
 from .errors import SeqskipError, ValidationError
 from .gradcheck import DEFAULT_TRIALS, TOLERANCE, run_suite
 from .metrics import (
@@ -82,7 +82,7 @@ def _maybe_load_manifest(args: argparse.Namespace, command: str) -> argparse.Nam
     if not getattr(args, "from_manifest", None):
         return args
     try:
-        payload = json.loads(Path(args.from_manifest).read_text(encoding="utf-8"))
+        payload = json.loads(read_utf8(args.from_manifest))
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read manifest {args.from_manifest}: {exc}") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("args"), dict):
@@ -158,14 +158,22 @@ def _truth_by_session(data_dir, schema):
     return {sid: sessions.labels[a:b] for sid, a, b in zip(sessions.ids, cuts, ends)}
 
 
+def _model_and_episodes(checkpoint, data: Path):
+    """A checkpoint's model and the episodes of a data directory's sessions, which must
+    hold at least one session."""
+    model, stats, schema, _ = load_model(checkpoint)
+    sessions = load_sessions(data / "sessions.csv", schema)
+    if not len(sessions):
+        raise ValidationError(f"session file {data / 'sessions.csv'} holds no sessions")
+    features = load_features(data / "features.csv", schema)
+    return model, build_episodes(sessions, features, stats, schema, model.config.kind)
+
+
 def cmd_evaluate(args) -> int:
     args = _maybe_load_manifest(args, "evaluate")
     data = Path(args.data)
     if args.checkpoint:
-        model, stats, schema, _ = load_model(args.checkpoint)
-        sessions = load_sessions(data / "sessions.csv", schema)
-        features = load_features(data / "features.csv", schema)
-        episodes = build_episodes(sessions, features, stats, schema, model.config.kind)
+        model, episodes = _model_and_episodes(args.checkpoint, data)
         preds = score_episodes(model, episodes, batch_size=args.batch_size)
     else:
         # Scoring wire predictions needs the query labels only: one parse
@@ -201,11 +209,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     args = _maybe_load_manifest(args, "predict")
-    data = Path(args.data)
-    model, stats, schema, _ = load_model(args.checkpoint)
-    sessions = load_sessions(data / "sessions.csv", schema)
-    features = load_features(data / "features.csv", schema)
-    episodes = build_episodes(sessions, features, stats, schema, model.config.kind)
+    model, episodes = _model_and_episodes(args.checkpoint, Path(args.data))
     rows = [
         (sid, binarize(probs))
         for sid, probs in predict_corpus(model, episodes, batch_size=args.batch_size)

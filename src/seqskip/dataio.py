@@ -22,13 +22,16 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import json
 import math
+import re
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +45,8 @@ COLUMN_KINDS = ("categorical", "count", "boolean", "real")
 
 _BOOL_VALUES = {"0": 0, "1": 1, "false": 0, "true": 1}
 
-_BLOCK_ROWS = 4096  # CSV rows parsed at a time
+_BLOCK_ROWS = 4096  # CSV lines parsed at a time
+_READ_BYTES = 1 << 20  # file bytes read at a time
 
 
 # -- schema ------------------------------------------------------------
@@ -164,7 +168,7 @@ class SchemaSpec:
 
 def load_schema(path) -> SchemaSpec:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"schema file {path} is not valid JSON: {exc}") from exc
     return SchemaSpec.from_json(obj, source=f"schema file {path}")
@@ -230,16 +234,18 @@ class FeatureTable:
 
 class _FirstError:
     """The error of a file's earliest bad row, built once that row is known. Checks run
-    in a row-by-row parse's order, each over the rows before the earliest failure so far."""
+    in a row-by-row parse's order, each over the rows before the earliest failure so far.
+    ``offset`` counts the rows of earlier blocks, ``lines`` holds each row's file line."""
 
-    def __init__(self, path, offset: int, n_rows: int):
-        self.path, self.offset, self.limit, self.error = path, offset, n_rows, None
+    def __init__(self, path, offset: int, lines: np.ndarray):
+        self.path, self.offset, self.lines = path, offset, lines
+        self.limit, self.error = len(lines), None
 
     def check(self, ok: np.ndarray, error) -> None:
         bad = np.flatnonzero(~ok[: self.limit])
         if bad.size:
             self.limit = int(bad[0])
-            self.error = error(self.limit, f"{self.path}:{self.offset + self.limit + 2}")
+            self.error = error(self.limit, f"{self.path}:{self.lines[self.limit]}")
 
 
 @contextmanager
@@ -255,25 +261,154 @@ def _gc_paused():
             gc.enable()
 
 
+def _not_utf8(where: str, byte: int) -> ValidationError:
+    return ValidationError(f"{where}: byte 0x{byte:02x} is not UTF-8")
+
+
+def read_utf8(path) -> str:
+    """A file's text; a byte that is not UTF-8 fails with the file and line that hold it."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise _not_utf8(f"{path}:{line}", data[exc.start]) from None
+
+
+def _plain(data: bytes) -> bool:
+    """Whether splitting at commas and newlines reads ``data`` as csv.reader does."""
+    return b'"' not in data and b"\r" not in data
+
+
+def _line_blocks(fh):
+    """The rest of a binary file in blocks of ``_BLOCK_ROWS`` lines, each as its bytes, the
+    offset of each line's newline and each line's count of delimiters (its commas and its
+    newline). A missing final newline is added; the last block may be empty. One read and
+    its scan are held at a time."""
+    data = b""
+    while True:
+        chunk = fh.read(_READ_BYTES)
+        data += chunk
+        if not chunk and data and not data.endswith(b"\n"):
+            data += b"\n"
+        arr = np.frombuffer(data, np.uint8)
+        marks = np.flatnonzero((arr == 44) | (arr == 10))
+        newline = np.flatnonzero(arr[marks] == 10)
+        ends, marked = marks[newline], np.diff(newline, prepend=-1)
+        start, full = 0, len(ends) // _BLOCK_ROWS * _BLOCK_ROWS
+        for k in range(0, full, _BLOCK_ROWS):
+            stop = int(ends[k + _BLOCK_ROWS - 1]) + 1
+            yield data[start:stop], ends[k : k + _BLOCK_ROWS] - start, marked[k : k + _BLOCK_ROWS]
+            start = stop
+        if not chunk:
+            yield data[start:], ends[full:] - start, marked[full:]
+            return
+        data = data[start:]
+
+
+def _split_block(block: bytes, ends: np.ndarray, marked: np.ndarray, line: int, skip_blank: bool):
+    """One block of plain lines from file line ``line`` on, as :func:`_rows` yields it: a
+    line's cells are its commas plus one, and one split makes the cells."""
+    blank = np.diff(ends, prepend=-1) == 1
+    kept = np.flatnonzero(~blank) if skip_blank else np.arange(len(ends))
+    stop, bad = len(block), None
+    if not block.isascii():
+        try:
+            block.decode("utf-8")
+        except UnicodeDecodeError as exc:  # split the lines before the one that holds it
+            stop = block.rfind(b"\n", 0, exc.start) + 1
+            bad = int(np.searchsorted(ends[kept], exc.start)), block[exc.start]
+    body = block[:stop]
+    if len(kept) < len(ends):  # drop the skipped blank lines: each is one newline byte
+        body = np.delete(np.frombuffer(body, np.uint8), ends[blank & (ends < stop)]).tobytes()
+    cells = body.decode("utf-8").replace("\n", ",").split(",")
+    cells.pop()  # after the last newline
+    return line + kept, np.where(blank, 0, marked)[kept], bad, cells
+
+
+_ESCAPED = re.compile("[\udc80-\udcff]")  # bytes that are not UTF-8, as surrogateescape reads them
+
+
+def _escaped_byte(row: list[str]) -> int | None:
+    """The first byte of a csv row that is not UTF-8, if it holds one."""
+    found = _ESCAPED.search("\0".join(row))
+    return found and ord(found[0]) - 0xDC00
+
+
+def _csv_rows(fh, path, line: int, skip_blank: bool):
+    """As :func:`_rows`, from file line ``line + 1`` (a line start) on, with csv.reader
+    reading the text: a row's line is the line it ends on. From line 1, the header comes
+    first."""
+    with io.TextIOWrapper(fh, "utf-8", "surrogateescape", newline="") as text:
+        reader = csv.reader(text)
+        if not line:
+            header = next(reader, None) or []
+            if byte := _escaped_byte(header):
+                raise _not_utf8(f"{path}:{reader.line_num}", byte)
+            yield header
+        rows = zip(reader, map(attrgetter("line_num"), repeat(reader)))  # row, its end line
+        rows = filter(itemgetter(0), rows) if skip_blank else rows
+        full = True
+        while full:
+            block = list(islice(rows, _BLOCK_ROWS))
+            full = len(block) == _BLOCK_ROWS
+            cells, lines = zip(*block) if block else ((), ())
+            flat, bad = list(chain.from_iterable(cells)), None
+            if not "".join(flat).isascii():  # an escaped byte is not ASCII
+                bad = next(((i, b) for i, row in enumerate(cells) if (b := _escaped_byte(row))),
+                           None)
+            yield (line + np.array(lines, dtype=np.int64),
+                   np.fromiter(map(len, cells), np.int64, len(cells)), bad, flat)
+
+
+def _rows(fh, path, skip_blank: bool):
+    """Yield the header's cells, then per block of rows: each row's file line, its cell
+    count, the first row holding a byte that is not UTF-8 and that byte (or None), and at
+    least the cells of the rows before that one, row after row. Plain lines are split by
+    :func:`_split_block`; from the first block holding a quote or a carriage return on,
+    csv.reader reads the file."""
+    head = fh.readline()
+    if not _plain(head):
+        fh.seek(0)
+        yield from _csv_rows(fh, path, 0, skip_blank)
+        return
+    try:
+        header = head.decode("utf-8").removesuffix("\n")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(f"{path}:1", head[exc.start]) from None
+    yield header.split(",") if header else []
+    pos, line = len(head), 2
+    for block, ends, marked in _line_blocks(fh):
+        if not _plain(block):
+            fh.seek(pos)
+            yield from _csv_rows(fh, path, line - 1, skip_blank)
+            return
+        yield _split_block(block, ends, marked, line, skip_blank)
+        pos, line = pos + len(block), line + len(ends)
+
+
 def _blocks(path, skip_blank: bool):
     """Yield the header, then ``(errors, columns)`` per block of rows, freeing each block's
-    text before the next. A block ends before a ragged row; once the caller has checked a
-    block, its earliest error is raised. Skipped blank rows take no line number."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None) or []
+    text before the next. A block's rows stop before a ragged row or one that is not UTF-8;
+    once the caller has checked a block, its earliest error is raised. Errors name the
+    file's own lines, skipped blank lines included."""
+    with open(path, "rb") as fh:
+        rows = _rows(fh, path, skip_blank)
+        header = next(rows)
         yield header
-        offset, full = 0, True
-        while full:
-            block = list(islice(reader, _BLOCK_ROWS))
-            rows, full = [r for r in block if r or not skip_blank], len(block) == _BLOCK_ROWS
-            first = _FirstError(path, offset, len(rows))
-            ragged = np.fromiter(map(len, rows), np.int64, len(rows)) != len(header)
-            first.check(~ragged, lambda i, where: ValidationError(f"{where}: ragged row"))
-            yield first, list(zip(*rows[: first.limit])) or [()] * len(header)
+        offset, width = 0, len(header)
+        for lines, widths, bad, cells in rows:
+            first = _FirstError(path, offset, lines)
+            if bad:
+                row, byte = bad
+                first.check(np.arange(len(lines)) < row, lambda i, where: _not_utf8(where, byte))
+            first.check(widths == width, lambda i, where: ValidationError(f"{where}: ragged row"))
+            if first.error:  # the rows before the first bad one: each is ``width`` cells
+                cells = cells[: first.limit * width]
+            yield first, [cells[j::width] for j in range(width)]
             if first.error:
                 raise first.error
-            offset += len(rows)
+            offset += len(lines)
 
 
 def _parse(raw: Sequence, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +421,7 @@ def _parse(raw: Sequence, dtype) -> tuple[np.ndarray, np.ndarray]:
         return np.array(raw[: np.argmin(ok)], dtype=dtype), ok
 
 
-def _parse_column(raw: tuple[str, ...], kind: str, vocabulary) -> tuple[np.ndarray, np.ndarray]:
+def _parse_column(raw: Sequence[str], kind: str, vocabulary) -> tuple[np.ndarray, np.ndarray]:
     """One session-file column, converted once, and a mask of its valid values."""
     if kind in ("categorical", "boolean"):
         lookup = _BOOL_VALUES if kind == "boolean" else {v: j for j, v in enumerate(vocabulary)}
@@ -342,11 +477,16 @@ def load_sessions(path, schema: SchemaSpec) -> Sessions:
         parts.append(part)
     values = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
-    # Sessions numbered by first appearance: setdefault keeps a seen id's number.
+    # Sessions numbered by first appearance, one run of equal neighbouring ids at a time:
+    # setdefault keeps a seen id's number.
     seen: dict[str, int] = {}
     sids = values[schema.session_id_col]
-    group = np.fromiter(map(seen.setdefault, sids, map(len, repeat(seen))), np.int64, len(sids))
-    order = np.lexsort((values[schema.position_col], group))
+    runs = np.flatnonzero(np.r_[True, sids[1:] != sids[:-1]][: len(sids)])
+    numbers = map(seen.setdefault, sids[runs], map(len, repeat(seen)))
+    group = np.repeat(np.fromiter(numbers, np.int64, len(runs)), np.diff(runs, append=len(sids)))
+    positions, step = values[schema.position_col], np.diff(group)
+    in_order = ((step > 0) | ((step == 0) & (np.diff(positions) >= 0))).all()
+    order = slice(None) if in_order else np.lexsort((positions, group))
     sessions = Sessions(
         ids=np.array(list(seen), dtype=object),
         lengths=np.bincount(group, minlength=len(seen)),
@@ -354,8 +494,8 @@ def load_sessions(path, schema: SchemaSpec) -> Sessions:
         labels=values[schema.skip_label_col][order].astype(np.int8),
         columns={c.name: values[c.name][order] for c in schema.feature_columns},
     )
-    lengths, positions = sessions.lengths, values[schema.position_col][order]
-    rank = np.arange(len(order)) - np.repeat(sessions.starts, lengths) + 1
+    lengths, positions = sessions.lengths, positions[order]
+    rank = np.arange(len(group)) - np.repeat(sessions.starts, lengths) + 1
     gaps = np.bincount(group[order], weights=positions != rank, minlength=len(seen))
     wrong_length = (lengths < MIN_SESSION_LEN) | (lengths > MAX_SESSION_LEN)
     for s in np.flatnonzero(wrong_length | (gaps > 0))[:1]:
@@ -383,19 +523,21 @@ def load_features(path, schema: SchemaSpec) -> FeatureTable:
             f"schema says {schema.feature_dim}"
         )
     index, matrices = {}, []
-    for first, (ids, *cells) in blocks:
+    for first, (ids, *columns) in blocks:
         firsts = np.fromiter(map(index.setdefault, ids, count(first.offset)), np.int64, len(ids))
         first.check(firsts == first.offset + np.arange(len(ids)), lambda i, where: ValidationError(
             f"{where}: duplicate track id {ids[i]!r}"
         ))
-        cells = list(zip(*cells))  # back to rows: a row's cells parse, or fail, together
-        matrix, ok = _parse(cells, np.float64)
-        first.check(ok, lambda i, where: ValidationError(f"{where}: non-numeric feature value"))
+        try:
+            matrix = np.array(columns, dtype=np.float64).T
+        except (ValueError, OverflowError):  # by rows: a row's cells parse, or fail, together
+            matrix, ok = _parse(list(zip(*columns)), np.float64)
+            first.check(ok, lambda i, where: ValidationError(f"{where}: non-numeric feature value"))
         matrices.append(matrix.reshape(len(matrix), schema.feature_dim))
         finite = np.isfinite(matrices[-1])
         col = np.argmin(finite, axis=1)  # each row's first non-finite cell, if it has one
         first.check(finite.all(axis=1), lambda i, where: ValidationError(
-            f"{where}: column {header[col[i] + 1]!r} has non-finite value {cells[i][col[i]]!r}"
+            f"{where}: column {header[col[i] + 1]!r} has non-finite value {columns[col[i]][i]!r}"
         ))
     return FeatureTable(matrix=np.concatenate(matrices), index=index)
 

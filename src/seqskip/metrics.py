@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataio import read_utf8
 from .errors import EvaluationError, ValidationError
 
 
@@ -141,7 +142,7 @@ def write_predictions(path, predictions: list[tuple[str, np.ndarray]]) -> None:
 
 def read_predictions(path) -> list[tuple[str, np.ndarray]]:
     out = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line.strip():
             continue
         sid, sep, bits = line.rpartition(",")

@@ -271,6 +271,7 @@ def save_model(
 
 def load_model(path) -> tuple[Model, PreprocessStats, SchemaSpec, dict]:
     """Rebuild a model bit-identically from a checkpoint file."""
+    _keep_freed_heap()  # a scoring process maps its large arrays once, as train() does
     arrays, meta = ckpt.load_checkpoint(path)
     parsers = (("model", ModelConfig.from_json), ("in_dim", int),
                ("stats", PreprocessStats.from_json),

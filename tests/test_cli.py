@@ -542,6 +542,58 @@ def test_missing_data_dir_reports_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _with_byte_e9(path, line):
+    """Copy of ``path`` with the byte 0xE9 at the end of its ``line``-th line."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] += b"\xe9"
+    out = path.with_name(f"e9_{path.name}")
+    out.write_bytes(b"\n".join(lines))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["sessions.csv", "features.csv", "schema.json",
+                                  "predictions", "manifest"])
+def test_a_byte_that_is_not_utf8_is_one_error_line(corpus_dir, checkpoint, tmp_path, capsys,
+                                                   kind):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("sessions.csv", "features.csv", "schema.json"):
+        (data / name).write_bytes((corpus_dir / name).read_bytes())
+    preds = tmp_path / "p.txt"
+    assert main(["predict", "--data", str(data), "--checkpoint", str(checkpoint),
+                 "--out", str(preds)]) == 0
+    capsys.readouterr()
+    line = 1 if kind == "predictions" else 3
+    if kind in ("sessions.csv", "features.csv", "schema.json"):
+        bad = _with_byte_e9(data / kind, line).replace(data / kind)
+    else:
+        bad = _with_byte_e9(preds if kind == "predictions" else corpus_dir / "gen_manifest.json",
+                            line)
+    argv = {
+        "predictions": ["evaluate", "--data", str(data), "--predictions", str(bad)],
+        "manifest": ["gen-data", "--n", "1", "--out", str(tmp_path / "out"),
+                     "--from-manifest", str(bad)],
+        "schema.json": ["evaluate", "--data", str(data), "--predictions", str(preds)],
+    }.get(kind, ["predict", "--data", str(data), "--checkpoint", str(checkpoint),
+                 "--out", str(tmp_path / "p2.txt")])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}:{line}: byte 0xe9 is not UTF-8\n"
+
+
+def test_predict_on_a_corpus_without_sessions_fails(corpus_dir, checkpoint, tmp_path, capsys):
+    for name in ("features.csv", "schema.json"):
+        (tmp_path / name).write_bytes((corpus_dir / name).read_bytes())
+    header = (corpus_dir / "sessions.csv").read_text().splitlines()[0]
+    (tmp_path / "sessions.csv").write_text(header + "\n")
+    out = tmp_path / "p.txt"
+    rc = main(["predict", "--data", str(tmp_path), "--checkpoint", str(checkpoint),
+               "--out", str(out)])
+    assert rc == 1 and not out.exists() and not out.with_suffix(".manifest.json").exists()
+    assert capsys.readouterr().err == (
+        f"error: session file {tmp_path / 'sessions.csv'} holds no sessions\n")
+
+
 def _vocabulary_of_five(schema):
     cols = [dict(c, vocabulary=5) if c["kind"] == "categorical" else c for c in schema["columns"]]
     return dict(schema, columns=cols)

@@ -6,17 +6,23 @@ the per-record code as it was before the corpus went columnar: one dict
 per CSV row, one transform and one episode per session, one copy per
 episode into each batch. The columnar path must give the same sessions,
 the same statistics and transform bit for bit, the same batches byte for
-byte, and the same error for every malformed file.
+byte, and the same error for every malformed file. The reference loaders
+read rows through ``ref_rows``: csv.reader's rows, each named by the file
+line it ends on (``line_num``, blank lines counted), and a row holding a
+byte that is not UTF-8 fails at its line.
 """
 
 import csv
 import math
 from dataclasses import dataclass, fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from handmade import Episode
 from handmade import make_batch as handmade_batch
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seqskip import dataio
 from seqskip.dataio import (
@@ -68,40 +74,58 @@ def _ref_number(raw, column, where, nonnegative=False):
     return value
 
 
+def ref_rows(path):
+    """Each csv row of a file and the line it ends on. A row holding a byte that is not
+    UTF-8 fails at that line, before its values are read."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            escaped = [c for c in "".join(row) if "\udc80" <= c <= "\udcff"]
+            if escaped:
+                byte = ord(escaped[0]) - 0xDC00
+                raise ValidationError(f"{path}:{reader.line_num}: byte 0x{byte:02x} is not UTF-8")
+            yield row, reader.line_num
+
+
 def ref_load_sessions(path, schema):
     needed = {schema.session_id_col, schema.track_id_col, schema.position_col, schema.skip_label_col}
     needed.update(c.name for c in schema.feature_columns)
     by_session = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = sorted(needed - set(reader.fieldnames or ()))
-        if missing:
-            raise SchemaError(f"session file {path} lacks schema columns: {missing}")
-        for line_no, row in enumerate(reader, start=2):
-            where = f"{path}:{line_no}"
-            try:
-                pos = int(row[schema.position_col])
-            except ValueError:
-                raise ValidationError(
-                    f"{where}: position {row[schema.position_col]!r} is not an integer"
-                ) from None
-            label = _ref_bool(row[schema.skip_label_col], schema.skip_label_col, where)
-            logs = {}
-            for col in schema.feature_columns:
-                raw = row[col.name]
-                if col.kind == "categorical":
-                    if raw not in col.vocabulary:
-                        raise SchemaError(
-                            f"{where}: column {col.name!r} has value {raw!r} "
-                            f"outside the schema vocabulary"
-                        )
-                    logs[col.name] = raw
-                elif col.kind == "boolean":
-                    logs[col.name] = _ref_bool(raw, col.name, where)
-                else:
-                    logs[col.name] = _ref_number(raw, col.name, where, col.kind == "count")
-            by_session.setdefault(row[schema.session_id_col], []).append(
-                (pos, row[schema.track_id_col], label, logs))
+    rows = ref_rows(path)
+    header = next(rows, ([], 1))[0]
+    missing = sorted(needed - set(header))
+    if missing:
+        raise SchemaError(f"session file {path} lacks schema columns: {missing}")
+    for cells, line_no in rows:
+        if not cells:  # a blank line, skipped as csv.DictReader skips it
+            continue
+        where = f"{path}:{line_no}"
+        if len(cells) != len(header):
+            raise ValidationError(f"{where}: ragged row")
+        row = dict(zip(header, cells))
+        try:
+            pos = int(row[schema.position_col])
+        except ValueError:
+            raise ValidationError(
+                f"{where}: position {row[schema.position_col]!r} is not an integer"
+            ) from None
+        label = _ref_bool(row[schema.skip_label_col], schema.skip_label_col, where)
+        logs = {}
+        for col in schema.feature_columns:
+            raw = row[col.name]
+            if col.kind == "categorical":
+                if raw not in col.vocabulary:
+                    raise SchemaError(
+                        f"{where}: column {col.name!r} has value {raw!r} "
+                        f"outside the schema vocabulary"
+                    )
+                logs[col.name] = raw
+            elif col.kind == "boolean":
+                logs[col.name] = _ref_bool(raw, col.name, where)
+            else:
+                logs[col.name] = _ref_number(raw, col.name, where, col.kind == "count")
+        by_session.setdefault(row[schema.session_id_col], []).append(
+            (pos, row[schema.track_id_col], label, logs))
     records = []
     for sid, rows in by_session.items():
         rows.sort(key=lambda r: r[0])
@@ -123,32 +147,31 @@ def ref_load_sessions(path, schema):
 
 def ref_load_features(path, schema):
     vectors = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != schema.track_id_col:
-            raise SchemaError(
-                f"feature file {path} must start with the {schema.track_id_col!r} column")
-        if len(header) - 1 != schema.feature_dim:
-            raise SchemaError(
-                f"feature file {path} has {len(header) - 1} feature columns, "
-                f"schema says {schema.feature_dim}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValidationError(f"{path}:{line_no}: ragged row")
-            tid = row[0]
-            if tid in vectors:
-                raise ValidationError(f"{path}:{line_no}: duplicate track id {tid!r}")
-            try:
-                vec = np.array([float(v) for v in row[1:]], dtype=np.float64)
-            except ValueError:
-                raise ValidationError(f"{path}:{line_no}: non-numeric feature value") from None
-            if not np.isfinite(vec).all():
-                j = 1 + int(np.argmin(np.isfinite(vec)))
-                raise ValidationError(
-                    f"{path}:{line_no}: column {header[j]!r} has non-finite value {row[j]!r}")
-            vectors[tid] = vec
+    rows = ref_rows(path)
+    header = next(rows, ([], 1))[0]
+    if not header or header[0] != schema.track_id_col:
+        raise SchemaError(
+            f"feature file {path} must start with the {schema.track_id_col!r} column")
+    if len(header) - 1 != schema.feature_dim:
+        raise SchemaError(
+            f"feature file {path} has {len(header) - 1} feature columns, "
+            f"schema says {schema.feature_dim}"
+        )
+    for row, line_no in rows:
+        if len(row) != len(header):
+            raise ValidationError(f"{path}:{line_no}: ragged row")
+        tid = row[0]
+        if tid in vectors:
+            raise ValidationError(f"{path}:{line_no}: duplicate track id {tid!r}")
+        try:
+            vec = np.array([float(v) for v in row[1:]], dtype=np.float64)
+        except ValueError:
+            raise ValidationError(f"{path}:{line_no}: non-numeric feature value") from None
+        if not np.isfinite(vec).all():
+            j = 1 + int(np.argmin(np.isfinite(vec)))
+            raise ValidationError(
+                f"{path}:{line_no}: column {header[j]!r} has non-finite value {row[j]!r}")
+        vectors[tid] = vec
     return vectors
 
 
@@ -444,3 +467,117 @@ def test_block_edges(tmp_path, monkeypatch, size):
     features_csv.write_text("\n".join(features + [features[3]]) + "\n")
     assert _error(load_features, features_csv, schema) == _error(
         ref_load_features, features_csv, schema)
+
+
+# -- the block split against the reference, on damaged files -----------------
+
+
+def _outcome(load, path, schema, canonical):
+    try:
+        return "ok", canonical(load(path, schema))
+    except SeqskipError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _sessions_as_lists(sessions):
+    columns = {name: values.tolist() for name, values in sessions.columns.items()}
+    return (sessions.ids.tolist(), sessions.lengths.tolist(), sessions.track_ids.tolist(),
+            sessions.labels.tolist(), columns)
+
+
+def _records_as_lists(schema):
+    def canonical(records):
+        columns = {}
+        for col in schema.feature_columns:
+            values = [logs[col.name] for r in records for logs in r.logs]
+            columns[col.name] = ([col.vocabulary.index(v) for v in values]
+                                 if col.kind == "categorical" else values)
+        return ([r.session_id for r in records], [len(r.track_ids) for r in records],
+                [t for r in records for t in r.track_ids],
+                [int(v) for r in records for v in r.labels], columns)
+    return canonical
+
+
+def _features_as_rows(features):
+    return [(tid, features.matrix[row].tobytes()) for tid, row in features.index.items()]
+
+
+def _vectors_as_rows(vectors):
+    return [(tid, vec.tobytes()) for tid, vec in vectors.items()]
+
+
+# Replacement cells: bad numbers, booleans and vocabulary, and good values out of place.
+DAMAGED_VALUES = ["x", "inf", "-1", "nan", "", " 1", "1e999", "maybe", "99", "2", " TRUE", "s9"]
+
+
+@st.composite
+def damaged_files(draw, lines):
+    """The bytes of a csv file given as lists of cells, after a few drawn edits: blank lines,
+    ragged rows, bad values, quoted cells (some with a comma inside), a row moved elsewhere
+    (interleaving session ids), a byte that is not UTF-8; CRLF line ends or a missing final
+    newline."""
+    lines = [list(line) for line in lines]
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(["blank", "ragged", "value", "quote", "move", "byte"]))
+        i = draw(st.integers(1, len(lines) - 1)) if edit == "move" else draw(
+            st.integers(0, len(lines) - 1))
+        line = lines[i]
+        if edit == "blank":
+            lines.insert(i, [])
+        elif edit == "move":
+            lines.insert(draw(st.integers(1, len(lines) - 1)), lines.pop(i))
+        elif line:
+            j = draw(st.integers(0, len(line) - 1))
+            if edit == "ragged" and draw(st.booleans()):
+                del line[j]
+            elif edit == "ragged":
+                line.insert(j, line[j])
+            elif edit == "value":
+                line[j] = draw(st.sampled_from(DAMAGED_VALUES))
+            elif edit == "quote":
+                line[j] = '"' + line[j] + draw(st.sampled_from(["", ",x"])) + '"'
+            else:
+                line[j] += "\udce9"  # written as the byte 0xE9
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(",".join(line) for line in lines) + draw(st.sampled_from([end, ""]))
+    return text.encode("utf-8", "surrogateescape")
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny_corpus")
+    generate(SynthConfig(n_sessions=3, length_low=10, length_high=10, n_tracks=8,
+                         feature_dim=3), root)
+    lines = {name: [line.split(",") for line in (root / name).read_text().splitlines()]
+             for name in ("sessions.csv", "features.csv")}
+    return root, load_schema(root / "schema.json"), lines
+
+
+@given(data=st.data())
+def test_block_split_matches_the_reference_on_damaged_files(tiny_corpus, data):
+    # Blocks of 1, 3 and 7 lines end on blank, ragged and quoted lines alike; a quote
+    # or a carriage return hands the rest of the file to csv.reader mid-file.
+    root, schema, lines = tiny_corpus
+    cases = (
+        ("sessions.csv", load_sessions, _sessions_as_lists,
+         ref_load_sessions, _records_as_lists(schema)),
+        ("features.csv", load_features, _features_as_rows, ref_load_features, _vectors_as_rows),
+    )
+    for name, load, canonical, ref_load, ref_canonical in cases:
+        path = root / f"damaged_{name}"
+        path.write_bytes(data.draw(damaged_files(lines[name]), label=name))
+        want = _outcome(ref_load, path, schema, ref_canonical)
+        for rows in (1, 3, 7):
+            with mock.patch.object(dataio, "_BLOCK_ROWS", rows):
+                assert _outcome(load, path, schema, canonical) == want, rows
+
+
+def test_crlf_copy_loads_as_the_original(tmp_path):
+    # CRLF line ends send the file through csv.reader; the split path must agree with it.
+    schema, sessions_csv, features_csv = _corpus(tmp_path, "markov", n=120)
+    for path, load, canonical in ((sessions_csv, load_sessions, _sessions_as_lists),
+                                  (features_csv, load_features, _features_as_rows)):
+        crlf = tmp_path / f"crlf_{path.name}"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert b"\r" in crlf.read_bytes() and b"\r" not in path.read_bytes()
+        assert canonical(load(crlf, schema)) == canonical(load(path, schema))

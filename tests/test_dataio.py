@@ -200,6 +200,43 @@ def test_sessions_reject_bad_values(tmp_path):
         load_sessions(bad, schema)
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
+def test_errors_name_the_physical_line_after_a_blank_line(tmp_path, end):
+    # The blank line 4 is skipped but counted, on the split path and the csv one.
+    _write_corpus(tmp_path)
+    schema = load_schema(tmp_path / "schema.json")
+    lines = (tmp_path / "sessions.csv").read_text().splitlines()
+    lines = _edit_row(lines, 5, 7, "maybe").splitlines()  # skipped column, line 6
+    lines.insert(3, "")
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes((end.join(lines) + end).encode())
+    with pytest.raises(ValidationError,
+                       match=r"bad\.csv:7: column 'skipped' has non-boolean value 'maybe'"):
+        load_sessions(bad, schema)
+
+
+def test_a_byte_that_is_not_utf8_fails_at_its_line(tmp_path):
+    _write_corpus(tmp_path)
+    schema = load_schema(tmp_path / "schema.json")
+    good = (tmp_path / "sessions.csv").read_bytes().split(b"\n")
+    bad = tmp_path / "bad.csv"
+
+    bad.write_bytes(b"\n".join(good[:4] + [good[4] + b"\xe9"] + good[5:]))
+    with pytest.raises(ValidationError, match=r"bad\.csv:5: byte 0xe9 is not UTF-8"):
+        load_sessions(bad, schema)
+    bad.write_bytes(b"\n".join([good[0] + b"\xe9"] + good[1:]))  # the header
+    with pytest.raises(ValidationError, match=r"bad\.csv:1: byte 0xe9 is not UTF-8"):
+        load_sessions(bad, schema)
+    lines = _edit_row([line.decode() for line in good], 2, 5, "maybe").encode().split(b"\n")
+    bad.write_bytes(b"\n".join(lines[:4] + [lines[4] + b"\xe9"] + lines[5:]))
+    with pytest.raises(ValidationError, match=r"bad\.csv:3: column 'shuffle'"):  # earlier line
+        load_sessions(bad, schema)
+
+    (tmp_path / "f.csv").write_bytes(b'track_id,f0,f1,f2\nt0,1,2,3\n"t\xe9",1,2,3\n')
+    with pytest.raises(ValidationError, match=r"f\.csv:3: byte 0xe9 is not UTF-8"):
+        load_features(tmp_path / "f.csv", schema)
+
+
 # -- features ----------------------------------------------------------
 
 

@@ -316,6 +316,14 @@ def test_parameters_stay_views_into_the_vector(corpus, tmp_path, kind):
     _assert_vector_backed(loaded)
 
 
+def test_loading_a_model_keeps_freed_heap(monkeypatch):
+    # A fresh predict or evaluate process sets the allocator up once, as train() does.
+    calls = []
+    monkeypatch.setattr(trainer, "_keep_freed_heap", lambda: calls.append(1) or True)
+    load_model(Path(__file__).parent / "data" / "rnb1_pair_concat.ckpt")
+    assert calls == [1]
+
+
 @pytest.mark.parametrize("name", ["att_pair_channels_first", "rnb1_pair_concat",
                                   "rnb2_ue_pair_concat", "rnbc2_ue_pair_concat",
                                   "seq1HL_sigmoid_head"])
