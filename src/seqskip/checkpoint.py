@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .tensor import Tensor
 
 MAGIC = b"SSKP"
 VERSION = 1
@@ -44,9 +43,7 @@ def save_checkpoint(path, params: dict, meta: dict | None = None) -> None:
     chunks.append(meta_bytes)
     chunks.append(struct.pack("<I", len(params)))
     for name, value in params.items():
-        arr = np.ascontiguousarray(
-            value.data if isinstance(value, Tensor) else value, dtype="<f4"
-        )
+        arr = np.ascontiguousarray(value, dtype="<f4")
         name_b = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(name_b)))
         chunks.append(name_b)

@@ -29,7 +29,7 @@ import re
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, count, islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -228,9 +228,6 @@ class FeatureTable:
             raise ValidationError(f"track {track_ids[rows.argmin()]!r} has no acoustic feature row")
         return rows
 
-    def get(self, track_id: str) -> np.ndarray:
-        return self.matrix[self.rows([track_id])[0]]
-
 
 class _FirstError:
     """The error of a file's earliest bad row, built once that row is known. Checks run
@@ -317,7 +314,8 @@ def _split_block(block: bytes, ends: np.ndarray, marked: np.ndarray, line: int, 
             block.decode("utf-8")
         except UnicodeDecodeError as exc:  # split the lines before the one that holds it
             stop = block.rfind(b"\n", 0, exc.start) + 1
-            bad = int(np.searchsorted(ends[kept], exc.start)), block[exc.start]
+            row = int(np.searchsorted(ends[kept], exc.start))
+            bad = row, partial(_not_utf8, byte=block[exc.start])
     body = block[:stop]
     if len(kept) < len(ends):  # drop the skipped blank lines: each is one newline byte
         body = np.delete(np.frombuffer(body, np.uint8), ends[blank & (ends < stop)]).tobytes()
@@ -335,36 +333,54 @@ def _escaped_byte(row: list[str]) -> int | None:
     return found and ord(found[0]) - 0xDC00
 
 
+def _records(reader):
+    """csv.reader's rows, ended by the csv.Error of a row it cannot read (a field longer
+    than ``csv.field_size_limit()``, say) in that row's place."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        yield exc
+
+
 def _csv_rows(fh, path, line: int, skip_blank: bool):
     """As :func:`_rows`, from file line ``line + 1`` (a line start) on, with csv.reader
     reading the text: a row's line is the line it ends on. From line 1, the header comes
     first."""
     with io.TextIOWrapper(fh, "utf-8", "surrogateescape", newline="") as text:
         reader = csv.reader(text)
+        records = _records(reader)
         if not line:
-            header = next(reader, None) or []
+            header = next(records, None) or []
+            if isinstance(header, csv.Error):
+                raise ValidationError(f"{path}:{reader.line_num}: {header}")
             if byte := _escaped_byte(header):
                 raise _not_utf8(f"{path}:{reader.line_num}", byte)
             yield header
-        rows = zip(reader, map(attrgetter("line_num"), repeat(reader)))  # row, its end line
+        rows = zip(records, map(attrgetter("line_num"), repeat(reader)))  # row, its end line
         rows = filter(itemgetter(0), rows) if skip_blank else rows
         full = True
         while full:
             block = list(islice(rows, _BLOCK_ROWS))
             full = len(block) == _BLOCK_ROWS
+            fault = block.pop() if block and isinstance(block[-1][0], csv.Error) else None
             cells, lines = zip(*block) if block else ((), ())
             flat, bad = list(chain.from_iterable(cells)), None
             if not "".join(flat).isascii():  # an escaped byte is not ASCII
-                bad = next(((i, b) for i, row in enumerate(cells) if (b := _escaped_byte(row))),
-                           None)
+                bad = next(((i, partial(_not_utf8, byte=b)) for i, row in enumerate(cells)
+                            if (b := _escaped_byte(row))), None)
+            if fault and not bad:  # a row of no cells at the fault's line stands for it
+                exc, at = fault
+                cells, lines = cells + ([],), lines + (at,)
+                bad = len(block), lambda where: ValidationError(f"{where}: {exc}")
             yield (line + np.array(lines, dtype=np.int64),
                    np.fromiter(map(len, cells), np.int64, len(cells)), bad, flat)
 
 
 def _rows(fh, path, skip_blank: bool):
     """Yield the header's cells, then per block of rows: each row's file line, its cell
-    count, the first row holding a byte that is not UTF-8 and that byte (or None), and at
-    least the cells of the rows before that one, row after row. Plain lines are split by
+    count, the first row that cannot be read (a byte that is not UTF-8, or a row csv.reader
+    rejects) and the function that makes its error from its ``file:line`` (or None), and
+    at least the cells of the rows before that one, row after row. Plain lines are split by
     :func:`_split_block`; from the first block holding a quote or a carriage return on,
     csv.reader reads the file."""
     head = fh.readline()
@@ -400,8 +416,8 @@ def _blocks(path, skip_blank: bool):
         for lines, widths, bad, cells in rows:
             first = _FirstError(path, offset, lines)
             if bad:
-                row, byte = bad
-                first.check(np.arange(len(lines)) < row, lambda i, where: _not_utf8(where, byte))
+                row, error = bad
+                first.check(np.arange(len(lines)) < row, lambda i, where: error(where))
             first.check(widths == width, lambda i, where: ValidationError(f"{where}: ragged row"))
             if first.error:  # the rows before the first bad one: each is ``width`` cells
                 cells = cells[: first.limit * width]
@@ -687,11 +703,11 @@ class Batch:
     sup_y: np.ndarray  # [B, S] float32
     qry_x: np.ndarray  # [B, Q, D]
     qry_mask: np.ndarray  # [B, Q]
-    qry_y: np.ndarray | None  # [B, Q] float32
+    qry_y: np.ndarray  # [B, Q] float32
     seq_x: np.ndarray  # [B, T, D], T <= 20 for a loaded corpus
     seq_mask: np.ndarray  # [B, T]
     seq_qmask: np.ndarray  # [B, T] 1 = query position
-    seq_y: np.ndarray | None  # [B, T]
+    seq_y: np.ndarray  # [B, T]
     t_support: np.ndarray  # [B] int
     query_logs_kept: bool = False
 

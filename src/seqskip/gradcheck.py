@@ -166,7 +166,7 @@ def _case_instance_norm(rng):
     g = rng.uniform(0.5, 1.5, (3,))
     b = rng.normal(size=(3,))
     r = rng.normal(size=(2, 8, 3))
-    return [x, g, b], lambda xx, gg, bb: _project(nn.instance_norm(xx, gg, bb, 1e-5), r)
+    return [x, g, b], lambda xx, gg, bb: _project(nn.instance_norm(xx, gg, bb), r)
 
 
 def _case_instance_norm_masked(rng):
@@ -176,9 +176,7 @@ def _case_instance_norm_masked(rng):
     mask = np.ones((2, 8, 1))
     mask[:, 6:] = 0.0
     r = rng.normal(size=(2, 8, 3)) * mask
-    return [x, g, b], lambda xx, gg, bb: _project(
-        nn.instance_norm(xx, gg, bb, 1e-5, mask=mask), r
-    )
+    return [x, g, b], lambda xx, gg, bb: _project(nn.instance_norm(xx, gg, bb, mask=mask), r)
 
 
 def _case_channel_norm(rng):
@@ -186,7 +184,7 @@ def _case_channel_norm(rng):
     g = rng.uniform(0.5, 1.5, (4,))
     b = rng.normal(size=(4,))
     r = rng.normal(size=(2, 5, 4))
-    return [x, g, b], lambda xx, gg, bb: _project(nn.channel_norm(xx, gg, bb, 1e-5), r)
+    return [x, g, b], lambda xx, gg, bb: _project(nn.channel_norm(xx, gg, bb), r)
 
 
 def _case_highway(rng):
@@ -270,8 +268,9 @@ def _attention_case(heads, masked=False, batched=False):
         v = rng.normal(size=lead + (m, dv))
         mask = None
         if masked:
-            mask = rng.random(lead + (n, m)) < 0.6
-            mask[..., 0] = True
+            admit = rng.random(lead + (n, m)) < 0.6
+            admit[..., 0] = True
+            mask = nn.AttentionMask.of(admit)
         r = rng.normal(size=lead + (n, dv))
         return [q, k, v], lambda qq, kk, vv: _project(
             nn.attention(qq, kk, vv, mask=mask, heads=heads), r

@@ -18,11 +18,13 @@ is the one place they become probabilities.
 Every encoder runs channels-last, so every conv is one GEMM. The causal
 stacks of seq1eH, seq1HL and teacher run on the timelines' real rows
 only, packed as ``[N, W]``; snail and att_pair run ``[B, T, W]`` like
-``Batch.seq_x``. Causal stacks normalize per position over channels
-only, never over time, so strict causality and exact receptive fields
-survive normalization. The non-causal support encoder of att_pair,
-``[B, S, W]``, uses masked temporal instance norm instead, where looking
-ahead is the point.
+``Batch.seq_x``, with a row table (``nn.Rows.padded``) in which each
+padding row is a session of its own, so no conv tap of a real row reads
+padding and nothing re-zeroes it. Causal stacks normalize per position
+over channels only, never over time, so strict causality and exact
+receptive fields survive normalization. The non-causal support encoder
+of att_pair, ``[B, S, W]``, uses masked temporal instance norm instead,
+where looking ahead is the point; attention masks out padding keys.
 """
 
 from __future__ import annotations
@@ -327,10 +329,10 @@ class Model:
         spec = Conv1dSpec(self.config.width, self.config.width, kernel, dilation, CAUSAL)
         return nn.gated_level(self.config.gate, x, spec, *self._branches(prefix), rows)
 
-    def _causal_attention_mask(self, seq_mask: np.ndarray) -> np.ndarray:
+    def _causal_attention_mask(self, seq_mask: np.ndarray) -> nn.AttentionMask:
         b, t = seq_mask.shape
         tril = np.tril(np.ones((t, t), dtype=np.float32))
-        return tril[None, :, :] * seq_mask[:, None, :]
+        return nn.AttentionMask.of(tril[None, :, :] * seq_mask[:, None, :])
 
     # -- sequence family -----------------------------------------------
 
@@ -364,7 +366,7 @@ class Model:
         # stack consumes the pair.
         structure = self.config.structure
         x = Tensor(batch.seq_x)
-        rows = nn.Rows.padded(x.shape[:-1])
+        rows = nn.Rows.padded(batch.seq_mask)
         q = self._linear("attn.q", x)
         k = self._linear("attn.k", x)
         v = self._linear("attn.v", x)
@@ -389,7 +391,7 @@ class Model:
             )
         h = self._linear("embed", x)
         h = T.add(h, T.slice_axis(self._p("pos"), 0, 0, t_len))
-        mask = nn.AttentionMask.of(self._causal_attention_mask(batch.seq_mask))  # both blocks
+        mask = self._causal_attention_mask(batch.seq_mask)  # both blocks
 
         def ln(prefix: str, v: Tensor) -> Tensor:
             return nn.channel_norm(v, self._p(f"{prefix}.gamma"), self._p(f"{prefix}.beta"))
@@ -414,13 +416,8 @@ class Model:
         structure = self.config.structure
         w = self.config.width
         sup_mask = batch.sup_mask[:, :, None]  # [B, S, 1]
-        # Padded support rows are re-zeroed after every level: the
-        # symmetric conv windows would otherwise read entry/gate bias
-        # values from them, making outputs depend on the batch's padding.
-        mask_t = Tensor(sup_mask)
-        sup_rows = nn.Rows.padded(batch.sup_x.shape[:-1])
+        sup_rows = nn.Rows.padded(batch.sup_mask)
         s_enc = self._conv("sup.entry", Tensor(batch.sup_x), Conv1dSpec(self.in_dim, w, 1))
-        s_enc = T.mul(s_enc, mask_t)  # [B, S, W]
         for l, d in enumerate(ATT_PAIR_SUPPORT_DILATIONS):
             spec = Conv1dSpec(w, w, ATT_PAIR_SUPPORT_KERNEL, d, NONCAUSAL)
             pre = [
@@ -428,15 +425,16 @@ class Model:
                                  mask=sup_mask)
                 for wt, gamma, beta in self._branches(f"sup.level{l}")
             ]
-            s_enc = T.mul(nn.gated_block(self.config.gate, s_enc, *pre), mask_t)
+            s_enc = nn.gated_block(self.config.gate, s_enc, *pre)  # [B, S, W]
         q_cl = self._conv("qry.entry", Tensor(batch.seq_x), Conv1dSpec(self.in_dim, w, 1))
-        rows = nn.Rows.padded(q_cl.shape[:-1])
+        rows = nn.Rows.padded(batch.seq_mask)
         for l, (d, k) in enumerate(zip(structure.dilations, structure.kernels)):
             q_cl = self._gated_level(f"qry.level{l}", q_cl, d, k, rows)  # [B, T, W]
 
         t_len = q_cl.shape[-2]
         att_mask = np.repeat(batch.sup_mask[:, None, :], t_len, axis=1)  # [B, T, S]
-        att = nn.attention(q_cl, s_enc, s_enc, mask=att_mask, heads=structure.heads)
+        att = nn.attention(q_cl, s_enc, s_enc, mask=nn.AttentionMask.of(att_mask),
+                           heads=structure.heads)
         h = T.relu(self._linear("comb", T.concat([q_cl, att], axis=-1)))
         return T.reshape(self._linear("head", h), batch.seq_mask.shape)
 

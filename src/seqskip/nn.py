@@ -5,8 +5,9 @@ Every layer runs channels-last, like attention inputs ``[..., positions,
 features]``, and norms scale and shift the last axis. Convolutions and
 gated levels take ``[T, C]``, ``[batch, T, C]`` or the packed rows
 ``[N, C]`` of :func:`pack`, whose :class:`Rows` table says where each
-row sits in its session; a padded batch is the case where every session
-has length T. Convolutions, norms, gates, whole gated conv levels,
+row sits in its session; in a padded batch's table each padding row is
+a session of its own, so no real row reads it. Convolutions, norms,
+gates, whole gated conv levels,
 the relation layer over (support, query) pairs and the relation net on
 them, softmax, masked multi-head attention and binary cross entropy on
 logits each record one tape node with a hand-written backward.
@@ -26,6 +27,7 @@ CAUSAL = "causal"
 NONCAUSAL = "noncausal"
 
 _MASK_FILL = -1e9
+NORM_EPSILON = 1e-5  # added to the variance of every norm
 
 
 @dataclass(frozen=True)
@@ -56,11 +58,11 @@ class Rows:
     session and ``rest[i]`` the number of its session's rows after it;
     ``stops`` ends each session. ``shape`` is the leading shape of the
     inputs the table describes: ``(N,)`` for a packed block, ``(B, T)``
-    for a padded one, where every session has length T. A conv tap reading
-    offset ``o`` is one shifted slice of the whole block, and
-    :meth:`outside` lists the rows whose ``time + o`` leaves their session
-    (at most ``B·|o|``), which read zeros; it builds each list once, so the
-    levels of a forward that share a dilation share it.
+    for a padded one, where each padding row is a session of its own. A
+    conv tap reading offset ``o`` is one shifted slice of the whole block,
+    and :meth:`outside` lists the rows whose ``time + o`` leaves their
+    session, which read zeros, so no real row reads padding; it builds each
+    list once, so the levels of a forward that share a dilation share it.
     """
 
     def __init__(self, lengths, shape: tuple[int, ...]):
@@ -75,10 +77,16 @@ class Rows:
         self._outside: dict[int, np.ndarray] = {}
 
     @classmethod
-    def padded(cls, shape: tuple[int, ...]) -> Rows:
-        """The table of a ``[..., T, C]`` block whose sessions all have length T."""
-        *lead, t_len = shape
-        return cls(np.full(int(np.prod(lead)), t_len), shape)
+    def padded(cls, mask: np.ndarray) -> Rows:
+        """The table of a padded ``[..., T, C]`` block whose ``mask [..., T]`` marks each
+        session's real rows, a prefix of its timeline; each padding row is a session of
+        one row."""
+        real = np.asarray(mask) != 0
+        t_len = real.shape[-1]
+        n_real = real.reshape(-1, t_len).sum(axis=1)
+        lengths = (np.arange(t_len) >= n_real[:, None]).astype(np.intp)
+        lengths[:, 0] += n_real
+        return cls(lengths[lengths > 0], real.shape)
 
     def outside(self, offset: int) -> np.ndarray:
         if offset not in self._outside:
@@ -119,8 +127,8 @@ def _span(n: int, offset: int) -> tuple[int, int]:
 
 
 def _check_conv(x: Tensor, spec: Conv1dSpec, weights: Tensor, rows: Rows | None) -> Rows | None:
-    """Checks a conv's shapes and returns its row table: ``rows``, or the padded one when
-    None and a tap shifts (kernel_size > 1)."""
+    """Checks a conv's shapes and returns its row table: ``rows``, or one whose sessions
+    fill the block when None and a tap shifts (kernel_size > 1)."""
     expected = (spec.out_channels, spec.in_channels, spec.kernel_size)
     if tuple(weights.shape) != expected:
         raise ConfigurationError(
@@ -134,7 +142,7 @@ def _check_conv(x: Tensor, spec: Conv1dSpec, weights: Tensor, rows: Rows | None)
     if x.shape[-2] == 0:
         raise ValidationError("conv1d input has temporal length 0")
     if rows is None:
-        return Rows.padded(x.shape[:-1]) if spec.kernel_size > 1 else None
+        return Rows.padded(np.ones(x.shape[:-1])) if spec.kernel_size > 1 else None
     if rows.shape != x.shape[:-1]:
         raise ConfigurationError(
             f"row table of a {rows.shape} block does not describe conv input {tuple(x.shape)}"
@@ -176,7 +184,7 @@ def conv1d_cl(x: Tensor, spec: Conv1dSpec, weights: Tensor, bias: Tensor | None 
     """Channels-last dilated 1-d convolution preserving each session's length.
 
     ``x`` is ``[T, C_in]``, ``[B, T, C_in]`` or packed rows ``[N, C_in]``
-    described by ``rows`` (padded when None); the output is
+    described by ``rows`` (one session per ``[T, C]`` when None); the output is
     ``[..., C_out]``. Causal mode pads ``dilation * (kernel_size - 1)``
     zeros on the past side only, so output row t reads input rows <= t.
     Noncausal mode splits the same amount of padding across both sides
@@ -246,7 +254,6 @@ def _norm(
     x: Tensor,
     gamma: Tensor,
     beta: Tensor,
-    epsilon: float,
     axis: int,
     mask: np.ndarray | None,
 ) -> Tensor:
@@ -273,7 +280,7 @@ def _norm(
         mu = _axis_sum(xd, axis, weight)
         xc = xd - mu
         var = _axis_sum(xc * xc, axis, weight)
-    inv = (var + float(epsilon)) ** -0.5
+    inv = (var + NORM_EPSILON) ** -0.5
     xhat = xc * inv
     out = xhat * g + b
 
@@ -295,7 +302,6 @@ def instance_norm(
     x: Tensor,
     gamma: Tensor,
     beta: Tensor,
-    epsilon: float = 1e-5,
     mask: np.ndarray | None = None,
 ) -> Tensor:
     """Normalize each channel over the temporal axis, then apply gamma/beta.
@@ -307,16 +313,16 @@ def instance_norm(
     """
     if x.ndim not in (2, 3):
         raise ConfigurationError(f"instance_norm expects [T,C] or [B,T,C], got {tuple(x.shape)}")
-    return _norm(x, gamma, beta, epsilon, axis=-2, mask=mask)
+    return _norm(x, gamma, beta, axis=-2, mask=mask)
 
 
-def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor, epsilon: float = 1e-5) -> Tensor:
+def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the channel (last) axis independently at every position.
 
     Unlike :func:`instance_norm` this mixes no information across time,
     so it is safe inside strictly causal stacks.
     """
-    return _norm(x, gamma, beta, epsilon, axis=-1, mask=None)
+    return _norm(x, gamma, beta, axis=-1, mask=None)
 
 
 def _gate(kind: str, xd: np.ndarray, tp: np.ndarray, gp: np.ndarray):
@@ -396,7 +402,7 @@ def gated_level(kind: str, x: Tensor, spec: Conv1dSpec, transform, gate,
     cols, offsets = _im2col(x2, spec, rows)
     wmat = centred(w_both.transpose(3, 2, 0, 1).reshape(k * c_in, 2 * width))
     xhat = (cols @ wmat).reshape(-1, 2, width)  # centred already; normalized in place
-    inv = (_axis_sum(xhat, -1, xhat) * (1.0 / width) + 1e-5) ** -0.5
+    inv = (_axis_sum(xhat, -1, xhat) * (1.0 / width) + NORM_EPSILON) ** -0.5
     xhat *= inv
     pre = xhat * gamma + beta
     out, grads = _gate(kind, x2, pre[:, 0], pre[:, 1])
@@ -592,9 +598,8 @@ class AttentionMask:
     fill: np.ndarray
 
     @classmethod
-    def of(cls, mask, shape: tuple[int, ...] | None = None) -> AttentionMask:
+    def of(cls, mask) -> AttentionMask:
         admit = np.asarray(mask) != 0
-        admit = admit if shape is None else np.broadcast_to(admit, shape)
         if not admit.any(axis=-1).all():
             raise MaskingError("attention mask blocks every key for some query row")
         admit = np.ascontiguousarray(np.moveaxis(admit, -1, 0)[:, None])
@@ -616,9 +621,7 @@ def _attention_probs(qh: np.ndarray, kh: np.ndarray, mask, scale: float) -> np.n
     np.matmul(kh, np.swapaxes(qh, -1, -2), out=np.moveaxis(p_keys, 0, -2))
     p *= scale
     if mask is not None:
-        if not isinstance(mask, AttentionMask):
-            mask = AttentionMask.of(mask, (*lead, n, m))
-        elif mask.fill.shape != (m, 1, *lead, n):
+        if mask.fill.shape != (m, 1, *lead, n):
             raise ConfigurationError(f"mask fill {mask.fill.shape} != {(m, 1, *lead, n)}")
         p += mask.fill  # 0 and -1e9 are exact in float32 and float64
     _softmax_lead(p)
@@ -629,18 +632,18 @@ def attention(
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    mask: np.ndarray | AttentionMask | None = None,
+    mask: AttentionMask | None = None,
     heads: int = 1,
 ) -> Tensor:
     """Scaled dot-product attention with optional masking and heads, one tape node.
 
     ``q [..., n, d_k]``, ``k [..., m, d_k]`` and ``v [..., m, d_v]`` share
-    their leading axes. A truthy ``mask[..., n, m]`` lets query row n
-    attend to key m; a row with no such key is rejected. With ``heads > 1``
-    the widths are split per head and the outputs re-concatenated. The
-    backward reuses the saved weights ``P``: ``dV = P^T dO``,
-    ``dS = P (dP - rowsum(dP P)) scale`` with ``dP = dO V^T``,
-    ``dQ = dS K`` and ``dK = dS^T Q``.
+    their leading axes. ``mask``, an :class:`AttentionMask` of a truthy
+    ``[..., n, m]`` array, lets query row n attend to key m. With
+    ``heads > 1`` the widths are split per head and the outputs
+    re-concatenated. The backward reuses the saved weights ``P``:
+    ``dV = P^T dO``, ``dS = P (dP - rowsum(dP P)) scale`` with
+    ``dP = dO V^T``, ``dQ = dS K`` and ``dK = dS^T Q``.
     """
     dk, dv = q.shape[-1], v.shape[-1]
     if k.shape[:-2] != q.shape[:-2] or k.shape[-1] != dk or k.shape[:-1] != v.shape[:-1]:
@@ -675,17 +678,16 @@ def attention(
 # -- losses ------------------------------------------------------------
 
 
-def _mean_weights(values: np.ndarray, mask) -> tuple[np.ndarray | None, float]:
-    """The 0/1 weights of a mean over ``values`` (None: every element) and 1 / their sum."""
-    m = None if mask is None else np.asarray(mask, dtype=values.dtype.type)
-    total = values.size if m is None else float(m.sum())
+def _mean_weights(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, float]:
+    """The 0/1 weights of a mean over ``values`` and 1 / their sum."""
+    m = np.asarray(mask, dtype=values.dtype.type)
+    total = float(m.sum())
     if total <= 0:
-        raise EvaluationError("loss over zero elements" if m is None else
-                              "loss mask admits no element")
+        raise EvaluationError("loss mask admits no element")
     return m, 1.0 / total
 
 
-def bce_with_logits(logits: Tensor, target, mask: np.ndarray | None = None) -> Tensor:
+def bce_with_logits(logits: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
     """Mean binary cross entropy of ``sigmoid(logits)`` over unmasked elements, one tape node.
 
     Each element is ``max(z, 0) - z*t + log1p(exp(-|z|))``, which no logit
@@ -694,25 +696,23 @@ def bce_with_logits(logits: Tensor, target, mask: np.ndarray | None = None) -> T
     saturates.
     """
     z = logits.data
-    t = np.asarray(target.data if isinstance(target, Tensor) else target, dtype=z.dtype.type)
+    t = np.asarray(target, dtype=z.dtype.type)
     m, scale = _mean_weights(z, mask)
     values = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    total = (values if m is None else values * m).sum()
+    total = (values * m).sum()
 
     def backward(g):
         gz = T.sigmoid_array(z) - t
         gz *= g * scale
-        return (gz if m is None else gz * m,)
+        return (gz * m,)
 
     return T.fused(np.asarray(total * scale), (logits,), backward)
 
 
-def mse(pred: Tensor, target, mask: np.ndarray | None = None) -> Tensor:
+def mse(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
     """Mean squared error over unmasked elements."""
-    t = np.asarray(target.data if isinstance(target, Tensor) else target, dtype=pred.dtype.type)
+    t = np.asarray(target, dtype=pred.dtype.type)
     diff = T.add(pred, Tensor(-t))
     sq = T.mul(diff, diff)
     m, scale = _mean_weights(sq.data, mask)
-    if m is None:
-        return T.reduce_mean(sq)
     return T.mul(T.reduce_sum(T.mul(sq, Tensor(m))), scale)

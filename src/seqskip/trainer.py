@@ -112,8 +112,6 @@ def split_train_val(
 def batch_loss(model: Model, batch: Batch, loss_scope: str = "query_only") -> Tensor:
     """The training objective for one batch under the per-kind loss table."""
     kind = model.config.kind
-    if batch.qry_y is None:
-        raise ValidationError("training requires query labels in the data")
     if kind in VOTE_KINDS:
         out = model.forward_metric(batch)
         targets = (batch.sup_y[:, :, None] == batch.qry_y[:, None, :]).astype(np.float32)
@@ -266,7 +264,7 @@ def save_model(
     }
     if extra:
         meta["extra"] = extra
-    ckpt.save_checkpoint(path, model.params, meta)
+    ckpt.save_checkpoint(path, {name: p.data for name, p in model.params.items()}, meta)
 
 
 def load_model(path) -> tuple[Model, PreprocessStats, SchemaSpec, dict]:

@@ -581,6 +581,25 @@ def test_a_byte_that_is_not_utf8_is_one_error_line(corpus_dir, checkpoint, tmp_p
     assert err == f"error: {bad}:{line}: byte 0xe9 is not UTF-8\n"
 
 
+@pytest.mark.parametrize("kind", ["sessions.csv", "features.csv"])
+def test_a_cell_past_the_csv_field_limit_is_one_error_line(corpus_dir, tmp_path, capsys, kind):
+    # csv.reader rejects a field longer than csv.field_size_limit() (131,072
+    # characters by default); a quoted one sends the file down that path.
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("sessions.csv", "features.csv", "schema.json"):
+        (data / name).write_bytes((corpus_dir / name).read_bytes())
+    lines = (data / kind).read_text().split("\n")
+    cells = lines[3].split(",")
+    cells[-1] = '"' + "x" * 200_000 + '"'
+    lines[3] = ",".join(cells)
+    (data / kind).write_text("\n".join(lines))
+    assert main(["fit", "--data", str(data), "--model", "rnb1", "--epochs", "1",
+                 "--out", str(tmp_path / "m.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {data / kind}:4: field larger than field limit (131072)\n"
+
+
 def test_predict_on_a_corpus_without_sessions_fails(corpus_dir, checkpoint, tmp_path, capsys):
     for name in ("features.csv", "schema.json"):
         (tmp_path / name).write_bytes((corpus_dir / name).read_bytes())

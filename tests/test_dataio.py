@@ -237,6 +237,21 @@ def test_a_byte_that_is_not_utf8_fails_at_its_line(tmp_path):
         load_features(tmp_path / "f.csv", schema)
 
 
+def test_a_cell_past_the_csv_field_limit_fails_at_its_line(tmp_path):
+    _write_corpus(tmp_path)
+    schema = load_schema(tmp_path / "schema.json")
+    good = (tmp_path / "sessions.csv").read_text().splitlines()
+    big = '"' + "x" * 200_000 + '"'  # past csv.field_size_limit(), 131,072 by default
+    bad = tmp_path / "bad.csv"
+
+    bad.write_text(_edit_row(good, 4, 8, big))  # date column, line 5
+    with pytest.raises(ValidationError, match=r"bad\.csv:5: field larger than field limit"):
+        load_sessions(bad, schema)
+    bad.write_text(_edit_row(_edit_row(good, 4, 8, big).splitlines(), 2, 5, "maybe"))
+    with pytest.raises(ValidationError, match=r"bad\.csv:3: column 'shuffle'"):  # earlier line
+        load_sessions(bad, schema)
+
+
 # -- features ----------------------------------------------------------
 
 
@@ -343,7 +358,7 @@ def test_loaders_pause_the_collector_and_restore_it(tmp_path, monkeypatch):
 def test_missing_track_raises(corpus):
     _, _, features = corpus
     with pytest.raises(ValidationError, match="no acoustic"):
-        features.get("t_missing")
+        features.rows(["t_missing"])
 
 
 # -- preprocessing -----------------------------------------------------

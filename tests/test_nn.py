@@ -110,7 +110,7 @@ def test_attention_mask_excludes_keys():
     q = Tensor(np.array([[1.0, 0.0]]))
     k = Tensor(np.array([[5.0, 0.0], [0.0, 1.0]]))
     v = Tensor(np.array([[1.0], [0.0]]))
-    mask = np.array([[False, True]])
+    mask = nn.AttentionMask.of(np.array([[False, True]]))
     out = nn.attention(q, k, v, mask=mask)
     np.testing.assert_allclose(out.data, [[0.0]])  # only the zero value visible
     w = nn.attention(q, k, Tensor(np.eye(2)), mask=mask).data
@@ -134,10 +134,10 @@ def _logit(p):
 
 def test_bce_hand_values():
     np.testing.assert_allclose(
-        nn.bce_with_logits(Tensor(np.array([_logit(0.9)])), np.array([1.0])).data,
+        nn.bce_with_logits(Tensor(np.array([_logit(0.9)])), np.array([1.0]), np.ones(1)).data,
         -np.log(0.9), rtol=1e-6)
     np.testing.assert_allclose(
-        nn.bce_with_logits(Tensor(np.array([0.0, 0.0])), np.array([0.0, 1.0])).data,
+        nn.bce_with_logits(Tensor(np.array([0.0, 0.0])), np.array([0.0, 1.0]), np.ones(2)).data,
         np.log(2.0), rtol=1e-6)
 
 
@@ -155,7 +155,7 @@ def test_bce_keeps_its_gradient_where_the_sigmoid_saturates(z):
     # probability would be clipped there and send back no gradient.
     for sign, target in ((1.0, 0.0), (-1.0, 1.0)):
         x = Tensor(np.array([sign * z], dtype=np.float32), requires_grad=True)
-        loss = nn.bce_with_logits(x, np.array([target]))
+        loss = nn.bce_with_logits(x, np.array([target]), np.ones(1))
         loss.backward()
         assert loss.data.dtype == np.float32
         np.testing.assert_allclose(loss.data, z, rtol=1e-6)
@@ -163,7 +163,7 @@ def test_bce_keeps_its_gradient_where_the_sigmoid_saturates(z):
 
 
 def test_mse_hand_value():
-    out = nn.mse(Tensor(np.array([1.0, 3.0])), np.array([0.0, 0.0]))
+    out = nn.mse(Tensor(np.array([1.0, 3.0])), np.array([0.0, 0.0]), np.ones(2))
     np.testing.assert_allclose(out.data, 5.0)
 
 
@@ -211,6 +211,6 @@ def test_attention_weights_are_convex(seed):
 
 @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99))
 def test_bce_minimized_at_target(p, t):
-    at_t = nn.bce_with_logits(Tensor(np.array([_logit(t)])), np.array([t])).data
-    at_p = nn.bce_with_logits(Tensor(np.array([_logit(p)])), np.array([t])).data
+    at_t = nn.bce_with_logits(Tensor(np.array([_logit(t)])), np.array([t]), np.ones(1)).data
+    at_p = nn.bce_with_logits(Tensor(np.array([_logit(p)])), np.array([t]), np.ones(1)).data
     assert at_p >= at_t - 1e-9

@@ -161,11 +161,16 @@ def ref_attention(q, k, v, mask=None, heads=1):
     return _ref_merge_heads(T.matmul(weights, _ref_split_heads(v, heads)))
 
 
+def prepared(mask):
+    """``mask`` as :func:`nn.attention` takes it."""
+    return None if mask is None else nn.AttentionMask.of(mask)
+
+
 def weights_of(q, k, mask=None):
     """Single-head attention weights ``[..., n, m]``: attention over identity values."""
     m = k.shape[-2]
     eye = np.broadcast_to(np.eye(m, dtype=q.dtype), k.shape[:-1] + (m,)).copy()
-    return nn.attention(q, k, Tensor(eye), mask=mask).data
+    return nn.attention(q, k, Tensor(eye), mask=prepared(mask)).data
 
 
 # -- comparison harness ----------------------------------------------------
@@ -526,14 +531,14 @@ def test_attention_matches_composition(case):
     arrays = [rng.normal(size=lead + (n, dk)), rng.normal(size=lead + (m, dk)),
               rng.normal(size=lead + (m, dv))]
     assert_same_op(
-        lambda q, k, v: nn.attention(q, k, v, mask=mask, heads=heads),
+        lambda q, k, v: nn.attention(q, k, v, mask=prepared(mask), heads=heads),
         lambda q, k, v: ref_attention(q, k, v, mask=mask, heads=heads),
         arrays,
     )
     if mask_kind == "support":
         # att_pair passes one tensor as keys and values
         assert_same_op(
-            lambda q, s: nn.attention(q, s, s, mask=mask),
+            lambda q, s: nn.attention(q, s, s, mask=prepared(mask)),
             lambda q, s: ref_attention(q, s, s, mask=mask),
             arrays[:2],
         )
@@ -547,25 +552,28 @@ def test_attention_float_masks_act_as_boolean():
     rng = np.random.default_rng(12)
     q, k, v = (Tensor(rng.normal(size=(2, 4, 8))) for _ in range(3))
     mask = _single_key_rows(rng, (2, 4, 4))
-    want = nn.attention(q, k, v, mask=mask, heads=2).data
+    want = nn.attention(q, k, v, mask=prepared(mask), heads=2).data
     want_w = weights_of(q, k, mask)
     for scale in (2.0, 0.5):
         scaled = scale * mask.astype(np.float64)
-        np.testing.assert_array_equal(nn.attention(q, k, v, mask=scaled, heads=2).data, want)
+        got = nn.attention(q, k, v, mask=prepared(scaled), heads=2).data
+        np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(weights_of(q, k, scaled), want_w)
 
 
 def test_prepared_attention_mask_gives_the_same_bits():
     # A forward prepares its mask once and shares it between its attention
-    # calls; the result must be the bits the raw mask gives, in both widths.
+    # calls; each call must give the bits of a mask made for it alone, in both
+    # widths, so no call changes the shared fill.
     rng = np.random.default_rng(14)
     mask = _single_key_rows(rng, (2, 5, 5))
-    prepared = nn.AttentionMask.of(mask)
+    shared = nn.AttentionMask.of(mask)
     for dtype in (np.float32, np.float64):
         q, k, v = (Tensor(rng.normal(size=(2, 5, 8)).astype(dtype)) for _ in range(3))
-        want = nn.attention(q, k, v, mask=mask, heads=2)
-        got = nn.attention(q, k, v, mask=prepared, heads=2)
-        assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
+        for _ in range(2):
+            want = nn.attention(q, k, v, mask=nn.AttentionMask.of(mask), heads=2)
+            got = nn.attention(q, k, v, mask=shared, heads=2)
+            assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
     with pytest.raises(ConfigurationError, match="mask fill"):
         nn.attention(q, k, v, mask=nn.AttentionMask.of(mask[:1]), heads=2)
 
@@ -575,8 +583,6 @@ def test_attention_rejects_fully_blocked_row():
     q, k, v = (Tensor(rng.normal(size=(2, 3, 4))) for _ in range(3))
     mask = np.ones((2, 3, 3), dtype=bool)
     mask[1, 2] = False  # one row of one batch element sees no key
-    with pytest.raises(MaskingError):
-        nn.attention(q, k, v, mask=mask, heads=2)
     with pytest.raises(MaskingError):
         nn.AttentionMask.of(mask)
     with pytest.raises(MaskingError):

@@ -136,12 +136,6 @@ def test_reduce_mean_gradient():
     np.testing.assert_allclose(g, np.full((2, 5), 0.1))
 
 
-def test_detach_blocks_gradient():
-    x = Tensor(np.array([3.0]), requires_grad=True)
-    T.reduce_sum(T.mul(x.detach(), x)).backward()
-    np.testing.assert_allclose(x.grad, [3.0])  # only the live branch
-
-
 @given(small, small)
 def test_add_commutes(a, b):
     np.testing.assert_array_equal(T.add(Tensor(a), Tensor(b)).data,
@@ -167,11 +161,3 @@ def test_sigmoid_bounded_and_symmetric(seed):
     assert np.all((s > 0) & (s < 1))
     np.testing.assert_allclose(
         s + T.sigmoid(Tensor(-x)).data, np.ones(8), rtol=1e-6)
-
-
-def test_operator_sugar_matches_functions():
-    a, b = Tensor([2.0]), Tensor([3.0])
-    np.testing.assert_allclose((a + b).data, [5.0])
-    np.testing.assert_allclose((a - b).data, [-1.0])
-    np.testing.assert_allclose((a * b).data, [6.0])
-    np.testing.assert_allclose((-a).data, [-2.0])

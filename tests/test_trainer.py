@@ -151,15 +151,6 @@ def test_sequence_kind_scope_switches_mask(episodes):
         assert abs(got - want) < 1e-6
 
 
-def test_loss_requires_labels(episodes):
-    schema, _, eps = episodes
-    batch = make_batch(eps[:2])
-    batch.qry_y = None
-    model = build(default_config("rnb1", width=8), schema.full_width)
-    with pytest.raises(ValidationError):
-        batch_loss(model, batch)
-
-
 def test_teacher_episodes_keep_logs(corpus):
     schema, sessions, features = corpus
     from seqskip.dataio import fit_stats
