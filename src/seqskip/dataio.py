@@ -687,79 +687,76 @@ def load_corpus(data_dir):
 # -- batching ----------------------------------------------------------
 
 
+def _below(size: int, counts: np.ndarray) -> np.ndarray:
+    """[B, size] booleans: True at the first ``counts[b]`` places of row b."""
+    return np.arange(size) < counts[:, None]
+
+
 @dataclass
 class Batch:
-    """Padded arrays for a set of episodes: a whole corpus, or a batch of one.
-
-    Two synchronized views exist: split support/query blocks (metric
-    family) and a merged per-session timeline with supports first and
-    queries immediately after (sequence family). ``t_support[b]`` gives
-    the merged-timeline offset of session b's first query position. Arrays
-    are zero past each session's length: a batch is a trimmed gather."""
+    """Padded episodes, a whole corpus or a batch of one, stored as one layout: each
+    session's merged timeline, its ``t_support`` supports then its ``t_query`` queries,
+    zero past its length. A batch is a trimmed gather of it. The masks (in ``seq_x``'s
+    dtype) and the metric family's halves, ``sup_*`` and ``qry_*`` (:meth:`supports`,
+    :meth:`queries`), are derived each time they are read, so they cannot disagree with
+    the timeline and an in-place edit of ``seq_x`` shows in them."""
 
     session_ids: tuple[str, ...]
-    sup_x: np.ndarray  # [B, S, D]
-    sup_mask: np.ndarray  # [B, S] float32 1=valid
-    sup_y: np.ndarray  # [B, S] float32
-    qry_x: np.ndarray  # [B, Q, D]
-    qry_mask: np.ndarray  # [B, Q]
-    qry_y: np.ndarray  # [B, Q] float32
     seq_x: np.ndarray  # [B, T, D], T <= 20 for a loaded corpus
-    seq_mask: np.ndarray  # [B, T]
-    seq_qmask: np.ndarray  # [B, T] 1 = query position
     seq_y: np.ndarray  # [B, T]
-    t_support: np.ndarray  # [B] int
+    t_support: np.ndarray  # [B] int: also the timeline offset of the first query
+    t_query: np.ndarray  # [B] int
     query_logs_kept: bool = False
 
     @classmethod
     def from_rows(cls, session_ids, t_support, t_query, x, y, query_logs_kept=False) -> Batch:
         """Pad per-position rows ``x`` and labels ``y``, each session's supports then queries."""
-        n, lengths = len(session_ids), t_support + t_query
-        session = np.repeat(np.arange(n), lengths)
-        pos = np.arange(len(x)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        query = pos >= t_support[session]
-        slot = pos - query * t_support[session]  # position within its half
+        lengths = t_support + t_query
+        real = _below(lengths.max(initial=0), lengths)
+        seq_x, seq_y = (np.zeros(real.shape + v.shape[1:], dtype=np.float32) for v in (x, y))
+        seq_x[real], seq_y[real] = x, y
+        return cls(tuple(session_ids), seq_x, seq_y, t_support, t_query, query_logs_kept)
 
-        def pad(values, rows, slots, size):
-            out = np.zeros((n, size) + values.shape[1:], dtype=np.float32)
-            out[session[rows], slots[rows]] = values[rows]
-            return out
+    def supports(self, values: np.ndarray) -> np.ndarray:
+        """The support half ``[B, S, ...]`` of a timeline array ``[B, T, ...]``."""
+        out = values[:, : self.t_support.max(initial=0)].copy()
+        out[~_below(out.shape[1], self.t_support)] = 0  # not a product: -x * 0 is -0.0
+        return out
 
-        t, s, q = (int(v.max(initial=0)) for v in (lengths, t_support, t_query))
-        seq_mask = np.arange(t) < lengths[:, None]
-        return cls(
-            session_ids=tuple(session_ids),
-            sup_x=pad(x, ~query, slot, s),
-            sup_mask=(np.arange(s) < t_support[:, None]).astype(np.float32),
-            sup_y=pad(y, ~query, slot, s),
-            qry_x=pad(x, query, slot, q),
-            qry_mask=(np.arange(q) < t_query[:, None]).astype(np.float32),
-            qry_y=pad(y, query, slot, q),
-            seq_x=pad(x, slice(None), pos, t),
-            seq_mask=seq_mask.astype(np.float32),
-            seq_qmask=(seq_mask & (np.arange(t) >= t_support[:, None])).astype(np.float32),
-            seq_y=pad(y, slice(None), pos, t),
-            t_support=t_support,
-            query_logs_kept=query_logs_kept,
-        )
+    def queries(self, values: np.ndarray) -> np.ndarray:
+        """The query half ``[B, Q, ...]`` of a timeline array ``[B, T, ...]``: query j of
+        session b is its timeline position ``t_support[b] + j``."""
+        at = self.t_support[:, None] + np.arange(self.t_query.max(initial=0))
+        out = values[np.arange(len(at))[:, None], np.minimum(at, values.shape[1] - 1)]
+        out[~_below(out.shape[1], self.t_query)] = 0  # padding slots, clamped in above
+        return out
+
+    def _mask(self, counts: np.ndarray, size=None) -> np.ndarray:
+        """1 at the first ``counts[b]`` of ``size`` (default: T) places of row b."""
+        size = self.seq_x.shape[1] if size is None else size
+        return _below(size, counts).astype(self.seq_x.dtype)
+
+    seq_mask = property(lambda self: self._mask(self.t_support + self.t_query))  # [B, T]
+    seq_qmask = property(lambda self: self.seq_mask - self._mask(self.t_support))  # [B, T]
+    sup_mask = property(lambda self: self._mask(self.t_support, self.t_support.max(initial=0)))
+    qry_mask = property(lambda self: self._mask(self.t_query, self.t_query.max(initial=0)))
+    sup_x = property(lambda self: self.supports(self.seq_x))  # [B, S, D]
+    sup_y = property(lambda self: self.supports(self.seq_y))  # [B, S]
+    qry_x = property(lambda self: self.queries(self.seq_x))  # [B, Q, D]
+    qry_y = property(lambda self: self.queries(self.seq_y))  # [B, Q]
 
     def __len__(self) -> int:
         return len(self.session_ids)
 
-    size = property(__len__)
-
     def __getitem__(self, index) -> Batch:
         """The sessions of an index array, slice or index, trimmed to the longest of them."""
-        index = np.atleast_1d(np.arange(self.size)[index])
-        masks = {p: getattr(self, f"{p}_mask")[index] for p in ("sup", "qry", "seq")}
-        trim = {p: int(m.sum(axis=1).max(initial=0)) for p, m in masks.items()}
-        parts = {"session_ids": tuple(map(self.session_ids.__getitem__, index.tolist()))}
-        for f in fields(self)[1:]:
-            value = getattr(self, f.name)
-            if isinstance(value, np.ndarray):
-                value = value[index] if value.ndim == 1 else value[index, : trim[f.name[:3]]]
-            parts[f.name] = value
-        return Batch(**parts)
+        index = np.atleast_1d(np.arange(len(self))[index])
+        t_support, t_query = self.t_support[index], self.t_query[index]
+        t = int((t_support + t_query).max(initial=0))
+        return Batch(
+            tuple(map(self.session_ids.__getitem__, index.tolist())),
+            self.seq_x[index, :t], self.seq_y[index, :t], t_support, t_query, self.query_logs_kept,
+        )
 
 
 class _Batches(Sequence):

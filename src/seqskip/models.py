@@ -17,14 +17,16 @@ is the one place they become probabilities.
 
 Every encoder runs channels-last, so every conv is one GEMM. The causal
 stacks of seq1eH, seq1HL and teacher run on the timelines' real rows
-only, packed as ``[N, W]``; snail and att_pair run ``[B, T, W]`` like
-``Batch.seq_x``, with a row table (``nn.Rows.padded``) in which each
-padding row is a session of its own, so no conv tap of a real row reads
-padding and nothing re-zeroes it. Causal stacks normalize per position
-over channels only, never over time, so strict causality and exact
-receptive fields survive normalization. The non-causal support encoder
-of att_pair, ``[B, S, W]``, uses masked temporal instance norm instead,
-where looking ahead is the point; attention masks out padding keys.
+only, packed as ``[N, W]``; snail and att_pair run ``[B, T, W]``, padded
+like ``Batch.seq_x`` (the timeline a batch stores; the metric family's
+support and query halves are read from it), with a row table
+(``nn.Rows.padded``) in which each padding row is a session of its own,
+so no conv tap of a real row reads padding and nothing re-zeroes it.
+Causal stacks normalize per position over channels only, never over
+time, so strict causality and exact receptive fields survive
+normalization. The non-causal support encoder of att_pair, ``[B, S, W]``,
+uses masked temporal instance norm instead, where looking ahead is the
+point; attention masks out padding keys.
 """
 
 from __future__ import annotations
@@ -379,7 +381,7 @@ class Model:
         for l, (d, kk) in enumerate(zip(structure.dilations, structure.kernels)):
             h = self._gated_level(f"stack0.level{l}", h, d, kk, rows)
         logits = self._conv("head", h, Conv1dSpec(self.config.width, 1, 1))
-        return T.reshape(logits, batch.seq_mask.shape)
+        return T.reshape(logits, batch.seq_x.shape[:2])
 
     def _forward_transformer(self, batch: Batch) -> Tensor:
         structure = self.config.structure
@@ -410,19 +412,19 @@ class Model:
             n2 = ln(f"{p}.ln2", h)
             ffn = self._linear(f"{p}.ffn.fc2", T.relu(self._linear(f"{p}.ffn.fc1", n2)))
             h = T.add(h, ffn)
-        return T.reshape(self._linear("head", ln("final", h)), batch.seq_mask.shape)
+        return T.reshape(self._linear("head", ln("final", h)), batch.seq_x.shape[:2])
 
     def _forward_att_pair(self, batch: Batch) -> Tensor:
         structure = self.config.structure
         w = self.config.width
-        sup_mask = batch.sup_mask[:, :, None]  # [B, S, 1]
-        sup_rows = nn.Rows.padded(batch.sup_mask)
+        sup_mask = batch.sup_mask  # [B, S]
+        sup_rows = nn.Rows.padded(sup_mask)
         s_enc = self._conv("sup.entry", Tensor(batch.sup_x), Conv1dSpec(self.in_dim, w, 1))
         for l, d in enumerate(ATT_PAIR_SUPPORT_DILATIONS):
             spec = Conv1dSpec(w, w, ATT_PAIR_SUPPORT_KERNEL, d, NONCAUSAL)
             pre = [
                 nn.instance_norm(nn.conv1d_cl(s_enc, spec, wt, rows=sup_rows), gamma, beta,
-                                 mask=sup_mask)
+                                 mask=sup_mask[:, :, None])
                 for wt, gamma, beta in self._branches(f"sup.level{l}")
             ]
             s_enc = nn.gated_block(self.config.gate, s_enc, *pre)  # [B, S, W]
@@ -432,11 +434,11 @@ class Model:
             q_cl = self._gated_level(f"qry.level{l}", q_cl, d, k, rows)  # [B, T, W]
 
         t_len = q_cl.shape[-2]
-        att_mask = np.repeat(batch.sup_mask[:, None, :], t_len, axis=1)  # [B, T, S]
+        att_mask = np.repeat(sup_mask[:, None, :], t_len, axis=1)  # [B, T, S]
         att = nn.attention(q_cl, s_enc, s_enc, mask=nn.AttentionMask.of(att_mask),
                            heads=structure.heads)
         h = T.relu(self._linear("comb", T.concat([q_cl, att], axis=-1)))
-        return T.reshape(self._linear("head", h), batch.seq_mask.shape)
+        return T.reshape(self._linear("head", h), batch.seq_x.shape[:2])
 
     # -- metric family -------------------------------------------------
 
@@ -444,6 +446,7 @@ class Model:
         kind = self.config.kind
         if kind not in METRIC_KINDS:
             raise ContractError(f"{kind} is a sequence-family model; no relation scores")
+        sup_y, sup_mask = batch.sup_y, batch.sup_mask  # derived when read: read each once
         sup_items = Tensor(batch.sup_x[..., :-2])
         qry_items = Tensor(batch.qry_x[..., :-2])
         f_s = T.relu(self._linear("embed", sup_items))  # [B, S, W]
@@ -454,23 +457,23 @@ class Model:
         # The relation net and wsum read each (support, query, label, user)
         # pair by parts: the pair concat is never built.
         rn = [self._p(name) for name in ("rn.fc1.w", "rn.fc1.b", "rn.out.w", "rn.out.b")]
-        r = T.sigmoid(nn.relation_logits(f_s, f_q, batch.sup_y, *rn, user=u))  # [B, S, Q]
+        r = T.sigmoid(nn.relation_logits(f_s, f_q, sup_y, *rn, user=u))  # [B, S, Q]
 
         if kind == "rnbc2_ue":
             # Sigmoid-squashed weights cannot collapse to zero, which would
             # cut the only gradient path into the relation scores.
-            wsum = nn.pair_linear(f_s, f_q, batch.sup_y, self._p("wsum.w"), self._p("wsum.b"), u)
+            wsum = nn.pair_linear(f_s, f_q, sup_y, self._p("wsum.w"), self._p("wsum.b"), u)
             pair_w = T.sigmoid(T.reshape(wsum, r.shape))
-            prod = T.mul(T.mul(pair_w, r), Tensor(batch.sup_mask[:, :, None]))
+            prod = T.mul(T.mul(pair_w, r), Tensor(sup_mask[:, :, None]))
             head = T.add(T.reduce_sum(prod, axis=1), self._p("wsum.bias"))
         else:
             # Similarity-weighted label vote over valid supports.
-            y_s = Tensor(batch.sup_y[:, :, None])
+            y_s = Tensor(sup_y[:, :, None])
             agree = T.add(
-                T.mul(r, y_s), T.mul(T.add(1.0, T.neg(r)), Tensor(1.0 - batch.sup_y[:, :, None]))
+                T.mul(r, y_s), T.mul(T.add(1.0, T.neg(r)), Tensor(1.0 - sup_y[:, :, None]))
             )
-            masked = T.mul(agree, Tensor(batch.sup_mask[:, :, None]))
-            counts = batch.sup_mask.sum(axis=1, keepdims=True)  # [B, 1], >= 1
+            masked = T.mul(agree, Tensor(sup_mask[:, :, None]))
+            counts = sup_mask.sum(axis=1, keepdims=True)  # [B, 1], >= 1
             head = T.div(T.reduce_sum(masked, axis=1), Tensor(counts))
         return MetricOut(r=r, head=head)
 
@@ -483,8 +486,9 @@ class Model:
         # the same representation space the relation net compares against.
         inp = T.concat([f_s, Tensor(batch.sup_y[:, :, None])], axis=-1)
         e = T.relu(self._linear("ue.fc", inp))  # [B, S, W]
-        masked = T.mul(e, Tensor(batch.sup_mask[:, :, None]))
-        counts = batch.sup_mask.sum(axis=1, keepdims=True)
+        sup_mask = batch.sup_mask
+        masked = T.mul(e, Tensor(sup_mask[:, :, None]))
+        counts = sup_mask.sum(axis=1, keepdims=True)
         pooled = T.div(T.reduce_sum(masked, axis=1), Tensor(counts))  # [B, W]
         return self._linear("ue.out", pooled)
 
@@ -499,10 +503,7 @@ class Model:
         if self.family == "metric":
             head = self.forward_metric(batch).head.data
         else:
-            out = self.forward_sequence(batch).data  # [B, T]
-            q_max = batch.qry_mask.shape[1]
-            idx = batch.t_support[:, None] + np.arange(q_max)[None, :]
-            head = np.take_along_axis(out, np.minimum(idx, out.shape[1] - 1), axis=1)
+            head = batch.queries(self.forward_sequence(batch).data)  # [B, T] -> [B, Q]
         probs = head if self.config.kind in VOTE_KINDS else T.sigmoid_array(head)
         return (probs * batch.qry_mask).astype(np.float32)
 

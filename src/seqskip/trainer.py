@@ -142,13 +142,12 @@ def predict_corpus(
     Sessions are scored in batches of similar timeline length, which
     pads far less than batches in corpus order. The sort is stable, so
     sessions of equal length keep their corpus order."""
-    order = np.argsort(episodes.seq_mask.sum(axis=1), kind="stable")
+    order = np.argsort(episodes.t_support + episodes.t_query, kind="stable")
     out: list = [None] * len(episodes)
     batches = make_batches(episodes, batch_size, order)
     for start, batch in zip(range(0, len(order), batch_size), batches):
         probs = model.query_probs(batch)
-        t_query = batch.qry_mask.sum(axis=1).astype(np.int64)
-        for slot, sid, p, n in zip(order[start:], batch.session_ids, probs, t_query):
+        for slot, sid, p, n in zip(order[start:], batch.session_ids, probs, batch.t_query):
             out[slot] = (sid, p[:n])
     return out
 

@@ -4,6 +4,8 @@ import os
 
 from hypothesis import HealthCheck, settings
 
+import seqskip
+
 settings.register_profile(
     "default",
     max_examples=40,
@@ -27,6 +29,12 @@ def record_criterion(index: int, passed: bool, detail: str) -> None:
     line = f"criterion {index:2d}: {'PASS' if passed else 'FAIL'} - {detail}"
     ACCEPTANCE_LINES.append((index, line))
     print(line)
+
+
+def pytest_report_header(config):
+    # pyproject's ``pythonpath = ["src"]`` puts this checkout's src first, ahead of
+    # PYTHONPATH: the header names the tree whose code the run tests.
+    return f"seqskip: {seqskip.__file__}"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

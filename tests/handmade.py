@@ -1,10 +1,13 @@
 """Hand-made episodes for tests and probes, padded by the program's own path.
 
 A loaded corpus becomes one padded :class:`seqskip.dataio.Batch` in a
-single step (``trainer.build_episodes``). Tests that need episodes of
-chosen lengths and values write them here as :class:`Episode` objects;
-``make_batch`` concatenates their rows, pads them with ``Batch.from_rows``
-and takes the batch with ``dataio.make_batch``, as training does.
+single step (``trainer.build_episodes``): each session's merged timeline,
+from which the batch derives the support and query halves. Tests that
+need episodes of chosen lengths and values write them here as
+:class:`Episode` objects, support and query apart; ``make_batch``
+concatenates their rows, pads them into timelines with ``Batch.from_rows``
+and takes the batch with ``dataio.make_batch``, as training does;
+``episode`` reads one back through the batch's halves.
 ``corpus_order_predictions`` is the reference scoring loop that
 length-bucketed inference is checked against, ``padded_conv_stacks``
 the padded forward that the causal stacks' packed one is checked against,
@@ -72,7 +75,7 @@ def make_batch(episodes: list[Episode]) -> dataio.Batch:
 
 def episode(batch: dataio.Batch, i: int) -> Episode:
     """Session ``i`` of a padded set, as a hand-made episode (a copy)."""
-    ts, tq = int(batch.t_support[i]), int(batch.qry_mask[i].sum())
+    ts, tq = int(batch.t_support[i]), int(batch.t_query[i])
     return Episode(
         batch.session_ids[i],
         batch.sup_x[i, :ts].copy(),
@@ -89,8 +92,7 @@ def corpus_order_predictions(model, episodes: dataio.Batch, batch_size: int = 64
     out = []
     for batch in dataio.make_batches(episodes, batch_size):
         probs = model.query_probs(batch)
-        t_query = batch.qry_mask.sum(axis=1).astype(np.int64)
-        out.extend((sid, p[:n]) for sid, p, n in zip(batch.session_ids, probs, t_query))
+        out.extend((sid, p[:n]) for sid, p, n in zip(batch.session_ids, probs, batch.t_query))
     return out
 
 

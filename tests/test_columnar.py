@@ -14,7 +14,7 @@ byte that is not UTF-8 fails at its line.
 
 import csv
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -242,6 +242,7 @@ def ref_make_episode(record, vectors, stats, schema, keep_query_logs=False):
 
 
 def ref_make_batch(episodes):
+    """The expected batch of ``episodes``, every stored field and view by name."""
     b = len(episodes)
     s_max = max(e.t_support for e in episodes)
     q_max = max(e.t_query for e in episodes)
@@ -255,6 +256,7 @@ def ref_make_batch(episodes):
     }
     out = {name: np.zeros(shape, dtype=np.float32) for name, shape in arrays.items()}
     t_support = np.zeros(b, dtype=np.int64)
+    t_query = np.zeros(b, dtype=np.int64)
     for i, ep in enumerate(episodes):
         ts, tq = ep.t_support, ep.t_query
         out["sup_x"][i, :ts] = ep.x_support
@@ -269,9 +271,9 @@ def ref_make_batch(episodes):
         out["seq_qmask"][i, ts : ts + tq] = 1.0
         out["seq_y"][i, :ts] = ep.y_support
         out["seq_y"][i, ts : ts + tq] = ep.y_query
-        t_support[i] = ts
-    return Batch(session_ids=tuple(e.session_id for e in episodes), t_support=t_support,
-                 query_logs_kept=episodes[0].query_logs_kept, **out)
+        t_support[i], t_query[i] = ts, tq
+    return dict(out, session_ids=tuple(e.session_id for e in episodes), t_support=t_support,
+                t_query=t_query, query_logs_kept=episodes[0].query_logs_kept)
 
 
 # -- comparisons -----------------------------------------------------------
@@ -284,15 +286,20 @@ def block_rows(request, monkeypatch):
     return request.param
 
 
-def assert_batches_identical(got: Batch, want: Batch) -> None:
-    for f in fields(Batch):
-        a, b = getattr(got, f.name), getattr(want, f.name)
+# What a Batch stores, then what it derives from that when read.
+BATCH_FIELDS = ("session_ids", "seq_x", "seq_y", "t_support", "t_query", "query_logs_kept")
+BATCH_VIEWS = ("seq_mask", "seq_qmask", "sup_x", "sup_mask", "sup_y", "qry_x", "qry_mask", "qry_y")
+
+
+def assert_batches_identical(got: Batch, want: dict) -> None:
+    for name in BATCH_FIELDS + BATCH_VIEWS:
+        a, b = getattr(got, name), want[name]
         if isinstance(b, np.ndarray):
-            np.testing.assert_array_equal(a, b, err_msg=f.name)
-            assert a.dtype == b.dtype and a.shape == b.shape, f.name
-            assert a.flags.c_contiguous and a.tobytes() == b.tobytes(), f.name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.flags.c_contiguous and a.tobytes() == b.tobytes(), name
         else:
-            assert a == b, f.name
+            assert a == b, name
 
 
 def assert_stats_identical(got: PreprocessStats, want: PreprocessStats) -> None:
@@ -352,17 +359,24 @@ def test_columnar_path_matches_per_record_path(tmp_path, rule):
             picked = np.arange(len(ref)) if chosen is None else chosen
             want = [ref_make_batch([ref[i] for i in picked[j : j + batch_size]])
                     for j in range(0, len(picked), batch_size)]
-            assert [b.size for b in got] == [b.size for b in want]
-            assert got[-1].size < batch_size
+            assert [len(b) for b in got] == [len(w["session_ids"]) for w in want]
+            assert len(got[-1]) < batch_size
             for g, w in zip(got, want):
                 assert_batches_identical(g, w)
 
 
-def test_handmade_episodes_batch_as_before():
-    # ragged lengths on both halves, float64 inputs cast to float32 as before
-    rng = np.random.default_rng(0)
+@given(
+    sizes=st.lists(st.tuples(st.integers(1, 10), st.integers(1, 10)), max_size=7),
+    at=st.integers(0, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_handmade_episodes_batch_as_before(sizes, at, seed):
+    # ragged lengths on both halves, a 1/1 session among them, float64 inputs cast to
+    # float32 as before
+    sizes.insert(at, (1, 1))
+    rng = np.random.default_rng(seed)
     eps = []
-    for i, (ts, tq) in enumerate([(1, 1), (3, 7), (8, 2), (5, 5), (2, 9)]):
+    for i, (ts, tq) in enumerate(sizes):
         x = rng.normal(size=(ts + tq, 6))
         y = rng.integers(0, 2, size=ts + tq).astype(np.int8)
         eps.append(Episode(f"e{i}", x[:ts], x[ts:], y[:ts], y[ts:]))

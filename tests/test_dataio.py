@@ -467,14 +467,20 @@ def test_make_batch_padding_and_merged_timeline(corpus):
     short.x_query = short.x_query[:3]
     short.y_query = short.y_query[:3]
     batch = handmade_batch([ep, short])
-    assert isinstance(batch, Batch) and batch.size == 2
+    assert isinstance(batch, Batch) and len(batch) == 2
     np.testing.assert_array_equal(batch.qry_mask[1], [1, 1, 1, 0, 0])
     # merged view: supports then queries, zero-padded to the right
     np.testing.assert_array_equal(batch.seq_x[0, :5], ep.x_support)
     np.testing.assert_array_equal(batch.seq_x[0, 5:10], ep.x_query)
     np.testing.assert_array_equal(batch.seq_qmask[1],
                                   [0] * 5 + [1] * 3 + [0] * 2)
-    assert batch.t_support.tolist() == [5, 5]
+    assert batch.t_support.tolist() == [5, 5] and batch.t_query.tolist() == [5, 3]
+    # the halves are read from the timeline each time: an in-place edit shows in both
+    batch.seq_x[1, 4, 0] += 7.0
+    batch.seq_x[1, 7, 0] -= 7.0
+    assert batch.sup_x[1, 4, 0] == ep.x_support[4, 0] + np.float32(7.0)
+    assert batch.qry_x[1, 2, 0] == short.x_query[2, 0] - np.float32(7.0)
+    assert not batch.qry_x[1, 3:].any()  # padding stays zero
 
 
 def test_make_batch_rejects_mixed_and_empty(corpus):
@@ -499,8 +505,8 @@ def test_make_batches_chunks(corpus):
     eps = make_episodes(sessions, features, stats, schema)[[0] * 5]
     assert len(eps) == 5
     batches = make_batches(eps, 2)
-    assert [b.size for b in batches] == [2, 2, 1]
-    assert [b.size for b in make_batches(eps, 2, order=[4, 0, 2])] == [2, 1]
+    assert [len(b) for b in batches] == [2, 2, 1]
+    assert [len(b) for b in make_batches(eps, 2, order=[4, 0, 2])] == [2, 1]
     with pytest.raises(ValidationError):
         make_batches(eps, 0)
 
@@ -530,7 +536,7 @@ def test_make_batches_gathers_each_batch_when_it_is_read(tmp_path, monkeypatch):
         make_batches(eps, 0)  # checked at call time, not when read
     batches = make_batches(eps, 8, order)
     assert len(batches) == len(eager) == 7 and gathers == []
-    assert _same_batch(batches[-1], eager[-1]) and eager[-1].size == 2
+    assert _same_batch(batches[-1], eager[-1]) and len(eager[-1]) == 2
     assert _same_batch(batches[0], eager[0]) and len(gathers) == 2
     assert all(_same_batch(g, w) for g, w in zip(batches, eager, strict=True))
     assert len(gathers) == 2 + len(eager)

@@ -20,7 +20,7 @@ from seqskip.models import (
     build,
     default_config,
 )
-from seqskip.dataio import fit_stats, load_corpus, make_batches
+from seqskip.dataio import Batch, fit_stats, load_corpus, make_batches
 from seqskip.synthgen import SynthConfig, generate
 from seqskip.trainer import batch_loss, build_episodes, load_model, predict_corpus
 
@@ -297,14 +297,32 @@ def markov_corpus(tmp_path_factory):
     return schema, sessions, features, fit_stats(sessions, features, schema)
 
 
+@dataclasses.dataclass
+class _PaddingFilled(Batch):
+    """A batch whose support and query halves hold ``fill`` in their padding."""
+
+    fill: float = 0.0
+
+    def supports(self, values):
+        out = super().supports(values)
+        out[self.sup_mask == 0] = self.fill
+        return out
+
+    def queries(self, values):
+        out = super().queries(values)
+        out[self.qry_mask == 0] = self.fill
+        return out
+
+
 def _with_padding_filled(batch, value):
-    """A copy of ``batch`` whose padding rows of inputs and labels all hold ``value``."""
+    """A copy of ``batch`` whose padding rows of inputs and labels all hold ``value``:
+    the stored timeline's, and those of every half derived from it."""
     parts = {}
-    for name in ("sup_x", "sup_y", "qry_x", "qry_y", "seq_x", "seq_y"):
+    for name in ("seq_x", "seq_y"):
         array = getattr(batch, name).copy()
-        array[getattr(batch, f"{name[:3]}_mask") == 0] = value
+        array[batch.seq_mask == 0] = value
         parts[name] = array
-    return dataclasses.replace(batch, **parts)
+    return dataclasses.replace(_PaddingFilled(**vars(batch), fill=value), **parts)
 
 
 @pytest.mark.parametrize("gate", ["highway", "glu"])
@@ -323,8 +341,11 @@ def test_padding_contents_reach_no_output_or_gradient(markov_corpus, kind, gate)
         return loss.data.tobytes(), model.gradient().tobytes(), model.query_probs(batch).tobytes()
 
     for batch in list(make_batches(episodes, 29))[:4]:
-        assert (batch.seq_mask == 0).any() and (batch.sup_mask == 0).any()
-        assert run(_with_padding_filled(batch, 1e3)) == run(batch), kind
+        assert all((m == 0).any() for m in (batch.seq_mask, batch.sup_mask, batch.qry_mask))
+        filled = _with_padding_filled(batch, 1e3)
+        assert (filled.sup_x[batch.sup_mask == 0] == 1e3).all()
+        assert (filled.qry_y[batch.qry_mask == 0] == 1e3).all()
+        assert run(filled) == run(batch), kind
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -476,9 +497,7 @@ def _inference_probs(model, batch) -> np.ndarray:
     if model.family == "metric":
         head = model.forward_metric(batch).head.data
     else:
-        out = model.forward_sequence(batch).data
-        idx = batch.t_support[:, None] + np.arange(batch.qry_mask.shape[1])[None, :]
-        head = np.take_along_axis(out, np.minimum(idx, out.shape[1] - 1), axis=1)
+        head = batch.queries(model.forward_sequence(batch).data)
     probs = head if model.config.kind in VOTE_KINDS else T.sigmoid_array(head)
     return probs * batch.qry_mask
 
