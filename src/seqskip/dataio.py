@@ -33,6 +33,7 @@ from functools import cached_property, partial
 from itertools import chain, count, islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -272,9 +273,19 @@ def read_utf8(path) -> str:
         raise _not_utf8(f"{path}:{line}", data[exc.start]) from None
 
 
-def _plain(data: bytes) -> bool:
-    """Whether splitting at commas and newlines reads ``data`` as csv.reader does."""
-    return b'"' not in data and b"\r" not in data
+def _crlf(data: bytes, ends: np.ndarray) -> np.ndarray:
+    """Whether each line, ending at the newline offset in ``ends``, ends in ``\r\n``. Before
+    a blank first line ``ends - 1`` is -1: the last byte, which is a newline."""
+    return np.frombuffer(data, np.uint8)[ends - 1] == 13
+
+
+def _plain(data: bytes, ends: np.ndarray) -> bool:
+    """Whether splitting at commas and at the newlines ``ends`` reads ``data`` as csv.reader
+    does, once each ``\r\n`` line end loses its ``\r``: no quote and no bare carriage
+    return."""
+    if b'"' in data:
+        return False
+    return b"\r" not in data or data.count(b"\r") == np.count_nonzero(_crlf(data, ends))
 
 
 def _line_blocks(fh):
@@ -305,7 +316,12 @@ def _line_blocks(fh):
 
 def _split_block(block: bytes, ends: np.ndarray, marked: np.ndarray, line: int, skip_blank: bool):
     """One block of plain lines from file line ``line`` on, as :func:`_rows` yields it: a
-    line's cells are its commas plus one, and one split makes the cells."""
+    line's cells are its commas plus one, and one split makes the cells. A ``\r\n`` line
+    end loses its ``\r`` first, so a line of ``\r\n`` alone is blank."""
+    if b"\r" in block:
+        crlf = _crlf(block, ends)
+        block = np.delete(np.frombuffer(block, np.uint8), ends[crlf] - 1).tobytes()
+        ends = ends - np.cumsum(crlf)
     blank = np.diff(ends, prepend=-1) == 1
     kept = np.flatnonzero(~blank) if skip_blank else np.arange(len(ends))
     stop, bad = len(block), None
@@ -381,21 +397,21 @@ def _rows(fh, path, skip_blank: bool):
     count, the first row that cannot be read (a byte that is not UTF-8, or a row csv.reader
     rejects) and the function that makes its error from its ``file:line`` (or None), and
     at least the cells of the rows before that one, row after row. Plain lines are split by
-    :func:`_split_block`; from the first block holding a quote or a carriage return on,
-    csv.reader reads the file."""
+    :func:`_split_block`; from the first block holding a quote or a carriage return not
+    followed by a newline on, csv.reader reads the file."""
     head = fh.readline()
-    if not _plain(head):
+    if not _plain(head, np.flatnonzero(np.frombuffer(head, np.uint8) == 10)):
         fh.seek(0)
         yield from _csv_rows(fh, path, 0, skip_blank)
         return
     try:
-        header = head.decode("utf-8").removesuffix("\n")
+        header = head.decode("utf-8").removesuffix("\n").removesuffix("\r")
     except UnicodeDecodeError as exc:
         raise _not_utf8(f"{path}:1", head[exc.start]) from None
     yield header.split(",") if header else []
     pos, line = len(head), 2
     for block, ends, marked in _line_blocks(fh):
-        if not _plain(block):
+        if not _plain(block, ends):
             fh.seek(pos)
             yield from _csv_rows(fh, path, line - 1, skip_blank)
             return
@@ -692,6 +708,18 @@ def _below(size: int, counts: np.ndarray) -> np.ndarray:
     return np.arange(size) < counts[:, None]
 
 
+class Halves(NamedTuple):
+    """A batch's support and query halves with their labels and masks, each derived once;
+    read by name, like the :class:`Batch` views of the same names."""
+
+    sup_x: np.ndarray  # [B, S, D]
+    sup_y: np.ndarray  # [B, S]
+    sup_mask: np.ndarray  # [B, S]
+    qry_x: np.ndarray  # [B, Q, D]
+    qry_y: np.ndarray  # [B, Q]
+    qry_mask: np.ndarray  # [B, Q]
+
+
 @dataclass
 class Batch:
     """Padded episodes, a whole corpus or a batch of one, stored as one layout: each
@@ -744,6 +772,11 @@ class Batch:
     sup_y = property(lambda self: self.supports(self.seq_y))  # [B, S]
     qry_x = property(lambda self: self.queries(self.seq_x))  # [B, Q, D]
     qry_y = property(lambda self: self.queries(self.seq_y))  # [B, Q]
+
+    def halves(self) -> Halves:
+        """Every ``sup_*`` and ``qry_*`` view at once: a step that reads several derives
+        each once. Nothing is cached, so a later edit of the timeline shows in the next."""
+        return Halves(self.sup_x, self.sup_y, self.sup_mask, self.qry_x, self.qry_y, self.qry_mask)
 
     def __len__(self) -> int:
         return len(self.session_ids)

@@ -113,6 +113,19 @@ def _case_relu(rng):
     return [x], lambda xx: _project(T.relu(xx), r)
 
 
+def _case_linear(rng):
+    # A rectified and a plain layer over one 3-d input; redrawn until every
+    # pre-activation is held away from the rectifier's kink.
+    while True:
+        x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=(5,))
+        if np.abs(x @ w + b).min() > 0.05:
+            break
+    r1, r2 = rng.normal(size=(2, 3, 5)), rng.normal(size=(2, 3, 5))
+    return [x, w, b], lambda xx, ww, bb: T.add(
+        _project(nn.linear(xx, ww, bb, relu=True), r1), _project(nn.linear(xx, ww, bb), r2)
+    )
+
+
 def _case_pow(rng):
     x = rng.uniform(0.3, 2.0, (4,))
     r = rng.normal(size=(4,))
@@ -304,6 +317,7 @@ CASES = {
     "matmul_4d": _case_matmul_4d,
     "elementwise": _case_elementwise,
     "relu": _case_relu,
+    "linear": _case_linear,
     "pow": _case_pow,
     "shape_ops": _case_shape_ops,
     "reduce": _case_reduce,

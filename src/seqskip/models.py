@@ -38,7 +38,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .dataio import Batch
+from .dataio import Batch, Halves
 from .errors import ConfigurationError, ContractError, ValidationError
 from .nn import CAUSAL, NONCAUSAL, Conv1dSpec
 from .rng import rng_stream
@@ -273,7 +273,8 @@ class MetricOut:
 
 class Model:
     """Forward passes over named parameters, each ``.data`` a view into one
-    float32 ``vector``: write them in place, never rebind them."""
+    float32 ``vector``: write them in place, never rebind them. A backward
+    accumulates their gradients into views of one buffer laid out alike."""
 
     def __init__(self, config: ModelConfig, in_dim: int, arrays: dict[str, np.ndarray]):
         self.config = config
@@ -281,11 +282,12 @@ class Model:
         self.vector = np.concatenate([a.ravel() for a in arrays.values()], dtype=np.float32)
         self._grad = np.empty_like(self.vector)
         ends = np.cumsum([a.size for a in arrays.values()])[:-1]
+        views = zip(np.split(self.vector, ends), np.split(self._grad, ends))
         self.params = {
-            name: Tensor(view.reshape(arrays[name].shape), requires_grad=True)
-            for name, view in zip(arrays, np.split(self.vector, ends))
+            name: Tensor(value.reshape(a.shape), requires_grad=True,
+                         grad_buffer=grad.reshape(a.shape))
+            for (name, a), (value, grad) in zip(arrays.items(), views)
         }
-        self._grads = np.split(self._grad, ends)
 
     @property
     def family(self) -> str:
@@ -297,13 +299,19 @@ class Model:
 
     def gradient(self) -> np.ndarray:
         """Every gradient in one flat buffer laid out like ``vector``, zeros where
-        unset. Each call overwrites the buffer the previous one returned."""
-        for (name, p), out in zip(self.params.items(), self._grads):
-            if p.grad is not None and p.grad.shape != p.shape:
-                raise ConfigurationError(
-                    f"gradient shape {p.grad.shape} != parameter shape {p.shape} for {name!r}"
-                )
-            np.copyto(out.reshape(p.shape), 0.0 if p.grad is None else p.grad)
+        unset. A backward accumulates into it already; only a gradient assigned
+        from outside is copied in. An Adam step consumes the buffer, and with
+        it every ``.grad`` that is a view of it."""
+        for name, p in self.params.items():
+            out = p.grad_buffer
+            if p.grad is None:
+                out.fill(0.0)
+            elif p.grad is not out:
+                if p.grad.shape != p.shape:
+                    raise ConfigurationError(
+                        f"gradient shape {p.grad.shape} != parameter shape {p.shape} for {name!r}"
+                    )
+                np.copyto(out, p.grad)
         return self._grad
 
     # -- shared pieces -------------------------------------------------
@@ -311,8 +319,8 @@ class Model:
     def _p(self, name: str) -> Tensor:
         return self.params[name]
 
-    def _linear(self, prefix: str, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self._p(f"{prefix}.w")), self._p(f"{prefix}.b"))
+    def _linear(self, prefix: str, x: Tensor, relu: bool = False) -> Tensor:
+        return nn.linear(x, self._p(f"{prefix}.w"), self._p(f"{prefix}.b"), relu)
 
     def _conv(self, prefix: str, x: Tensor, spec: Conv1dSpec,
               rows: nn.Rows | None = None) -> Tensor:
@@ -410,7 +418,7 @@ class Model:
             )
             h = T.add(h, self._linear(f"{p}.o", att))
             n2 = ln(f"{p}.ln2", h)
-            ffn = self._linear(f"{p}.ffn.fc2", T.relu(self._linear(f"{p}.ffn.fc1", n2)))
+            ffn = self._linear(f"{p}.ffn.fc2", self._linear(f"{p}.ffn.fc1", n2, relu=True))
             h = T.add(h, ffn)
         return T.reshape(self._linear("head", ln("final", h)), batch.seq_x.shape[:2])
 
@@ -437,22 +445,25 @@ class Model:
         att_mask = np.repeat(sup_mask[:, None, :], t_len, axis=1)  # [B, T, S]
         att = nn.attention(q_cl, s_enc, s_enc, mask=nn.AttentionMask.of(att_mask),
                            heads=structure.heads)
-        h = T.relu(self._linear("comb", T.concat([q_cl, att], axis=-1)))
+        h = self._linear("comb", T.concat([q_cl, att], axis=-1), relu=True)
         return T.reshape(self._linear("head", h), batch.seq_x.shape[:2])
 
     # -- metric family -------------------------------------------------
 
-    def forward_metric(self, batch: Batch) -> MetricOut:
+    def forward_metric(self, batch: Batch | Halves) -> MetricOut:
+        """Relation scores and heads of a batch, or of its :meth:`Batch.halves` when the
+        caller reads them too."""
         kind = self.config.kind
         if kind not in METRIC_KINDS:
             raise ContractError(f"{kind} is a sequence-family model; no relation scores")
-        sup_y, sup_mask = batch.sup_y, batch.sup_mask  # derived when read: read each once
-        sup_items = Tensor(batch.sup_x[..., :-2])
-        qry_items = Tensor(batch.qry_x[..., :-2])
-        f_s = T.relu(self._linear("embed", sup_items))  # [B, S, W]
-        f_q = T.relu(self._linear("embed", qry_items))  # [B, Q, W]
+        views = batch.halves() if isinstance(batch, Batch) else batch
+        sup_y, sup_mask = views.sup_y, views.sup_mask
+        sup_items = Tensor(views.sup_x[..., :-2])
+        qry_items = Tensor(views.qry_x[..., :-2])
+        f_s = self._linear("embed", sup_items, relu=True)  # [B, S, W]
+        f_q = self._linear("embed", qry_items, relu=True)  # [B, Q, W]
 
-        u = self._user_embedding_tensor(batch, f_s=f_s) if kind in UE_KINDS else None  # [B, W]
+        u = self._user_embedding_tensor(views, f_s=f_s) if kind in UE_KINDS else None  # [B, W]
 
         # The relation net and wsum read each (support, query, label, user)
         # pair by parts: the pair concat is never built.
@@ -477,16 +488,17 @@ class Model:
             head = T.div(T.reduce_sum(masked, axis=1), Tensor(counts))
         return MetricOut(r=r, head=head)
 
-    def _user_embedding_tensor(self, batch: Batch, f_s: Tensor | None = None) -> Tensor:
+    def _user_embedding_tensor(self, batch: Batch | Halves, f_s: Tensor | None = None) -> Tensor:
         if self.config.kind not in UE_KINDS:
             raise ContractError(f"{self.config.kind} has no user-embedding pathway")
+        views = batch.halves() if isinstance(batch, Batch) else batch
         if f_s is None:
-            f_s = T.relu(self._linear("embed", Tensor(batch.sup_x[..., :-2])))
+            f_s = self._linear("embed", Tensor(views.sup_x[..., :-2]), relu=True)
         # Pool over the shared item embeddings so the user vector lives in
         # the same representation space the relation net compares against.
-        inp = T.concat([f_s, Tensor(batch.sup_y[:, :, None])], axis=-1)
-        e = T.relu(self._linear("ue.fc", inp))  # [B, S, W]
-        sup_mask = batch.sup_mask
+        inp = T.concat([f_s, Tensor(views.sup_y[:, :, None])], axis=-1)
+        e = self._linear("ue.fc", inp, relu=True)  # [B, S, W]
+        sup_mask = views.sup_mask
         masked = T.mul(e, Tensor(sup_mask[:, :, None]))
         counts = sup_mask.sum(axis=1, keepdims=True)
         pooled = T.div(T.reduce_sum(masked, axis=1), Tensor(counts))  # [B, W]
@@ -501,9 +513,11 @@ class Model:
         The one sigmoid of every head but the label votes of ``VOTE_KINDS``.
         """
         if self.family == "metric":
-            head = self.forward_metric(batch).head.data
+            views = batch.halves()
+            head, qry_mask = self.forward_metric(views).head.data, views.qry_mask
         else:
             head = batch.queries(self.forward_sequence(batch).data)  # [B, T] -> [B, Q]
+            qry_mask = batch.qry_mask
         probs = head if self.config.kind in VOTE_KINDS else T.sigmoid_array(head)
-        return (probs * batch.qry_mask).astype(np.float32)
+        return (probs * qry_mask).astype(np.float32)
 

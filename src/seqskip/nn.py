@@ -8,6 +8,7 @@ gated levels take ``[T, C]``, ``[batch, T, C]`` or the packed rows
 row sits in its session; in a padded batch's table each padding row is
 a session of its own, so no real row reads it. Convolutions, norms,
 gates, whole gated conv levels,
+linear layers with their bias and optional rectifier,
 the relation layer over (support, query) pairs and the relation net on
 them, softmax, masked multi-head attention and binary cross entropy on
 logits each record one tape node with a hand-written backward.
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigurationError, EvaluationError, MaskingError, ValidationError
+from .errors import (ConfigurationError, ContractError, EvaluationError, MaskingError,
+                     ValidationError)
 from .tensor import Tensor
 
 CAUSAL = "causal"
@@ -226,6 +228,39 @@ def conv1d_cl(x: Tensor, spec: Conv1dSpec, weights: Tensor, bias: Tensor | None 
 
     parents = (x, weights) if bias is None else (x, weights, bias)
     return T.fused(out, parents, backward)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
+    """``x [..., K] @ weight + bias``, rectified when ``relu``, as one tape node.
+
+    One GEMM over the flattened leading axes; the bias and the rectifier act on
+    its output in place, so the node keeps only its input and output. Values
+    and gradients are those of ``T.relu(T.add(T.matmul(x, weight), bias))``, bit
+    for bit: the backward masks the gradient where the output is not positive.
+    """
+    if weight.ndim != 2 or x.shape[-1] != weight.shape[0] or bias.shape != weight.shape[1:]:
+        raise ConfigurationError(
+            f"linear shapes {tuple(x.shape)}, {tuple(weight.shape)}, {tuple(bias.shape)} "
+            f"do not align"
+        )
+    k, m = weight.shape
+    x2 = x.data.reshape(-1, k)
+    out = x2 @ weight.data
+    out += bias.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    out = out.reshape(x.shape[:-1] + (m,))
+
+    def backward(g):
+        if relu:
+            g = g * (out > 0)
+        g2 = g.reshape(-1, m)
+        gx = (g2 @ weight.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = x2.T @ g2 if weight.requires_grad else None
+        gb = T._unbroadcast(g, bias.shape) if bias.requires_grad else None
+        return gx, gw, gb
+
+    return T.fused(out, (x, weight, bias), backward)
 
 
 def _axis_sum(a: np.ndarray, axis: int, b: np.ndarray | None = None) -> np.ndarray:
@@ -527,8 +562,10 @@ def relation_logits(support: Tensor, query: Tensor, labels, weight: Tensor, bias
     """``relu(pair_linear(...)) @ w_out + b_out`` as logits ``[B, S, Q]``, one tape node.
 
     The pair layer's sum is written into one ``[B, S, Q, W]`` buffer, rectified
-    in place and met by one GEMV against ``w_out [W, 1]``. The backward masks
-    ``g * w_out`` where the buffer is zero and hands it to :func:`pair_linear`'s.
+    in place and met by one GEMV against ``w_out [W, 1]``. The backward writes
+    ``g * w_out``, masked where the buffer is zero, over the buffer itself and
+    hands it to :func:`pair_linear`'s, so it runs once: a second backward
+    through the node raises :class:`ContractError`.
     """
     rows, cols, parents, grads = _pair_parts(support, query, labels, weight, bias, user)
     width = rows.shape[-1]
@@ -540,11 +577,18 @@ def relation_logits(support: Tensor, query: Tensor, labels, weight: Tensor, bias
     out = (h2 @ w_out.data + b_out.data).reshape(h.shape[:-1])
 
     def backward(g):
+        nonlocal h2
+        if h2 is None:
+            raise ContractError("relation_logits' backward has run: its buffer holds a gradient")
+        gh, h2 = h2, None
         g2 = g.reshape(-1, 1)
-        gh = g2 * w_out.data[:, 0]  # the K=1 GEMM ``g2 @ w_out.T``, bit for bit
-        gh *= h2 > 0
+        g_wout = gh.T @ g2
+        # ``(g2 @ w_out.T) * (h > 0)`` over the buffer: the 0/1 factor first keeps every byte.
+        np.greater(gh, 0.0, out=gh)
+        gh *= g2
+        gh *= w_out.data[:, 0]  # the K=1 GEMM ``g2 @ w_out.T``, bit for bit
         g_bout = g.reshape(g.shape + (1,)).sum(axis=(0, 1, 2))
-        return (*grads(gh.reshape(h.shape)), h2.T @ g2, g_bout)
+        return (*grads(gh.reshape(h.shape)), g_wout, g_bout)
 
     return T.fused(out, parents + (w_out, b_out), backward)
 

@@ -24,9 +24,12 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "__weakref__")
+    __slots__ = ("data", "grad", "grad_buffer", "requires_grad", "_parents", "_grad_fn",
+                 "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False, dtype=None, grad_buffer=None):
+        """A leaf's gradients accumulate in ``grad_buffer``, shaped and typed like the
+        data, which ``grad`` then is: the first is written, later ones are added."""
         if isinstance(data, Tensor):
             data = data.data
         if isinstance(data, np.ndarray) and dtype is None:
@@ -38,6 +41,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._grad_fn = None
+        self.grad_buffer = grad_buffer
 
     # -- introspection -------------------------------------------------
 
@@ -124,6 +128,7 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out.grad_buffer = None
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -136,6 +141,15 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    buf = t.grad_buffer
+    if buf is not None and g.shape == buf.shape and g.dtype == buf.dtype:
+        if t.grad is None:  # written, not added to zeros: a -0.0 keeps its sign
+            np.copyto(buf, g)
+            t.grad = buf
+            return
+        if t.grad is buf:
+            buf += g
+            return
     # Rebind rather than mutate: incoming arrays may alias a child's grad.
     t.grad = g if t.grad is None else t.grad + g
 

@@ -112,13 +112,14 @@ def split_train_val(
 def batch_loss(model: Model, batch: Batch, loss_scope: str = "query_only") -> Tensor:
     """The training objective for one batch under the per-kind loss table."""
     kind = model.config.kind
-    if kind in VOTE_KINDS:
-        out = model.forward_metric(batch)
-        targets = (batch.sup_y[:, :, None] == batch.qry_y[:, None, :]).astype(np.float32)
-        pair_mask = batch.sup_mask[:, :, None] * batch.qry_mask[:, None, :]
-        return mse(out.r, targets, pair_mask)
     if kind in METRIC_KINDS:
-        return bce_with_logits(model.forward_metric(batch).head, batch.qry_y, batch.qry_mask)
+        views = batch.halves()  # the forward reads them too: derive each once
+        out = model.forward_metric(views)
+        if kind not in VOTE_KINDS:
+            return bce_with_logits(out.head, views.qry_y, views.qry_mask)
+        targets = (views.sup_y[:, :, None] == views.qry_y[:, None, :]).astype(np.float32)
+        pair_mask = views.sup_mask[:, :, None] * views.qry_mask[:, None, :]
+        return mse(out.r, targets, pair_mask)
     logits = model.forward_sequence(batch)
     mask = batch.seq_qmask if loss_scope == "query_only" else batch.seq_mask
     return bce_with_logits(logits, batch.seq_y, mask)

@@ -31,13 +31,19 @@ def record_criterion(index: int, passed: bool, detail: str) -> None:
     print(line)
 
 
+# pyproject's ``pythonpath = ["src"]`` puts this checkout's src first, ahead of
+# PYTHONPATH: this line names the tree whose code the run tests, relative to the
+# directory pytest runs in. It heads the report and ends the summary, which
+# ``-q`` keeps.
+TESTED_TREE = f"seqskip: {os.path.relpath(seqskip.__file__)}"
+
+
 def pytest_report_header(config):
-    # pyproject's ``pythonpath = ["src"]`` puts this checkout's src first, ahead of
-    # PYTHONPATH: the header names the tree whose code the run tests.
-    return f"seqskip: {seqskip.__file__}"
+    return TESTED_TREE
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    terminalreporter.write_line(TESTED_TREE)
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")
         for _, line in sorted(ACCEPTANCE_LINES):

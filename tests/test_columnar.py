@@ -12,6 +12,7 @@ line it ends on (``line_num``, blank lines counted), and a row holding a
 byte that is not UTF-8 fails at its line.
 """
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass, replace
@@ -570,7 +571,7 @@ def tiny_corpus(tmp_path_factory):
 @given(data=st.data())
 def test_block_split_matches_the_reference_on_damaged_files(tiny_corpus, data):
     # Blocks of 1, 3 and 7 lines end on blank, ragged and quoted lines alike; a quote
-    # or a carriage return hands the rest of the file to csv.reader mid-file.
+    # hands the rest of the file to csv.reader mid-file; CRLF line ends do not.
     root, schema, lines = tiny_corpus
     cases = (
         ("sessions.csv", load_sessions, _sessions_as_lists,
@@ -587,11 +588,48 @@ def test_block_split_matches_the_reference_on_damaged_files(tiny_corpus, data):
 
 
 def test_crlf_copy_loads_as_the_original(tmp_path):
-    # CRLF line ends send the file through csv.reader; the split path must agree with it.
+    # CRLF line ends are split like LF ones: no csv.reader, the same corpus.
     schema, sessions_csv, features_csv = _corpus(tmp_path, "markov", n=120)
     for path, load, canonical in ((sessions_csv, load_sessions, _sessions_as_lists),
                                   (features_csv, load_features, _features_as_rows)):
         crlf = tmp_path / f"crlf_{path.name}"
         crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert b"\r" in crlf.read_bytes() and b"\r" not in path.read_bytes()
-        assert canonical(load(crlf, schema)) == canonical(load(path, schema))
+        with mock.patch.object(dataio, "_csv_rows", side_effect=AssertionError("csv.reader")):
+            assert canonical(load(crlf, schema)) == canonical(load(path, schema))
+
+
+def test_a_bare_carriage_return_is_read_as_csv_reader_reads_it(tmp_path):
+    # In a CRLF file, one line that ends in a \r alone: csv.reader ends a row there.
+    schema, sessions_csv, features_csv = _corpus(tmp_path, "markov", n=120)
+    for path, load, canonical, ref_load, ref_canonical in (
+        (sessions_csv, load_sessions, _sessions_as_lists,
+         ref_load_sessions, _records_as_lists(schema)),
+        (features_csv, load_features, _features_as_rows, ref_load_features, _vectors_as_rows),
+    ):
+        data = path.read_bytes().replace(b"\n", b"\r\n")
+        at = data.index(b"\r\n", len(data) // 2)
+        bare = tmp_path / f"bare_{path.name}"
+        bare.write_bytes(data[:at] + b"\r" + data[at + 2 :])
+        want = _outcome(ref_load, bare, schema, ref_canonical)
+        assert _outcome(load, bare, schema, canonical) == want
+
+
+@given(data=st.data())
+def test_a_crlf_copy_loads_and_fails_as_the_lf_file(tiny_corpus, data):
+    # Blank, ragged, bad-valued, moved and non-UTF-8 lines alike: the same corpus or
+    # the same error at the same line. Without a quote, neither goes to csv.reader.
+    root, schema, lines = tiny_corpus
+    for name, load, canonical in (("sessions.csv", load_sessions, _sessions_as_lists),
+                                  ("features.csv", load_features, _features_as_rows)):
+        lf = data.draw(damaged_files(lines[name]), label=name).replace(b"\r\n", b"\n")
+        outcomes = []
+        for end in (b"\n", b"\r\n"):
+            folder = root / ("lf" if end == b"\n" else "crlf")
+            folder.mkdir(exist_ok=True)
+            (folder / name).write_bytes(lf.replace(b"\n", end))
+            no_csv = mock.patch.object(dataio, "_csv_rows", side_effect=AssertionError("csv"))
+            with no_csv if b'"' not in lf else contextlib.nullcontext():
+                kind, value = _outcome(load, folder / name, schema, canonical)
+            outcomes.append((kind, value.replace(str(folder), "") if kind != "ok" else value))
+        assert outcomes[0] == outcomes[1]

@@ -18,6 +18,7 @@ CORE_CASES = {
     "matmul",
     "matmul_batched",
     "matmul_4d",
+    "linear",
     "conv_causal_d1",
     "conv_causal_d2",
     "conv_causal_d4",
@@ -50,7 +51,7 @@ def test_registry_covers_core_ops():
     assert CORE_CASES <= set(CASES)
 
 
-@pytest.mark.parametrize("name", ["arith", "matmul", "softmax", "highway", "glu", "bce"])
+@pytest.mark.parametrize("name", ["arith", "matmul", "linear", "softmax", "highway", "glu", "bce"])
 def test_fast_cases_under_tolerance(name):
     assert run_case(name, trials=3, seed=7) < TOLERANCE
 

@@ -11,6 +11,7 @@ as one node; ``ref_relation_logits`` is the chain of nodes it replaced.
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from handmade import Episode, make_batch
 from seqskip import nn
 from seqskip import tensor as T
 from seqskip.dataio import load_corpus
-from seqskip.errors import ConfigurationError
+from seqskip.errors import ConfigurationError, ContractError
 from seqskip.models import KINDS, METRIC_KINDS, UE_KINDS, MetricOut, build, default_config
 from seqskip.synthgen import SynthConfig, generate
 from seqskip.tensor import Tensor
@@ -235,6 +236,41 @@ def test_relation_logits_is_one_tape_node():
         inferred = nn.relation_logits(*inputs[:2], labels, *inputs[2:6], user=inputs[6])
     assert inferred._grad_fn is None and inferred._parents == ()
     np.testing.assert_array_equal(inferred.data, out.data)
+
+
+def test_relation_logits_backward_allocates_less_than_one_pair_block():
+    # B=64, S=Q=10 at width 256: the backward writes its gradient over the forward's
+    # [B, S, Q, W] buffer, where a fresh gradient and a mask took 1.25 such blocks.
+    b, s_len, q_len, width = 64, 10, 10, 256
+    rng = np.random.default_rng(24)
+    shapes = [(b, s_len, width), (b, q_len, width), (3 * width + 1, width), (width,),
+              (width, 1), (1,), (b, width)]
+    inputs = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in shapes]
+    labels = (rng.random((b, s_len)) < 0.5).astype(np.float32)
+    loss = T.reduce_sum(nn.relation_logits(*inputs[:2], labels, *inputs[2:6], user=inputs[6]))
+    block = b * s_len * q_len * width * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert all(t.grad is not None for t in inputs)
+    assert peak < block
+
+
+def test_relation_logits_backward_runs_once():
+    # The backward consumes the forward's buffer: a second one through the node fails
+    # loudly instead of reading a gradient as activations.
+    rng = np.random.default_rng(25)
+    batch = make_batch([_episode(rng, 4, 3) for _ in range(3)])
+    for kind in METRIC_KINDS:
+        model = build(default_config(kind, width=8, seed=0), IN_DIM)
+        loss = batch_loss(model, batch)
+        loss.backward()
+        with pytest.raises(ContractError, match="backward has run"):
+            loss.backward()
 
 
 def test_relation_logits_shape_contracts():

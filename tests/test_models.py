@@ -238,7 +238,7 @@ def test_masked_multihead_attention_is_one_tape_node():
 def test_attention_kind_loss_tape_node_budget(kind, budget):
     # One node per attention call: 91, 68 and 80 recorded ops per loss
     # when attention was composed from primitives (att_pair then also ran
-    # its support encoder channels-first; it records 29 now).
+    # its support encoder channels-first; it records 26 now).
     rng = np.random.default_rng(6)
     batch = make_batch([_episode(rng, int(rng.integers(10, 21))) for _ in range(64)])
     assert _tape_op_nodes(batch_loss(_model(kind, width=32), batch)) <= budget
@@ -253,8 +253,25 @@ def test_metric_kind_loss_tape_node_budget(kind, budget):
     assert _tape_op_nodes(batch_loss(_model(kind, width=32), batch)) <= budget
 
 
-LOSS_TAPE_NODES = {"rnb1": 13, "rnb2_ue": 22, "rnbc2_ue": 25, "seq1eH": 9, "seq1HL": 14,
-                   "teacher": 14, "snail": 19, "att_pair": 29, "transformer": 45}
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_backward_accumulates_into_the_gradient_vector(kind):
+    # Every parameter gradient is a view of the model's flat buffer, so
+    # ``gradient()`` hands the buffer over without copying a parameter.
+    rng = np.random.default_rng(4)
+    model = _model(kind, width=8)
+    batch = make_batch([_episode(rng, int(rng.integers(10, 15)), kind == "teacher")
+                        for _ in range(3)])
+    model.zero_grad()
+    batch_loss(model, batch).backward()
+    for name, p in model.params.items():
+        assert p.grad is not None and np.shares_memory(p.grad, model._grad), name
+    before = model._grad.copy()
+    assert model.gradient() is model._grad
+    assert model.gradient().tobytes() == before.tobytes()
+
+
+LOSS_TAPE_NODES = {"rnb1": 9, "rnb2_ue": 15, "rnbc2_ue": 18, "seq1eH": 9, "seq1HL": 14,
+                   "teacher": 14, "snail": 15, "att_pair": 26, "transformer": 29}
 
 
 def test_loss_tape_nodes_per_kind():

@@ -1,12 +1,14 @@
 """Fused layer ops against the compositions they replace.
 
-Each conv, norm, gate, gated conv level, unpack, softmax, attention and
-binary cross entropy call in ``nn`` records one tape node with a
+Each linear layer, conv, norm, gate, gated conv level, unpack, softmax,
+attention and binary cross entropy call in ``nn`` records one tape node with a
 hand-written backward. The reference helpers below rebuild each op the
 way ``nn`` computed it before the op was fused: from tensor primitives,
 or for a gated level from the fused conv, norm and gate nodes. Forward
 values and every input gradient are compared in float64.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +290,80 @@ def test_conv_kernel_shape_contracts():
         nn.conv1d_cl(Tensor(np.ones((1, 1, 4, 2))), spec, w)
     with pytest.raises(ValidationError):
         nn.conv1d_cl(Tensor(np.ones((0, 2))), spec, w)
+
+
+# -- linear ------------------------------------------------------------------
+
+
+def ref_linear(x, weight, bias, relu=False):
+    out = T.add(T.matmul(x, weight), bias)
+    return T.relu(out) if relu else out
+
+
+LINEAR_SHAPES = [(6, 5), (3, 4, 5)]  # 2-d rows and a 3-d batch, 5 input features
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("shape", LINEAR_SHAPES)
+def test_linear_matches_composition(shape, relu):
+    rng = np.random.default_rng(len(shape) + 2 * relu)
+    assert_same_op(
+        lambda *a: nn.linear(*a, relu=relu),
+        lambda *a: ref_linear(*a, relu=relu),
+        [rng.normal(size=shape), rng.normal(size=(5, 7)), rng.normal(size=(7,))],
+    )
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("shape", LINEAR_SHAPES)
+def test_linear_matches_composition_bit_for_bit_in_float32(shape, relu):
+    # Each output byte and each byte of the three gradients; a zero row and a zero
+    # bias column put exact zeros before the rectifier.
+    rng = np.random.default_rng(7 + len(shape) + 2 * relu)
+    x = rng.normal(size=shape).astype(np.float32)
+    x.reshape(-1, 5)[1] = 0.0
+    bias = rng.normal(size=(7,)).astype(np.float32)
+    bias[2] = 0.0
+    arrays = [x, rng.normal(size=(5, 7)).astype(np.float32), bias]
+    r = rng.normal(size=shape[:-1] + (7,)).astype(np.float32)
+
+    def run(fn):
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = fn(*tensors, relu=relu)
+        T.reduce_sum(T.mul(out, Tensor(r))).backward()
+        assert all(t.grad.dtype == np.float32 for t in tensors)
+        return [out.data.tobytes()] + [t.grad.tobytes() for t in tensors]
+
+    assert run(nn.linear) == run(ref_linear)
+
+
+def test_linear_is_one_tape_node_holding_only_its_output():
+    # The composition keeps the GEMM's output and the biased one besides the
+    # rectified output; the fused node allocates and keeps the output alone.
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(4, 64, 32)), requires_grad=True)
+    w, b = (Tensor(rng.normal(size=s), requires_grad=True) for s in ((32, 512), (512,)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = nn.linear(x, w, b, relu=True)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (4, 64, 512)
+    assert out._grad_fn is not None
+    assert all(p._grad_fn is None for p in out._parents)
+    assert out.data.nbytes <= held < 1.25 * out.data.nbytes
+
+
+def test_linear_shape_contracts():
+    x, w, b = Tensor(np.ones((3, 4))), Tensor(np.ones((4, 2))), Tensor(np.ones(2))
+    with pytest.raises(ConfigurationError):
+        nn.linear(Tensor(np.ones((3, 5))), w, b)  # 5 features, the weight takes 4
+    with pytest.raises(ConfigurationError):
+        nn.linear(x, w, Tensor(np.ones(3)))
+    with pytest.raises(ConfigurationError):
+        nn.linear(x, Tensor(np.ones((4, 2, 1))), b)
 
 
 # -- normalization -----------------------------------------------------------

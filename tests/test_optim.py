@@ -1,5 +1,6 @@
 """Adam update rule against closed-form single/double-step values."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from seqskip import tensor as T
 from seqskip.errors import ConfigurationError
 from seqskip.models import build, default_config
 from seqskip.optim import Adam
+from seqskip.tensor import Tensor
 
 
 def _vec(values, dtype=np.float64):
@@ -140,6 +143,20 @@ def test_model_gradient_rejects_a_mis_shaped_gradient():
     model.params["embed.b"].grad = np.zeros(5, dtype=np.float32)
     with pytest.raises(ConfigurationError, match="gradient shape .* for 'embed.b'"):
         model.gradient()
+
+
+def test_a_first_gradient_of_negative_zero_keeps_its_sign():
+    # The first accumulation writes; adding it to a zeroed buffer would give +0.0.
+    model = _model()
+    p = model.params["embed.b"]
+    neg_zero, ones = np.full(p.shape, -0.0, np.float32), np.ones(p.shape, np.float32)
+    model.zero_grad()
+    T.reduce_sum(T.mul(p, Tensor(neg_zero))).backward()
+    start = sum(q.size for q in itertools.takewhile(lambda q: q is not p, model.params.values()))
+    assert np.signbit(model.gradient()[start : start + p.size]).all()
+    model.zero_grad()  # a later accumulation adds in place
+    T.reduce_sum(T.add(T.mul(p, Tensor(neg_zero)), T.mul(p, Tensor(ones)))).backward()
+    assert p.grad.tobytes() == ones.tobytes() and np.shares_memory(p.grad, model._grad)
 
 
 def test_lr_setter_guard():
