@@ -301,7 +301,7 @@ class Model:
         """Every gradient in one flat buffer laid out like ``vector``, zeros where
         unset. A backward accumulates into it already; only a gradient assigned
         from outside is copied in. An Adam step consumes the buffer, and with
-        it every ``.grad`` that is a view of it."""
+        it every ``.grad`` that is a view of it: ``zero_grad`` after the step."""
         for name, p in self.params.items():
             out = p.grad_buffer
             if p.grad is None:
@@ -450,13 +450,12 @@ class Model:
 
     # -- metric family -------------------------------------------------
 
-    def forward_metric(self, batch: Batch | Halves) -> MetricOut:
-        """Relation scores and heads of a batch, or of its :meth:`Batch.halves` when the
-        caller reads them too."""
+    def forward_metric(self, views: Halves) -> MetricOut:
+        """Relation scores and heads from a batch's :meth:`Batch.halves`, which a caller
+        that reads them too derives once; a :class:`Batch` has the same names."""
         kind = self.config.kind
         if kind not in METRIC_KINDS:
             raise ContractError(f"{kind} is a sequence-family model; no relation scores")
-        views = batch.halves() if isinstance(batch, Batch) else batch
         sup_y, sup_mask = views.sup_y, views.sup_mask
         sup_items = Tensor(views.sup_x[..., :-2])
         qry_items = Tensor(views.qry_x[..., :-2])
@@ -488,10 +487,9 @@ class Model:
             head = T.div(T.reduce_sum(masked, axis=1), Tensor(counts))
         return MetricOut(r=r, head=head)
 
-    def _user_embedding_tensor(self, batch: Batch | Halves, f_s: Tensor | None = None) -> Tensor:
+    def _user_embedding_tensor(self, views: Halves, f_s: Tensor | None = None) -> Tensor:
         if self.config.kind not in UE_KINDS:
             raise ContractError(f"{self.config.kind} has no user-embedding pathway")
-        views = batch.halves() if isinstance(batch, Batch) else batch
         if f_s is None:
             f_s = self._linear("embed", Tensor(views.sup_x[..., :-2]), relu=True)
         # Pool over the shared item embeddings so the user vector lives in

@@ -573,8 +573,9 @@ def relation_logits(support: Tensor, query: Tensor, labels, weight: Tensor, bias
         raise ConfigurationError(f"relation output shapes {w_out.shape}, {b_out.shape} != "
                                  f"({width}, 1), (1,)")
     h = np.add(rows, cols)
+    shape = h.shape  # the backward keeps only h2, so freeing it frees the buffer
     h2 = np.maximum(h, 0.0, out=h).reshape(-1, width)
-    out = (h2 @ w_out.data + b_out.data).reshape(h.shape[:-1])
+    out = (h2 @ w_out.data + b_out.data).reshape(shape[:-1])
 
     def backward(g):
         nonlocal h2
@@ -588,7 +589,7 @@ def relation_logits(support: Tensor, query: Tensor, labels, weight: Tensor, bias
         gh *= g2
         gh *= w_out.data[:, 0]  # the K=1 GEMM ``g2 @ w_out.T``, bit for bit
         g_bout = g.reshape(g.shape + (1,)).sum(axis=(0, 1, 2))
-        return (*grads(gh.reshape(h.shape)), g_wout, g_bout)
+        return (*grads(gh.reshape(shape)), g_wout, g_bout)
 
     return T.fused(out, parents + (w_out, b_out), backward)
 

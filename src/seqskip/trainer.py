@@ -214,7 +214,6 @@ def train(
             value = float(loss.data)
             if not math.isfinite(value):
                 raise TrainingError(f"non-finite loss ({value}) at epoch {epoch}, batch {b_idx}")
-            model.zero_grad()
             loss.backward()
             del loss  # free this step's tape before the next forward records one
             grad = model.gradient()
@@ -228,6 +227,7 @@ def train(
             if config.grad_clip is not None and norm > config.grad_clip:
                 grad *= config.grad_clip / norm
             opt.step(grad)
+            model.zero_grad()  # the step left its scratch in the views every .grad reads
             losses.append(value)
         val_maa, _ = evaluate_episodes(model, val_eps, config.batch_size)
         entry = EpochLog(epoch, float(np.mean(losses)), val_maa, opt.lr)

@@ -240,24 +240,28 @@ def test_relation_logits_is_one_tape_node():
 
 def test_relation_logits_backward_allocates_less_than_one_pair_block():
     # B=64, S=Q=10 at width 256: the backward writes its gradient over the forward's
-    # [B, S, Q, W] buffer, where a fresh gradient and a mask took 1.25 such blocks.
+    # [B, S, Q, W] buffer, where a fresh gradient and a mask took 1.25 such blocks,
+    # and then lets the buffer go while the loss, and so the node, is still alive.
     b, s_len, q_len, width = 64, 10, 10, 256
     rng = np.random.default_rng(24)
     shapes = [(b, s_len, width), (b, q_len, width), (3 * width + 1, width), (width,),
               (width, 1), (1,), (b, width)]
     inputs = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in shapes]
     labels = (rng.random((b, s_len)) < 0.5).astype(np.float32)
-    loss = T.reduce_sum(nn.relation_logits(*inputs[:2], labels, *inputs[2:6], user=inputs[6]))
     block = b * s_len * q_len * width * np.dtype(np.float32).itemsize
     tracemalloc.start()
     try:
+        loss = T.reduce_sum(nn.relation_logits(*inputs[:2], labels, *inputs[2:6], user=inputs[6]))
         start = tracemalloc.get_traced_memory()[0]
+        assert start > block  # the forward's buffer, held by the node
+        tracemalloc.reset_peak()
         loss.backward()
-        peak = tracemalloc.get_traced_memory()[1] - start
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert all(t.grad is not None for t in inputs)
-    assert peak < block
+    assert peak - start < block
+    assert current < block  # only the gradients: the node no longer holds the buffer
 
 
 def test_relation_logits_backward_runs_once():

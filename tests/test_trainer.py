@@ -261,6 +261,8 @@ def test_train_protocol_end_to_end(corpus):
                                [1e-3, 7e-4, 4.9e-4], rtol=1e-9)
     assert result.best_val_maa == max(h.val_maa for h in result.history)
     assert result.history[result.best_epoch - 1].val_maa == result.best_val_maa
+    # Each step's Adam scratch lands in the gradient buffer: no .grad is left reading it.
+    assert all(p.grad is None for p in result.model.params.values())
     # stats must come from the train side of the split only
     from seqskip.dataio import fit_stats
     train_sessions, _ = split_train_val(sessions, 0.8, 0)
