@@ -178,6 +178,13 @@ def load_schema(path) -> SchemaSpec:
 # -- sessions and features ---------------------------------------------
 
 
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices ``starts[b] : starts[b] + counts[b]`` of every b, one run after another."""
+    index = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    index += np.arange(len(index))
+    return index
+
+
 @dataclass(frozen=True)
 class Sessions:
     """A session corpus as flat per-position columns, sessions in the order the file
@@ -198,7 +205,7 @@ class Sessions:
 
     @cached_property
     def t_support(self) -> np.ndarray:
-        """Support positions per session: the ceil half, as :func:`split_session`."""
+        """Support positions per session: the ceil half."""
         return (self.lengths + 1) // 2
 
     def __len__(self) -> int:
@@ -208,9 +215,7 @@ class Sessions:
         """The sessions of an index array, slice or index, as a corpus."""
         index = np.atleast_1d(np.arange(len(self))[index])
         lengths = self.lengths[index]
-        # The rows of each chosen session, one run after another.
-        rows = np.repeat(self.starts[index] - (np.cumsum(lengths) - lengths), lengths)
-        rows += np.arange(len(rows))
+        rows = _runs(self.starts[index], lengths)
         columns = {name: values[rows] for name, values in self.columns.items()}
         return Sessions(self.ids[index], lengths, self.track_ids[rows], self.labels[rows], columns)
 
@@ -662,16 +667,6 @@ def transform(
 # -- episodes ----------------------------------------------------------
 
 
-def split_session(length: int) -> tuple[range, range]:
-    """1-based (support, query) positions; support takes the ceil half."""
-    if not MIN_SESSION_LEN <= length <= MAX_SESSION_LEN:
-        raise ValidationError(
-            f"session length {length} outside [{MIN_SESSION_LEN}, {MAX_SESSION_LEN}]"
-        )
-    t_s = math.ceil(length / 2)
-    return range(1, t_s + 1), range(t_s + 1, length + 1)
-
-
 def make_episodes(
     sessions: Sessions, features: FeatureTable, stats: PreprocessStats, schema: SchemaSpec,
     keep_query_logs: bool = False,
@@ -708,6 +703,9 @@ def _below(size: int, counts: np.ndarray) -> np.ndarray:
     return np.arange(size) < counts[:, None]
 
 
+PACK_ROWS = 16  # a batch's row count is a multiple of this
+
+
 class Halves(NamedTuple):
     """A batch's support and query halves with their labels and masks, each derived once;
     read by name, like the :class:`Batch` views of the same names."""
@@ -722,74 +720,84 @@ class Halves(NamedTuple):
 
 @dataclass
 class Batch:
-    """Padded episodes, a whole corpus or a batch of one, stored as one layout: each
-    session's merged timeline, its ``t_support`` supports then its ``t_query`` queries,
-    zero past its length. A batch is a trimmed gather of it. The masks (in ``seq_x``'s
-    dtype) and the metric family's halves, ``sup_*`` and ``qry_*`` (:meth:`supports`,
-    :meth:`queries`), are derived each time they are read, so they cannot disagree with
-    the timeline and an in-place edit of ``seq_x`` shows in them."""
+    """Episodes, a whole corpus or a batch of one, stored as their real rows: each
+    session's ``t_support`` supports then its ``t_query`` queries, sessions in order, then
+    inert zero rows up to a multiple of :data:`PACK_ROWS`. BLAS rounds a GEMM's rows by how
+    many share the call, so a layer on the rows gives a real row the same bits in any batch.
+    A batch is one gather of its sessions' rows. The padded ``[B, ...]`` views (timelines
+    ``seq_x``, the halves ``sup_*`` and ``qry_*``) and the masks, in ``x``'s dtype, are
+    derived each time they are read, so an in-place edit of ``x`` shows in them."""
 
     session_ids: tuple[str, ...]
-    seq_x: np.ndarray  # [B, T, D], T <= 20 for a loaded corpus
-    seq_y: np.ndarray  # [B, T]
-    t_support: np.ndarray  # [B] int: also the timeline offset of the first query
+    x: np.ndarray  # [N, D] float32
+    y: np.ndarray  # [N] float32
+    t_support: np.ndarray  # [B] int
     t_query: np.ndarray  # [B] int
     query_logs_kept: bool = False
 
     @classmethod
     def from_rows(cls, session_ids, t_support, t_query, x, y, query_logs_kept=False) -> Batch:
-        """Pad per-position rows ``x`` and labels ``y``, each session's supports then queries."""
-        lengths = t_support + t_query
-        real = _below(lengths.max(initial=0), lengths)
-        seq_x, seq_y = (np.zeros(real.shape + v.shape[1:], dtype=np.float32) for v in (x, y))
-        seq_x[real], seq_y[real] = x, y
-        return cls(tuple(session_ids), seq_x, seq_y, t_support, t_query, query_logs_kept)
+        """Store rows ``x`` and labels ``y`` with the inert rows appended."""
+        n = int((t_support + t_query).sum())
+        size = n + -n % PACK_ROWS
+        rows, labels = np.zeros((size, x.shape[1]), np.float32), np.zeros(size, np.float32)
+        rows[:n], labels[:n] = x, y
+        return cls(tuple(session_ids), rows, labels, t_support, t_query, query_logs_kept)
 
-    def supports(self, values: np.ndarray) -> np.ndarray:
-        """The support half ``[B, S, ...]`` of a timeline array ``[B, T, ...]``."""
-        out = values[:, : self.t_support.max(initial=0)].copy()
-        out[~_below(out.shape[1], self.t_support)] = 0  # not a product: -x * 0 is -0.0
+    @property
+    def lengths(self) -> np.ndarray:
+        return self.t_support + self.t_query
+
+    def _rows(self, offset, counts: np.ndarray) -> np.ndarray:
+        """Rows ``offset[b] : offset[b] + counts[b]`` of each session b, one run after another."""
+        return _runs(np.cumsum(self.lengths) - self.lengths + offset, counts)
+
+    def _padded(self, values: np.ndarray, offset, counts: np.ndarray) -> np.ndarray:
+        """``[B, max(counts), ...]`` of ``values [N, ...]``: those rows, zero after them."""
+        size = counts.max(initial=0)
+        out = np.zeros((len(counts), size) + values.shape[1:], dtype=values.dtype)
+        out[_below(size, counts)] = values[self._rows(offset, counts)]
         return out
 
     def queries(self, values: np.ndarray) -> np.ndarray:
-        """The query half ``[B, Q, ...]`` of a timeline array ``[B, T, ...]``: query j of
-        session b is its timeline position ``t_support[b] + j``."""
-        at = self.t_support[:, None] + np.arange(self.t_query.max(initial=0))
-        out = values[np.arange(len(at))[:, None], np.minimum(at, values.shape[1] - 1)]
-        out[~_below(out.shape[1], self.t_query)] = 0  # padding slots, clamped in above
+        """The query half ``[B, Q, ...]`` of ``values [N, ...]``, one per row."""
+        return self._padded(values, self.t_support, self.t_query)
+
+    def _mask(self, counts: np.ndarray) -> np.ndarray:
+        return _below(counts.max(initial=0), counts).astype(self.x.dtype)
+
+    def _row_mask(self, offset, counts: np.ndarray) -> np.ndarray:  # [N]
+        out = np.zeros(len(self.x), dtype=self.x.dtype)
+        out[self._rows(offset, counts)] = 1
         return out
 
-    def _mask(self, counts: np.ndarray, size=None) -> np.ndarray:
-        """1 at the first ``counts[b]`` of ``size`` (default: T) places of row b."""
-        size = self.seq_x.shape[1] if size is None else size
-        return _below(size, counts).astype(self.seq_x.dtype)
-
-    seq_mask = property(lambda self: self._mask(self.t_support + self.t_query))  # [B, T]
-    seq_qmask = property(lambda self: self.seq_mask - self._mask(self.t_support))  # [B, T]
-    sup_mask = property(lambda self: self._mask(self.t_support, self.t_support.max(initial=0)))
-    qry_mask = property(lambda self: self._mask(self.t_query, self.t_query.max(initial=0)))
-    sup_x = property(lambda self: self.supports(self.seq_x))  # [B, S, D]
-    sup_y = property(lambda self: self.supports(self.seq_y))  # [B, S]
-    qry_x = property(lambda self: self.queries(self.seq_x))  # [B, Q, D]
-    qry_y = property(lambda self: self.queries(self.seq_y))  # [B, Q]
+    seq_x = property(lambda self: self._padded(self.x, 0, self.lengths))  # [B, T, D]
+    seq_mask = property(lambda self: self._mask(self.lengths))  # [B, T]
+    real_rows = property(lambda self: self._row_mask(0, self.lengths))  # [N]
+    query_rows = property(lambda self: self._row_mask(self.t_support, self.t_query))  # [N]
+    sup_x = property(lambda self: self._padded(self.x, 0, self.t_support))  # [B, S, D]
+    sup_y = property(lambda self: self._padded(self.y, 0, self.t_support))  # [B, S]
+    sup_mask = property(lambda self: self._mask(self.t_support))  # [B, S]
+    qry_x = property(lambda self: self.queries(self.x))  # [B, Q, D]
+    qry_y = property(lambda self: self.queries(self.y))  # [B, Q]
+    qry_mask = property(lambda self: self._mask(self.t_query))  # [B, Q]
 
     def halves(self) -> Halves:
         """Every ``sup_*`` and ``qry_*`` view at once: a step that reads several derives
-        each once. Nothing is cached, so a later edit of the timeline shows in the next."""
+        each once. Nothing is cached, so a later edit of the rows shows in the next."""
         return Halves(self.sup_x, self.sup_y, self.sup_mask, self.qry_x, self.qry_y, self.qry_mask)
 
     def __len__(self) -> int:
         return len(self.session_ids)
 
     def __getitem__(self, index) -> Batch:
-        """The sessions of an index array, slice or index, trimmed to the longest of them."""
+        """The sessions of an index array, slice or index."""
         index = np.atleast_1d(np.arange(len(self))[index])
         t_support, t_query = self.t_support[index], self.t_query[index]
-        t = int((t_support + t_query).max(initial=0))
-        return Batch(
-            tuple(map(self.session_ids.__getitem__, index.tolist())),
-            self.seq_x[index, :t], self.seq_y[index, :t], t_support, t_query, self.query_logs_kept,
-        )
+        rows = _runs((np.cumsum(self.lengths) - self.lengths)[index], t_support + t_query)
+        return Batch.from_rows(tuple(map(self.session_ids.__getitem__, index.tolist())),
+                               t_support, t_query, self.x[rows], self.y[rows],
+                               self.query_logs_kept)
 
 
 class _Batches(Sequence):

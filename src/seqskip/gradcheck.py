@@ -220,10 +220,11 @@ def _gated_level_case(kind, kernel, dilation, t_len, batched=False, lengths=None
         spec, c, rows = Conv1dSpec(3, 3, kernel, dilation, CAUSAL), (3,), None
         if lengths is None:
             x, r = rng.normal(size=(2,) + ((2,) if batched else ()) + (t_len, 3))
-        else:  # the packed rows of sessions of these lengths, inert rows after them
+        else:  # the rows of sessions of these lengths, inert zero rows after them
             mask = np.arange(t_len) < np.array(lengths)[:, None]
-            x, rows = nn.pack(rng.normal(size=(len(lengths), t_len, 3)), mask)
-            r = rng.normal(size=x.shape)
+            x = np.zeros((16, 3))
+            x[: sum(lengths)] = rng.normal(size=(len(lengths), t_len, 3))[mask]
+            rows, r = nn.Rows.packed(lengths, 16), rng.normal(size=x.shape)
         # Small transform gammas and betas away from zero hold every
         # highway relu input off the kink: |pre| >= 0.5 - 0.3 * sqrt(2).
         transform = [rng.normal(size=(3, 3, kernel)), rng.uniform(0.1, 0.3, c),
@@ -236,12 +237,12 @@ def _gated_level_case(kind, kernel, dilation, t_len, batched=False, lengths=None
     return build
 
 
-def _case_unpack(rng):
-    # Packed values of sessions of 5, 2 and 4 rows, then 5 inert rows.
+def _case_unpad(rng):
+    # A padded head of sessions of 5, 2 and 4 rows to their rows, then 5 inert rows.
     mask = np.arange(5) < np.array([5, 2, 4])[:, None]
-    values = rng.normal(size=(16, 1))
-    r = rng.normal(size=mask.shape)
-    return [values], lambda v: _project(nn.unpack(v, mask), r)
+    values = rng.normal(size=mask.shape + (1,))
+    r = rng.normal(size=16)
+    return [values], lambda v: _project(nn.unpad(v, mask, 16), r)
 
 
 def _case_pair_linear(rng, relation=False):
@@ -336,7 +337,7 @@ CASES = {
     "gated_level_glu": _gated_level_case("glu", 3, 2, 4),  # T below the receptive field, 5
     # Packed sessions of 6, 3 and 2 rows, two of them below the receptive field, 5.
     "gated_level_ragged": _gated_level_case("highway", 3, 2, 6, lengths=(6, 3, 2)),
-    "unpack": _case_unpack,
+    "unpad": _case_unpad,
     "pair_linear": _case_pair_linear,
     "relation_logits": lambda rng: _case_pair_linear(rng, relation=True),
     "softmax": _case_softmax,

@@ -15,11 +15,12 @@ Two families share the Batch interface:
 Every head but the label votes emits logits, and ``Model.query_probs``
 is the one place they become probabilities.
 
-Every encoder runs channels-last, so every conv is one GEMM. The causal
-stacks of seq1eH, seq1HL and teacher run on the timelines' real rows
-only, packed as ``[N, W]``; snail and att_pair run ``[B, T, W]``, padded
-like ``Batch.seq_x`` (the timeline a batch stores; the metric family's
-support and query halves are read from it), with a row table
+Every encoder runs channels-last, so every conv is one GEMM. Every
+sequence kind returns one logit per row of ``Batch.x [N, D]``, the
+batch's real rows. The causal stacks of seq1eH, seq1HL and teacher run
+on those rows (``nn.Rows.packed``); snail, att_pair and the transformer
+run the padded timelines ``Batch.seq_x [B, T, D]`` and ``nn.unpad``
+their head's logits back to rows, their convs with a table
 (``nn.Rows.padded``) in which each padding row is a session of its own,
 so no conv tap of a real row reads padding and nothing re-zeroes it.
 Causal stacks normalize per position over channels only, never over
@@ -347,7 +348,7 @@ class Model:
     # -- sequence family -----------------------------------------------
 
     def forward_sequence(self, batch: Batch) -> Tensor:
-        """Per-position skip logits [B, T] over the merged timeline."""
+        """Skip logits ``[N]``, one per row of ``batch.x``, over the merged timelines."""
         kind = self.config.kind
         forward = self.config.structure.forward
         if forward is None:
@@ -360,28 +361,27 @@ class Model:
         return getattr(self, forward)(batch)
 
     def _forward_conv_stacks(self, batch: Batch) -> Tensor:
-        # The stacks run on the timelines' real rows only, packed as [N, W].
-        structure = self.config.structure
-        x, rows = nn.pack(batch.seq_x, batch.seq_mask)
-        h = self._conv("entry", Tensor(x), Conv1dSpec(self.in_dim, self.config.width, 1), rows)
+        structure, w = self.config.structure, self.config.width
+        rows = nn.Rows.packed(batch.lengths, len(batch.x))
+        h = self._conv("entry", Tensor(batch.x), Conv1dSpec(self.in_dim, w, 1), rows)
         for s in range(structure.stacks):
             for l, (d, k) in enumerate(zip(structure.dilations, structure.kernels)):
                 h = self._gated_level(f"stack{s}.level{l}", h, d, k, rows)
-        logits = self._conv("head", h, Conv1dSpec(self.config.width, 1, 1), rows)
-        return nn.unpack(logits, batch.seq_mask)
+        return T.reshape(self._conv("head", h, Conv1dSpec(w, 1, 1), rows), rows.shape)
 
     def _forward_snail(self, batch: Batch) -> Tensor:
         # Attention reads the raw rows (no embedding layer in front),
         # its output is concatenated back onto them, and the causal
         # stack consumes the pair.
         structure = self.config.structure
+        seq_mask = batch.seq_mask
         x = Tensor(batch.seq_x)
-        rows = nn.Rows.padded(batch.seq_mask)
+        rows = nn.Rows.padded(seq_mask)
         q = self._linear("attn.q", x)
         k = self._linear("attn.k", x)
         v = self._linear("attn.v", x)
         att = nn.attention(
-            q, k, v, mask=self._causal_attention_mask(batch.seq_mask), heads=structure.heads
+            q, k, v, mask=self._causal_attention_mask(seq_mask), heads=structure.heads
         )
         att = self._linear("attn.o", att)
         h = T.concat([x, att], axis=-1)
@@ -389,10 +389,11 @@ class Model:
         for l, (d, kk) in enumerate(zip(structure.dilations, structure.kernels)):
             h = self._gated_level(f"stack0.level{l}", h, d, kk, rows)
         logits = self._conv("head", h, Conv1dSpec(self.config.width, 1, 1))
-        return T.reshape(logits, batch.seq_x.shape[:2])
+        return nn.unpad(logits, seq_mask, len(batch.x))
 
     def _forward_transformer(self, batch: Batch) -> Tensor:
         structure = self.config.structure
+        seq_mask = batch.seq_mask
         x = Tensor(batch.seq_x)
         t_len = x.shape[-2]
         if t_len > MAX_POSITIONS:
@@ -401,7 +402,7 @@ class Model:
             )
         h = self._linear("embed", x)
         h = T.add(h, T.slice_axis(self._p("pos"), 0, 0, t_len))
-        mask = self._causal_attention_mask(batch.seq_mask)  # both blocks
+        mask = self._causal_attention_mask(seq_mask)  # both blocks
 
         def ln(prefix: str, v: Tensor) -> Tensor:
             return nn.channel_norm(v, self._p(f"{prefix}.gamma"), self._p(f"{prefix}.beta"))
@@ -420,7 +421,7 @@ class Model:
             n2 = ln(f"{p}.ln2", h)
             ffn = self._linear(f"{p}.ffn.fc2", self._linear(f"{p}.ffn.fc1", n2, relu=True))
             h = T.add(h, ffn)
-        return T.reshape(self._linear("head", ln("final", h)), batch.seq_x.shape[:2])
+        return nn.unpad(self._linear("head", ln("final", h)), seq_mask, len(batch.x))
 
     def _forward_att_pair(self, batch: Batch) -> Tensor:
         structure = self.config.structure
@@ -436,8 +437,9 @@ class Model:
                 for wt, gamma, beta in self._branches(f"sup.level{l}")
             ]
             s_enc = nn.gated_block(self.config.gate, s_enc, *pre)  # [B, S, W]
+        seq_mask = batch.seq_mask
         q_cl = self._conv("qry.entry", Tensor(batch.seq_x), Conv1dSpec(self.in_dim, w, 1))
-        rows = nn.Rows.padded(batch.seq_mask)
+        rows = nn.Rows.padded(seq_mask)
         for l, (d, k) in enumerate(zip(structure.dilations, structure.kernels)):
             q_cl = self._gated_level(f"qry.level{l}", q_cl, d, k, rows)  # [B, T, W]
 
@@ -446,7 +448,7 @@ class Model:
         att = nn.attention(q_cl, s_enc, s_enc, mask=nn.AttentionMask.of(att_mask),
                            heads=structure.heads)
         h = self._linear("comb", T.concat([q_cl, att], axis=-1), relu=True)
-        return T.reshape(self._linear("head", h), batch.seq_x.shape[:2])
+        return nn.unpad(self._linear("head", h), seq_mask, len(batch.x))
 
     # -- metric family -------------------------------------------------
 
@@ -514,7 +516,7 @@ class Model:
             views = batch.halves()
             head, qry_mask = self.forward_metric(views).head.data, views.qry_mask
         else:
-            head = batch.queries(self.forward_sequence(batch).data)  # [B, T] -> [B, Q]
+            head = batch.queries(self.forward_sequence(batch).data)  # [N] -> [B, Q]
             qry_mask = batch.qry_mask
         probs = head if self.config.kind in VOTE_KINDS else T.sigmoid_array(head)
         return (probs * qry_mask).astype(np.float32)

@@ -3,15 +3,16 @@
 All functions are pure: parameters arrive as tensors, nothing is stored.
 Every layer runs channels-last, like attention inputs ``[..., positions,
 features]``, and norms scale and shift the last axis. Convolutions and
-gated levels take ``[T, C]``, ``[batch, T, C]`` or the packed rows
-``[N, C]`` of :func:`pack`, whose :class:`Rows` table says where each
-row sits in its session; in a padded batch's table each padding row is
-a session of its own, so no real row reads it. Convolutions, norms,
-gates, whole gated conv levels,
-linear layers with their bias and optional rectifier,
-the relation layer over (support, query) pairs and the relation net on
-them, softmax, masked multi-head attention and binary cross entropy on
-logits each record one tape node with a hand-written backward.
+gated levels take ``[T, C]``, ``[batch, T, C]`` or a batch's rows
+``[N, C]``, sessions one after another; a :class:`Rows` table says where
+each row sits in its session, so no conv tap of a row reads another
+session's. In a padded block's table each padding row is a session of its
+own, so no real row reads it. Convolutions, norms, gates, whole gated conv
+levels, linear layers with their bias and optional rectifier, the relation
+layer over (support, query) pairs and the relation net on them, softmax,
+masked multi-head attention, the gather of a padded head's rows and
+binary cross entropy on logits each record one tape node with a
+hand-written backward.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import (ConfigurationError, ContractError, EvaluationError, MaskingError,
-                     ValidationError)
+from .errors import ConfigurationError, EvaluationError, MaskingError, ValidationError
 from .tensor import Tensor
 
 CAUSAL = "causal"
@@ -49,9 +49,6 @@ class Conv1dSpec:
             raise ConfigurationError(f"unknown padding_mode {self.padding_mode!r}")
 
 
-PACK_ROWS = 16  # a packed block's row count is a multiple of this
-
-
 class Rows:
     """Where each row of a channels-last block sits in its session.
 
@@ -59,8 +56,8 @@ class Rows:
     runs of them in time order: ``time[i]`` is row i's position in its
     session and ``rest[i]`` the number of its session's rows after it;
     ``stops`` ends each session. ``shape`` is the leading shape of the
-    inputs the table describes: ``(N,)`` for a packed block, ``(B, T)``
-    for a padded one, where each padding row is a session of its own. A
+    inputs the table describes: ``(N,)`` for a batch's rows, ``(B, T)``
+    for a padded block, where each padding row is a session of its own. A
     conv tap reading offset ``o`` is one shifted slice of the whole block,
     and :meth:`outside` lists the rows whose ``time + o`` leaves their
     session, which read zeros, so no real row reads padding; it builds each
@@ -79,6 +76,11 @@ class Rows:
         self._outside: dict[int, np.ndarray] = {}
 
     @classmethod
+    def packed(cls, lengths, n: int) -> Rows:
+        """The table of ``n`` rows: sessions of ``lengths``, then inert rows of one row each."""
+        return cls(np.concatenate([lengths, np.ones(n - int(np.sum(lengths)), np.intp)]), (n,))
+
+    @classmethod
     def padded(cls, mask: np.ndarray) -> Rows:
         """The table of a padded ``[..., T, C]`` block whose ``mask [..., T]`` marks each
         session's real rows, a prefix of its timeline; each padding row is a session of
@@ -95,24 +97,6 @@ class Rows:
             leaves = self.time < -offset if offset < 0 else self.rest < offset
             self._outside[offset] = np.flatnonzero(leaves)
         return self._outside[offset]
-
-
-def pack(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, Rows]:
-    """The real rows of a padded ``[B, T, C]`` block as ``[N, C]``, and their table.
-
-    ``mask [B, T]`` marks each session's real rows, a prefix of its
-    timeline. N is the real row count rounded up to a multiple of
-    :data:`PACK_ROWS` with inert rows: zero input, each a session of one
-    row. BLAS rounds a GEMM's rows by how many share the call, and whole
-    multiples of 16 keep every real row's bits those of the padded block.
-    """
-    real = np.asarray(mask) != 0
-    lengths = real.sum(axis=1)
-    n = int(lengths.sum())
-    inert = -n % PACK_ROWS
-    out = np.zeros((n + inert, values.shape[-1]), dtype=values.dtype)
-    out[:n] = values[real]
-    return out, Rows(np.concatenate([lengths, np.ones(inert, np.intp)]), out.shape[:1])
 
 
 def _offsets(spec: Conv1dSpec) -> list[int]:
@@ -185,7 +169,7 @@ def conv1d_cl(x: Tensor, spec: Conv1dSpec, weights: Tensor, bias: Tensor | None 
               rows: Rows | None = None) -> Tensor:
     """Channels-last dilated 1-d convolution preserving each session's length.
 
-    ``x`` is ``[T, C_in]``, ``[B, T, C_in]`` or packed rows ``[N, C_in]``
+    ``x`` is ``[T, C_in]``, ``[B, T, C_in]`` or a batch's rows ``[N, C_in]``
     described by ``rows`` (one session per ``[T, C]`` when None); the output is
     ``[..., C_out]``. Causal mode pads ``dilation * (kernel_size - 1)``
     zeros on the past side only, so output row t reads input rows <= t.
@@ -458,23 +442,24 @@ def gated_level(kind: str, x: Tensor, spec: Conv1dSpec, transform, gate,
     return T.fused(out.reshape(x.shape[:-1] + (width,)), parents, backward)
 
 
-def unpack(values: Tensor, mask: np.ndarray) -> Tensor:
-    """The ``[N, 1]`` values of :func:`pack`'s rows laid out as ``mask``'s ``[B, T]``,
-    zeros where it is 0, as one tape node whose backward gathers.
+def unpad(values: Tensor, mask: np.ndarray, n: int) -> Tensor:
+    """A one-channel head's ``values [B, T, 1]`` at the places ``mask [B, T]`` marks, in
+    order, as ``[n]`` rows, zeros past them: one tape node whose backward scatters.
 
-    The rows land in order where ``mask`` is nonzero; the inert rows past
-    them are dropped, so no gradient reaches them.
+    It takes a padded block's logits to a batch's rows, sessions one after another and
+    inert rows after them, so no gradient reaches a padding place.
     """
     real = np.asarray(mask) != 0
-    n = int(real.sum())
-    if values.ndim != 2 or values.shape[1] != 1 or values.shape[0] < n:
-        raise ConfigurationError(f"values {tuple(values.shape)} cannot fill {n} real rows")
-    out = np.zeros(real.shape, dtype=values.dtype)
-    out[real] = values.data[:n, 0]
+    count = int(real.sum())
+    if values.shape != real.shape + (1,) or n < count:
+        raise ConfigurationError(f"values {tuple(values.shape)} of {count} real places "
+                                 f"cannot fill {n} rows")
+    out = np.zeros(n, dtype=values.dtype)
+    out[:count] = values.data[real, 0]
 
     def backward(g):
         gv = np.zeros(values.shape, dtype=g.dtype)
-        gv[:n, 0] = g[real]
+        gv[real, 0] = g[:count]
         return (gv,)
 
     return T.fused(out, (values,), backward)
@@ -564,8 +549,7 @@ def relation_logits(support: Tensor, query: Tensor, labels, weight: Tensor, bias
     The pair layer's sum is written into one ``[B, S, Q, W]`` buffer, rectified
     in place and met by one GEMV against ``w_out [W, 1]``. The backward writes
     ``g * w_out``, masked where the buffer is zero, over the buffer itself and
-    hands it to :func:`pair_linear`'s, so it runs once: a second backward
-    through the node raises :class:`ContractError`.
+    hands it to :func:`pair_linear`'s; a backward runs once per graph.
     """
     rows, cols, parents, grads = _pair_parts(support, query, labels, weight, bias, user)
     width = rows.shape[-1]
@@ -573,15 +557,11 @@ def relation_logits(support: Tensor, query: Tensor, labels, weight: Tensor, bias
         raise ConfigurationError(f"relation output shapes {w_out.shape}, {b_out.shape} != "
                                  f"({width}, 1), (1,)")
     h = np.add(rows, cols)
-    shape = h.shape  # the backward keeps only h2, so freeing it frees the buffer
     h2 = np.maximum(h, 0.0, out=h).reshape(-1, width)
-    out = (h2 @ w_out.data + b_out.data).reshape(shape[:-1])
+    out = (h2 @ w_out.data + b_out.data).reshape(h.shape[:-1])
 
     def backward(g):
-        nonlocal h2
-        if h2 is None:
-            raise ContractError("relation_logits' backward has run: its buffer holds a gradient")
-        gh, h2 = h2, None
+        gh = h2  # the forward's buffer, written over: a graph runs one backward
         g2 = g.reshape(-1, 1)
         g_wout = gh.T @ g2
         # ``(g2 @ w_out.T) * (h > 0)`` over the buffer: the 0/1 factor first keeps every byte.
@@ -589,7 +569,7 @@ def relation_logits(support: Tensor, query: Tensor, labels, weight: Tensor, bias
         gh *= g2
         gh *= w_out.data[:, 0]  # the K=1 GEMM ``g2 @ w_out.T``, bit for bit
         g_bout = g.reshape(g.shape + (1,)).sum(axis=(0, 1, 2))
-        return (*grads(gh.reshape(shape)), g_wout, g_bout)
+        return (*grads(gh.reshape(h.shape)), g_wout, g_bout)
 
     return T.fused(out, parents + (w_out, b_out), backward)
 

@@ -3,9 +3,11 @@
 Values live in numpy arrays (float32 by default, float64 for gradient
 checking). Every differentiable op records a closure that routes the
 incoming gradient to its parents; ``Tensor.backward`` walks the recorded
-graph once in reverse topological order. Ops that receive only
-non-gradient inputs skip the tape entirely, and so does every op inside
-``no_grad()``: inference builds no graph state beyond the output arrays.
+graph once in reverse topological order, dropping each closure once it
+has run: a second backward through the same graph raises. Ops that
+receive only non-gradient inputs skip the tape entirely, and so does
+every op inside ``no_grad()``: inference builds no graph state beyond
+the output arrays.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class Tensor:
     def backward(self) -> None:
         """Populate gradients of every reachable tensor that requires them.
 
-        Only a scalar (size-1) tensor may seed a backward pass.
+        Only a scalar (size-1) tensor may seed a backward pass, once per graph.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -98,6 +100,11 @@ class Tensor:
         for node in reversed(order):
             if node._grad_fn is not None and node.grad is not None:
                 node._grad_fn(node.grad)
+                node._grad_fn = _spent  # frees what the closure held
+
+
+def _spent(g):  # a node's backward once it has run: a second would add its gradient again
+    raise ContractError("backward has run through this graph")
 
 
 def as_tensor(x, dtype=None) -> Tensor:

@@ -120,9 +120,8 @@ def batch_loss(model: Model, batch: Batch, loss_scope: str = "query_only") -> Te
         targets = (views.sup_y[:, :, None] == views.qry_y[:, None, :]).astype(np.float32)
         pair_mask = views.sup_mask[:, :, None] * views.qry_mask[:, None, :]
         return mse(out.r, targets, pair_mask)
-    logits = model.forward_sequence(batch)
-    mask = batch.seq_qmask if loss_scope == "query_only" else batch.seq_mask
-    return bce_with_logits(logits, batch.seq_y, mask)
+    mask = batch.query_rows if loss_scope == "query_only" else batch.real_rows
+    return bce_with_logits(model.forward_sequence(batch), batch.y, mask)
 
 
 def build_episodes(
@@ -143,7 +142,7 @@ def predict_corpus(
     Sessions are scored in batches of similar timeline length, which
     pads far less than batches in corpus order. The sort is stable, so
     sessions of equal length keep their corpus order."""
-    order = np.argsort(episodes.t_support + episodes.t_query, kind="stable")
+    order = np.argsort(episodes.lengths, kind="stable")
     out: list = [None] * len(episodes)
     batches = make_batches(episodes, batch_size, order)
     for start, batch in zip(range(0, len(order), batch_size), batches):

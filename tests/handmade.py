@@ -1,18 +1,18 @@
-"""Hand-made episodes for tests and probes, padded by the program's own path.
+"""Hand-made episodes for tests and probes, stored by the program's own path.
 
-A loaded corpus becomes one padded :class:`seqskip.dataio.Batch` in a
-single step (``trainer.build_episodes``): each session's merged timeline,
-from which the batch derives the support and query halves. Tests that
-need episodes of chosen lengths and values write them here as
+A loaded corpus becomes one :class:`seqskip.dataio.Batch` in a single
+step (``trainer.build_episodes``): each session's real rows, from which
+the batch derives its padded timelines and the support and query halves.
+Tests that need episodes of chosen lengths and values write them here as
 :class:`Episode` objects, support and query apart; ``make_batch``
-concatenates their rows, pads them into timelines with ``Batch.from_rows``
-and takes the batch with ``dataio.make_batch``, as training does;
-``episode`` reads one back through the batch's halves.
+concatenates their rows, stores them with ``Batch.from_rows`` and takes
+the batch with ``dataio.make_batch``, as training does; ``episode`` reads
+one back through the batch's halves.
 ``corpus_order_predictions`` is the reference scoring loop that
 length-bucketed inference is checked against, ``padded_conv_stacks``
-the padded forward that the causal stacks' packed one is checked against,
-and ``reference_generate`` the one-session-at-a-time corpus generator
-that the array-work ``synthgen.generate`` is checked against.
+the padded forward that the causal stacks' forward on rows is checked
+against, and ``reference_generate`` the one-session-at-a-time corpus
+generator that the array-work ``synthgen.generate`` is checked against.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class Episode:
 
 
 def stack(episodes: list[Episode]) -> dataio.Batch:
-    """Hand-made episodes as one padded set, each padded to the longest."""
+    """Hand-made episodes as one set of rows."""
     if not episodes:
         raise ValidationError("cannot batch an empty episode list")
     kept = {e.query_logs_kept for e in episodes}
@@ -74,7 +74,7 @@ def make_batch(episodes: list[Episode]) -> dataio.Batch:
 
 
 def episode(batch: dataio.Batch, i: int) -> Episode:
-    """Session ``i`` of a padded set, as a hand-made episode (a copy)."""
+    """Session ``i`` of a set, as a hand-made episode (a copy)."""
     ts, tq = int(batch.t_support[i]), int(batch.t_query[i])
     return Episode(
         batch.session_ids[i],
@@ -99,7 +99,7 @@ def corpus_order_predictions(model, episodes: dataio.Batch, batch_size: int = 64
 def padded_conv_stacks(model, batch: dataio.Batch) -> T.Tensor:
     """The logits ``[B, T]`` of a seq1eH, seq1HL or teacher model as the
     stacks computed them on the padded ``[B, T, W]`` batch, every session padded
-    to the longest; the packed forward must give these bits on every real row."""
+    to the longest; the forward on rows must give these bits on every real row."""
     width, structure, p = model.config.width, model.config.structure, model.params
     h = nn.conv1d_cl(T.Tensor(batch.seq_x), Conv1dSpec(model.in_dim, width, 1),
                      p["entry.w"], p["entry.b"])

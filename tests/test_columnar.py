@@ -37,7 +37,6 @@ from seqskip.dataio import (
     load_schema,
     load_sessions,
     make_batches,
-    split_session,
     transform,
 )
 from seqskip.errors import SchemaError, SeqskipError, ValidationError
@@ -226,8 +225,9 @@ def ref_transform(record, vectors, stats, schema):
 
 def ref_make_episode(record, vectors, stats, schema, keep_query_logs=False):
     rows = ref_transform(record, vectors, stats, schema)
-    support_pos, query_pos = split_session(len(record.track_ids))
-    t_s, t_q = len(support_pos), len(query_pos)
+    length = len(record.track_ids)
+    t_s = math.ceil(length / 2)  # support takes the ceil half
+    t_q = length - t_s
     width, lw = schema.full_width, schema.log_width
     x_s = np.zeros((t_s, width), dtype=np.float32)
     x_s[:, : lw + schema.feature_dim] = rows[:t_s]
@@ -249,17 +249,27 @@ def ref_make_batch(episodes):
     q_max = max(e.t_query for e in episodes)
     t_max = max(e.t_support + e.t_query for e in episodes)
     width = episodes[0].x_support.shape[1]
+    n = sum(e.t_support + e.t_query for e in episodes)
+    rows = n + -n % 16  # real rows, then inert ones up to a multiple of 16
     arrays = {
+        "x": (rows, width), "y": (rows,), "real_rows": (rows,), "query_rows": (rows,),
         "sup_x": (b, s_max, width), "sup_mask": (b, s_max), "sup_y": (b, s_max),
         "qry_x": (b, q_max, width), "qry_mask": (b, q_max), "qry_y": (b, q_max),
-        "seq_x": (b, t_max, width), "seq_mask": (b, t_max), "seq_qmask": (b, t_max),
-        "seq_y": (b, t_max),
+        "seq_x": (b, t_max, width), "seq_mask": (b, t_max),
     }
     out = {name: np.zeros(shape, dtype=np.float32) for name, shape in arrays.items()}
     t_support = np.zeros(b, dtype=np.int64)
     t_query = np.zeros(b, dtype=np.int64)
+    row = 0
     for i, ep in enumerate(episodes):
         ts, tq = ep.t_support, ep.t_query
+        out["x"][row : row + ts] = ep.x_support
+        out["x"][row + ts : row + ts + tq] = ep.x_query
+        out["y"][row : row + ts] = ep.y_support
+        out["y"][row + ts : row + ts + tq] = ep.y_query
+        out["real_rows"][row : row + ts + tq] = 1.0
+        out["query_rows"][row + ts : row + ts + tq] = 1.0
+        row += ts + tq
         out["sup_x"][i, :ts] = ep.x_support
         out["sup_mask"][i, :ts] = 1.0
         out["sup_y"][i, :ts] = ep.y_support
@@ -269,9 +279,6 @@ def ref_make_batch(episodes):
         out["seq_x"][i, :ts] = ep.x_support
         out["seq_x"][i, ts : ts + tq] = ep.x_query
         out["seq_mask"][i, : ts + tq] = 1.0
-        out["seq_qmask"][i, ts : ts + tq] = 1.0
-        out["seq_y"][i, :ts] = ep.y_support
-        out["seq_y"][i, ts : ts + tq] = ep.y_query
         t_support[i], t_query[i] = ts, tq
     return dict(out, session_ids=tuple(e.session_id for e in episodes), t_support=t_support,
                 t_query=t_query, query_logs_kept=episodes[0].query_logs_kept)
@@ -288,8 +295,9 @@ def block_rows(request, monkeypatch):
 
 
 # What a Batch stores, then what it derives from that when read.
-BATCH_FIELDS = ("session_ids", "seq_x", "seq_y", "t_support", "t_query", "query_logs_kept")
-BATCH_VIEWS = ("seq_mask", "seq_qmask", "sup_x", "sup_mask", "sup_y", "qry_x", "qry_mask", "qry_y")
+BATCH_FIELDS = ("session_ids", "x", "y", "t_support", "t_query", "query_logs_kept")
+BATCH_VIEWS = ("seq_x", "seq_mask", "real_rows", "query_rows", "sup_x", "sup_mask", "sup_y",
+               "qry_x", "qry_mask", "qry_y")
 
 
 def assert_batches_identical(got: Batch, want: dict) -> None:

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 from seqskip import dataio, trainer
 from seqskip.dataio import (
+    PACK_ROWS,
     Batch,
     ColumnSpec,
     SchemaSpec,
+    Sessions,
     fit_stats,
     load_corpus,
     load_features,
@@ -25,7 +27,6 @@ from seqskip.dataio import (
     make_batch,
     make_batches,
     make_episodes,
-    split_session,
     transform,
 )
 from seqskip.errors import SchemaError, ValidationError
@@ -418,22 +419,23 @@ def test_transform_clamps_counts_out_of_range(corpus):
 # -- episodes and batches ----------------------------------------------
 
 
-def test_split_session_hand_cases():
-    assert split_session(10) == (range(1, 6), range(6, 11))
-    assert split_session(11) == (range(1, 7), range(7, 12))
-    assert split_session(20) == (range(1, 11), range(11, 21))
-    with pytest.raises(ValidationError):
-        split_session(9)
-    with pytest.raises(ValidationError):
-        split_session(21)
+def _of_lengths(lengths) -> Sessions:
+    """A corpus of sessions of these lengths and nothing else."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    rows = int(lengths.sum())
+    return Sessions(np.arange(len(lengths)).astype(str).astype(object), lengths,
+                    np.zeros(rows, dtype=object), np.zeros(rows, dtype=np.int8), {})
 
 
-@given(st.integers(10, 20))
-def test_split_support_takes_ceil_half(length):
-    sup, qry = split_session(length)
-    assert len(sup) + len(qry) == length
-    assert len(sup) == math.ceil(length / 2)
-    assert sup[0] == 1 and qry[-1] == length
+def test_t_support_hand_cases():
+    assert _of_lengths([10, 11, 20]).t_support.tolist() == [5, 6, 10]
+
+
+@given(st.lists(st.integers(10, 20), min_size=1, max_size=8))
+def test_t_support_takes_ceil_half(lengths):
+    t_support = _of_lengths(lengths).t_support
+    assert t_support.tolist() == [math.ceil(n / 2) for n in lengths]
+    assert (t_support >= np.array(lengths) - t_support).all()
 
 
 def test_make_episode_channels(corpus):
@@ -468,19 +470,40 @@ def test_make_batch_padding_and_merged_timeline(corpus):
     short.y_query = short.y_query[:3]
     batch = handmade_batch([ep, short])
     assert isinstance(batch, Batch) and len(batch) == 2
+    # 18 real rows, each session's supports then queries, then 14 inert zero rows
+    assert batch.x.shape == (32, schema.full_width) and batch.y.shape == (32,)
+    np.testing.assert_array_equal(batch.x[:5], ep.x_support)
+    np.testing.assert_array_equal(batch.x[15:18], short.x_query)
+    assert not batch.x[18:].any() and not batch.y[18:].any()
     np.testing.assert_array_equal(batch.qry_mask[1], [1, 1, 1, 0, 0])
     # merged view: supports then queries, zero-padded to the right
     np.testing.assert_array_equal(batch.seq_x[0, :5], ep.x_support)
     np.testing.assert_array_equal(batch.seq_x[0, 5:10], ep.x_query)
-    np.testing.assert_array_equal(batch.seq_qmask[1],
-                                  [0] * 5 + [1] * 3 + [0] * 2)
+    np.testing.assert_array_equal(batch.query_rows, [0] * 5 + [1] * 5 + [0] * 5 + [1] * 3
+                                  + [0] * 14)
     assert batch.t_support.tolist() == [5, 5] and batch.t_query.tolist() == [5, 3]
-    # the halves are read from the timeline each time: an in-place edit shows in both
-    batch.seq_x[1, 4, 0] += 7.0
-    batch.seq_x[1, 7, 0] -= 7.0
-    assert batch.sup_x[1, 4, 0] == ep.x_support[4, 0] + np.float32(7.0)
-    assert batch.qry_x[1, 2, 0] == short.x_query[2, 0] - np.float32(7.0)
-    assert not batch.qry_x[1, 3:].any()  # padding stays zero
+    # every view is read from the rows each time: an in-place edit shows in all of them
+    batch.x[14, 0] += 7.0  # session 1's last support
+    batch.x[17, 0] -= 7.0  # its last query
+    for got, want in ((batch.seq_x[1, 4, 0], ep.x_support[4, 0] + np.float32(7.0)),
+                      (batch.sup_x[1, 4, 0], ep.x_support[4, 0] + np.float32(7.0)),
+                      (batch.seq_x[1, 7, 0], short.x_query[2, 0] - np.float32(7.0)),
+                      (batch.qry_x[1, 2, 0], short.x_query[2, 0] - np.float32(7.0))):
+        assert got == want
+    assert not batch.qry_x[1, 3:].any() and not batch.seq_x[1, 8:].any()  # padding stays zero
+
+
+def test_a_corpus_set_stores_its_rows_and_no_padded_block(tmp_path):
+    generate(SynthConfig(n_sessions=37, seed=5), tmp_path)
+    schema, sessions, features = load_corpus(tmp_path)
+    episodes = make_episodes(sessions, features, fit_stats(sessions, features, schema), schema)
+    rows = int(sessions.lengths.sum())
+    assert rows % PACK_ROWS
+    assert episodes.x.shape == (rows + -rows % PACK_ROWS, schema.full_width)
+    assert episodes.y.shape == episodes.x.shape[:1] and not episodes.x[rows:].any()
+    stored = {name: v.shape for name, v in vars(episodes).items() if isinstance(v, np.ndarray)}
+    assert stored == {"x": episodes.x.shape, "y": episodes.y.shape,
+                      "t_support": (37,), "t_query": (37,)}
 
 
 def test_make_batch_rejects_mixed_and_empty(corpus):

@@ -1,6 +1,6 @@
 """Fused layer ops against the compositions they replace.
 
-Each linear layer, conv, norm, gate, gated conv level, unpack, softmax,
+Each linear layer, conv, norm, gate, gated conv level, unpad, softmax,
 attention and binary cross entropy call in ``nn`` records one tape node with a
 hand-written backward. The reference helpers below rebuild each op the
 way ``nn`` computed it before the op was fused: from tensor primitives,
@@ -16,6 +16,7 @@ from handmade import Episode, make_batch
 
 from seqskip import nn
 from seqskip import tensor as T
+from seqskip.dataio import PACK_ROWS
 from seqskip.errors import ConfigurationError, MaskingError, ValidationError
 from seqskip.models import KINDS, ModelConfig, build
 from seqskip.nn import CAUSAL, NONCAUSAL, Conv1dSpec
@@ -81,12 +82,12 @@ def ref_channel_norm(x, gamma, beta, epsilon=1e-5):
     return T.add(T.mul(T.mul(centered, inv), gamma), beta)
 
 
-def ref_unpack(values, mask):
-    """Packed values placed by a 0/1 matrix product."""
+def ref_unpad(values, mask, n):
+    """A padded head's real places gathered into rows by a 0/1 matrix product."""
     real = np.asarray(mask) != 0
-    place = np.zeros((real.size, values.shape[0]))
-    place[np.flatnonzero(real), np.arange(real.sum())] = 1.0
-    return T.reshape(T.matmul(Tensor(place), values), real.shape)
+    take = np.zeros((n, real.size))
+    take[np.arange(real.sum()), np.flatnonzero(real)] = 1.0
+    return T.reshape(T.matmul(Tensor(take), T.reshape(values, (real.size, 1))), (n,))
 
 
 def _ref_log(x):
@@ -233,12 +234,14 @@ RAGGED = (7, 2, 20, 1, 5)  # 35 real rows, 13 inert ones
 
 
 def _packed(rng, channels, lengths=RAGGED):
-    """Packed rows of sessions of ``lengths`` whose padding holds noise, and their table."""
-    t_len = max(lengths)
+    """The rows of sessions of ``lengths``, inert zero rows after them up to a multiple
+    of 16 as a batch stores them, and their table."""
+    t_len, n = max(lengths), sum(lengths)
     mask = np.arange(t_len) < np.array(lengths)[:, None]
-    x, rows = nn.pack(rng.normal(size=(len(lengths), t_len, channels)), mask)
-    assert sum(lengths) % nn.PACK_ROWS and len(x) % nn.PACK_ROWS == 0
-    return x, rows
+    x = np.zeros((n + -n % PACK_ROWS, channels))
+    x[:n] = rng.normal(size=(len(lengths), t_len, channels))[mask]
+    assert n % PACK_ROWS
+    return x, nn.Rows.packed(lengths, len(x))
 
 
 @pytest.mark.parametrize("mode", [CAUSAL, NONCAUSAL])
@@ -255,16 +258,28 @@ def test_conv_on_packed_rows_matches_per_session_composition(mode, dilation):
     )
 
 
-def test_unpack_matches_composition():
+def test_unpad_matches_composition():
     rng = np.random.default_rng(15)
     mask = np.arange(20) < np.array(RAGGED)[:, None]
     assert_same_op(
-        lambda v: nn.unpack(v, mask),
-        lambda v: ref_unpack(v, mask),
-        [3.0 * rng.normal(size=(48, 1))],
+        lambda v: nn.unpad(v, mask, 48),
+        lambda v: ref_unpad(v, mask, 48),
+        [3.0 * rng.normal(size=(5, 20, 1))],
     )
-    with pytest.raises(ConfigurationError):
-        nn.unpack(Tensor(np.zeros((34, 1))), mask)  # one row short
+    for values, n in ((np.zeros((5, 20, 1)), 34),  # one row short
+                      (np.zeros((5, 20)), 48), (np.zeros((5, 19, 1)), 48)):
+        with pytest.raises(ConfigurationError):
+            nn.unpad(Tensor(values), mask, n)
+
+
+def test_unpad_is_one_node_whose_gradient_skips_padding():
+    mask = np.arange(3) < np.array([[3], [1]])
+    values = Tensor(np.arange(6.0).reshape(2, 3, 1), requires_grad=True)
+    out = nn.unpad(values, mask, 16)
+    assert out.data.tolist() == [0.0, 1.0, 2.0, 3.0] + [0.0] * 12
+    assert out._parents == (values,)
+    T.reduce_sum(T.mul(out, Tensor(np.arange(1.0, 17.0)))).backward()
+    assert values.grad[..., 0].tolist() == [[1.0, 2.0, 3.0], [4.0, 0.0, 0.0]]
 
 
 def test_conv_kernel_is_one_tape_node():
@@ -484,7 +499,7 @@ def test_gated_level_shape_contracts():
         nn.gated_level("highway", Tensor(np.ones((0, 2))), spec, branch, branch)
     # A row table must describe the input's rows: the packed rows of two
     # sessions of 3 and 1 rows (16 with the inert ones), 2-d and as many.
-    _, rows = nn.pack(np.ones((2, 3, 2)), np.arange(3) < np.array([[3], [1]]))
+    rows = nn.Rows.packed([3, 1], 16)
     nn.gated_level("highway", Tensor(np.ones((16, 2))), spec, branch, branch, rows)
     for bad in (np.ones((15, 2)), np.ones((17, 2)), np.ones((1, 16, 2)), np.ones((2, 8, 2))):
         with pytest.raises(ConfigurationError):

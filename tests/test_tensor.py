@@ -32,6 +32,16 @@ def test_backward_requires_scalar_root():
         T.mul(x, 2.0).backward()
 
 
+def test_a_second_backward_through_a_graph_raises_and_adds_nothing():
+    x = Tensor(np.array([2.0]), requires_grad=True)
+    loss = T.reduce_sum(T.mul(T.mul(x, 3.0), 1.0))
+    loss.backward()
+    assert x.grad.tolist() == [3.0]
+    with pytest.raises(ContractError, match="backward has run through this graph"):
+        loss.backward()
+    assert x.grad.tolist() == [3.0]
+
+
 def test_inference_builds_no_graph():
     out = T.sigmoid(T.add(Tensor([1.0]), Tensor([2.0])))
     assert out._parents == () and out._grad_fn is None

@@ -143,9 +143,10 @@ def test_sequence_kind_scope_switches_mask(episodes):
     schema, _, eps = episodes
     batch = make_batch(eps[:4])
     model = build(default_config("seq1eH", width=8), schema.full_width)
-    ce = _cross_entropy(model.forward_sequence(batch).data, batch.seq_y)
-    for scope, mask in (("query_only", batch.seq_qmask),
-                        ("support_and_query", batch.seq_mask)):
+    ce = _cross_entropy(model.forward_sequence(batch).data, batch.y)
+    assert batch.real_rows.sum() > batch.query_rows.sum() > 0
+    for scope, mask in (("query_only", batch.query_rows),
+                        ("support_and_query", batch.real_rows)):
         got = float(batch_loss(model, batch, scope).data)
         want = float((ce * mask).sum() / mask.sum())
         assert abs(got - want) < 1e-6
