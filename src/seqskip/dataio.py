@@ -503,14 +503,17 @@ def load_sessions(path, schema: SchemaSpec) -> Sessions:
     if missing:
         raise SchemaError(f"session file {path} lacks schema columns: {missing}")
     parts = []
+    # One str per distinct id, so a block's cell strings die with the block.
+    canon = {name: {} for name in (schema.session_id_col, schema.track_id_col)}
     for first, columns in blocks:
         raw = dict(zip(header, columns))  # a repeated name keeps its last column
         part = {}
         for name, kind, vocab in checks:
             part[name], ok = _parse_column(raw[name], kind, vocab)
             first.check(ok, lambda i, where: _value_error(raw[name][i], name, kind, where))
-        for name in (schema.session_id_col, schema.track_id_col):
-            part[name] = np.array(raw[name], dtype=object)
+        for name, seen_ids in canon.items():
+            ids = raw[name]
+            part[name] = np.fromiter(map(seen_ids.setdefault, ids, ids), object, len(ids))
         parts.append(part)
     values = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 

@@ -352,21 +352,24 @@ def _gate(kind: str, xd: np.ndarray, tp: np.ndarray, gp: np.ndarray):
     if kind == "highway":
         r = np.maximum(tp, 0.0)
         out = xd + s * (r - xd)
-    elif kind == "glu":
-        out = tp * s
-    else:
-        raise ConfigurationError(f"unknown gated block kind {kind!r}")
 
-    def grads(g, gt, gg):
-        gs = g * s
-        if kind == "highway":
+        def grads(g, gt, gg):  # reads s, r and xd: the pre-activations can go
+            gs = g * s
             gt[...] = gs * (r > 0)
             gg[...] = gs * (1.0 - s) * (r - xd)
             return g - gs  # g * (1 - s)
-        gt[...] = gs
-        gg[...] = gs * tp * (1.0 - s)
-        return None
 
+    elif kind == "glu":
+        out = tp * s
+
+        def grads(g, gt, gg):
+            gs = g * s
+            gt[...] = gs
+            gg[...] = gs * tp * (1.0 - s)
+            return None
+
+    else:
+        raise ConfigurationError(f"unknown gated block kind {kind!r}")
     return out, grads
 
 
@@ -404,6 +407,11 @@ def gated_level(kind: str, x: Tensor, spec: Conv1dSpec, transform, gate,
     at once on a ``[N, 2, C]`` view. In the backward one GEMM gives the input columns,
     which scatter straight into the carry gradient, and one both weights' gradients,
     centred as the weights were.
+
+    Until its backward the node keeps what that reads: the im2col columns (``x``
+    itself when k = 1), the normalized ``[N, 2, C]`` block, the gate's sigmoid, and
+    for highway the transform's relu, or for glu the ``[N, 2, C]`` pre-activations,
+    whose transform half its gradient reads.
     """
     parents = (x, *transform, *gate)
     for weights in (transform[0], gate[0]):
@@ -425,9 +433,11 @@ def gated_level(kind: str, x: Tensor, spec: Conv1dSpec, transform, gate,
     xhat *= inv
     pre = xhat * gamma + beta
     out, grads = _gate(kind, x2, pre[:, 0], pre[:, 1])
+    shape, dtype = pre.shape, pre.dtype
+    del pre  # highway's grads do not read it; glu's keep it through tp
 
     def backward(g):
-        gpre = np.empty_like(pre)
+        gpre = np.empty(shape, dtype)
         carry = grads(g.reshape(-1, width), gpre[:, 0], gpre[:, 1])
         g_gamma, g_beta = np.einsum("nbw,nbw->bw", gpre, xhat), np.einsum("nbw->bw", gpre)
         gpre *= gamma  # the gradient reaching xhat

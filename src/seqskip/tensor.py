@@ -333,12 +333,18 @@ def exp(a) -> Tensor:
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
     """Overflow-free logistic function of a plain array.
 
-    ``exp(min(x, 0)) / (1 + exp(-|x|))`` is ``1 / (1 + e^-x)`` for
-    x >= 0 and ``e^x / (1 + e^x)`` below: neither exponent is positive.
-    It avoids ``np.where``, whose data-dependent select costs more than
-    the arithmetic on random signs.
+    With ``e = exp(-|x|)``, ``max(e, x >= 0) / (1 + e)`` is ``1 / (1 + e^-x)``
+    for x >= 0 and ``e^x / (1 + e^x)`` below: the exponent is never positive,
+    and one exponential serves both numerator and denominator. Its bytes are
+    those of ``exp(min(x, 0)) / (1 + exp(-|x|))``, whose numerator is that
+    same ``e`` for x < 0 and 1 otherwise. It avoids ``np.where``, whose
+    data-dependent select costs more than the arithmetic on random signs.
     """
-    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+    e = np.exp(-np.abs(x))
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
+    return out
 
 
 def sigmoid(a) -> Tensor:

@@ -198,6 +198,7 @@ def train(
     kind = config.model.kind
     train_eps = build_episodes(train_sessions, features, stats, schema, kind)
     val_eps = build_episodes(val_sessions, features, stats, schema, kind)
+    del train_sessions, val_sessions  # the episodes hold all that training reads
 
     model = build(config.model, schema.full_width)
     opt = Adam(model.vector, lr=config.base_lr)

@@ -25,6 +25,7 @@ from seqskip.metrics import (
     read_predictions,
 )
 from seqskip.models import build, default_config
+from seqskip.rng import rng_stream
 from seqskip.synthgen import SynthConfig, generate
 from seqskip.tensor import Tensor
 from seqskip.trainer import (
@@ -175,7 +176,7 @@ def test_criterion_03_causality_and_receptive_field():
     worst, moved = 0.0, np.inf
     for kind in ("seq1eH", "seq1HL", "snail", "transformer"):
         model = build(default_config(kind, width=16, seed=3), in_dim)
-        rng = np.random.default_rng(hash(kind) % 2**32)
+        rng = rng_stream(3, "criterion3", kind)  # hash() of a str is salted per process
         for _ in range(100):
             batch = handmade_batch([_random_episode(rng, in_dim)])
             base = model.forward_sequence(batch).data.copy()

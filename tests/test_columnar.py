@@ -607,6 +607,19 @@ def test_crlf_copy_loads_as_the_original(tmp_path):
             assert canonical(load(crlf, schema)) == canonical(load(path, schema))
 
 
+@pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv_reader"])
+def test_each_distinct_track_id_is_one_object(tmp_path, quoted):
+    # 90 sessions over 150 tracks: most ids repeat, across blocks too. One
+    # object per id lets each block's other cell strings die with the block.
+    schema, sessions_csv, _ = _corpus(tmp_path, "markov")
+    if quoted:  # a quoted header sends the whole file through csv.reader
+        text = sessions_csv.read_text()
+        sessions_csv.write_text(text.replace("session_id", '"session_id"', 1))
+    s = load_sessions(sessions_csv, schema)
+    assert len(set(s.track_ids)) < len(s.track_ids)
+    assert len({id(t) for t in s.track_ids}) == len(set(s.track_ids))
+
+
 def test_a_bare_carriage_return_is_read_as_csv_reader_reads_it(tmp_path):
     # In a CRLF file, one line that ends in a \r alone: csv.reader ends a row there.
     schema, sessions_csv, features_csv = _corpus(tmp_path, "markov", n=120)

@@ -481,6 +481,27 @@ def test_gated_level_is_one_tape_node():
     np.testing.assert_array_equal(inferred.data, out.data)
 
 
+def test_highway_level_holds_no_pre_activation_block():
+    # Between forward and backward a highway level holds its im2col columns (2 blocks of
+    # [N, W] at k = 2), the normalized [N, 2, W] xhat (2), the gate's sigmoid, the
+    # transform's relu and the output: 7 blocks. Keeping the [N, 2, W] pre-activations
+    # too, which its backward never reads, made it 9.
+    n, width = 976, 32
+    block = n * width * np.dtype(np.float32).itemsize
+    spec = Conv1dSpec(width, width, 2, 4, CAUSAL)
+    arrays = _level_arrays(np.random.default_rng(5), n, (), c=width)
+    x, *params = (Tensor(a.astype(np.float32), requires_grad=True) for a in arrays)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = nn.gated_level("highway", x, spec, params[:3], params[3:])
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.data.dtype == np.float32 and out._grad_fn is not None
+    assert held < 8 * block, held / block
+
+
 def test_gated_level_shape_contracts():
     spec = Conv1dSpec(2, 2, 2)
     branch = (Tensor(np.ones((2, 2, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)))
@@ -568,6 +589,34 @@ def test_sigmoid_array_is_stable_at_extremes():
     assert np.all(np.isfinite(s))
     np.testing.assert_array_equal(s[[0, 2, 4]], [0.0, 0.5, 1.0])
     np.testing.assert_allclose(s[1], np.exp(-40.0) / (1.0 + np.exp(-40.0)), rtol=1e-15)
+
+
+def _two_exp_sigmoid(x):
+    """The two-exponential form ``sigmoid_array`` replaced, which fixed its bytes."""
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+
+
+def _same_bytes_or_both_nan(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_sigmoid_array_keeps_the_two_exponential_bytes():
+    # Every 4099th float32 bit pattern (both signs, subnormals, NaNs), then the specials.
+    bits = np.arange(0, 2**32, 4099, dtype=np.uint64).astype(np.uint32)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], np.float32)
+    x32 = np.concatenate([bits.view(np.float32), specials])
+    with np.errstate(all="ignore"):
+        _same_bytes_or_both_nan(T.sigmoid_array(x32), _two_exp_sigmoid(x32))
+        rng = np.random.default_rng(7)
+        for dtype in (np.float32, np.float64):
+            x = (rng.standard_normal((300, 40)) * rng.choice([1, 10, 100], (300, 40)))
+            x = np.concatenate([x.astype(dtype).ravel(), specials.astype(dtype)])
+            _same_bytes_or_both_nan(T.sigmoid_array(x), _two_exp_sigmoid(x))
+            # a strided view, as a gated level's gate half is
+            _same_bytes_or_both_nan(T.sigmoid_array(x[::3]), _two_exp_sigmoid(x[::3]))
 
 
 # -- softmax and attention -------------------------------------------------------

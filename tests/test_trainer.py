@@ -363,6 +363,28 @@ def test_each_step_frees_its_tape_before_the_next(corpus, monkeypatch, kind):
         assert alive.count(None) == len(alive), what
 
 
+def test_train_frees_the_split_corpora_before_the_first_step(corpus, monkeypatch):
+    # The episodes hold all that training reads: the two split Sessions
+    # must be dead when the first step starts.
+    schema, sessions, features = corpus
+    splits, alive = [], []
+
+    def splitting(*args):
+        parts = split_train_val(*args)
+        splits.extend(weakref.ref(part) for part in parts)
+        return parts
+
+    def recording(*args, **kwargs):
+        alive.append([r() is not None for r in splits])
+        return batch_loss(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "split_train_val", splitting)
+    monkeypatch.setattr(trainer, "batch_loss", recording)
+    train(_cfg(kind="seq1HL", max_epochs=1), sessions, features, schema)
+    assert len(splits) == 2 and alive
+    assert alive[0] == [False, False]
+
+
 def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
