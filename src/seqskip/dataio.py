@@ -640,14 +640,17 @@ def fit_stats(sessions: Sessions, features: FeatureTable, schema: SchemaSpec) ->
 
 
 def transform(
-    sessions: Sessions, features: FeatureTable, stats: PreprocessStats, schema: SchemaSpec
+    sessions: Sessions, features: FeatureTable, stats: PreprocessStats, schema: SchemaSpec,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Numeric rows of every position: [R, log_width + feature_dim], float32.
+    """Numeric rows of every position: [R, log_width + feature_dim], float32, written
+    into ``out`` if given, which must hold zeros.
 
     Categoricals one-hot; counts (log1p - min)/(max - min) clamped to [0,1];
     booleans 0/1; acoustics (a - mean)/std with constant dimensions mapped to 0."""
     n_rows = len(sessions.labels)
-    out = np.zeros((n_rows, schema.log_width + schema.feature_dim), dtype=np.float32)
+    if out is None:
+        out = np.zeros((n_rows, schema.log_width + schema.feature_dim), dtype=np.float32)
     offset = 0
     for col in schema.feature_columns:
         values = sessions.columns[col.name]
@@ -663,7 +666,7 @@ def transform(
 
     std = np.where(stats.acoustic_constant, 1.0, stats.acoustic_std)
     scaled = np.where(stats.acoustic_constant, 0.0, (features.matrix - stats.acoustic_mean) / std)
-    out[:, schema.log_width :] = scaled[features.rows(sessions.track_ids)]
+    out[:, schema.log_width :] = scaled.astype(np.float32)[features.rows(sessions.track_ids)]
     return out
 
 
@@ -678,15 +681,15 @@ def make_episodes(
     or with ``keep_query_logs`` the log fields too; their labels are always withheld."""
     t_support, lengths = sessions.t_support, sessions.lengths
     query = np.arange(len(sessions.labels)) >= np.repeat(sessions.starts + t_support, lengths)
-    x = np.zeros((len(query), schema.full_width), dtype=np.float32)
-    x[:, :-2] = transform(sessions, features, stats, schema)
+    rows, labels = _stored_rows(len(query), schema.full_width)  # built where they are kept
+    x = rows[: len(query)]
+    transform(sessions, features, stats, schema, out=x[:, :-2])
     if not keep_query_logs:
         x[query, : schema.log_width] = 0.0
     x[:, -2] = np.where(query, 0, sessions.labels)
     x[:, -1] = query
-    return Batch.from_rows(
-        sessions.ids, t_support, lengths - t_support, x, sessions.labels, keep_query_logs
-    )
+    labels[: len(query)] = sessions.labels
+    return Batch(tuple(sessions.ids), rows, labels, t_support, lengths - t_support, keep_query_logs)
 
 
 def load_corpus(data_dir):
@@ -707,6 +710,13 @@ def _below(size: int, counts: np.ndarray) -> np.ndarray:
 
 
 PACK_ROWS = 16  # a batch's row count is a multiple of this
+
+
+def _stored_rows(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero rows ``[size, width]`` and labels ``[size]`` for ``n`` real rows and the inert
+    ones after them, ``size`` the next multiple of :data:`PACK_ROWS`."""
+    size = n + -n % PACK_ROWS
+    return np.zeros((size, width), np.float32), np.zeros(size, np.float32)
 
 
 class Halves(NamedTuple):
@@ -742,8 +752,7 @@ class Batch:
     def from_rows(cls, session_ids, t_support, t_query, x, y, query_logs_kept=False) -> Batch:
         """Store rows ``x`` and labels ``y`` with the inert rows appended."""
         n = int((t_support + t_query).sum())
-        size = n + -n % PACK_ROWS
-        rows, labels = np.zeros((size, x.shape[1]), np.float32), np.zeros(size, np.float32)
+        rows, labels = _stored_rows(n, x.shape[1])
         rows[:n], labels[:n] = x, y
         return cls(tuple(session_ids), rows, labels, t_support, t_query, query_logs_kept)
 

@@ -347,19 +347,21 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 def _gate(kind: str, xd: np.ndarray, tp: np.ndarray, gp: np.ndarray):
     """A gate's output over its branch pre-activations, and ``grads(g, gt, gg)``, which
     writes both branch gradients into ``gt`` and ``gg`` and returns the carry's share of
-    the input gradient (None for glu, which has no carry)."""
+    the input gradient (None for glu, which has no carry). The gradient reads no view of
+    the pre-activations, so a caller may drop the block holding both."""
     s = T.sigmoid_array(gp)
     if kind == "highway":
         r = np.maximum(tp, 0.0)
         out = xd + s * (r - xd)
 
-        def grads(g, gt, gg):  # reads s, r and xd: the pre-activations can go
+        def grads(g, gt, gg):  # reads s, r and xd
             gs = g * s
             gt[...] = gs * (r > 0)
             gg[...] = gs * (1.0 - s) * (r - xd)
             return g - gs  # g * (1 - s)
 
     elif kind == "glu":
+        tp = np.ascontiguousarray(tp)  # a copy of a strided half: the block can go
         out = tp * s
 
         def grads(g, gt, gg):
@@ -410,8 +412,8 @@ def gated_level(kind: str, x: Tensor, spec: Conv1dSpec, transform, gate,
 
     Until its backward the node keeps what that reads: the im2col columns (``x``
     itself when k = 1), the normalized ``[N, 2, C]`` block, the gate's sigmoid, and
-    for highway the transform's relu, or for glu the ``[N, 2, C]`` pre-activations,
-    whose transform half its gradient reads.
+    for highway the transform's relu, or for glu a contiguous copy of the transform's
+    pre-activations. The ``[N, 2, C]`` pre-activations go when the forward returns.
     """
     parents = (x, *transform, *gate)
     for weights in (transform[0], gate[0]):
@@ -434,7 +436,7 @@ def gated_level(kind: str, x: Tensor, spec: Conv1dSpec, transform, gate,
     pre = xhat * gamma + beta
     out, grads = _gate(kind, x2, pre[:, 0], pre[:, 1])
     shape, dtype = pre.shape, pre.dtype
-    del pre  # highway's grads do not read it; glu's keep it through tp
+    del pre  # the gate's grads read no view of it
 
     def backward(g):
         gpre = np.empty(shape, dtype)
@@ -477,7 +479,8 @@ def unpad(values: Tensor, mask: np.ndarray, n: int) -> Tensor:
 
 def _pair_parts(support: Tensor, query: Tensor, labels, weight: Tensor, bias: Tensor, user):
     """:func:`pair_linear`'s checked per-support ``[B, S, 1, N]`` and per-query ``[B, 1, Q, N]``
-    terms, its parents, and ``grads(g)`` from the gradient ``g`` reaching the terms' sum."""
+    terms, its parents, and ``grads(g_s, g_q)`` from the gradient reaching the terms' sum,
+    summed over Q (``g_s [B, S, N]``) and over S (``g_q [B, Q, N]``)."""
     ws, wq = support.shape[-1], query.shape[-1]
     wu = 0 if user is None else user.shape[-1]
     n_out = weight.shape[-1]
@@ -508,20 +511,20 @@ def _pair_parts(support: Tensor, query: Tensor, labels, weight: Tensor, bias: Te
     per_query = (fq2 @ w_q).reshape(b, q_len, n_out)
     parents = (support, query, weight, bias) + (() if user is None else (user,))
 
-    def grads(g):
-        g_s = g.sum(axis=2)  # [B, S, N]
-        g_q = g.sum(axis=1)  # [B, Q, N]
+    def grads(g_s, g_q):  # the gradient reaching the sum, summed over Q and over S
         g_s2, g_q2 = g_s.reshape(-1, n_out), g_q.reshape(-1, n_out)
         g_u = g_s.sum(axis=1)  # [B, N]
         gs = (g_s2 @ w_s.T).reshape(support.shape) if support.requires_grad else None
         gq = (g_q2 @ w_q.T).reshape(query.shape) if query.requires_grad else None
         gu = g_u @ w_u.T if user is not None and user.requires_grad else None
         gw = None
-        if weight.requires_grad:
-            rows = [fs2.T @ g_s2, fq2.T @ g_q2, (y.reshape(1, -1) @ g_s2)]
+        if weight.requires_grad:  # each part's rows written in place
+            gw = np.empty(w.shape, np.result_type(fs2, fq2, y, g_s2, g_q2))
+            np.matmul(fs2.T, g_s2, out=gw[:ws])
+            np.matmul(fq2.T, g_q2, out=gw[ws : ws + wq])
+            np.matmul(y.reshape(1, -1), g_s2, out=gw[ws + wq : ws + wq + 1])
             if user is not None:
-                rows.append(user.data.T @ g_u)
-            gw = np.concatenate(rows, axis=0)
+                np.matmul(user.data.T, g_u, out=gw[ws + wq + 1 :])
         gb = g_u.sum(axis=0) if bias.requires_grad else None
         return (gs, gq, gw, gb, gu)[: len(parents)]
 
@@ -549,37 +552,64 @@ def pair_linear(
     both for the user part and the bias.
     """
     rows, cols, parents, grads = _pair_parts(support, query, labels, weight, bias, user)
-    return T.fused(rows + cols, parents, grads)
+    return T.fused(rows + cols, parents, lambda g: grads(g.sum(axis=2), g.sum(axis=1)))
+
+
+PAIR_GROUP_VALUES = 1 << 18  # about the pairs the relation net holds at once: 1 MB of float32
 
 
 def relation_logits(support: Tensor, query: Tensor, labels, weight: Tensor, bias: Tensor,
                     w_out: Tensor, b_out: Tensor, user: Tensor | None = None) -> Tensor:
     """``relu(pair_linear(...)) @ w_out + b_out`` as logits ``[B, S, Q]``, one tape node.
 
-    The pair layer's sum is written into one ``[B, S, Q, W]`` buffer, rectified
-    in place and met by one GEMV against ``w_out [W, 1]``. The backward writes
-    ``g * w_out``, masked where the buffer is zero, over the buffer itself and
-    hands it to :func:`pair_linear`'s; a backward runs once per graph.
+    The ``[B, S, Q, W]`` pairs are never held whole. A group of whole sessions, about
+    :data:`PAIR_GROUP_VALUES` values, is summed into one reused buffer, rectified in
+    place and met by a GEMV against ``w_out [W, 1]``. A group is a multiple of 4
+    sessions, so each GEMV starts at a multiple of 4 pair rows and every logit has the
+    bits of one GEMV over all the pairs. The node keeps only the per-support and
+    per-query terms. The backward rebuilds each group, adds its ``h.T @ g`` to
+    ``w_out``'s gradient (with several groups a sum of GEMVs, which may differ from one
+    in the last bits), writes ``g * w_out`` masked where the pair is zero over the
+    buffer, and sums that over Q and over S for :func:`pair_linear`'s part products.
     """
     rows, cols, parents, grads = _pair_parts(support, query, labels, weight, bias, user)
-    width = rows.shape[-1]
+    (b, s_len, _, width), q_len = rows.shape, cols.shape[2]
     if w_out.shape != (width, 1) or b_out.shape != (1,):
         raise ConfigurationError(f"relation output shapes {w_out.shape}, {b_out.shape} != "
                                  f"({width}, 1), (1,)")
-    h = np.add(rows, cols)
-    h2 = np.maximum(h, 0.0, out=h).reshape(-1, width)
-    out = (h2 @ w_out.data + b_out.data).reshape(h.shape[:-1])
+    pairs = s_len * q_len  # per session
+    group = min(b, max(4, PAIR_GROUP_VALUES // (pairs * width) // 4 * 4))
+    dtype = np.result_type(rows, cols)
+
+    def groups():  # (session slice, pair-row slice, relu(rows + cols) there) in one buffer
+        buf = np.empty((group, s_len, q_len, width), dtype)
+        for start in range(0, b, group):
+            end = min(start + group, b)
+            h = np.add(rows[start:end], cols[start:end], out=buf[: end - start])
+            yield slice(start, end), slice(start * pairs, end * pairs), np.maximum(h, 0.0, out=h)
+
+    out = np.empty((b * pairs, 1), np.result_type(dtype, w_out.data))
+    for _, at, h in groups():
+        np.matmul(h.reshape(-1, width), w_out.data, out=out[at])
+    out = (out + b_out.data).reshape(b, s_len, q_len)
 
     def backward(g):
-        gh = h2  # the forward's buffer, written over: a graph runs one backward
         g2 = g.reshape(-1, 1)
-        g_wout = gh.T @ g2
-        # ``(g2 @ w_out.T) * (h > 0)`` over the buffer: the 0/1 factor first keeps every byte.
-        np.greater(gh, 0.0, out=gh)
-        gh *= g2
-        gh *= w_out.data[:, 0]  # the K=1 GEMM ``g2 @ w_out.T``, bit for bit
+        g_s, g_q = np.empty((b, s_len, width), dtype), np.empty((b, q_len, width), dtype)
+        g_wout = None
+        for sessions, at, h in groups():
+            h2 = h.reshape(-1, width)
+            part = h2.T @ g2[at]
+            g_wout = part if g_wout is None else g_wout + part
+            # ``(g2 @ w_out.T) * (h > 0)`` over the buffer: the 0/1 factor first keeps every byte.
+            np.greater(h2, 0.0, out=h2)
+            h2 *= g2[at]
+            h2 *= w_out.data[:, 0]  # the K=1 GEMM ``g2 @ w_out.T``, bit for bit
+            np.sum(h, axis=2, out=g_s[sessions])
+            np.sum(h, axis=1, out=g_q[sessions])
+        del h, h2  # the buffer is done with: the part products read only the sums
         g_bout = g.reshape(g.shape + (1,)).sum(axis=(0, 1, 2))
-        return (*grads(gh.reshape(h.shape)), g_wout, g_bout)
+        return (*grads(g_s, g_q), g_wout, g_bout)
 
     return T.fused(out, parents + (w_out, b_out), backward)
 

@@ -11,6 +11,9 @@ as one node; ``ref_relation_logits`` is the chain of nodes it replaced.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -238,10 +241,85 @@ def test_relation_logits_is_one_tape_node():
     np.testing.assert_array_equal(inferred.data, out.data)
 
 
+def _relation_run(arrays, labels, proj, with_user):
+    """``nn.relation_logits``' logits, and every input's gradient when ``proj`` reaches them."""
+    inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = nn.relation_logits(*inputs[:2], labels, *inputs[2:6], user=inputs[6] if with_user else None)
+    T.reduce_sum(T.mul(out, Tensor(proj))).backward()
+    return out.data, [t.grad for t in inputs]
+
+
+def _one_block_relation(arrays, labels, proj, with_user):
+    """``_relation_run`` written out over the whole ``[B, S, Q, W]`` pair block in one
+    buffer: one GEMV for the logits and one for ``w_out``'s gradient."""
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    rows, cols, _, grads = nn._pair_parts(*inputs[:2], labels, *inputs[2:4],
+                                          inputs[6] if with_user else None)
+    w_out, b_out = arrays[4], arrays[5]
+    h = np.maximum(rows + cols, 0.0)
+    h2 = h.reshape(-1, h.shape[-1])
+    logits = (h2 @ w_out + b_out).reshape(h.shape[:-1])
+    g2 = proj.reshape(-1, 1)
+    gh = ((h2 > 0).astype(h2.dtype) * g2 * w_out[:, 0]).reshape(h.shape)
+    g_s, g_q, g_w, g_b, *g_u = grads(gh.sum(axis=2), gh.sum(axis=1))
+    return logits, [g_s, g_q, g_w, g_b, h2.T @ g2, g2.sum(axis=0), *g_u]
+
+
+def _float32_relation_arrays(seed, with_user, b, s_len, q_len, width):
+    arrays, labels, proj = _relation_arrays(np.random.default_rng(seed), with_user,
+                                            b, s_len, q_len, width)
+    return [a.astype(np.float32) for a in arrays], labels.astype(np.float32), proj.astype(np.float32)
+
+
+def check_relation_groups_against_one_block():
+    # Several groups each: an odd S * Q, batches that are not a multiple of the group
+    # (20 and 32 sessions here), and the fit-metric shape.
+    for seed, (b, s_len, q_len, width), with_user in (
+        (26, (67, 9, 5, 256), True), (27, (130, 6, 5, 256), False), (28, (64, 10, 10, 256), True),
+    ):
+        assert b * s_len * q_len * width > 2 * nn.PAIR_GROUP_VALUES
+        args = (*_float32_relation_arrays(seed, with_user, b, s_len, q_len, width), with_user)
+        got, got_grads = _relation_run(*args)
+        want, want_grads = _one_block_relation(*args)
+        assert got.tobytes() == want.tobytes(), (b, s_len, q_len)
+        for i, (g, w) in enumerate(zip(got_grads, want_grads)):
+            assert g.shape == w.shape and g.dtype == w.dtype, i
+            if i == 4:  # w_out's: one GEMV per group, summed
+                assert np.max(np.abs(g - w)) <= 1e-6 * np.max(np.abs(w)), (b, s_len, q_len)
+            else:
+                assert g.tobytes() == w.tobytes(), (b, s_len, q_len, i)
+
+
+def test_relation_logits_groups_keep_the_one_block_bytes():
+    # A GEMV over many rows splits them among BLAS threads at places that need not be
+    # multiples of 4, so a one-call GEMV has its one-thread bytes only in one thread: the
+    # check runs in a fresh process whose BLAS is pinned to one.
+    tests = Path(__file__).parent
+    src = str(Path(nn.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import test_metric_pairs as t; t.check_relation_groups_against_one_block()"
+    run = subprocess.run([sys.executable, "-c", code], cwd=tests, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("with_user", [False, True])
+def test_relation_logits_one_group_keeps_every_byte(with_user):
+    # At width 32, S = Q = 10, one group holds a batch of 64: the same two GEMVs as one block.
+    b, s_len, q_len, width = 64, 10, 10, 32
+    assert b * s_len * q_len * width <= nn.PAIR_GROUP_VALUES
+    args = (*_float32_relation_arrays(29, with_user, b, s_len, q_len, width), with_user)
+    (got, got_grads), (want, want_grads) = _relation_run(*args), _one_block_relation(*args)
+    assert got.tobytes() == want.tobytes()
+    assert [g.tobytes() for g in got_grads] == [w.tobytes() for w in want_grads]
+
+
 def test_relation_logits_backward_allocates_less_than_one_pair_block():
-    # B=64, S=Q=10 at width 256: the backward writes its gradient over the forward's
-    # [B, S, Q, W] buffer, where a fresh gradient and a mask took 1.25 such blocks,
-    # and then lets the buffer go while the loss, and so the node, is still alive.
+    # B=64, S=Q=10 at width 256: the node keeps the per-support and per-query terms
+    # (0.2 of a [B, S, Q, W] pair block) and no pairs; the backward rebuilds them a
+    # group of sessions at a time in one buffer. Holding the block from the forward
+    # to the backward made the node hold 1.0 block and the backward peak at 1.7.
     b, s_len, q_len, width = 64, 10, 10, 256
     rng = np.random.default_rng(24)
     shapes = [(b, s_len, width), (b, q_len, width), (3 * width + 1, width), (width,),
@@ -252,21 +330,21 @@ def test_relation_logits_backward_allocates_less_than_one_pair_block():
     tracemalloc.start()
     try:
         loss = T.reduce_sum(nn.relation_logits(*inputs[:2], labels, *inputs[2:6], user=inputs[6]))
-        start = tracemalloc.get_traced_memory()[0]
-        assert start > block  # the forward's buffer, held by the node
+        held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         loss.backward()
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert all(t.grad is not None for t in inputs)
-    assert peak - start < block
-    assert current < block  # only the gradients: the node no longer holds the buffer
+    assert held < block / 4, held / block
+    assert peak < block, peak / block
+    assert current < block  # only the gradients
 
 
 def test_relation_logits_backward_runs_once():
-    # The backward consumes the forward's buffer: a second one through the node fails
-    # loudly instead of reading a gradient as activations.
+    # A second backward through the node fails loudly instead of adding every
+    # gradient again.
     rng = np.random.default_rng(25)
     batch = make_batch([_episode(rng, 4, 3) for _ in range(3)])
     for kind in METRIC_KINDS:
@@ -357,6 +435,26 @@ def _tape(root):
                 seen.add(id(parent))
                 stack.append(parent)
     return nodes
+
+
+def test_rnbc2_ue_training_step_peaks_under_two_pair_blocks():
+    # One loss and backward of rnbc2_ue at B=64, S=Q=10 and width 256: no array of a
+    # training step is a [B, S, Q, W] pair block, so the traced peak stays under two
+    # of them (1.5 blocks; 2.5 while the relation node held its pairs).
+    rng = np.random.default_rng(9)
+    sizes = rng.integers(1, 11, size=(64, 2))
+    sizes[0] = (10, 10)
+    batch = make_batch([_episode(rng, int(s), int(q)) for s, q in sizes])
+    model = build(default_config("rnbc2_ue", width=256, seed=0), IN_DIM)
+    block = 64 * 10 * 10 * 256 * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        batch_loss(model, batch).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is not None for p in model.params.values())
+    assert peak < 2 * block, peak / block
 
 
 def test_rnbc2_ue_loss_tape_has_no_pair_tensor():

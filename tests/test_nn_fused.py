@@ -481,25 +481,39 @@ def test_gated_level_is_one_tape_node():
     np.testing.assert_array_equal(inferred.data, out.data)
 
 
-def test_highway_level_holds_no_pre_activation_block():
-    # Between forward and backward a highway level holds its im2col columns (2 blocks of
-    # [N, W] at k = 2), the normalized [N, 2, W] xhat (2), the gate's sigmoid, the
-    # transform's relu and the output: 7 blocks. Keeping the [N, 2, W] pre-activations
-    # too, which its backward never reads, made it 9.
+def _level_blocks_held(kind):
+    """``[N, W]`` blocks a gated level at N = 976, W = 32 (float32, k = 2) holds between
+    its forward and its backward, traced."""
     n, width = 976, 32
-    block = n * width * np.dtype(np.float32).itemsize
     spec = Conv1dSpec(width, width, 2, 4, CAUSAL)
     arrays = _level_arrays(np.random.default_rng(5), n, (), c=width)
     x, *params = (Tensor(a.astype(np.float32), requires_grad=True) for a in arrays)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = nn.gated_level("highway", x, spec, params[:3], params[3:])
+        out = nn.gated_level(kind, x, spec, params[:3], params[3:])
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert out.data.dtype == np.float32 and out._grad_fn is not None
-    assert held < 8 * block, held / block
+    return held / (n * width * np.dtype(np.float32).itemsize)
+
+
+def test_highway_level_holds_no_pre_activation_block():
+    # Between forward and backward a highway level holds its im2col columns (2 blocks of
+    # [N, W] at k = 2), the normalized [N, 2, W] xhat (2), the gate's sigmoid, the
+    # transform's relu and the output: 7 blocks. Keeping the [N, 2, W] pre-activations
+    # too, which its backward never reads, made it 9.
+    blocks = _level_blocks_held("highway")
+    assert blocks < 8, blocks
+
+
+def test_glu_level_holds_no_pre_activation_block():
+    # A glu level holds 7 blocks too, with a contiguous copy of the transform's
+    # pre-activations, which its gradient reads, in place of the relu. Keeping the whole
+    # [N, 2, W] pre-activations for that half made it 8.4.
+    blocks = _level_blocks_held("glu")
+    assert blocks < 8, blocks
 
 
 def test_gated_level_shape_contracts():
