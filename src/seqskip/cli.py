@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import sys
 import time
@@ -42,6 +43,8 @@ from .trainer import (
 )
 
 _SKIP_MANIFEST_KEYS = ("func", "from_manifest", "started")
+# Products split their rows among BLAS threads, so output bits can depend on these.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _manifest_args(args: argparse.Namespace) -> dict:
@@ -56,7 +59,9 @@ def _write_manifest(path, command: str, args: argparse.Namespace, artifacts: dic
         "args": _manifest_args(args),
         "artifacts": {k: str(v) for k, v in artifacts.items()},
         "run": {"wall_s": round(time.perf_counter() - args.started, 6), "numpy": np.__version__,
-                "peak_rss_mb": rss / (2**20 if sys.platform == "darwin" else 2**10)},
+                "peak_rss_mb": rss / (2**20 if sys.platform == "darwin" else 2**10),
+                "cpu_count": os.cpu_count(),
+                **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}},
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

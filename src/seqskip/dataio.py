@@ -712,21 +712,31 @@ def _below(size: int, counts: np.ndarray) -> np.ndarray:
 PACK_ROWS = 16  # a batch's row count is a multiple of this
 
 
-def _stored_rows(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _stored_rows(n: int, width: int, dtype=np.float32) -> tuple[np.ndarray, np.ndarray]:
     """Zero rows ``[size, width]`` and labels ``[size]`` for ``n`` real rows and the inert
     ones after them, ``size`` the next multiple of :data:`PACK_ROWS`."""
     size = n + -n % PACK_ROWS
-    return np.zeros((size, width), np.float32), np.zeros(size, np.float32)
+    return np.zeros((size, width), dtype), np.zeros(size, dtype)
+
+
+class HalfRows(NamedTuple):
+    """One half of every session, its supports or its queries, as rows stored like a
+    :class:`Batch`'s: each session's ``counts[b]`` rows in order, sessions in order, then
+    inert zero rows up to a multiple of :data:`PACK_ROWS`."""
+
+    x: np.ndarray  # [n, D]
+    y: np.ndarray  # [n]
+    counts: np.ndarray  # [B]
 
 
 class Halves(NamedTuple):
-    """A batch's support and query halves with their labels and masks, each derived once;
-    read by name, like the :class:`Batch` views of the same names."""
+    """A batch's support and query rows with the padded labels and masks, each derived
+    once; read by name, like the :class:`Batch` views of the same names."""
 
-    sup_x: np.ndarray  # [B, S, D]
+    sup: HalfRows
     sup_y: np.ndarray  # [B, S]
     sup_mask: np.ndarray  # [B, S]
-    qry_x: np.ndarray  # [B, Q, D]
+    qry: HalfRows
     qry_y: np.ndarray  # [B, Q]
     qry_mask: np.ndarray  # [B, Q]
 
@@ -738,8 +748,9 @@ class Batch:
     inert zero rows up to a multiple of :data:`PACK_ROWS`. BLAS rounds a GEMM's rows by how
     many share the call, so a layer on the rows gives a real row the same bits in any batch.
     A batch is one gather of its sessions' rows. The padded ``[B, ...]`` views (timelines
-    ``seq_x``, the halves ``sup_*`` and ``qry_*``) and the masks, in ``x``'s dtype, are
-    derived each time they are read, so an in-place edit of ``x`` shows in them."""
+    ``seq_x``, the halves ``sup_*`` and ``qry_*``), the masks, in ``x``'s dtype, and the
+    halves as rows (``sup`` and ``qry``, stored alike) are derived each time they are read,
+    so an in-place edit of ``x`` shows in them."""
 
     session_ids: tuple[str, ...]
     x: np.ndarray  # [N, D] float32
@@ -771,6 +782,13 @@ class Batch:
         out[_below(size, counts)] = values[self._rows(offset, counts)]
         return out
 
+    def _half_rows(self, offset, counts: np.ndarray) -> HalfRows:
+        rows = self._rows(offset, counts)
+        x, y = _stored_rows(len(rows), self.x.shape[1], self.x.dtype)
+        np.take(self.x, rows, axis=0, out=x[: len(rows)])
+        y[: len(rows)] = self.y[rows]
+        return HalfRows(x, y, counts)
+
     def queries(self, values: np.ndarray) -> np.ndarray:
         """The query half ``[B, Q, ...]`` of ``values [N, ...]``, one per row."""
         return self._padded(values, self.t_support, self.t_query)
@@ -793,11 +811,14 @@ class Batch:
     qry_x = property(lambda self: self.queries(self.x))  # [B, Q, D]
     qry_y = property(lambda self: self.queries(self.y))  # [B, Q]
     qry_mask = property(lambda self: self._mask(self.t_query))  # [B, Q]
+    sup = property(lambda self: self._half_rows(0, self.t_support))  # rows, [n_s, D]
+    qry = property(lambda self: self._half_rows(self.t_support, self.t_query))  # [n_q, D]
 
     def halves(self) -> Halves:
-        """Every ``sup_*`` and ``qry_*`` view at once: a step that reads several derives
-        each once. Nothing is cached, so a later edit of the rows shows in the next."""
-        return Halves(self.sup_x, self.sup_y, self.sup_mask, self.qry_x, self.qry_y, self.qry_mask)
+        """The support and query rows and the padded labels and masks at once: a step that
+        reads several derives each once. Nothing is cached, so a later edit of the rows
+        shows in the next."""
+        return Halves(self.sup, self.sup_y, self.sup_mask, self.qry, self.qry_y, self.qry_mask)
 
     def __len__(self) -> int:
         return len(self.session_ids)

@@ -245,25 +245,36 @@ def _case_unpad(rng):
     return [values], lambda v: _project(nn.unpad(v, mask, 16), r)
 
 
+def _case_session_mean(rng):
+    # Sessions of 3, 1 and 2 rows, then 2 inert rows that reach no mean.
+    counts = np.array([3, 1, 2])
+    values = rng.normal(size=(8, 4))
+    r = rng.normal(size=(3, 4))
+    return [values], lambda v: _project(nn.session_mean(v, counts), r)
+
+
 def _case_pair_linear(rng, relation=False):
-    # Batch row 1 pads its last support: zero label, and the projection
-    # ignores its pairs, as the metric models' support mask does.
-    b, s_len, q_len, width, n_out = 2, 3, 2, 3, 2
-    support = rng.normal(size=(b, s_len, width))
-    query = rng.normal(size=(b, q_len, width))
+    # Ragged sessions of (3, 2), (1, 3) and (2, 1) supports and queries, each half's rows
+    # followed by 2 inert rows. The projection weighs every place of the padded grid,
+    # so a gradient leaving a place past a session's supports or queries is caught.
+    t_support, t_query = np.array([3, 1, 2]), np.array([2, 3, 1])
+    b, s_len, q_len, width, n_out = 3, 3, 3, 3, 2
+    support = rng.normal(size=(8, width))
+    query = rng.normal(size=(8, width))
     user = rng.normal(size=(b, width))
     weight = rng.normal(size=(3 * width + 1, n_out))
     bias = rng.normal(size=(n_out,))
-    mask = np.ones((b, s_len))
-    mask[1, -1] = 0.0
-    labels = (rng.random((b, s_len)) < 0.5) * mask
-    labels[0, :2] = (0.0, 1.0)  # both label values appear
-    r = rng.normal(size=(b, s_len, q_len, n_out)) * mask[:, :, None, None]
+    labels = np.zeros(8)
+    labels[:6] = rng.random(6) < 0.5
+    labels[:2] = (0.0, 1.0)  # both label values appear
+    r = rng.normal(size=(b, s_len, q_len, n_out))
+    pairs = nn.Pairs(t_support, t_query)
     if relation:  # the pair layer's outputs as the relation net's hidden units
         return [support, query, weight, bias, rng.normal(size=(n_out, 1)), rng.normal(size=1),
-                user], lambda *a: _project(nn.relation_logits(*a[:2], labels, *a[2:]), r[..., 0])
+                user], lambda *a: _project(
+            nn.relation_logits(*a[:2], labels, *a[2:6], pairs, user=a[6]), r[..., 0])
     return [support, query, weight, bias, user], lambda fs, fq, w, bb, u: _project(
-        nn.pair_linear(fs, fq, labels, w, bb, user=u), r
+        nn.pair_linear(fs, fq, labels, w, bb, pairs, user=u), r
     )
 
 
@@ -338,6 +349,7 @@ CASES = {
     # Packed sessions of 6, 3 and 2 rows, two of them below the receptive field, 5.
     "gated_level_ragged": _gated_level_case("highway", 3, 2, 6, lengths=(6, 3, 2)),
     "unpad": _case_unpad,
+    "session_mean": _case_session_mean,
     "pair_linear": _case_pair_linear,
     "relation_logits": lambda rng: _case_pair_linear(rng, relation=True),
     "softmax": _case_softmax,

@@ -454,27 +454,32 @@ class Model:
 
     def forward_metric(self, views: Halves) -> MetricOut:
         """Relation scores and heads from a batch's :meth:`Batch.halves`, which a caller
-        that reads them too derives once; a :class:`Batch` has the same names."""
+        that reads them too derives once; a :class:`Batch` has the same names.
+
+        Every row-wise layer runs on the support rows and on the query rows, each real row
+        once with inert rows up to a multiple of ``dataio.PACK_ROWS``; the relation net
+        meets them per session (``nn.relation_logits``). The scores and heads keep the
+        padded ``[B, S, Q]`` and ``[B, Q]`` layout, inert past each session's places."""
         kind = self.config.kind
         if kind not in METRIC_KINDS:
             raise ContractError(f"{kind} is a sequence-family model; no relation scores")
+        sup, qry = views.sup, views.qry
         sup_y, sup_mask = views.sup_y, views.sup_mask
-        sup_items = Tensor(views.sup_x[..., :-2])
-        qry_items = Tensor(views.qry_x[..., :-2])
-        f_s = self._linear("embed", sup_items, relu=True)  # [B, S, W]
-        f_q = self._linear("embed", qry_items, relu=True)  # [B, Q, W]
+        f_s = self._linear("embed", Tensor(sup.x[:, :-2]), relu=True)  # [n_s, W]
+        f_q = self._linear("embed", Tensor(qry.x[:, :-2]), relu=True)  # [n_q, W]
 
         u = self._user_embedding_tensor(views, f_s=f_s) if kind in UE_KINDS else None  # [B, W]
 
         # The relation net and wsum read each (support, query, label, user)
         # pair by parts: the pair concat is never built.
         rn = [self._p(name) for name in ("rn.fc1.w", "rn.fc1.b", "rn.out.w", "rn.out.b")]
-        r = T.sigmoid(nn.relation_logits(f_s, f_q, sup_y, *rn, user=u))  # [B, S, Q]
+        pairs = nn.Pairs(sup.counts, qry.counts)
+        r = T.sigmoid(nn.relation_logits(f_s, f_q, sup.y, *rn, pairs, user=u))  # [B, S, Q]
 
         if kind == "rnbc2_ue":
             # Sigmoid-squashed weights cannot collapse to zero, which would
             # cut the only gradient path into the relation scores.
-            wsum = nn.pair_linear(f_s, f_q, sup_y, self._p("wsum.w"), self._p("wsum.b"), u)
+            wsum = nn.pair_linear(f_s, f_q, sup.y, self._p("wsum.w"), self._p("wsum.b"), pairs, u)
             pair_w = T.sigmoid(T.reshape(wsum, r.shape))
             prod = T.mul(T.mul(pair_w, r), Tensor(sup_mask[:, :, None]))
             head = T.add(T.reduce_sum(prod, axis=1), self._p("wsum.bias"))
@@ -492,17 +497,14 @@ class Model:
     def _user_embedding_tensor(self, views: Halves, f_s: Tensor | None = None) -> Tensor:
         if self.config.kind not in UE_KINDS:
             raise ContractError(f"{self.config.kind} has no user-embedding pathway")
+        sup = views.sup
         if f_s is None:
-            f_s = self._linear("embed", Tensor(views.sup_x[..., :-2]), relu=True)
+            f_s = self._linear("embed", Tensor(sup.x[:, :-2]), relu=True)
         # Pool over the shared item embeddings so the user vector lives in
         # the same representation space the relation net compares against.
-        inp = T.concat([f_s, Tensor(views.sup_y[:, :, None])], axis=-1)
-        e = self._linear("ue.fc", inp, relu=True)  # [B, S, W]
-        sup_mask = views.sup_mask
-        masked = T.mul(e, Tensor(sup_mask[:, :, None]))
-        counts = sup_mask.sum(axis=1, keepdims=True)
-        pooled = T.div(T.reduce_sum(masked, axis=1), Tensor(counts))  # [B, W]
-        return self._linear("ue.out", pooled)
+        inp = T.concat([f_s, Tensor(sup.y[:, None])], axis=-1)
+        e = self._linear("ue.fc", inp, relu=True)  # [n_s, W]
+        return self._linear("ue.out", nn.session_mean(e, sup.counts))  # [B, W]
 
     # -- prediction ----------------------------------------------------
 

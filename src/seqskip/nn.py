@@ -477,10 +477,82 @@ def unpad(values: Tensor, mask: np.ndarray, n: int) -> Tensor:
     return T.fused(out, (values,), backward)
 
 
-def _pair_parts(support: Tensor, query: Tensor, labels, weight: Tensor, bias: Tensor, user):
-    """:func:`pair_linear`'s checked per-support ``[B, S, 1, N]`` and per-query ``[B, 1, Q, N]``
-    terms, its parents, and ``grads(g_s, g_q)`` from the gradient reaching the terms' sum,
-    summed over Q (``g_s [B, S, N]``) and over S (``g_q [B, Q, N]``)."""
+def _real(counts: np.ndarray) -> np.ndarray:
+    """``[B, max(counts)]`` booleans: True at the first ``counts[b]`` places of row b."""
+    return np.arange(counts.max(initial=0)) < counts[:, None]
+
+
+def session_mean(values: Tensor, counts) -> Tensor:
+    """Each session's mean row ``[B, W]`` of ``values [N, W]``, one tape node.
+
+    Session b's ``counts[b]`` rows follow the rows of the sessions before it, and inert
+    rows, which nothing reads, follow them all. A session's rows are summed in order,
+    as over its padded ``[B, S, W]`` block, and divided by its count, so each mean has
+    the bits of the masked mean over that block; the backward hands every row of a
+    session its mean's gradient over the count, and inert rows nothing.
+    """
+    counts = np.asarray(counts)
+    real = _real(counts)
+    n = int(counts.sum())
+    if values.ndim != 2 or n > values.shape[0] or counts.min(initial=1) < 1:
+        raise ConfigurationError(f"sessions of {counts.tolist()} rows, each at least one, "
+                                 f"do not fit rows {tuple(values.shape)}")
+    block = np.zeros(real.shape + values.shape[1:], values.dtype)
+    block[real] = values.data[:n]
+    scale = counts[:, None].astype(values.dtype)
+    out = block.sum(axis=1) / scale
+
+    def backward(g):
+        gv = np.zeros(values.shape, g.dtype)
+        gv[:n] = np.repeat(g / scale, counts, axis=0)
+        return (gv,)
+
+    return T.fused(out, (values,), backward)
+
+
+class Pairs:
+    """Where each (support, query) pair of a batch sits: session b's ``t_support[b]``
+    supports and ``t_query[b]`` queries, each half's rows one session after another,
+    meet in a padded ``[B, S, Q]`` grid, S and Q the largest counts. ``support [B, S]``,
+    ``query [B, Q]`` and ``real [B, S, Q]`` mark each session's places. A forward builds
+    it once for every pair node it records."""
+
+    def __init__(self, t_support, t_query):
+        self.t_support, self.t_query = np.asarray(t_support), np.asarray(t_query)
+        if (self.t_support.ndim != 1 or self.t_query.shape != self.t_support.shape
+                or min(self.t_support.min(initial=0), self.t_query.min(initial=0)) < 0):
+            raise ConfigurationError(f"sessions of {self.t_support.tolist()} supports and "
+                                     f"{self.t_query.tolist()} queries do not pair")
+        self.support, self.query = _real(self.t_support), _real(self.t_query)
+        self.n_support, self.n_query = int(self.t_support.sum()), int(self.t_query.sum())
+        self.real = self.support[:, :, None] & self.query[:, None, :]
+
+    def chunks(self, width: int) -> list:
+        """``(sessions, S_c, Q_c)`` per chunk of the pairs, ``sessions`` a slice or an index
+        array, each chunk padded to ``[len(sessions), S_c, Q_c]``, its largest support and
+        query counts. A chunk is as many whole sessions as hold about
+        :data:`PAIR_GROUP_VALUES` values ``width`` wide at the batch's largest shape, a
+        multiple of 4 and at least 4. A batch of one chunk keeps its order; a larger one
+        is ordered stably by ``(t_support, t_query)`` first, so that sessions of like
+        shape share a chunk. A chunk of sessions in a row is a slice."""
+        (b, s_len, q_len), t_s, t_q = self.real.shape, self.t_support, self.t_query
+        group = min(b, max(4, PAIR_GROUP_VALUES // max(1, s_len * q_len * width) // 4 * 4))
+        order = np.arange(b) if group == b else np.lexsort((t_q, t_s))
+        if (order[1:] > order[:-1]).all():
+            parts = [slice(start, min(start + group, b)) for start in range(0, b, group)]
+        else:
+            parts = np.split(order, range(group, b, group))
+        return [(sessions, int(t_s[sessions].max(initial=0)), int(t_q[sessions].max(initial=0)))
+                for sessions in parts]
+
+
+def _pair_parts(support: Tensor, query: Tensor, labels, weight: Tensor, bias: Tensor, user,
+                pairs: Pairs):
+    """:func:`pair_linear`'s checked per-support ``[B, S, N]`` and per-query ``[B, Q, N]``
+    terms, each session's at its places of ``pairs`` (the places past them are read by
+    nothing), its parents, and ``grads(g_s, g_q)`` from the gradient reaching the terms'
+    sum, summed over Q (``g_s [B, S, N]``) and over S (``g_q [B, Q, N]``). Each part's
+    GEMM runs once on its rows, real and inert."""
     ws, wq = support.shape[-1], query.shape[-1]
     wu = 0 if user is None else user.shape[-1]
     n_out = weight.shape[-1]
@@ -491,44 +563,55 @@ def _pair_parts(support: Tensor, query: Tensor, labels, weight: Tensor, bias: Te
         )
     if tuple(bias.shape) != (n_out,):
         raise ConfigurationError(f"pair bias shape {tuple(bias.shape)} != ({n_out},)")
-    b, s_len, _ = support.shape
-    q_len = query.shape[1]
-    if query.shape[0] != b or np.shape(labels) != (b, s_len) or wu and user.shape != (b, wu):
+    n_s, n_q = pairs.n_support, pairs.n_query
+    if (support.ndim != 2 or query.ndim != 2 or np.shape(labels) != support.shape[:1]
+            or n_s > support.shape[0] or n_q > query.shape[0]
+            or wu and user.shape != (len(pairs.t_support), wu)):
         raise ConfigurationError(
             f"pair parts disagree: support {support.shape}, query {query.shape}, "
-            f"labels {np.shape(labels)}, user {None if user is None else user.shape}"
+            f"labels {np.shape(labels)}, user {None if user is None else user.shape}, "
+            f"sessions of {pairs.t_support.tolist()} supports and "
+            f"{pairs.t_query.tolist()} queries"
         )
 
     w = weight.data
     w_s, w_q, w_y, w_u = w[:ws], w[ws : ws + wq], w[ws + wq], w[ws + wq + 1 :]
     y = np.asarray(labels, dtype=w.dtype)
-    fs2 = support.data.reshape(b * s_len, ws)
-    fq2 = query.data.reshape(b * q_len, wq)
     # Everything that varies with the support row only, bias included.
-    per_support = (fs2 @ w_s).reshape(b, s_len, n_out) + y[..., None] * w_y + bias.data
+    per_row = support.data @ w_s
+    per_row += y[:, None] * w_y
+    per_row += bias.data
+    per_support = np.zeros(pairs.support.shape + (n_out,), per_row.dtype)
+    per_support[pairs.support] = per_row[:n_s]
     if user is not None:
-        per_support = per_support + (user.data @ w_u)[:, None, :]
-    per_query = (fq2 @ w_q).reshape(b, q_len, n_out)
+        per_support += (user.data @ w_u)[:, None, :]
+    per_row = query.data @ w_q
+    per_query = np.zeros(pairs.query.shape + (n_out,), per_row.dtype)
+    per_query[pairs.query] = per_row[:n_q]
+    del per_row
     parents = (support, query, weight, bias) + (() if user is None else (user,))
 
     def grads(g_s, g_q):  # the gradient reaching the sum, summed over Q and over S
-        g_s2, g_q2 = g_s.reshape(-1, n_out), g_q.reshape(-1, n_out)
         g_u = g_s.sum(axis=1)  # [B, N]
-        gs = (g_s2 @ w_s.T).reshape(support.shape) if support.requires_grad else None
-        gq = (g_q2 @ w_q.T).reshape(query.shape) if query.requires_grad else None
+        g_s2 = np.zeros((support.shape[0], n_out), g_s.dtype)
+        g_s2[:n_s] = g_s[pairs.support]
+        g_q2 = np.zeros((query.shape[0], n_out), g_q.dtype)
+        g_q2[:n_q] = g_q[pairs.query]
+        gs = g_s2 @ w_s.T if support.requires_grad else None
+        gq = g_q2 @ w_q.T if query.requires_grad else None
         gu = g_u @ w_u.T if user is not None and user.requires_grad else None
         gw = None
         if weight.requires_grad:  # each part's rows written in place
-            gw = np.empty(w.shape, np.result_type(fs2, fq2, y, g_s2, g_q2))
-            np.matmul(fs2.T, g_s2, out=gw[:ws])
-            np.matmul(fq2.T, g_q2, out=gw[ws : ws + wq])
+            gw = np.empty(w.shape, np.result_type(support.data, query.data, y, g_s2, g_q2))
+            np.matmul(support.data.T, g_s2, out=gw[:ws])
+            np.matmul(query.data.T, g_q2, out=gw[ws : ws + wq])
             np.matmul(y.reshape(1, -1), g_s2, out=gw[ws + wq : ws + wq + 1])
             if user is not None:
                 np.matmul(user.data.T, g_u, out=gw[ws + wq + 1 :])
         gb = g_u.sum(axis=0) if bias.requires_grad else None
         return (gs, gq, gw, gb, gu)[: len(parents)]
 
-    return per_support[:, :, None, :], per_query[:, None, :, :], parents, grads
+    return per_support, per_query, parents, grads
 
 
 def pair_linear(
@@ -537,76 +620,91 @@ def pair_linear(
     labels: np.ndarray,
     weight: Tensor,
     bias: Tensor,
+    pairs: Pairs,
     user: Tensor | None = None,
 ) -> Tensor:
-    """A linear layer over every (support, query) pair, without the pairs.
+    """A linear layer over every (support, query) pair of a session, without the pairs.
 
-    Equals ``concat([support_m, query_n, label_m, user]) @ weight + bias``
-    for every support m and query n of each batch row, ``[B, S, Q, N]``
-    from ``support [B, S, Ws]``, ``query [B, Q, Wq]``, ``labels [B, S]``
-    and ``user [B, Wu]``; ``weight`` stacks the rows of the four parts in
-    that order. Each part is multiplied by its own rows once and broadcast
-    over (S, Q), so the ``[B, S, Q, Ws+Wq+1+Wu]`` concat is never built.
-    It records one tape node; the backward sums the output gradient over
-    Q for the support and label parts, over S for the query part and over
-    both for the user part and the bias.
+    ``support [Ns, Ws]`` with ``labels [Ns]`` and ``query [Nq, Wq]`` are rows laid out as
+    ``pairs`` says, inert rows after the real ones. For each support m and query n of
+    session b the output ``[B, S, Q, N]`` holds ``concat([support_m, query_n, label_m,
+    user_b]) @ weight + bias`` (``user [B, Wu]``; ``weight`` stacks the rows of the four
+    parts in that order), and zero at the places past a session's supports or queries,
+    which no gradient leaves. Each part is multiplied by its own rows once and broadcast
+    over (S, Q), so the ``[B, S, Q, Ws+Wq+1+Wu]`` concat is never built. It records one
+    tape node; the backward sums the output gradient over Q for the support and label
+    parts, over S for the query part and over both for the user part and the bias.
     """
-    rows, cols, parents, grads = _pair_parts(support, query, labels, weight, bias, user)
-    return T.fused(rows + cols, parents, lambda g: grads(g.sum(axis=2), g.sum(axis=1)))
+    rows, cols, parents, grads = _pair_parts(support, query, labels, weight, bias, user, pairs)
+    real = pairs.real[..., None]
+    out = np.zeros(real.shape[:3] + rows.shape[-1:], np.result_type(rows, cols))
+    np.add(rows[:, :, None], cols[:, None], out=out, where=real)
+
+    def backward(g):
+        g = np.where(real, g, 0)
+        return grads(g.sum(axis=2), g.sum(axis=1))
+
+    return T.fused(out, parents, backward)
 
 
 PAIR_GROUP_VALUES = 1 << 18  # about the pairs the relation net holds at once: 1 MB of float32
 
 
 def relation_logits(support: Tensor, query: Tensor, labels, weight: Tensor, bias: Tensor,
-                    w_out: Tensor, b_out: Tensor, user: Tensor | None = None) -> Tensor:
-    """``relu(pair_linear(...)) @ w_out + b_out`` as logits ``[B, S, Q]``, one tape node.
+                    w_out: Tensor, b_out: Tensor, pairs: Pairs,
+                    user: Tensor | None = None) -> Tensor:
+    """``relu(pair_linear(...)) @ w_out + b_out`` as logits ``[B, S, Q]``, one tape node,
+    zero at the places past a session's supports or queries, which no gradient leaves.
 
-    The ``[B, S, Q, W]`` pairs are never held whole. A group of whole sessions, about
-    :data:`PAIR_GROUP_VALUES` values, is summed into one reused buffer, rectified in
-    place and met by a GEMV against ``w_out [W, 1]``. A group is a multiple of 4
-    sessions, so each GEMV starts at a multiple of 4 pair rows and every logit has the
-    bits of one GEMV over all the pairs. The node keeps only the per-support and
-    per-query terms. The backward rebuilds each group, adds its ``h.T @ g`` to
-    ``w_out``'s gradient (with several groups a sum of GEMVs, which may differ from one
-    in the last bits), writes ``g * w_out`` masked where the pair is zero over the
-    buffer, and sums that over Q and over S for :func:`pair_linear`'s part products.
+    The pairs are never held whole. :meth:`Pairs.chunks` cuts the batch into chunks of
+    whole sessions; a chunk's pairs, padded only to its own largest shape, are summed
+    into one reused buffer, rectified in place and met by a GEMV against ``w_out [W, 1]``.
+    Every chunk but the last is a multiple of 4 sessions, so its GEMV has no tail of
+    fewer than 4 rows, and a pair's logit has the bits of one GEMV over the batch's padded
+    pairs unless one of the two calls puts it in such a tail. The node keeps only the
+    per-support and per-query terms. The backward rebuilds each chunk, adds its
+    ``h.T @ g`` to ``w_out``'s gradient (with several chunks a sum of GEMVs, which may
+    differ from one in the last bits), writes ``g * w_out`` masked where the pair is zero
+    over the buffer, and sums that over Q and over S for :func:`pair_linear`'s part
+    products.
     """
-    rows, cols, parents, grads = _pair_parts(support, query, labels, weight, bias, user)
-    (b, s_len, _, width), q_len = rows.shape, cols.shape[2]
+    rows, cols, parents, grads = _pair_parts(support, query, labels, weight, bias, user, pairs)
+    (b, s_len, width), q_len = rows.shape, cols.shape[1]
     if w_out.shape != (width, 1) or b_out.shape != (1,):
         raise ConfigurationError(f"relation output shapes {w_out.shape}, {b_out.shape} != "
                                  f"({width}, 1), (1,)")
-    pairs = s_len * q_len  # per session
-    group = min(b, max(4, PAIR_GROUP_VALUES // (pairs * width) // 4 * 4))
+    chunks = pairs.chunks(width)
     dtype = np.result_type(rows, cols)
+    size = max(np.arange(b)[sessions].size * s * q for sessions, s, q in chunks) * width
 
-    def groups():  # (session slice, pair-row slice, relu(rows + cols) there) in one buffer
-        buf = np.empty((group, s_len, q_len, width), dtype)
-        for start in range(0, b, group):
-            end = min(start + group, b)
-            h = np.add(rows[start:end], cols[start:end], out=buf[: end - start])
-            yield slice(start, end), slice(start * pairs, end * pairs), np.maximum(h, 0.0, out=h)
+    def chunk_pairs():  # (sessions, S_c, Q_c, relu(rows + cols) there) in one buffer
+        buf = np.empty(size, dtype)
+        for sessions, s, q in chunks:
+            part_s, part_q = rows[sessions, :s], cols[sessions, :q]
+            h = buf[: len(part_s) * s * q * width].reshape(len(part_s), s, q, width)
+            np.add(part_s[:, :, None], part_q[:, None], out=h)
+            yield sessions, s, q, np.maximum(h, 0.0, out=h)
 
-    out = np.empty((b * pairs, 1), np.result_type(dtype, w_out.data))
-    for _, at, h in groups():
-        np.matmul(h.reshape(-1, width), w_out.data, out=out[at])
-    out = (out + b_out.data).reshape(b, s_len, q_len)
+    out = np.zeros((b, s_len, q_len), np.result_type(dtype, w_out.data))
+    for sessions, s, q, h in chunk_pairs():
+        logits = h.reshape(-1, width) @ w_out.data
+        out[sessions, :s, :q] = (logits + b_out.data).reshape(h.shape[:3])
+    out[~pairs.real] = 0.0
 
     def backward(g):
-        g2 = g.reshape(-1, 1)
-        g_s, g_q = np.empty((b, s_len, width), dtype), np.empty((b, q_len, width), dtype)
+        g = np.where(pairs.real, g, 0)
+        g_s, g_q = np.zeros((b, s_len, width), dtype), np.zeros((b, q_len, width), dtype)
         g_wout = None
-        for sessions, at, h in groups():
-            h2 = h.reshape(-1, width)
-            part = h2.T @ g2[at]
+        for sessions, s, q, h in chunk_pairs():
+            h2, g2 = h.reshape(-1, width), g[sessions, :s, :q].reshape(-1, 1)
+            part = h2.T @ g2
             g_wout = part if g_wout is None else g_wout + part
             # ``(g2 @ w_out.T) * (h > 0)`` over the buffer: the 0/1 factor first keeps every byte.
             np.greater(h2, 0.0, out=h2)
-            h2 *= g2[at]
+            h2 *= g2
             h2 *= w_out.data[:, 0]  # the K=1 GEMM ``g2 @ w_out.T``, bit for bit
-            np.sum(h, axis=2, out=g_s[sessions])
-            np.sum(h, axis=1, out=g_q[sessions])
+            g_s[sessions, :s] = h.sum(axis=2)
+            g_q[sessions, :q] = h.sum(axis=1)
         del h, h2  # the buffer is done with: the part products read only the sums
         g_bout = g.reshape(g.shape + (1,)).sum(axis=(0, 1, 2))
         return (*grads(g_s, g_q), g_wout, g_bout)

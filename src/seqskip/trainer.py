@@ -171,6 +171,29 @@ def evaluate_episodes(
     return corpus_maa(preds), preds
 
 
+def _global_norm(grad: np.ndarray, clip: float | None, where: str) -> float:
+    """The gradient's global norm, refusing one that no Adam step may take.
+
+    The float32 sum of squares overflows once an entry reaches about 1.8e19, so a norm
+    that is not finite is taken again in float64: only then is it the gradient that holds
+    inf or nan. A finite loss can still back-propagate those, and one Adam step would
+    poison every parameter they reach. A finite gradient that large is rescaled when
+    ``clip`` is set; unclipped, Adam's float32 second moment would hold inf and freeze
+    the parameters it reaches, so training stops."""
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(float(np.dot(grad, grad)))
+    if math.isfinite(norm):
+        return norm
+    wide = grad.astype(np.float64)
+    norm = math.sqrt(float(np.dot(wide, wide)))
+    if not math.isfinite(norm):
+        raise TrainingError(f"non-finite gradient norm ({norm}) {where}")
+    if clip is None:
+        raise TrainingError(f"gradient norm {norm:.3e} {where} overflows float32; "
+                            f"set grad_clip to rescale it")
+    return norm
+
+
 @cache
 def _keep_freed_heap() -> bool:
     """Keep freed heap for reuse; set both thresholds, as setting either freezes the mmap one."""
@@ -217,13 +240,7 @@ def train(
             loss.backward()
             del loss  # free this step's tape before the next forward records one
             grad = model.gradient()
-            # A finite loss can still back-propagate inf or nan; one Adam
-            # step with it would poison every parameter it reaches.
-            norm = math.sqrt(float(np.dot(grad, grad)))
-            if not math.isfinite(norm):
-                raise TrainingError(
-                    f"non-finite gradient norm ({norm}) at epoch {epoch}, batch {b_idx}"
-                )
+            norm = _global_norm(grad, config.grad_clip, f"at epoch {epoch}, batch {b_idx}")
             if config.grad_clip is not None and norm > config.grad_clip:
                 grad *= config.grad_clip / norm
             opt.step(grad)

@@ -223,6 +223,7 @@ def test_criterion_03_causality_and_receptive_field():
 
 
 def test_criterion_04_support_permutation_invariance():
+    t0 = time.perf_counter()
     in_dim = 12
     worst = 0.0
     for kind in ("rnb1", "rnb2_ue", "rnbc2_ue"):
@@ -244,7 +245,7 @@ def test_criterion_04_support_permutation_invariance():
             got = model.query_probs(handmade_batch(shuffled))
             worst = max(worst, float(np.abs(got - base).max()))
     _check(4, worst <= 1e-6, f"metric family drift under 50 support "
-                             f"permutations: {worst:.2e}")
+                             f"permutations: {worst:.2e}, {time.perf_counter() - t0:.1f}s")
 
 
 # -- 5. threshold-rule learnability ------------------------------------
@@ -299,13 +300,15 @@ def test_criterion_05_threshold_learnability(corpus_factory):
 
 
 def test_criterion_06_markov_sequence_gap(corpus_factory):
+    t0 = time.perf_counter()
     _, schema, sessions, features = corpus_factory(
         n_sessions=20_000, rule="markov", noise=0.1, seed=0)
     seq = _fit("seq1HL", sessions, features, schema, epochs=3, batch=64, lr=1e-3)
     met = _fit("rnbc2_ue", sessions, features, schema, epochs=5, batch=64, lr=1e-3)
     gap = seq.best_val_maa - met.best_val_maa
     _check(6, gap >= 0.05, f"seq1HL {seq.best_val_maa:.4f} vs rnbc2_ue "
-                           f"{met.best_val_maa:.4f}, gap {gap:+.4f}")
+                           f"{met.best_val_maa:.4f}, gap {gap:+.4f}, "
+                           f"{time.perf_counter() - t0:.1f}s")
 
 
 # -- 7. preference: few-shot pathways ----------------------------------
@@ -314,6 +317,7 @@ def test_criterion_06_markov_sequence_gap(corpus_factory):
 def test_criterion_07_preference_few_shot(corpus_factory):
     # Wide spread of per-session skip rates: the trainable weighted sum
     # has a strong support-label signal to aggregate.
+    t0 = time.perf_counter()
     _, schema_a, sessions_a, features_a = corpus_factory(
         n_sessions=20_000, rule="preference", noise=0.02, seed=0,
         pref_q_low=0.05, pref_q_high=0.95)
@@ -336,20 +340,23 @@ def test_criterion_07_preference_few_shot(corpus_factory):
     ok = margin_a >= 0.10 and margin_b >= 0.005
     _check(7, ok, f"rnbc2_ue {cls.best_val_maa:.4f} vs best baseline "
                   f"{base:.4f} ({margin_a:+.4f}); rnb2_ue {rnb2.best_val_maa:.4f} "
-                  f"vs rnb1 {rnb1.best_val_maa:.4f} ({margin_b:+.4f})")
+                  f"vs rnb1 {rnb1.best_val_maa:.4f} ({margin_b:+.4f}), "
+                  f"{time.perf_counter() - t0:.1f}s")
 
 
 # -- 8. log_leak: teacher advantage ------------------------------------
 
 
 def test_criterion_08_log_leak_teacher_gap(corpus_factory):
+    t0 = time.perf_counter()
     _, schema, sessions, features = corpus_factory(
         n_sessions=8_000, rule="log_leak", noise=0.05, seed=0)
     teacher = _fit("teacher", sessions, features, schema, epochs=3, batch=64, lr=1e-3)
     student = _fit("seq1HL", sessions, features, schema, epochs=3, batch=64, lr=1e-3)
     gap = teacher.best_val_maa - student.best_val_maa
     _check(8, gap >= 0.10, f"teacher {teacher.best_val_maa:.4f} vs seq1HL "
-                           f"{student.best_val_maa:.4f}, gap {gap:+.4f}")
+                           f"{student.best_val_maa:.4f}, gap {gap:+.4f}, "
+                           f"{time.perf_counter() - t0:.1f}s")
 
 
 # -- 9. determinism & checkpoint round trip ----------------------------

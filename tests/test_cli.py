@@ -6,6 +6,7 @@ are exercised exactly as a shell user would see them.
 
 import hashlib
 import json
+import os
 import re
 from pathlib import Path
 
@@ -359,10 +360,13 @@ def test_manifests_record_the_run(corpus_dir, checkpoint, tmp_path, capsys):
         assert set(manifest) == {"version", "command", "args", "artifacts", "run"}, command
         assert manifest["command"] == command
         run = manifest["run"]
-        assert set(run) == {"wall_s", "peak_rss_mb", "numpy"}, command
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        assert set(run) == {"wall_s", "peak_rss_mb", "numpy", "cpu_count", *blas}, command
         assert isinstance(run["wall_s"], float) and 0 < run["wall_s"] < 600, command
         assert isinstance(run["peak_rss_mb"], float) and 1 < run["peak_rss_mb"] < 1e5, command
         assert run["numpy"] == np.__version__
+        assert run["cpu_count"] == os.cpu_count()
+        assert [run[var] for var in blas] == [os.environ.get(var) for var in blas], command
     assert json.loads(manifests["evaluate"].read_text())["artifacts"] == {"per_session": str(per)}
 
     # --from-manifest reads the arguments only: the run block changes nothing

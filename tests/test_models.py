@@ -270,7 +270,7 @@ def test_a_backward_accumulates_into_the_gradient_vector(kind):
     assert model.gradient().tobytes() == before.tobytes()
 
 
-LOSS_TAPE_NODES = {"rnb1": 9, "rnb2_ue": 15, "rnbc2_ue": 18, "seq1eH": 9, "seq1HL": 14,
+LOSS_TAPE_NODES = {"rnb1": 9, "rnb2_ue": 13, "rnbc2_ue": 16, "seq1eH": 9, "seq1HL": 14,
                    "teacher": 14, "snail": 15, "att_pair": 26, "transformer": 29}
 
 

@@ -249,6 +249,48 @@ def test_clip_gradients_rescales_global_norm(corpus, monkeypatch):
     assert vectors[1e9].tobytes() == vectors[None].tobytes()  # under the limit: untouched
 
 
+HUGE = 1e24  # scales an rnb1 loss so that its gradient's float32 squares overflow
+
+
+def _loss_scaled_by(factor):
+    def scaled(model, batch, loss_scope="query_only"):
+        return T.mul(batch_loss(model, batch, loss_scope), factor)
+    return scaled
+
+
+def test_clip_rescales_a_finite_gradient_past_float32_squares(corpus, episodes, monkeypatch):
+    # A loss scaled by HUGE back-propagates finite entries past 1.8e19, whose float32
+    # squares overflow: the clip still sees the float64 norm and rescales.
+    schema, sessions, features = corpus
+    model = build(default_config("rnb1", width=8), schema.full_width)
+    _loss_scaled_by(HUGE)(model, make_batch(episodes[2])).backward()
+    grad = model.gradient()
+    with np.errstate(over="ignore"):
+        assert np.isfinite(grad).all() and not np.isfinite(np.dot(grad, grad))
+    steps = []
+
+    class Recording(Adam):
+        def step(self, grad):
+            assert np.isfinite(grad).all()
+            steps.append(float(np.linalg.norm(grad.astype(np.float64))))
+            super().step(grad)
+
+    monkeypatch.setattr(trainer, "Adam", Recording)
+    monkeypatch.setattr(trainer, "batch_loss", _loss_scaled_by(HUGE))
+    train(_cfg(kind="rnb1", max_epochs=1, grad_clip=1.0), sessions, features, schema)
+    assert len(steps) == 3
+    np.testing.assert_allclose(steps, 1.0, rtol=1e-5)
+
+
+def test_an_unclipped_gradient_past_float32_squares_stops_with_its_norm(corpus, monkeypatch):
+    schema, sessions, features = corpus
+    monkeypatch.setattr(trainer, "batch_loss", _loss_scaled_by(HUGE))
+    with pytest.raises(TrainingError, match=r"gradient norm \d\.\d+e\+\d+ at epoch 1, batch 0 "
+                                            r"overflows float32; set grad_clip") as err:
+        train(_cfg(kind="rnb1", max_epochs=1), sessions, features, schema)
+    assert "non-finite" not in str(err.value)
+
+
 # -- the full loop -----------------------------------------------------
 
 
