@@ -808,7 +808,6 @@ class Batch:
     sup_x = property(lambda self: self._padded(self.x, 0, self.t_support))  # [B, S, D]
     sup_y = property(lambda self: self._padded(self.y, 0, self.t_support))  # [B, S]
     sup_mask = property(lambda self: self._mask(self.t_support))  # [B, S]
-    qry_x = property(lambda self: self.queries(self.x))  # [B, Q, D]
     qry_y = property(lambda self: self.queries(self.y))  # [B, Q]
     qry_mask = property(lambda self: self._mask(self.t_query))  # [B, Q]
     sup = property(lambda self: self._half_rows(0, self.t_support))  # rows, [n_s, D]

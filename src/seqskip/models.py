@@ -456,10 +456,11 @@ class Model:
         """Relation scores and heads from a batch's :meth:`Batch.halves`, which a caller
         that reads them too derives once; a :class:`Batch` has the same names.
 
-        Every row-wise layer runs on the support rows and on the query rows, each real row
-        once with inert rows up to a multiple of ``dataio.PACK_ROWS``; the relation net
-        meets them per session (``nn.relation_logits``). The scores and heads keep the
-        padded ``[B, S, Q]`` and ``[B, Q]`` layout, inert past each session's places."""
+        ``embed`` and the user pool run on the support rows and on the query rows, each
+        real row once with inert rows up to a multiple of ``dataio.PACK_ROWS``; the pair
+        layers multiply the real rows and meet them per session (``nn.relation_logits``).
+        The scores and heads keep the padded ``[B, S, Q]`` and ``[B, Q]`` layout, inert
+        past each session's places."""
         kind = self.config.kind
         if kind not in METRIC_KINDS:
             raise ContractError(f"{kind} is a sequence-family model; no relation scores")

@@ -528,22 +528,17 @@ class Pairs:
         self.real = self.support[:, :, None] & self.query[:, None, :]
 
     def chunks(self, width: int) -> list:
-        """``(sessions, S_c, Q_c)`` per chunk of the pairs, ``sessions`` a slice or an index
-        array, each chunk padded to ``[len(sessions), S_c, Q_c]``, its largest support and
-        query counts. A chunk is as many whole sessions as hold about
-        :data:`PAIR_GROUP_VALUES` values ``width`` wide at the batch's largest shape, a
-        multiple of 4 and at least 4. A batch of one chunk keeps its order; a larger one
-        is ordered stably by ``(t_support, t_query)`` first, so that sessions of like
-        shape share a chunk. A chunk of sessions in a row is a slice."""
+        """``(sessions, S_c, Q_c)`` per chunk of the pairs, ``sessions`` an index array, each
+        chunk padded to ``[len(sessions), S_c, Q_c]``, its largest support and query counts.
+        A chunk is as many whole sessions as hold about :data:`PAIR_GROUP_VALUES` values
+        ``width`` wide at the batch's largest shape, a multiple of 4 and at least 4. A batch
+        of one chunk keeps its order; a larger one is ordered stably by
+        ``(t_support, t_query)`` first, so that sessions of like shape share a chunk."""
         (b, s_len, q_len), t_s, t_q = self.real.shape, self.t_support, self.t_query
         group = min(b, max(4, PAIR_GROUP_VALUES // max(1, s_len * q_len * width) // 4 * 4))
         order = np.arange(b) if group == b else np.lexsort((t_q, t_s))
-        if (order[1:] > order[:-1]).all():
-            parts = [slice(start, min(start + group, b)) for start in range(0, b, group)]
-        else:
-            parts = np.split(order, range(group, b, group))
         return [(sessions, int(t_s[sessions].max(initial=0)), int(t_q[sessions].max(initial=0)))
-                for sessions in parts]
+                for sessions in np.split(order, range(group, b, group))]
 
 
 def _pair_parts(support: Tensor, query: Tensor, labels, weight: Tensor, bias: Tensor, user,
@@ -552,7 +547,9 @@ def _pair_parts(support: Tensor, query: Tensor, labels, weight: Tensor, bias: Te
     terms, each session's at its places of ``pairs`` (the places past them are read by
     nothing), its parents, and ``grads(g_s, g_q)`` from the gradient reaching the terms'
     sum, summed over Q (``g_s [B, S, N]``) and over S (``g_q [B, Q, N]``). Each part's
-    GEMM runs once on its rows, real and inert."""
+    GEMMs run on its real rows only: a batch of sessions of one shape multiplies the rows
+    its padded halves held, so a one-output product (a GEMV, which rounds a tail of fewer
+    than 4 rows apart) keeps the bits it had there; inert rows get a zero gradient."""
     ws, wq = support.shape[-1], query.shape[-1]
     wu = 0 if user is None else user.shape[-1]
     n_out = weight.shape[-1]
@@ -576,35 +573,38 @@ def _pair_parts(support: Tensor, query: Tensor, labels, weight: Tensor, bias: Te
 
     w = weight.data
     w_s, w_q, w_y, w_u = w[:ws], w[ws : ws + wq], w[ws + wq], w[ws + wq + 1 :]
-    y = np.asarray(labels, dtype=w.dtype)
+    y = np.asarray(labels, dtype=w.dtype)[:n_s]
+    f_s, f_q = support.data[:n_s], query.data[:n_q]
     # Everything that varies with the support row only, bias included.
-    per_row = support.data @ w_s
+    per_row = f_s @ w_s
     per_row += y[:, None] * w_y
     per_row += bias.data
     per_support = np.zeros(pairs.support.shape + (n_out,), per_row.dtype)
-    per_support[pairs.support] = per_row[:n_s]
+    per_support[pairs.support] = per_row
     if user is not None:
         per_support += (user.data @ w_u)[:, None, :]
-    per_row = query.data @ w_q
+    per_row = f_q @ w_q
     per_query = np.zeros(pairs.query.shape + (n_out,), per_row.dtype)
-    per_query[pairs.query] = per_row[:n_q]
+    per_query[pairs.query] = per_row
     del per_row
     parents = (support, query, weight, bias) + (() if user is None else (user,))
 
     def grads(g_s, g_q):  # the gradient reaching the sum, summed over Q and over S
         g_u = g_s.sum(axis=1)  # [B, N]
-        g_s2 = np.zeros((support.shape[0], n_out), g_s.dtype)
-        g_s2[:n_s] = g_s[pairs.support]
-        g_q2 = np.zeros((query.shape[0], n_out), g_q.dtype)
-        g_q2[:n_q] = g_q[pairs.query]
-        gs = g_s2 @ w_s.T if support.requires_grad else None
-        gq = g_q2 @ w_q.T if query.requires_grad else None
-        gu = g_u @ w_u.T if user is not None and user.requires_grad else None
-        gw = None
+        g_s2, g_q2 = g_s[pairs.support], g_q[pairs.query]  # [n_s, N], [n_q, N]
+        gs = gq = gu = gw = None
+        if support.requires_grad:
+            gs = np.zeros(support.shape, np.result_type(g_s2, w_s))
+            np.matmul(g_s2, w_s.T, out=gs[:n_s])
+        if query.requires_grad:
+            gq = np.zeros(query.shape, np.result_type(g_q2, w_q))
+            np.matmul(g_q2, w_q.T, out=gq[:n_q])
+        if user is not None and user.requires_grad:
+            gu = g_u @ w_u.T
         if weight.requires_grad:  # each part's rows written in place
-            gw = np.empty(w.shape, np.result_type(support.data, query.data, y, g_s2, g_q2))
-            np.matmul(support.data.T, g_s2, out=gw[:ws])
-            np.matmul(query.data.T, g_q2, out=gw[ws : ws + wq])
+            gw = np.empty(w.shape, np.result_type(f_s, f_q, y, g_s2, g_q2))
+            np.matmul(f_s.T, g_s2, out=gw[:ws])
+            np.matmul(f_q.T, g_q2, out=gw[ws : ws + wq])
             np.matmul(y.reshape(1, -1), g_s2, out=gw[ws + wq : ws + wq + 1])
             if user is not None:
                 np.matmul(user.data.T, g_u, out=gw[ws + wq + 1 :])
@@ -675,7 +675,7 @@ def relation_logits(support: Tensor, query: Tensor, labels, weight: Tensor, bias
                                  f"({width}, 1), (1,)")
     chunks = pairs.chunks(width)
     dtype = np.result_type(rows, cols)
-    size = max(np.arange(b)[sessions].size * s * q for sessions, s, q in chunks) * width
+    size = max(len(sessions) * s * q for sessions, s, q in chunks) * width
 
     def chunk_pairs():  # (sessions, S_c, Q_c, relu(rows + cols) there) in one buffer
         buf = np.empty(size, dtype)

@@ -79,7 +79,7 @@ def episode(batch: dataio.Batch, i: int) -> Episode:
     return Episode(
         batch.session_ids[i],
         batch.sup_x[i, :ts].copy(),
-        batch.qry_x[i, :tq].copy(),
+        batch.queries(batch.x)[i, :tq].copy(),
         batch.sup_y[i, :ts].astype(np.int8),
         batch.qry_y[i, :tq].astype(np.int8),
         batch.query_logs_kept,

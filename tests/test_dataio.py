@@ -488,9 +488,9 @@ def test_make_batch_padding_and_merged_timeline(corpus):
     for got, want in ((batch.seq_x[1, 4, 0], ep.x_support[4, 0] + np.float32(7.0)),
                       (batch.sup_x[1, 4, 0], ep.x_support[4, 0] + np.float32(7.0)),
                       (batch.seq_x[1, 7, 0], short.x_query[2, 0] - np.float32(7.0)),
-                      (batch.qry_x[1, 2, 0], short.x_query[2, 0] - np.float32(7.0))):
+                      (batch.queries(batch.x)[1, 2, 0], short.x_query[2, 0] - np.float32(7.0))):
         assert got == want
-    assert not batch.qry_x[1, 3:].any() and not batch.seq_x[1, 8:].any()  # padding stays zero
+    assert not batch.queries(batch.x)[1, 3:].any() and not batch.seq_x[1, 8:].any()  # padding zero
 
 
 def test_a_corpus_set_stores_its_rows_and_no_padded_block(tmp_path):

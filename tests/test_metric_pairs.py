@@ -68,9 +68,10 @@ def ref_forward_metric(model, batch) -> MetricOut:
     kind = model.config.kind
     w = model.config.width
     b, s_max, _ = batch.sup_x.shape
-    q_max = batch.qry_x.shape[1]
+    qry_x = batch.queries(batch.x)
+    q_max = qry_x.shape[1]
     f_s = T.relu(model._linear("embed", Tensor(batch.sup_x[..., :-2])))
-    f_q = T.relu(model._linear("embed", Tensor(batch.qry_x[..., :-2])))
+    f_q = T.relu(model._linear("embed", Tensor(qry_x[..., :-2])))
 
     fs_b = T.broadcast_to(T.reshape(f_s, (b, s_max, 1, w)), (b, s_max, q_max, w))
     fq_b = T.broadcast_to(T.reshape(f_q, (b, 1, q_max, w)), (b, s_max, q_max, w))
@@ -355,16 +356,13 @@ def test_pair_chunks_cut_whole_sessions_by_shape():
     real = int((t_support * t_query).sum())
     padded = 64 * t_support.max() * t_query.max()
     assert built < 1.1 * real < padded / 1.4, (built / real, padded / real)
-    # A batch of one shape, or one already in order, is cut as before into slices; one
-    # that fits is one chunk in its own order.
+    # A batch of one shape is cut as before, in its own order; one that fits is one chunk.
     plan = nn.Pairs(np.full(67, 9), np.full(67, 5)).chunks(256)
-    assert [(sessions.start, sessions.stop) for sessions, _, _ in plan] == [
-        (0, 20), (20, 40), (40, 60), (60, 67)]
+    assert [sessions.tolist() for sessions, _, _ in plan] == [
+        list(range(start, min(start + 20, 67))) for start in range(0, 67, 20)]
     assert [(s, q) for _, s, q in plan] == [(9, 5)] * 4
-    order = np.lexsort((t_query, t_support))
-    ordered = nn.Pairs(t_support[order], t_query[order]).chunks(256)
-    assert all(isinstance(sessions, slice) for sessions, _, _ in ordered)
-    assert nn.Pairs(t_support, t_query).chunks(32) == [(slice(0, 64), 10, 10)]
+    (sessions, s, q), = nn.Pairs(t_support, t_query).chunks(32)
+    assert sessions.tolist() == list(range(64)) and (s, q) == (10, 10)
 
 
 def test_relation_logits_is_one_tape_node():
@@ -424,18 +422,50 @@ def check_relation_groups_against_one_block():
                 assert g.tobytes() == w.tobytes(), (b, s_len, q_len, i)
 
 
-def test_relation_logits_groups_keep_the_one_block_bytes():
-    # A GEMV over many rows splits them among BLAS threads at places that need not be
-    # multiples of 4, so a one-call GEMV has its one-thread bytes only in one thread: the
-    # check runs in a fresh process whose BLAS is pinned to one.
+def check_one_output_pair_linear_keeps_the_padded_bytes():
+    # rnbc2_ue's pair weights are a one-output pair_linear, whose part products are GEMVs,
+    # which round a tail of fewer than 4 rows apart. On sessions of one shape they multiply
+    # the rows the padded halves held, so every byte equals the product over the padded
+    # halves, here with B * S and B * Q not multiples of 4 and inert rows after the real
+    # ones.
+    for seed, (b, s_len, q_len, width) in (
+        (33, (7, 5, 3, 256)), (34, (1, 7, 3, 256)), (35, (29, 9, 7, 32)),
+    ):
+        t_s, t_q = np.full(b, s_len), np.full(b, q_len)
+        arrays, labels, _ = _float32_relation_arrays(seed, True, t_s, t_q, width)
+        support, query, weight, bias, user = (*arrays[:2], arrays[2][:, :1], arrays[3][:1],
+                                              arrays[6])
+        got = nn.pair_linear(Tensor(support), Tensor(query), labels, Tensor(weight),
+                             Tensor(bias), nn.Pairs(t_s, t_q), user=Tensor(user)).data
+        w_s, w_q, w_y, w_u = np.split(weight, [width, 2 * width, 2 * width + 1])
+        per_support = ((support[: b * s_len] @ w_s).reshape(b, s_len, 1)
+                       + labels[: b * s_len].reshape(b, s_len, 1) * w_y[0] + bias)
+        per_support = per_support + (user @ w_u)[:, None, :]
+        per_query = (query[: b * q_len] @ w_q).reshape(b, q_len, 1)
+        want = per_support[:, :, None] + per_query[:, None]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (b, s_len, q_len)
+
+
+def _in_one_blas_thread(check: str) -> None:
+    """Run ``check`` of this module in a fresh process whose BLAS is pinned to one thread."""
     tests = Path(__file__).parent
     src = str(Path(nn.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import test_metric_pairs as t; t.check_relation_groups_against_one_block()"
+    code = f"import test_metric_pairs as t; t.{check}()"
     run = subprocess.run([sys.executable, "-c", code], cwd=tests, env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_relation_logits_groups_keep_the_one_block_bytes():
+    # A GEMV over many rows splits them among BLAS threads at places that need not be
+    # multiples of 4, so a one-call GEMV has its one-thread bytes only in one thread.
+    _in_one_blas_thread("check_relation_groups_against_one_block")
+
+
+def test_one_output_pair_linear_keeps_the_padded_bytes():
+    _in_one_blas_thread("check_one_output_pair_linear_keeps_the_padded_bytes")
 
 
 @pytest.mark.parametrize("with_user", [False, True])

@@ -161,7 +161,8 @@ def test_teacher_episodes_keep_logs(corpus):
     assert t_eps.query_logs_kept and len(t_eps) == 2
     assert not s_eps.query_logs_kept and len(s_eps) == 2
     lw = schema.log_width
-    assert np.any(t_eps.qry_x[:, :, :lw] != 0) and not np.any(s_eps.qry_x[:, :, :lw] != 0)
+    t_qry, s_qry = t_eps.queries(t_eps.x), s_eps.queries(s_eps.x)
+    assert np.any(t_qry[:, :, :lw] != 0) and not np.any(s_qry[:, :, :lw] != 0)
 
 
 # -- prediction and evaluation -----------------------------------------
