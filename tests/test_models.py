@@ -468,20 +468,27 @@ def test_support_perturbation_moves_att_pair_queries():
     assert np.abs(_predict(model, bumped) - base).max() > 1e-9
 
 
+def _pinned_predictions(tmp_path, name, kind):
+    """A stored checkpoint's ``predict_corpus`` probabilities on the corpus it was scored
+    on, and the probabilities stored with it."""
+    expected = json.loads((DATA / f"{name}_probs.json").read_text())
+    generate(SynthConfig(**expected["corpus"]), tmp_path)
+    schema, sessions, features = load_corpus(tmp_path)
+    model, stats, saved_schema, _ = load_model(DATA / f"{name}.ckpt")
+    assert saved_schema == schema and model.config.width == 8 and model.config.kind == kind
+    episodes = build_episodes(sessions, features, stats, schema, kind)
+    got = dict(predict_corpus(model, episodes, batch_size=expected["batch_size"]))
+    assert list(got) == list(expected["probs"])
+    return got, expected["probs"]
+
+
 def test_channels_first_att_pair_checkpoint_predicts_the_same(tmp_path):
     # Trained one epoch at width 8 and scored by the code whose support
     # encoder ran channels-first, [B, W, S]. The parameters are unchanged
     # by the layout, so the checkpoint loads as it is and predicts the
     # same probabilities.
-    expected = json.loads((DATA / "att_pair_channels_first_probs.json").read_text())
-    generate(SynthConfig(**expected["corpus"]), tmp_path)
-    schema, sessions, features = load_corpus(tmp_path)
-    model, stats, saved_schema, _ = load_model(DATA / "att_pair_channels_first.ckpt")
-    assert saved_schema == schema and model.config.width == 8
-    episodes = build_episodes(sessions, features, stats, schema, "att_pair")
-    got = dict(predict_corpus(model, episodes, batch_size=expected["batch_size"]))
-    assert list(got) == list(expected["probs"])
-    for sid, probs in expected["probs"].items():
+    got, expected = _pinned_predictions(tmp_path, "att_pair_channels_first", "att_pair")
+    for sid, probs in expected.items():
         np.testing.assert_allclose(got[sid], probs, rtol=0, atol=1e-6, err_msg=sid)
 
 
@@ -490,15 +497,18 @@ def test_sigmoid_head_seq1HL_checkpoint_predicts_the_same_bits(tmp_path):
     # forward ended in a sigmoid node. Its logits now leave the model and
     # query_probs applies the one sigmoid; the float32 probabilities are
     # the stored ones bit for bit.
-    expected = json.loads((DATA / "seq1HL_sigmoid_head_probs.json").read_text())
-    generate(SynthConfig(**expected["corpus"]), tmp_path)
-    schema, sessions, features = load_corpus(tmp_path)
-    model, stats, saved_schema, _ = load_model(DATA / "seq1HL_sigmoid_head.ckpt")
-    assert saved_schema == schema and model.config.width == 8
-    episodes = build_episodes(sessions, features, stats, schema, "seq1HL")
-    got = dict(predict_corpus(model, episodes, batch_size=expected["batch_size"]))
-    assert list(got) == list(expected["probs"])
-    for sid, probs in expected["probs"].items():
+    got, expected = _pinned_predictions(tmp_path, "seq1HL_sigmoid_head", "seq1HL")
+    for sid, probs in expected.items():
+        assert got[sid].tobytes() == np.array(probs, dtype=np.float32).tobytes(), sid
+
+
+@pytest.mark.parametrize("kind", ["transformer", "snail"])
+def test_padded_timeline_checkpoint_predicts_the_same_bits(tmp_path, kind):
+    # Trained one epoch at width 8 and scored, in length-bucketed batches of
+    # 8, by the code that ran the kind on padded [B, T] timelines: the
+    # float32 probabilities are the stored ones bit for bit.
+    got, expected = _pinned_predictions(tmp_path, f"{kind}_padded_timeline", kind)
+    for sid, probs in expected.items():
         assert got[sid].tobytes() == np.array(probs, dtype=np.float32).tobytes(), sid
 
 

@@ -363,7 +363,8 @@ def test_loading_a_model_keeps_freed_heap(monkeypatch):
 
 @pytest.mark.parametrize("name", ["att_pair_channels_first", "rnb1_pair_concat",
                                   "rnb2_ue_pair_concat", "rnbc2_ue_pair_concat",
-                                  "seq1HL_sigmoid_head"])
+                                  "seq1HL_sigmoid_head", "snail_padded_timeline",
+                                  "transformer_padded_timeline"])
 def test_pinned_checkpoints_load_into_the_vector(name):
     path = Path(__file__).parent / "data" / f"{name}.ckpt"
     model = load_model(path)[0]
