@@ -704,9 +704,9 @@ def load_corpus(data_dir):
 # -- batching ----------------------------------------------------------
 
 
-def _below(size: int, counts: np.ndarray) -> np.ndarray:
-    """[B, size] booleans: True at the first ``counts[b]`` places of row b."""
-    return np.arange(size) < counts[:, None]
+def prefix_mask(counts: np.ndarray) -> np.ndarray:
+    """``[B, max(counts)]`` booleans: True at the first ``counts[b]`` places of row b."""
+    return np.arange(counts.max(initial=0)) < counts[:, None]
 
 
 PACK_ROWS = 16  # a batch's row count is a multiple of this
@@ -747,10 +747,10 @@ class Batch:
     session's ``t_support`` supports then its ``t_query`` queries, sessions in order, then
     inert zero rows up to a multiple of :data:`PACK_ROWS`. BLAS rounds a GEMM's rows by how
     many share the call, so a layer on the rows gives a real row the same bits in any batch.
-    A batch is one gather of its sessions' rows. The padded ``[B, ...]`` views (timelines
-    ``seq_x``, the halves ``sup_*`` and ``qry_*``), the masks, in ``x``'s dtype, and the
-    halves as rows (``sup`` and ``qry``, stored alike) are derived each time they are read,
-    so an in-place edit of ``x`` shows in them."""
+    A batch is one gather of its sessions' rows. The halves as rows (``sup`` and ``qry``,
+    stored alike), the padded ``[B, ...]`` labels and masks of the halves (``sup_*``,
+    ``qry_*``, and :meth:`queries` of any row array) and the ``[N]`` row masks, in ``x``'s
+    dtype, are derived each time they are read, so an in-place edit of ``x`` shows in them."""
 
     session_ids: tuple[str, ...]
     x: np.ndarray  # [N, D] float32
@@ -777,9 +777,9 @@ class Batch:
 
     def _padded(self, values: np.ndarray, offset, counts: np.ndarray) -> np.ndarray:
         """``[B, max(counts), ...]`` of ``values [N, ...]``: those rows, zero after them."""
-        size = counts.max(initial=0)
-        out = np.zeros((len(counts), size) + values.shape[1:], dtype=values.dtype)
-        out[_below(size, counts)] = values[self._rows(offset, counts)]
+        real = prefix_mask(counts)
+        out = np.zeros(real.shape + values.shape[1:], dtype=values.dtype)
+        out[real] = values[self._rows(offset, counts)]
         return out
 
     def _half_rows(self, offset, counts: np.ndarray) -> HalfRows:
@@ -794,18 +794,15 @@ class Batch:
         return self._padded(values, self.t_support, self.t_query)
 
     def _mask(self, counts: np.ndarray) -> np.ndarray:
-        return _below(counts.max(initial=0), counts).astype(self.x.dtype)
+        return prefix_mask(counts).astype(self.x.dtype)
 
     def _row_mask(self, offset, counts: np.ndarray) -> np.ndarray:  # [N]
         out = np.zeros(len(self.x), dtype=self.x.dtype)
         out[self._rows(offset, counts)] = 1
         return out
 
-    seq_x = property(lambda self: self._padded(self.x, 0, self.lengths))  # [B, T, D]
-    seq_mask = property(lambda self: self._mask(self.lengths))  # [B, T]
     real_rows = property(lambda self: self._row_mask(0, self.lengths))  # [N]
     query_rows = property(lambda self: self._row_mask(self.t_support, self.t_query))  # [N]
-    sup_x = property(lambda self: self._padded(self.x, 0, self.t_support))  # [B, S, D]
     sup_y = property(lambda self: self._padded(self.y, 0, self.t_support))  # [B, S]
     sup_mask = property(lambda self: self._mask(self.t_support))  # [B, S]
     qry_y = property(lambda self: self.queries(self.y))  # [B, Q]

@@ -182,14 +182,14 @@ def _case_instance_norm(rng):
     return [x, g, b], lambda xx, gg, bb: _project(nn.instance_norm(xx, gg, bb), r)
 
 
-def _case_instance_norm_masked(rng):
-    x = rng.normal(size=(2, 8, 3))
+def _case_instance_norm_rows(rng):
+    # Sessions of 5, 1 and 4 rows, then 2 inert rows, each its own session.
+    x = rng.normal(size=(12, 3))
     g = rng.uniform(0.5, 1.5, (3,))
     b = rng.normal(size=(3,))
-    mask = np.ones((2, 8, 1))
-    mask[:, 6:] = 0.0
-    r = rng.normal(size=(2, 8, 3)) * mask
-    return [x, g, b], lambda xx, gg, bb: _project(nn.instance_norm(xx, gg, bb, mask=mask), r)
+    rows = nn.Rows.packed([5, 1, 4], 12)
+    r = rng.normal(size=(12, 3))
+    return [x, g, b], lambda xx, gg, bb: _project(nn.instance_norm(xx, gg, bb, rows), r)
 
 
 def _case_channel_norm(rng):
@@ -237,14 +237,6 @@ def _gated_level_case(kind, kernel, dilation, t_len, batched=False, lengths=None
     return build
 
 
-def _case_unpad(rng):
-    # A padded head of sessions of 5, 2 and 4 rows to their rows, then 5 inert rows.
-    mask = np.arange(5) < np.array([5, 2, 4])[:, None]
-    values = rng.normal(size=mask.shape + (1,))
-    r = rng.normal(size=16)
-    return [values], lambda v: _project(nn.unpad(v, mask, 16), r)
-
-
 def _case_session_mean(rng):
     # Sessions of 3, 1 and 2 rows, then 2 inert rows that reach no mean.
     counts = np.array([3, 1, 2])
@@ -284,21 +276,18 @@ def _case_softmax(rng):
     return [x], lambda xx: _project(nn.softmax(xx), r)
 
 
-def _attention_case(heads, masked=False, batched=False):
+def _attention_case(heads, causal=False):
     def build(rng):
-        n, m, dk, dv = 3, 4, 8, 8
-        lead = (2,) if batched else ()
-        q = rng.normal(size=lead + (n, dk))
-        k = rng.normal(size=lead + (m, dk))
-        v = rng.normal(size=lead + (m, dv))
-        mask = None
-        if masked:
-            admit = rng.random(lead + (n, m)) < 0.6
-            admit[..., 0] = True
-            mask = nn.AttentionMask.of(admit)
-        r = rng.normal(size=lead + (n, dv))
+        # Rows of sessions of 3, 1 and 2 queries; causal attention reads their own rows,
+        # cross attention 2, 4 and 1 key rows. Each side ends in 2 inert rows.
+        q_lengths, dk, dv = np.array([3, 1, 2]), 8, 8
+        k_lengths = None if causal else np.array([2, 4, 1])
+        q = rng.normal(size=(8, dk))
+        k = rng.normal(size=(8 if causal else 9, dk))
+        v = rng.normal(size=(len(k), dv))
+        r = rng.normal(size=(8, dv))
         return [q, k, v], lambda qq, kk, vv: _project(
-            nn.attention(qq, kk, vv, mask=mask, heads=heads), r
+            nn.attention(qq, kk, vv, q_lengths, k_lengths, causal, heads), r
         )
 
     return build
@@ -340,7 +329,7 @@ CASES = {
     "conv_noncausal_d2": _conv_case(2, NONCAUSAL),
     "conv_noncausal_d4": _conv_case(4, NONCAUSAL, batched=True),
     "instance_norm": _case_instance_norm,
-    "instance_norm_masked": _case_instance_norm_masked,
+    "instance_norm_rows": _case_instance_norm_rows,
     "channel_norm": _case_channel_norm,
     "highway": _case_highway,
     "glu": _case_glu,
@@ -348,14 +337,13 @@ CASES = {
     "gated_level_glu": _gated_level_case("glu", 3, 2, 4),  # T below the receptive field, 5
     # Packed sessions of 6, 3 and 2 rows, two of them below the receptive field, 5.
     "gated_level_ragged": _gated_level_case("highway", 3, 2, 6, lengths=(6, 3, 2)),
-    "unpad": _case_unpad,
     "session_mean": _case_session_mean,
     "pair_linear": _case_pair_linear,
     "relation_logits": lambda rng: _case_pair_linear(rng, relation=True),
     "softmax": _case_softmax,
     "attention_1head": _attention_case(1),
-    "attention_masked": _attention_case(1, masked=True),
-    "attention_8head": _attention_case(8, batched=True),
+    "attention_causal": _attention_case(1, causal=True),
+    "attention_8head": _attention_case(8, causal=True),
     "bce": _case_bce,
     "mse": _case_mse,
 }

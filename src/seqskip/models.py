@@ -16,18 +16,15 @@ Every head but the label votes emits logits, and ``Model.query_probs``
 is the one place they become probabilities.
 
 Every encoder runs channels-last, so every conv is one GEMM. Every
-sequence kind returns one logit per row of ``Batch.x [N, D]``, the
-batch's real rows. The causal stacks of seq1eH, seq1HL and teacher run
-on those rows (``nn.Rows.packed``); snail, att_pair and the transformer
-run the padded timelines ``Batch.seq_x [B, T, D]`` and ``nn.unpad``
-their head's logits back to rows, their convs with a table
-(``nn.Rows.padded``) in which each padding row is a session of its own,
-so no conv tap of a real row reads padding and nothing re-zeroes it.
-Causal stacks normalize per position over channels only, never over
-time, so strict causality and exact receptive fields survive
-normalization. The non-causal support encoder of att_pair, ``[B, S, W]``,
-uses masked temporal instance norm instead, where looking ahead is the
-point; attention masks out padding keys.
+sequence kind reads the batch's real rows ``Batch.x [N, D]`` and returns
+one logit per row; an ``nn.Rows`` table keeps each conv tap inside its
+session, and ``nn.attention`` takes each side's per-session lengths and
+builds its padded block and causal mask inside its own node. Causal
+stacks normalize per position over channels only, never over time, so
+strict causality and exact receptive fields survive normalization. The
+non-causal support encoder of att_pair runs on the support rows
+``Batch.sup`` and normalizes each session's rows over time instead, where
+looking ahead is the point.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .dataio import Batch, Halves
+from .dataio import Batch, Halves, prefix_mask
 from .errors import ConfigurationError, ContractError, ValidationError
 from .nn import CAUSAL, NONCAUSAL, Conv1dSpec
 from .rng import rng_stream
@@ -340,11 +337,6 @@ class Model:
         spec = Conv1dSpec(self.config.width, self.config.width, kernel, dilation, CAUSAL)
         return nn.gated_level(self.config.gate, x, spec, *self._branches(prefix), rows)
 
-    def _causal_attention_mask(self, seq_mask: np.ndarray) -> nn.AttentionMask:
-        b, t = seq_mask.shape
-        tril = np.tril(np.ones((t, t), dtype=np.float32))
-        return nn.AttentionMask.of(tril[None, :, :] * seq_mask[:, None, :])
-
     # -- sequence family -----------------------------------------------
 
     def forward_sequence(self, batch: Batch) -> Tensor:
@@ -360,49 +352,46 @@ class Model:
             )
         return getattr(self, forward)(batch)
 
-    def _forward_conv_stacks(self, batch: Batch) -> Tensor:
-        structure, w = self.config.structure, self.config.width
+    def _forward_conv_stacks(self, batch: Batch, h: Tensor | None = None) -> Tensor:
+        """The entry conv on ``h`` (the batch's rows when None), the causal gated levels
+        and the head conv."""
+        w = self.config.width
         rows = nn.Rows.packed(batch.lengths, len(batch.x))
-        h = self._conv("entry", Tensor(batch.x), Conv1dSpec(self.in_dim, w, 1), rows)
+        h = self._causal_stacks(Tensor(batch.x) if h is None else h, rows)
+        return T.reshape(self._conv("head", h, Conv1dSpec(w, 1, 1), rows), rows.shape)
+
+    def _causal_stacks(self, h: Tensor, rows: nn.Rows, entry: str = "entry",
+                       level: str = "stack{s}.level{l}") -> Tensor:
+        """The entry conv to the width, then every stack's causal gated levels, on rows."""
+        structure, w = self.config.structure, self.config.width
+        h = self._conv(entry, h, Conv1dSpec(h.shape[-1], w, 1), rows)
         for s in range(structure.stacks):
             for l, (d, k) in enumerate(zip(structure.dilations, structure.kernels)):
-                h = self._gated_level(f"stack{s}.level{l}", h, d, k, rows)
-        return T.reshape(self._conv("head", h, Conv1dSpec(w, 1, 1), rows), rows.shape)
+                h = self._gated_level(level.format(s=s, l=l), h, d, k, rows)
+        return h
 
     def _forward_snail(self, batch: Batch) -> Tensor:
         # Attention reads the raw rows (no embedding layer in front),
         # its output is concatenated back onto them, and the causal
         # stack consumes the pair.
-        structure = self.config.structure
-        seq_mask = batch.seq_mask
-        x = Tensor(batch.seq_x)
-        rows = nn.Rows.padded(seq_mask)
-        q = self._linear("attn.q", x)
-        k = self._linear("attn.k", x)
-        v = self._linear("attn.v", x)
-        att = nn.attention(
-            q, k, v, mask=self._causal_attention_mask(seq_mask), heads=structure.heads
-        )
-        att = self._linear("attn.o", att)
-        h = T.concat([x, att], axis=-1)
-        h = self._conv("entry", h, Conv1dSpec(self.in_dim + self.config.width, self.config.width, 1))
-        for l, (d, kk) in enumerate(zip(structure.dilations, structure.kernels)):
-            h = self._gated_level(f"stack0.level{l}", h, d, kk, rows)
-        logits = self._conv("head", h, Conv1dSpec(self.config.width, 1, 1))
-        return nn.unpad(logits, seq_mask, len(batch.x))
+        x = Tensor(batch.x)
+        qkv = (self._linear(f"attn.{name}", x) for name in "qkv")
+        att = nn.attention(*qkv, batch.lengths, causal=True, heads=self.config.structure.heads)
+        return self._forward_conv_stacks(batch, T.concat([x, self._linear("attn.o", att)], -1))
 
     def _forward_transformer(self, batch: Batch) -> Tensor:
         structure = self.config.structure
-        seq_mask = batch.seq_mask
-        x = Tensor(batch.seq_x)
-        t_len = x.shape[-2]
+        t_len = int(batch.lengths.max(initial=0))
         if t_len > MAX_POSITIONS:
             raise ValidationError(
                 f"timeline length {t_len} exceeds the positional table ({MAX_POSITIONS})"
             )
-        h = self._linear("embed", x)
-        h = T.add(h, T.slice_axis(self._p("pos"), 0, 0, t_len))
-        mask = self._causal_attention_mask(seq_mask)  # both blocks
+        # Each real row's position embedding through a one-hot product, which picks it
+        # exactly; inert rows add nothing.
+        time = np.nonzero(prefix_mask(batch.lengths))[1]
+        at = np.zeros((len(batch.x), MAX_POSITIONS), batch.x.dtype)
+        at[np.arange(len(time)), time] = 1
+        h = T.add(self._linear("embed", Tensor(batch.x)), T.matmul(Tensor(at), self._p("pos")))
 
         def ln(prefix: str, v: Tensor) -> Tensor:
             return nn.channel_norm(v, self._p(f"{prefix}.gamma"), self._p(f"{prefix}.beta"))
@@ -410,45 +399,33 @@ class Model:
         for bidx in range(structure.stacks):
             p = f"block{bidx}"
             n1 = ln(f"{p}.ln1", h)
-            att = nn.attention(
-                self._linear(f"{p}.q", n1),
-                self._linear(f"{p}.k", n1),
-                self._linear(f"{p}.v", n1),
-                mask=mask,
-                heads=structure.heads,
-            )
+            qkv = (self._linear(f"{p}.{name}", n1) for name in "qkv")
+            att = nn.attention(*qkv, batch.lengths, causal=True, heads=structure.heads)
             h = T.add(h, self._linear(f"{p}.o", att))
             n2 = ln(f"{p}.ln2", h)
             ffn = self._linear(f"{p}.ffn.fc2", self._linear(f"{p}.ffn.fc1", n2, relu=True))
             h = T.add(h, ffn)
-        return nn.unpad(self._linear("head", ln("final", h)), seq_mask, len(batch.x))
+        return T.reshape(self._linear("head", ln("final", h)), batch.y.shape)
 
     def _forward_att_pair(self, batch: Batch) -> Tensor:
-        structure = self.config.structure
         w = self.config.width
-        sup_mask = batch.sup_mask  # [B, S]
-        sup_rows = nn.Rows.padded(sup_mask)
-        s_enc = self._conv("sup.entry", Tensor(batch.sup_x), Conv1dSpec(self.in_dim, w, 1))
+        sup = batch.sup
+        sup_rows = nn.Rows.packed(sup.counts, len(sup.x))
+        s_enc = self._conv("sup.entry", Tensor(sup.x), Conv1dSpec(self.in_dim, w, 1))
         for l, d in enumerate(ATT_PAIR_SUPPORT_DILATIONS):
             spec = Conv1dSpec(w, w, ATT_PAIR_SUPPORT_KERNEL, d, NONCAUSAL)
             pre = [
                 nn.instance_norm(nn.conv1d_cl(s_enc, spec, wt, rows=sup_rows), gamma, beta,
-                                 mask=sup_mask[:, :, None])
+                                 sup_rows)
                 for wt, gamma, beta in self._branches(f"sup.level{l}")
             ]
-            s_enc = nn.gated_block(self.config.gate, s_enc, *pre)  # [B, S, W]
-        seq_mask = batch.seq_mask
-        q_cl = self._conv("qry.entry", Tensor(batch.seq_x), Conv1dSpec(self.in_dim, w, 1))
-        rows = nn.Rows.padded(seq_mask)
-        for l, (d, k) in enumerate(zip(structure.dilations, structure.kernels)):
-            q_cl = self._gated_level(f"qry.level{l}", q_cl, d, k, rows)  # [B, T, W]
-
-        t_len = q_cl.shape[-2]
-        att_mask = np.repeat(sup_mask[:, None, :], t_len, axis=1)  # [B, T, S]
-        att = nn.attention(q_cl, s_enc, s_enc, mask=nn.AttentionMask.of(att_mask),
-                           heads=structure.heads)
-        h = self._linear("comb", T.concat([q_cl, att], axis=-1), relu=True)
-        return nn.unpad(self._linear("head", h), seq_mask, len(batch.x))
+            s_enc = nn.gated_block(self.config.gate, s_enc, *pre)  # [n_s, W]
+        rows = nn.Rows.packed(batch.lengths, len(batch.x))
+        q_enc = self._causal_stacks(Tensor(batch.x), rows, "qry.entry", "qry.level{l}")
+        att = nn.attention(q_enc, s_enc, s_enc, batch.lengths, sup.counts,
+                           heads=self.config.structure.heads)
+        h = self._linear("comb", T.concat([q_enc, att], axis=-1), relu=True)
+        return T.reshape(self._linear("head", h), rows.shape)
 
     # -- metric family -------------------------------------------------
 

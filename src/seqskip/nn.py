@@ -1,16 +1,17 @@
 """Layer primitives: convolutions, normalizations, gating, attention, losses.
 
 All functions are pure: parameters arrive as tensors, nothing is stored.
-Every layer runs channels-last, like attention inputs ``[..., positions,
-features]``, and norms scale and shift the last axis. Convolutions and
-gated levels take ``[T, C]``, ``[batch, T, C]`` or a batch's rows
-``[N, C]``, sessions one after another; a :class:`Rows` table says where
-each row sits in its session, so no conv tap of a row reads another
-session's. In a padded block's table each padding row is a session of its
-own, so no real row reads it. Convolutions, norms, gates, whole gated conv
-levels, linear layers with their bias and optional rectifier, the relation
-layer over (support, query) pairs and the relation net on them, softmax,
-masked multi-head attention, the gather of a padded head's rows and
+Every layer runs channels-last and norms scale and shift the last axis.
+A sequence layer takes a batch's rows ``[N, C]``: sessions one after
+another, in time order, then inert rows that nothing real reads. A
+:class:`Rows` table says where each row sits in its session, so no conv
+tap and no per-session statistic of a row reads another session's row;
+without a table each ``[T, C]`` of the input is one session. Attention
+takes each side's per-session lengths and is the one layer that builds a
+padded ``[B, T, ...]`` block, inside its own node. Convolutions, norms,
+gates, whole gated conv levels, linear layers with their bias and optional
+rectifier, per-session means, the relation layer over (support, query)
+pairs and the relation net on them, softmax, multi-head attention and
 binary cross entropy on logits each record one tape node with a
 hand-written backward.
 """
@@ -18,10 +19,12 @@ hand-written backward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import tensor as T
+from .dataio import prefix_mask
 from .errors import ConfigurationError, EvaluationError, MaskingError, ValidationError
 from .tensor import Tensor
 
@@ -55,24 +58,25 @@ class Rows:
     A layer sees its input as ``[N, C]`` rows, sessions as consecutive
     runs of them in time order: ``time[i]`` is row i's position in its
     session and ``rest[i]`` the number of its session's rows after it;
-    ``stops`` ends each session. ``shape`` is the leading shape of the
-    inputs the table describes: ``(N,)`` for a batch's rows, ``(B, T)``
-    for a padded block, where each padding row is a session of its own. A
+    ``lengths`` and ``stops`` size and end each session. ``shape`` is the
+    leading shape of the inputs the table describes: ``(N,)`` for a batch's
+    rows, ``(B, T)`` for a block whose every ``[T, C]`` is one session. A
     conv tap reading offset ``o`` is one shifted slice of the whole block,
     and :meth:`outside` lists the rows whose ``time + o`` leaves their
-    session, which read zeros, so no real row reads padding; it builds each
-    list once, so the levels of a forward that share a dilation share it.
+    session, which read zeros; it builds each list once, so the levels of a
+    forward that share a dilation share it. :attr:`session_sums` sums each
+    session's rows, and the norms of a forward share its plan alike.
     """
 
     def __init__(self, lengths, shape: tuple[int, ...]):
-        lengths = np.asarray(lengths, dtype=np.intp)
+        self.lengths = np.asarray(lengths, dtype=np.intp)
         self.shape = tuple(shape)
-        self.stops = np.cumsum(lengths)
-        n = int(lengths.sum())
+        self.stops = np.cumsum(self.lengths)
+        n = int(self.lengths.sum())
         if n != int(np.prod(self.shape)):
             raise ConfigurationError(f"sessions of {n} rows do not fill a block of {self.shape}")
-        self.time = np.arange(n) - np.repeat(self.stops - lengths, lengths)
-        self.rest = np.repeat(lengths - 1, lengths) - self.time
+        self.time = np.arange(n) - np.repeat(self.stops - self.lengths, self.lengths)
+        self.rest = np.repeat(self.lengths - 1, self.lengths) - self.time
         self._outside: dict[int, np.ndarray] = {}
 
     @classmethod
@@ -81,16 +85,22 @@ class Rows:
         return cls(np.concatenate([lengths, np.ones(n - int(np.sum(lengths)), np.intp)]), (n,))
 
     @classmethod
-    def padded(cls, mask: np.ndarray) -> Rows:
-        """The table of a padded ``[..., T, C]`` block whose ``mask [..., T]`` marks each
-        session's real rows, a prefix of its timeline; each padding row is a session of
-        one row."""
-        real = np.asarray(mask) != 0
-        t_len = real.shape[-1]
-        n_real = real.reshape(-1, t_len).sum(axis=1)
-        lengths = (np.arange(t_len) >= n_real[:, None]).astype(np.intp)
-        lengths[:, 0] += n_real
-        return cls(lengths[lengths > 0], real.shape)
+    def of(cls, x: Tensor, rows: Rows | None) -> Rows:
+        """``rows``, checked against ``x [..., C]``; when None, the table whose every
+        ``[T, C]`` of ``x`` is one session."""
+        lead = tuple(x.shape[:-1])
+        if rows is None:
+            return cls(np.full(int(np.prod(lead[:-1])), lead[-1]), lead)
+        if rows.shape != lead:
+            raise ConfigurationError(
+                f"row table of a {rows.shape} block does not describe input {tuple(x.shape)}"
+            )
+        return rows
+
+    @cached_property
+    def session_sums(self):
+        """:func:`_session_sums` of the table's sessions, worked out once."""
+        return _session_sums(self.lengths)
 
     def outside(self, offset: int) -> np.ndarray:
         if offset not in self._outside:
@@ -127,13 +137,7 @@ def _check_conv(x: Tensor, spec: Conv1dSpec, weights: Tensor, rows: Rows | None)
         )
     if x.shape[-2] == 0:
         raise ValidationError("conv1d input has temporal length 0")
-    if rows is None:
-        return Rows.padded(np.ones(x.shape[:-1])) if spec.kernel_size > 1 else None
-    if rows.shape != x.shape[:-1]:
-        raise ConfigurationError(
-            f"row table of a {rows.shape} block does not describe conv input {tuple(x.shape)}"
-        )
-    return rows
+    return None if rows is None and spec.kernel_size == 1 else Rows.of(x, rows)
 
 
 def _im2col(x2: np.ndarray, spec: Conv1dSpec, rows: Rows | None) -> tuple[np.ndarray, list[int]]:
@@ -269,36 +273,46 @@ def _column_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return np.einsum("ni->i", a) if b is None else np.einsum("ni,ni->i", a, b.reshape(-1, n))
 
 
-def _norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    axis: int,
-    mask: np.ndarray | None,
-) -> Tensor:
-    """Normalize over ``axis``, then scale and shift along the last axis.
+def _session_sums(lengths: np.ndarray):
+    """``sums(values)``: each session's sum ``[B, ...]`` of ``values [sum(lengths), ...]``,
+    sessions of ``lengths`` rows, each at least one, one after another.
 
-    One tape node with the closed-form backward
-    ``dx = inv * (gh - m/n * (sum(gh) + xhat * sum(gh * xhat)))``, where
-    ``gh`` is the gradient reaching the normalized values, ``m`` the mask
-    (1 everywhere when absent) and ``n`` the number of valid positions.
-    The sums run over every position, masked ones included, because
-    masked positions still produce output from the shared statistics.
+    A session's rows are added in order, as a sum over its padded block adds them, but
+    no block is built: ranked longest first, the sessions that reach position t take
+    their t-th rows from one contiguous slice of the rows regathered position by
+    position. The regathering is worked out once for every ``values`` summed."""
+    order = np.argsort(-lengths, kind="stable")
+    reach = prefix_mask(lengths[order]).T  # [T, B]: the first ``reached[t]`` ranks reach t
+    starts = (np.cumsum(lengths) - lengths)[order]
+    index = (starts + np.arange(len(reach))[:, None])[reach]
+    reached = reach.sum(axis=1)
+    stops = np.cumsum(reached)
+
+    def sums(values: np.ndarray) -> np.ndarray:
+        by_position = np.take(values, index, axis=0)
+        total = by_position[: len(lengths)].copy()
+        for t in range(1, len(reached)):
+            total[: reached[t]] += by_position[stops[t - 1] : stops[t]]
+        out = np.empty_like(total)
+        out[order] = total
+        return out
+
+    return sums
+
+
+def _norm(x: Tensor, gamma: Tensor, beta: Tensor, sums, weight) -> Tensor:
+    """Normalize over groups of ``x``'s values, then scale and shift along the last axis.
+
+    ``sums(a, b=None)`` is the sum of ``a`` (times ``b``) over each value's group,
+    broadcast back to it, and ``weight`` one over its group's size. One tape node with
+    the closed-form backward ``dx = inv * (gh - weight * (sum(gh) + xhat * sum(gh *
+    xhat)))``, where ``gh`` is the gradient reaching the normalized values.
     """
     xd = x.data
     g, b = gamma.data, beta.data
-    if mask is None:
-        weight = 1.0 / xd.shape[axis]
-        mu = _axis_sum(xd, axis) * weight
-        xc = xd - mu
-        var = _axis_sum(xc, axis, xc) * weight
-    else:
-        m = np.asarray(mask, dtype=xd.dtype.type)
-        # Binary masks leave sum(m * xc) at zero, which the backward assumes.
-        weight = m / np.maximum(m.sum(axis=axis, keepdims=True), 1.0)
-        mu = _axis_sum(xd, axis, weight)
-        xc = xd - mu
-        var = _axis_sum(xc * xc, axis, weight)
+    mu = sums(xd) * weight
+    xc = xd - mu
+    var = sums(xc, xc) * weight
     inv = (var + NORM_EPSILON) ** -0.5
     xhat = xc * inv
     out = xhat * g + b
@@ -307,7 +321,7 @@ def _norm(
         gx = gg = gb = None
         if x.requires_grad:
             gh = gy * g
-            gx = inv * (gh - weight * (_axis_sum(gh, axis) + xhat * _axis_sum(gh, axis, xhat)))
+            gx = inv * (gh - weight * (sums(gh) + xhat * sums(gh, xhat)))
         if gamma.requires_grad:
             gg = _column_sum(gy, xhat)
         if beta.requires_grad:
@@ -317,22 +331,27 @@ def _norm(
     return T.fused(out, (x, gamma, beta), backward)
 
 
-def instance_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    mask: np.ndarray | None = None,
-) -> Tensor:
-    """Normalize each channel over the temporal axis, then apply gamma/beta.
+def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, rows: Rows | None = None) -> Tensor:
+    """Normalize each channel over its session's rows, then apply gamma/beta.
 
-    Input is ``[T, C]`` or ``[B, T, C]``. Statistics use the population
-    variance. ``mask`` (1 = valid position, 0 = padding, broadcastable to
-    x) restricts statistics to valid positions so padded tails do not
-    contaminate them; masked positions still produce output.
+    Input is a batch's rows ``[N, C]`` that ``rows`` describes, or ``[T, C]`` or ``[B, T,
+    C]`` whose every ``[T, C]`` is one session (``rows`` None). Statistics use the
+    population variance and each session's rows only, so the rows after a session
+    reach none of its outputs; an inert row of one row is its own session and comes out
+    as ``beta``. The per-session sums are those of :func:`session_mean`.
     """
     if x.ndim not in (2, 3):
-        raise ConfigurationError(f"instance_norm expects [T,C] or [B,T,C], got {tuple(x.shape)}")
-    return _norm(x, gamma, beta, axis=-2, mask=mask)
+        raise ConfigurationError(f"instance_norm expects [N,C], [T,C] or [B,T,C], "
+                                 f"got {tuple(x.shape)}")
+    rows = Rows.of(x, rows)
+    lengths, c = rows.lengths, x.shape[-1]
+
+    def sums(a, b=None):
+        a2 = (a if b is None else a * b).reshape(-1, c)
+        return np.repeat(rows.session_sums(a2), lengths, axis=0).reshape(a.shape)
+
+    weight = np.repeat(1.0 / lengths, lengths).astype(x.dtype).reshape(x.shape[:-1] + (1,))
+    return _norm(x, gamma, beta, sums, weight)
 
 
 def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -341,7 +360,7 @@ def channel_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     Unlike :func:`instance_norm` this mixes no information across time,
     so it is safe inside strictly causal stacks.
     """
-    return _norm(x, gamma, beta, axis=-1, mask=None)
+    return _norm(x, gamma, beta, lambda a, b=None: _axis_sum(a, -1, b), 1.0 / x.shape[-1])
 
 
 def _gate(kind: str, xd: np.ndarray, tp: np.ndarray, gp: np.ndarray):
@@ -454,34 +473,6 @@ def gated_level(kind: str, x: Tensor, spec: Conv1dSpec, transform, gate,
     return T.fused(out.reshape(x.shape[:-1] + (width,)), parents, backward)
 
 
-def unpad(values: Tensor, mask: np.ndarray, n: int) -> Tensor:
-    """A one-channel head's ``values [B, T, 1]`` at the places ``mask [B, T]`` marks, in
-    order, as ``[n]`` rows, zeros past them: one tape node whose backward scatters.
-
-    It takes a padded block's logits to a batch's rows, sessions one after another and
-    inert rows after them, so no gradient reaches a padding place.
-    """
-    real = np.asarray(mask) != 0
-    count = int(real.sum())
-    if values.shape != real.shape + (1,) or n < count:
-        raise ConfigurationError(f"values {tuple(values.shape)} of {count} real places "
-                                 f"cannot fill {n} rows")
-    out = np.zeros(n, dtype=values.dtype)
-    out[:count] = values.data[real, 0]
-
-    def backward(g):
-        gv = np.zeros(values.shape, dtype=g.dtype)
-        gv[real, 0] = g[:count]
-        return (gv,)
-
-    return T.fused(out, (values,), backward)
-
-
-def _real(counts: np.ndarray) -> np.ndarray:
-    """``[B, max(counts)]`` booleans: True at the first ``counts[b]`` places of row b."""
-    return np.arange(counts.max(initial=0)) < counts[:, None]
-
-
 def session_mean(values: Tensor, counts) -> Tensor:
     """Each session's mean row ``[B, W]`` of ``values [N, W]``, one tape node.
 
@@ -492,15 +483,12 @@ def session_mean(values: Tensor, counts) -> Tensor:
     session its mean's gradient over the count, and inert rows nothing.
     """
     counts = np.asarray(counts)
-    real = _real(counts)
     n = int(counts.sum())
     if values.ndim != 2 or n > values.shape[0] or counts.min(initial=1) < 1:
         raise ConfigurationError(f"sessions of {counts.tolist()} rows, each at least one, "
                                  f"do not fit rows {tuple(values.shape)}")
-    block = np.zeros(real.shape + values.shape[1:], values.dtype)
-    block[real] = values.data[:n]
     scale = counts[:, None].astype(values.dtype)
-    out = block.sum(axis=1) / scale
+    out = _session_sums(counts)(values.data[:n]) / scale
 
     def backward(g):
         gv = np.zeros(values.shape, g.dtype)
@@ -523,7 +511,7 @@ class Pairs:
                 or min(self.t_support.min(initial=0), self.t_query.min(initial=0)) < 0):
             raise ConfigurationError(f"sessions of {self.t_support.tolist()} supports and "
                                      f"{self.t_query.tolist()} queries do not pair")
-        self.support, self.query = _real(self.t_support), _real(self.t_query)
+        self.support, self.query = prefix_mask(self.t_support), prefix_mask(self.t_query)
         self.n_support, self.n_query = int(self.t_support.sum()), int(self.t_query.sum())
         self.real = self.support[:, :, None] & self.query[:, None, :]
 
@@ -752,41 +740,54 @@ def _matmul_merged(a: np.ndarray, b: np.ndarray, shape, heads: int) -> np.ndarra
     return out
 
 
-@dataclass(frozen=True)
-class AttentionMask:
-    """A ``[..., n, m]`` attention mask, checked once and kept as the additive
-    fill that :func:`attention` adds to its scores, laid out ``[m, 1, ..., n]``.
-    Calls that attend over the same rows can share one."""
-
-    fill: np.ndarray
-
-    @classmethod
-    def of(cls, mask) -> AttentionMask:
-        admit = np.asarray(mask) != 0
-        if not admit.any(axis=-1).all():
-            raise MaskingError("attention mask blocks every key for some query row")
-        admit = np.ascontiguousarray(np.moveaxis(admit, -1, 0)[:, None])
-        return cls(np.where(admit, np.float32(0), np.float32(_MASK_FILL)))
+def _block(lengths: np.ndarray):
+    """``real [B, T]`` of sessions of ``lengths``, T the longest, and the row at each of
+    its places, flat: sessions one after another from row 0, and row 0 at padding. The
+    index is None when every session is T long: the block is then the first rows."""
+    real = prefix_mask(lengths)
+    if real.all():
+        return real, None
+    starts = np.cumsum(lengths) - lengths
+    return real, np.where(real, starts[:, None] + np.arange(real.shape[1]), 0).ravel()
 
 
-def _attention_probs(qh: np.ndarray, kh: np.ndarray, mask, scale: float) -> np.ndarray:
-    """Masked softmax of the scaled scores as ``[m, ..., heads, n]``.
+def _gather(rows: np.ndarray, index: np.ndarray | None, shape) -> np.ndarray:
+    """``rows[index]`` as a block of ``shape``, one take, which ``mode="clip"`` spares a
+    bounds check (every index is in range); a view of the first rows when None."""
+    if index is None:
+        return rows[: shape[0] * shape[1]].reshape(shape)
+    return np.take(rows, index, axis=0, mode="clip").reshape(shape)
+
+
+def _rows(block: np.ndarray, real: np.ndarray, n: int) -> np.ndarray:
+    """The ``real [B, T]`` places of a ``[B, T, d]`` block, in order, as the first rows of
+    ``[n, d]``, zeros after them."""
+    flat, count = block.reshape(-1, block.shape[-1]), int(real.sum())
+    out = np.empty((n, flat.shape[1]), block.dtype)
+    if count == len(flat):
+        out[:count] = flat
+    else:
+        np.take(flat, np.flatnonzero(real), axis=0, out=out[:count], mode="clip")
+    out[count:] = 0
+    return out
+
+
+def _attention_probs(qh: np.ndarray, kh: np.ndarray, fill: np.ndarray, scale: float):
+    """Masked softmax of the scaled scores of ``[B, heads, n, d]`` blocks as ``[m, B,
+    heads, n]``, ``fill`` the additive mask, broadcast to ``[m, 1, B, n]``.
 
     The key axis leads, so the softmax reduces over axis 0; one batched
     GEMM (``K Q^T``) writes the scores in that layout. Storage is
-    heads-major, ``[m, heads, ..., n]``, so the mask fill broadcasts over
+    heads-major, ``[m, heads, B, n]``, so the mask fill broadcasts over
     heads in contiguous slabs.
     """
-    *lead, heads, n, _ = qh.shape
+    b, heads, n, _ = qh.shape
     m = kh.shape[-2]
-    p = np.empty((m, heads, *lead, n), dtype=np.result_type(qh, kh))
-    p_keys = np.moveaxis(p, 1, -2)  # [m, ..., heads, n]
+    p = np.empty((m, heads, b, n), dtype=np.result_type(qh, kh))
+    p_keys = np.moveaxis(p, 1, -2)  # [m, B, heads, n]
     np.matmul(kh, np.swapaxes(qh, -1, -2), out=np.moveaxis(p_keys, 0, -2))
     p *= scale
-    if mask is not None:
-        if mask.fill.shape != (m, 1, *lead, n):
-            raise ConfigurationError(f"mask fill {mask.fill.shape} != {(m, 1, *lead, n)}")
-        p += mask.fill  # 0 and -1e9 are exact in float32 and float64
+    p += fill  # 0 and -1e9 are exact in float32 and float64
     _softmax_lead(p)
     return p_keys
 
@@ -795,44 +796,79 @@ def attention(
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    mask: AttentionMask | None = None,
+    q_lengths,
+    k_lengths=None,
+    causal: bool = False,
     heads: int = 1,
 ) -> Tensor:
-    """Scaled dot-product attention with optional masking and heads, one tape node.
+    """Scaled dot-product attention of each session's query rows over its key rows, one
+    tape node.
 
-    ``q [..., n, d_k]``, ``k [..., m, d_k]`` and ``v [..., m, d_v]`` share
-    their leading axes. ``mask``, an :class:`AttentionMask` of a truthy
-    ``[..., n, m]`` array, lets query row n attend to key m. With
-    ``heads > 1`` the widths are split per head and the outputs
-    re-concatenated. The backward reuses the saved weights ``P``:
-    ``dV = P^T dO``, ``dS = P (dP - rowsum(dP P)) scale`` with
-    ``dP = dO V^T``, ``dQ = dS K`` and ``dK = dS^T Q``.
+    ``q [Nq, d_k]`` holds session b's ``q_lengths[b]`` rows after the sessions before it,
+    ``k [Nk, d_k]`` and ``v [Nk, d_v]`` its ``k_lengths[b]`` rows alike (the query
+    sessions' when None); inert rows may follow either. A query row attends to its
+    session's keys; when ``causal``, which takes no ``k_lengths``, only to those at or
+    before its own position. With ``heads > 1`` the widths are split per head and the
+    outputs re-concatenated.
+
+    The node gathers each operand once into the padded ``[B, T, d]`` block of its
+    sessions and builds the mask from the lengths. A padding place reads a real row: a
+    key there gets exactly zero weight, and no output reads a query there. The output is
+    ``[Nq, d_v]``, zero at inert rows. The backward reuses the saved weights ``P``:
+    ``dV = P^T dO``, ``dS = P (dP - rowsum(dP P)) scale`` with ``dP = dO V^T``, ``dQ = dS
+    K`` and ``dK = dS^T Q``, and scatters each block's real places back to rows.
     """
+    q_lengths, own_keys = np.asarray(q_lengths), k_lengths is None
+    k_lengths = q_lengths if own_keys else np.asarray(k_lengths)
     dk, dv = q.shape[-1], v.shape[-1]
-    if k.shape[:-2] != q.shape[:-2] or k.shape[-1] != dk or k.shape[:-1] != v.shape[:-1]:
-        raise ConfigurationError("key shape must match query width and value count")
+    nq, nk = q.shape[0], k.shape[0]
+    if (q.ndim != 2 or k.shape != (nk, dk) or v.shape != (nk, dv) or q_lengths.ndim != 1
+            or k_lengths.shape != q_lengths.shape or q_lengths.sum() > nq or k_lengths.sum() > nk):
+        raise ConfigurationError(
+            f"attention rows q {tuple(q.shape)}, k {tuple(k.shape)}, v {tuple(v.shape)} do not "
+            f"hold sessions of {q_lengths.tolist()} queries and {k_lengths.tolist()} keys"
+        )
     if heads < 1:
         raise ConfigurationError("heads must be >= 1")
     if heads > 1 and (dk % heads or dv % heads):
         raise ConfigurationError(f"heads={heads} must divide d_k={dk} and d_v={dv}")
+    if causal and not own_keys:
+        raise ConfigurationError("causal attention reads its query rows' own sessions as keys")
+    if k_lengths.min(initial=1) < 1:
+        raise MaskingError("attention over a session with no key rows")
+    q_real, q_index = _block(q_lengths)
+    k_real, k_index = (q_real, q_index) if own_keys else _block(k_lengths)
+    (b, n), m = q_real.shape, k_real.shape[1]
+    # The fill admits, for a causal query, the keys up to its own place, which leave out
+    # its session's padding keys; otherwise each session's real keys.
+    admit = np.arange(m)[:, None, None] <= np.arange(n) if causal else k_real.T[:, :, None]
+    fill = np.where(np.broadcast_to(admit, (m, b, n)), np.float32(0), np.float32(_MASK_FILL))
+
     scale = 1.0 / float(np.sqrt(dk // heads))
-    qh, kh, vh = (_heads_view(t.data, heads) for t in (q, k, v))
-    p = _attention_probs(qh, kh, mask, scale)  # [m, ..., heads, n]
-    out = _matmul_merged(np.moveaxis(p, 0, -1), vh, q.shape[:-1] + (dv,), heads)
+    qh, kh, vh = (_heads_view(_gather(t.data, index, (b, t_len, t.shape[1])), heads)
+                  for t, index, t_len in ((q, q_index, n), (k, k_index, m), (v, k_index, m)))
+    p = _attention_probs(qh, kh, fill[:, None], scale)  # [m, B, heads, n]
+    out = _rows(_matmul_merged(np.moveaxis(p, 0, -1), vh, (b, n, dv), heads), q_real, nq)
 
     def backward(g):
-        gh = _heads_view(g, heads)
+        g_block = _gather(g, q_index, (b, n, dv))
+        if q_index is not None:
+            g_block[~q_real] = 0  # no output reads a padding query
+        gh = _heads_view(g_block, heads)
         gq = gk = gv = None
         if v.requires_grad:
-            gv = _matmul_merged(np.moveaxis(p, 0, -2), gh, v.shape, heads)
+            gv = _rows(_matmul_merged(np.moveaxis(p, 0, -2), gh, (b, m, dv), heads),
+                       k_real, nk)
         if q.requires_grad or k.requires_grad:
             dp = np.empty_like(p)
             np.matmul(vh, np.swapaxes(gh, -1, -2), out=np.moveaxis(dp, 0, -2))
             ds = _softmax_lead_grad(p, dp) * scale
             if q.requires_grad:
-                gq = _matmul_merged(np.moveaxis(ds, 0, -1), kh, q.shape, heads)
+                gq = _rows(_matmul_merged(np.moveaxis(ds, 0, -1), kh, (b, n, dk), heads),
+                           q_real, nq)
             if k.requires_grad:
-                gk = _matmul_merged(np.moveaxis(ds, 0, -2), qh, k.shape, heads)
+                gk = _rows(_matmul_merged(np.moveaxis(ds, 0, -2), qh, (b, m, dk), heads),
+                           k_real, nk)
         return gq, gk, gv
 
     return T.fused(out, (q, k, v), backward)

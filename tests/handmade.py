@@ -2,15 +2,15 @@
 
 A loaded corpus becomes one :class:`seqskip.dataio.Batch` in a single
 step (``trainer.build_episodes``): each session's real rows, from which
-the batch derives its padded timelines and the support and query halves.
+the batch derives the support and query halves.
 Tests that need episodes of chosen lengths and values write them here as
 :class:`Episode` objects, support and query apart; ``make_batch``
 concatenates their rows, stores them with ``Batch.from_rows`` and takes
 the batch with ``dataio.make_batch``, as training does; ``episode`` reads
-one back through the batch's halves.
+one back from the batch's rows.
 ``corpus_order_predictions`` is the reference scoring loop that
-length-bucketed inference is checked against, ``padded_conv_stacks``
-the padded forward that the causal stacks' forward on rows is checked
+length-bucketed inference is checked against, ``padded_forward`` the
+padded forward that every sequence kind's forward on rows is checked
 against, and ``reference_generate`` the one-session-at-a-time corpus
 generator that the array-work ``synthgen.generate`` is checked against.
 """
@@ -26,6 +26,7 @@ import numpy as np
 from seqskip import dataio, nn, synthgen
 from seqskip import tensor as T
 from seqskip.errors import ValidationError
+from seqskip.models import ATT_PAIR_SUPPORT_DILATIONS, ATT_PAIR_SUPPORT_KERNEL
 from seqskip.nn import Conv1dSpec
 from seqskip.rng import rng_stream
 
@@ -76,12 +77,13 @@ def make_batch(episodes: list[Episode]) -> dataio.Batch:
 def episode(batch: dataio.Batch, i: int) -> Episode:
     """Session ``i`` of a set, as a hand-made episode (a copy)."""
     ts, tq = int(batch.t_support[i]), int(batch.t_query[i])
+    start = int(batch.lengths[:i].sum())
     return Episode(
         batch.session_ids[i],
-        batch.sup_x[i, :ts].copy(),
-        batch.queries(batch.x)[i, :tq].copy(),
-        batch.sup_y[i, :ts].astype(np.int8),
-        batch.qry_y[i, :tq].astype(np.int8),
+        batch.x[start : start + ts].copy(),
+        batch.x[start + ts : start + ts + tq].copy(),
+        batch.y[start : start + ts].astype(np.int8),
+        batch.y[start + ts : start + ts + tq].astype(np.int8),
         batch.query_logs_kept,
     )
 
@@ -96,20 +98,74 @@ def corpus_order_predictions(model, episodes: dataio.Batch, batch_size: int = 64
     return out
 
 
-def padded_conv_stacks(model, batch: dataio.Batch) -> T.Tensor:
-    """The logits ``[B, T]`` of a seq1eH, seq1HL or teacher model as the
-    stacks computed them on the padded ``[B, T, W]`` batch, every session padded
-    to the longest; the forward on rows must give these bits on every real row."""
-    width, structure, p = model.config.width, model.config.structure, model.params
-    h = nn.conv1d_cl(T.Tensor(batch.seq_x), Conv1dSpec(model.in_dim, width, 1),
-                     p["entry.w"], p["entry.b"])
-    for s in range(structure.stacks):
-        for level, (d, k) in enumerate(zip(structure.dilations, structure.kernels)):
-            spec = Conv1dSpec(width, width, k, d, nn.CAUSAL)
-            h = nn.gated_level(model.config.gate, h, spec,
-                               *model._branches(f"stack{s}.level{level}"))
-    logits = nn.conv1d_cl(h, Conv1dSpec(width, 1, 1), p["head.w"], p["head.b"])
-    return T.reshape(logits, batch.seq_mask.shape)
+def padded_rows(lengths) -> nn.Rows:
+    """The row table of a padded ``[B, T]`` block whose session b fills its first
+    ``lengths[b]`` places; each padding place is a session of one row, so no real row
+    reads it."""
+    table = (~dataio.prefix_mask(lengths)).astype(np.intp)
+    table[:, 0] += lengths
+    return nn.Rows(table[table > 0], table.shape)
+
+
+def _padded(rows: np.ndarray, lengths) -> T.Tensor:
+    """``[B, T, D]`` of the rows ``[N, D]`` of sessions of ``lengths``, zeros after them."""
+    real = dataio.prefix_mask(lengths)
+    block = np.zeros(real.shape + rows.shape[1:], rows.dtype)
+    block[real] = rows[: real.sum()]
+    return T.Tensor(block)
+
+
+def padded_forward(model, batch: dataio.Batch) -> np.ndarray:
+    """The logits ``[B, T]`` of a sequence model whose every layer but attention runs on
+    the padded ``[B, T, ...]`` timeline (att_pair's support encoder on the padded ``[B, S,
+    ...]`` supports), every session padded to the longest, with :func:`padded_rows`
+    tables; attention reads each block's real rows and writes its output back to them.
+    The forward on rows must give these bits on every real row."""
+    kind, width, structure = model.config.kind, model.config.width, model.config.structure
+    lengths, t_support, sup = batch.lengths, batch.t_support, batch.sup
+    real, rows = dataio.prefix_mask(lengths), padded_rows(lengths)
+    x = _padded(batch.x, lengths)
+
+    def attend(q, k, v, k_lengths=None, heads=structure.heads):  # causal without k_lengths
+        k_real = dataio.prefix_mask(lengths if k_lengths is None else k_lengths)
+        att = nn.attention(T.Tensor(q.data[real]), T.Tensor(k.data[k_real]),
+                           T.Tensor(v.data[k_real]), lengths, k_lengths, k_lengths is None, heads)
+        out = np.zeros(q.shape[:-1] + att.shape[-1:], att.dtype)
+        out[real] = att.data
+        return T.Tensor(out)
+
+    def ln(prefix, v):
+        return nn.channel_norm(v, model._p(f"{prefix}.gamma"), model._p(f"{prefix}.beta"))
+
+    with T.no_grad():
+        if kind == "transformer":
+            h = T.add(model._linear("embed", x), T.slice_axis(model._p("pos"), 0, 0, x.shape[1]))
+            for b in range(structure.stacks):
+                n1 = ln(f"block{b}.ln1", h)
+                att = attend(*(model._linear(f"block{b}.{name}", n1) for name in "qkv"))
+                h = T.add(h, model._linear(f"block{b}.o", att))
+                fc1 = model._linear(f"block{b}.ffn.fc1", ln(f"block{b}.ln2", h), relu=True)
+                h = T.add(h, model._linear(f"block{b}.ffn.fc2", fc1))
+            logits = model._linear("head", ln("final", h))
+        elif kind == "att_pair":
+            s_rows = padded_rows(t_support)
+            s = model._conv("sup.entry", _padded(sup.x, t_support),
+                            Conv1dSpec(model.in_dim, width, 1))
+            for level, d in enumerate(ATT_PAIR_SUPPORT_DILATIONS):
+                spec = Conv1dSpec(width, width, ATT_PAIR_SUPPORT_KERNEL, d, nn.NONCAUSAL)
+                pre = [nn.instance_norm(nn.conv1d_cl(s, spec, w, rows=s_rows), g, b, s_rows)
+                       for w, g, b in model._branches(f"sup.level{level}")]
+                s = nn.gated_block(model.config.gate, s, *pre)
+            q = model._causal_stacks(x, rows, "qry.entry", "qry.level{l}")
+            att = attend(q, s, s, t_support)
+            logits = model._linear("head", model._linear("comb", T.concat([q, att], -1), True))
+        else:
+            if kind == "snail":
+                att = attend(*(model._linear(f"attn.{name}", x) for name in "qkv"))
+                x = T.concat([x, model._linear("attn.o", att)], -1)
+            logits = model._conv("head", model._causal_stacks(x, rows), Conv1dSpec(width, 1, 1),
+                                 rows)
+    return logits.data[..., 0]
 
 
 def _reference_labels(config, rule_w, quantile, acoustic, rng):

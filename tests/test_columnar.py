@@ -247,15 +247,13 @@ def ref_make_batch(episodes):
     b = len(episodes)
     s_max = max(e.t_support for e in episodes)
     q_max = max(e.t_query for e in episodes)
-    t_max = max(e.t_support + e.t_query for e in episodes)
     width = episodes[0].x_support.shape[1]
     n = sum(e.t_support + e.t_query for e in episodes)
     rows = n + -n % 16  # real rows, then inert ones up to a multiple of 16
     arrays = {
         "x": (rows, width), "y": (rows,), "real_rows": (rows,), "query_rows": (rows,),
-        "sup_x": (b, s_max, width), "sup_mask": (b, s_max), "sup_y": (b, s_max),
+        "sup_mask": (b, s_max), "sup_y": (b, s_max),
         "qry_x": (b, q_max, width), "qry_mask": (b, q_max), "qry_y": (b, q_max),
-        "seq_x": (b, t_max, width), "seq_mask": (b, t_max),
     }
     out = {name: np.zeros(shape, dtype=np.float32) for name, shape in arrays.items()}
     t_support = np.zeros(b, dtype=np.int64)
@@ -270,15 +268,11 @@ def ref_make_batch(episodes):
         out["real_rows"][row : row + ts + tq] = 1.0
         out["query_rows"][row + ts : row + ts + tq] = 1.0
         row += ts + tq
-        out["sup_x"][i, :ts] = ep.x_support
         out["sup_mask"][i, :ts] = 1.0
         out["sup_y"][i, :ts] = ep.y_support
         out["qry_x"][i, :tq] = ep.x_query
         out["qry_mask"][i, :tq] = 1.0
         out["qry_y"][i, :tq] = ep.y_query
-        out["seq_x"][i, :ts] = ep.x_support
-        out["seq_x"][i, ts : ts + tq] = ep.x_query
-        out["seq_mask"][i, : ts + tq] = 1.0
         t_support[i], t_query[i] = ts, tq
     return dict(out, session_ids=tuple(e.session_id for e in episodes), t_support=t_support,
                 t_query=t_query, query_logs_kept=episodes[0].query_logs_kept)
@@ -296,8 +290,8 @@ def block_rows(request, monkeypatch):
 
 # What a Batch stores, then what it derives from that when read.
 BATCH_FIELDS = ("session_ids", "x", "y", "t_support", "t_query", "query_logs_kept")
-BATCH_VIEWS = ("seq_x", "seq_mask", "real_rows", "query_rows", "sup_x", "sup_mask", "sup_y",
-               "qry_x", "qry_mask", "qry_y")  # qry_x is read as ``queries(x)``
+BATCH_VIEWS = ("real_rows", "query_rows", "sup_mask", "sup_y", "qry_x", "qry_mask",
+               "qry_y")  # qry_x is read as ``queries(x)``
 
 
 def assert_batches_identical(got: Batch, want: dict) -> None:

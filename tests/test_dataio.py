@@ -476,21 +476,19 @@ def test_make_batch_padding_and_merged_timeline(corpus):
     np.testing.assert_array_equal(batch.x[15:18], short.x_query)
     assert not batch.x[18:].any() and not batch.y[18:].any()
     np.testing.assert_array_equal(batch.qry_mask[1], [1, 1, 1, 0, 0])
-    # merged view: supports then queries, zero-padded to the right
-    np.testing.assert_array_equal(batch.seq_x[0, :5], ep.x_support)
-    np.testing.assert_array_equal(batch.seq_x[0, 5:10], ep.x_query)
+    # merged timeline: each session's supports then its queries, one row each
+    np.testing.assert_array_equal(batch.x[5:10], ep.x_query)
+    np.testing.assert_array_equal(batch.sup.x[5:10], ep.x_support)
     np.testing.assert_array_equal(batch.query_rows, [0] * 5 + [1] * 5 + [0] * 5 + [1] * 3
                                   + [0] * 14)
     assert batch.t_support.tolist() == [5, 5] and batch.t_query.tolist() == [5, 3]
     # every view is read from the rows each time: an in-place edit shows in all of them
     batch.x[14, 0] += 7.0  # session 1's last support
     batch.x[17, 0] -= 7.0  # its last query
-    for got, want in ((batch.seq_x[1, 4, 0], ep.x_support[4, 0] + np.float32(7.0)),
-                      (batch.sup_x[1, 4, 0], ep.x_support[4, 0] + np.float32(7.0)),
-                      (batch.seq_x[1, 7, 0], short.x_query[2, 0] - np.float32(7.0)),
+    for got, want in ((batch.sup.x[9, 0], ep.x_support[4, 0] + np.float32(7.0)),
                       (batch.queries(batch.x)[1, 2, 0], short.x_query[2, 0] - np.float32(7.0))):
         assert got == want
-    assert not batch.queries(batch.x)[1, 3:].any() and not batch.seq_x[1, 8:].any()  # padding zero
+    assert not batch.queries(batch.x)[1, 3:].any()  # padding zero
 
 
 def test_a_corpus_set_stores_its_rows_and_no_padded_block(tmp_path):

@@ -57,7 +57,9 @@ def _padded(rows, counts):
 
 
 def _padded_labels(labels, counts):
-    out = np.zeros(_real(counts).shape, np.asarray(labels).dtype)
+    """``labels [N, ...]``'s sessions as a padded ``[B, max(counts), ...]`` array."""
+    labels = np.asarray(labels)
+    out = np.zeros(_real(counts).shape + labels.shape[1:], labels.dtype)
     out[_real(counts)] = labels[: int(np.sum(counts))]
     return out
 
@@ -67,10 +69,11 @@ def ref_forward_metric(model, batch) -> MetricOut:
     row-wise layers went to the packed rows: everything on the padded halves of a batch."""
     kind = model.config.kind
     w = model.config.width
-    b, s_max, _ = batch.sup_x.shape
+    sup_x = _padded_labels(batch.sup.x, batch.t_support)
+    b, s_max, _ = sup_x.shape
     qry_x = batch.queries(batch.x)
     q_max = qry_x.shape[1]
-    f_s = T.relu(model._linear("embed", Tensor(batch.sup_x[..., :-2])))
+    f_s = T.relu(model._linear("embed", Tensor(sup_x[..., :-2])))
     f_q = T.relu(model._linear("embed", Tensor(qry_x[..., :-2])))
 
     fs_b = T.broadcast_to(T.reshape(f_s, (b, s_max, 1, w)), (b, s_max, q_max, w))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from handmade import Episode, corpus_order_predictions, make_batch, padded_conv_stacks
+from handmade import Episode, corpus_order_predictions, make_batch, padded_forward
 
 from seqskip import nn
 from seqskip import tensor as T
@@ -20,7 +20,7 @@ from seqskip.models import (
     build,
     default_config,
 )
-from seqskip.dataio import Batch, fit_stats, load_corpus, make_batches
+from seqskip.dataio import Batch, fit_stats, load_corpus, make_batches, prefix_mask
 from seqskip.synthgen import SynthConfig, generate
 from seqskip.trainer import batch_loss, build_episodes, load_model, predict_corpus
 
@@ -146,12 +146,17 @@ def test_teacher_demands_query_logs():
 
 
 def test_transformer_positional_table_limit():
+    # A session of 21 rows among shorter ones has no position embedding for its
+    # last row: the forward names the table instead of failing on the lookup.
     rng = np.random.default_rng(0)
     ep = _episode(rng, length=10)
     ep.x_query = np.concatenate([ep.x_query] * 4)[:16]  # timeline 5+16 > 20
     ep.y_query = np.concatenate([ep.y_query] * 4)[:16]
-    with pytest.raises(ValidationError, match="positional"):
-        _model("transformer").forward_sequence(make_batch([ep]))
+    model = _model("transformer")
+    with pytest.raises(ValidationError, match="timeline length 21 exceeds the positional table"):
+        model.forward_sequence(make_batch([_episode(rng, 4), ep, _episode(rng, 20)]))
+    ep.x_query, ep.y_query = ep.x_query[:15], ep.y_query[:15]  # 20 rows fit
+    assert model.forward_sequence(make_batch([_episode(rng, 4), ep])).shape == (32,)
 
 
 # -- outputs -----------------------------------------------------------
@@ -209,7 +214,7 @@ def test_seq1hl_loss_tape_node_budget():
     rng = np.random.default_rng(6)
     batch = make_batch([_episode(rng, int(rng.integers(10, 21))) for _ in range(64)])
     loss = batch_loss(_model("seq1HL", width=32), batch)
-    assert batch.seq_x.shape[0] == 64
+    assert len(batch) == 64
     assert 10 <= _tape_op_nodes(loss) <= 30
 
 
@@ -229,9 +234,9 @@ def test_gated_level_kind_loss_tape_node_budget(kind, budget):
 
 def test_masked_multihead_attention_is_one_tape_node():
     rng = np.random.default_rng(7)
-    q, k, v = (T.Tensor(rng.normal(size=(4, 6, 32)), requires_grad=True) for _ in range(3))
-    mask = np.tril(np.ones((6, 6)))[None].repeat(4, axis=0)
-    assert _tape_op_nodes(nn.attention(q, k, v, mask=nn.AttentionMask.of(mask), heads=8)) == 1
+    q, k, v = (T.Tensor(rng.normal(size=(32, 32)), requires_grad=True) for _ in range(3))
+    lengths = np.array([6, 3, 6, 1])
+    assert _tape_op_nodes(nn.attention(q, k, v, lengths, causal=True, heads=8)) == 1
 
 
 @pytest.mark.parametrize("kind,budget", [("transformer", 60), ("snail", 55), ("att_pair", 45)])
@@ -299,10 +304,13 @@ def test_padding_does_not_change_predictions():
 
 
 # OpenBLAS picks its sgemm kernel by matrix shape, so the rounding of a
-# dot product can depend on how many rows and columns share the call: on
-# how many sessions share a batch and how far they pad. The differences
-# seen are at most 1.2e-7, float32's machine epsilon; this allows about
-# twice that.
+# dot product can depend on how long the call's rows and columns are. Every
+# sequence kind's row layers run on a batch's rows, so what is left of that
+# in a sequence kind is the attention block: its score and value products
+# are as long as the longest timeline (or support half) among the batch's
+# sessions. The metric family's pair and user products are shaped by the
+# batch too. The differences seen are at most 1.2e-7, float32's machine
+# epsilon; this allows about twice that.
 BATCH_MATE_TOLERANCE = 2.5e-7
 
 
@@ -353,10 +361,8 @@ def test_padding_contents_reach_no_output_or_gradient(markov_corpus, kind, gate)
 
     inert = []
     for batch in list(make_batches(episodes, 29))[:4]:
-        assert all((m == 0).any() for m in (batch.seq_mask, batch.sup_mask, batch.qry_mask))
+        assert all((m == 0).any() for m in (batch.sup_mask, batch.qry_mask))
         filled = _with_padding_filled(batch, 1e3)
-        assert (filled.seq_x[batch.seq_mask == 0] == 1e3).all()
-        assert (filled.sup_x[batch.sup_mask == 0] == 1e3).all()
         assert (filled.qry_y[batch.qry_mask == 0] == 1e3).all()
         real = int(batch.lengths.sum())
         assert (filled.x[real:] == 1e3).all() and (filled.y[real:] == 1e3).all()
@@ -372,13 +378,15 @@ CONV_STACK_KINDS = ("seq1eH", "seq1HL", "teacher")
 def test_probabilities_do_not_depend_on_batch_mates(markov_corpus, kind):
     # 300 sessions in batches of 64 end in a partial batch. Scored in
     # length-bucketed batches, eight kinds give every session the bits it
-    # gets in corpus-order batches. att_pair does not: the key-query score
-    # GEMM over its padded supports rounds by the batch's support and
-    # timeline lengths. Scored alone (batch 1), the other padded kinds and
-    # the metric family move some sessions in the last bit, for the same
-    # reason. The conv stacks do not: they run on a batch's rows, whose
-    # count is a multiple of 16 with any batch-mates, so each GEMM row keeps
-    # its bits.
+    # gets in corpus-order batches. att_pair does not: its attention block is
+    # as long as the batch's longest support half and timeline, and the
+    # key-query score GEMM rounds by those lengths. Scored alone (batch 1),
+    # snail and the transformer may move a session in the last bit for the
+    # same reason, their blocks being as long as the batch's longest
+    # timeline, and the metric family by the shapes of its pair and user
+    # products. The conv stacks do not: every layer they have runs on a
+    # batch's rows, whose count is a multiple of 16 with any batch-mates, so
+    # each GEMM row keeps its bits.
     schema, sessions, features, stats = markov_corpus
     episodes = build_episodes(sessions, features, stats, schema, kind)
     model = build(default_config(kind, width=32), schema.full_width)
@@ -398,18 +406,20 @@ def test_probabilities_do_not_depend_on_batch_mates(markov_corpus, kind):
 def _ragged_batch(rng, keep_logs):
     # 64 sessions of 2 to 20 rows; their real rows are no multiple of 16.
     batch = make_batch([_episode(rng, int(rng.integers(2, 21)), keep_logs) for _ in range(64)])
-    assert batch.seq_mask.sum() % 16
+    assert batch.lengths.sum() % 16
     return batch
 
 
 @pytest.mark.parametrize("gate", ["highway", "glu"])
-@pytest.mark.parametrize("kind", CONV_STACK_KINDS)
+@pytest.mark.parametrize("kind", SEQUENCE_KINDS)
 def test_packed_conv_stacks_give_the_padded_bits(kind, gate):
+    # Every row layer of every sequence kind gives each real row the bits it
+    # gets on the padded timeline; attention builds its block inside its node.
     rng = np.random.default_rng(9)
     batch = _ragged_batch(rng, kind == "teacher")
     model = build(default_config(kind, width=32, gate=gate, seed=3), IN_DIM)
-    real = batch.seq_mask > 0
-    want = padded_conv_stacks(model, batch).data
+    real = prefix_mask(batch.lengths)
+    want = padded_forward(model, batch)
     got = model.forward_sequence(batch).data
     assert got.shape == batch.y.shape and len(got) > real.sum()
     assert got[: real.sum()].tobytes() == want[real].tobytes()
@@ -417,29 +427,30 @@ def test_packed_conv_stacks_give_the_padded_bits(kind, gate):
         assert model.forward_sequence(batch).data.tobytes() == got.tobytes()
 
 
-@pytest.mark.parametrize("kind", CONV_STACK_KINDS)
+@pytest.mark.parametrize("kind", SEQUENCE_KINDS)
 def test_inert_rows_move_no_real_row(kind):
     # The rows that round a batch up to 16 hold noise instead of zeros: no
     # real row's logit, nor the loss or a parameter gradient, may change.
     rng = np.random.default_rng(10)
-    batch = _ragged_batch(rng, kind == "teacher")
-    model = _model(kind, width=32)
+    for gate in ("highway", "glu"):
+        batch = _ragged_batch(rng, kind == "teacher")
+        model = build(default_config(kind, width=32, gate=gate), IN_DIM)
 
-    def run():
-        model.zero_grad()
-        logits = model.forward_sequence(batch).data
-        loss = batch_loss(model, batch)
-        loss.backward()
-        return logits, float(loss.data), model.gradient().copy()
+        def run():
+            model.zero_grad()
+            logits = model.forward_sequence(batch).data
+            loss = batch_loss(model, batch)
+            loss.backward()
+            return logits, float(loss.data), model.gradient().copy()
 
-    clean = run()
-    n = int(batch.lengths.sum())
-    assert len(batch.x) > n and not batch.x[n:].any()
-    batch.x[n:] = rng.normal(0.0, 3.0, size=batch.x[n:].shape)
-    noisy = run()
-    assert noisy[0][:n].tobytes() == clean[0][:n].tobytes()
-    assert noisy[1] == clean[1]
-    assert noisy[2].tobytes() == clean[2].tobytes() and np.any(clean[2] != 0)
+        clean = run()
+        n = int(batch.lengths.sum())
+        assert len(batch.x) > n and not batch.x[n:].any()
+        batch.x[n:] = rng.normal(0.0, 3.0, size=batch.x[n:].shape)
+        noisy = run()
+        assert noisy[0][:n].tobytes() == clean[0][:n].tobytes(), gate
+        assert noisy[1] == clean[1], gate
+        assert noisy[2].tobytes() == clean[2].tobytes() and np.any(clean[2] != 0), gate
 
 
 def test_att_pair_query_causality():

@@ -75,12 +75,13 @@ def test_instance_norm_hand_case():
 
 
 def test_instance_norm_mask_ignores_padding():
-    x = _column([1.0, 2.0, 3.0, 99.0])[None]
-    mask = _column([1.0, 1.0, 1.0, 0.0])[None]
-    out = nn.instance_norm(Tensor(x), Tensor(np.ones(1)), Tensor(np.zeros(1)),
-                           mask=mask)
+    # The rows of a session of 3, then an inert row: the session's statistics
+    # leave the inert row out, which is its own session and comes out as beta.
+    x = _column([1.0, 2.0, 3.0, 99.0])
+    out = nn.instance_norm(Tensor(x), Tensor(np.ones(1)), Tensor(np.array([0.5])),
+                           nn.Rows.packed([3], 4))
     np.testing.assert_allclose(
-        out.data[0, :3, 0], [-1.2247357, 0.0, 1.2247357], rtol=1e-6)
+        out.data[:, 0], [-0.7247357, 0.5, 1.7247357, 0.5], rtol=1e-6)
 
 
 def test_channel_norm_normalizes_across_channels():
@@ -99,33 +100,37 @@ def test_attention_hand_case():
     q = Tensor(np.array([[1.0, 0.0]]))
     k = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
     v = Tensor(np.array([[1.0], [0.0]]))
-    np.testing.assert_allclose(nn.attention(q, k, v).data, [[0.6697616]],
+    np.testing.assert_allclose(nn.attention(q, k, v, [1], [2]).data, [[0.6697616]],
                                rtol=1e-6)
     # The identity as values reads out the weights themselves.
-    np.testing.assert_allclose(nn.attention(q, k, Tensor(np.eye(2))).data,
+    np.testing.assert_allclose(nn.attention(q, k, Tensor(np.eye(2)), [1], [2]).data,
                                [[0.6697616, 0.3302384]], rtol=1e-6)
 
 
 def test_attention_mask_excludes_keys():
+    # One session of one key row, then an inert row that would dominate.
     q = Tensor(np.array([[1.0, 0.0]]))
-    k = Tensor(np.array([[5.0, 0.0], [0.0, 1.0]]))
-    v = Tensor(np.array([[1.0], [0.0]]))
-    mask = nn.AttentionMask.of(np.array([[False, True]]))
-    out = nn.attention(q, k, v, mask=mask)
+    k = Tensor(np.array([[0.0, 1.0], [5.0, 0.0]]))
+    v = Tensor(np.array([[0.0], [1.0]]))
+    out = nn.attention(q, k, v, [1], [1])
     np.testing.assert_allclose(out.data, [[0.0]])  # only the zero value visible
-    w = nn.attention(q, k, Tensor(np.eye(2)), mask=mask).data
-    np.testing.assert_allclose(w, [[0.0, 1.0]])
+    w = nn.attention(q, k, Tensor(np.eye(2)), [1], [1]).data
+    np.testing.assert_allclose(w, [[1.0, 0.0]])
+    # Causal: a session's row t reads its rows 0..t only.
+    x = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [9.0, 9.0]]))
+    w = nn.attention(x, x, Tensor(np.eye(3)), [1, 2], causal=True).data
+    np.testing.assert_allclose(w[:2], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 def test_multihead_splits_dimensions():
     rng = np.random.default_rng(3)
-    q = Tensor(rng.normal(size=(2, 3, 8)))
-    k = Tensor(rng.normal(size=(2, 5, 8)))
-    v = Tensor(rng.normal(size=(2, 5, 8)))
-    out = nn.attention(q, k, v, heads=4)
-    assert out.shape == (2, 3, 8)
+    q = Tensor(rng.normal(size=(6, 8)))
+    k = Tensor(rng.normal(size=(10, 8)))
+    v = Tensor(rng.normal(size=(10, 8)))
+    out = nn.attention(q, k, v, [3, 3], [5, 5], heads=4)
+    assert out.shape == (6, 8)
     with pytest.raises(ConfigurationError):
-        nn.attention(q, k, v, heads=3)  # 8 not divisible by 3
+        nn.attention(q, k, v, [3, 3], [5, 5], heads=3)  # 8 not divisible by 3
 
 
 def _logit(p):
@@ -204,7 +209,7 @@ def test_attention_weights_are_convex(seed):
     rng = np.random.default_rng(seed)
     q = Tensor(rng.normal(size=(3, 4)))
     k = Tensor(rng.normal(size=(5, 4)))
-    w = nn.attention(q, k, Tensor(np.eye(5))).data  # identity values: the weights
+    w = nn.attention(q, k, Tensor(np.eye(5)), [3], [5]).data  # identity values: the weights
     assert np.all(w >= 0)
     np.testing.assert_allclose(w.sum(axis=-1), np.ones(3), rtol=1e-6)
 

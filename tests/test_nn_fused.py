@@ -1,11 +1,12 @@
 """Fused layer ops against the compositions they replace.
 
-Each linear layer, conv, norm, gate, gated conv level, unpad, softmax,
-attention and binary cross entropy call in ``nn`` records one tape node with a
+Each linear layer, conv, norm, gate, gated conv level, softmax, attention
+and binary cross entropy call in ``nn`` records one tape node with a
 hand-written backward. The reference helpers below rebuild each op the
 way ``nn`` computed it before the op was fused: from tensor primitives,
-or for a gated level from the fused conv, norm and gate nodes. Forward
-values and every input gradient are compared in float64.
+or for a gated level from the fused conv, norm and gate nodes; an op on a
+batch's rows against its composition on the padded block of the rows'
+sessions. Forward values and every input gradient are compared in float64.
 """
 
 import tracemalloc
@@ -16,7 +17,7 @@ from handmade import Episode, make_batch
 
 from seqskip import nn
 from seqskip import tensor as T
-from seqskip.dataio import PACK_ROWS
+from seqskip.dataio import PACK_ROWS, prefix_mask
 from seqskip.errors import ConfigurationError, MaskingError, ValidationError
 from seqskip.models import KINDS, ModelConfig, build
 from seqskip.nn import CAUSAL, NONCAUSAL, Conv1dSpec
@@ -82,12 +83,22 @@ def ref_channel_norm(x, gamma, beta, epsilon=1e-5):
     return T.add(T.mul(T.mul(centered, inv), gamma), beta)
 
 
-def ref_unpad(values, mask, n):
-    """A padded head's real places gathered into rows by a 0/1 matrix product."""
-    real = np.asarray(mask) != 0
+def ref_block(x, lengths):
+    """The rows ``x [N, d]`` of sessions of ``lengths`` as their zero-padded ``[B, T, d]``
+    block, by a 0/1 matrix product."""
+    real = prefix_mask(np.asarray(lengths))
+    put = np.zeros((real.size, x.shape[0]))
+    put[np.flatnonzero(real), np.arange(real.sum())] = 1.0
+    return T.reshape(T.matmul(Tensor(put), x), real.shape + x.shape[1:])
+
+
+def ref_rows(block, lengths, n):
+    """The places of sessions of ``lengths`` in a ``[B, T, d]`` block as the first rows of
+    ``[n, d]``, zeros after them, by a 0/1 matrix product."""
+    real = prefix_mask(np.asarray(lengths))
     take = np.zeros((n, real.size))
     take[np.arange(real.sum()), np.flatnonzero(real)] = 1.0
-    return T.reshape(T.matmul(Tensor(take), T.reshape(values, (real.size, 1))), (n,))
+    return T.matmul(Tensor(take), T.reshape(block, (real.size, block.shape[-1])))
 
 
 def _ref_log(x):
@@ -164,16 +175,22 @@ def ref_attention(q, k, v, mask=None, heads=1):
     return _ref_merge_heads(T.matmul(weights, _ref_split_heads(v, heads)))
 
 
-def prepared(mask):
-    """``mask`` as :func:`nn.attention` takes it."""
-    return None if mask is None else nn.AttentionMask.of(mask)
+def length_mask(q_lengths, k_lengths, causal):
+    """The ``[B, n, m]`` mask of sessions of ``q_lengths`` queries over ``k_lengths`` keys."""
+    n = int(np.max(q_lengths))
+    admit = np.repeat(prefix_mask(np.asarray(k_lengths))[:, None, :], n, axis=1)
+    if causal:
+        admit &= np.tril(np.ones(admit.shape[1:], dtype=bool))
+    return admit
 
 
-def weights_of(q, k, mask=None):
-    """Single-head attention weights ``[..., n, m]``: attention over identity values."""
-    m = k.shape[-2]
-    eye = np.broadcast_to(np.eye(m, dtype=q.dtype), k.shape[:-1] + (m,)).copy()
-    return nn.attention(q, k, Tensor(eye), mask=prepared(mask)).data
+def ref_attention_rows(q, k, v, q_lengths, k_lengths=None, causal=False, heads=1):
+    """:func:`nn.attention` as the padded composition it replaces: the rows to zero-padded
+    blocks, masked attention over the blocks, and the real places back to rows."""
+    k_lengths = q_lengths if k_lengths is None else k_lengths
+    blocks = [ref_block(q, q_lengths), ref_block(k, k_lengths), ref_block(v, k_lengths)]
+    out = ref_attention(*blocks, mask=length_mask(q_lengths, k_lengths, causal), heads=heads)
+    return ref_rows(out, q_lengths, q.shape[0])
 
 
 # -- comparison harness ----------------------------------------------------
@@ -256,30 +273,6 @@ def test_conv_on_packed_rows_matches_per_session_composition(mode, dilation):
         lambda xx, *p: ref_conv1d(xx, spec, *p, rows=rows),
         [x, rng.normal(size=(4, 3, k)), rng.normal(size=(4,))],
     )
-
-
-def test_unpad_matches_composition():
-    rng = np.random.default_rng(15)
-    mask = np.arange(20) < np.array(RAGGED)[:, None]
-    assert_same_op(
-        lambda v: nn.unpad(v, mask, 48),
-        lambda v: ref_unpad(v, mask, 48),
-        [3.0 * rng.normal(size=(5, 20, 1))],
-    )
-    for values, n in ((np.zeros((5, 20, 1)), 34),  # one row short
-                      (np.zeros((5, 20)), 48), (np.zeros((5, 19, 1)), 48)):
-        with pytest.raises(ConfigurationError):
-            nn.unpad(Tensor(values), mask, n)
-
-
-def test_unpad_is_one_node_whose_gradient_skips_padding():
-    mask = np.arange(3) < np.array([[3], [1]])
-    values = Tensor(np.arange(6.0).reshape(2, 3, 1), requires_grad=True)
-    out = nn.unpad(values, mask, 16)
-    assert out.data.tolist() == [0.0, 1.0, 2.0, 3.0] + [0.0] * 12
-    assert out._parents == (values,)
-    T.reduce_sum(T.mul(out, Tensor(np.arange(1.0, 17.0)))).backward()
-    assert values.grad[..., 0].tolist() == [[1.0, 2.0, 3.0], [4.0, 0.0, 0.0]]
 
 
 def test_conv_kernel_is_one_tape_node():
@@ -395,20 +388,24 @@ def test_channel_norm_matches_composition(shape):
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("shape", [(3, 9, 4), (9, 4)])
 def test_instance_norm_matches_composition(masked, shape):
+    # masked: the rows of sessions of ragged lengths against the masked norm over
+    # their padded block, the composition the norm on rows replaced.
     rng = np.random.default_rng(7 + masked)
-    mask = None
-    if masked:
-        mask = np.ones(shape[:-1] + (1,))
-        mask[..., 6:, :] = 0.0
-        if len(shape) == 3:
-            mask[1, 3:] = 0.0  # a shorter row in the batch
     c = shape[-1]
-    arrays = [rng.normal(size=shape), rng.uniform(0.5, 1.5, (c,)), rng.normal(size=(c,))]
-    assert_same_op(
-        lambda x, g, b: nn.instance_norm(x, g, b, mask=mask),
-        lambda x, g, b: ref_instance_norm(x, g, b, mask=mask),
-        arrays,
-    )
+    params = [rng.uniform(0.5, 1.5, (c,)), rng.normal(size=(c,))]
+    if not masked:
+        assert_same_op(nn.instance_norm, ref_instance_norm, [rng.normal(size=shape)] + params)
+        return
+    lengths = [6, 3, 9] if len(shape) == 3 else [6]
+    rows = nn.Rows(lengths, (sum(lengths),))
+    mask = prefix_mask(np.array(lengths))[..., None]
+
+    def padded(x, g, b):
+        return ref_rows(ref_instance_norm(ref_block(x, lengths), g, b, mask=mask), lengths,
+                        x.shape[0])
+
+    assert_same_op(lambda x, g, b: nn.instance_norm(x, g, b, rows), padded,
+                   [rng.normal(size=(sum(lengths), c))] + params)
 
 
 # -- gates ---------------------------------------------------------------------
@@ -646,98 +643,81 @@ def test_softmax_matches_composition(axis):
     )
 
 
-def _single_key_rows(rng, shape):
-    """A random boolean mask ``[..., n, m]`` whose first rows admit one key each."""
-    mask = rng.random(shape) < 0.5
-    mask[..., 0] = True
-    mask[..., 0, 1:] = False  # row 0 admits key 0 only
-    mask[..., 1, :] = False
-    mask[..., 1, -1] = True  # row 1 admits the last key only
-    return mask
-
-
 ATTENTION_CASES = {
-    # name: (lead, n, m, d_k, d_v, heads, mask kind)
-    "unbatched_1head": ((), 3, 5, 4, 3, 1, None),
-    "unbatched_8head": ((), 5, 3, 16, 8, 8, None),
-    "batched_1head_masked": ((2,), 4, 6, 4, 2, 1, "single"),
-    "batched_8head_causal": ((3,), 6, 6, 16, 16, 8, "causal"),
-    "att_pair_support": ((3,), 6, 4, 8, 8, 1, "support"),
+    # name: (query lengths, key lengths (None: the queries'), d_k, d_v, heads, causal)
+    "unbatched_1head": ((3,), (5,), 4, 3, 1, False),
+    "unbatched_8head": ((5,), (3,), 16, 8, 8, False),
+    "batched_1head_masked": ((4, 2), (6, 3), 4, 2, 1, False),
+    "batched_8head_causal": ((6, 4, 1), None, 16, 16, 8, True),
+    "batched_8head_causal_one_length": ((4, 4, 4), None, 16, 16, 8, True),
+    "att_pair_support": ((6, 3, 5), (4, 1, 2), 8, 8, 1, False),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
 def test_attention_matches_composition(case):
-    lead, n, m, dk, dv, heads, mask_kind = ATTENTION_CASES[case]
+    # The rows of ragged sessions, 3 inert rows after each side's, against masked
+    # attention over their zero-padded blocks.
+    q_lengths, k_lengths, dk, dv, heads, causal = ATTENTION_CASES[case]
     rng = np.random.default_rng(len(case))
-    mask = None
-    if mask_kind == "single":
-        mask = _single_key_rows(rng, lead + (n, m))
-    elif mask_kind == "causal":
-        valid = np.ones(lead + (m,), dtype=bool)
-        valid[0, -2:] = False  # a padded tail
-        mask = np.tril(np.ones((n, m), dtype=bool)) & valid[..., None, :]
-    elif mask_kind == "support":
-        # att_pair: every query row sees the valid support keys, [B, T, S]
-        valid = rng.random(lead + (m,)) < 0.6
-        valid[..., 0] = True
-        mask = np.repeat(valid[..., None, :], n, axis=-2)
-    arrays = [rng.normal(size=lead + (n, dk)), rng.normal(size=lead + (m, dk)),
-              rng.normal(size=lead + (m, dv))]
+    n_k = sum(q_lengths if k_lengths is None else k_lengths) + 3
+    arrays = [rng.normal(size=(sum(q_lengths) + 3, dk)), rng.normal(size=(n_k, dk)),
+              rng.normal(size=(n_k, dv))]
     assert_same_op(
-        lambda q, k, v: nn.attention(q, k, v, mask=prepared(mask), heads=heads),
-        lambda q, k, v: ref_attention(q, k, v, mask=mask, heads=heads),
+        lambda q, k, v: nn.attention(q, k, v, q_lengths, k_lengths, causal, heads),
+        lambda q, k, v: ref_attention_rows(q, k, v, q_lengths, k_lengths, causal, heads),
         arrays,
     )
-    if mask_kind == "support":
+    if case == "att_pair_support":
         # att_pair passes one tensor as keys and values
         assert_same_op(
-            lambda q, s: nn.attention(q, s, s, mask=prepared(mask)),
-            lambda q, s: ref_attention(q, s, s, mask=mask),
+            lambda q, s: nn.attention(q, s, s, q_lengths, k_lengths),
+            lambda q, s: ref_attention_rows(q, s, s, q_lengths, k_lengths),
             arrays[:2],
         )
-    if heads == 1:
-        q, k = Tensor(arrays[0]), Tensor(arrays[1])
-        want = ref_attention_weights(q, k, mask).data
-        assert np.max(np.abs(weights_of(q, k, mask) - want)) <= TOL
-
-
-def test_attention_float_masks_act_as_boolean():
-    rng = np.random.default_rng(12)
-    q, k, v = (Tensor(rng.normal(size=(2, 4, 8))) for _ in range(3))
-    mask = _single_key_rows(rng, (2, 4, 4))
-    want = nn.attention(q, k, v, mask=prepared(mask), heads=2).data
-    want_w = weights_of(q, k, mask)
-    for scale in (2.0, 0.5):
-        scaled = scale * mask.astype(np.float64)
-        got = nn.attention(q, k, v, mask=prepared(scaled), heads=2).data
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(weights_of(q, k, scaled), want_w)
 
 
 def test_prepared_attention_mask_gives_the_same_bits():
-    # A forward prepares its mask once and shares it between its attention
-    # calls; each call must give the bits of a mask made for it alone, in both
-    # widths, so no call changes the shared fill.
+    # Attention used to take zero-padded [B, T, d] blocks and a mask prepared
+    # from a [B, n, m] array as its additive fill. The node on rows reads real
+    # rows into its padding places and builds the fill from the lengths: every
+    # real query row keeps the bits of that path, in both widths, causal or not.
     rng = np.random.default_rng(14)
-    mask = _single_key_rows(rng, (2, 5, 5))
-    shared = nn.AttentionMask.of(mask)
+    q_lengths, real = np.array([5, 2, 4]), prefix_mask(np.array([5, 2, 4]))
     for dtype in (np.float32, np.float64):
-        q, k, v = (Tensor(rng.normal(size=(2, 5, 8)).astype(dtype)) for _ in range(3))
-        for _ in range(2):
-            want = nn.attention(q, k, v, mask=nn.AttentionMask.of(mask), heads=2)
-            got = nn.attention(q, k, v, mask=shared, heads=2)
-            assert got.dtype == want.dtype and got.data.tobytes() == want.data.tobytes()
-    with pytest.raises(ConfigurationError, match="mask fill"):
-        nn.attention(q, k, v, mask=nn.AttentionMask.of(mask[:1]), heads=2)
+        for causal, k_lengths in ((False, np.array([3, 5, 1])), (True, None)):
+            q, k, v = (rng.normal(size=(16, 8)).astype(dtype) for _ in range(3))
+            blocks = []
+            kl = q_lengths if causal else k_lengths
+            for rows, lengths in ((q, q_lengths), (k, kl), (v, kl)):
+                block = np.zeros(prefix_mask(lengths).shape + (8,), dtype)
+                block[prefix_mask(lengths)] = rows[: lengths.sum()]
+                blocks.append(block)
+            qh, kh, vh = (nn._heads_view(block, 2) for block in blocks)
+            admit = np.moveaxis(length_mask(q_lengths, kl, causal), -1, 0)[:, None]
+            fill = np.where(admit, np.float32(0), np.float32(-1e9))
+            p = nn._attention_probs(qh, kh, fill, 0.5)
+            want = nn._matmul_merged(np.moveaxis(p, 0, -1), vh, blocks[0].shape, 2)
+            got = nn.attention(Tensor(q), Tensor(k), Tensor(v), q_lengths, k_lengths, causal, 2)
+            assert got.dtype == want.dtype
+            assert got.data[: real.sum()].tobytes() == want[real].tobytes()
+            assert not got.data[real.sum() :].any()
 
 
 def test_attention_rejects_fully_blocked_row():
+    # A session with no key rows leaves its queries nothing to attend to.
     rng = np.random.default_rng(13)
-    q, k, v = (Tensor(rng.normal(size=(2, 3, 4))) for _ in range(3))
-    mask = np.ones((2, 3, 3), dtype=bool)
-    mask[1, 2] = False  # one row of one batch element sees no key
+    q, k, v = (Tensor(rng.normal(size=(6, 4))) for _ in range(3))
     with pytest.raises(MaskingError):
-        nn.AttentionMask.of(mask)
-    with pytest.raises(MaskingError):
-        weights_of(q, k, mask)
+        nn.attention(q, k, v, [3, 3], [3, 0])
+    for bad in (
+        lambda: nn.attention(q, k, v, [4, 3]),  # more query rows than there are
+        lambda: nn.attention(q, k, v, [3, 3], [4, 3]),  # more key rows than there are
+        lambda: nn.attention(q, k, Tensor(np.ones((5, 4))), [3, 3]),  # keys without values
+        lambda: nn.attention(q, Tensor(np.ones((6, 3))), v, [3, 3]),  # keys of another width
+        lambda: nn.attention(Tensor(np.ones((1, 6, 4))), k, v, [3, 3]),  # not rows
+        lambda: nn.attention(q, k, v, [3, 3], [3, 2, 1]),  # other sessions
+        lambda: nn.attention(q, k, v, [3, 3], [3, 3], causal=True),  # causal over other keys
+    ):
+        with pytest.raises(ConfigurationError):
+            bad()

@@ -189,7 +189,7 @@ def test_predict_corpus_batches_by_length_with_ties_in_corpus_order(episodes, mo
 
     monkeypatch.setattr(trainer, "make_batches", recording)
     predict_corpus(model, eps, batch_size=8)
-    length = dict(zip(eps.session_ids, eps.seq_mask.sum(axis=1)))
+    length = dict(zip(eps.session_ids, eps.lengths))
     assert len(set(length.values())) < len(eps)  # the corpus has ties
     position = {sid: i for i, sid in enumerate(eps.session_ids)}
     keys = [(length[sid], position[sid]) for sid in scored]
@@ -204,8 +204,8 @@ def test_predict_corpus_writes_each_session_back_to_its_slot(episodes, batch_siz
     # the whole corpus of 60.
     schema, _, eps = episodes
     if presorted:
-        eps = eps[np.argsort(eps.seq_mask.sum(axis=1), kind="stable")]
-    assert presorted or np.any(np.diff(eps.seq_mask.sum(axis=1)) < 0)
+        eps = eps[np.argsort(eps.lengths, kind="stable")]
+    assert presorted or np.any(np.diff(eps.lengths) < 0)
     model = build(default_config("rnb1", width=8), schema.full_width)
     got = predict_corpus(model, eps, batch_size)
     want = corpus_order_predictions(model, eps, batch_size)
