@@ -730,15 +730,13 @@ class HalfRows(NamedTuple):
 
 
 class Halves(NamedTuple):
-    """A batch's support and query rows with the padded labels and masks, each derived
-    once; read by name, like the :class:`Batch` views of the same names."""
+    """A batch's support and query rows with their padded labels, each derived once; read
+    by name, like the :class:`Batch` views of the same names."""
 
     sup: HalfRows
     sup_y: np.ndarray  # [B, S]
-    sup_mask: np.ndarray  # [B, S]
     qry: HalfRows
     qry_y: np.ndarray  # [B, Q]
-    qry_mask: np.ndarray  # [B, Q]
 
 
 @dataclass
@@ -748,9 +746,9 @@ class Batch:
     inert zero rows up to a multiple of :data:`PACK_ROWS`. BLAS rounds a GEMM's rows by how
     many share the call, so a layer on the rows gives a real row the same bits in any batch.
     A batch is one gather of its sessions' rows. The halves as rows (``sup`` and ``qry``,
-    stored alike), the padded ``[B, ...]`` labels and masks of the halves (``sup_*``,
-    ``qry_*``, and :meth:`queries` of any row array) and the ``[N]`` row masks, in ``x``'s
-    dtype, are derived each time they are read, so an in-place edit of ``x`` shows in them."""
+    stored alike), the padded ``[B, ...]`` labels of the halves (``sup_y``, ``qry_y``; any
+    row array through :meth:`queries`) and the query and row masks, in ``x``'s dtype, are
+    derived each time they are read, so an in-place edit of ``x`` shows in them."""
 
     session_ids: tuple[str, ...]
     x: np.ndarray  # [N, D] float32
@@ -793,9 +791,6 @@ class Batch:
         """The query half ``[B, Q, ...]`` of ``values [N, ...]``, one per row."""
         return self._padded(values, self.t_support, self.t_query)
 
-    def _mask(self, counts: np.ndarray) -> np.ndarray:
-        return prefix_mask(counts).astype(self.x.dtype)
-
     def _row_mask(self, offset, counts: np.ndarray) -> np.ndarray:  # [N]
         out = np.zeros(len(self.x), dtype=self.x.dtype)
         out[self._rows(offset, counts)] = 1
@@ -804,17 +799,16 @@ class Batch:
     real_rows = property(lambda self: self._row_mask(0, self.lengths))  # [N]
     query_rows = property(lambda self: self._row_mask(self.t_support, self.t_query))  # [N]
     sup_y = property(lambda self: self._padded(self.y, 0, self.t_support))  # [B, S]
-    sup_mask = property(lambda self: self._mask(self.t_support))  # [B, S]
     qry_y = property(lambda self: self.queries(self.y))  # [B, Q]
-    qry_mask = property(lambda self: self._mask(self.t_query))  # [B, Q]
+    qry_mask = property(lambda self: prefix_mask(self.t_query).astype(self.x.dtype))  # [B, Q]
     sup = property(lambda self: self._half_rows(0, self.t_support))  # rows, [n_s, D]
     qry = property(lambda self: self._half_rows(self.t_support, self.t_query))  # [n_q, D]
 
     def halves(self) -> Halves:
-        """The support and query rows and the padded labels and masks at once: a step that
-        reads several derives each once. Nothing is cached, so a later edit of the rows
-        shows in the next."""
-        return Halves(self.sup, self.sup_y, self.sup_mask, self.qry, self.qry_y, self.qry_mask)
+        """The support and query rows and their padded labels at once: a step that reads
+        several derives each once. Nothing is cached, so a later edit of the rows shows in
+        the next."""
+        return Halves(self.sup, self.sup_y, self.qry, self.qry_y)
 
     def __len__(self) -> int:
         return len(self.session_ids)

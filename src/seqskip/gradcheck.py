@@ -280,14 +280,14 @@ def _attention_case(heads, causal=False):
     def build(rng):
         # Rows of sessions of 3, 1 and 2 queries; causal attention reads their own rows,
         # cross attention 2, 4 and 1 key rows. Each side ends in 2 inert rows.
-        q_lengths, dk, dv = np.array([3, 1, 2]), 8, 8
-        k_lengths = None if causal else np.array([2, 4, 1])
+        rows, dk, dv = nn.Rows.packed([3, 1, 2], 8), 8, 8
+        k_rows = None if causal else nn.Rows.packed([2, 4, 1], 9)
         q = rng.normal(size=(8, dk))
         k = rng.normal(size=(8 if causal else 9, dk))
         v = rng.normal(size=(len(k), dv))
         r = rng.normal(size=(8, dv))
         return [q, k, v], lambda qq, kk, vv: _project(
-            nn.attention(qq, kk, vv, q_lengths, k_lengths, causal, heads), r
+            nn.attention(qq, kk, vv, rows, k_rows, causal, heads), r
         )
 
     return build

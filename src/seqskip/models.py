@@ -15,16 +15,19 @@ Two families share the Batch interface:
 Every head but the label votes emits logits, and ``Model.query_probs``
 is the one place they become probabilities.
 
-Every encoder runs channels-last, so every conv is one GEMM. Every
-sequence kind reads the batch's real rows ``Batch.x [N, D]`` and returns
-one logit per row; an ``nn.Rows`` table keeps each conv tap inside its
-session, and ``nn.attention`` takes each side's per-session lengths and
-builds its padded block and causal mask inside its own node. Causal
-stacks normalize per position over channels only, never over time, so
-strict causality and exact receptive fields survive normalization. The
-non-causal support encoder of att_pair runs on the support rows
-``Batch.sup`` and normalizes each session's rows over time instead, where
-looking ahead is the point.
+Each family's forward lays out its batch in one table, built once and
+read by every layer, head and loss that needs the layout. Every sequence
+kind reads the batch's real rows ``Batch.x [N, D]`` and returns one logit
+per row; its ``nn.Rows`` table of the timeline (and att_pair's of the
+support rows ``Batch.sup``) keeps each conv tap, norm and attention
+weight inside its session, gives the transformer its positions and plans
+attention's padded block. The metric family's ``nn.Pairs`` table lays out
+the (support, query) pairs for the relation net, heads, losses and
+``query_probs``. Every encoder runs channels-last, so every conv is one
+GEMM. Causal stacks normalize per position over channels only, never over
+time, so strict causality and exact receptive fields survive
+normalization. att_pair's non-causal support encoder normalizes each
+session's rows over time instead, where looking ahead is the point.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .dataio import Batch, Halves, prefix_mask
+from .dataio import Batch, Halves
 from .errors import ConfigurationError, ContractError, ValidationError
 from .nn import CAUSAL, NONCAUSAL, Conv1dSpec
 from .rng import rng_stream
@@ -89,25 +92,6 @@ STRUCTURE = {
     "teacher": _WAVENET._replace(stacks=2),
 }
 
-# Checkpoint meta written before the structure was derived from the kind
-# stores it next to the config, under these keys. Only the fields a kind's
-# build and forward read describe its model; the others never mattered.
-_LEGACY_KEYS = {
-    "stacks": "stack_count",
-    "dilations": "dilations",
-    "kernels": "kernel_sizes",
-    "heads": "heads",
-}
-_CONV_FIELDS = ("stacks", "dilations", "kernels")
-_LEGACY_READ = {
-    "seq1eH": _CONV_FIELDS,
-    "seq1HL": _CONV_FIELDS,
-    "teacher": _CONV_FIELDS,
-    "snail": ("dilations", "kernels", "heads"),
-    "att_pair": ("dilations", "kernels", "heads"),
-    "transformer": ("stacks", "heads"),
-}
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -136,18 +120,15 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
-        config = cls(
+        """The config :meth:`to_json` wrote. Any other key is refused: meta that stores a
+        structure (stacks, dilations, kernels, heads) next to the config predates the
+        structure coming from the kind, and states a model this config may not be."""
+        unknown = sorted(set(obj) - {"kind", "width", "gate", "seed"})
+        if unknown:
+            raise ValidationError(f"model meta has keys {unknown} that no model config holds")
+        return cls(
             kind=obj["kind"], width=int(obj["width"]), gate=obj["gate"], seed=int(obj["seed"])
         )
-        # Old meta loads only where it states the structure its kind has:
-        # a stored structure that differs describes another model.
-        for name in _LEGACY_READ.get(config.kind, ()):
-            key, want = _LEGACY_KEYS[name], getattr(config.structure, name)
-            if key in obj and obj[key] != (list(want) if isinstance(want, tuple) else want):
-                raise ValidationError(
-                    f"{config.kind} checkpoint stores {key}={obj[key]!r}; the kind has {want!r}"
-                )
-        return config
 
 
 def default_config(kind: str, width: int = 256, seed: int = 0, gate: str = "highway") -> ModelConfig:
@@ -267,6 +248,7 @@ class MetricOut:
 
     r: Tensor  # [B, S, Q] relation scores in (0,1)
     head: Tensor  # [B, Q] per query: a vote's probability (VOTE_KINDS), else a logit
+    pairs: nn.Pairs  # where the batch's pairs, supports and queries sit in r and head
 
 
 class Model:
@@ -340,7 +322,8 @@ class Model:
     # -- sequence family -----------------------------------------------
 
     def forward_sequence(self, batch: Batch) -> Tensor:
-        """Skip logits ``[N]``, one per row of ``batch.x``, over the merged timelines."""
+        """Skip logits ``[N]``, one per row of ``batch.x``, over the merged timelines. The
+        timeline's one row table is built here, and every layer of the forward reads it."""
         kind = self.config.kind
         forward = self.config.structure.forward
         if forward is None:
@@ -350,15 +333,14 @@ class Model:
                 "teacher requires episodes assembled with keep_query_logs=True; "
                 "this batch has zero-filled query logs"
             )
-        return getattr(self, forward)(batch)
+        return getattr(self, forward)(batch, nn.Rows.packed(batch.lengths, len(batch.x)))
 
-    def _forward_conv_stacks(self, batch: Batch, h: Tensor | None = None) -> Tensor:
+    def _forward_conv_stacks(self, batch: Batch, rows: nn.Rows, h: Tensor | None = None) -> Tensor:
         """The entry conv on ``h`` (the batch's rows when None), the causal gated levels
         and the head conv."""
-        w = self.config.width
-        rows = nn.Rows.packed(batch.lengths, len(batch.x))
         h = self._causal_stacks(Tensor(batch.x) if h is None else h, rows)
-        return T.reshape(self._conv("head", h, Conv1dSpec(w, 1, 1), rows), rows.shape)
+        return T.reshape(self._conv("head", h, Conv1dSpec(self.config.width, 1, 1), rows),
+                         rows.shape)
 
     def _causal_stacks(self, h: Tensor, rows: nn.Rows, entry: str = "entry",
                        level: str = "stack{s}.level{l}") -> Tensor:
@@ -370,16 +352,17 @@ class Model:
                 h = self._gated_level(level.format(s=s, l=l), h, d, k, rows)
         return h
 
-    def _forward_snail(self, batch: Batch) -> Tensor:
+    def _forward_snail(self, batch: Batch, rows: nn.Rows) -> Tensor:
         # Attention reads the raw rows (no embedding layer in front),
         # its output is concatenated back onto them, and the causal
         # stack consumes the pair.
         x = Tensor(batch.x)
         qkv = (self._linear(f"attn.{name}", x) for name in "qkv")
-        att = nn.attention(*qkv, batch.lengths, causal=True, heads=self.config.structure.heads)
-        return self._forward_conv_stacks(batch, T.concat([x, self._linear("attn.o", att)], -1))
+        att = nn.attention(*qkv, rows, causal=True, heads=self.config.structure.heads)
+        return self._forward_conv_stacks(batch, rows,
+                                         T.concat([x, self._linear("attn.o", att)], -1))
 
-    def _forward_transformer(self, batch: Batch) -> Tensor:
+    def _forward_transformer(self, batch: Batch, rows: nn.Rows) -> Tensor:
         structure = self.config.structure
         t_len = int(batch.lengths.max(initial=0))
         if t_len > MAX_POSITIONS:
@@ -388,7 +371,7 @@ class Model:
             )
         # Each real row's position embedding through a one-hot product, which picks it
         # exactly; inert rows add nothing.
-        time = np.nonzero(prefix_mask(batch.lengths))[1]
+        time = rows.time[: int(batch.lengths.sum())]
         at = np.zeros((len(batch.x), MAX_POSITIONS), batch.x.dtype)
         at[np.arange(len(time)), time] = 1
         h = T.add(self._linear("embed", Tensor(batch.x)), T.matmul(Tensor(at), self._p("pos")))
@@ -400,14 +383,14 @@ class Model:
             p = f"block{bidx}"
             n1 = ln(f"{p}.ln1", h)
             qkv = (self._linear(f"{p}.{name}", n1) for name in "qkv")
-            att = nn.attention(*qkv, batch.lengths, causal=True, heads=structure.heads)
+            att = nn.attention(*qkv, rows, causal=True, heads=structure.heads)
             h = T.add(h, self._linear(f"{p}.o", att))
             n2 = ln(f"{p}.ln2", h)
             ffn = self._linear(f"{p}.ffn.fc2", self._linear(f"{p}.ffn.fc1", n2, relu=True))
             h = T.add(h, ffn)
-        return T.reshape(self._linear("head", ln("final", h)), batch.y.shape)
+        return T.reshape(self._linear("head", ln("final", h)), rows.shape)
 
-    def _forward_att_pair(self, batch: Batch) -> Tensor:
+    def _forward_att_pair(self, batch: Batch, rows: nn.Rows) -> Tensor:
         w = self.config.width
         sup = batch.sup
         sup_rows = nn.Rows.packed(sup.counts, len(sup.x))
@@ -420,10 +403,8 @@ class Model:
                 for wt, gamma, beta in self._branches(f"sup.level{l}")
             ]
             s_enc = nn.gated_block(self.config.gate, s_enc, *pre)  # [n_s, W]
-        rows = nn.Rows.packed(batch.lengths, len(batch.x))
         q_enc = self._causal_stacks(Tensor(batch.x), rows, "qry.entry", "qry.level{l}")
-        att = nn.attention(q_enc, s_enc, s_enc, batch.lengths, sup.counts,
-                           heads=self.config.structure.heads)
+        att = nn.attention(q_enc, s_enc, s_enc, rows, sup_rows, heads=self.config.structure.heads)
         h = self._linear("comb", T.concat([q_enc, att], axis=-1), relu=True)
         return T.reshape(self._linear("head", h), rows.shape)
 
@@ -437,12 +418,13 @@ class Model:
         real row once with inert rows up to a multiple of ``dataio.PACK_ROWS``; the pair
         layers multiply the real rows and meet them per session (``nn.relation_logits``).
         The scores and heads keep the padded ``[B, S, Q]`` and ``[B, Q]`` layout, inert
-        past each session's places."""
+        past each session's places, which the returned ``nn.Pairs`` marks."""
         kind = self.config.kind
         if kind not in METRIC_KINDS:
             raise ContractError(f"{kind} is a sequence-family model; no relation scores")
-        sup, qry = views.sup, views.qry
-        sup_y, sup_mask = views.sup_y, views.sup_mask
+        sup, qry, sup_y = views.sup, views.qry, views.sup_y
+        pairs = nn.Pairs(sup.counts, qry.counts)
+        support = Tensor(pairs.support[:, :, None].astype(np.float32))  # [B, S, 1]
         f_s = self._linear("embed", Tensor(sup.x[:, :-2]), relu=True)  # [n_s, W]
         f_q = self._linear("embed", Tensor(qry.x[:, :-2]), relu=True)  # [n_q, W]
 
@@ -451,7 +433,6 @@ class Model:
         # The relation net and wsum read each (support, query, label, user)
         # pair by parts: the pair concat is never built.
         rn = [self._p(name) for name in ("rn.fc1.w", "rn.fc1.b", "rn.out.w", "rn.out.b")]
-        pairs = nn.Pairs(sup.counts, qry.counts)
         r = T.sigmoid(nn.relation_logits(f_s, f_q, sup.y, *rn, pairs, user=u))  # [B, S, Q]
 
         if kind == "rnbc2_ue":
@@ -459,7 +440,7 @@ class Model:
             # cut the only gradient path into the relation scores.
             wsum = nn.pair_linear(f_s, f_q, sup.y, self._p("wsum.w"), self._p("wsum.b"), pairs, u)
             pair_w = T.sigmoid(T.reshape(wsum, r.shape))
-            prod = T.mul(T.mul(pair_w, r), Tensor(sup_mask[:, :, None]))
+            prod = T.mul(T.mul(pair_w, r), support)
             head = T.add(T.reduce_sum(prod, axis=1), self._p("wsum.bias"))
         else:
             # Similarity-weighted label vote over valid supports.
@@ -467,10 +448,9 @@ class Model:
             agree = T.add(
                 T.mul(r, y_s), T.mul(T.add(1.0, T.neg(r)), Tensor(1.0 - sup_y[:, :, None]))
             )
-            masked = T.mul(agree, Tensor(sup_mask[:, :, None]))
-            counts = sup_mask.sum(axis=1, keepdims=True)  # [B, 1], >= 1
-            head = T.div(T.reduce_sum(masked, axis=1), Tensor(counts))
-        return MetricOut(r=r, head=head)
+            counts = pairs.t_support[:, None].astype(np.float32)  # [B, 1], >= 1
+            head = T.div(T.reduce_sum(T.mul(agree, support), axis=1), Tensor(counts))
+        return MetricOut(r=r, head=head, pairs=pairs)
 
     def _user_embedding_tensor(self, views: Halves, f_s: Tensor | None = None) -> Tensor:
         if self.config.kind not in UE_KINDS:
@@ -493,11 +473,11 @@ class Model:
         The one sigmoid of every head but the label votes of ``VOTE_KINDS``.
         """
         if self.family == "metric":
-            views = batch.halves()
-            head, qry_mask = self.forward_metric(views).head.data, views.qry_mask
+            out = self.forward_metric(batch.halves())
+            head, queries = out.head.data, out.pairs.query.astype(np.float32)
         else:
             head = batch.queries(self.forward_sequence(batch).data)  # [N] -> [B, Q]
-            qry_mask = batch.qry_mask
+            queries = batch.qry_mask
         probs = head if self.config.kind in VOTE_KINDS else T.sigmoid_array(head)
-        return (probs * qry_mask).astype(np.float32)
+        return (probs * queries).astype(np.float32)
 

@@ -2,18 +2,20 @@
 
 All functions are pure: parameters arrive as tensors, nothing is stored.
 Every layer runs channels-last and norms scale and shift the last axis.
-A sequence layer takes a batch's rows ``[N, C]``: sessions one after
-another, in time order, then inert rows that nothing real reads. A
-:class:`Rows` table says where each row sits in its session, so no conv
-tap and no per-session statistic of a row reads another session's row;
+Each family lays out a batch in one table, which a forward builds once
+and every layer, head and loss that needs the layout reads. A sequence
+layer takes a batch's rows ``[N, C]``: sessions one after another, in
+time order, then inert rows that nothing real reads. A :class:`Rows`
+table says where each row sits in its session, so no conv tap, session
+statistic or attention weight of a row reads another session's row;
 without a table each ``[T, C]`` of the input is one session. Attention
-takes each side's per-session lengths and is the one layer that builds a
-padded ``[B, T, ...]`` block, inside its own node. Convolutions, norms,
-gates, whole gated conv levels, linear layers with their bias and optional
-rectifier, per-session means, the relation layer over (support, query)
-pairs and the relation net on them, softmax, multi-head attention and
-binary cross entropy on logits each record one tape node with a
-hand-written backward.
+is the one layer that builds a padded ``[B, T, ...]`` block, inside its
+node, as its table plans it. A :class:`Pairs` table says where the metric
+family's (support, query) pairs sit. Convolutions, norms, gates, whole
+gated conv levels, linear layers with their bias and optional rectifier,
+per-session means, the relation layer over (support, query) pairs and the
+relation net on them, softmax, multi-head attention and binary cross
+entropy on logits each record one tape node with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ class Conv1dSpec:
             raise ConfigurationError(f"unknown padding_mode {self.padding_mode!r}")
 
 
+def _fill(admit: np.ndarray) -> np.ndarray:
+    """The additive mask that admits where ``admit`` holds."""
+    return np.where(admit, np.float32(0), np.float32(_MASK_FILL))
+
+
 class Rows:
     """Where each row of a channels-last block sits in its session.
 
@@ -60,17 +67,18 @@ class Rows:
     session and ``rest[i]`` the number of its session's rows after it;
     ``lengths`` and ``stops`` size and end each session. ``shape`` is the
     leading shape of the inputs the table describes: ``(N,)`` for a batch's
-    rows, ``(B, T)`` for a block whose every ``[T, C]`` is one session. A
-    conv tap reading offset ``o`` is one shifted slice of the whole block,
-    and :meth:`outside` lists the rows whose ``time + o`` leaves their
-    session, which read zeros; it builds each list once, so the levels of a
-    forward that share a dilation share it. :attr:`session_sums` sums each
-    session's rows, and the norms of a forward share its plan alike.
+    rows, ``(B, T)`` for a block whose every ``[T, C]`` is one session. The
+    first ``sessions`` sessions are real; a :meth:`packed` table's others are
+    its inert rows. Each plan below is worked out once per table, so the
+    layers of a forward that share the table share it. A conv tap reading
+    offset ``o`` is one shifted slice of the whole block, and :meth:`outside`
+    lists the rows whose ``time + o`` leaves their session, which read zeros.
     """
 
-    def __init__(self, lengths, shape: tuple[int, ...]):
+    def __init__(self, lengths, shape: tuple[int, ...], sessions: int | None = None):
         self.lengths = np.asarray(lengths, dtype=np.intp)
         self.shape = tuple(shape)
+        self.sessions = len(self.lengths) if sessions is None else sessions
         self.stops = np.cumsum(self.lengths)
         n = int(self.lengths.sum())
         if n != int(np.prod(self.shape)):
@@ -82,7 +90,8 @@ class Rows:
     @classmethod
     def packed(cls, lengths, n: int) -> Rows:
         """The table of ``n`` rows: sessions of ``lengths``, then inert rows of one row each."""
-        return cls(np.concatenate([lengths, np.ones(n - int(np.sum(lengths)), np.intp)]), (n,))
+        inert = np.ones(n - int(np.sum(lengths)), np.intp)
+        return cls(np.concatenate([lengths, inert]), (n,), len(lengths))
 
     @classmethod
     def of(cls, x: Tensor, rows: Rows | None) -> Rows:
@@ -99,8 +108,44 @@ class Rows:
 
     @cached_property
     def session_sums(self):
-        """:func:`_session_sums` of the table's sessions, worked out once."""
+        """:func:`_session_sums` of the table's sessions."""
         return _session_sums(self.lengths)
+
+    @cached_property
+    def session(self) -> np.ndarray:
+        """``[N]``: each row's session."""
+        return np.repeat(np.arange(len(self.lengths)), self.lengths)
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        """``[N]`` float64: one over the length of each row's session."""
+        return np.repeat(1.0 / self.lengths, self.lengths)
+
+    @cached_property
+    def block(self) -> tuple:
+        """``(real, index, places, fill)``: the padded ``[B, T]`` block of the real sessions
+        of a ``(N,)`` table, T the longest, for attention. ``real`` marks their places,
+        ``index`` is the row at each place, flat (sessions one after another from row 0, row
+        0 at padding) and ``places`` the real places, flat; both are None when every session
+        is T long, as the block is then the first rows. ``fill [T, B]`` is the additive
+        mask that admits each session's real keys."""
+        lengths = self.lengths[: self.sessions]
+        real = prefix_mask(lengths)
+        t_len = real.shape[1]
+        index = places = None
+        if not real.all():
+            starts = self.stops[: self.sessions] - lengths
+            index = np.where(real, starts[:, None] + np.arange(t_len), 0).ravel()
+            places = np.flatnonzero(real)
+        return real, index, places, _fill(real.T)
+
+    @cached_property
+    def causal_fill(self) -> np.ndarray:
+        """``[T, 1, B, T]``: the additive mask of :attr:`block` that admits, for each query
+        place, the keys up to it, which leave out its session's padding keys."""
+        b, t_len = self.block[0].shape
+        triangle = _fill(np.arange(t_len)[:, None] <= np.arange(t_len))
+        return np.broadcast_to(triangle[:, None, None], (t_len, 1, b, t_len)).copy()
 
     def outside(self, offset: int) -> np.ndarray:
         if offset not in self._outside:
@@ -343,14 +388,13 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, rows: Rows | None = No
     if x.ndim not in (2, 3):
         raise ConfigurationError(f"instance_norm expects [N,C], [T,C] or [B,T,C], "
                                  f"got {tuple(x.shape)}")
-    rows = Rows.of(x, rows)
-    lengths, c = rows.lengths, x.shape[-1]
+    rows, c = Rows.of(x, rows), x.shape[-1]
 
     def sums(a, b=None):
         a2 = (a if b is None else a * b).reshape(-1, c)
-        return np.repeat(rows.session_sums(a2), lengths, axis=0).reshape(a.shape)
+        return np.take(rows.session_sums(a2), rows.session, axis=0).reshape(a.shape)
 
-    weight = np.repeat(1.0 / lengths, lengths).astype(x.dtype).reshape(x.shape[:-1] + (1,))
+    weight = rows.weight.astype(x.dtype).reshape(x.shape[:-1] + (1,))
     return _norm(x, gamma, beta, sums, weight)
 
 
@@ -503,7 +547,7 @@ class Pairs:
     supports and ``t_query[b]`` queries, each half's rows one session after another,
     meet in a padded ``[B, S, Q]`` grid, S and Q the largest counts. ``support [B, S]``,
     ``query [B, Q]`` and ``real [B, S, Q]`` mark each session's places. A forward builds
-    it once for every pair node it records."""
+    it once, for every pair node it records and for the heads and losses that read it."""
 
     def __init__(self, t_support, t_query):
         self.t_support, self.t_query = np.asarray(t_support), np.asarray(t_query)
@@ -740,17 +784,6 @@ def _matmul_merged(a: np.ndarray, b: np.ndarray, shape, heads: int) -> np.ndarra
     return out
 
 
-def _block(lengths: np.ndarray):
-    """``real [B, T]`` of sessions of ``lengths``, T the longest, and the row at each of
-    its places, flat: sessions one after another from row 0, and row 0 at padding. The
-    index is None when every session is T long: the block is then the first rows."""
-    real = prefix_mask(lengths)
-    if real.all():
-        return real, None
-    starts = np.cumsum(lengths) - lengths
-    return real, np.where(real, starts[:, None] + np.arange(real.shape[1]), 0).ravel()
-
-
 def _gather(rows: np.ndarray, index: np.ndarray | None, shape) -> np.ndarray:
     """``rows[index]`` as a block of ``shape``, one take, which ``mode="clip"`` spares a
     bounds check (every index is in range); a view of the first rows when None."""
@@ -759,15 +792,16 @@ def _gather(rows: np.ndarray, index: np.ndarray | None, shape) -> np.ndarray:
     return np.take(rows, index, axis=0, mode="clip").reshape(shape)
 
 
-def _rows(block: np.ndarray, real: np.ndarray, n: int) -> np.ndarray:
-    """The ``real [B, T]`` places of a ``[B, T, d]`` block, in order, as the first rows of
-    ``[n, d]``, zeros after them."""
-    flat, count = block.reshape(-1, block.shape[-1]), int(real.sum())
+def _rows(block: np.ndarray, places: np.ndarray | None, n: int) -> np.ndarray:
+    """The real ``places`` of a ``[B, T, d]`` block (every place when None), in order, as
+    the first rows of ``[n, d]``, zeros after them."""
+    flat = block.reshape(-1, block.shape[-1])
+    count = len(flat) if places is None else len(places)
     out = np.empty((n, flat.shape[1]), block.dtype)
-    if count == len(flat):
+    if places is None:
         out[:count] = flat
     else:
-        np.take(flat, np.flatnonzero(real), axis=0, out=out[:count], mode="clip")
+        np.take(flat, places, axis=0, out=out[:count], mode="clip")
     out[count:] = 0
     return out
 
@@ -792,63 +826,54 @@ def _attention_probs(qh: np.ndarray, kh: np.ndarray, fill: np.ndarray, scale: fl
     return p_keys
 
 
-def attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    q_lengths,
-    k_lengths=None,
-    causal: bool = False,
-    heads: int = 1,
-) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, rows: Rows, k_rows: Rows | None = None,
+              causal: bool = False, heads: int = 1) -> Tensor:
     """Scaled dot-product attention of each session's query rows over its key rows, one
     tape node.
 
-    ``q [Nq, d_k]`` holds session b's ``q_lengths[b]`` rows after the sessions before it,
-    ``k [Nk, d_k]`` and ``v [Nk, d_v]`` its ``k_lengths[b]`` rows alike (the query
-    sessions' when None); inert rows may follow either. A query row attends to its
-    session's keys; when ``causal``, which takes no ``k_lengths``, only to those at or
-    before its own position. With ``heads > 1`` the widths are split per head and the
-    outputs re-concatenated.
+    ``rows`` lays out the query rows ``q [Nq, d_k]`` and ``k_rows`` the key and value
+    rows ``k [Nk, d_k]`` and ``v [Nk, d_v]`` (the query rows' table when None), each a
+    ``(N,)`` table of the same number of real sessions; the rows after those sessions
+    are inert. A query row attends to its session's keys; when ``causal``, which takes
+    no ``k_rows``, only to those at or before its own position. With ``heads > 1`` the
+    widths are split per head and the outputs re-concatenated.
 
-    The node gathers each operand once into the padded ``[B, T, d]`` block of its
-    sessions and builds the mask from the lengths. A padding place reads a real row: a
-    key there gets exactly zero weight, and no output reads a query there. The output is
+    The node gathers each operand once into the padded ``[B, T, d]`` :attr:`Rows.block`
+    of its table, and reads its mask there. A padding place reads a real row: a key
+    there gets exactly zero weight, and no output reads a query there. The output is
     ``[Nq, d_v]``, zero at inert rows. The backward reuses the saved weights ``P``:
     ``dV = P^T dO``, ``dS = P (dP - rowsum(dP P)) scale`` with ``dP = dO V^T``, ``dQ = dS
     K`` and ``dK = dS^T Q``, and scatters each block's real places back to rows.
     """
-    q_lengths, own_keys = np.asarray(q_lengths), k_lengths is None
-    k_lengths = q_lengths if own_keys else np.asarray(k_lengths)
+    if causal and k_rows is not None:
+        raise ConfigurationError("causal attention reads its query rows' own sessions as keys")
+    k_rows = rows if k_rows is None else k_rows
     dk, dv = q.shape[-1], v.shape[-1]
     nq, nk = q.shape[0], k.shape[0]
-    if (q.ndim != 2 or k.shape != (nk, dk) or v.shape != (nk, dv) or q_lengths.ndim != 1
-            or k_lengths.shape != q_lengths.shape or q_lengths.sum() > nq or k_lengths.sum() > nk):
+    if (q.ndim != 2 or k.shape != (nk, dk) or v.shape != (nk, dv) or rows.shape != (nq,)
+            or k_rows.shape != (nk,) or k_rows.sessions != rows.sessions):
         raise ConfigurationError(
             f"attention rows q {tuple(q.shape)}, k {tuple(k.shape)}, v {tuple(v.shape)} do not "
-            f"hold sessions of {q_lengths.tolist()} queries and {k_lengths.tolist()} keys"
+            f"match tables of {rows.shape} and {k_rows.shape} rows holding {rows.sessions} "
+            f"and {k_rows.sessions} sessions"
         )
     if heads < 1:
         raise ConfigurationError("heads must be >= 1")
     if heads > 1 and (dk % heads or dv % heads):
         raise ConfigurationError(f"heads={heads} must divide d_k={dk} and d_v={dv}")
-    if causal and not own_keys:
-        raise ConfigurationError("causal attention reads its query rows' own sessions as keys")
-    if k_lengths.min(initial=1) < 1:
+    if k_rows.lengths[: k_rows.sessions].min(initial=1) < 1:
         raise MaskingError("attention over a session with no key rows")
-    q_real, q_index = _block(q_lengths)
-    k_real, k_index = (q_real, q_index) if own_keys else _block(k_lengths)
+    q_real, q_index, q_places, _ = rows.block
+    k_real, k_index, k_places, k_fill = k_rows.block
     (b, n), m = q_real.shape, k_real.shape[1]
-    # The fill admits, for a causal query, the keys up to its own place, which leave out
-    # its session's padding keys; otherwise each session's real keys.
-    admit = np.arange(m)[:, None, None] <= np.arange(n) if causal else k_real.T[:, :, None]
-    fill = np.where(np.broadcast_to(admit, (m, b, n)), np.float32(0), np.float32(_MASK_FILL))
 
     scale = 1.0 / float(np.sqrt(dk // heads))
     qh, kh, vh = (_heads_view(_gather(t.data, index, (b, t_len, t.shape[1])), heads)
                   for t, index, t_len in ((q, q_index, n), (k, k_index, m), (v, k_index, m)))
-    p = _attention_probs(qh, kh, fill[:, None], scale)  # [m, B, heads, n]
-    out = _rows(_matmul_merged(np.moveaxis(p, 0, -1), vh, (b, n, dv), heads), q_real, nq)
+    # A contiguous fill: adding one broadcast over the short query axis is slower.
+    fill = rows.causal_fill if causal else np.repeat(k_fill[:, None, :, None], n, axis=3)
+    p = _attention_probs(qh, kh, fill, scale)  # [m, B, heads, n]
+    out = _rows(_matmul_merged(np.moveaxis(p, 0, -1), vh, (b, n, dv), heads), q_places, nq)
 
     def backward(g):
         g_block = _gather(g, q_index, (b, n, dv))
@@ -858,17 +883,17 @@ def attention(
         gq = gk = gv = None
         if v.requires_grad:
             gv = _rows(_matmul_merged(np.moveaxis(p, 0, -2), gh, (b, m, dv), heads),
-                       k_real, nk)
+                       k_places, nk)
         if q.requires_grad or k.requires_grad:
             dp = np.empty_like(p)
             np.matmul(vh, np.swapaxes(gh, -1, -2), out=np.moveaxis(dp, 0, -2))
             ds = _softmax_lead_grad(p, dp) * scale
             if q.requires_grad:
                 gq = _rows(_matmul_merged(np.moveaxis(ds, 0, -1), kh, (b, n, dk), heads),
-                           q_real, nq)
+                           q_places, nq)
             if k.requires_grad:
                 gk = _rows(_matmul_merged(np.moveaxis(ds, 0, -2), qh, (b, m, dk), heads),
-                           k_real, nk)
+                           k_places, nk)
         return gq, gk, gv
 
     return T.fused(out, (q, k, v), backward)

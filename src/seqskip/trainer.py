@@ -116,10 +116,9 @@ def batch_loss(model: Model, batch: Batch, loss_scope: str = "query_only") -> Te
         views = batch.halves()  # the forward reads them too: derive each once
         out = model.forward_metric(views)
         if kind not in VOTE_KINDS:
-            return bce_with_logits(out.head, views.qry_y, views.qry_mask)
+            return bce_with_logits(out.head, views.qry_y, out.pairs.query)
         targets = (views.sup_y[:, :, None] == views.qry_y[:, None, :]).astype(np.float32)
-        pair_mask = views.sup_mask[:, :, None] * views.qry_mask[:, None, :]
-        return mse(out.r, targets, pair_mask)
+        return mse(out.r, targets, out.pairs.real)
     mask = batch.query_rows if loss_scope == "query_only" else batch.real_rows
     return bce_with_logits(model.forward_sequence(batch), batch.y, mask)
 

@@ -128,8 +128,10 @@ def padded_forward(model, batch: dataio.Batch) -> np.ndarray:
 
     def attend(q, k, v, k_lengths=None, heads=structure.heads):  # causal without k_lengths
         k_real = dataio.prefix_mask(lengths if k_lengths is None else k_lengths)
+        k_rows = None if k_lengths is None else nn.Rows(k_lengths, (int(k_real.sum()),))
         att = nn.attention(T.Tensor(q.data[real]), T.Tensor(k.data[k_real]),
-                           T.Tensor(v.data[k_real]), lengths, k_lengths, k_lengths is None, heads)
+                           T.Tensor(v.data[k_real]), nn.Rows(lengths, (int(real.sum()),)),
+                           k_rows, k_lengths is None, heads)
         out = np.zeros(q.shape[:-1] + att.shape[-1:], att.dtype)
         out[real] = att.data
         return T.Tensor(out)

@@ -252,7 +252,7 @@ def ref_make_batch(episodes):
     rows = n + -n % 16  # real rows, then inert ones up to a multiple of 16
     arrays = {
         "x": (rows, width), "y": (rows,), "real_rows": (rows,), "query_rows": (rows,),
-        "sup_mask": (b, s_max), "sup_y": (b, s_max),
+        "sup_y": (b, s_max),
         "qry_x": (b, q_max, width), "qry_mask": (b, q_max), "qry_y": (b, q_max),
     }
     out = {name: np.zeros(shape, dtype=np.float32) for name, shape in arrays.items()}
@@ -268,7 +268,6 @@ def ref_make_batch(episodes):
         out["real_rows"][row : row + ts + tq] = 1.0
         out["query_rows"][row + ts : row + ts + tq] = 1.0
         row += ts + tq
-        out["sup_mask"][i, :ts] = 1.0
         out["sup_y"][i, :ts] = ep.y_support
         out["qry_x"][i, :tq] = ep.x_query
         out["qry_mask"][i, :tq] = 1.0
@@ -290,7 +289,7 @@ def block_rows(request, monkeypatch):
 
 # What a Batch stores, then what it derives from that when read.
 BATCH_FIELDS = ("session_ids", "x", "y", "t_support", "t_query", "query_logs_kept")
-BATCH_VIEWS = ("real_rows", "query_rows", "sup_mask", "sup_y", "qry_x", "qry_mask",
+BATCH_VIEWS = ("real_rows", "query_rows", "sup_y", "qry_x", "qry_mask",
                "qry_y")  # qry_x is read as ``queries(x)``
 
 

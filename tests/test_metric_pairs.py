@@ -69,6 +69,7 @@ def ref_forward_metric(model, batch) -> MetricOut:
     row-wise layers went to the packed rows: everything on the padded halves of a batch."""
     kind = model.config.kind
     w = model.config.width
+    sup_mask = _real(batch.t_support).astype(batch.x.dtype)
     sup_x = _padded_labels(batch.sup.x, batch.t_support)
     b, s_max, _ = sup_x.shape
     qry_x = batch.queries(batch.x)
@@ -83,8 +84,8 @@ def ref_forward_metric(model, batch) -> MetricOut:
     parts = [fs_b, fq_b, y_b]
     if kind in UE_KINDS:
         inp = T.concat([f_s, Tensor(batch.sup_y[:, :, None])], axis=-1)
-        e = T.mul(T.relu(model._linear("ue.fc", inp)), Tensor(batch.sup_mask[:, :, None]))
-        counts = batch.sup_mask.sum(axis=1, keepdims=True)
+        e = T.mul(T.relu(model._linear("ue.fc", inp)), Tensor(sup_mask[:, :, None]))
+        counts = sup_mask.sum(axis=1, keepdims=True)
         u = model._linear("ue.out", T.div(T.reduce_sum(e, axis=1), Tensor(counts)))
         parts.append(T.broadcast_to(T.reshape(u, (b, 1, 1, w)), (b, s_max, q_max, w)))
     pair = T.concat(parts, axis=-1)
@@ -93,17 +94,17 @@ def ref_forward_metric(model, batch) -> MetricOut:
 
     if kind == "rnbc2_ue":
         pair_w = T.sigmoid(T.reshape(model._linear("wsum", pair), (b, s_max, q_max)))
-        prod = T.mul(T.mul(pair_w, r), Tensor(batch.sup_mask[:, :, None]))
+        prod = T.mul(T.mul(pair_w, r), Tensor(sup_mask[:, :, None]))
         head = T.add(T.reduce_sum(prod, axis=1), model._p("wsum.bias"))
     else:
         y_s = Tensor(batch.sup_y[:, :, None])
         agree = T.add(
             T.mul(r, y_s), T.mul(T.add(1.0, T.neg(r)), Tensor(1.0 - batch.sup_y[:, :, None]))
         )
-        masked = T.mul(agree, Tensor(batch.sup_mask[:, :, None]))
-        counts = batch.sup_mask.sum(axis=1, keepdims=True)
+        masked = T.mul(agree, Tensor(sup_mask[:, :, None]))
+        counts = sup_mask.sum(axis=1, keepdims=True)
         head = T.div(T.reduce_sum(masked, axis=1), Tensor(counts))
-    return MetricOut(r=r, head=head)
+    return MetricOut(r=r, head=head, pairs=nn.Pairs(batch.t_support, batch.t_query))
 
 
 def ref_pair_linear(support, query, labels, weight, bias, pairs, user=None):
@@ -634,7 +635,7 @@ def test_forward_metric_matches_pair_concat_reference(kind):
     model = _model64(kind)
     got = model.forward_metric(batch)
     want = ref_forward_metric(model, batch)
-    real = (batch.sup_mask[:, :, None] * batch.qry_mask[:, None, :]) != 0
+    real = _real(batch.t_support)[:, :, None] & _real(batch.t_query)[:, None, :]
     assert got.r.data.dtype == np.float64 and got.r.shape == want.r.shape
     assert _rel(got.r.data[real], want.r.data[real]) <= TOL
     assert (got.r.data[~real] == 0.5).all()
@@ -669,7 +670,7 @@ def test_inert_rows_of_the_halves_reach_nothing(kind):
     def run(views):
         model.zero_grad()
         out = model.forward_metric(views)
-        loss = T.reduce_sum(T.mul(out.head, Tensor(views.qry_mask)))
+        loss = T.reduce_sum(T.mul(out.head, Tensor(out.pairs.query.astype(np.float32))))
         loss.backward()
         return out.r.data.tobytes(), loss.data.tobytes(), model.gradient().tobytes()
 

@@ -235,8 +235,28 @@ def test_gated_level_kind_loss_tape_node_budget(kind, budget):
 def test_masked_multihead_attention_is_one_tape_node():
     rng = np.random.default_rng(7)
     q, k, v = (T.Tensor(rng.normal(size=(32, 32)), requires_grad=True) for _ in range(3))
-    lengths = np.array([6, 3, 6, 1])
-    assert _tape_op_nodes(nn.attention(q, k, v, lengths, causal=True, heads=8)) == 1
+    rows = nn.Rows.packed([6, 3, 6, 1], 32)
+    assert _tape_op_nodes(nn.attention(q, k, v, rows, causal=True, heads=8)) == 1
+
+
+@pytest.mark.parametrize("kind,sides", [("transformer", 1), ("snail", 1), ("att_pair", 2)])
+def test_a_forward_builds_one_row_table_and_attention_plan_per_side(monkeypatch, kind, sides):
+    # The transformer's two blocks, snail's attention and conv stack, and att_pair's
+    # encoders and attention each read their side's one table and its one block plan,
+    # in a training step and in inference alike.
+    tables, plans = [], []
+    init, plan = nn.Rows.__init__, nn.Rows.block.func
+    monkeypatch.setattr(nn.Rows, "__init__",
+                        lambda self, *a, **k: tables.append(self) or init(self, *a, **k))
+    monkeypatch.setattr(nn.Rows.block, "func", lambda self: plans.append(self) or plan(self))
+    rng = np.random.default_rng(12)
+    batch = make_batch([_episode(rng, int(rng.integers(10, 21))) for _ in range(8)])
+    model = _model(kind)
+    for run in (lambda: batch_loss(model, batch).backward(), lambda: model.query_probs(batch)):
+        tables.clear()
+        plans.clear()
+        run()
+        assert len(tables) == sides and plans == tables, kind
 
 
 @pytest.mark.parametrize("kind,budget", [("transformer", 60), ("snail", 55), ("att_pair", 45)])
@@ -361,7 +381,7 @@ def test_padding_contents_reach_no_output_or_gradient(markov_corpus, kind, gate)
 
     inert = []
     for batch in list(make_batches(episodes, 29))[:4]:
-        assert all((m == 0).any() for m in (batch.sup_mask, batch.qry_mask))
+        assert all(not prefix_mask(t).all() for t in (batch.t_support, batch.t_query))
         filled = _with_padding_filled(batch, 1e3)
         assert (filled.qry_y[batch.qry_mask == 0] == 1e3).all()
         real = int(batch.lengths.sum())

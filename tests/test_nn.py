@@ -100,10 +100,11 @@ def test_attention_hand_case():
     q = Tensor(np.array([[1.0, 0.0]]))
     k = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
     v = Tensor(np.array([[1.0], [0.0]]))
-    np.testing.assert_allclose(nn.attention(q, k, v, [1], [2]).data, [[0.6697616]],
+    rows, k_rows = nn.Rows.packed([1], 1), nn.Rows.packed([2], 2)
+    np.testing.assert_allclose(nn.attention(q, k, v, rows, k_rows).data, [[0.6697616]],
                                rtol=1e-6)
     # The identity as values reads out the weights themselves.
-    np.testing.assert_allclose(nn.attention(q, k, Tensor(np.eye(2)), [1], [2]).data,
+    np.testing.assert_allclose(nn.attention(q, k, Tensor(np.eye(2)), rows, k_rows).data,
                                [[0.6697616, 0.3302384]], rtol=1e-6)
 
 
@@ -112,13 +113,14 @@ def test_attention_mask_excludes_keys():
     q = Tensor(np.array([[1.0, 0.0]]))
     k = Tensor(np.array([[0.0, 1.0], [5.0, 0.0]]))
     v = Tensor(np.array([[0.0], [1.0]]))
-    out = nn.attention(q, k, v, [1], [1])
+    rows, k_rows = nn.Rows.packed([1], 1), nn.Rows.packed([1], 2)
+    out = nn.attention(q, k, v, rows, k_rows)
     np.testing.assert_allclose(out.data, [[0.0]])  # only the zero value visible
-    w = nn.attention(q, k, Tensor(np.eye(2)), [1], [1]).data
+    w = nn.attention(q, k, Tensor(np.eye(2)), rows, k_rows).data
     np.testing.assert_allclose(w, [[1.0, 0.0]])
     # Causal: a session's row t reads its rows 0..t only.
     x = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [9.0, 9.0]]))
-    w = nn.attention(x, x, Tensor(np.eye(3)), [1, 2], causal=True).data
+    w = nn.attention(x, x, Tensor(np.eye(3)), nn.Rows.packed([1, 2], 3), causal=True).data
     np.testing.assert_allclose(w[:2], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
@@ -127,10 +129,11 @@ def test_multihead_splits_dimensions():
     q = Tensor(rng.normal(size=(6, 8)))
     k = Tensor(rng.normal(size=(10, 8)))
     v = Tensor(rng.normal(size=(10, 8)))
-    out = nn.attention(q, k, v, [3, 3], [5, 5], heads=4)
+    rows, k_rows = nn.Rows.packed([3, 3], 6), nn.Rows.packed([5, 5], 10)
+    out = nn.attention(q, k, v, rows, k_rows, heads=4)
     assert out.shape == (6, 8)
     with pytest.raises(ConfigurationError):
-        nn.attention(q, k, v, [3, 3], [5, 5], heads=3)  # 8 not divisible by 3
+        nn.attention(q, k, v, rows, k_rows, heads=3)  # 8 not divisible by 3
 
 
 def _logit(p):
@@ -209,7 +212,8 @@ def test_attention_weights_are_convex(seed):
     rng = np.random.default_rng(seed)
     q = Tensor(rng.normal(size=(3, 4)))
     k = Tensor(rng.normal(size=(5, 4)))
-    w = nn.attention(q, k, Tensor(np.eye(5)), [3], [5]).data  # identity values: the weights
+    rows, k_rows = nn.Rows.packed([3], 3), nn.Rows.packed([5], 5)
+    w = nn.attention(q, k, Tensor(np.eye(5)), rows, k_rows).data  # identity values: the weights
     assert np.all(w >= 0)
     np.testing.assert_allclose(w.sum(axis=-1), np.ones(3), rtol=1e-6)
 

@@ -663,15 +663,17 @@ def test_attention_matches_composition(case):
     n_k = sum(q_lengths if k_lengths is None else k_lengths) + 3
     arrays = [rng.normal(size=(sum(q_lengths) + 3, dk)), rng.normal(size=(n_k, dk)),
               rng.normal(size=(n_k, dv))]
+    rows = nn.Rows.packed(q_lengths, len(arrays[0]))
+    k_rows = None if k_lengths is None else nn.Rows.packed(k_lengths, n_k)
     assert_same_op(
-        lambda q, k, v: nn.attention(q, k, v, q_lengths, k_lengths, causal, heads),
+        lambda q, k, v: nn.attention(q, k, v, rows, k_rows, causal, heads),
         lambda q, k, v: ref_attention_rows(q, k, v, q_lengths, k_lengths, causal, heads),
         arrays,
     )
     if case == "att_pair_support":
         # att_pair passes one tensor as keys and values
         assert_same_op(
-            lambda q, s: nn.attention(q, s, s, q_lengths, k_lengths),
+            lambda q, s: nn.attention(q, s, s, rows, k_rows),
             lambda q, s: ref_attention_rows(q, s, s, q_lengths, k_lengths),
             arrays[:2],
         )
@@ -680,7 +682,7 @@ def test_attention_matches_composition(case):
 def test_prepared_attention_mask_gives_the_same_bits():
     # Attention used to take zero-padded [B, T, d] blocks and a mask prepared
     # from a [B, n, m] array as its additive fill. The node on rows reads real
-    # rows into its padding places and builds the fill from the lengths: every
+    # rows into its padding places and reads the fill from its row tables: every
     # real query row keeps the bits of that path, in both widths, causal or not.
     rng = np.random.default_rng(14)
     q_lengths, real = np.array([5, 2, 4]), prefix_mask(np.array([5, 2, 4]))
@@ -698,7 +700,9 @@ def test_prepared_attention_mask_gives_the_same_bits():
             fill = np.where(admit, np.float32(0), np.float32(-1e9))
             p = nn._attention_probs(qh, kh, fill, 0.5)
             want = nn._matmul_merged(np.moveaxis(p, 0, -1), vh, blocks[0].shape, 2)
-            got = nn.attention(Tensor(q), Tensor(k), Tensor(v), q_lengths, k_lengths, causal, 2)
+            k_rows = None if causal else nn.Rows.packed(k_lengths, 16)
+            got = nn.attention(Tensor(q), Tensor(k), Tensor(v), nn.Rows.packed(q_lengths, 16),
+                               k_rows, causal, 2)
             assert got.dtype == want.dtype
             assert got.data[: real.sum()].tobytes() == want[real].tobytes()
             assert not got.data[real.sum() :].any()
@@ -708,16 +712,17 @@ def test_attention_rejects_fully_blocked_row():
     # A session with no key rows leaves its queries nothing to attend to.
     rng = np.random.default_rng(13)
     q, k, v = (Tensor(rng.normal(size=(6, 4))) for _ in range(3))
+    rows = nn.Rows.packed([3, 3], 6)
     with pytest.raises(MaskingError):
-        nn.attention(q, k, v, [3, 3], [3, 0])
+        nn.attention(q, k, v, rows, nn.Rows.packed([3, 0], 6))
     for bad in (
-        lambda: nn.attention(q, k, v, [4, 3]),  # more query rows than there are
-        lambda: nn.attention(q, k, v, [3, 3], [4, 3]),  # more key rows than there are
-        lambda: nn.attention(q, k, Tensor(np.ones((5, 4))), [3, 3]),  # keys without values
-        lambda: nn.attention(q, Tensor(np.ones((6, 3))), v, [3, 3]),  # keys of another width
-        lambda: nn.attention(Tensor(np.ones((1, 6, 4))), k, v, [3, 3]),  # not rows
-        lambda: nn.attention(q, k, v, [3, 3], [3, 2, 1]),  # other sessions
-        lambda: nn.attention(q, k, v, [3, 3], [3, 3], causal=True),  # causal over other keys
+        lambda: nn.attention(q, k, v, nn.Rows.packed([4, 3], 7)),  # more query rows
+        lambda: nn.attention(q, k, v, rows, nn.Rows.packed([4, 3], 7)),  # more key rows
+        lambda: nn.attention(q, k, Tensor(np.ones((5, 4))), rows),  # keys without values
+        lambda: nn.attention(q, Tensor(np.ones((6, 3))), v, rows),  # keys of another width
+        lambda: nn.attention(Tensor(np.ones((1, 6, 4))), k, v, rows),  # not rows
+        lambda: nn.attention(q, k, v, rows, nn.Rows.packed([3, 2, 1], 6)),  # other sessions
+        lambda: nn.attention(q, k, v, rows, rows, causal=True),  # causal over other keys
     ):
         with pytest.raises(ConfigurationError):
             bad()
