@@ -16,8 +16,10 @@ import argparse
 import time
 from pathlib import Path
 
-from seqskip.dataio import load_corpus
-from seqskip.metrics import BASELINES, SessionPrediction, baseline, corpus_maa
+import numpy as np
+
+from seqskip.dataio import _runs, load_corpus
+from seqskip.metrics import BASELINES, Predictions, baseline, corpus_maa
 from seqskip.models import KINDS, default_config
 from seqskip.synthgen import RULES, SynthConfig, generate
 from seqskip.trainer import TrainConfig, split_train_val, train
@@ -32,17 +34,15 @@ DEFAULT_MODELS = {
 
 def baseline_maa(kind: str, sessions) -> float:
     # Baselines need no preprocessing stats beyond episode splitting.
-    preds = []
-    starts, ends = sessions.starts, sessions.starts + sessions.lengths
-    cuts = starts + sessions.t_support  # each session's first query row
-    for sid, start, cut, end in zip(sessions.ids, starts, cuts, ends):
-        truth = sessions.labels[cut:end]
-        guess = baseline(kind, sessions.labels[start:cut], truth.size)
-        preds.append(SessionPrediction(sid, guess, truth))
-    return corpus_maa(preds)
+    cuts = sessions.starts + sessions.t_support  # each session's first query row
+    t_query = sessions.lengths - sessions.t_support
+    guesses = [baseline(kind, sessions.labels[start:cut], n)
+               for start, cut, n in zip(sessions.starts, cuts, t_query.tolist())]
+    truth = sessions.labels[_runs(cuts, t_query)]
+    return corpus_maa(Predictions(sessions.ids, t_query, np.concatenate(guesses), truth))
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--rules", nargs="+", choices=RULES, default=list(RULES))
     ap.add_argument("--models", nargs="+", choices=KINDS, default=None,
@@ -60,7 +60,7 @@ def main() -> int:
     ap.add_argument("--q-high", type=float, default=0.75)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="/tmp/seqskip_bench")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     per_rule_noise = {"threshold": 0.05, "preference": 0.05, "markov": 0.1, "log_leak": 0.05}
     rows = []

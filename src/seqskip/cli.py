@@ -18,15 +18,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataio import load_corpus, load_features, load_schema, load_sessions, read_utf8
+from .dataio import _runs, load_corpus, load_features, load_schema, load_sessions, read_utf8
 from .errors import SeqskipError, ValidationError
 from .gradcheck import DEFAULT_TRIALS, TOLERANCE, run_suite
 from .metrics import (
-    SessionPrediction,
+    Predictions,
     binarize,
     corpus_maa,
     per_session_aa,
     read_predictions,
+    write_lines,
     write_predictions,
 )
 from .models import GATES, KINDS, default_config
@@ -35,10 +36,9 @@ from .trainer import (
     LOSS_SCOPES,
     TrainConfig,
     build_episodes,
-    evaluate_episodes,  # noqa: F401  unused here; perfbench traces it by this name
+    evaluate_episodes,
     load_model,
     predict_corpus,
-    score_episodes,
     train,
 )
 
@@ -156,13 +156,6 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _truth_by_session(data_dir, schema):
-    sessions = load_sessions(Path(data_dir) / "sessions.csv", schema)
-    cuts = (sessions.starts + sessions.t_support).tolist()  # first query row
-    ends = (sessions.starts + sessions.lengths).tolist()
-    return {sid: sessions.labels[a:b] for sid, a, b in zip(sessions.ids, cuts, ends)}
-
-
 def _model_and_episodes(checkpoint, data: Path):
     """A checkpoint's model and the episodes of a data directory's sessions, which must
     hold at least one session."""
@@ -174,39 +167,51 @@ def _model_and_episodes(checkpoint, data: Path):
     return model, build_episodes(sessions, features, stats, schema, model.config.kind)
 
 
+def _wire_record(data: Path, path) -> Predictions:
+    """A wire file's bits next to the query labels of a data directory's sessions, in the
+    file's order: one parse of sessions.csv, none of features.csv. Every corpus session
+    must have one line, with one bit per query."""
+    sessions = load_sessions(data / "sessions.csv", load_schema(data / "schema.json"))
+    ids, counts, bits = read_predictions(path)
+    t_query = (sessions.lengths - sessions.t_support).tolist()
+    slot, order = dict(zip(sessions.ids.tolist(), range(len(sessions)))), []
+    for sid, n in zip(ids, counts.tolist()):
+        i = slot.get(sid)
+        if i is None:
+            raise ValidationError(f"prediction for unknown session {sid!r}")
+        if i < 0:
+            raise ValidationError(f"repeated prediction for session {sid!r}")
+        if n != t_query[i]:
+            raise ValidationError(f"session {sid!r}: prediction length {n} != truth length "
+                                  f"{t_query[i]}")
+        order.append(i)
+        slot[sid] = -1
+    # MAA is over the corpus: a session left out would drop out of the mean.
+    missing = [sid for sid, i in slot.items() if i >= 0]
+    if missing:
+        raise ValidationError(
+            f"{len(missing)} corpus sessions have no prediction, first {missing[0]!r}"
+        )
+    first = sessions.starts + sessions.t_support  # each session's first query row
+    return Predictions(ids, counts, bits, sessions.labels[_runs(first[order], counts)])
+
+
 def cmd_evaluate(args) -> int:
     args = _maybe_load_manifest(args, "evaluate")
     data = Path(args.data)
+    maa = None
     if args.checkpoint:
         model, episodes = _model_and_episodes(args.checkpoint, data)
-        preds = score_episodes(model, episodes, batch_size=args.batch_size)
+        maa, record = evaluate_episodes(model, episodes, batch_size=args.batch_size)
     else:
-        # Scoring wire predictions needs the query labels only: one parse
-        # of sessions.csv, none of features.csv.
-        truth = _truth_by_session(data, load_schema(data / "schema.json"))
-        wire = read_predictions(args.predictions)
-        preds, seen = [], set()
-        for sid, bits in wire:
-            if sid not in truth:
-                raise ValidationError(f"prediction for unknown session {sid!r}")
-            if sid in seen:
-                raise ValidationError(f"repeated prediction for session {sid!r}")
-            seen.add(sid)
-            preds.append(SessionPrediction(sid, bits, truth[sid]))
-        # MAA is over the corpus: a session left out would drop out of the mean.
-        missing = [sid for sid in truth if sid not in seen]
-        if missing:
-            raise ValidationError(
-                f"{len(missing)} corpus sessions have no prediction, first {missing[0]!r}"
-            )
+        record = _wire_record(data, args.predictions)
     if not args.per_session:
-        print(f"MAA={corpus_maa(preds):.9f}")
+        print(f"MAA={corpus_maa(record) if maa is None else maa:.9f}")
         return 0
-    aa = per_session_aa(preds)  # once: the MAA printed is the mean of the lines written
-    print(f"MAA={aa.mean():.9f}")
-    lines = [f"{sp.session_id},{v:.9f}" for sp, v in zip(preds, aa)]
+    aa = per_session_aa(record)  # the MAA printed is the mean of the lines written
     out = Path(args.per_session)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(out, record.ids, [f"{v:.9f}" for v in aa.tolist()])
+    print(f"MAA={aa.mean():.9f}")
     _write_manifest(out.with_suffix(".manifest.json"), "evaluate", args, {"per_session": out})
     print(f"wrote per-session AA: {args.per_session}")
     return 0
@@ -215,11 +220,8 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     args = _maybe_load_manifest(args, "predict")
     model, episodes = _model_and_episodes(args.checkpoint, Path(args.data))
-    rows = [
-        (sid, binarize(probs))
-        for sid, probs in predict_corpus(model, episodes, batch_size=args.batch_size)
-    ]
-    write_predictions(args.out, rows)
+    probs = predict_corpus(model, episodes, batch_size=args.batch_size)
+    write_predictions(args.out, episodes.session_ids, episodes.t_query, binarize(probs))
     _write_manifest(
         Path(args.out).with_suffix(".manifest.json"), "predict", args, {"predictions": args.out}
     )

@@ -274,7 +274,7 @@ def read_utf8(path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        line = data.count(b"\n", 0, exc.start) + 1
         raise _not_utf8(f"{path}:{line}", data[exc.start]) from None
 
 
@@ -747,8 +747,8 @@ class Batch:
     many share the call, so a layer on the rows gives a real row the same bits in any batch.
     A batch is one gather of its sessions' rows. The halves as rows (``sup`` and ``qry``,
     stored alike), the padded ``[B, ...]`` labels of the halves (``sup_y``, ``qry_y``; any
-    row array through :meth:`queries`) and the query and row masks, in ``x``'s dtype, are
-    derived each time they are read, so an in-place edit of ``x`` shows in them."""
+    row array through :meth:`queries`), the query row indices and the row masks (in ``x``'s
+    dtype) are derived each time they are read, so an in-place edit of ``x`` shows in them."""
 
     session_ids: tuple[str, ...]
     x: np.ndarray  # [N, D] float32
@@ -798,9 +798,9 @@ class Batch:
 
     real_rows = property(lambda self: self._row_mask(0, self.lengths))  # [N]
     query_rows = property(lambda self: self._row_mask(self.t_support, self.t_query))  # [N]
+    query_index = property(lambda self: self._rows(self.t_support, self.t_query))  # [n_q]
     sup_y = property(lambda self: self._padded(self.y, 0, self.t_support))  # [B, S]
     qry_y = property(lambda self: self.queries(self.y))  # [B, Q]
-    qry_mask = property(lambda self: prefix_mask(self.t_query).astype(self.x.dtype))  # [B, Q]
     sup = property(lambda self: self._half_rows(0, self.t_support))  # rows, [n_s, D]
     qry = property(lambda self: self._half_rows(self.t_support, self.t_query))  # [n_q, D]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,25 +21,29 @@ def _as_binary(values, name: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _check_fill(ids, counts: np.ndarray, **flat: np.ndarray) -> None:
+    """Refuse flat arrays that do not hold the ``counts[i]`` entries of each ``ids[i]``."""
+    n = int(counts.sum())
+    if len(counts) != len(ids) or any(arr.shape != (n,) for arr in flat.values()):
+        shapes = ", ".join(f"{name} {arr.shape}" for name, arr in flat.items())
+        raise ValidationError(f"{len(ids)} ids, {len(counts)} query counts ({n} in all): {shapes}")
+
+
 @dataclass
-class SessionPrediction:
-    session_id: str
-    predicted: np.ndarray
-    truth: np.ndarray
+class Predictions:
+    """Predicted bits next to the labels of every session's queries, stored flat like
+    :class:`~seqskip.dataio.Sessions`: session ``ids[i]`` holds the next ``counts[i]``
+    entries of ``predicted`` and ``truth``, sessions in order."""
+
+    ids: Sequence[str]  # [N]
+    counts: np.ndarray  # [N] int
+    predicted: np.ndarray  # [n_q] 0/1
+    truth: np.ndarray  # [n_q] 0/1
 
     def __post_init__(self):
-        self.predicted = np.asarray(self.predicted)
-        self.truth = np.asarray(self.truth)
-        if self.predicted.ndim != 1 or self.truth.ndim != 1:
-            raise ValidationError(
-                f"session {self.session_id!r}: predicted and truth must be 1-d, "
-                f"got shapes {self.predicted.shape} and {self.truth.shape}"
-            )
-        if self.predicted.shape != self.truth.shape:
-            raise ValidationError(
-                f"session {self.session_id!r}: prediction length {self.predicted.size} "
-                f"!= truth length {self.truth.size}"
-            )
+        self.counts = np.asarray(self.counts)
+        self.predicted, self.truth = np.asarray(self.predicted), np.asarray(self.truth)
+        _check_fill(self.ids, self.counts, predicted=self.predicted, truth=self.truth)
 
 
 def binarize(probs: np.ndarray) -> np.ndarray:
@@ -63,34 +68,32 @@ def average_accuracy(pred, truth) -> float:
     return float((prefix_acc * correct).sum() / p.size)
 
 
-def per_session_aa(predictions: list[SessionPrediction]) -> np.ndarray:
-    """Per-session AA values in input order.
+def per_session_aa(record: Predictions) -> np.ndarray:
+    """Per-session AA values in the record's order.
 
-    Every session's bits and labels are checked for 0/1 once, over the
-    concatenated arrays; a failure names the first bad session. Sessions
-    of equal query length are scored together as the rows of one matrix.
-    Each row then goes through the same cumulative sum, division and sum
-    as :func:`average_accuracy`, so every value is bit-identical to it;
+    Every bit and label is checked for 0/1 once, over the flat arrays; a
+    failure names the first bad session. Sessions of equal query length
+    are scored together as the rows of one matrix. Each row then goes
+    through the same cumulative sum, division and sum as
+    :func:`average_accuracy`, so every value is bit-identical to it;
     zero-padding rows to one common length would change the summation
     order and the last bit.
     """
-    if not predictions:
+    if not record.counts.size:
         raise EvaluationError("AA over an empty prediction set")
-    lengths = np.array([sp.truth.size for sp in predictions])
+    lengths = record.counts
     if not lengths.all():
-        empty = predictions[int(np.argmin(lengths))].session_id
+        empty = record.ids[int(np.argmin(lengths))]
         raise ValidationError(f"session {empty!r}: AA needs at least one prediction")
     ends = np.cumsum(lengths)
-    predicted = np.concatenate([sp.predicted for sp in predictions])
-    truth = np.concatenate([sp.truth for sp in predictions])
-    for name, arr in (("predicted", predicted), ("truth", truth)):
+    for name, arr in (("predicted", record.predicted), ("truth", record.truth)):
         bad = (arr != 0) & (arr != 1)
         if bad.any():
-            sid = predictions[np.searchsorted(ends, bad.argmax(), side="right")].session_id
+            sid = record.ids[np.searchsorted(ends, bad.argmax(), side="right")]
             raise ValidationError(f"session {sid!r}: {name} must contain only 0/1 entries")
-    correct = (predicted == truth).astype(np.float64)
+    correct = (record.predicted == record.truth).astype(np.float64)
     starts = ends - lengths
-    out = np.empty(len(predictions), dtype=np.float64)
+    out = np.empty(len(lengths), dtype=np.float64)
     for n in np.unique(lengths):
         rows = np.flatnonzero(lengths == n)
         c = correct[starts[rows, None] + np.arange(n)]
@@ -99,9 +102,9 @@ def per_session_aa(predictions: list[SessionPrediction]) -> np.ndarray:
     return out
 
 
-def corpus_maa(predictions: list[SessionPrediction]) -> float:
+def corpus_maa(record: Predictions) -> float:
     """Unweighted mean of per-session average accuracies."""
-    return float(per_session_aa(predictions).mean())
+    return float(per_session_aa(record).mean())
 
 
 # -- baselines ---------------------------------------------------------
@@ -125,24 +128,38 @@ def baseline(kind: str, y_support, t_query: int) -> np.ndarray:
 # -- wire format -------------------------------------------------------
 
 
-def write_predictions(path, predictions: list[tuple[str, np.ndarray]]) -> None:
-    """One `session_id,binarystring` line per session, in given order; one check of all bits."""
-    arrays = [np.asarray(bits) for _, bits in predictions]
-    try:  # ValueError: an array that is not 1-d; TypeError: bits as strings
-        flat = _as_binary(np.concatenate([np.zeros(0, np.int64), *arrays]), "predictions")
-    except (TypeError, ValueError, ValidationError):
-        for (sid, _), arr in zip(predictions, arrays):  # the first bad session's own message
-            _as_binary(arr, f"predictions for {sid!r}")
-        raise
-    text = (flat.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
-    ends = np.cumsum([a.size for a in arrays]).tolist()
-    lines = [f"{sid},{text[e - a.size : e]}" for (sid, _), a, e in zip(predictions, arrays, ends)]
+def write_lines(path, ids, values) -> None:
+    """One ``session_id,value`` line per session, in given order. An id that holds a line
+    break cannot be one line of the file: it is refused, and nothing is written."""
+    for sid in ids:
+        if "\n" in sid or "\r" in sid:
+            raise ValidationError(f"session id {sid!r} holds a line break")
+    lines = [f"{sid},{value}" for sid, value in zip(ids, values)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_predictions(path) -> list[tuple[str, np.ndarray]]:
-    out = []
-    for line_no, line in enumerate(read_utf8(path).splitlines(), start=1):
+def write_predictions(path, ids, counts, bits) -> None:
+    """The wire file: one ``session_id,binarystring`` line per session, session ``ids[i]``
+    holding the next ``counts[i]`` of the flat ``bits``; one check of all bits."""
+    counts, bits = np.asarray(counts), np.asarray(bits)
+    _check_fill(ids, counts, predictions=bits)
+    ends = np.cumsum(counts)
+    try:
+        flat = _as_binary(bits, "predictions")
+    except ValidationError:
+        for sid, arr in zip(ids, np.split(bits, ends[:-1])):  # the first bad session's message
+            _as_binary(arr, f"predictions for {sid!r}")
+        raise
+    text = (flat.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+    write_lines(path, ids, (text[e - n : e] for n, e in zip(counts.tolist(), ends.tolist())))
+
+
+def read_predictions(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """A wire file's session ids, query counts and flat bits. Lines end at ``\\n`` alone
+    (after one ``\\r``, if there), as ``load_sessions`` ends them; blank lines are skipped."""
+    ids, strings = [], []
+    for line_no, line in enumerate(read_utf8(path).split("\n"), start=1):
+        line = line.removesuffix("\r")
         if not line.strip():
             continue
         sid, sep, bits = line.rpartition(",")
@@ -150,5 +167,8 @@ def read_predictions(path) -> list[tuple[str, np.ndarray]]:
             raise ValidationError(f"{path}:{line_no}: expected 'session_id,binarystring'")
         if bits.strip("01"):
             raise ValidationError(f"{path}:{line_no}: prediction string {bits!r} is not binary")
-        out.append((sid, np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - np.int64(ord("0"))))
-    return out
+        ids.append(sid)
+        strings.append(bits)
+    counts = np.fromiter(map(len, strings), np.int64, len(strings))
+    bits = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8) - np.int64(ord("0"))
+    return ids, counts, bits

@@ -468,16 +468,16 @@ class Model:
 
     @T.no_grad()
     def query_probs(self, batch: Batch) -> np.ndarray:
-        """Per-query probabilities [B, Q] as plain float32; records no tape.
+        """Per-query probabilities ``[n_q]`` as plain float32, sessions in batch order and
+        each one's queries in order; records no tape.
 
         The one sigmoid of every head but the label votes of ``VOTE_KINDS``.
         """
         if self.family == "metric":
             out = self.forward_metric(batch.halves())
-            head, queries = out.head.data, out.pairs.query.astype(np.float32)
+            head = out.head.data[out.pairs.query]  # [B, Q] -> [n_q]
         else:
-            head = batch.queries(self.forward_sequence(batch).data)  # [N] -> [B, Q]
-            queries = batch.qry_mask
+            head = self.forward_sequence(batch).data[batch.query_index]  # [N] -> [n_q]
         probs = head if self.config.kind in VOTE_KINDS else T.sigmoid_array(head)
-        return (probs * queries).astype(np.float32)
+        return probs.astype(np.float32)
 

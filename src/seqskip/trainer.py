@@ -25,12 +25,13 @@ from .dataio import (
     PreprocessStats,
     SchemaSpec,
     Sessions,
+    _runs,
     fit_stats,
     make_batches,
     make_episodes,
 )
 from .errors import ConfigurationError, SeqskipError, TrainingError, ValidationError
-from .metrics import SessionPrediction, binarize, corpus_maa
+from .metrics import Predictions, binarize, corpus_maa
 from .models import METRIC_KINDS, VOTE_KINDS, Model, ModelConfig, build
 from .nn import bce_with_logits, mse
 from .optim import Adam, positive
@@ -133,41 +134,33 @@ def build_episodes(
     return make_episodes(sessions, features, stats, schema, keep_query_logs=kind == "teacher")
 
 
-def predict_corpus(
-    model: Model, episodes: Batch, batch_size: int = 64
-) -> list[tuple[str, np.ndarray]]:
-    """(session_id, per-query probabilities) in corpus order.
+def predict_corpus(model: Model, episodes: Batch, batch_size: int = 64) -> np.ndarray:
+    """Every query's probability ``[n_q]``, sessions in corpus order and each one's
+    queries in order.
 
     Sessions are scored in batches of similar timeline length, which
     pads far less than batches in corpus order. The sort is stable, so
     sessions of equal length keep their corpus order."""
     order = np.argsort(episodes.lengths, kind="stable")
-    out: list = [None] * len(episodes)
+    t_query = episodes.t_query
+    first = np.cumsum(t_query) - t_query  # each session's first query place
+    out = np.empty(int(t_query.sum()), dtype=np.float32)
     batches = make_batches(episodes, batch_size, order)
     for start, batch in zip(range(0, len(order), batch_size), batches):
-        probs = model.query_probs(batch)
-        for slot, sid, p, n in zip(order[start:], batch.session_ids, probs, batch.t_query):
-            out[slot] = (sid, p[:n])
+        slots = order[start : start + batch_size]
+        out[_runs(first[slots], t_query[slots])] = model.query_probs(batch)
     return out
-
-
-def score_episodes(
-    model: Model, episodes: Batch, batch_size: int = 64
-) -> list[SessionPrediction]:
-    """Binarized query predictions next to the query labels, in corpus order."""
-    probs = predict_corpus(model, episodes, batch_size)
-    truth = episodes.qry_y.astype(np.int64)
-    return [
-        SessionPrediction(sid, binarize(p), y[: len(p)])
-        for (sid, p), y in zip(probs, truth)
-    ]
 
 
 def evaluate_episodes(
     model: Model, episodes: Batch, batch_size: int = 64
-) -> tuple[float, list[SessionPrediction]]:
-    preds = score_episodes(model, episodes, batch_size)
-    return corpus_maa(preds), preds
+) -> tuple[float, Predictions]:
+    """Corpus MAA and the binarized query predictions next to the query labels, in
+    corpus order."""
+    predicted = binarize(predict_corpus(model, episodes, batch_size))
+    record = Predictions(episodes.session_ids, episodes.t_query, predicted,
+                         episodes.y[episodes.query_index])
+    return corpus_maa(record), record
 
 
 def _global_norm(grad: np.ndarray, clip: float | None, where: str) -> float:

@@ -9,10 +9,11 @@ concatenates their rows, stores them with ``Batch.from_rows`` and takes
 the batch with ``dataio.make_batch``, as training does; ``episode`` reads
 one back from the batch's rows.
 ``corpus_order_predictions`` is the reference scoring loop that
-length-bucketed inference is checked against, ``padded_forward`` the
-padded forward that every sequence kind's forward on rows is checked
-against, and ``reference_generate`` the one-session-at-a-time corpus
-generator that the array-work ``synthgen.generate`` is checked against.
+length-bucketed inference is checked against (``per_session`` splits its
+flat result by session), ``padded_forward`` the padded forward that every
+sequence kind's forward on rows is checked against, and
+``reference_generate`` the one-session-at-a-time corpus generator that the
+array-work ``synthgen.generate`` is checked against.
 """
 
 from __future__ import annotations
@@ -91,11 +92,14 @@ def episode(batch: dataio.Batch, i: int) -> Episode:
 def corpus_order_predictions(model, episodes: dataio.Batch, batch_size: int = 64):
     """``trainer.predict_corpus`` as it was before it sorted by length: batches
     taken in corpus order. The reference that length-bucketed scoring must match."""
-    out = []
-    for batch in dataio.make_batches(episodes, batch_size):
-        probs = model.query_probs(batch)
-        out.extend((sid, p[:n]) for sid, p, n in zip(batch.session_ids, probs, batch.t_query))
-    return out
+    batches = dataio.make_batches(episodes, batch_size)
+    return np.concatenate([np.zeros(0, np.float32), *map(model.query_probs, batches)])
+
+
+def per_session(episodes: dataio.Batch, flat: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """``(session_id, values)`` of each session of a set, from the flat per-query
+    ``values`` that ``predict_corpus`` returns."""
+    return list(zip(episodes.session_ids, np.split(flat, np.cumsum(episodes.t_query)[:-1])))
 
 
 def padded_rows(lengths) -> nn.Rows:

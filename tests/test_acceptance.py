@@ -18,7 +18,7 @@ from seqskip import tensor as T
 from seqskip.cli import main as cli_main
 from seqskip.dataio import load_corpus, make_batch
 from seqskip.metrics import (
-    SessionPrediction,
+    Predictions,
     average_accuracy,
     binarize,
     corpus_maa,
@@ -74,21 +74,22 @@ def _fit(kind, sessions, features, schema, *, width=WIDTH, epochs=10, batch=32,
     return train(cfg, sessions, features, schema)
 
 
-def _query_labels(sessions) -> list[np.ndarray]:
-    """Each session's query labels: the positions after its support half."""
-    starts = sessions.starts + sessions.t_support
-    return [sessions.labels[a:b] for a, b in zip(starts, sessions.starts + sessions.lengths)]
+def _query_counts(sessions) -> np.ndarray:
+    return sessions.lengths - sessions.t_support
+
+
+def _query_labels(sessions) -> np.ndarray:
+    """Every session's query labels, the positions after its support half, one session
+    after another."""
+    query = np.arange(len(sessions.labels)) >= np.repeat(sessions.starts + sessions.t_support,
+                                                         sessions.lengths)
+    return sessions.labels[query]
 
 
 def _label_baseline_maa(kind: str, val_sessions) -> float:
-    preds = []
-    for sid, y_q in zip(val_sessions.ids, _query_labels(val_sessions)):
-        if kind == "all_skip":
-            guess = np.ones(len(y_q), dtype=np.int64)
-        else:
-            guess = np.zeros(len(y_q), dtype=np.int64)
-        preds.append(SessionPrediction(sid, guess, y_q))
-    return corpus_maa(preds)
+    y_q = _query_labels(val_sessions)
+    guess = np.full(len(y_q), 1 if kind == "all_skip" else 0, dtype=np.int64)
+    return corpus_maa(Predictions(val_sessions.ids, _query_counts(val_sessions), guess, y_q))
 
 
 def _random_episode(rng, in_dim: int) -> Episode:
@@ -273,18 +274,16 @@ def test_criterion_05_threshold_learnability(corpus_factory):
         and np.array_equal(twin.lengths, sessions.lengths) \
         and np.array_equal(twin.track_ids, sessions.track_ids), \
         "noise-free twin corpus does not match the noisy corpus's sessions"
-    clean = dict(zip(twin.ids, _query_labels(twin)))
+    _, twin_val = split_train_val(twin, 0.8, 0)
+    assert np.array_equal(twin_val.ids, val_sessions.ids)
 
     val_eps = build_episodes(val_sessions, features, result.stats, schema, "seq1HL")
     _, preds = evaluate_episodes(result.model, val_eps, 64)
-    learnt, ceiling, flipped, n_query = [], [], 0, 0
-    for sid, y_noisy, pred in zip(val_sessions.ids, _query_labels(val_sessions), preds):
-        y_clean = clean[sid]
-        learnt.append(SessionPrediction(sid, pred.predicted, y_clean))
-        ceiling.append(SessionPrediction(sid, y_clean, y_noisy))
-        flipped += int((y_clean != y_noisy).sum())
-        n_query += len(y_noisy)
-    flip_rate = flipped / n_query
+    y_clean, y_noisy = _query_labels(twin_val), _query_labels(val_sessions)
+    counts = _query_counts(val_sessions)
+    learnt = Predictions(val_sessions.ids, counts, preds.predicted, y_clean)
+    ceiling = Predictions(val_sessions.ids, counts, y_clean, y_noisy)
+    flip_rate = int((y_clean != y_noisy).sum()) / len(y_noisy)
     assert abs(flip_rate - 0.05) <= 0.01, \
         f"noisy and noise-free val query labels differ at {flip_rate:.4f}, not ~0.05"
     clean_maa = corpus_maa(learnt)
@@ -412,10 +411,11 @@ def test_criterion_10_format_conformance(tmp_path, capsys):
     out = capsys.readouterr().out
     maa_lines = [l for l in out.splitlines() if l.startswith("MAA=")]
 
-    parsed = read_predictions(preds)
+    ids, counts, bits = read_predictions(preds)
     wire_ok = (
-        len(parsed) == 300
-        and all(set(np.unique(bits)) <= {0, 1} for _, bits in parsed)
+        len(ids) == 300
+        and counts.sum() == len(bits)
+        and set(np.unique(bits)) <= {0, 1}
     )
     lossless = len(maa_lines) == 2 and maa_lines[0] == maa_lines[1]
     ok = wire_ok and lossless

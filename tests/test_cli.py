@@ -289,9 +289,9 @@ def test_predict_then_evaluate_matches_checkpoint_eval(
     assert rc == 0
     assert preds.exists()
     assert (tmp_path / "preds.manifest.json").exists()
-    rows = read_predictions(preds)
-    assert len(rows) == 40
-    assert all(set(bits) <= {0, 1} for _, bits in rows)
+    ids, counts, bits = read_predictions(preds)
+    assert len(ids) == len(counts) == 40 and counts.sum() == len(bits)
+    assert set(bits) <= {0, 1}
 
     rc = main(
         ["evaluate", "--data", str(corpus_dir), "--predictions", str(preds)]
@@ -520,6 +520,60 @@ def test_evaluate_rejects_bad_bits_lengths_and_labels(
         assert main(["evaluate", "--data", str(bad_label), *source]) == 1
         err = capsys.readouterr().err
         assert f"{sessions}:6: column 'skipped' has non-boolean value 'maybe'" in err
+
+
+def _corpus_with_ids(corpus_dir, out, ids):
+    """A copy of ``corpus_dir`` whose first sessions are renamed to ``ids``, each quoted."""
+    out.mkdir()
+    for name in ("schema.json", "features.csv"):
+        (out / name).write_bytes((corpus_dir / name).read_bytes())
+    header, *rows = (corpus_dir / "sessions.csv").read_text().splitlines()
+    col = header.split(",").index("session_id")
+    old = list(dict.fromkeys(row.split(",")[col] for row in rows))[: len(ids)]
+    renamed = dict(zip(old, ['"' + sid.replace('"', '""') + '"' for sid in ids]))
+    for i, row in enumerate(rows):
+        cells = row.split(",")
+        cells[col] = renamed.get(cells[col], cells[col])
+        rows[i] = ",".join(cells)
+    (out / "sessions.csv").write_text("\n".join([header, *rows]) + "\n")
+    return out
+
+
+def test_ids_with_other_line_breaks_round_trip_through_the_wire_file(
+    corpus_dir, checkpoint, tmp_path, capsys
+):
+    # Characters that str.splitlines() breaks at, but \n and \r, stay inside an id
+    # in the session file, the wire file and the per-session file alike.
+    breaks = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    ids = [f"s{c}{i}" for i, c in enumerate(breaks)]
+    data = _corpus_with_ids(corpus_dir, tmp_path / "data", ids)
+    assert load_corpus(data)[1].ids[1] == "s\x0c1"
+    preds, per = tmp_path / "preds.txt", tmp_path / "per.csv"
+    common = ["--data", str(data)]
+    assert main(["predict", *common, "--checkpoint", str(checkpoint), "--out", str(preds)]) == 0
+    assert main(["evaluate", *common, "--checkpoint", str(checkpoint), "--per-session", str(per)]) == 0
+    checkpoint_maa = _maa_from(capsys.readouterr().out)
+    assert main(["evaluate", *common, "--predictions", str(preds)]) == 0
+    assert _maa_from(capsys.readouterr().out) == checkpoint_maa
+    assert read_predictions(preds)[0][:8] == ids
+    assert per.read_text(encoding="utf-8").split("\n")[1].startswith("s\x0c1,")
+
+
+@pytest.mark.parametrize("sid", ["s\n1", "s\r1"])
+def test_writers_refuse_an_id_with_a_line_break(corpus_dir, checkpoint, tmp_path, capsys, sid):
+    # The wire format cannot hold such an id: predict and --per-session name it
+    # and write nothing.
+    data = _corpus_with_ids(corpus_dir, tmp_path / "data", ["s0", sid])
+    assert load_corpus(data)[1].ids[1] == sid
+    preds, per = tmp_path / "preds.txt", tmp_path / "per.csv"
+    common = ["--data", str(data), "--checkpoint", str(checkpoint)]
+    for argv, out in ((["predict", *common, "--out", str(preds)], preds),
+                      (["evaluate", *common, "--per-session", str(per)], per)):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"error: session id {sid!r} holds a line break" in captured.err, argv[0]
+        assert not out.exists() and "MAA=" not in captured.out
+    assert main(["evaluate", *common]) == 0  # scoring alone writes no id
 
 
 def test_predict_to_a_directory_reports_error(corpus_dir, checkpoint, tmp_path, capsys):

@@ -253,9 +253,10 @@ def ref_make_batch(episodes):
     arrays = {
         "x": (rows, width), "y": (rows,), "real_rows": (rows,), "query_rows": (rows,),
         "sup_y": (b, s_max),
-        "qry_x": (b, q_max, width), "qry_mask": (b, q_max), "qry_y": (b, q_max),
+        "qry_x": (b, q_max, width), "qry_y": (b, q_max),
     }
     out = {name: np.zeros(shape, dtype=np.float32) for name, shape in arrays.items()}
+    query_index = []
     t_support = np.zeros(b, dtype=np.int64)
     t_query = np.zeros(b, dtype=np.int64)
     row = 0
@@ -267,13 +268,14 @@ def ref_make_batch(episodes):
         out["y"][row + ts : row + ts + tq] = ep.y_query
         out["real_rows"][row : row + ts + tq] = 1.0
         out["query_rows"][row + ts : row + ts + tq] = 1.0
+        query_index.extend(range(row + ts, row + ts + tq))
         row += ts + tq
         out["sup_y"][i, :ts] = ep.y_support
         out["qry_x"][i, :tq] = ep.x_query
-        out["qry_mask"][i, :tq] = 1.0
         out["qry_y"][i, :tq] = ep.y_query
         t_support[i], t_query[i] = ts, tq
-    return dict(out, session_ids=tuple(e.session_id for e in episodes), t_support=t_support,
+    return dict(out, query_index=np.array(query_index, dtype=np.int64),
+                session_ids=tuple(e.session_id for e in episodes), t_support=t_support,
                 t_query=t_query, query_logs_kept=episodes[0].query_logs_kept)
 
 
@@ -289,7 +291,7 @@ def block_rows(request, monkeypatch):
 
 # What a Batch stores, then what it derives from that when read.
 BATCH_FIELDS = ("session_ids", "x", "y", "t_support", "t_query", "query_logs_kept")
-BATCH_VIEWS = ("real_rows", "query_rows", "sup_y", "qry_x", "qry_mask",
+BATCH_VIEWS = ("real_rows", "query_rows", "query_index", "sup_y", "qry_x",
                "qry_y")  # qry_x is read as ``queries(x)``
 
 

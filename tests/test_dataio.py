@@ -27,6 +27,7 @@ from seqskip.dataio import (
     make_batch,
     make_batches,
     make_episodes,
+    read_utf8,
     transform,
 )
 from seqskip.errors import SchemaError, ValidationError
@@ -236,6 +237,19 @@ def test_a_byte_that_is_not_utf8_fails_at_its_line(tmp_path):
     (tmp_path / "f.csv").write_bytes(b'track_id,f0,f1,f2\nt0,1,2,3\n"t\xe9",1,2,3\n')
     with pytest.raises(ValidationError, match=r"f\.csv:3: byte 0xe9 is not UTF-8"):
         load_features(tmp_path / "f.csv", schema)
+
+
+def test_read_utf8_counts_newlines_only(tmp_path):
+    # \x0c, \x85 and a bare \r end no line of the file: the bad byte is on line 2.
+    path = tmp_path / "p.txt"
+    for text in (b"s\x0c1,0101\ns2,\xff01\n", b"s\xc2\x851,0\rs\r2,1\ns2,\xff01\n",
+                 b"s1,01\r\ns2,\xff01\r\n"):
+        path.write_bytes(text)
+        with pytest.raises(ValidationError, match=r"p\.txt:2: byte 0xff is not UTF-8"):
+            read_utf8(path)
+    path.write_bytes(b"\xff")
+    with pytest.raises(ValidationError, match=r"p\.txt:1: byte 0xff is not UTF-8"):
+        read_utf8(path)
 
 
 def test_a_cell_past_the_csv_field_limit_fails_at_its_line(tmp_path):
@@ -475,7 +489,7 @@ def test_make_batch_padding_and_merged_timeline(corpus):
     np.testing.assert_array_equal(batch.x[:5], ep.x_support)
     np.testing.assert_array_equal(batch.x[15:18], short.x_query)
     assert not batch.x[18:].any() and not batch.y[18:].any()
-    np.testing.assert_array_equal(batch.qry_mask[1], [1, 1, 1, 0, 0])
+    np.testing.assert_array_equal(batch.query_index, [5, 6, 7, 8, 9, 15, 16, 17])
     # merged timeline: each session's supports then its queries, one row each
     np.testing.assert_array_equal(batch.x[5:10], ep.x_query)
     np.testing.assert_array_equal(batch.sup.x[5:10], ep.x_support)
@@ -570,5 +584,4 @@ def test_make_batches_gathers_each_batch_when_it_is_read(tmp_path, monkeypatch):
     model = build(default_config("seq1HL", width=8), schema.full_width)
     lazy = trainer.predict_corpus(model, eps, 8)
     monkeypatch.setattr(trainer, "make_batches", lambda e, b, o=None: list(make_batches(e, b, o)))
-    for (sid, p), (want_sid, q) in zip(lazy, trainer.predict_corpus(model, eps, 8), strict=True):
-        assert sid == want_sid and p.tobytes() == q.tobytes()
+    assert lazy.tobytes() == trainer.predict_corpus(model, eps, 8).tobytes()

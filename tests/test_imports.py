@@ -9,12 +9,6 @@ import seqskip
 
 SRC = Path(seqskip.__file__).parent
 
-# ``cli`` imports ``evaluate_episodes`` and never calls it: perfbench/layers.py
-# traces that name on ``cli``. ROADMAP item 1 removes the traced site and
-# then the import.
-KEPT = {("cli", "evaluate_episodes")}
-
-
 def unused_imports(source: str) -> list[str]:
     """The names ``source`` imports and never reads. A name counts as read where the
     module loads it, where ``__all__`` lists it, and where a string annotation names it."""
@@ -46,5 +40,4 @@ def test_the_check_finds_an_unused_import():
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
 def test_every_import_is_used(module):
-    unused = unused_imports((SRC / f"{module}.py").read_text(encoding="utf-8"))
-    assert [name for name in unused if (module, name) not in KEPT] == []
+    assert unused_imports((SRC / f"{module}.py").read_text(encoding="utf-8")) == []

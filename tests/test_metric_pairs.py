@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from handmade import Episode, make_batch
+from handmade import Episode, make_batch, per_session
 
 from seqskip import nn
 from seqskip import tensor as T
@@ -639,10 +639,10 @@ def test_forward_metric_matches_pair_concat_reference(kind):
     assert got.r.data.dtype == np.float64 and got.r.shape == want.r.shape
     assert _rel(got.r.data[real], want.r.data[real]) <= TOL
     assert (got.r.data[~real] == 0.5).all()
-    queries = batch.qry_mask != 0
+    queries = _real(batch.t_query)
     assert _rel(got.head.data[queries], want.head.data[queries]) <= TOL
     want_probs = want.head.data if kind in VOTE_KINDS else T.sigmoid_array(want.head.data)
-    assert _rel(model.query_probs(batch), want_probs * batch.qry_mask) <= 6e-8  # float32 out
+    assert _rel(model.query_probs(batch), want_probs[queries]) <= 6e-8  # float32 out
 
     loss, grads = _loss_and_grads(model, batch, type(model).forward_metric)
     ref_loss, ref_grads = _loss_and_grads(model, batch, ref_forward_metric)
@@ -741,7 +741,7 @@ def test_pair_concat_checkpoints_load_and_predict(tmp_path):
         model, stats, saved_schema, _ = load_model(DATA / f"{kind}_pair_concat.ckpt")
         assert saved_schema == schema
         episodes = build_episodes(sessions, features, stats, schema, kind)
-        got = dict(predict_corpus(model, episodes))
+        got = dict(per_session(episodes, predict_corpus(model, episodes)))
         want = expected["probs"][kind]
         assert list(got) == list(want)
         for sid, probs in want.items():

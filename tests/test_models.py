@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from handmade import Episode, corpus_order_predictions, make_batch, padded_forward
+from handmade import Episode, corpus_order_predictions, make_batch, padded_forward, per_session
 
 from seqskip import nn
 from seqskip import tensor as T
@@ -48,7 +48,7 @@ def _model(kind, seed=0, width=WIDTH):
 
 def _predict(model, ep) -> np.ndarray:
     """Per-query skip probabilities [T_q] for one episode."""
-    return model.query_probs(make_batch([ep]))[0, : ep.t_query]
+    return model.query_probs(make_batch([ep]))
 
 
 # -- configuration -----------------------------------------------------
@@ -142,7 +142,7 @@ def test_teacher_demands_query_logs():
     with pytest.raises(ContractError, match="keep_query_logs"):
         teacher.forward_sequence(make_batch([_episode(rng)]))
     probs = teacher.query_probs(make_batch([_episode(rng, keep_logs=True)]))
-    assert probs.shape == (1, 5)
+    assert probs.shape == (5,)
 
 
 def test_transformer_positional_table_limit():
@@ -171,10 +171,9 @@ def test_output_shapes_and_ranges():
             continue
         model = _model(kind)
         probs = model.query_probs(batch)
-        assert probs.shape == (2, 6)
+        # one probability per query, sessions in order: 5 then 6, no padded slot
+        assert probs.shape == (11,) and probs.dtype == np.float32
         assert np.all((probs >= 0) & (probs <= 1))
-        # padded query slots are zero-masked
-        assert np.all(probs[0, 5:] == 0)
 
     out = _model("rnb2_ue").forward_metric(batch)
     assert out.r.shape == (2, 7, 6)
@@ -318,8 +317,8 @@ def test_padding_does_not_change_predictions():
         if kind == "teacher":
             continue
         model = _model(kind)
-        solo = model.query_probs(make_batch([short]))[0, :5]
-        padded = model.query_probs(make_batch([short, long]))[0, :5]
+        solo = model.query_probs(make_batch([short]))
+        padded = model.query_probs(make_batch([short, long]))[:5]
         np.testing.assert_allclose(padded, solo, atol=2e-6, err_msg=kind)
 
 
@@ -383,7 +382,7 @@ def test_padding_contents_reach_no_output_or_gradient(markov_corpus, kind, gate)
     for batch in list(make_batches(episodes, 29))[:4]:
         assert all(not prefix_mask(t).all() for t in (batch.t_support, batch.t_query))
         filled = _with_padding_filled(batch, 1e3)
-        assert (filled.qry_y[batch.qry_mask == 0] == 1e3).all()
+        assert (filled.qry_y[~prefix_mask(batch.t_query)] == 1e3).all()
         real = int(batch.lengths.sum())
         assert (filled.x[real:] == 1e3).all() and (filled.y[real:] == 1e3).all()
         inert.append(len(batch.x) - real)
@@ -410,9 +409,9 @@ def test_probabilities_do_not_depend_on_batch_mates(markov_corpus, kind):
     schema, sessions, features, stats = markov_corpus
     episodes = build_episodes(sessions, features, stats, schema, kind)
     model = build(default_config(kind, width=32), schema.full_width)
-    corpus_order = corpus_order_predictions(model, episodes, 64)
-    ways = {"bucketed": predict_corpus(model, episodes, 64),
-            "alone": predict_corpus(model, episodes, 1)}
+    corpus_order = per_session(episodes, corpus_order_predictions(model, episodes, 64))
+    ways = {"bucketed": per_session(episodes, predict_corpus(model, episodes, 64)),
+            "alone": per_session(episodes, predict_corpus(model, episodes, 1))}
     for way, preds in ways.items():
         assert [sid for sid, _ in preds] == list(episodes.session_ids)
         for (sid, p), (_, q) in zip(preds, corpus_order):
@@ -508,7 +507,7 @@ def _pinned_predictions(tmp_path, name, kind):
     model, stats, saved_schema, _ = load_model(DATA / f"{name}.ckpt")
     assert saved_schema == schema and model.config.width == 8 and model.config.kind == kind
     episodes = build_episodes(sessions, features, stats, schema, kind)
-    got = dict(predict_corpus(model, episodes, batch_size=expected["batch_size"]))
+    got = dict(per_session(episodes, predict_corpus(model, episodes, expected["batch_size"])))
     assert list(got) == list(expected["probs"])
     return got, expected["probs"]
 
@@ -549,11 +548,10 @@ def test_padded_timeline_checkpoint_predicts_the_same_bits(tmp_path, kind):
 def _inference_probs(model, batch) -> np.ndarray:
     """What ``query_probs`` computes, with the tape on."""
     if model.family == "metric":
-        head = model.forward_metric(batch).head.data
+        head = model.forward_metric(batch).head.data[prefix_mask(batch.t_query)]
     else:
-        head = batch.queries(model.forward_sequence(batch).data)
-    probs = head if model.config.kind in VOTE_KINDS else T.sigmoid_array(head)
-    return probs * batch.qry_mask
+        head = model.forward_sequence(batch).data[batch.query_rows != 0]
+    return head if model.config.kind in VOTE_KINDS else T.sigmoid_array(head)
 
 
 def test_query_probs_records_no_tape(monkeypatch):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from handmade import corpus_order_predictions
+from handmade import corpus_order_predictions, per_session
 
 from seqskip import checkpoint as ckpt
 from seqskip import tensor as T
@@ -133,7 +133,7 @@ def test_weighted_sum_kind_uses_bce(episodes):
     batch = make_batch(eps[:4])
     model = build(default_config("rnbc2_ue", width=8), schema.full_width)
     got = float(batch_loss(model, batch).data)
-    m = batch.qry_mask
+    m = prefix_mask(batch.t_query)
     ce = _cross_entropy(model.forward_metric(batch).head.data, batch.qry_y)
     want = float((ce * m).sum() / m.sum())
     assert abs(got - want) < 1e-6
@@ -171,9 +171,11 @@ def test_teacher_episodes_keep_logs(corpus):
 def test_predict_corpus_order_and_lengths(episodes):
     schema, _, eps = episodes
     model = build(default_config("rnb1", width=8), schema.full_width)
-    preds = predict_corpus(model, eps[:7], batch_size=3)
+    probs = predict_corpus(model, eps[:7], batch_size=3)
+    preds = per_session(eps[:7], probs)
+    assert probs.dtype == np.float32 and probs.shape == (eps.t_query[:7].sum(),)
     assert [sid for sid, _ in preds] == list(eps.session_ids[:7])
-    t_query = eps.qry_mask[:7].sum(axis=1).astype(int)
+    t_query = prefix_mask(eps.t_query)[:7].sum(axis=1).astype(int)
     assert [p.shape for _, p in preds] == [(n,) for n in t_query]
 
 
@@ -207,23 +209,24 @@ def test_predict_corpus_writes_each_session_back_to_its_slot(episodes, batch_siz
         eps = eps[np.argsort(eps.lengths, kind="stable")]
     assert presorted or np.any(np.diff(eps.lengths) < 0)
     model = build(default_config("rnb1", width=8), schema.full_width)
-    got = predict_corpus(model, eps, batch_size)
-    want = corpus_order_predictions(model, eps, batch_size)
+    got = per_session(eps, predict_corpus(model, eps, batch_size))
+    want = per_session(eps, corpus_order_predictions(model, eps, batch_size))
     assert [sid for sid, _ in got] == list(eps.session_ids)
     for (sid, p), (_, q) in zip(got, want):
         assert p.dtype == q.dtype and p.tobytes() == q.tobytes(), sid
 
 
 def test_evaluate_matches_manual_maa(episodes):
-    from seqskip.metrics import SessionPrediction, binarize, corpus_maa
+    from seqskip.metrics import average_accuracy, binarize
     schema, _, eps = episodes
     model = build(default_config("rnb1", width=8), schema.full_width)
     maa, preds = evaluate_episodes(model, eps[:9], batch_size=4)
-    manual = corpus_maa([
-        SessionPrediction(sid, binarize(p), y_query[: len(p)])
-        for y_query, (sid, p) in zip(eps.qry_y[:9], predict_corpus(model, eps[:9], 4))
-    ])
-    assert maa == manual and len(preds) == 9
+    probs = per_session(eps[:9], predict_corpus(model, eps[:9], 4))
+    manual = np.mean([average_accuracy(binarize(p), y_query[: len(p)])
+                      for y_query, (sid, p) in zip(eps.qry_y[:9], probs)])
+    assert maa == manual and len(preds.ids) == 9
+    assert preds.ids == eps.session_ids[:9] and preds.counts.tolist() == eps.t_query[:9].tolist()
+    assert preds.truth.tolist() == eps.qry_y[:9][prefix_mask(eps.t_query[:9])].tolist()
 
 
 # -- gradient clipping -------------------------------------------------
