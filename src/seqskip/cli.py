@@ -39,6 +39,7 @@ from .trainer import (
     evaluate_episodes,
     load_model,
     predict_corpus,
+    query_predictions,
     train,
 )
 
@@ -199,16 +200,19 @@ def _wire_record(data: Path, path) -> Predictions:
 def cmd_evaluate(args) -> int:
     args = _maybe_load_manifest(args, "evaluate")
     data = Path(args.data)
-    maa = None
     if args.checkpoint:
         model, episodes = _model_and_episodes(args.checkpoint, data)
-        maa, record = evaluate_episodes(model, episodes, batch_size=args.batch_size)
+        if not args.per_session:
+            maa, _ = evaluate_episodes(model, episodes, batch_size=args.batch_size)
+            print(f"MAA={maa:.9f}")
+            return 0
+        record = query_predictions(model, episodes, batch_size=args.batch_size)
     else:
         record = _wire_record(data, args.predictions)
-    if not args.per_session:
-        print(f"MAA={corpus_maa(record) if maa is None else maa:.9f}")
-        return 0
-    aa = per_session_aa(record)  # the MAA printed is the mean of the lines written
+        if not args.per_session:
+            print(f"MAA={corpus_maa(record):.9f}")
+            return 0
+    aa = per_session_aa(record)  # once: the MAA printed is the mean of the lines written
     out = Path(args.per_session)
     write_lines(out, record.ids, [f"{v:.9f}" for v in aa.tolist()])
     print(f"MAA={aa.mean():.9f}")

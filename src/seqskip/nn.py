@@ -167,14 +167,16 @@ def _span(n: int, offset: int) -> tuple[int, int]:
     return lo, max(lo, n - max(0, offset))
 
 
-def _check_conv(x: Tensor, spec: Conv1dSpec, weights: Tensor, rows: Rows | None) -> Rows | None:
-    """Checks a conv's shapes and returns its row table: ``rows``, or one whose sessions
-    fill the block when None and a tap shifts (kernel_size > 1)."""
+def _check_conv(x: Tensor, spec: Conv1dSpec, rows: Rows | None, *weights: Tensor) -> Rows | None:
+    """Checks the shapes of a conv of each of ``weights`` on ``x`` and returns their row
+    table: ``rows``, or one whose sessions fill the block when None and a tap shifts
+    (kernel_size > 1)."""
     expected = (spec.out_channels, spec.in_channels, spec.kernel_size)
-    if tuple(weights.shape) != expected:
-        raise ConfigurationError(
-            f"conv weights shape {tuple(weights.shape)} does not match spec {expected}"
-        )
+    for w in weights:
+        if tuple(w.shape) != expected:
+            raise ConfigurationError(
+                f"conv weights shape {tuple(w.shape)} does not match spec {expected}"
+            )
     if x.ndim not in (2, 3) or x.shape[-1] != spec.in_channels:
         raise ConfigurationError(
             f"channels-last conv input shape {tuple(x.shape)} incompatible with "
@@ -185,31 +187,29 @@ def _check_conv(x: Tensor, spec: Conv1dSpec, weights: Tensor, rows: Rows | None)
     return None if rows is None and spec.kernel_size == 1 else Rows.of(x, rows)
 
 
-def _im2col(x2: np.ndarray, spec: Conv1dSpec, rows: Rows | None) -> tuple[np.ndarray, list[int]]:
-    """``[N, k*C_in]`` columns of the k shifted taps of rows ``[N, C_in]``, and their offsets."""
-    k, c_in, offsets = spec.kernel_size, spec.in_channels, _offsets(spec)
+def _im2col(x2: np.ndarray, spec: Conv1dSpec, rows: Rows | None) -> tuple[np.ndarray, list]:
+    """``[N, k*C_in]`` columns of the k shifted taps of rows ``[N, C_in]``, and each tap's
+    ``(offset, lo, hi)``: the rows ``[lo, hi)`` whose input row lies in the block."""
+    k, c_in, n = spec.kernel_size, spec.in_channels, len(x2)
+    taps = [(off, *_span(n, off)) for off in _offsets(spec)]
     if k == 1:
-        return x2, offsets
-    n = len(x2)
+        return x2, taps
     buf = np.empty((n, k, c_in), dtype=x2.dtype)
-    for j, off in enumerate(offsets):
-        lo, hi = _span(n, off)
+    for j, (off, lo, hi) in enumerate(taps):
         buf[lo:hi, j] = x2[lo + off : hi + off]
         if off:
             buf[rows.outside(off), j] = 0  # the rows past [lo, hi) among them
-    return buf.reshape(n, k * c_in), offsets
+    return buf.reshape(n, k * c_in), taps
 
 
-def _add_taps(gx2: np.ndarray, gcols: np.ndarray, offsets, rows: Rows | None) -> np.ndarray:
+def _add_taps(gx2: np.ndarray, gcols: np.ndarray, taps, rows: Rows | None) -> np.ndarray:
     """Add each tap's columns of ``gcols`` onto the rows ``gx2 [N, C_in]`` it read, in place.
 
     Zeroes ``gcols`` where a tap read outside its session."""
-    n, c_in = gx2.shape
-    gcols = gcols.reshape(n, -1, c_in)
-    for j, off in enumerate(offsets):
+    gcols = gcols.reshape(len(gx2), len(taps), -1)
+    for j, (off, lo, hi) in enumerate(taps):
         if off:
             gcols[rows.outside(off), j] = 0
-        lo, hi = _span(n, off)
         gx2[lo + off : hi + off] += gcols[lo:hi, j]
     return gx2
 
@@ -230,12 +230,12 @@ def conv1d_cl(x: Tensor, spec: Conv1dSpec, weights: Tensor, bias: Tensor | None 
     ``[k*C_in, C_out]`` weight matrix and its backward two.
     It records one tape node.
     """
-    rows = _check_conv(x, spec, weights, rows)
+    rows = _check_conv(x, spec, rows, weights)
     if bias is not None and tuple(bias.shape) != (spec.out_channels,):
         raise ConfigurationError(f"conv bias shape {tuple(bias.shape)} != ({spec.out_channels},)")
 
     k, c_in, c_out = spec.kernel_size, spec.in_channels, spec.out_channels
-    cols, offsets = _im2col(x.data.reshape(-1, c_in), spec, rows)
+    cols, taps = _im2col(x.data.reshape(-1, c_in), spec, rows)
     # wmat[j*C_in + c, o] = weights[o, c, j], matching the buffer's column order
     wmat = weights.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
     out = cols @ wmat
@@ -252,7 +252,7 @@ def conv1d_cl(x: Tensor, spec: Conv1dSpec, weights: Tensor, bias: Tensor | None 
                 gx = gcols.reshape(x.shape)
             else:
                 gx2 = np.zeros((len(g2), c_in), dtype=gcols.dtype)
-                gx = _add_taps(gx2, gcols, offsets, rows).reshape(x.shape)
+                gx = _add_taps(gx2, gcols, taps, rows).reshape(x.shape)
         if weights.requires_grad:
             gw = (cols.T @ g2).reshape(k, c_in, c_out).transpose(2, 1, 0)
         if bias is not None and bias.requires_grad:
@@ -411,26 +411,33 @@ def _gate(kind: str, xd: np.ndarray, tp: np.ndarray, gp: np.ndarray):
     """A gate's output over its branch pre-activations, and ``grads(g, gt, gg)``, which
     writes both branch gradients into ``gt`` and ``gg`` and returns the carry's share of
     the input gradient (None for glu, which has no carry). The gradient reads no view of
-    the pre-activations, so a caller may drop the block holding both."""
+    the pre-activations, so a caller may drop the block holding both. Each product and
+    sum is the one of ``xd + s * (r - xd)`` and of the gradients written out below,
+    operands swapped at most, so computing them in place moves no byte."""
     s = T.sigmoid_array(gp)
     if kind == "highway":
-        r = np.maximum(tp, 0.0)
-        out = xd + s * (r - xd)
+        d = np.maximum(tp, 0.0)
+        up = d > 0  # where the relu passes its gradient
+        d -= xd  # r - xd
+        out = d * s
+        out += xd  # xd + s * (r - xd)
 
-        def grads(g, gt, gg):  # reads s, r and xd
+        def grads(g, gt, gg):  # reads s, up and d
             gs = g * s
-            gt[...] = gs * (r > 0)
-            gg[...] = gs * (1.0 - s) * (r - xd)
-            return g - gs  # g * (1 - s)
+            np.multiply(gs, up, out=gt)
+            gd = 1.0 - s
+            gd *= gs
+            np.multiply(gd, d, out=gg)  # gs * (1 - s) * (r - xd)
+            return np.subtract(g, gs, out=gs)  # g * (1 - s)
 
     elif kind == "glu":
         tp = np.ascontiguousarray(tp)  # a copy of a strided half: the block can go
         out = tp * s
 
         def grads(g, gt, gg):
-            gs = g * s
-            gt[...] = gs
-            gg[...] = gs * tp * (1.0 - s)
+            np.multiply(g, s, out=gt)
+            np.multiply(gt, tp, out=gg)
+            gg *= 1.0 - s  # g * s * tp * (1 - s)
             return None
 
     else:
@@ -475,28 +482,32 @@ def gated_level(kind: str, x: Tensor, spec: Conv1dSpec, transform, gate,
 
     Until its backward the node keeps what that reads: the im2col columns (``x``
     itself when k = 1), the normalized ``[N, 2, C]`` block, the gate's sigmoid, and
-    for highway the transform's relu, or for glu a contiguous copy of the transform's
-    pre-activations. The ``[N, 2, C]`` pre-activations go when the forward returns.
+    for highway the transform's relu less the carry and a one-byte mask of where the
+    relu is positive, or for glu a contiguous copy of the transform's pre-activations.
+    The ``[N, 2, C]`` pre-activations go when the forward returns. The tape runs a
+    backward once, so the backward overwrites the normalized block once it has read it.
     """
     parents = (x, *transform, *gate)
-    for weights in (transform[0], gate[0]):
-        rows = _check_conv(x, spec, weights, rows)
+    rows = _check_conv(x, spec, rows, transform[0], gate[0])
     k, c_in, width = spec.kernel_size, spec.in_channels, spec.out_channels
     if width != c_in:
         raise ConfigurationError(f"gated level input width {c_in} != path width {width}")
 
     def centred(m):  # [..., 2 * width] less each branch's mean
         m3 = m.reshape(-1, 2, width)
-        return (m3 - m3.mean(axis=-1, keepdims=True)).reshape(m.shape)
+        return (m3 - np.add.reduce(m3, axis=-1, keepdims=True) / width).reshape(m.shape)
 
-    w_both, gamma, beta = (np.stack([t.data, g.data]) for t, g in zip(transform, gate))
+    w_both, gamma, beta = (np.concatenate([t.data, g.data]) for t, g in zip(transform, gate))
+    gamma, beta = gamma.reshape(2, width), beta.reshape(2, width)
     x2 = x.data.reshape(-1, c_in)
-    cols, offsets = _im2col(x2, spec, rows)
-    wmat = centred(w_both.transpose(3, 2, 0, 1).reshape(k * c_in, 2 * width))
+    cols, taps = _im2col(x2, spec, rows)
+    wmat = centred(w_both.reshape(2, width, c_in, k).transpose(3, 2, 0, 1)
+                   .reshape(k * c_in, 2 * width))
     xhat = (cols @ wmat).reshape(-1, 2, width)  # centred already; normalized in place
     inv = (_axis_sum(xhat, -1, xhat) * (1.0 / width) + NORM_EPSILON) ** -0.5
     xhat *= inv
-    pre = xhat * gamma + beta
+    pre = xhat * gamma
+    pre += beta
     out, grads = _gate(kind, x2, pre[:, 0], pre[:, 1])
     shape, dtype = pre.shape, pre.dtype
     del pre  # the gate's grads read no view of it
@@ -506,11 +517,12 @@ def gated_level(kind: str, x: Tensor, spec: Conv1dSpec, transform, gate,
         carry = grads(g.reshape(-1, width), gpre[:, 0], gpre[:, 1])
         g_gamma, g_beta = np.einsum("nbw,nbw->bw", gpre, xhat), np.einsum("nbw->bw", gpre)
         gpre *= gamma  # the gradient reaching xhat
-        gpre -= xhat * (_axis_sum(gpre, -1, xhat) * (1.0 / width))
+        np.multiply(xhat, _axis_sum(gpre, -1, xhat) * (1.0 / width), out=xhat)  # its last use
+        gpre -= xhat
         gpre *= inv  # the gradient reaching the GEMM output
         gz = gpre.reshape(-1, 2 * width)
         gx2 = np.zeros(x2.shape, g.dtype) if carry is None else carry
-        _add_taps(gx2, gz @ wmat.T, offsets, rows)
+        _add_taps(gx2, gz @ wmat.T, taps, rows)
         gw = centred(cols.T @ gz).reshape(k, c_in, 2, width).transpose(2, 3, 1, 0)
         return gx2.reshape(x.shape), gw[0], g_gamma[0], g_beta[0], gw[1], g_gamma[1], g_beta[1]
 

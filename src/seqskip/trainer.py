@@ -152,14 +152,18 @@ def predict_corpus(model: Model, episodes: Batch, batch_size: int = 64) -> np.nd
     return out
 
 
+def query_predictions(model: Model, episodes: Batch, batch_size: int = 64) -> Predictions:
+    """The binarized query predictions next to the query labels, in corpus order."""
+    predicted = binarize(predict_corpus(model, episodes, batch_size))
+    return Predictions(episodes.session_ids, episodes.t_query, predicted,
+                       episodes.y[episodes.query_index])
+
+
 def evaluate_episodes(
     model: Model, episodes: Batch, batch_size: int = 64
 ) -> tuple[float, Predictions]:
-    """Corpus MAA and the binarized query predictions next to the query labels, in
-    corpus order."""
-    predicted = binarize(predict_corpus(model, episodes, batch_size))
-    record = Predictions(episodes.session_ids, episodes.t_query, predicted,
-                         episodes.y[episodes.query_index])
+    """Corpus MAA and :func:`query_predictions`."""
+    record = query_predictions(model, episodes, batch_size)
     return corpus_maa(record), record
 
 

@@ -13,7 +13,8 @@ length-bucketed inference is checked against (``per_session`` splits its
 flat result by session), ``padded_forward`` the padded forward that every
 sequence kind's forward on rows is checked against, and
 ``reference_generate`` the one-session-at-a-time corpus generator that the
-array-work ``synthgen.generate`` is checked against.
+array-work ``synthgen.generate`` is checked against, and
+``reference_gated_level`` the gated level whose bytes ``nn.gated_level`` keeps.
 """
 
 from __future__ import annotations
@@ -268,3 +269,107 @@ def reference_generate(config: synthgen.SynthConfig, out_dir) -> dict[str, Path]
         json.dumps(synthgen.schema_dict(config), indent=2) + "\n", encoding="utf-8"
     )
     return paths
+
+
+# -- the gated level as it was before its in-place rewrite ----------------
+
+
+def _reference_sigmoid(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
+    return out
+
+
+def _reference_gate(kind: str, xd: np.ndarray, tp: np.ndarray, gp: np.ndarray):
+    s = _reference_sigmoid(gp)
+    if kind == "highway":
+        r = np.maximum(tp, 0.0)
+        out = xd + s * (r - xd)
+
+        def grads(g, gt, gg):
+            gs = g * s
+            gt[...] = gs * (r > 0)
+            gg[...] = gs * (1.0 - s) * (r - xd)
+            return g - gs
+
+    else:
+        tp = np.ascontiguousarray(tp)
+        out = tp * s
+
+        def grads(g, gt, gg):
+            gs = g * s
+            gt[...] = gs
+            gg[...] = gs * tp * (1.0 - s)
+            return None
+
+    return out, grads
+
+
+def _reference_im2col(x2, spec, rows):
+    k, c_in, offsets = spec.kernel_size, spec.in_channels, nn._offsets(spec)
+    if k == 1:
+        return x2, offsets
+    n = len(x2)
+    buf = np.empty((n, k, c_in), dtype=x2.dtype)
+    for j, off in enumerate(offsets):
+        lo, hi = nn._span(n, off)
+        buf[lo:hi, j] = x2[lo + off : hi + off]
+        if off:
+            buf[rows.outside(off), j] = 0
+    return buf.reshape(n, k * c_in), offsets
+
+
+def _reference_add_taps(gx2, gcols, offsets, rows):
+    n, c_in = gx2.shape
+    gcols = gcols.reshape(n, -1, c_in)
+    for j, off in enumerate(offsets):
+        if off:
+            gcols[rows.outside(off), j] = 0
+        lo, hi = nn._span(n, off)
+        gx2[lo + off : hi + off] += gcols[lo:hi, j]
+    return gx2
+
+
+def reference_gated_level(kind, x, spec, transform, gate, rows=None):
+    """``nn.gated_level`` as it was before its forward and backward computed in place:
+    ``ndarray.mean``, ``np.stack``, temporaries copied into the strided halves and the
+    two-buffer sigmoid. Its output and gradients fix the bytes the fused level keeps.
+    It checks no shape."""
+    parents = (x, *transform, *gate)
+    if rows is None and spec.kernel_size > 1:
+        rows = nn.Rows.of(x, None)
+    k, c_in, width = spec.kernel_size, spec.in_channels, spec.out_channels
+
+    def centred(m):
+        m3 = m.reshape(-1, 2, width)
+        return (m3 - m3.mean(axis=-1, keepdims=True)).reshape(m.shape)
+
+    w_both, gamma, beta = (np.stack([t.data, g.data]) for t, g in zip(transform, gate))
+    x2 = x.data.reshape(-1, c_in)
+    cols, offsets = _reference_im2col(x2, spec, rows)
+    wmat = centred(w_both.transpose(3, 2, 0, 1).reshape(k * c_in, 2 * width))
+    xhat = (cols @ wmat).reshape(-1, 2, width)
+    inv = (np.einsum("...i,...i->...", xhat, xhat)[..., None] * (1.0 / width)
+           + nn.NORM_EPSILON) ** -0.5
+    xhat *= inv
+    pre = xhat * gamma + beta
+    out, grads = _reference_gate(kind, x2, pre[:, 0], pre[:, 1])
+    shape, dtype = pre.shape, pre.dtype
+    del pre
+
+    def backward(g):
+        gpre = np.empty(shape, dtype)
+        carry = grads(g.reshape(-1, width), gpre[:, 0], gpre[:, 1])
+        g_gamma, g_beta = np.einsum("nbw,nbw->bw", gpre, xhat), np.einsum("nbw->bw", gpre)
+        gpre *= gamma
+        gpre -= xhat * (np.einsum("...i,...i->...", gpre, xhat)[..., None] * (1.0 / width))
+        gpre *= inv
+        gz = gpre.reshape(-1, 2 * width)
+        gx2 = np.zeros(x2.shape, g.dtype) if carry is None else carry
+        _reference_add_taps(gx2, gz @ wmat.T, offsets, rows)
+        gw = centred(cols.T @ gz).reshape(k, c_in, 2, width).transpose(2, 3, 1, 0)
+        return gx2.reshape(x.shape), gw[0], g_gamma[0], g_beta[0], gw[1], g_gamma[1], g_beta[1]
+
+    return T.fused(out.reshape(x.shape[:-1] + (width,)), parents, backward)

@@ -14,13 +14,11 @@ from handmade import Episode
 from handmade import make_batch as handmade_batch
 
 from seqskip import gradcheck, nn
-from seqskip import tensor as T
 from seqskip.cli import main as cli_main
 from seqskip.dataio import load_corpus, make_batch
 from seqskip.metrics import (
     Predictions,
     average_accuracy,
-    binarize,
     corpus_maa,
     read_predictions,
 )

@@ -344,6 +344,26 @@ def test_evaluate_per_session_file(corpus_dir, checkpoint, tmp_path, capsys):
     assert abs(np.mean(values) - _maa_from(out)) < 1e-7
 
 
+def test_evaluate_scores_the_sessions_once(corpus_dir, checkpoint, tmp_path, capsys, monkeypatch):
+    # Each evaluate run computes the per-session AA once, whichever source it
+    # scores and also when it writes the per-session file next to the MAA.
+    from seqskip import metrics
+
+    calls = []
+    score = metrics.per_session_aa
+    for module in (metrics, cli):
+        monkeypatch.setattr(module, "per_session_aa", lambda r: calls.append(1) or score(r))
+    preds, per = tmp_path / "preds.txt", tmp_path / "per_session.csv"
+    common = ["--data", str(corpus_dir)]
+    assert main(["predict", *common, "--checkpoint", str(checkpoint), "--out", str(preds)]) == 0
+    for source in (["--checkpoint", str(checkpoint)], ["--predictions", str(preds)]):
+        for extra in ([], ["--per-session", str(per)]):
+            calls.clear()
+            assert main(["evaluate", *common, *source, *extra]) == 0
+            assert len(calls) == 1, (source, extra)
+    capsys.readouterr()
+
+
 def test_manifests_record_the_run(corpus_dir, checkpoint, tmp_path, capsys):
     preds, per = tmp_path / "preds.txt", tmp_path / "per.csv"
     assert main(["predict", "--data", str(corpus_dir), "--checkpoint", str(checkpoint),

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package, its scripts or its tests imports is used in that
+module."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,12 @@ import pytest
 import seqskip
 
 SRC = Path(seqskip.__file__).parent
+ROOT = Path(__file__).parent.parent
+# The package's modules by name, the scripts' and the tests' by directory and name.
+MODULES = {p.stem: p for p in SRC.glob("*.py")} | {
+    f"{d}/{p.stem}": p for d in ("scripts", "tests") for p in (ROOT / d).glob("*.py")
+}
+
 
 def unused_imports(source: str) -> list[str]:
     """The names ``source`` imports and never reads. A name counts as read where the
@@ -38,6 +45,6 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["os"]
 
 
-@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_every_import_is_used(module):
-    assert unused_imports((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
+    assert unused_imports(MODULES[module].read_text(encoding="utf-8")) == []
