@@ -245,6 +245,14 @@ def _case_session_mean(rng):
     return [values], lambda v: _project(nn.session_mean(v, counts), r)
 
 
+def _case_take_rows(rng):
+    # Rows 1, 2 and 4 of 6, then 13 inert rows.
+    index = np.array([1, 2, 4])
+    x = rng.normal(size=(6, 3))
+    r = rng.normal(size=(16, 3))
+    return [x], lambda xx: _project(nn.take_rows(xx, index), r)
+
+
 def _case_pair_linear(rng, relation=False):
     # Ragged sessions of (3, 2), (1, 3) and (2, 1) supports and queries, each half's rows
     # followed by 2 inert rows. The projection weighs every place of the padded grid,
@@ -276,14 +284,16 @@ def _case_softmax(rng):
     return [x], lambda xx: _project(nn.softmax(xx), r)
 
 
-def _attention_case(heads, causal=False):
+def _attention_case(heads, causal=False, k_lengths=None, first=None):
     def build(rng):
-        # Rows of sessions of 3, 1 and 2 queries; causal attention reads their own rows,
-        # cross attention 2, 4 and 1 key rows. Each side ends in 2 inert rows.
-        rows, dk, dv = nn.Rows.packed([3, 1, 2], 8), 8, 8
-        k_rows = None if causal else nn.Rows.packed([2, 4, 1], 9)
+        # Rows of sessions of 3, 1 and 2 queries; the keys are their own rows, or rows of
+        # sessions of ``k_lengths``, where causal queries start at time ``first``. Each
+        # side ends in 2 inert rows.
+        dk = dv = 8
+        rows = nn.Rows.packed([3, 1, 2], 8, first)
+        k_rows = None if k_lengths is None else nn.Rows.packed(k_lengths, sum(k_lengths) + 2)
         q = rng.normal(size=(8, dk))
-        k = rng.normal(size=(8 if causal else 9, dk))
+        k = rng.normal(size=((rows if k_rows is None else k_rows).shape[0], dk))
         v = rng.normal(size=(len(k), dv))
         r = rng.normal(size=(8, dv))
         return [q, k, v], lambda qq, kk, vv: _project(
@@ -338,12 +348,15 @@ CASES = {
     # Packed sessions of 6, 3 and 2 rows, two of them below the receptive field, 5.
     "gated_level_ragged": _gated_level_case("highway", 3, 2, 6, lengths=(6, 3, 2)),
     "session_mean": _case_session_mean,
+    "take_rows": _case_take_rows,
     "pair_linear": _case_pair_linear,
     "relation_logits": lambda rng: _case_pair_linear(rng, relation=True),
     "softmax": _case_softmax,
-    "attention_1head": _attention_case(1),
+    "attention_1head": _attention_case(1, k_lengths=(2, 4, 1)),
     "attention_causal": _attention_case(1, causal=True),
     "attention_8head": _attention_case(8, causal=True),
+    # each session's later rows as queries over its whole timeline
+    "attention_causal_later_rows": _attention_case(8, True, (5, 4, 2), first=(1, 3, 0)),
     "bce": _case_bce,
     "mse": _case_mse,
 }

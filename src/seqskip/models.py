@@ -18,15 +18,15 @@ is the one place they become probabilities.
 Each family's forward lays out its batch in one table, built once and
 read by every layer, head and loss that needs the layout. Every sequence
 kind reads the batch's real rows ``Batch.x [N, D]`` and returns one logit
-per row; its ``nn.Rows`` table of the timeline (and att_pair's of the
-support rows ``Batch.sup``) keeps each conv tap, norm and attention
-weight inside its session, gives the transformer its positions and plans
-attention's padded block. The metric family's ``nn.Pairs`` table lays out
-the (support, query) pairs for the relation net, heads, losses and
-``query_probs``. Every encoder runs channels-last, so every conv is one
-GEMM. Causal stacks normalize per position over channels only, never over
-time, so strict causality and exact receptive fields survive
-normalization. att_pair's non-causal support encoder normalizes each
+per row, or per query row when scoring; its ``nn.Rows`` table of the
+timeline (and att_pair's of the support rows ``Batch.sup``) keeps each
+conv tap, norm and attention weight inside its session, gives the
+transformer its positions and plans attention's padded block. The metric
+family's ``nn.Pairs`` table lays out the (support, query) pairs for the
+relation net, heads, losses and ``query_probs``. Every encoder runs
+channels-last, so every conv is one GEMM. Causal stacks normalize per
+position over channels only, never over time, so strict causality and
+exact receptive fields survive normalization. att_pair's non-causal support encoder normalizes each
 session's rows over time instead, where looking ahead is the point.
 """
 
@@ -321,9 +321,13 @@ class Model:
 
     # -- sequence family -----------------------------------------------
 
-    def forward_sequence(self, batch: Batch) -> Tensor:
-        """Skip logits ``[N]``, one per row of ``batch.x``, over the merged timelines. The
-        timeline's one row table is built here, and every layer of the forward reads it."""
+    def forward_sequence(self, batch: Batch, queries_only: bool = False) -> Tensor:
+        """Skip logits over the merged timelines, one per row of ``batch.x`` ``[N]``, or with
+        ``queries_only`` one per query row (``batch.query_index``), then inert logits up to
+        a multiple of ``dataio.PACK_ROWS``. The transformer runs its last block's query
+        side on the query rows alone; every other kind reads them from the logits of every
+        row. The timeline's one row table is built here, and every layer of the forward
+        reads it."""
         kind = self.config.kind
         forward = self.config.structure.forward
         if forward is None:
@@ -333,7 +337,11 @@ class Model:
                 "teacher requires episodes assembled with keep_query_logs=True; "
                 "this batch has zero-filled query logs"
             )
-        return getattr(self, forward)(batch, nn.Rows.packed(batch.lengths, len(batch.x)))
+        rows = nn.Rows.packed(batch.lengths, len(batch.x))
+        if kind == "transformer":
+            return self._forward_transformer(batch, rows, queries_only)
+        logits = getattr(self, forward)(batch, rows)
+        return nn.take_rows(logits, batch.query_index) if queries_only else logits
 
     def _forward_conv_stacks(self, batch: Batch, rows: nn.Rows, h: Tensor | None = None) -> Tensor:
         """The entry conv on ``h`` (the batch's rows when None), the causal gated levels
@@ -362,7 +370,12 @@ class Model:
         return self._forward_conv_stacks(batch, rows,
                                          T.concat([x, self._linear("attn.o", att)], -1))
 
-    def _forward_transformer(self, batch: Batch, rows: nn.Rows) -> Tensor:
+    def _forward_transformer(self, batch: Batch, rows: nn.Rows,
+                             queries_only: bool = False) -> Tensor:
+        """Every block on the timeline's rows, except that with ``queries_only`` the last
+        block's attention queries, ``o`` projection, residual, ``ln2`` and FFN, then the
+        final norm and the head run on the query rows alone; its keys and values still
+        cover the whole timeline."""
         structure = self.config.structure
         t_len = int(batch.lengths.max(initial=0))
         if t_len > MAX_POSITIONS:
@@ -379,16 +392,21 @@ class Model:
         def ln(prefix: str, v: Tensor) -> Tensor:
             return nn.channel_norm(v, self._p(f"{prefix}.gamma"), self._p(f"{prefix}.beta"))
 
+        q_rows = rows
         for bidx in range(structure.stacks):
             p = f"block{bidx}"
-            n1 = ln(f"{p}.ln1", h)
-            qkv = (self._linear(f"{p}.{name}", n1) for name in "qkv")
-            att = nn.attention(*qkv, rows, causal=True, heads=structure.heads)
+            n1 = q_in = ln(f"{p}.ln1", h)
+            if queries_only and bidx == structure.stacks - 1:
+                read = batch.query_index
+                h, q_in = nn.take_rows(h, read), nn.take_rows(n1, read)
+                q_rows = nn.Rows.packed(batch.t_query, len(h.data), batch.t_support)
+            qkv = (self._linear(f"{p}.{name}", x) for name, x in zip("qkv", (q_in, n1, n1)))
+            att = nn.attention(*qkv, q_rows, rows, causal=True, heads=structure.heads)
             h = T.add(h, self._linear(f"{p}.o", att))
             n2 = ln(f"{p}.ln2", h)
             ffn = self._linear(f"{p}.ffn.fc2", self._linear(f"{p}.ffn.fc1", n2, relu=True))
             h = T.add(h, ffn)
-        return T.reshape(self._linear("head", ln("final", h)), rows.shape)
+        return T.reshape(self._linear("head", ln("final", h)), q_rows.shape)
 
     def _forward_att_pair(self, batch: Batch, rows: nn.Rows) -> Tensor:
         w = self.config.width
@@ -477,7 +495,8 @@ class Model:
             out = self.forward_metric(batch.halves())
             head = out.head.data[out.pairs.query]  # [B, Q] -> [n_q]
         else:
-            head = self.forward_sequence(batch).data[batch.query_index]  # [N] -> [n_q]
+            n_q = int(batch.t_query.sum())
+            head = self.forward_sequence(batch, queries_only=True).data[:n_q]  # [n_q]
         probs = head if self.config.kind in VOTE_KINDS else T.sigmoid_array(head)
         return probs.astype(np.float32)
 

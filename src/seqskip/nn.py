@@ -20,13 +20,14 @@ entropy on logits each record one tape node with a hand-written backward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import tensor as T
-from .dataio import prefix_mask
+from .dataio import PACK_ROWS, prefix_mask
 from .errors import ConfigurationError, EvaluationError, MaskingError, ValidationError
 from .tensor import Tensor
 
@@ -69,29 +70,33 @@ class Rows:
     leading shape of the inputs the table describes: ``(N,)`` for a batch's
     rows, ``(B, T)`` for a block whose every ``[T, C]`` is one session. The
     first ``sessions`` sessions are real; a :meth:`packed` table's others are
-    its inert rows. Each plan below is worked out once per table, so the
-    layers of a forward that share the table share it. A conv tap reading
-    offset ``o`` is one shifted slice of the whole block, and :meth:`outside`
-    lists the rows whose ``time + o`` leaves their session, which read zeros.
+    its inert rows. ``first[b]`` is the time of real session b's first row in
+    its whole timeline: zero, except in a table of each session's later rows,
+    whose causal attention reads the timeline's keys. Each plan below is worked
+    out once per table, so the layers of a forward that share the table share
+    it. A conv tap reading offset ``o`` is one shifted slice of the whole block,
+    and :meth:`outside` lists the rows whose ``time + o`` leaves their session,
+    which read zeros.
     """
 
-    def __init__(self, lengths, shape: tuple[int, ...], sessions: int | None = None):
+    def __init__(self, lengths, shape: tuple[int, ...], sessions: int | None = None,
+                 first=None):
         self.lengths = np.asarray(lengths, dtype=np.intp)
         self.shape = tuple(shape)
         self.sessions = len(self.lengths) if sessions is None else sessions
+        self.first = np.zeros(self.sessions, np.intp) if first is None else np.asarray(first)
         self.stops = np.cumsum(self.lengths)
         n = int(self.lengths.sum())
-        if n != int(np.prod(self.shape)):
+        if n != math.prod(self.shape):
             raise ConfigurationError(f"sessions of {n} rows do not fill a block of {self.shape}")
-        self.time = np.arange(n) - np.repeat(self.stops - self.lengths, self.lengths)
-        self.rest = np.repeat(self.lengths - 1, self.lengths) - self.time
         self._outside: dict[int, np.ndarray] = {}
+        self._causal: dict[int, np.ndarray] = {}
 
     @classmethod
-    def packed(cls, lengths, n: int) -> Rows:
+    def packed(cls, lengths, n: int, first=None) -> Rows:
         """The table of ``n`` rows: sessions of ``lengths``, then inert rows of one row each."""
         inert = np.ones(n - int(np.sum(lengths)), np.intp)
-        return cls(np.concatenate([lengths, inert]), (n,), len(lengths))
+        return cls(np.concatenate([lengths, inert]), (n,), len(lengths), first)
 
     @classmethod
     def of(cls, x: Tensor, rows: Rows | None) -> Rows:
@@ -105,6 +110,17 @@ class Rows:
                 f"row table of a {rows.shape} block does not describe input {tuple(x.shape)}"
             )
         return rows
+
+    @cached_property
+    def time(self) -> np.ndarray:
+        """``[N]``: each row's position in its session."""
+        return np.arange(math.prod(self.shape)) - np.repeat(self.stops - self.lengths,
+                                                             self.lengths)
+
+    @cached_property
+    def rest(self) -> np.ndarray:
+        """``[N]``: the number of each row's session's rows after it."""
+        return np.repeat(self.lengths - 1, self.lengths) - self.time
 
     @cached_property
     def session_sums(self):
@@ -139,13 +155,16 @@ class Rows:
             places = np.flatnonzero(real)
         return real, index, places, _fill(real.T)
 
-    @cached_property
-    def causal_fill(self) -> np.ndarray:
-        """``[T, 1, B, T]``: the additive mask of :attr:`block` that admits, for each query
-        place, the keys up to it, which leave out its session's padding keys."""
-        b, t_len = self.block[0].shape
-        triangle = _fill(np.arange(t_len)[:, None] <= np.arange(t_len))
-        return np.broadcast_to(triangle[:, None, None], (t_len, 1, b, t_len)).copy()
+    def causal_fill(self, m: int) -> np.ndarray:
+        """``[m, 1, B, T]``: the additive mask over a key block ``m`` long that admits, for
+        each query place of :attr:`block`, the keys at or before its time (``first`` plus
+        the place), which leave out its session's padding keys."""
+        if m not in self._causal:
+            t_len = self.block[0].shape[1]
+            times = self.first[:, None] + np.arange(t_len)  # [B, T]
+            triangle = _fill(np.arange(m)[:, None] <= np.arange(times.max(initial=0) + 1))
+            self._causal[m] = triangle[:, times][:, None]
+        return self._causal[m]
 
     def outside(self, offset: int) -> np.ndarray:
         if offset not in self._outside:
@@ -296,6 +315,21 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool = False) -> Tenso
     return T.fused(out, (x, weight, bias), backward)
 
 
+def take_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """Rows ``index`` of ``x [N, ...]`` stored like a batch's rows, zero rows after them up
+    to a multiple of ``dataio.PACK_ROWS``; one tape node. A forward that reads some rows
+    runs its later layers on them."""
+    out = np.zeros((len(index) + -len(index) % PACK_ROWS,) + x.shape[1:], x.dtype)
+    np.take(x.data, index, axis=0, out=out[: len(index)])
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, index, g[: len(index)])
+        return (gx,)
+
+    return T.fused(out, (x,), backward)
+
+
 def _axis_sum(a: np.ndarray, axis: int, b: np.ndarray | None = None) -> np.ndarray:
     """Sum of ``a`` (times ``b``, broadcast) over one axis, kept as size 1.
 
@@ -359,8 +393,9 @@ def _norm(x: Tensor, gamma: Tensor, beta: Tensor, sums, weight) -> Tensor:
     xc = xd - mu
     var = sums(xc, xc) * weight
     inv = (var + NORM_EPSILON) ** -0.5
-    xhat = xc * inv
-    out = xhat * g + b
+    xhat = np.multiply(xc, inv, out=xc)
+    out = xhat * g
+    out += b
 
     def backward(gy):
         gx = gg = gb = None
@@ -846,9 +881,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, rows: Rows, k_rows: Rows | None =
     ``rows`` lays out the query rows ``q [Nq, d_k]`` and ``k_rows`` the key and value
     rows ``k [Nk, d_k]`` and ``v [Nk, d_v]`` (the query rows' table when None), each a
     ``(N,)`` table of the same number of real sessions; the rows after those sessions
-    are inert. A query row attends to its session's keys; when ``causal``, which takes
-    no ``k_rows``, only to those at or before its own position. With ``heads > 1`` the
-    widths are split per head and the outputs re-concatenated.
+    are inert. A query row attends to its session's keys; when ``causal``, only to those
+    at or before its own time. A causal query table of its own holds a run of each
+    session's rows from its time ``Rows.first``, and the key table the whole timeline;
+    a query time past its session's keys is refused. With ``heads > 1`` the widths are
+    split per head and the outputs re-concatenated.
 
     The node gathers each operand once into the padded ``[B, T, d]`` :attr:`Rows.block`
     of its table, and reads its mask there. A padding place reads a real row: a key
@@ -857,8 +894,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, rows: Rows, k_rows: Rows | None =
     ``dV = P^T dO``, ``dS = P (dP - rowsum(dP P)) scale`` with ``dP = dO V^T``, ``dQ = dS
     K`` and ``dK = dS^T Q``, and scatters each block's real places back to rows.
     """
-    if causal and k_rows is not None:
-        raise ConfigurationError("causal attention reads its query rows' own sessions as keys")
     k_rows = rows if k_rows is None else k_rows
     dk, dv = q.shape[-1], v.shape[-1]
     nq, nk = q.shape[0], k.shape[0]
@@ -875,6 +910,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, rows: Rows, k_rows: Rows | None =
         raise ConfigurationError(f"heads={heads} must divide d_k={dk} and d_v={dv}")
     if k_rows.lengths[: k_rows.sessions].min(initial=1) < 1:
         raise MaskingError("attention over a session with no key rows")
+    if causal and k_rows is not rows and np.any(
+            rows.first + rows.lengths[: rows.sessions] > k_rows.lengths[: k_rows.sessions]):
+        raise ConfigurationError("causal attention of a query time past its session's keys")
     q_real, q_index, q_places, _ = rows.block
     k_real, k_index, k_places, k_fill = k_rows.block
     (b, n), m = q_real.shape, k_real.shape[1]
@@ -883,7 +921,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, rows: Rows, k_rows: Rows | None =
     qh, kh, vh = (_heads_view(_gather(t.data, index, (b, t_len, t.shape[1])), heads)
                   for t, index, t_len in ((q, q_index, n), (k, k_index, m), (v, k_index, m)))
     # A contiguous fill: adding one broadcast over the short query axis is slower.
-    fill = rows.causal_fill if causal else np.repeat(k_fill[:, None, :, None], n, axis=3)
+    fill = rows.causal_fill(m) if causal else np.repeat(k_fill[:, None, :, None], n, axis=3)
     p = _attention_probs(qh, kh, fill, scale)  # [m, B, heads, n]
     out = _rows(_matmul_merged(np.moveaxis(p, 0, -1), vh, (b, n, dv), heads), q_places, nq)
 

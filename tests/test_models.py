@@ -20,7 +20,7 @@ from seqskip.models import (
     build,
     default_config,
 )
-from seqskip.dataio import Batch, fit_stats, load_corpus, make_batches, prefix_mask
+from seqskip.dataio import PACK_ROWS, Batch, fit_stats, load_corpus, make_batches, prefix_mask
 from seqskip.synthgen import SynthConfig, generate
 from seqskip.trainer import batch_loss, build_episodes, load_model, predict_corpus
 
@@ -242,7 +242,8 @@ def test_masked_multihead_attention_is_one_tape_node():
 def test_a_forward_builds_one_row_table_and_attention_plan_per_side(monkeypatch, kind, sides):
     # The transformer's two blocks, snail's attention and conv stack, and att_pair's
     # encoders and attention each read their side's one table and its one block plan,
-    # in a training step and in inference alike.
+    # in a training step and in inference alike. Inference reads the query rows alone,
+    # and the transformer's last block plans its queries on their own table.
     tables, plans = [], []
     init, plan = nn.Rows.__init__, nn.Rows.block.func
     monkeypatch.setattr(nn.Rows, "__init__",
@@ -251,11 +252,13 @@ def test_a_forward_builds_one_row_table_and_attention_plan_per_side(monkeypatch,
     rng = np.random.default_rng(12)
     batch = make_batch([_episode(rng, int(rng.integers(10, 21))) for _ in range(8)])
     model = _model(kind)
-    for run in (lambda: batch_loss(model, batch).backward(), lambda: model.query_probs(batch)):
+    inference_sides = sides + (kind == "transformer")
+    for run, count in ((lambda: batch_loss(model, batch).backward(), sides),
+                       (lambda: model.query_probs(batch), inference_sides)):
         tables.clear()
         plans.clear()
         run()
-        assert len(tables) == sides and plans == tables, kind
+        assert len(tables) == count and plans == tables, kind
 
 
 @pytest.mark.parametrize("kind,budget", [("transformer", 60), ("snail", 55), ("att_pair", 45)])
@@ -390,7 +393,7 @@ def test_padding_contents_reach_no_output_or_gradient(markov_corpus, kind, gate)
     assert any(inert)
 
 
-CONV_STACK_KINDS = ("seq1eH", "seq1HL", "teacher")
+EXACT_KINDS = ("seq1eH", "seq1HL", "teacher", "transformer")
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -400,12 +403,14 @@ def test_probabilities_do_not_depend_on_batch_mates(markov_corpus, kind):
     # gets in corpus-order batches. att_pair does not: its attention block is
     # as long as the batch's longest support half and timeline, and the
     # key-query score GEMM rounds by those lengths. Scored alone (batch 1),
-    # snail and the transformer may move a session in the last bit for the
-    # same reason, their blocks being as long as the batch's longest
-    # timeline, and the metric family by the shapes of its pair and user
-    # products. The conv stacks do not: every layer they have runs on a
-    # batch's rows, whose count is a multiple of 16 with any batch-mates, so
-    # each GEMM row keeps its bits.
+    # snail may move a session in the last bit for the same reason, its block
+    # being as long as the batch's longest timeline, and the metric family by
+    # the shapes of its pair and user products. The conv stacks do not: every
+    # layer they have runs on a batch's rows, whose count is a multiple of 16
+    # with any batch-mates, so each GEMM row keeps its bits. Nor does the
+    # transformer, whose row layers run on rows (or query rows) rounded alike,
+    # and whose attention, 8 heads of 4 channels at this width, has given each
+    # real place the same bits in blocks of any length.
     schema, sessions, features, stats = markov_corpus
     episodes = build_episodes(sessions, features, stats, schema, kind)
     model = build(default_config(kind, width=32), schema.full_width)
@@ -415,7 +420,7 @@ def test_probabilities_do_not_depend_on_batch_mates(markov_corpus, kind):
     for way, preds in ways.items():
         assert [sid for sid, _ in preds] == list(episodes.session_ids)
         for (sid, p), (_, q) in zip(preds, corpus_order):
-            if kind in CONV_STACK_KINDS or way == "bucketed" and kind != "att_pair":
+            if kind in EXACT_KINDS or way == "bucketed" and kind != "att_pair":
                 assert p.tobytes() == q.tobytes(), (way, sid)
             else:
                 np.testing.assert_allclose(p, q, rtol=0, atol=BATCH_MATE_TOLERANCE,
@@ -585,6 +590,31 @@ def test_query_probs_records_no_tape(monkeypatch):
         loss.backward()
         grads = [p.grad for p in model.params.values()]
         assert all(g is not None for g in grads) and any(np.any(g != 0) for g in grads), kind
+
+
+def test_transformer_scores_its_query_rows_alone(monkeypatch):
+    # query_probs runs the head on the query rows, rounded up to a multiple of
+    # PACK_ROWS, and training on every row. The probabilities keep the bits of the
+    # forward over every row, on ragged batches of 1, 7 and 64 sessions.
+    model = build(default_config("transformer", width=32, seed=3), IN_DIM)
+    head_rows, linear = [], nn.linear
+
+    def spy(x, weight, *rest):
+        if weight is model.params["head.w"]:
+            head_rows.append(len(x.data))
+        return linear(x, weight, *rest)
+
+    monkeypatch.setattr(nn, "linear", spy)
+    rng = np.random.default_rng(16)
+    for sessions in (1, 7, 64):
+        batch = make_batch([_episode(rng, int(rng.integers(2, 21))) for _ in range(sessions)])
+        n_q = len(batch.query_index)
+        head_rows.clear()
+        batch_loss(model, batch)
+        probs = model.query_probs(batch)
+        assert head_rows == [len(batch.x), n_q + -n_q % PACK_ROWS], sessions
+        want = T.sigmoid_array(model.forward_sequence(batch).data[batch.query_index])
+        assert probs.tobytes() == want.astype(np.float32).tobytes(), sessions
 
 
 def test_no_grad_restores_the_flag_on_error():

@@ -176,11 +176,13 @@ def ref_attention(q, k, v, mask=None, heads=1):
 
 
 def length_mask(q_lengths, k_lengths, causal):
-    """The ``[B, n, m]`` mask of sessions of ``q_lengths`` queries over ``k_lengths`` keys."""
+    """The ``[B, n, m]`` mask of sessions of ``q_lengths`` queries over ``k_lengths`` keys.
+    Causal queries are each session's last rows, every row when there are as many."""
     n = int(np.max(q_lengths))
     admit = np.repeat(prefix_mask(np.asarray(k_lengths))[:, None, :], n, axis=1)
     if causal:
-        admit &= np.tril(np.ones(admit.shape[1:], dtype=bool))
+        first = np.subtract(k_lengths, q_lengths)
+        admit &= np.arange(admit.shape[2]) <= (first[:, None] + np.arange(n))[:, :, None]
     return admit
 
 
@@ -650,6 +652,9 @@ ATTENTION_CASES = {
     "batched_1head_masked": ((4, 2), (6, 3), 4, 2, 1, False),
     "batched_8head_causal": ((6, 4, 1), None, 16, 16, 8, True),
     "batched_8head_causal_one_length": ((4, 4, 4), None, 16, 16, 8, True),
+    # each session's later rows as queries over its whole timeline, as the
+    # transformer's last block reads when scoring
+    "batched_8head_causal_later_rows": ((2, 1, 3), (4, 2, 3), 16, 16, 8, True),
     "att_pair_support": ((6, 3, 5), (4, 1, 2), 8, 8, 1, False),
 }
 
@@ -663,7 +668,8 @@ def test_attention_matches_composition(case):
     n_k = sum(q_lengths if k_lengths is None else k_lengths) + 3
     arrays = [rng.normal(size=(sum(q_lengths) + 3, dk)), rng.normal(size=(n_k, dk)),
               rng.normal(size=(n_k, dv))]
-    rows = nn.Rows.packed(q_lengths, len(arrays[0]))
+    first = np.subtract(k_lengths, q_lengths) if causal and k_lengths else None
+    rows = nn.Rows.packed(q_lengths, len(arrays[0]), first)
     k_rows = None if k_lengths is None else nn.Rows.packed(k_lengths, n_k)
     assert_same_op(
         lambda q, k, v: nn.attention(q, k, v, rows, k_rows, causal, heads),
@@ -677,6 +683,17 @@ def test_attention_matches_composition(case):
             lambda q, s: ref_attention_rows(q, s, s, q_lengths, k_lengths),
             arrays[:2],
         )
+
+
+def test_take_rows_matches_a_one_hot_product():
+    # Five of ten rows, then zero rows up to 16: the rows a one-hot selection
+    # picks, in value and gradient.
+    rng = np.random.default_rng(15)
+    index = np.array([2, 3, 4, 6, 7])
+    pick = np.zeros((16, 10))
+    pick[np.arange(len(index)), index] = 1
+    assert_same_op(lambda x: nn.take_rows(x, index),
+                   lambda x: T.matmul(Tensor(pick), x), [rng.normal(size=(10, 4))])
 
 
 def test_prepared_attention_mask_gives_the_same_bits():
@@ -722,7 +739,8 @@ def test_attention_rejects_fully_blocked_row():
         lambda: nn.attention(q, Tensor(np.ones((6, 3))), v, rows),  # keys of another width
         lambda: nn.attention(Tensor(np.ones((1, 6, 4))), k, v, rows),  # not rows
         lambda: nn.attention(q, k, v, rows, nn.Rows.packed([3, 2, 1], 6)),  # other sessions
-        lambda: nn.attention(q, k, v, rows, rows, causal=True),  # causal over other keys
+        # a query at time 2 + 1 of a session of 3 keys
+        lambda: nn.attention(q, k, v, nn.Rows.packed([2, 3], 6, [2, 0]), rows, causal=True),
     ):
         with pytest.raises(ConfigurationError):
             bad()
