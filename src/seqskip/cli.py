@@ -33,7 +33,6 @@ from .metrics import (
 from .models import GATES, KINDS, default_config
 from .synthgen import RULES, SynthConfig, generate
 from .trainer import (
-    LOSS_SCOPES,
     TrainConfig,
     build_episodes,
     evaluate_episodes,
@@ -98,9 +97,14 @@ def _maybe_load_manifest(args: argparse.Namespace, command: str) -> argparse.Nam
             f"manifest is for {payload.get('command')!r}, not {command!r}"
         )
     stored = dict(payload["args"])
-    missing = sorted(set(_manifest_args(args)) - set(stored) - {"command"})
+    defined = set(_manifest_args(args))
+    missing = sorted(defined - set(stored) - {"command"})
     if missing:
         raise ValidationError(f"manifest {args.from_manifest} lacks arguments {missing}")
+    unknown = sorted(set(stored) - defined)
+    if unknown:  # dropping it would re-run a different command
+        raise ValidationError(f"manifest {args.from_manifest} has arguments {unknown} that "
+                              f"{command} does not define")
     commands = next(a for a in build_parser()._actions if a.dest == "command")
     for action in commands.choices[command]._actions:
         if action.dest in stored:
@@ -144,7 +148,6 @@ def cmd_fit(args) -> int:
         anneal_factor=args.anneal,
         max_epochs=args.epochs,
         seed=args.seed,
-        loss_scope=args.loss_scope,
         checkpoint_path=str(out),
         grad_clip=args.grad_clip,
     )
@@ -287,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--lr", type=float, default=1e-3)
     f.add_argument("--anneal", type=float, default=0.7)
     f.add_argument("--train-fraction", type=float, default=0.8)
-    f.add_argument("--loss-scope", choices=LOSS_SCOPES, default="query_only")
     f.add_argument("--gate", choices=GATES, default="highway")
     f.add_argument("--grad-clip", type=float, default=None)
     f.add_argument("--out", default=None, help="checkpoint path")

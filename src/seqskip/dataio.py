@@ -747,7 +747,7 @@ class Batch:
     many share the call, so a layer on the rows gives a real row the same bits in any batch.
     A batch is one gather of its sessions' rows. The halves as rows (``sup`` and ``qry``,
     stored alike), the padded ``[B, ...]`` labels of the halves (``sup_y``, ``qry_y``; any
-    row array through :meth:`queries`), the query row indices and the row masks (in ``x``'s
+    row array through :meth:`queries`), the query row indices and their mask (in ``x``'s
     dtype) are derived each time they are read, so an in-place edit of ``x`` shows in them."""
 
     session_ids: tuple[str, ...]
@@ -791,13 +791,12 @@ class Batch:
         """The query half ``[B, Q, ...]`` of ``values [N, ...]``, one per row."""
         return self._padded(values, self.t_support, self.t_query)
 
-    def _row_mask(self, offset, counts: np.ndarray) -> np.ndarray:  # [N]
+    @property
+    def query_rows(self) -> np.ndarray:  # [N]
         out = np.zeros(len(self.x), dtype=self.x.dtype)
-        out[self._rows(offset, counts)] = 1
+        out[self.query_index] = 1
         return out
 
-    real_rows = property(lambda self: self._row_mask(0, self.lengths))  # [N]
-    query_rows = property(lambda self: self._row_mask(self.t_support, self.t_query))  # [N]
     query_index = property(lambda self: self._rows(self.t_support, self.t_query))  # [n_q]
     sup_y = property(lambda self: self._padded(self.y, 0, self.t_support))  # [B, S]
     qry_y = property(lambda self: self.queries(self.y))  # [B, Q]

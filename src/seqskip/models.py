@@ -66,7 +66,7 @@ class Structure(NamedTuple):
     """What a kind fixes about its architecture beyond width, gate and seed."""
 
     stacks: int = 1  # causal conv stacks; transformer blocks
-    dilations: tuple[int, ...] = ()  # per conv level of a stack
+    dilations: tuple[int, ...] = ()  # per gated conv level of a stack
     kernels: tuple[int, ...] = ()
     heads: int = 1
     forward: str | None = None  # the Model method of a sequence kind
@@ -107,6 +107,9 @@ class ModelConfig:
             raise ConfigurationError("width must be positive")
         if self.gate not in GATES:
             raise ConfigurationError(f"gate must be one of {GATES}, got {self.gate!r}")
+        if self.gate != "highway" and not self.structure.dilations:  # no level reads the gate
+            raise ConfigurationError(f"{self.kind} has no gated level; its gate must be "
+                                     f"'highway', got {self.gate!r}")
         heads = self.structure.heads
         if self.width % heads:
             raise ConfigurationError(f"{self.kind}: heads={heads} must divide width={self.width}")

@@ -139,12 +139,11 @@ class Rows:
 
     @cached_property
     def block(self) -> tuple:
-        """``(real, index, places, fill)``: the padded ``[B, T]`` block of the real sessions
-        of a ``(N,)`` table, T the longest, for attention. ``real`` marks their places,
-        ``index`` is the row at each place, flat (sessions one after another from row 0, row
-        0 at padding) and ``places`` the real places, flat; both are None when every session
-        is T long, as the block is then the first rows. ``fill [T, B]`` is the additive
-        mask that admits each session's real keys."""
+        """``(real, index, places)``: the padded ``[B, T]`` block of the real sessions of a
+        ``(N,)`` table, T the longest, for attention. ``real`` marks their places, ``index``
+        is the row at each place, flat (sessions one after another from row 0, row 0 at
+        padding) and ``places`` the real places, flat; both are None when every session is
+        T long, as the block is then the first rows."""
         lengths = self.lengths[: self.sessions]
         real = prefix_mask(lengths)
         t_len = real.shape[1]
@@ -153,7 +152,7 @@ class Rows:
             starts = self.stops[: self.sessions] - lengths
             index = np.where(real, starts[:, None] + np.arange(t_len), 0).ravel()
             places = np.flatnonzero(real)
-        return real, index, places, _fill(real.T)
+        return real, index, places
 
     def causal_fill(self, m: int) -> np.ndarray:
         """``[m, 1, B, T]``: the additive mask over a key block ``m`` long that admits, for
@@ -913,15 +912,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, rows: Rows, k_rows: Rows | None =
     if causal and k_rows is not rows and np.any(
             rows.first + rows.lengths[: rows.sessions] > k_rows.lengths[: k_rows.sessions]):
         raise ConfigurationError("causal attention of a query time past its session's keys")
-    q_real, q_index, q_places, _ = rows.block
-    k_real, k_index, k_places, k_fill = k_rows.block
+    q_real, q_index, q_places = rows.block
+    k_real, k_index, k_places = k_rows.block
     (b, n), m = q_real.shape, k_real.shape[1]
 
     scale = 1.0 / float(np.sqrt(dk // heads))
     qh, kh, vh = (_heads_view(_gather(t.data, index, (b, t_len, t.shape[1])), heads)
                   for t, index, t_len in ((q, q_index, n), (k, k_index, m), (v, k_index, m)))
     # A contiguous fill: adding one broadcast over the short query axis is slower.
-    fill = rows.causal_fill(m) if causal else np.repeat(k_fill[:, None, :, None], n, axis=3)
+    fill = (rows.causal_fill(m) if causal
+            else np.repeat(_fill(k_real.T)[:, None, :, None], n, axis=3))
     p = _attention_probs(qh, kh, fill, scale)  # [m, B, heads, n]
     out = _rows(_matmul_merged(np.moveaxis(p, 0, -1), vh, (b, n, dv), heads), q_places, nq)
 

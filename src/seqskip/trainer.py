@@ -2,7 +2,7 @@
 
 Loss assignment: rnb1 and rnb2_ue regress relation scores onto XNOR
 similarity targets with MSE; every other kind emits logits and minimizes
-BCE on them against skip labels (query positions only by default), one
+BCE on them against skip labels at the query positions, one
 ``nn.bce_with_logits`` node with no saturated region. The learning rate is
 multiplied by ``anneal_factor`` at each epoch boundary and the
 best-validation-MAA parameters are the ones kept.
@@ -30,15 +30,13 @@ from .dataio import (
     make_batches,
     make_episodes,
 )
-from .errors import ConfigurationError, SeqskipError, TrainingError, ValidationError
+from .errors import ConfigurationError, SchemaError, TrainingError, ValidationError
 from .metrics import Predictions, binarize, corpus_maa
 from .models import METRIC_KINDS, VOTE_KINDS, Model, ModelConfig, build
 from .nn import bce_with_logits, mse
 from .optim import Adam, positive
 from .rng import rng_stream
 from .tensor import Tensor
-
-LOSS_SCOPES = ("query_only", "support_and_query")
 
 
 @dataclass
@@ -50,7 +48,6 @@ class TrainConfig:
     anneal_factor: float = 0.7
     max_epochs: int = 10
     seed: int = 0
-    loss_scope: str = "query_only"
     checkpoint_path: str | None = None
     grad_clip: float | None = None
 
@@ -64,8 +61,6 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         positive("base_lr", self.base_lr)
-        if self.loss_scope not in LOSS_SCOPES:
-            raise ConfigurationError(f"loss_scope must be one of {LOSS_SCOPES}")
         if self.grad_clip is not None:
             positive("grad_clip", self.grad_clip)
 
@@ -110,7 +105,7 @@ def split_train_val(
     return sessions[np.sort(order[:n_train])], sessions[np.sort(order[n_train:])]
 
 
-def batch_loss(model: Model, batch: Batch, loss_scope: str = "query_only") -> Tensor:
+def batch_loss(model: Model, batch: Batch) -> Tensor:
     """The training objective for one batch under the per-kind loss table."""
     kind = model.config.kind
     if kind in METRIC_KINDS:
@@ -120,8 +115,7 @@ def batch_loss(model: Model, batch: Batch, loss_scope: str = "query_only") -> Te
             return bce_with_logits(out.head, views.qry_y, out.pairs.query)
         targets = (views.sup_y[:, :, None] == views.qry_y[:, None, :]).astype(np.float32)
         return mse(out.r, targets, out.pairs.real)
-    mask = batch.query_rows if loss_scope == "query_only" else batch.real_rows
-    return bce_with_logits(model.forward_sequence(batch), batch.y, mask)
+    return bce_with_logits(model.forward_sequence(batch), batch.y, batch.query_rows)
 
 
 def build_episodes(
@@ -229,7 +223,7 @@ def train(
         order = rng_stream(config.seed, "epoch_order", epoch).permutation(len(train_eps))
         losses = []
         for b_idx, batch in enumerate(make_batches(train_eps, config.batch_size, order)):
-            loss = batch_loss(model, batch, config.loss_scope)
+            loss = batch_loss(model, batch)
             value = float(loss.data)
             if not math.isfinite(value):
                 raise TrainingError(f"non-finite loss ({value}) at epoch {epoch}, batch {b_idx}")
@@ -291,7 +285,7 @@ def load_model(path) -> tuple[Model, PreprocessStats, SchemaSpec, dict]:
     for key, parse in parsers:
         try:
             values.append(parse(meta[key]))
-        except SeqskipError:
+        except SchemaError:  # it names the checkpoint already
             raise
         except KeyError as exc:
             raise ValidationError(f"checkpoint {path} meta lacks key {exc}") from exc

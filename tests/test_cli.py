@@ -210,6 +210,34 @@ def test_from_manifest_bad_values(corpus_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_from_manifest_refuses_an_argument_the_command_does_not_define(
+    checkpoint, tmp_path, capsys
+):
+    # A fit manifest written when fit took --loss-scope stores loss_scope.
+    # Dropping the key would re-run a support_and_query fit as a query-only one.
+    manifest = json.loads((checkpoint.parent / "model.ckpt.manifest.json").read_text())
+    manifest["args"].update(loss_scope="support_and_query", out=str(tmp_path / "m.ckpt"))
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(manifest))
+    rc = main(["fit", "--data", "d", "--model", "rnb1", "--from-manifest", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: manifest {path} has arguments ['loss_scope'] that fit does not define\n")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_readme_flag_tables_list_every_flag():
+    # The README's flag tables name exactly the flags the parser defines.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    for command in ("fit", "evaluate"):
+        table = readme.split(f"`{command}` flags:\n\n", 1)[1].split("\n\n", 1)[0]
+        documented = {flag for line in table.splitlines()
+                      for flag in re.findall(r"`(--[a-z-]+)", line.split("|")[1])}
+        defined = {flag for a in commands[command]._actions for flag in a.option_strings}
+        assert documented == defined - {"-h", "--help"}, command
+
+
 @pytest.mark.parametrize("tracks", ["0", "-3"])
 def test_gen_data_rejects_an_empty_track_pool(tmp_path, capsys, tracks):
     out = tmp_path / "out"

@@ -251,7 +251,7 @@ def ref_make_batch(episodes):
     n = sum(e.t_support + e.t_query for e in episodes)
     rows = n + -n % 16  # real rows, then inert ones up to a multiple of 16
     arrays = {
-        "x": (rows, width), "y": (rows,), "real_rows": (rows,), "query_rows": (rows,),
+        "x": (rows, width), "y": (rows,), "query_rows": (rows,),
         "sup_y": (b, s_max),
         "qry_x": (b, q_max, width), "qry_y": (b, q_max),
     }
@@ -266,7 +266,6 @@ def ref_make_batch(episodes):
         out["x"][row + ts : row + ts + tq] = ep.x_query
         out["y"][row : row + ts] = ep.y_support
         out["y"][row + ts : row + ts + tq] = ep.y_query
-        out["real_rows"][row : row + ts + tq] = 1.0
         out["query_rows"][row + ts : row + ts + tq] = 1.0
         query_index.extend(range(row + ts, row + ts + tq))
         row += ts + tq
@@ -291,8 +290,7 @@ def block_rows(request, monkeypatch):
 
 # What a Batch stores, then what it derives from that when read.
 BATCH_FIELDS = ("session_ids", "x", "y", "t_support", "t_query", "query_logs_kept")
-BATCH_VIEWS = ("real_rows", "query_rows", "query_index", "sup_y", "qry_x",
-               "qry_y")  # qry_x is read as ``queries(x)``
+BATCH_VIEWS = ("query_rows", "query_index", "sup_y", "qry_x", "qry_y")  # qry_x: ``queries(x)``
 
 
 def assert_batches_identical(got: Batch, want: dict) -> None:

@@ -12,6 +12,7 @@ from seqskip import nn
 from seqskip import tensor as T
 from seqskip.errors import ConfigurationError, ContractError, ValidationError
 from seqskip.models import (
+    GATES,
     KINDS,
     METRIC_KINDS,
     SEQUENCE_KINDS,
@@ -27,6 +28,13 @@ from seqskip.trainer import batch_loss, build_episodes, load_model, predict_corp
 IN_DIM = 10
 WIDTH = 16
 DATA = Path(__file__).parent / "data"
+GATED_KINDS = ("seq1eH", "seq1HL", "att_pair", "snail", "teacher")  # levels that read the gate
+
+
+def _gate_cases(kinds):
+    """Each kind with highway, and with glu where a level reads the gate."""
+    return [(kind, gate) for kind in kinds for gate in GATES
+            if gate == "highway" or kind in GATED_KINDS]
 
 
 def _episode(rng, length=10, keep_logs=False) -> Episode:
@@ -68,6 +76,13 @@ def test_config_rejects_structural_violations():
         ModelConfig(kind="rnb1", width=0)
     with pytest.raises(ConfigurationError):
         ModelConfig(kind="rnb1", gate="residual")
+    for kind in KINDS:  # a gate no level reads would be a no-op the meta records
+        assert ModelConfig(kind).gate == "highway"
+        if kind in GATED_KINDS:
+            assert ModelConfig(kind, gate="glu").gate == "glu"
+        else:
+            with pytest.raises(ConfigurationError, match=f"{kind} has no gated level"):
+                ModelConfig(kind, gate="glu")
     with pytest.raises(ConfigurationError):  # heads must divide width
         default_config("snail", width=20)
     with pytest.raises(ConfigurationError):
@@ -366,8 +381,7 @@ def _with_padding_filled(batch, value):
     return _PaddingFilled(**dict(vars(batch), x=x, y=y), fill=value)
 
 
-@pytest.mark.parametrize("gate", ["highway", "glu"])
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind,gate", _gate_cases(KINDS))
 def test_padding_contents_reach_no_output_or_gradient(markov_corpus, kind, gate):
     # Whatever the padding rows hold, the loss, every parameter gradient and
     # the query probabilities keep their bits: padding is never read.
@@ -434,8 +448,7 @@ def _ragged_batch(rng, keep_logs):
     return batch
 
 
-@pytest.mark.parametrize("gate", ["highway", "glu"])
-@pytest.mark.parametrize("kind", SEQUENCE_KINDS)
+@pytest.mark.parametrize("kind,gate", _gate_cases(SEQUENCE_KINDS))
 def test_packed_conv_stacks_give_the_padded_bits(kind, gate):
     # Every row layer of every sequence kind gives each real row the bits it
     # gets on the padded timeline; attention builds its block inside its node.
@@ -456,7 +469,7 @@ def test_inert_rows_move_no_real_row(kind):
     # The rows that round a batch up to 16 hold noise instead of zeros: no
     # real row's logit, nor the loss or a parameter gradient, may change.
     rng = np.random.default_rng(10)
-    for gate in ("highway", "glu"):
+    for _, gate in _gate_cases([kind]):
         batch = _ragged_batch(rng, kind == "teacher")
         model = build(default_config(kind, width=32, gate=gate), IN_DIM)
 

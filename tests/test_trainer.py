@@ -67,7 +67,6 @@ def test_train_config_validation():
         {"base_lr": 0.0},
         {"base_lr": math.nan},
         {"base_lr": math.inf},
-        {"loss_scope": "all"},
         {"grad_clip": 0.0},
         {"grad_clip": math.nan},
         {"grad_clip": -math.inf},
@@ -75,6 +74,21 @@ def test_train_config_validation():
     ):
         with pytest.raises(ConfigurationError):
             _cfg(**kw)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_glu_trains_another_model_or_is_refused(corpus, kind):
+    # Where no level reads the gate, glu would train highway's vector under
+    # meta that says glu: such a config is refused before any training.
+    schema, sessions, features = corpus
+    try:
+        glu = default_config(kind, width=8, gate="glu")
+    except ConfigurationError:
+        return
+    vectors = [train(TrainConfig(model=model, batch_size=16, max_epochs=1),
+                     sessions, features, schema).model.vector
+               for model in (default_config(kind, width=8), glu)]
+    assert vectors[0].tobytes() != vectors[1].tobytes()
 
 
 # -- split -------------------------------------------------------------
@@ -144,12 +158,11 @@ def test_sequence_kind_scope_switches_mask(episodes):
     batch = make_batch(eps[:4])
     model = build(default_config("seq1eH", width=8), schema.full_width)
     ce = _cross_entropy(model.forward_sequence(batch).data, batch.y)
-    assert batch.real_rows.sum() > batch.query_rows.sum() > 0
-    for scope, mask in (("query_only", batch.query_rows),
-                        ("support_and_query", batch.real_rows)):
-        got = float(batch_loss(model, batch, scope).data)
-        want = float((ce * mask).sum() / mask.sum())
-        assert abs(got - want) < 1e-6
+    mask = batch.query_rows
+    assert batch.lengths.sum() > mask.sum() > 0
+    got = float(batch_loss(model, batch).data)
+    want = float((ce * mask).sum() / mask.sum())
+    assert abs(got - want) < 1e-6
 
 
 def test_teacher_episodes_keep_logs(corpus):
@@ -257,8 +270,8 @@ HUGE = 1e24  # scales an rnb1 loss so that its gradient's float32 squares overfl
 
 
 def _loss_scaled_by(factor):
-    def scaled(model, batch, loss_scope="query_only"):
-        return T.mul(batch_loss(model, batch, loss_scope), factor)
+    def scaled(model, batch):
+        return T.mul(batch_loss(model, batch), factor)
     return scaled
 
 
@@ -385,9 +398,9 @@ def test_each_step_frees_its_tape_before_the_next(corpus, monkeypatch, kind):
     schema, sessions, features = corpus
     tapes, checks = [], []
 
-    def recording(model, batch, loss_scope="query_only"):
+    def recording(model, batch):
         checks.append(("step", [r() for tape in tapes for r in tape]))
-        loss = batch_loss(model, batch, loss_scope)
+        loss = batch_loss(model, batch)
         nodes, stack = [], [loss]
         while stack:
             node = stack.pop()
@@ -524,10 +537,10 @@ def test_non_finite_gradient_raises_before_the_step(corpus, monkeypatch):
     schema, sessions, features = corpus
     seen = []
 
-    def poisoned(model, batch, loss_scope="query_only"):
+    def poisoned(model, batch):
         seen.append(model)
         zero = T.mul(T.reduce_sum(model.params["embed.b"]), 0.0)
-        return T.add(batch_loss(model, batch, loss_scope), T.pow_scalar(zero, 0.5))
+        return T.add(batch_loss(model, batch), T.pow_scalar(zero, 0.5))
 
     monkeypatch.setattr(trainer, "batch_loss", poisoned)
     config = _cfg(kind="rnb1", max_epochs=1)
@@ -619,3 +632,20 @@ def test_legacy_checkpoint_meta_with_other_structure_rejected(corpus, tmp_path, 
     _with_legacy_meta(path, kind, **override)
     with pytest.raises(ValidationError, match=next(iter(override))):
         load_model(path)
+
+
+def test_checkpoint_with_an_unread_gate_names_the_file(corpus, tmp_path):
+    # A transformer has no gated level, so meta that says glu states a model
+    # that the file does not hold; the refusal names the file and the key.
+    schema, sessions, features = corpus
+    stats = fit_stats(sessions, features, schema)
+    path = tmp_path / "transformer.ckpt"
+    save_model(path, build(default_config("transformer", width=8), schema.full_width),
+               stats, schema)
+    arrays, meta = ckpt.load_checkpoint(path)
+    meta["model"]["gate"] = "glu"
+    ckpt.save_checkpoint(path, arrays, meta)
+    with pytest.raises(ValidationError) as err:
+        load_model(path)
+    assert str(err.value).startswith(
+        f"checkpoint {path} meta key 'model': transformer has no gated level")
